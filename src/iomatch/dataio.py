@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
+from .engine import PairScores
 from .model import (
     Certainty,
     FeatureKind,
@@ -82,8 +84,11 @@ def _parse_value(feature_kind: FeatureKind, text: str):
         try:
             return int(text)
         except ValueError:
-            return float(text)
-    return float(text)
+            pass
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
 
 
 def read_objects_csv(path: str | Path, schema: Schema) -> list[InformationObject]:
@@ -132,21 +137,34 @@ def breakdown_header(schema: Schema) -> list[str]:
     return header
 
 
+def _score_rows(breakdowns: Iterable[ProximityBreakdown], schema: Schema) -> Iterator[tuple]:
+    """``(id_a, id_b, scores, proximity, distance)`` per breakdown, as
+    :meth:`PairScores.rows` streams them from its columns."""
+    if isinstance(breakdowns, PairScores):
+        yield from breakdowns.rows(schema.names)
+        return
+    for b in breakdowns:
+        scores = [b.per_feature.get(name) for name in schema.names]
+        yield (
+            b.pair[0],
+            b.pair[1],
+            [None if s is None else (s.proximity, s.distance) for s in scores],
+            b.aggregate_proximity,
+            b.aggregate_distance,
+        )
+
+
 def write_breakdowns_csv(
     path: str | Path, breakdowns: Iterable[ProximityBreakdown], schema: Schema
 ) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(breakdown_header(schema))
-        for b in breakdowns:
-            row = [b.pair[0], b.pair[1]]
-            for f in schema.features:
-                score = b.per_feature.get(f.name)
-                if score is None:
-                    row.extend(["", ""])
-                else:
-                    row.extend([_format_number(score.proximity), _format_number(score.distance)])
-            row.extend([_format_number(b.aggregate_proximity), _format_number(b.aggregate_distance)])
+        for a, b, scores, proximity, distance in _score_rows(breakdowns, schema):
+            row = [a, b]
+            for score in scores:
+                row.extend(["", ""] if score is None else [_format_number(score[0]), _format_number(score[1])])
+            row.extend([_format_number(proximity), _format_number(distance)])
             writer.writerow(row)
 
 
@@ -164,4 +182,8 @@ def breakdown_record(b: ProximityBreakdown) -> dict:
 
 
 def write_json(path: str | Path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Indented, key-sorted JSON, written chunk by chunk so the whole text is
+    never held in memory."""
+    with open(path, "w") as fh:
+        fh.writelines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload))
+        fh.write("\n")

@@ -6,6 +6,7 @@ across concurrent evaluators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence, Union
@@ -319,8 +320,9 @@ class InformationObject:
     values: Mapping[str, FeatureValue] = field(default_factory=dict)
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def is_finite_number(x) -> bool:
+    """A real int or float other than bool, NaN and +/-inf."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def object_violations(obj: InformationObject, schema: Schema) -> list[str]:
@@ -342,17 +344,17 @@ def object_violations(obj: InformationObject, schema: Schema) -> list[str]:
                 ok = (
                     isinstance(v, tuple)
                     and len(v) == len(feature.axes)
-                    and all(_is_number(c) for c in v)
+                    and all(is_finite_number(c) for c in v)
                 )
                 if not ok:
                     errors.append(
-                        f"{oid}/{name}: expected {len(feature.axes)} numeric components"
+                        f"{oid}/{name}: expected {len(feature.axes)} finite numeric components"
                     )
-            elif not _is_number(v):
-                errors.append(f"{oid}/{name}: expected a numeric value")
+            elif not is_finite_number(v):
+                errors.append(f"{oid}/{name}: expected a finite numeric value")
         elif feature.kind is FeatureKind.ORDINAL_FUZZY:
-            if not _is_number(v):
-                errors.append(f"{oid}/{name}: expected a numeric rank")
+            if not is_finite_number(v):
+                errors.append(f"{oid}/{name}: expected a finite numeric rank")
         else:
             if not isinstance(v, str):
                 errors.append(f"{oid}/{name}: expected a label")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -196,7 +197,7 @@ class ExperimentReport:
     threshold: float
     scene: Scene
     datasets: Mapping[str, tuple[InformationObject, ...]]
-    breakdowns: tuple[ProximityBreakdown, ...]
+    breakdowns: Sequence[ProximityBreakdown]
     candidates: tuple[ProximityBreakdown, ...]
     pair_records: tuple[PairRecord, ...]
     summary: dict = field(default_factory=dict)
@@ -251,19 +252,20 @@ class ExperimentReport:
                     "a": b.pair[0],
                     "b": b.pair[1],
                     "proximity": b.aggregate_proximity,
-                    "true_pair": self._record(b.pair).true_pair,
-                    "type_mismatch": self._record(b.pair).type_mismatch,
+                    "true_pair": self.candidate_records[b.pair].true_pair,
+                    "type_mismatch": self.candidate_records[b.pair].type_mismatch,
                 }
                 for b in self.candidates
             ],
             "summary": self.summary,
         }
 
-    def _record(self, pair: tuple[str, str]) -> PairRecord:
-        for r in self.pair_records:
-            if (r.a, r.b) == pair:
-                return r
-        raise KeyError(pair)
+    @cached_property
+    def candidate_records(self) -> dict[tuple[str, str], PairRecord]:
+        """The pair record of every candidate, keyed by pair, from one pass
+        over the records."""
+        wanted = {b.pair for b in self.candidates}
+        return {(r.a, r.b): r for r in self.pair_records if (r.a, r.b) in wanted}
 
 
 def _mean(values: Sequence[float]) -> float | None:
@@ -304,28 +306,28 @@ def run_experiment(
     breakdowns = pairwise_breakdowns(run)
     found = candidates(breakdowns, threshold)
 
-    by_id = {obj.object_id: obj for objects in datasets.values() for obj in objects}
-    po_index = {f"{sid}-{i:03d}": i for sid in DEFAULT_SOURCE_IDS for i in range(spec.object_count)}
+    # The i-th report of each source observes the i-th scene object.
     records = []
-    for b in breakdowns:
-        a_id, b_id = b.pair
-        po_a = scene.objects[po_index[a_id]]
-        po_b = scene.objects[po_index[b_id]]
-        oa, ob = by_id[a_id], by_id[b_id]
+    for i, oa in enumerate(datasets[DEFAULT_SOURCE_IDS[0]]):
+        po_a = scene.objects[i]
         ax, ay = oa.values[POSITION_FEATURE].value
-        bx, by_ = ob.values[POSITION_FEATURE].value
-        records.append(
-            PairRecord(
-                a=a_id,
-                b=b_id,
-                proximity=b.aggregate_proximity,
-                distance=b.aggregate_distance,
-                true_pair=po_a.po_id == po_b.po_id,
-                type_mismatch=oa.values[TYPE_FEATURE].value != ob.values[TYPE_FEATURE].value,
-                separation_true=math.hypot(po_a.x - po_b.x, po_a.y - po_b.y),
-                separation_observed=math.hypot(ax - bx, ay - by_),
+        proximity = breakdowns.aggregate_proximity[i].tolist()
+        distance = breakdowns.aggregate_distance[i].tolist()
+        for j, ob in enumerate(datasets[DEFAULT_SOURCE_IDS[1]]):
+            po_b = scene.objects[j]
+            bx, by_ = ob.values[POSITION_FEATURE].value
+            records.append(
+                PairRecord(
+                    a=oa.object_id,
+                    b=ob.object_id,
+                    proximity=proximity[j],
+                    distance=distance[j],
+                    true_pair=i == j,
+                    type_mismatch=oa.values[TYPE_FEATURE].value != ob.values[TYPE_FEATURE].value,
+                    separation_true=math.hypot(po_a.x - po_b.x, po_a.y - po_b.y),
+                    separation_observed=math.hypot(ax - bx, ay - by_),
+                )
             )
-        )
     records = tuple(records)
 
     candidate_pairs = {b.pair for b in found}
@@ -356,7 +358,7 @@ def run_experiment(
         threshold=threshold,
         scene=scene,
         datasets=datasets,
-        breakdowns=tuple(breakdowns),
+        breakdowns=breakdowns,
         candidates=tuple(found),
         pair_records=records,
         summary=summary,
@@ -391,12 +393,11 @@ def emit_report_files(report: ExperimentReport, out_dir: Path, formats: Sequence
 
 
 def render_scene_svg(report: ExperimentReport) -> str:
-    record_by_pair = {(r.a, r.b): r for r in report.pair_records}
+    by_id = {o.object_id: o for objs in report.datasets.values() for o in objs}
     links = []
     for b in report.candidates:
-        r = record_by_pair[b.pair]
-        oa = next(o for o in report.datasets[DEFAULT_SOURCE_IDS[0]] if o.object_id == r.a)
-        ob = next(o for o in report.datasets[DEFAULT_SOURCE_IDS[1]] if o.object_id == r.b)
+        r = report.candidate_records[b.pair]
+        oa, ob = by_id[r.a], by_id[r.b]
         ax, ay = oa.values[POSITION_FEATURE].value
         bx, by_ = ob.values[POSITION_FEATURE].value
         links.append((ax, ay, bx, by_, r.type_mismatch))

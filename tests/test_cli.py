@@ -102,6 +102,54 @@ class TestMatch:
         assert main(["match", "--config", str(config_path), str(a), str(b)]) == 1
 
 
+RANKED_CONFIG = {
+    "schema": {
+        "features": [
+            {"name": "speed", "kind": "quantitative", "weight": 0.5, "xi": 3.0},
+            {"name": "rank", "kind": "ordinal", "weight": 0.5, "shape": "triangular", "width": 2},
+        ]
+    },
+    "sources": {
+        "alpha": {"speed": {"sigma": 2.0}, "rank": {"k": 0.3}},
+        "beta": {"speed": {"sigma": 2.0}},
+    },
+}
+
+
+class TestRejectedAtValidation:
+    """Inputs the kernels cannot score exit 1 with a message, never a traceback."""
+
+    def match(self, tmp_path, config, rows_a, rows_b="b1,beta,12.0,4\n"):
+        path = write(tmp_path, "config.json", json.dumps(config))
+        a = write(tmp_path, "a.csv", "object_id,source_id,speed,rank\n" + rows_a)
+        b = write(tmp_path, "b.csv", "object_id,source_id,speed,rank\n" + rows_b)
+        return main(["match", "--config", str(path), str(a), str(b)])
+
+    @pytest.mark.parametrize("row", ["a1,alpha,nan,4\n", "a1,alpha,inf,4\n", "a1,alpha,12.0,-inf\n"])
+    def test_non_finite_value(self, tmp_path, capsys, row):
+        assert self.match(tmp_path, RANKED_CONFIG, row) == 1
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("rank", ["0", "1"])
+    def test_relative_k_support_collapses_onto_rank(self, tmp_path, capsys, rank):
+        assert self.match(tmp_path, RANKED_CONFIG, f"a1,alpha,12.0,{rank}\n") == 1
+        err = capsys.readouterr().err
+        assert "rounds the support" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("weights, message", [
+        ({"speed": 1.0}, "no weight for feature 'rank'"),
+        ({"speed": 0.5, "rank": 0.5, "colour": 1.0}, "unknown feature 'colour'"),
+        ({"speed": -1.0, "rank": 1.0}, "'speed' weight -1.0"),
+        ({"speed": 0.0, "rank": 0.0}, "all zero"),
+    ])
+    def test_feature_weights(self, tmp_path, capsys, weights, message):
+        config = dict(RANKED_CONFIG, aggregation={"method": "multiplicative", "feature_weights": weights})
+        assert self.match(tmp_path, config, "a1,alpha,12.0,4\n") == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+
 class TestSimulate:
     def test_default_spec_with_seed(self, tmp_path, capsys):
         out_dir = tmp_path / "sim"

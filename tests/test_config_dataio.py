@@ -125,8 +125,8 @@ class TestDatasetCsv:
                 aggregation=self.config.aggregation,
             ))
 
-        assert run(read_objects_csv(pa, self.schema), read_objects_csv(pb, self.schema)) == run(
-            objects_a, objects_b
+        assert list(run(read_objects_csv(pa, self.schema), read_objects_csv(pb, self.schema))) == list(
+            run(objects_a, objects_b)
         )
 
     def test_partial_composite_rejected(self, tmp_path):

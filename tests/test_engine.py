@@ -51,8 +51,8 @@ class TestPairwiseBreakdowns:
         assert len(pairwise_breakdowns(make_run(a, b))) == 9
 
     def test_empty_dataset(self):
-        assert pairwise_breakdowns(make_run([], [obj("b", "beta", 1.0)])) == []
-        assert pairwise_breakdowns(make_run([obj("a", "alpha", 1.0)], [])) == []
+        assert list(pairwise_breakdowns(make_run([], [obj("b", "beta", 1.0)]))) == []
+        assert list(pairwise_breakdowns(make_run([obj("a", "alpha", 1.0)], []))) == []
 
     def test_identical_pair_near_zero_distance(self):
         run = make_run([obj("a", "alpha", 42.0)], [obj("b", "beta", 42.0)])
