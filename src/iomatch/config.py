@@ -22,6 +22,7 @@ from .model import (
     QuantAccuracy,
     Schema,
     SourceProfile,
+    is_finite_number,
     profile_violations,
     schema_violations,
 )
@@ -57,37 +58,83 @@ class RunConfig:
     simulation: SceneSpec | None
 
 
-def _parse_feature(raw: Mapping[str, Any], errors: list[str]) -> FeatureSchema | None:
+_JSON_TYPES = {
+    "a number": is_finite_number,
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a boolean": lambda v: isinstance(v, bool),
+    "an object": lambda v: isinstance(v, dict),
+    "an array": lambda v: isinstance(v, list),
+}
+
+
+def _typed(raw: Mapping[str, Any], key: str, expected: str, where: str, errors: list[str], default=None):
+    """``raw[key]`` when it has the ``expected`` JSON type (a key of
+    ``_JSON_TYPES``); ``default`` when the key is absent, or null with no
+    default.  Otherwise record an error and return ``default``."""
+    value = raw.get(key)
+    if value is None and (key not in raw or default is None):
+        return default
+    if _JSON_TYPES[expected](value):
+        return value
+    errors.append(f"{where}{key} must be {expected}, got {value!r}")
+    return default
+
+
+def _typed_items(
+    raw: Mapping[str, Any], key: str, expected: str, where: str, errors: list[str], default=None
+):
+    """``raw[key]`` as a tuple when it is an array of ``expected`` items; as :func:`_typed` otherwise."""
+    items = _typed(raw, key, "an array", where, errors)
+    if items is None:
+        return default
+    if all(_JSON_TYPES[expected](v) for v in items):
+        return tuple(items)
+    errors.append(f"{where}{key} must hold {expected} per item, got {items!r}")
+    return default
+
+
+def _parse_feature(raw: Any, errors: list[str]) -> FeatureSchema | None:
+    if not isinstance(raw, dict):
+        errors.append(f"feature must be an object, got {raw!r}")
+        return None
     name = raw.get("name")
     if not isinstance(name, str) or not name:
         errors.append(f"feature without a name: {raw!r}")
         return None
-    kind = _KINDS.get(raw.get("kind"))
+    kind = raw.get("kind")
+    kind = _KINDS.get(kind) if isinstance(kind, str) else None
     if kind is None:
         errors.append(f"{name}: unknown kind {raw.get('kind')!r}")
         return None
+    where = f"{name}: "
+    count = len(errors)
     ordinal_params = None
     if "shape" in raw or kind is FeatureKind.ORDINAL_FUZZY:
-        shape = _SHAPES.get(raw.get("shape"))
+        shape = raw.get("shape")
+        shape = _SHAPES.get(shape) if isinstance(shape, str) else None
         if shape is None:
             errors.append(f"{name}: unknown membership shape {raw.get('shape')!r}")
             return None
-        ordinal_params = OrdinalParams(shape=shape, width=raw.get("width"))
-    axes = raw.get("axes")
-    return FeatureSchema(
+        ordinal_params = OrdinalParams(shape=shape, width=_typed(raw, "width", "a number", where, errors))
+    feature = FeatureSchema(
         name=name,
         kind=kind,
-        weight=raw.get("weight", 0.0),
-        quantitative_xi=raw.get("xi"),
-        nominal_delta=raw.get("delta"),
+        weight=_typed(raw, "weight", "a number", where, errors, 0.0),
+        quantitative_xi=_typed(raw, "xi", "a number", where, errors),
+        nominal_delta=_typed(raw, "delta", "a number", where, errors),
         ordinal_params=ordinal_params,
-        axes=tuple(axes) if axes else None,
+        axes=_typed_items(raw, "axes", "a string", where, errors) or None,
     )
+    return feature if len(errors) == count else None
 
 
 def _parse_sources(raw: Mapping[str, Any], schema: Schema, errors: list[str]) -> dict[str, SourceProfile]:
     profiles: dict[str, SourceProfile] = {}
     for source_id, entries in raw.items():
+        if not isinstance(entries, dict):
+            errors.append(f"source {source_id!r} must be an object, got {entries!r}")
+            continue
         accuracy: dict[str, Any] = {}
         for feature_name, params in entries.items():
             try:
@@ -95,77 +142,94 @@ def _parse_sources(raw: Mapping[str, Any], schema: Schema, errors: list[str]) ->
             except KeyError:
                 errors.append(f"{source_id}: accuracy for unknown feature {feature_name!r}")
                 continue
-            if feature.kind is FeatureKind.QUANTITATIVE:
+            where = f"{source_id}/{feature_name}: "
+            if not isinstance(params, dict):
+                errors.append(f"{where}accuracy must be an object, got {params!r}")
+            elif feature.kind is FeatureKind.QUANTITATIVE:
                 accuracy[feature_name] = QuantAccuracy(
-                    sigma=params.get("sigma"), delta_max=params.get("delta_max")
+                    sigma=_typed(params, "sigma", "a number", where, errors),
+                    delta_max=_typed(params, "delta_max", "a number", where, errors),
                 )
             else:
                 accuracy[feature_name] = OrdinalAccuracy(
-                    relative_k=params.get("k"), width=params.get("width")
+                    relative_k=_typed(params, "k", "a number", where, errors),
+                    width=_typed(params, "width", "a number", where, errors),
                 )
         profiles[source_id] = SourceProfile(source_id=source_id, accuracy=accuracy)
     return profiles
 
 
 def _parse_aggregation(raw: Mapping[str, Any], errors: list[str]) -> AggregationSpec:
-    method_name = raw.get("method", "multiplicative")
+    method_name = _typed(raw, "method", "a string", "aggregation ", errors, "multiplicative")
     try:
         method = AggregationMethod(method_name)
     except ValueError:
         errors.append(f"unknown aggregation method {method_name!r}")
         return AggregationSpec()
-    weights = raw.get("feature_weights")
+    weights = _typed(raw, "feature_weights", "an object", "aggregation ", errors)
     return AggregationSpec(
         method=method,
-        class_weight=raw.get("class_weight"),
+        class_weight=_typed(raw, "class_weight", "a number", "aggregation ", errors),
         feature_weights=dict(weights) if weights else None,
-        normalized=bool(raw.get("normalized", False)),
+        normalized=_typed(raw, "normalized", "a boolean", "aggregation ", errors, False),
     )
 
 
 def _parse_simulation(raw: Mapping[str, Any], errors: list[str]) -> SceneSpec | None:
-    try:
-        area = raw.get("area", (1000.0, 1000.0))
-        return SceneSpec(
-            object_count=raw.get("object_count", 20),
-            area=(float(area[0]), float(area[1])),
-            type_alphabet=tuple(raw.get("types", ("tank", "truck"))),
-            rmse=tuple(float(r) for r in raw.get("rmse", (20.0, 30.0))),
-            type_error=float(raw.get("type_error", 0.1)),
-            fleet_sigma_min=float(raw.get("fleet_sigma_min", 10.0)),
-            rng_seed=int(raw.get("seed", 1)),
-        )
-    except (ValueError, TypeError, IndexError) as exc:
-        errors.append(f"invalid simulation section: {exc}")
-        return None
+    defaults = SceneSpec()
+    where = "simulation "
+    count = len(errors)
+    area = _typed_items(raw, "area", "a number", where, errors, defaults.area)
+    rmse = _typed_items(raw, "rmse", "a number", where, errors, defaults.rmse)
+    spec = SceneSpec(
+        object_count=_typed(raw, "object_count", "an integer", where, errors, defaults.object_count),
+        area=tuple(float(a) for a in area),
+        type_alphabet=_typed_items(raw, "types", "a string", where, errors, defaults.type_alphabet),
+        rmse=tuple(float(r) for r in rmse),
+        type_error=float(_typed(raw, "type_error", "a number", where, errors, defaults.type_error)),
+        fleet_sigma_min=float(
+            _typed(raw, "fleet_sigma_min", "a number", where, errors, defaults.fleet_sigma_min)
+        ),
+        rng_seed=_typed(raw, "seed", "an integer", where, errors, defaults.rng_seed),
+    )
+    return spec if len(errors) == count else None
 
 
 def parse_config(document: Mapping[str, Any]) -> RunConfig:
-    """Parse and validate an already-loaded configuration mapping."""
+    """Parse and validate an already-loaded configuration mapping.
+
+    Every value must have the JSON type its field takes; a wrongly typed
+    value is a :class:`ConfigError` message like any other violation.
+    """
     errors: list[str] = []
     schema = None
     profiles: dict[str, SourceProfile] = {}
-    if "schema" in document:
+    raw_schema = _typed(document, "schema", "an object", "", errors)
+    if raw_schema is not None:
         features = []
-        for raw in document["schema"].get("features", []):
+        for raw in _typed(raw_schema, "features", "an array", "schema ", errors, []):
             feature = _parse_feature(raw, errors)
             if feature is not None:
                 features.append(feature)
-        errors.extend(schema_violations(features))
+        # Invariants are checked once every declaration has parsed; a dropped
+        # feature would only add a misleading weight-sum message.
+        if not errors:
+            errors.extend(schema_violations(features))
         if not errors:
             schema = Schema(tuple(features))
-        if schema is not None:
-            profiles = _parse_sources(document.get("sources", {}), schema, errors)
-            for profile in profiles.values():
-                errors.extend(profile_violations(profile, schema))
-    aggregation = _parse_aggregation(document.get("aggregation", {}), errors)
-    threshold = document.get("threshold", DEFAULT_THRESHOLD)
-    if not isinstance(threshold, (int, float)) or not 0.0 <= threshold <= 1.0:
+            raw_sources = _typed(document, "sources", "an object", "", errors, {})
+            profiles = _parse_sources(raw_sources, schema, errors)
+            if not errors:
+                for profile in profiles.values():
+                    errors.extend(profile_violations(profile, schema))
+    aggregation = _parse_aggregation(_typed(document, "aggregation", "an object", "", errors, {}), errors)
+    threshold = _typed(document, "threshold", "a number", "", errors, DEFAULT_THRESHOLD)
+    if not 0.0 <= threshold <= 1.0:
         errors.append(f"threshold {threshold!r} outside [0, 1]")
-        threshold = DEFAULT_THRESHOLD
     simulation = None
-    if "simulation" in document:
-        simulation = _parse_simulation(document["simulation"], errors)
+    raw_simulation = _typed(document, "simulation", "an object", "", errors)
+    if raw_simulation is not None:
+        simulation = _parse_simulation(raw_simulation, errors)
         if simulation is not None:
             sim_errors = simulation.violations()
             errors.extend(sim_errors)

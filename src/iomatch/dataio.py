@@ -8,10 +8,14 @@ so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .engine import PairScores
 from .model import (
@@ -137,21 +141,12 @@ def breakdown_header(schema: Schema) -> list[str]:
     return header
 
 
-def _score_rows(breakdowns: Iterable[ProximityBreakdown], schema: Schema) -> Iterator[tuple]:
-    """``(id_a, id_b, scores, proximity, distance)`` per breakdown, as
-    :meth:`PairScores.rows` streams them from its columns."""
-    if isinstance(breakdowns, PairScores):
-        yield from breakdowns.rows(schema.names)
-        return
-    for b in breakdowns:
-        scores = [b.per_feature.get(name) for name in schema.names]
-        yield (
-            b.pair[0],
-            b.pair[1],
-            [None if s is None else (s.proximity, s.distance) for s in scores],
-            b.aggregate_proximity,
-            b.aggregate_distance,
-        )
+def _float_texts(values: np.ndarray, absent: Iterable[int] = ()) -> list[str]:
+    """``repr`` of every value of a float row, and ``""`` at the ``absent`` positions."""
+    texts = list(map(float.__repr__, values.tolist()))
+    for j in absent:
+        texts[j] = ""
+    return texts
 
 
 def write_breakdowns_csv(
@@ -160,12 +155,29 @@ def write_breakdowns_csv(
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(breakdown_header(schema))
-        for a, b, scores, proximity, distance in _score_rows(breakdowns, schema):
-            row = [a, b]
-            for score in scores:
-                row.extend(["", ""] if score is None else [_format_number(score[0]), _format_number(score[1])])
-            row.extend([_format_number(proximity), _format_number(distance)])
-            writer.writerow(row)
+        if not isinstance(breakdowns, PairScores):
+            for b in breakdowns:
+                row = [b.pair[0], b.pair[1]]
+                for score in map(b.per_feature.get, schema.names):
+                    row += ["", ""] if score is None else [_format_number(score.proximity), _format_number(score.distance)]
+                row += [_format_number(b.aggregate_proximity), _format_number(b.aggregate_distance)]
+                writer.writerow(row)
+            return
+        # One block of rows per dataset-A object, formatted column by column.
+        for i, a in enumerate(breakdowns.ids_a):
+            columns = [repeat(a), breakdowns.ids_b]
+            for name in schema.names:
+                p = breakdowns.proximity.get(name)
+                if p is None:
+                    columns += [repeat(""), repeat("")]
+                    continue
+                absent = np.flatnonzero(~breakdowns.present[name][i]).tolist()
+                columns += [_float_texts(p[i], absent), _float_texts(1.0 - p[i], absent)]
+            columns += [
+                _float_texts(breakdowns.aggregate_proximity[i]),
+                _float_texts(breakdowns.aggregate_distance[i]),
+            ]
+            writer.writerows(zip(*columns))
 
 
 def breakdown_record(b: ProximityBreakdown) -> dict:
@@ -181,9 +193,105 @@ def breakdown_record(b: ProximityBreakdown) -> dict:
     }
 
 
+# --- JSON -----------------------------------------------------------------------
+#
+# The stdlib writes indented JSON with its pure-Python encoder; its C encoder
+# runs only without an indent.  But a container whose items are all scalars is
+# one flat run of items, so the C encoder writes it when its item separator
+# carries the indentation: only the line breaks after the opening and before
+# the closing bracket remain to add.  A raw newline never occurs inside the
+# JSON text of a scalar or key, and a scalar's text never ends in a bracket,
+# so the text can be split exactly at a separator.
+
+_CONTAINERS = (dict, list, tuple)
+# Items of one container written per chunk; bounds the text held at once.
+_BLOCK = 256
+
+
+@functools.cache
+def _encoder(depth: int):
+    """C-accelerated ``encode`` with the item separator of a container ``depth`` levels deep."""
+    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "), sort_keys=True).encode
+
+
+def _holds_containers(value) -> bool:
+    items = value.values() if isinstance(value, dict) else value
+    return any(map(isinstance, items, repeat(_CONTAINERS)))
+
+
+def _items(value, depth: int) -> Iterable[tuple[str, object]]:
+    """``(text, child)`` per item of a container, in written order.  ``child``
+    is the item's value when that is a container, and is then left out of
+    ``text``; it is None otherwise.  The keys and scalars of a dict take one
+    C call; a list is read item by item, so a long one is never copied."""
+    encode = _encoder(depth)
+    if not isinstance(value, dict):
+        return (("", v) if isinstance(v, _CONTAINERS) else (encode(v), None) for v in value)
+    keys = sorted(value)
+    flat = {k: 0 if isinstance(v, _CONTAINERS) else v for k, v in value.items()}
+    texts = encode(flat)[1:-1].split(",\n" + "  " * (depth + 1))
+    # A container's text ends in the placeholder 0.
+    return [
+        (t[:-1], value[k]) if isinstance(value[k], _CONTAINERS) else (t, None) for t, k in zip(texts, keys)
+    ]
+
+
+def _child_texts(children: list, depth: int) -> list[str]:
+    """The text of each container in ``children``, ``depth`` levels deep.  When
+    all are non-empty dicts of scalars, one C call writes them as a list, split
+    where one dict's ``}`` meets the next one's ``{``."""
+    if children and all(isinstance(c, dict) and c and not _holds_containers(c) for c in children):
+        separator = ",\n" + "  " * (depth + 1)
+        closing = "\n" + "  " * depth + "}"
+        bodies = _encoder(depth)(children)[2:-2].split("}" + separator + "{")
+        return ["{" + separator[1:] + body + closing for body in bodies]
+    return [_json_text(c, depth) for c in children]
+
+
+def _joined(items: list[tuple[str, object]], depth: int) -> str:
+    """The ``(text, child)`` items of a container, written and joined."""
+    children = iter(_child_texts([c for _, c in items if c is not None], depth + 1))
+    return (",\n" + "  " * (depth + 1)).join([t if c is None else t + next(children) for t, c in items])
+
+
+def _json_text(value, depth: int) -> str:
+    """``value`` as ``json.dumps(indent=2, sort_keys=True)`` writes it ``depth`` levels deep."""
+    if not isinstance(value, _CONTAINERS) or not value:
+        return _encoder(depth)(value)
+    if _holds_containers(value):
+        body = _joined(list(_items(value, depth)), depth)
+    else:
+        body = _encoder(depth)(value)[1:-1]
+    opening, closing = "{}" if isinstance(value, dict) else "[]"
+    return f"{opening}\n{'  ' * (depth + 1)}{body}\n{'  ' * depth}{closing}"
+
+
+def _json_chunks(value, depth: int = 0) -> Iterator[str]:
+    """The text of :func:`_json_text` in pieces: the top-level container one
+    item at a time, and the containers in it ``_BLOCK`` items at a time."""
+    if depth > 1 or not isinstance(value, _CONTAINERS) or not _holds_containers(value):
+        yield _json_text(value, depth)
+        return
+    opening, closing = "{}" if isinstance(value, dict) else "[]"
+    yield opening
+    if depth == 0:
+        for i, (text, child) in enumerate(_items(value, depth)):
+            yield ("," if i else "") + "\n  " + text
+            if child is not None:
+                yield from _json_chunks(child, depth + 1)
+    else:
+        separator = ",\n" + "  " * (depth + 1)
+        lead = separator[1:]
+        items = iter(_items(value, depth))
+        while block := list(islice(items, _BLOCK)):
+            yield lead + _joined(block, depth)
+            lead = separator
+    yield "\n" + "  " * depth + closing
+
+
 def write_json(path: str | Path, payload) -> None:
-    """Indented, key-sorted JSON, written chunk by chunk so the whole text is
-    never held in memory."""
+    """Write ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline,
+    byte for byte, streamed so the whole text is never held in memory."""
     with open(path, "w") as fh:
-        fh.writelines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload))
+        fh.writelines(_json_chunks(payload))
         fh.write("\n")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -78,6 +79,10 @@ def run_violations(run: MatchRun) -> list[str]:
         for sid in sources:
             if sid not in run.profiles:
                 errors.append(f"dataset {label}: no profile for source {sid!r}")
+        # Ids key every report and candidate lookup, so each names one object.
+        for oid, count in Counter(obj.object_id for obj in dataset).items():
+            if count > 1:
+                errors.append(f"dataset {label}: object id {oid!r} appears {count} times")
         for obj in dataset:
             errors.extend(object_violations(obj, run.schema))
             errors.extend(_support_violations(obj, run.schema, run.profiles.get(obj.source_id)))
@@ -405,7 +410,8 @@ class PairScores(Sequence[ProximityBreakdown]):
     held as read-only ``(n_a, n_b)`` columns.
 
     Indexing or iterating builds :class:`ProximityBreakdown` objects on
-    demand; :meth:`rows` streams the same numbers without building them.
+    demand, iteration one row of the columns at a time; writers read the
+    columns directly.
     """
 
     def __init__(
@@ -445,26 +451,13 @@ class PairScores(Sequence[ProximityBreakdown]):
         )
 
     def __iter__(self) -> Iterator[ProximityBreakdown]:
-        for a, b, scores, p, d in self.rows(tuple(self.proximity)):
-            per_feature = {n: FeatureScore(*s) for n, s in zip(self.proximity, scores) if s is not None}
-            yield ProximityBreakdown((a, b), per_feature, p, d)
-
-    def rows(self, names: Sequence[str]) -> Iterator[tuple]:
-        """``(id_a, id_b, scores, proximity, distance)`` per pair in order, where
-        ``scores`` holds ``(proximity, distance)`` per name, or None where absent."""
-        columns = [(self.proximity.get(n), self.present.get(n)) for n in names]
+        names = tuple(self.proximity)
         for i, a in enumerate(self.ids_a):
-            per_name = [
-                (p[i].tolist(), (1.0 - p[i]).tolist(), m[i].tolist()) if p is not None else None
-                for p, m in columns
-            ]
-            agg_p = self.aggregate_proximity[i].tolist()
-            agg_d = self.aggregate_distance[i].tolist()
+            rows = [(self.proximity[n][i].tolist(), self.present[n][i].tolist()) for n in names]
+            agg_p, agg_d = self.aggregate_proximity[i].tolist(), self.aggregate_distance[i].tolist()
             for j, b in enumerate(self.ids_b):
-                scores = [
-                    (c[0][j], c[1][j]) if c is not None and c[2][j] else None for c in per_name
-                ]
-                yield a, b, scores, agg_p[j], agg_d[j]
+                per_feature = {n: FeatureScore.from_proximity(p[j]) for n, (p, m) in zip(names, rows) if m[j]}
+                yield ProximityBreakdown((a, b), per_feature, agg_p[j], agg_d[j])
 
 
 def pairwise_breakdowns(run: MatchRun) -> PairScores:

@@ -149,6 +149,46 @@ class TestRejectedAtValidation:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    def test_duplicate_object_id(self, tmp_path, capsys):
+        assert self.match(tmp_path, RANKED_CONFIG, "a1,alpha,12.0,4\na1,alpha,13.0,5\n") == 1
+        captured = capsys.readouterr()
+        assert "dataset A: object id 'a1' appears 2 times" in captured.err
+        assert captured.out == ""
+
+
+def _retyped(path, value):
+    """CONFIG with the value at ``path`` (a tuple of keys) replaced."""
+    doc = json.loads(json.dumps(dict(CONFIG, simulation={"object_count": 4})))
+    *parents, key = path
+    target = doc
+    for part in parents:
+        target = target[part]
+    target[key] = value
+    return doc
+
+
+class TestWronglyTypedConfig:
+    """A value of the wrong JSON type exits 1 with a message, never a traceback."""
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("schema", "features", 0, "weight"), "1", "speed: weight must be a number, got '1'"),
+        (("schema",), [{"name": "speed"}], "schema must be an object"),
+        (("sources", "alpha"), [{"speed": {"sigma": 2.0}}], "source 'alpha' must be an object"),
+        (("schema", "features"), 3, "schema features must be an array, got 3"),
+        (("sources", "alpha", "speed", "sigma"), "x", "alpha/speed: sigma must be a number, got 'x'"),
+        (("simulation", "object_count"), "5", "simulation object_count must be an integer, got '5'"),
+        (("threshold",), True, "threshold must be a number, got True"),
+        (("schema", "features", 0, "kind"), ["quantitative"], "speed: unknown kind"),
+        (("schema", "features", 0, "axes"), [1, 2], "speed: axes must hold a string per item"),
+        (("aggregation", "normalized"), "false", "aggregation normalized must be a boolean"),
+        (("simulation", "rmse"), ["20", 30.0], "simulation rmse must hold a number per item"),
+    ])
+    def test_rejected(self, tmp_path, capsys, path, value, message):
+        config = write(tmp_path, "config.json", json.dumps(_retyped(path, value)))
+        assert main(["validate", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+
 
 class TestSimulate:
     def test_default_spec_with_seed(self, tmp_path, capsys):

@@ -1,11 +1,14 @@
 """The columnar engine against the per-pair composition of the scalar functions."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from iomatch.aggregate import AggregationMethod, AggregationSpec
+from iomatch.dataio import write_breakdowns_csv
 from iomatch.engine import MatchRun, MatchRunError, PairScores, candidates, evaluate_pair, pairwise_breakdowns
 from iomatch.fuzzy import apply_certainty, gaussian_membership, possibility
 from iomatch.model import (
@@ -132,6 +135,22 @@ def assert_matches_scalar(run, scores):
 @given(runs())
 def test_columnar_equals_scalar_composition(run):
     assert_matches_scalar(run, pairwise_breakdowns(run))
+
+
+def _csv_bytes(breakdowns, schema) -> bytes:
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "pairs.csv"
+        write_breakdowns_csv(path, breakdowns, schema)
+        return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs())
+def test_csv_from_columns_equals_csv_from_breakdowns(run):
+    """The column-by-column writer against the row-by-row one, absent features
+    and empty sides included."""
+    scores = pairwise_breakdowns(run)
+    assert _csv_bytes(scores, run.schema) == _csv_bytes(list(scores), run.schema)
 
 
 @pytest.mark.parametrize("method", list(AggregationMethod))

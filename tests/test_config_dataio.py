@@ -1,18 +1,25 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from iomatch.config import ConfigError, load_config, parse_config, require_match_config
 from iomatch.dataio import (
     DataError,
     breakdown_header,
+    breakdown_record,
     dataset_header,
     read_objects_csv,
     write_breakdowns_csv,
+    write_json,
     write_objects_csv,
 )
-from iomatch.engine import pairwise_breakdowns, MatchRun
+from iomatch.engine import candidates, pairwise_breakdowns, MatchRun
 from iomatch.model import Certainty, FeatureValue, InformationObject
+from iomatch.simulate import SceneSpec, run_experiment
 
 FULL_CONFIG = {
     "schema": {
@@ -173,3 +180,95 @@ class TestBreakdownCsv:
         header = breakdown_header(config.schema)
         assert cells[header.index("readiness_proximity")] == ""
         assert float(cells[header.index("aggregate_proximity")]) == breakdowns[0].aggregate_proximity
+
+
+def json_bytes(payload) -> bytes:
+    """What write_json writes for ``payload``."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "out.json"
+        write_json(path, payload)
+        return path.read_bytes()
+
+
+def stdlib_bytes(payload) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-05])
+    | st.text()
+)
+# Lists and dicts of scalar-only dicts are written in one C call per block.
+RECORDS = st.dictionaries(st.text(max_size=8), SCALARS, min_size=1, max_size=4)
+JSON_VALUES = st.recursive(
+    SCALARS | st.lists(RECORDS, max_size=6) | st.dictionaries(st.text(max_size=8), RECORDS, max_size=4),
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.dictionaries(st.text(max_size=8), children, max_size=5)
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonBytes:
+    """write_json writes the bytes of json.dumps(indent=2, sort_keys=True)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_VALUES)
+    @example({"a": [], "b": {}, "c": [{}, [[]], {"d": [1, {"e": "\u00e9\n\x00"}]}]})
+    @example([[[[[[[[[[1.5]]]]]]]]]])
+    @example({"x": (1, -0.0, 1e-05, math.nan, -math.inf, math.inf, 2**100, True, None)})
+    @example({"rows": [{"k}": "},\n{", "v": i} for i in range(600)], "more": [{}, {"a": 1}, [{"b": 2}]]})
+    def test_any_value(self, value):
+        assert json_bytes(value) == stdlib_bytes(value)
+
+    @pytest.mark.parametrize("seed", [7, 21])
+    def test_simulation_report(self, seed):
+        payload = run_experiment(SceneSpec(rng_seed=seed)).to_payload()
+        assert json_bytes(payload) == stdlib_bytes(payload)
+
+    def test_match_candidates(self):
+        """All feature kinds, with readiness absent from some pairs."""
+        config = parse_config(FULL_CONFIG)
+        objects_b = [
+            InformationObject("b0", "s2", {
+                "position": FeatureValue((13.0, 981.0)),
+                "type": FeatureValue("tank"),
+            }),
+            InformationObject("b1", "s2", {
+                "position": FeatureValue((12.0, 980.0)),
+                "readiness": FeatureValue(5, Certainty.DOUBTFUL),
+                "type": FeatureValue("truck"),
+            }),
+        ]
+        breakdowns = pairwise_breakdowns(MatchRun(
+            schema=config.schema, profiles=config.profiles,
+            dataset_a=tuple(sample_objects(config.schema)), dataset_b=tuple(objects_b),
+        ))
+        found = candidates(breakdowns, 0.0)
+        payload = {
+            "threshold": 0.0,
+            "pair_count": len(breakdowns),
+            "candidates": [breakdown_record(b) for b in found],
+        }
+        assert {len(c["features"]) for c in payload["candidates"]} == {2, 3}
+        assert json_bytes(payload) == stdlib_bytes(payload)
+
+    @pytest.mark.parametrize(
+        "value", [{1: [2]}, {2: [0], 10: 1}, {None: {"a": [1]}}, {1.5: [2], -0.5: 1, True: {}}]
+    )
+    def test_non_string_keys(self, value):
+        assert json_bytes(value) == stdlib_bytes(value)
+
+    def test_unencodable_value_raises_like_the_stdlib(self):
+        for value in ({"a": [object()]}, {"a": {(1, 2): [1]}}):
+            with pytest.raises(TypeError):
+                json.dumps(value, indent=2, sort_keys=True)
+            with pytest.raises(TypeError):
+                json_bytes(value)
