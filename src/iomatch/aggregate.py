@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .model import WEIGHT_SUM_TOLERANCE
+from .model import WEIGHT_SUM_TOLERANCE, Schema, is_finite_number
 
 
 class AggregationMethod(Enum):
@@ -38,6 +38,28 @@ class AggregationSpec:
     class_weight: float | None = None
     feature_weights: Mapping[str, float] | None = None
     normalized: bool = False
+
+
+def weight_violations(schema: Schema, spec: AggregationSpec) -> list[str]:
+    """What is wrong with the weights of ``spec`` for ``schema``: feature
+    weights, when given, need one non-negative weight per feature, not all
+    zero; the two-class method needs a class weight in [0, 1]."""
+    errors = []
+    weights = spec.feature_weights
+    if weights is not None:
+        errors += [f"feature weights: no weight for feature {n!r}" for n in schema.names if n not in weights]
+        errors += [f"feature weights: weight for unknown feature {n!r}" for n in weights if n not in schema.names]
+        for name, w in weights.items():
+            if not is_finite_number(w) or w < 0.0:
+                errors.append(f"feature weights: {name!r} weight {w!r} is not a non-negative number")
+        if not errors and sum(weights.values()) <= 0.0:
+            errors.append("feature weights are all zero")
+    class_weight = spec.class_weight
+    if spec.method is AggregationMethod.TWO_CLASS_WEIGHTED and (
+        class_weight is None or not 0.0 <= class_weight <= 1.0
+    ):
+        errors.append("two-class aggregation requires a class weight in [0, 1]")
+    return errors
 
 
 def _check_unit_range(values: Sequence[float], what: str) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .aggregate import AggregationMethod, AggregationSpec
+from .aggregate import AggregationMethod, AggregationSpec, weight_violations
 from .model import (
     FeatureKind,
     FeatureSchema,
@@ -223,6 +223,8 @@ def parse_config(document: Mapping[str, Any]) -> RunConfig:
                 for profile in profiles.values():
                     errors.extend(profile_violations(profile, schema))
     aggregation = _parse_aggregation(_typed(document, "aggregation", "an object", "", errors, {}), errors)
+    if schema is not None:
+        errors.extend(weight_violations(schema, aggregation))
     threshold = _typed(document, "threshold", "a number", "", errors, DEFAULT_THRESHOLD)
     if not 0.0 <= threshold <= 1.0:
         errors.append(f"threshold {threshold!r} outside [0, 1]")

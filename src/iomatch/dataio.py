@@ -122,7 +122,10 @@ def read_objects_csv(path: str | Path, schema: Schema) -> list[InformationObject
                 except ValueError as exc:
                     raise DataError(f"{path}:{line}: bad value for {f.name!r}: {exc}") from exc
                 certainty_text = (row.get(f"{f.name}_certainty", "") or "").strip()
-                certainty = Certainty.from_label(certainty_text) if certainty_text else Certainty.CERTAIN
+                try:
+                    certainty = Certainty.from_label(certainty_text) if certainty_text else Certainty.CERTAIN
+                except ValueError as exc:
+                    raise DataError(f"{path}:{line}: bad certainty for {f.name!r}: {exc}") from exc
                 values[f.name] = FeatureValue(payload, certainty)
             objects.append(
                 InformationObject(

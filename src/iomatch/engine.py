@@ -90,11 +90,7 @@ def run_violations(run: MatchRun) -> list[str]:
     b_sources = {obj.source_id for obj in run.dataset_b}
     if a_sources and a_sources == b_sources:
         errors.append("both datasets reference the same source id")
-    if run.aggregation.method is agg.AggregationMethod.TWO_CLASS_WEIGHTED:
-        w = run.aggregation.class_weight
-        if w is None or not 0.0 <= w <= 1.0:
-            errors.append("two-class aggregation requires a class weight in [0, 1]")
-    errors.extend(_weight_violations(run.schema, run.aggregation))
+    errors.extend(agg.weight_violations(run.schema, run.aggregation))
     return errors
 
 
@@ -124,20 +120,6 @@ def _support_violations(
                 f"{obj.object_id}/{feature.name}: relative k {k} of source {obj.source_id!r} "
                 f"rounds the support of rank {fv.value} onto the rank itself"
             )
-    return errors
-
-
-def _weight_violations(schema: Schema, spec: agg.AggregationSpec) -> list[str]:
-    weights = spec.feature_weights
-    if weights is None:
-        return []
-    errors = [f"feature weights: no weight for feature {n!r}" for n in schema.names if n not in weights]
-    errors += [f"feature weights: weight for unknown feature {n!r}" for n in weights if n not in schema.names]
-    for name, w in weights.items():
-        if not is_finite_number(w) or w < 0.0:
-            errors.append(f"feature weights: {name!r} weight {w!r} is not a non-negative number")
-    if not errors and sum(weights.values()) <= 0.0:
-        errors.append("feature weights are all zero")
     return errors
 
 
@@ -240,23 +222,29 @@ def _gaussian_possibility(ra, ha, sa: float, rb, hb, sb: float) -> np.ndarray:
     of the two curves between the peaks.  With u = g - ra the crossings are
     the roots of ln mu_a - ln mu_b = qa u^2 + qb u + qc.  Roots outside the
     peaks are clamped to them, which only adds grid points worth trying.
+
+    The arithmetic is numpy's under ``errstate``: a spread so small that its
+    square underflows gives infinite coefficients instead of raising, the
+    roots that are then not finite fall back to the peaks, and away from a
+    peak the membership is exp(-inf) = 0.
     """
-    delta = rb - ra
-    qa = 0.5 / (sb * sb) - 0.5 / (sa * sa)
-    qb = -delta / (sb * sb)
-    qc = 0.5 * delta * delta / (sb * sb) + np.log(ha / hb)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    sa, sb = np.float64(sa), np.float64(sb)
+    with np.errstate(all="ignore"):
+        delta = rb - ra
+        qa = 0.5 / (sb * sb) - 0.5 / (sa * sa)
+        qb = -delta / (sb * sb)
+        qc = 0.5 * delta * delta / (sb * sb) + np.log(ha / hb)
         if qa == 0.0:
             roots = [-qc / qb]
         else:
             q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
             roots = [q / qa, qc / q]
-    lo, hi = np.minimum(ra, rb), np.maximum(ra, rb)
-    points = [ra, rb] + [np.clip(np.where(np.isfinite(u), ra + u, ra), lo, hi) for u in roots]
-    grid = [g for point in points for g in (np.floor(point), np.ceil(point))]
-    return functools.reduce(
-        np.maximum, (np.minimum(_gaussian_at(ra, ha, sa, g), _gaussian_at(rb, hb, sb, g)) for g in grid)
-    )
+        lo, hi = np.minimum(ra, rb), np.maximum(ra, rb)
+        points = [ra, rb] + [np.clip(np.where(np.isfinite(u), ra + u, ra), lo, hi) for u in roots]
+        grid = [g for point in points for g in (np.floor(point), np.ceil(point))]
+        return functools.reduce(
+            np.maximum, (np.minimum(_gaussian_at(ra, ha, sa, g), _gaussian_at(rb, hb, sb, g)) for g in grid)
+        )
 
 
 def _quantitative_values(feature: FeatureSchema, dataset) -> np.ndarray:

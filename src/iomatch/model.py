@@ -321,8 +321,13 @@ class InformationObject:
 
 
 def is_finite_number(x) -> bool:
-    """A real int or float other than bool, NaN and +/-inf."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """A real int or float other than bool, NaN, +/-inf and ints beyond the float range."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def object_violations(obj: InformationObject, schema: Schema) -> list[str]:

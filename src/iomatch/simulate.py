@@ -10,7 +10,7 @@ that differ only in source precision share their underlying noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .aggregate import AggregationMethod, AggregationSpec
 from .dataio import write_breakdowns_csv, write_json, write_objects_csv
-from .engine import MatchRun, candidates, pairwise_breakdowns
+from .engine import MatchRun, PairScores, candidates, pairwise_breakdowns
 from .model import (
     FeatureKind,
     FeatureSchema,
@@ -178,32 +178,77 @@ def observe(scene: Scene, profile: SourceProfile, seed) -> list[InformationObjec
 
 
 @dataclass(frozen=True)
-class PairRecord:
-    """One cross-source pair with its ground-truth flags."""
-
-    a: str
-    b: str
-    proximity: float
-    distance: float
-    true_pair: bool
-    type_mismatch: bool
-    separation_true: float
-    separation_observed: float
-
-
-@dataclass(frozen=True)
 class ExperimentReport:
+    """A matched scene with its ground truth, held as ``(n, n)`` columns.
+
+    Rows are the reports of the first source, columns those of the second, in
+    the order of ``breakdowns``.  The i-th report of each source observes the
+    i-th scene object, so the true pairs are the diagonal.
+    ``separation_true`` is the distance between the two observed scene
+    objects, ``separation_observed`` between the two reported positions.
+    """
+
     spec: SceneSpec
     threshold: float
     scene: Scene
     datasets: Mapping[str, tuple[InformationObject, ...]]
-    breakdowns: Sequence[ProximityBreakdown]
+    breakdowns: PairScores
     candidates: tuple[ProximityBreakdown, ...]
-    pair_records: tuple[PairRecord, ...]
-    summary: dict = field(default_factory=dict)
+    type_mismatch: np.ndarray
+    separation_true: np.ndarray
+    separation_observed: np.ndarray
+
+    def __post_init__(self):
+        for column in (self.type_mismatch, self.separation_true, self.separation_observed):
+            column.flags.writeable = False
+
+    @cached_property
+    def summary(self) -> dict:
+        """Pair and candidate counts against the ground truth, and mean
+        proximities; sums run over ``.tolist()`` in row-major pair order."""
+        proximity = self.breakdowns.aggregate_proximity
+        true = np.eye(len(proximity), dtype=bool)
+        candidate = proximity > self.threshold
+        mismatch_candidate = candidate & self.type_mismatch
+        far = ~true & (self.separation_true > FAR_SEPARATION_M)
+        return {
+            "pair_count": proximity.size,
+            "true_pair_count": int(true.sum()),
+            "candidate_count": len(self.candidates),
+            "true_candidate_count": int((candidate & true).sum()),
+            "type_mismatch_candidate_count": int(mismatch_candidate.sum()),
+            "mean_proximity_true_pairs": _mean(proximity[true].tolist()),
+            "mean_proximity_distinct_far_pairs": _mean(proximity[far].tolist()),
+            "max_type_mismatch_candidate_proximity": max(
+                proximity[mismatch_candidate].tolist(), default=None
+            ),
+            "nominal_mismatch_cap": self.spec.type_error ** 0.5,
+        }
+
+    def _candidate_cells(self) -> list[tuple[ProximityBreakdown, int, int]]:
+        """Each candidate with its row and column in the report's columns."""
+        row = {oid: i for i, oid in enumerate(self.breakdowns.ids_a)}
+        col = {oid: j for j, oid in enumerate(self.breakdowns.ids_b)}
+        return [(b, row[b.pair[0]], col[b.pair[1]]) for b in self.candidates]
 
     def to_payload(self) -> dict:
         """JSON-ready representation of the whole experiment."""
+        scores = self.breakdowns
+        columns = (
+            scores.aggregate_proximity,
+            scores.aggregate_distance,
+            np.eye(len(scores.ids_a), dtype=bool),
+            self.type_mismatch,
+            self.separation_true,
+            self.separation_observed,
+        )
+        pairs = []
+        for i, a in enumerate(scores.ids_a):
+            pairs.extend(
+                {"a": a, "b": b, "proximity": p, "distance": d, "true_pair": t, "type_mismatch": m,
+                 "separation_true": s_true, "separation_observed": s_observed}
+                for b, p, d, t, m, s_true, s_observed in zip(scores.ids_b, *(c[i].tolist() for c in columns))
+            )
         return {
             "metadata": {
                 "generator": f"iomatch {__version__}",
@@ -234,42 +279,31 @@ class ExperimentReport:
                 ]
                 for source_id, objects in self.datasets.items()
             },
-            "pairs": [
-                {
-                    "a": r.a,
-                    "b": r.b,
-                    "proximity": r.proximity,
-                    "distance": r.distance,
-                    "true_pair": r.true_pair,
-                    "type_mismatch": r.type_mismatch,
-                    "separation_true": r.separation_true,
-                    "separation_observed": r.separation_observed,
-                }
-                for r in self.pair_records
-            ],
+            "pairs": pairs,
             "candidates": [
                 {
                     "a": b.pair[0],
                     "b": b.pair[1],
                     "proximity": b.aggregate_proximity,
-                    "true_pair": self.candidate_records[b.pair].true_pair,
-                    "type_mismatch": self.candidate_records[b.pair].type_mismatch,
+                    "true_pair": i == j,
+                    "type_mismatch": bool(self.type_mismatch[i, j]),
                 }
-                for b in self.candidates
+                for b, i, j in self._candidate_cells()
             ],
             "summary": self.summary,
         }
 
-    @cached_property
-    def candidate_records(self) -> dict[tuple[str, str], PairRecord]:
-        """The pair record of every candidate, keyed by pair, from one pass
-        over the records."""
-        wanted = {b.pair for b in self.candidates}
-        return {(r.a, r.b): r for r in self.pair_records if (r.a, r.b) in wanted}
-
 
 def _mean(values: Sequence[float]) -> float | None:
     return sum(values) / len(values) if values else None
+
+
+def _separations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance from every row of ``a`` to every row of ``b`` (both (n, 2)),
+    through ``math.hypot``: numpy's hypot can differ from it in the last bit."""
+    d = a[:, None, :] - b[None, :, :]
+    distances = map(math.hypot, d[..., 0].ravel().tolist(), d[..., 1].ravel().tolist())
+    return np.fromiter(distances, float, len(a) * len(b)).reshape(len(a), len(b))
 
 
 def run_experiment(
@@ -295,73 +329,33 @@ def run_experiment(
         sid: tuple(observe(scene, profiles[sid], observation_seeds[i]))
         for i, sid in enumerate(DEFAULT_SOURCE_IDS)
     }
+    dataset_a, dataset_b = (datasets[sid] for sid in DEFAULT_SOURCE_IDS)
     run = MatchRun(
         schema=schema,
         profiles=profiles,
-        dataset_a=datasets[DEFAULT_SOURCE_IDS[0]],
-        dataset_b=datasets[DEFAULT_SOURCE_IDS[1]],
+        dataset_a=dataset_a,
+        dataset_b=dataset_b,
         aggregation=AggregationSpec(method=AggregationMethod.MULTIPLICATIVE),
         candidate_threshold=threshold,
     )
     breakdowns = pairwise_breakdowns(run)
-    found = candidates(breakdowns, threshold)
-
-    # The i-th report of each source observes the i-th scene object.
-    records = []
-    for i, oa in enumerate(datasets[DEFAULT_SOURCE_IDS[0]]):
-        po_a = scene.objects[i]
-        ax, ay = oa.values[POSITION_FEATURE].value
-        proximity = breakdowns.aggregate_proximity[i].tolist()
-        distance = breakdowns.aggregate_distance[i].tolist()
-        for j, ob in enumerate(datasets[DEFAULT_SOURCE_IDS[1]]):
-            po_b = scene.objects[j]
-            bx, by_ = ob.values[POSITION_FEATURE].value
-            records.append(
-                PairRecord(
-                    a=oa.object_id,
-                    b=ob.object_id,
-                    proximity=proximity[j],
-                    distance=distance[j],
-                    true_pair=i == j,
-                    type_mismatch=oa.values[TYPE_FEATURE].value != ob.values[TYPE_FEATURE].value,
-                    separation_true=math.hypot(po_a.x - po_b.x, po_a.y - po_b.y),
-                    separation_observed=math.hypot(ax - bx, ay - by_),
-                )
-            )
-    records = tuple(records)
-
-    candidate_pairs = {b.pair for b in found}
-    mismatch_candidates = [r for r in records if (r.a, r.b) in candidate_pairs and r.type_mismatch]
-    summary = {
-        "pair_count": len(records),
-        "true_pair_count": sum(r.true_pair for r in records),
-        "candidate_count": len(found),
-        "true_candidate_count": sum(
-            1 for r in records if (r.a, r.b) in candidate_pairs and r.true_pair
-        ),
-        "type_mismatch_candidate_count": len(mismatch_candidates),
-        "mean_proximity_true_pairs": _mean([r.proximity for r in records if r.true_pair]),
-        "mean_proximity_distinct_far_pairs": _mean(
-            [
-                r.proximity
-                for r in records
-                if not r.true_pair and r.separation_true > FAR_SEPARATION_M
-            ]
-        ),
-        "max_type_mismatch_candidate_proximity": max(
-            (r.proximity for r in mismatch_candidates), default=None
-        ),
-        "nominal_mismatch_cap": spec.type_error ** 0.5,
-    }
+    truth = np.array([(po.x, po.y) for po in scene.objects])
+    observed_a, observed_b = (
+        np.array([o.values[POSITION_FEATURE].value for o in objs]) for objs in (dataset_a, dataset_b)
+    )
+    labels_a, labels_b = (
+        np.array([o.values[TYPE_FEATURE].value for o in objs]) for objs in (dataset_a, dataset_b)
+    )
     report = ExperimentReport(
         spec=spec,
         threshold=threshold,
         scene=scene,
         datasets=datasets,
         breakdowns=breakdowns,
-        candidates=tuple(found),
-        pair_records=records,
-        summary=summary,
+        candidates=tuple(candidates(breakdowns, threshold)),
+        type_mismatch=labels_a[:, None] != labels_b[None, :],
+        separation_true=_separations(truth, truth),
+        separation_observed=_separations(observed_a, observed_b),
     )
     if out_dir is not None:
         emit_report_files(report, Path(out_dir))
@@ -393,14 +387,12 @@ def emit_report_files(report: ExperimentReport, out_dir: Path, formats: Sequence
 
 
 def render_scene_svg(report: ExperimentReport) -> str:
-    by_id = {o.object_id: o for objs in report.datasets.values() for o in objs}
+    dataset_a, dataset_b = (report.datasets[sid] for sid in DEFAULT_SOURCE_IDS)
     links = []
-    for b in report.candidates:
-        r = report.candidate_records[b.pair]
-        oa, ob = by_id[r.a], by_id[r.b]
-        ax, ay = oa.values[POSITION_FEATURE].value
-        bx, by_ = ob.values[POSITION_FEATURE].value
-        links.append((ax, ay, bx, by_, r.type_mismatch))
+    for _, i, j in report._candidate_cells():
+        ax, ay = dataset_a[i].values[POSITION_FEATURE].value
+        bx, by_ = dataset_b[j].values[POSITION_FEATURE].value
+        links.append((ax, ay, bx, by_, bool(report.type_mismatch[i, j])))
     datasets = [
         (sid, [(o.object_id, o.values[POSITION_FEATURE].value[0], o.values[POSITION_FEATURE].value[1]) for o in objs])
         for sid, objs in report.datasets.items()

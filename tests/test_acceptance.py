@@ -146,10 +146,9 @@ def test_c08_multiplicative(coarse_report, precise_report):
         values = rng.uniform(0.0, 1.0, int(rng.integers(1, 7))).tolist()
         assert multiplicative_proximity(values) <= min(values) + 1e-12
     for report in (coarse_report, precise_report):
-        mismatched = [r for r in report.pair_records if r.type_mismatch]
-        assert mismatched, "simulation fixture should contain type-mismatched pairs"
-        for r in mismatched:
-            assert r.proximity <= NOMINAL_CAP + 1e-12
+        mismatched = report.breakdowns.aggregate_proximity[report.type_mismatch]
+        assert mismatched.size, "simulation fixture should contain type-mismatched pairs"
+        assert (mismatched <= NOMINAL_CAP + 1e-12).all()
 
 
 @criterion(9, "Monte-Carlo and dense-grid oracles agree with the exact computations")
@@ -201,8 +200,8 @@ def test_c11_simulation_comparison(coarse_report, precise_report, tmp_path):
     run_experiment(COARSE_SPEC, out_dir=tmp_path / "two")
     for name in ("objects_s1.csv", "objects_s2.csv", "pairs.csv", "report.json", "scene.svg"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
-    # Candidate filtering at the 0.01 default matches the ground-truth records.
-    expected = {
-        (r.a, r.b) for r in coarse_report.pair_records if r.proximity > coarse_report.threshold
-    }
+    # Candidate filtering at the 0.01 default matches the thresholded pair columns.
+    scores = coarse_report.breakdowns
+    rows, cols = np.nonzero(scores.aggregate_proximity > coarse_report.threshold)
+    expected = {(scores.ids_a[i], scores.ids_b[j]) for i, j in zip(rows, cols)}
     assert {b.pair for b in candidates(coarse_report.breakdowns, 0.01)} == expected

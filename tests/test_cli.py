@@ -149,6 +149,32 @@ class TestRejectedAtValidation:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("aggregation, messages", [
+        ({"method": "multiplicative", "feature_weights": {"rank": -1, "ghost": 1}}, [
+            "feature weights: no weight for feature 'speed'",
+            "feature weights: weight for unknown feature 'ghost'",
+            "feature weights: 'rank' weight -1 is not a non-negative number",
+        ]),
+        ({"method": "two-class-weighted"}, ["two-class aggregation requires a class weight in [0, 1]"]),
+    ])
+    def test_validate_rejects_weights_like_match(self, tmp_path, capsys, aggregation, messages):
+        config = dict(RANKED_CONFIG, aggregation=aggregation)
+        assert self.match(tmp_path, config, "a1,alpha,12.0,4\n") == 1
+        match_err = capsys.readouterr().err
+        assert main(["validate", "--config", str(tmp_path / "config.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == match_err == "".join(f"error: {m}\n" for m in messages)
+        assert captured.out == ""
+
+    def test_unknown_certainty_label(self, tmp_path, capsys):
+        path = write(tmp_path, "config.json", json.dumps(RANKED_CONFIG))
+        header = "object_id,source_id,speed,rank,rank_certainty\n"
+        a = write(tmp_path, "a.csv", header + "a1,alpha,12.0,4,certain\n")
+        b = write(tmp_path, "b.csv", header + "b1,beta,12.0,4,sure\n")
+        assert main(["match", "--config", str(path), str(a), str(b)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {b}:2: bad certainty for 'rank': unknown certainty label: 'sure'\n"
+
     def test_duplicate_object_id(self, tmp_path, capsys):
         assert self.match(tmp_path, RANKED_CONFIG, "a1,alpha,12.0,4\na1,alpha,13.0,5\n") == 1
         captured = capsys.readouterr()

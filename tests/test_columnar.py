@@ -2,6 +2,7 @@
 
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,8 @@ FEATURES = {
     "type": FeatureSchema("type", FeatureKind.NOMINAL, 0.0, nominal_delta=0.2),
 }
 LABELS = ("tank", "truck", "apc")
+# Gaussian spreads whose square underflows to 0 (1e-200) or to a subnormal.
+TINY_SPREADS = st.sampled_from([1e-200, 1e-158, 1e-154])
 
 
 def _profiles(names, sigmas, k, width, spread):
@@ -107,7 +110,7 @@ def runs(draw):
         [draw(st.floats(0.3, 3.0)) for _ in range(3)],
         draw(st.floats(0.3, 0.9)),
         draw(st.floats(0.5, 4.0)),
-        draw(st.floats(0.5, 4.0)),
+        draw(st.one_of(st.floats(0.5, 4.0), TINY_SPREADS)),
     )
     return MatchRun(
         schema=Schema(features),
@@ -191,14 +194,16 @@ def test_every_method_and_kind(method, kind):
 @given(
     st.lists(st.one_of(st.integers(-40, 40), st.floats(-40.0, 40.0)), min_size=1, max_size=5),
     st.lists(st.one_of(st.integers(-40, 40), st.floats(-40.0, 40.0)), min_size=1, max_size=5),
-    st.floats(0.2, 15.0),
-    st.floats(0.2, 15.0),
+    st.one_of(st.floats(0.2, 15.0), TINY_SPREADS),
+    st.one_of(st.floats(0.2, 15.0), TINY_SPREADS),
     st.lists(st.sampled_from(list(Certainty)), min_size=10, max_size=10),
 )
 # Equal spreads turn the crossing equation linear.
 @example([3, 7, 5], [5, 5.5, -2], 2.0, 2.0, [Certainty.PROBABLE, Certainty.CERTAIN, Certainty.DOUBTFUL] * 3 + [Certainty.POSSIBLE])
+@example([3], [3, 4], 1e-200, 1e-200, [Certainty.CERTAIN] * 10)
 def test_gaussian_rule_matches_integer_grid(ranks_a, ranks_b, spread_a, spread_b, levels):
-    """The O(1) Gaussian rule against the grid walk of fuzzy.possibility."""
+    """The O(1) Gaussian rule against the grid walk of fuzzy.possibility, with
+    no numpy warning."""
     schema = Schema((FeatureSchema(**{**FEATURES["threat"].__dict__, "weight": 1.0}),))
     profiles = {
         "a": SourceProfile("a", {"threat": OrdinalAccuracy(width=spread_a)}),
@@ -206,7 +211,9 @@ def test_gaussian_rule_matches_integer_grid(ranks_a, ranks_b, spread_a, spread_b
     }
     side_a = [InformationObject(f"a{i}", "a", {"threat": FeatureValue(r, levels[i])}) for i, r in enumerate(ranks_a)]
     side_b = [InformationObject(f"b{i}", "b", {"threat": FeatureValue(r, levels[5 + i])}) for i, r in enumerate(ranks_b)]
-    scores = pairwise_breakdowns(MatchRun(schema, profiles, tuple(side_a), tuple(side_b)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scores = pairwise_breakdowns(MatchRun(schema, profiles, tuple(side_a), tuple(side_b)))
     for k, got in enumerate(scores):
         oa, ob = side_a[k // len(side_b)], side_b[k % len(side_b)]
         want = possibility(

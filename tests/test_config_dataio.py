@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import tempfile
@@ -272,3 +273,92 @@ class TestJsonBytes:
                 json.dumps(value, indent=2, sort_keys=True)
             with pytest.raises(TypeError):
                 json_bytes(value)
+
+
+# A valid document touching every section: a Gaussian ordinal feature with a
+# per-source spread, explicit feature weights and the two-class options.
+FUZZ_CONFIG = {
+    **FULL_CONFIG,
+    "schema": {"features": [
+        *FULL_CONFIG["schema"]["features"],
+        {"name": "threat", "kind": "ordinal", "weight": 0.0, "shape": "gaussian", "width": 1.5},
+    ]},
+    "sources": {**FULL_CONFIG["sources"], "s3": {"position": {"sigma": 10.0}, "threat": {"width": 1.0}}},
+    "aggregation": {
+        "method": "two-class-weighted",
+        "class_weight": 0.5,
+        "normalized": True,
+        "feature_weights": {"position": 1, "readiness": 0.5, "type": 0.5, "threat": 0.0},
+    },
+}
+
+
+def _node_paths(node, prefix=()):
+    """The key path of every value below ``node``, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _node_paths(child, prefix + (key,))
+
+
+FUZZ_PATHS = sorted(_node_paths(FUZZ_CONFIG), key=repr)
+
+
+@st.composite
+def mutated_configs(draw):
+    """FUZZ_CONFIG with one to four of its values replaced by random JSON values,
+    integers beyond the float range included."""
+    doc = json.loads(json.dumps(FUZZ_CONFIG))
+    replaced = []
+    for path in draw(st.lists(st.sampled_from(FUZZ_PATHS), min_size=1, max_size=4, unique=True)):
+        if any(path[:len(r)] == r for r in replaced):
+            continue  # inside a value already replaced
+        *parents, key = path
+        target = doc
+        for part in parents:
+            target = target[part]
+        target[key] = draw(JSON_VALUES | st.integers(min_value=2**1024))
+        replaced.append(path)
+    return doc
+
+
+FUZZ_COLUMNS = [
+    "object_id", "source_id", "position_x", "position_y", "readiness", "type",
+    "position_certainty", "readiness_certainty", "type_certainty",
+]
+FUZZ_CELLS = st.sampled_from([
+    "", " ", "nan", "-inf", "1e400", "0x10", "1_0", "3", "-2", "4.5", "12.25", "tank",
+    "certain", "Probable ", "sure", "CERTAINTY", "٣",
+]) | st.text(max_size=6)
+
+
+class TestFuzz:
+    """On arbitrary input the readers return a result or raise their own error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_configs())
+    @example({**FUZZ_CONFIG, "threshold": 2**1100})
+    def test_parse_config(self, doc):
+        assert parse_config(FUZZ_CONFIG).schema is not None
+        try:
+            parse_config(doc)
+        except ConfigError:
+            pass
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(st.sampled_from(FUZZ_COLUMNS) | st.sampled_from(["", "extra", "position"]) | st.text(max_size=4),
+                 min_size=1, max_size=11),
+        st.lists(st.lists(FUZZ_CELLS, max_size=11), max_size=4),
+    )
+    @example(FUZZ_COLUMNS, [["o1", "s1", "1.0", "2.0", "4", "tank", "", "sure", ""]])
+    def test_read_objects_csv(self, header, rows):
+        schema = parse_config(FULL_CONFIG).schema
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "objects.csv"
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+            try:
+                read_objects_csv(path, schema)
+            except DataError:
+                pass

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -105,15 +107,16 @@ class TestRunExperiment:
 
     def test_candidates_equal_thresholded_records(self, reports):
         report, _ = reports
-        expected = {(r.a, r.b) for r in report.pair_records if r.proximity > report.threshold}
+        scores = report.breakdowns
+        rows, cols = np.nonzero(scores.aggregate_proximity > report.threshold)
+        expected = {(scores.ids_a[i], scores.ids_b[j]) for i, j in zip(rows, cols)}
         assert {b.pair for b in report.candidates} == expected
 
     def test_mismatch_cap(self, reports):
         cap = 0.1 ** 0.5
         for report in reports:
-            for r in report.pair_records:
-                if r.type_mismatch:
-                    assert r.proximity <= cap + 1e-12
+            mismatched = report.breakdowns.aggregate_proximity[report.type_mismatch]
+            assert (mismatched <= cap + 1e-12).all()
 
     def test_precision_comparison(self, reports):
         coarse, precise = reports
@@ -128,8 +131,56 @@ class TestRunExperiment:
 
     def test_far_pairs_use_true_separation(self, reports):
         report, _ = reports
-        far = [r for r in report.pair_records if not r.true_pair and r.separation_true > FAR_SEPARATION_M]
-        assert far, "fixture scene should contain well-separated distinct pairs"
+        distinct = ~np.eye(report.spec.object_count, dtype=bool)
+        far = distinct & (report.separation_true > FAR_SEPARATION_M)
+        assert far.any(), "fixture scene should contain well-separated distinct pairs"
+
+    def test_summary_recounts_from_payload(self, reports):
+        for report in reports:
+            payload = report.to_payload()
+            pairs = {(r["a"], r["b"]): r for r in payload["pairs"]}
+            found = [pairs[c["a"], c["b"]] for c in payload["candidates"]]
+            for c, r in zip(payload["candidates"], found):
+                assert (c["proximity"], c["true_pair"], c["type_mismatch"]) == (
+                    r["proximity"], r["true_pair"], r["type_mismatch"]
+                )
+            true_p = [r["proximity"] for r in pairs.values() if r["true_pair"]]
+            far_p = [
+                r["proximity"]
+                for r in pairs.values()
+                if not r["true_pair"] and r["separation_true"] > FAR_SEPARATION_M
+            ]
+            mismatch_p = [r["proximity"] for r in found if r["type_mismatch"]]
+            assert report.summary == {
+                "pair_count": len(pairs),
+                "true_pair_count": len(true_p),
+                "candidate_count": len(found),
+                "true_candidate_count": sum(1 for r in found if r["true_pair"]),
+                "type_mismatch_candidate_count": len(mismatch_p),
+                "mean_proximity_true_pairs": sum(true_p) / len(true_p),
+                "mean_proximity_distinct_far_pairs": sum(far_p) / len(far_p),
+                "max_type_mismatch_candidate_proximity": max(mismatch_p, default=None),
+                "nominal_mismatch_cap": report.spec.type_error ** 0.5,
+            }
+            assert {(r["a"], r["b"]) for r in found} == {
+                k for k, r in pairs.items() if r["proximity"] > report.threshold
+            }
+
+    def test_separations_are_math_hypot(self, reports):
+        for report in reports:
+            scene = report.scene.objects
+            obs_a, obs_b = (
+                [o.values["position"].value for o in report.datasets[sid]] for sid in ("s1", "s2")
+            )
+            n = len(scene)
+            for i in range(n):
+                for j in range(n):
+                    assert report.separation_true[i, j] == math.hypot(
+                        scene[i].x - scene[j].x, scene[i].y - scene[j].y
+                    )
+                    assert report.separation_observed[i, j] == math.hypot(
+                        obs_a[i][0] - obs_b[j][0], obs_a[i][1] - obs_b[j][1]
+                    )
 
     def test_byte_determinism(self, tmp_path):
         spec = SceneSpec(object_count=10, rng_seed=21)
