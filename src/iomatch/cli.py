@@ -15,7 +15,8 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config, require_match_config
-from .dataio import DataError, breakdown_record, read_objects_csv, write_breakdowns_csv, write_json
+from .dataio import DataError, read_objects_csv, write_breakdowns_csv, write_json
+from .dataio import breakdown_record  # noqa: F401  (a boundary the per-layer trace in bench/spans.py wraps)
 from .engine import MatchRun, MatchRunError, candidates, pairwise_breakdowns
 from .model import SchemaError
 from .simulate import SceneSpec, SceneSpecError, emit_report_files, run_experiment
@@ -114,9 +115,11 @@ def _cmd_match(args) -> int:
     run = _build_run(config, objects_a, objects_b, threshold)
     breakdowns = pairwise_breakdowns(run)
     found = candidates(breakdowns, threshold)
-    print(f"pairs evaluated: {len(breakdowns)}; candidates above {threshold:g}: {len(found)}")
-    for b in found:
-        print(f"{b.pair[0]}  {b.pair[1]}  {_fmt(b.aggregate_proximity)}")
+    lines = [f"pairs evaluated: {len(breakdowns)}; candidates above {threshold:g}: {len(found)}"]
+    lines += [
+        f"{a}  {b}  {_fmt(p)}" for a, b, p in zip(found.ids_a, found.ids_b, found.aggregate_proximity.tolist())
+    ]
+    print("\n".join(lines))
     if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -129,7 +132,7 @@ def _cmd_match(args) -> int:
                 {
                     "threshold": threshold,
                     "pair_count": len(breakdowns),
-                    "candidates": [breakdown_record(b) for b in found],
+                    "candidates": found,
                 },
             )
     return EXIT_OK

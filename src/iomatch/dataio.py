@@ -12,12 +12,13 @@ import functools
 import json
 import math
 from itertools import islice, repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .engine import PairScores
+from .engine import PairScores, RankedCandidates
 from .model import (
     Certainty,
     FeatureKind,
@@ -206,7 +207,8 @@ def breakdown_record(b: ProximityBreakdown) -> dict:
 # JSON text of a scalar or key, and a scalar's text never ends in a bracket,
 # so the text can be split exactly at a separator.
 
-_CONTAINERS = (dict, list, tuple)
+# A RankedCandidates view is written as its list of breakdown records.
+_CONTAINERS = (dict, list, tuple, RankedCandidates)
 # Items of one container written per chunk; bounds the text held at once.
 _BLOCK = 256
 
@@ -257,8 +259,54 @@ def _joined(items: list[tuple[str, object]], depth: int) -> str:
     return (",\n" + "  " * (depth + 1)).join([t if c is None else t + next(children) for t, c in items])
 
 
+def _candidate_chunks(found: RankedCandidates, depth: int) -> Iterator[str]:
+    """``[breakdown_record(b) for b in found]`` as :func:`_json_text` writes it
+    ``depth`` levels deep, rendered from the columns ``_BLOCK`` records at a time."""
+    if not len(found):
+        yield "[]"
+        return
+    pad = ["\n" + "  " * (depth + k) for k in range(5)]
+    names = sorted(found.proximity)
+    yield "["
+    lead = pad[1]
+    for start in range(0, len(found), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        ids_a, ids_b = found.ids_a[block], found.ids_b[block]
+        # One column of feature texts per feature, "" where it is absent.
+        columns = []
+        for name in names:
+            key, p = encode_basestring_ascii(name), found.proximity[name][block]
+            texts = [
+                f'{key}: {{{pad[4]}"distance": {d!r},{pad[4]}"proximity": {q!r}{pad[3]}}}'
+                for d, q in zip((1.0 - p).tolist(), p.tolist())
+            ]
+            for k in np.flatnonzero(~found.present[name][block]).tolist():
+                texts[k] = ""
+            columns.append(texts)
+        features = []
+        for _, *parts in zip(ids_a, *columns):
+            shared = [t for t in parts if t]
+            features.append(f"{{{pad[3]}{(',' + pad[3]).join(shared)}{pad[2]}}}" if shared else "{}")
+        records = zip(
+            map(encode_basestring_ascii, ids_a),
+            map(encode_basestring_ascii, ids_b),
+            found.aggregate_distance[block].tolist(),
+            features,
+            found.aggregate_proximity[block].tolist(),
+        )
+        yield lead + ("," + pad[1]).join([
+            f'{{{pad[2]}"a": {a},{pad[2]}"b": {b},{pad[2]}"distance": {d!r},{pad[2]}"features": {f},'
+            f'{pad[2]}"proximity": {p!r}{pad[1]}}}'
+            for a, b, d, f, p in records
+        ])
+        lead = "," + pad[1]
+    yield pad[0] + "]"
+
+
 def _json_text(value, depth: int) -> str:
     """``value`` as ``json.dumps(indent=2, sort_keys=True)`` writes it ``depth`` levels deep."""
+    if isinstance(value, RankedCandidates):
+        return "".join(_candidate_chunks(value, depth))
     if not isinstance(value, _CONTAINERS) or not value:
         return _encoder(depth)(value)
     if _holds_containers(value):
@@ -272,6 +320,9 @@ def _json_text(value, depth: int) -> str:
 def _json_chunks(value, depth: int = 0) -> Iterator[str]:
     """The text of :func:`_json_text` in pieces: the top-level container one
     item at a time, and the containers in it ``_BLOCK`` items at a time."""
+    if isinstance(value, RankedCandidates):
+        yield from _candidate_chunks(value, depth)
+        return
     if depth > 1 or not isinstance(value, _CONTAINERS) or not _holds_containers(value):
         yield _json_text(value, depth)
         return

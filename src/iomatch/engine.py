@@ -11,6 +11,7 @@ define the same numbers one pair at a time and serve as the test reference.
 
 from __future__ import annotations
 
+import collections.abc
 import functools
 import math
 import warnings
@@ -336,8 +337,9 @@ def _pair_weights(
     Weighted methods renormalize their feature weights over the features
     present (an all-zero subset falls back to equal weights).  The additive
     family becomes a weighted sum: additive 1/n, count-normalized
-    1/(classes * |class|), two-class w/|Q| and (1-w)/|L| when normalized, and
-    otherwise w and (1-w) divided by the attainable maximum w|Q| + (1-w)|L|.
+    1/(classes * |class|), and two-class w and (1-w) divided by their
+    attainable maximum: w/|Q| and (1-w)/|L| over w[|Q|>0] + (1-w)[|L|>0] when
+    normalized, and otherwise over w|Q| + (1-w)|L|.
     """
     method = spec.method
     shape = next(iter(present.values())).shape if present else (0, 0)
@@ -359,7 +361,8 @@ def _pair_weights(
         else:
             w = spec.class_weight
             if spec.normalized:
-                raw = {n: w / n_quant if quantitative[n] else (1.0 - w) / n_qual for n in present}
+                max_raw = w * (n_quant > 0) + (1.0 - w) * (n_qual > 0)
+                raw = {n: (w / n_quant if quantitative[n] else (1.0 - w) / n_qual) / max_raw for n in present}
             else:
                 max_raw = w * n_quant + (1.0 - w) * n_qual
                 raw = {n: (w if quantitative[n] else 1.0 - w) / max_raw for n in present}
@@ -393,7 +396,56 @@ def _aggregate(
 # --- results ------------------------------------------------------------------
 
 
-class PairScores(Sequence[ProximityBreakdown]):
+class _ScoreColumns:
+    """Breakdowns held as read-only numpy columns: per feature ``proximity``
+    and ``present``, plus ``aggregate_proximity`` and ``aggregate_distance``.
+
+    Indexing builds a :class:`ProximityBreakdown`; ``_locate`` maps an entry
+    to its pair and to its index into the columns.
+    """
+
+    # A registered Sequence with its mixin methods, not a subclass: isinstance
+    # against a class of metaclass ABCMeta runs Python code, and the JSON
+    # writer tests every value it writes against RankedCandidates.
+    __iter__ = collections.abc.Sequence.__iter__
+    __contains__ = collections.abc.Sequence.__contains__
+    __reversed__ = collections.abc.Sequence.__reversed__
+    index = collections.abc.Sequence.index
+    count = collections.abc.Sequence.count
+
+    def __init__(
+        self,
+        proximity: Mapping[str, np.ndarray],
+        present: Mapping[str, np.ndarray],
+        aggregate_proximity: np.ndarray,
+        aggregate_distance: np.ndarray,
+    ):
+        self.proximity, self.present = dict(proximity), dict(present)
+        self.aggregate_proximity, self.aggregate_distance = aggregate_proximity, aggregate_distance
+        for column in (*self.proximity.values(), *self.present.values(), aggregate_proximity, aggregate_distance):
+            column.flags.writeable = False
+
+    def _locate(self, k: int) -> tuple[tuple[str, str], object]:
+        raise NotImplementedError
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        k = index + len(self) if index < 0 else index
+        if not 0 <= k < len(self):
+            raise IndexError(index)
+        pair, at = self._locate(k)
+        return ProximityBreakdown(
+            pair=pair,
+            per_feature={
+                n: FeatureScore.from_proximity(float(p[at])) for n, p in self.proximity.items() if self.present[n][at]
+            },
+            aggregate_proximity=float(self.aggregate_proximity[at]),
+            aggregate_distance=float(self.aggregate_distance[at]),
+        )
+
+
+class PairScores(_ScoreColumns):
     """Breakdowns of every cross-source pair, dataset A outer and B inner,
     held as read-only ``(n_a, n_b)`` columns.
 
@@ -412,31 +464,14 @@ class PairScores(Sequence[ProximityBreakdown]):
         aggregate_distance: np.ndarray,
     ):
         self.ids_a, self.ids_b = tuple(ids_a), tuple(ids_b)
-        self.proximity, self.present = dict(proximity), dict(present)
-        self.aggregate_proximity, self.aggregate_distance = aggregate_proximity, aggregate_distance
-        for column in (*self.proximity.values(), *self.present.values(), aggregate_proximity, aggregate_distance):
-            column.flags.writeable = False
+        super().__init__(proximity, present, aggregate_proximity, aggregate_distance)
 
     def __len__(self) -> int:
         return len(self.ids_a) * len(self.ids_b)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[k] for k in range(*index.indices(len(self)))]
-        k = index + len(self) if index < 0 else index
-        if not 0 <= k < len(self):
-            raise IndexError(index)
+    def _locate(self, k: int):
         i, j = divmod(k, len(self.ids_b))
-        return ProximityBreakdown(
-            pair=(self.ids_a[i], self.ids_b[j]),
-            per_feature={
-                n: FeatureScore.from_proximity(float(p[i, j]))
-                for n, p in self.proximity.items()
-                if self.present[n][i, j]
-            },
-            aggregate_proximity=float(self.aggregate_proximity[i, j]),
-            aggregate_distance=float(self.aggregate_distance[i, j]),
-        )
+        return (self.ids_a[i], self.ids_b[j]), (i, j)
 
     def __iter__(self) -> Iterator[ProximityBreakdown]:
         names = tuple(self.proximity)
@@ -495,22 +530,59 @@ def evaluate_pair(
     return pairwise_breakdowns(run)[0]
 
 
+class RankedCandidates(_ScoreColumns):
+    """The pairs of a :class:`PairScores` kept as candidates, most similar
+    first, held as read-only 1-D columns in that order: ``ids_a[k]`` and
+    ``ids_b[k]`` name the k-th pair, and ``proximity``, ``present``,
+    ``aggregate_proximity`` and ``aggregate_distance`` hold its scores.
+
+    Indexing or iterating builds :class:`ProximityBreakdown` objects on
+    demand; writers read the columns directly.
+    """
+
+    def __init__(self, scores: PairScores, rows: np.ndarray, cols: np.ndarray):
+        self.ids_a = tuple(map(scores.ids_a.__getitem__, rows.tolist()))
+        self.ids_b = tuple(map(scores.ids_b.__getitem__, cols.tolist()))
+        super().__init__(
+            {n: p[rows, cols] for n, p in scores.proximity.items()},
+            {n: m[rows, cols] for n, m in scores.present.items()},
+            scores.aggregate_proximity[rows, cols],
+            scores.aggregate_distance[rows, cols],
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids_a)
+
+    def _locate(self, k: int):
+        return (self.ids_a[k], self.ids_b[k]), k
+
+
+collections.abc.Sequence.register(_ScoreColumns)
+
+
+def _id_ranks(ids: Sequence[str]) -> np.ndarray:
+    """Each id's place among the distinct ids in Python's sort order."""
+    place = {x: r for r, x in enumerate(sorted(set(ids)))}
+    return np.array([place[x] for x in ids], dtype=np.int64)
+
+
 def candidates(
     breakdowns: Iterable[ProximityBreakdown], threshold: float
-) -> list[ProximityBreakdown]:
+) -> Sequence[ProximityBreakdown]:
     """Pairs whose aggregate proximity exceeds the threshold, most similar first.
 
     Ties are broken by the pair's identifier tuple.  Given a
-    :class:`PairScores`, only the kept pairs' breakdowns are built.
+    :class:`PairScores`, the kept cells are ranked with one ``np.lexsort`` and
+    returned as a :class:`RankedCandidates` view; any other iterable gives a list.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold {threshold} outside [0, 1]")
     if isinstance(breakdowns, PairScores):
         flat = breakdowns.aggregate_proximity.ravel()
-        keep = np.flatnonzero(flat > threshold).tolist()
-        value = dict(zip(keep, flat[keep].tolist()))
-        ids_a, ids_b = breakdowns.ids_a, breakdowns.ids_b
-        keep.sort(key=lambda k: (-value[k], ids_a[k // len(ids_b)], ids_b[k % len(ids_b)]))
-        return [breakdowns[k] for k in keep]
+        keep = np.flatnonzero(flat > threshold)
+        rows, cols = np.divmod(keep, len(breakdowns.ids_b))
+        # lexsort's last key is the primary one.
+        order = np.lexsort((_id_ranks(breakdowns.ids_b)[cols], _id_ranks(breakdowns.ids_a)[rows], -flat[keep]))
+        return RankedCandidates(breakdowns, rows[order], cols[order])
     keep = [b for b in breakdowns if b.aggregate_proximity > threshold]
     return sorted(keep, key=lambda b: (-b.aggregate_proximity, b.pair))

@@ -77,6 +77,8 @@ class SceneSpec:
             errors.append(f"type_error {self.type_error} outside (0, 0.5]")
         if not self.fleet_sigma_min > 0.0:
             errors.append(f"fleet_sigma_min must be positive, got {self.fleet_sigma_min}")
+        if self.rng_seed < 0:
+            errors.append(f"seed must be non-negative, got {self.rng_seed}")
         return errors
 
     @property

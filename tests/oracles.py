@@ -150,9 +150,11 @@ def scalar_aggregate(schema: Schema, spec: AggregationSpec, proximities: dict[st
     else:
         w = spec.class_weight
         d = two_class_weighted_distance(w, quant, qual, spec.normalized)
-        if not spec.normalized:
+        if spec.normalized:
+            max_raw = (w if quant else 0.0) + (1.0 - w if qual else 0.0)
+        else:
             max_raw = w * len(quant) + (1.0 - w) * len(qual)
-            d = d / max_raw if max_raw > 0.0 else 0.0
+        d = d / max_raw if max_raw > 0.0 else 0.0
     return 1.0 - d, d
 
 

@@ -3,6 +3,9 @@ import json
 import pytest
 
 from iomatch.cli import main
+from iomatch.config import load_config
+from iomatch.dataio import read_objects_csv
+from iomatch.engine import MatchRun, candidates, pairwise_breakdowns
 
 CONFIG = {
     "schema": {
@@ -96,6 +99,25 @@ class TestMatch:
         assert payload["pair_count"] == 2
         assert payload["candidates"][0]["a"] == "a1"
 
+    def test_stdout_equals_per_breakdown_lines(self, tmp_path, config_path, capsys):
+        """The console list, written from the candidate columns, equals one
+        formatted line per breakdown; a10 sorts before a9 on equal proximity."""
+        rows_a = "".join(f"a{i},alpha,{12.0 + i % 3},tank\n" for i in range(12))
+        rows_b = "".join(f"b{i},beta,{12.5 + i % 2},{('tank', 'truck')[i % 2]}\n" for i in range(5))
+        a = write(tmp_path, "a.csv", "object_id,source_id,speed,type\n" + rows_a)
+        b = write(tmp_path, "b.csv", "object_id,source_id,speed,type\n" + rows_b)
+        assert main(["match", "--config", str(config_path), str(a), str(b)]) == 0
+        out = capsys.readouterr().out
+        config = load_config(config_path)
+        run = MatchRun(config.schema, config.profiles,
+                       tuple(read_objects_csv(a, config.schema)), tuple(read_objects_csv(b, config.schema)),
+                       config.aggregation)
+        found = candidates(list(pairwise_breakdowns(run)), 0.01)
+        lines = [f"pairs evaluated: 60; candidates above 0.01: {len(found)}"]
+        lines += [f"{x.pair[0]}  {x.pair[1]}  {x.aggregate_proximity:.4f}" for x in found]
+        assert out == "\n".join(lines) + "\n"
+        assert out.index("a10  b0") < out.index("a9  b0")
+
     def test_schema_violation_exits_one(self, tmp_path, config_path, capsys):
         a = write(tmp_path, "a.csv", "object_id,source_id,speed,type\na1,alpha,fast,tank\n")
         b = write(tmp_path, "b.csv", "object_id,source_id,speed,type\nb1,beta,1.0,tank\n")
@@ -180,6 +202,18 @@ class TestRejectedAtValidation:
         captured = capsys.readouterr()
         assert "dataset A: object id 'a1' appears 2 times" in captured.err
         assert captured.out == ""
+
+
+    def test_negative_seed(self, tmp_path, capsys):
+        message = "error: seed must be non-negative, got -1\n"
+        assert main(["simulate", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == message and captured.out == ""
+        config = write(tmp_path, "sim.json", json.dumps({"simulation": {"seed": -1}}))
+        for argv in (["validate", "--config", str(config)], ["simulate", "--config", str(config)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.err == message and captured.out == ""
 
 
 def _retyped(path, value):

@@ -1,5 +1,7 @@
 """The columnar engine against the per-pair composition of the scalar functions."""
 
+import collections.abc
+import dataclasses
 import math
 import tempfile
 import warnings
@@ -9,8 +11,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from iomatch.aggregate import AggregationMethod, AggregationSpec
-from iomatch.dataio import write_breakdowns_csv
-from iomatch.engine import MatchRun, MatchRunError, PairScores, candidates, evaluate_pair, pairwise_breakdowns
+from iomatch.dataio import breakdown_record, write_breakdowns_csv
+from iomatch.engine import (
+    MatchRun,
+    MatchRunError,
+    PairScores,
+    RankedCandidates,
+    candidates,
+    evaluate_pair,
+    pairwise_breakdowns,
+)
 from iomatch.fuzzy import apply_certainty, gaussian_membership, possibility
 from iomatch.model import (
     Certainty,
@@ -28,6 +38,7 @@ from iomatch.model import (
 from iomatch.quant import NormalErrorModel, quantitative_proximity
 
 from oracles import scalar_pair_scores
+from test_config_dataio import json_bytes, stdlib_bytes
 
 TOLERANCE = 1e-12
 
@@ -87,8 +98,8 @@ def objects(draw, source, names, n):
 
 
 @st.composite
-def runs(draw):
-    names = draw(st.lists(st.sampled_from(sorted(FEATURES)), min_size=1, max_size=5, unique=True))
+def runs(draw, names=None, sizes=st.integers(0, 4)):
+    names = names or draw(st.lists(st.sampled_from(sorted(FEATURES)), min_size=1, max_size=5, unique=True))
     raw = [draw(st.integers(0, 4)) for _ in names]
     raw[0] = raw[0] or 1
     features = tuple(
@@ -115,8 +126,8 @@ def runs(draw):
     return MatchRun(
         schema=Schema(features),
         profiles=profiles,
-        dataset_a=tuple(draw(objects("a", names, draw(st.integers(0, 4))))),
-        dataset_b=tuple(draw(objects("b", names, draw(st.integers(0, 4))))),
+        dataset_a=tuple(draw(objects("a", names, draw(sizes)))),
+        dataset_b=tuple(draw(objects("b", names, draw(sizes)))),
         aggregation=spec,
     )
 
@@ -154,6 +165,93 @@ def test_csv_from_columns_equals_csv_from_breakdowns(run):
     and empty sides included."""
     scores = pairwise_breakdowns(run)
     assert _csv_bytes(scores, run.schema) == _csv_bytes(list(scores), run.schema)
+
+
+# --- ranked candidates ------------------------------------------------------------
+
+# Ids that json escapes: quotes, backslashes, control and non-ASCII characters.
+ODD_IDS = st.text(st.sampled_from('a9"\\/\n\x00\x7f é€✓\U0001f600'), max_size=4)
+
+
+@st.composite
+def ranked_runs(draw, ids=None):
+    """Runs of up to 12 objects a side in a drawn file order, so ids such as
+    a10 sort before a9 wherever they stand.  A nominal-only schema gives many
+    exactly equal aggregates; ``ids``, if given, draws the object ids."""
+    names = ["type"] if draw(st.booleans()) else None
+    run = draw(runs(names=names, sizes=st.integers(0, 12)))
+
+    def side(dataset):
+        dataset = draw(st.permutations(dataset))
+        if ids is not None:
+            new = draw(st.lists(ids, min_size=len(dataset), max_size=len(dataset), unique=True))
+            dataset = [dataclasses.replace(o, object_id=i) for o, i in zip(dataset, new)]
+        return tuple(dataset)
+
+    return dataclasses.replace(run, dataset_a=side(run.dataset_a), dataset_b=side(run.dataset_b))
+
+
+THRESHOLDS = st.sampled_from([0.0, 0.01, 0.2, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranked_runs(), THRESHOLDS)
+def test_ranked_candidates_equal_sorted_breakdowns(run, threshold):
+    """One lexsort over the columns ranks exactly as sorting the breakdowns by
+    (-proximity, pair), ties included."""
+    scores = pairwise_breakdowns(run)
+    want = sorted(
+        (b for b in list(scores) if b.aggregate_proximity > threshold),
+        key=lambda b: (-b.aggregate_proximity, b.pair),
+    )
+    found = candidates(scores, threshold)
+    assert isinstance(found, RankedCandidates)
+    assert len(found) == len(want)
+    assert list(found) == want
+    assert list(zip(found.ids_a, found.ids_b)) == [b.pair for b in want]
+    assert found.aggregate_proximity.tolist() == [b.aggregate_proximity for b in want]
+
+
+def assert_json_records(found):
+    """The view written at three depths equals json.dumps of its records."""
+    records = [breakdown_record(b) for b in found]
+    for wrap in (
+        lambda c: {"threshold": 0.01, "pair_count": 7, "candidates": c},
+        lambda c: c,
+        lambda c: {"x": [{"y": c}, 1]},
+    ):
+        assert json_bytes(wrap(found)) == stdlib_bytes(wrap(records))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ranked_runs(ids=ODD_IDS), THRESHOLDS)
+def test_candidates_json_from_columns_equals_stdlib(run, threshold):
+    """Absent features, pairs that share no feature, empty lists and ids that
+    need escaping are written as json.dumps writes the breakdown records."""
+    assert_json_records(candidates(pairwise_breakdowns(run), threshold))
+
+
+def test_candidates_json_over_several_blocks():
+    """529 candidates span three blocks of records; some pairs share no feature."""
+    names = ["speed", "type"]
+    schema = Schema(tuple(FeatureSchema(**{**FEATURES[n].__dict__, "weight": 0.5}) for n in names))
+
+    def values(i):
+        """Every third object lacks speed and every seventh lacks type."""
+        present = {"speed": i % 3 != 0, "type": i % 7 != 0}
+        drawn = {"speed": float(i % 5), "type": LABELS[i % 3]}
+        return {n: FeatureValue(drawn[n]) for n in names if present[n]}
+
+    def side(source):
+        return tuple(InformationObject(f"{source}{i}", source, values(i)) for i in range(23))
+
+    run = MatchRun(schema, _profiles(names, [1.0, 2.0, 0.5], 0.4, 2.5, 1.0), side("a"), side("b"),
+                   AggregationSpec(method=AggregationMethod.ADDITIVE))
+    found = candidates(pairwise_breakdowns(run), 0.0)
+    assert len(found) == 529
+    assert any(not b.per_feature for b in found)
+    assert any(len(b.per_feature) == 1 for b in found)
+    assert_json_records(found)
 
 
 @pytest.mark.parametrize("method", list(AggregationMethod))
@@ -233,7 +331,7 @@ class TestPairScores:
 
     def test_sequence_protocol(self):
         scores = self.scores()
-        assert isinstance(scores, PairScores)
+        assert isinstance(scores, PairScores) and isinstance(scores, collections.abc.Sequence)
         listed = list(scores)
         assert len(scores) == len(listed) == 6
         assert [scores[k] for k in range(6)] == listed
@@ -250,10 +348,29 @@ class TestPairScores:
         with pytest.raises(ValueError):
             scores.proximity["speed"][0, 0] = 0.5
 
+    def test_ranked_candidates_protocol(self):
+        found = candidates(self.scores(), 0.01)
+        listed = list(found)
+        assert isinstance(found, RankedCandidates)
+        assert len(found) == len(listed) == 6
+        assert [found[k] for k in range(6)] == listed
+        assert found[-1] == listed[-1]
+        assert found[1:4] == listed[1:4]
+        assert listed[0].pair == ("a0", "b0")
+        assert isinstance(found, collections.abc.Sequence)
+        assert list(reversed(found)) == listed[::-1]
+        assert listed[2] in found and found.index(listed[2]) == 2 and found.count(listed[2]) == 1
+        with pytest.raises(IndexError):
+            found[6]
+        with pytest.raises(ValueError):
+            found.aggregate_proximity[0] = 0.5
+        with pytest.raises(ValueError):
+            found.proximity["speed"][0] = 0.5
+
     def test_candidates_from_columns_equal_candidates_from_breakdowns(self):
         scores = self.scores()
         for threshold in (0.0, 0.01, 0.5, 1.0):
-            assert candidates(scores, threshold) == candidates(list(scores), threshold)
+            assert list(candidates(scores, threshold)) == candidates(list(scores), threshold)
 
 
 def test_one_xi_rule_for_evaluate_pair_and_runs():

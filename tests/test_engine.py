@@ -1,7 +1,7 @@
 import pytest
 
 from iomatch.aggregate import AggregationMethod, AggregationSpec
-from iomatch.engine import MatchRun, MatchRunError, candidates, pairwise_breakdowns
+from iomatch.engine import MatchRun, MatchRunError, candidates, evaluate_pair, pairwise_breakdowns
 from iomatch.fuzzy import apply_certainty, possibility, triangular_from_halfwidth
 from iomatch.model import (
     Certainty,
@@ -204,6 +204,35 @@ class TestRunValidation:
             pairwise_breakdowns(run)
 
 
+class TestTwoClassNormalizedOneClassEmpty:
+    """Normalized two-class weights are rescaled by the attainable maximum
+    w[quantitative shared] + (1-w)[qualitative shared], so a total mismatch
+    scores 0 even when one class is absent."""
+
+    @pytest.mark.parametrize("class_weight, values_a, values_b, proximity", [
+        # Speeds 280 sigma apart: total quantitative mismatch, no type shared.
+        (0.3, {"speed": 10.0}, {"speed": 300.0}, 0.0),
+        (0.3, {"speed": 10.0, "type": "tank"}, {"speed": 300.0}, 0.0),
+        # Only the nominal mismatch (delta 0.1) is shared.
+        (0.3, {"type": "tank"}, {"type": "truck", "speed": 10.0}, 0.1),
+        # The empty class carries all the weight: attainable maximum 0.
+        (0.0, {"speed": 10.0}, {"speed": 300.0}, 1.0),
+        (1.0, {"type": "tank"}, {"type": "truck"}, 1.0),
+    ])
+    def test_total_mismatch(self, class_weight, values_a, values_b, proximity):
+        a = InformationObject("a", "alpha", {n: FeatureValue(v) for n, v in values_a.items()})
+        b = InformationObject("b", "beta", {n: FeatureValue(v) for n, v in values_b.items()})
+        spec = AggregationSpec(
+            method=AggregationMethod.TWO_CLASS_WEIGHTED, class_weight=class_weight, normalized=True
+        )
+        profiles = {"alpha": profile("alpha"), "beta": profile("beta")}
+        single = evaluate_pair(SCHEMA, profiles, spec, a, b)
+        (batch,) = pairwise_breakdowns(make_run([a], [b], aggregation=spec))
+        assert single == batch
+        assert batch.aggregate_proximity == pytest.approx(proximity, abs=1e-12)
+        assert batch.aggregate_distance == pytest.approx(1.0 - proximity, abs=1e-12)
+
+
 class TestCandidates:
     def breakdowns(self):
         a = [obj("a0", "alpha", 10.0), obj("a1", "alpha", 14.0), obj("a2", "alpha", 300.0)]
@@ -211,7 +240,7 @@ class TestCandidates:
         return pairwise_breakdowns(make_run(a, b))
 
     def test_threshold_one_empty(self):
-        assert candidates(self.breakdowns(), 1.0) == []
+        assert list(candidates(self.breakdowns(), 1.0)) == []
 
     def test_threshold_zero_keeps_nonzero(self):
         result = candidates(self.breakdowns(), 0.0)
