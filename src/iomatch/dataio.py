@@ -8,13 +8,13 @@ so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
-from itertools import islice, repeat
+from itertools import chain, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator
+from types import SimpleNamespace
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -103,9 +103,15 @@ def read_objects_csv(path: str | Path, schema: Schema) -> list[InformationObject
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty dataset file")
-        missing = [c for c in ("object_id", "source_id") if c not in reader.fieldnames]
+        # Every value column is named, also when left empty for an absent feature.
+        required = ["object_id", "source_id", *(c for c, _, _ in columns)]
+        missing = [c for c in required if c not in reader.fieldnames]
         if missing:
             raise DataError(f"{path}: missing columns {missing}")
+        known = dataset_header(schema)
+        unknown = [c for c in reader.fieldnames if c not in known]
+        if unknown:
+            raise DataError(f"{path}: unknown columns {unknown}")
         for line, row in enumerate(reader, start=2):
             values: dict[str, FeatureValue] = {}
             for f in schema.features:
@@ -153,6 +159,14 @@ def _float_texts(values: np.ndarray, absent: Iterable[int] = ()) -> list[str]:
     return texts
 
 
+def _csv_fields(values: Iterable[str]) -> list[str]:
+    """Each value as ``csv.writer`` writes it as a field of a row, quoted where it must be."""
+    # writerow returns what the file's write returns: here the line itself.
+    # The empty second field keeps a lone empty value from being written as "".
+    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+    return [writer.writerow((v, ""))[:-2] for v in values]
+
+
 def write_breakdowns_csv(
     path: str | Path, breakdowns: Iterable[ProximityBreakdown], schema: Schema
 ) -> None:
@@ -167,9 +181,11 @@ def write_breakdowns_csv(
                 row += [_format_number(b.aggregate_proximity), _format_number(b.aggregate_distance)]
                 writer.writerow(row)
             return
-        # One block of rows per dataset-A object, formatted column by column.
-        for i, a in enumerate(breakdowns.ids_a):
-            columns = [repeat(a), breakdowns.ids_b]
+        # One block of rows per dataset-A object, formatted column by column
+        # and joined: only the ids can need quoting, and they are quoted once.
+        ids_b = _csv_fields(breakdowns.ids_b)
+        for i, a in enumerate(_csv_fields(breakdowns.ids_a)):
+            columns = [repeat(a), ids_b]
             for name in schema.names:
                 p = breakdowns.proximity.get(name)
                 if p is None:
@@ -181,7 +197,9 @@ def write_breakdowns_csv(
                 _float_texts(breakdowns.aggregate_proximity[i]),
                 _float_texts(breakdowns.aggregate_distance[i]),
             ]
-            writer.writerows(zip(*columns))
+            rows = "\n".join(map(",".join, zip(*columns)))
+            if rows:
+                fh.write(rows + "\n")
 
 
 def breakdown_record(b: ProximityBreakdown) -> dict:
@@ -199,153 +217,126 @@ def breakdown_record(b: ProximityBreakdown) -> dict:
 
 # --- JSON -----------------------------------------------------------------------
 #
-# The stdlib writes indented JSON with its pure-Python encoder; its C encoder
-# runs only without an indent.  But a container whose items are all scalars is
-# one flat run of items, so the C encoder writes it when its item separator
-# carries the indentation: only the line breaks after the opening and before
-# the closing bracket remain to add.  A raw newline never occurs inside the
-# JSON text of a scalar or key, and a scalar's text never ends in a bracket,
-# so the text can be split exactly at a separator.
+# json.dumps(indent=2, sort_keys=True) writes every value but the column views:
+# a RankedCandidates or ColumnRecords would cost a dict per record, so their
+# records are rendered from the columns and spliced in where json.dumps wrote
+# a marker in their place.
 
-# A RankedCandidates view is written as its list of breakdown records.
-_CONTAINERS = (dict, list, tuple, RankedCandidates)
-# Items of one container written per chunk; bounds the text held at once.
+# Per column kind: the %-conversion of a field and the function, if any,
+# that turns a value into the text it converts.
+_KINDS = {
+    "id": ("s", encode_basestring_ascii),  # a string
+    "flag": ("s", ("false", "true").__getitem__),  # a bool
+    "float": ("r", None),  # a finite float
+    "json": ("s", None),  # a value's JSON text
+}
+# Records rendered per chunk; bounds the text held at once.
 _BLOCK = 256
 
 
-@functools.cache
-def _encoder(depth: int):
-    """C-accelerated ``encode`` with the item separator of a container ``depth`` levels deep."""
-    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "), sort_keys=True).encode
+class ColumnRecords:
+    """A list of flat records held as columns, which :func:`write_json`
+    writes as ``json.dumps`` writes the list of dicts.
+
+    ``fields`` maps each key, in sorted order, to the kind of its values: one
+    of ``_KINDS``.  ``blocks`` yields the records a block at a time, as one
+    sequence per field in that order; it is read once, when written.
+    """
+
+    def __init__(self, fields: Mapping[str, str], blocks: Iterable[Sequence[Iterable]]):
+        if list(fields) != sorted(fields):
+            raise ValueError(f"record keys {list(fields)} are not in sorted order")
+        self.fields, self.blocks = dict(fields), blocks
 
 
-def _holds_containers(value) -> bool:
-    items = value.values() if isinstance(value, dict) else value
-    return any(map(isinstance, items, repeat(_CONTAINERS)))
+def _record_chunks(records: ColumnRecords, depth: int) -> Iterator[str]:
+    """The text of ``records`` ``depth`` levels deep, ``_BLOCK`` records per chunk."""
+    pad = "\n" + "  " * (depth + 1)
+    keys = [encode_basestring_ascii(k).replace("%", "%%") for k in records.fields]
+    fields = [f"{pad}  {key}: %{_KINDS[kind][0]}" for key, kind in zip(keys, records.fields.values())]
+    template = "{" + ",".join(fields) + pad + "}"
+    to_text = [_KINDS[kind][1] for kind in records.fields.values()]
+    rows = chain.from_iterable(
+        zip(*(c if f is None else map(f, c) for f, c in zip(to_text, columns))) for columns in records.blocks
+    )
+    lead = "[" + pad
+    while block := [template % row for row in islice(rows, _BLOCK)]:
+        yield lead + ("," + pad).join(block)
+        lead = "," + pad
+    yield "[]" if lead[0] == "[" else "\n" + "  " * depth + "]"
 
 
-def _items(value, depth: int) -> Iterable[tuple[str, object]]:
-    """``(text, child)`` per item of a container, in written order.  ``child``
-    is the item's value when that is a container, and is then left out of
-    ``text``; it is None otherwise.  The keys and scalars of a dict take one
-    C call; a list is read item by item, so a long one is never copied."""
-    encode = _encoder(depth)
-    if not isinstance(value, dict):
-        return (("", v) if isinstance(v, _CONTAINERS) else (encode(v), None) for v in value)
-    keys = sorted(value)
-    flat = {k: 0 if isinstance(v, _CONTAINERS) else v for k, v in value.items()}
-    texts = encode(flat)[1:-1].split(",\n" + "  " * (depth + 1))
-    # A container's text ends in the placeholder 0.
-    return [
-        (t[:-1], value[k]) if isinstance(value[k], _CONTAINERS) else (t, None) for t, k in zip(texts, keys)
-    ]
-
-
-def _child_texts(children: list, depth: int) -> list[str]:
-    """The text of each container in ``children``, ``depth`` levels deep.  When
-    all are non-empty dicts of scalars, one C call writes them as a list, split
-    where one dict's ``}`` meets the next one's ``{``."""
-    if children and all(isinstance(c, dict) and c and not _holds_containers(c) for c in children):
-        separator = ",\n" + "  " * (depth + 1)
-        closing = "\n" + "  " * depth + "}"
-        bodies = _encoder(depth)(children)[2:-2].split("}" + separator + "{")
-        return ["{" + separator[1:] + body + closing for body in bodies]
-    return [_json_text(c, depth) for c in children]
-
-
-def _joined(items: list[tuple[str, object]], depth: int) -> str:
-    """The ``(text, child)`` items of a container, written and joined."""
-    children = iter(_child_texts([c for _, c in items if c is not None], depth + 1))
-    return (",\n" + "  " * (depth + 1)).join([t if c is None else t + next(children) for t, c in items])
+# The record of a breakdown_record, with its features rendered beforehand.
+_BREAKDOWN_FIELDS = {"a": "id", "b": "id", "distance": "float", "features": "json", "proximity": "float"}
 
 
 def _candidate_chunks(found: RankedCandidates, depth: int) -> Iterator[str]:
-    """``[breakdown_record(b) for b in found]`` as :func:`_json_text` writes it
+    """``[breakdown_record(b) for b in found]`` as json.dumps writes it
     ``depth`` levels deep, rendered from the columns ``_BLOCK`` records at a time."""
-    if not len(found):
-        yield "[]"
-        return
     pad = ["\n" + "  " * (depth + k) for k in range(5)]
     names = sorted(found.proximity)
-    yield "["
-    lead = pad[1]
-    for start in range(0, len(found), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        ids_a, ids_b = found.ids_a[block], found.ids_b[block]
-        # One column of feature texts per feature, "" where it is absent.
-        columns = []
-        for name in names:
-            key, p = encode_basestring_ascii(name), found.proximity[name][block]
-            texts = [
-                f'{key}: {{{pad[4]}"distance": {d!r},{pad[4]}"proximity": {q!r}{pad[3]}}}'
-                for d, q in zip((1.0 - p).tolist(), p.tolist())
-            ]
-            for k in np.flatnonzero(~found.present[name][block]).tolist():
-                texts[k] = ""
-            columns.append(texts)
-        features = []
-        for _, *parts in zip(ids_a, *columns):
-            shared = [t for t in parts if t]
-            features.append(f"{{{pad[3]}{(',' + pad[3]).join(shared)}{pad[2]}}}" if shared else "{}")
-        records = zip(
-            map(encode_basestring_ascii, ids_a),
-            map(encode_basestring_ascii, ids_b),
-            found.aggregate_distance[block].tolist(),
-            features,
-            found.aggregate_proximity[block].tolist(),
-        )
-        yield lead + ("," + pad[1]).join([
-            f'{{{pad[2]}"a": {a},{pad[2]}"b": {b},{pad[2]}"distance": {d!r},{pad[2]}"features": {f},'
-            f'{pad[2]}"proximity": {p!r}{pad[1]}}}'
-            for a, b, d, f, p in records
-        ])
-        lead = "," + pad[1]
-    yield pad[0] + "]"
 
+    def blocks():
+        for start in range(0, len(found), _BLOCK):
+            block = slice(start, start + _BLOCK)
+            ids_a = found.ids_a[block]
+            # One column of feature texts per feature, "" where it is absent.
+            columns = []
+            for name in names:
+                key, p = encode_basestring_ascii(name), found.proximity[name][block]
+                texts = [
+                    f'{key}: {{{pad[4]}"distance": {d!r},{pad[4]}"proximity": {q!r}{pad[3]}}}'
+                    for d, q in zip((1.0 - p).tolist(), p.tolist())
+                ]
+                for k in np.flatnonzero(~found.present[name][block]).tolist():
+                    texts[k] = ""
+                columns.append(texts)
+            features = []
+            for _, *parts in zip(ids_a, *columns):
+                shared = [t for t in parts if t]
+                features.append(f"{{{pad[3]}{(',' + pad[3]).join(shared)}{pad[2]}}}" if shared else "{}")
+            yield (
+                ids_a,
+                found.ids_b[block],
+                found.aggregate_distance[block].tolist(),
+                features,
+                found.aggregate_proximity[block].tolist(),
+            )
 
-def _json_text(value, depth: int) -> str:
-    """``value`` as ``json.dumps(indent=2, sort_keys=True)`` writes it ``depth`` levels deep."""
-    if isinstance(value, RankedCandidates):
-        return "".join(_candidate_chunks(value, depth))
-    if not isinstance(value, _CONTAINERS) or not value:
-        return _encoder(depth)(value)
-    if _holds_containers(value):
-        body = _joined(list(_items(value, depth)), depth)
-    else:
-        body = _encoder(depth)(value)[1:-1]
-    opening, closing = "{}" if isinstance(value, dict) else "[]"
-    return f"{opening}\n{'  ' * (depth + 1)}{body}\n{'  ' * depth}{closing}"
-
-
-def _json_chunks(value, depth: int = 0) -> Iterator[str]:
-    """The text of :func:`_json_text` in pieces: the top-level container one
-    item at a time, and the containers in it ``_BLOCK`` items at a time."""
-    if isinstance(value, RankedCandidates):
-        yield from _candidate_chunks(value, depth)
-        return
-    if depth > 1 or not isinstance(value, _CONTAINERS) or not _holds_containers(value):
-        yield _json_text(value, depth)
-        return
-    opening, closing = "{}" if isinstance(value, dict) else "[]"
-    yield opening
-    if depth == 0:
-        for i, (text, child) in enumerate(_items(value, depth)):
-            yield ("," if i else "") + "\n  " + text
-            if child is not None:
-                yield from _json_chunks(child, depth + 1)
-    else:
-        separator = ",\n" + "  " * (depth + 1)
-        lead = separator[1:]
-        items = iter(_items(value, depth))
-        while block := list(islice(items, _BLOCK)):
-            yield lead + _joined(block, depth)
-            lead = separator
-    yield "\n" + "  " * depth + closing
+    return _record_chunks(ColumnRecords(_BREAKDOWN_FIELDS, blocks()), depth)
 
 
 def write_json(path: str | Path, payload) -> None:
     """Write ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline,
-    byte for byte, streamed so the whole text is never held in memory."""
+    byte for byte, where a column view stands for the list of its records:
+    a :class:`RankedCandidates` for its ``breakdown_record``s, and a
+    :class:`ColumnRecords` for its records.  The views are streamed from
+    their columns, so their text is never held whole."""
+    views = []
+
+    def mark(value):
+        if not isinstance(value, (RankedCandidates, ColumnRecords)):
+            return json.JSONEncoder().default(value)  # raises the stdlib's TypeError
+        views.append(value)
+        return f"{marker}{len(views) - 1}"
+
+    # Each view's marker must occur once: a payload string may hold one.
+    for nonce in count():
+        marker = f"\x00column view {nonce}:"
+        views.clear()
+        text = json.dumps(payload, indent=2, sort_keys=True, default=mark)
+        tokens = [json.dumps(f"{marker}{k}") for k in range(len(views))]
+        if all(text.count(t) == 1 for t in tokens):
+            break
     with open(path, "w") as fh:
-        fh.writelines(_json_chunks(payload))
-        fh.write("\n")
+        end = 0
+        for start, k in sorted((text.index(t), k) for k, t in enumerate(tokens)):
+            fh.write(text[end:start])
+            line = text[text.rfind("\n", 0, start) + 1 : start]
+            depth = (len(line) - len(line.lstrip(" "))) // 2
+            view = views[k]
+            fh.writelines(
+                _candidate_chunks(view, depth) if isinstance(view, RankedCandidates) else _record_chunks(view, depth)
+            )
+            end = start + len(tokens[k])
+        fh.write(text[end:] + "\n")

@@ -533,14 +533,18 @@ def evaluate_pair(
 class RankedCandidates(_ScoreColumns):
     """The pairs of a :class:`PairScores` kept as candidates, most similar
     first, held as read-only 1-D columns in that order: ``ids_a[k]`` and
-    ``ids_b[k]`` name the k-th pair, and ``proximity``, ``present``,
-    ``aggregate_proximity`` and ``aggregate_distance`` hold its scores.
+    ``ids_b[k]`` name the k-th pair, ``rows[k]`` and ``cols[k]`` are its
+    indices into the :class:`PairScores` columns, and ``proximity``,
+    ``present``, ``aggregate_proximity`` and ``aggregate_distance`` hold its
+    scores.
 
     Indexing or iterating builds :class:`ProximityBreakdown` objects on
     demand; writers read the columns directly.
     """
 
     def __init__(self, scores: PairScores, rows: np.ndarray, cols: np.ndarray):
+        self.rows, self.cols = rows, cols
+        rows.flags.writeable = cols.flags.writeable = False
         self.ids_a = tuple(map(scores.ids_a.__getitem__, rows.tolist()))
         self.ids_b = tuple(map(scores.ids_b.__getitem__, cols.tolist()))
         super().__init__(

@@ -19,14 +19,13 @@ import numpy as np
 
 from . import __version__
 from .aggregate import AggregationMethod, AggregationSpec
-from .dataio import write_breakdowns_csv, write_json, write_objects_csv
-from .engine import MatchRun, PairScores, candidates, pairwise_breakdowns
+from .dataio import ColumnRecords, write_breakdowns_csv, write_json, write_objects_csv
+from .engine import MatchRun, PairScores, RankedCandidates, candidates, pairwise_breakdowns
 from .model import (
     FeatureKind,
     FeatureSchema,
     FeatureValue,
     InformationObject,
-    ProximityBreakdown,
     QuantAccuracy,
     Schema,
     SourceProfile,
@@ -43,6 +42,13 @@ TYPE_FEATURE = "type"
 FAR_SEPARATION_M = 100.0
 
 DEFAULT_SOURCE_IDS = ("s1", "s2")
+
+# The records of report.json's pairs and candidates, keys in sorted order.
+_PAIR_FIELDS = {
+    "a": "id", "b": "id", "distance": "float", "proximity": "float", "separation_observed": "float",
+    "separation_true": "float", "true_pair": "flag", "type_mismatch": "flag",
+}
+_CANDIDATE_FIELDS = {"a": "id", "b": "id", "proximity": "float", "true_pair": "flag", "type_mismatch": "flag"}
 
 
 class SceneSpecError(ValueError):
@@ -184,8 +190,9 @@ class ExperimentReport:
     """A matched scene with its ground truth, held as ``(n, n)`` columns.
 
     Rows are the reports of the first source, columns those of the second, in
-    the order of ``breakdowns``.  The i-th report of each source observes the
-    i-th scene object, so the true pairs are the diagonal.
+    the order of ``breakdowns``, and ``candidates`` indexes them by its
+    ``rows`` and ``cols``.  The i-th report of each source observes the i-th
+    scene object, so the true pairs are the diagonal.
     ``separation_true`` is the distance between the two observed scene
     objects, ``separation_observed`` between the two reported positions.
     """
@@ -195,7 +202,7 @@ class ExperimentReport:
     scene: Scene
     datasets: Mapping[str, tuple[InformationObject, ...]]
     breakdowns: PairScores
-    candidates: tuple[ProximityBreakdown, ...]
+    candidates: RankedCandidates
     type_mismatch: np.ndarray
     separation_true: np.ndarray
     separation_observed: np.ndarray
@@ -210,47 +217,51 @@ class ExperimentReport:
         proximities; sums run over ``.tolist()`` in row-major pair order."""
         proximity = self.breakdowns.aggregate_proximity
         true = np.eye(len(proximity), dtype=bool)
-        candidate = proximity > self.threshold
-        mismatch_candidate = candidate & self.type_mismatch
+        found = self.candidates
+        mismatch = self.type_mismatch[found.rows, found.cols]
         far = ~true & (self.separation_true > FAR_SEPARATION_M)
         return {
             "pair_count": proximity.size,
             "true_pair_count": int(true.sum()),
-            "candidate_count": len(self.candidates),
-            "true_candidate_count": int((candidate & true).sum()),
-            "type_mismatch_candidate_count": int(mismatch_candidate.sum()),
+            "candidate_count": len(found),
+            "true_candidate_count": int((found.rows == found.cols).sum()),
+            "type_mismatch_candidate_count": int(mismatch.sum()),
             "mean_proximity_true_pairs": _mean(proximity[true].tolist()),
             "mean_proximity_distinct_far_pairs": _mean(proximity[far].tolist()),
             "max_type_mismatch_candidate_proximity": max(
-                proximity[mismatch_candidate].tolist(), default=None
+                found.aggregate_proximity[mismatch].tolist(), default=None
             ),
             "nominal_mismatch_cap": self.spec.type_error ** 0.5,
         }
 
-    def _candidate_cells(self) -> list[tuple[ProximityBreakdown, int, int]]:
-        """Each candidate with its row and column in the report's columns."""
-        row = {oid: i for i, oid in enumerate(self.breakdowns.ids_a)}
-        col = {oid: j for j, oid in enumerate(self.breakdowns.ids_b)}
-        return [(b, row[b.pair[0]], col[b.pair[1]]) for b in self.candidates]
-
     def to_payload(self) -> dict:
         """JSON-ready representation of the whole experiment."""
-        scores = self.breakdowns
+        payload = self._payload()
+        for key in ("pairs", "candidates"):
+            records = payload[key]
+            payload[key] = [dict(zip(records.fields, row)) for block in records.blocks for row in zip(*block)]
+        return payload
+
+    def _payload(self) -> dict:
+        """:meth:`to_payload` with its pairs and candidates as
+        :class:`ColumnRecords` read from the report's columns."""
+        scores, found, n = self.breakdowns, self.candidates, len(self.breakdowns.ids_b)
         columns = (
-            scores.aggregate_proximity,
             scores.aggregate_distance,
-            np.eye(len(scores.ids_a), dtype=bool),
-            self.type_mismatch,
-            self.separation_true,
+            scores.aggregate_proximity,
             self.separation_observed,
+            self.separation_true,
+            np.eye(len(scores.ids_a), n, dtype=bool),
+            self.type_mismatch,
         )
-        pairs = []
-        for i, a in enumerate(scores.ids_a):
-            pairs.extend(
-                {"a": a, "b": b, "proximity": p, "distance": d, "true_pair": t, "type_mismatch": m,
-                 "separation_true": s_true, "separation_observed": s_observed}
-                for b, p, d, t, m, s_true, s_observed in zip(scores.ids_b, *(c[i].tolist() for c in columns))
-            )
+        pairs = (([a] * n, scores.ids_b, *(c[i].tolist() for c in columns)) for i, a in enumerate(scores.ids_a))
+        candidates = (
+            found.ids_a,
+            found.ids_b,
+            found.aggregate_proximity.tolist(),
+            (found.rows == found.cols).tolist(),
+            self.type_mismatch[found.rows, found.cols].tolist(),
+        )
         return {
             "metadata": {
                 "generator": f"iomatch {__version__}",
@@ -281,17 +292,8 @@ class ExperimentReport:
                 ]
                 for source_id, objects in self.datasets.items()
             },
-            "pairs": pairs,
-            "candidates": [
-                {
-                    "a": b.pair[0],
-                    "b": b.pair[1],
-                    "proximity": b.aggregate_proximity,
-                    "true_pair": i == j,
-                    "type_mismatch": bool(self.type_mismatch[i, j]),
-                }
-                for b, i, j in self._candidate_cells()
-            ],
+            "pairs": ColumnRecords(_PAIR_FIELDS, pairs),
+            "candidates": ColumnRecords(_CANDIDATE_FIELDS, [candidates]),
             "summary": self.summary,
         }
 
@@ -354,7 +356,7 @@ def run_experiment(
         scene=scene,
         datasets=datasets,
         breakdowns=breakdowns,
-        candidates=tuple(candidates(breakdowns, threshold)),
+        candidates=candidates(breakdowns, threshold),
         type_mismatch=labels_a[:, None] != labels_b[None, :],
         separation_true=_separations(truth, truth),
         separation_observed=_separations(observed_a, observed_b),
@@ -379,7 +381,7 @@ def emit_report_files(report: ExperimentReport, out_dir: Path, formats: Sequence
         written.append(p)
     if "json" in formats:
         p = out_dir / "report.json"
-        write_json(p, report.to_payload())
+        write_json(p, report._payload())
         written.append(p)
     if "svg" in formats:
         p = out_dir / "scene.svg"
@@ -391,7 +393,8 @@ def emit_report_files(report: ExperimentReport, out_dir: Path, formats: Sequence
 def render_scene_svg(report: ExperimentReport) -> str:
     dataset_a, dataset_b = (report.datasets[sid] for sid in DEFAULT_SOURCE_IDS)
     links = []
-    for _, i, j in report._candidate_cells():
+    found = report.candidates
+    for i, j in zip(found.rows.tolist(), found.cols.tolist()):
         ax, ay = dataset_a[i].values[POSITION_FEATURE].value
         bx, by_ = dataset_b[j].values[POSITION_FEATURE].value
         links.append((ax, ay, bx, by_, bool(report.type_mismatch[i, j])))

@@ -197,6 +197,26 @@ class TestRejectedAtValidation:
         err = capsys.readouterr().err
         assert err == f"error: {b}:2: bad certainty for 'rank': unknown certainty label: 'sure'\n"
 
+    def test_misnamed_columns(self, tmp_path, capsys):
+        """Columns no schema feature claims used to be ignored, leaving every
+        feature absent: all pairs then scored 1.0000 and match exited 0."""
+        config = {
+            "schema": {"features": [
+                {"name": "position", "kind": "quantitative", "weight": 0.5, "axes": ["x", "y"], "xi": 30.0},
+                {"name": "type", "kind": "nominal", "weight": 0.5, "delta": 0.1},
+            ]},
+            "sources": {"s1": {"position": {"sigma": 20.0}}, "s2": {"position": {"sigma": 30.0}}},
+            "aggregation": {"method": "multiplicative"},
+        }
+        path = write(tmp_path, "config.json", json.dumps(config))
+        header = "object_id,source_id,position.x,position.y,typ\n"
+        a = write(tmp_path, "a.csv", header + "a1,s1,0.0,0.0,tank\na2,s1,500.0,500.0,truck\n")
+        b = write(tmp_path, "b.csv", header + "b1,s2,0.0,0.0,tank\nb2,s2,900.0,900.0,tank\n")
+        assert main(["match", "--config", str(path), str(a), str(b)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {a}: missing columns ['position_x', 'position_y', 'type']\n"
+        assert captured.out == ""
+
     def test_duplicate_object_id(self, tmp_path, capsys):
         assert self.match(tmp_path, RANKED_CONFIG, "a1,alpha,12.0,4\na1,alpha,13.0,5\n") == 1
         captured = capsys.readouterr()

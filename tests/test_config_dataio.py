@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from iomatch.config import ConfigError, load_config, parse_config, require_match_config
 from iomatch.dataio import (
+    ColumnRecords,
     DataError,
     breakdown_header,
     breakdown_record,
@@ -157,6 +158,27 @@ class TestDatasetCsv:
         with pytest.raises(DataError, match="source_id"):
             read_objects_csv(path, self.schema)
 
+    @pytest.mark.parametrize("header, message", [
+        # a feature with none of its columns
+        ("object_id,source_id,position_x,position_y,type", r"missing columns \['readiness'\]"),
+        # or with one axis column only
+        ("object_id,source_id,position_x,readiness,type", r"missing columns \['position_y'\]"),
+        ("object_id,source_id,position_x,position_y,readiness,type,colour", r"unknown columns \['colour'\]"),
+        ("object_id,source_id,position_x,position_y,readiness,type,type_certainty,typ_certainty",
+         r"unknown columns \['typ_certainty'\]"),
+    ])
+    def test_header_must_name_the_schema_columns(self, tmp_path, header, message):
+        path = tmp_path / "broken.csv"
+        path.write_text(f"{header}\n")
+        with pytest.raises(DataError, match=message):
+            read_objects_csv(path, self.schema)
+
+    def test_absent_feature_keeps_an_empty_column(self, tmp_path):
+        path = tmp_path / "objects.csv"
+        path.write_text("object_id,source_id,position_x,position_y,readiness,type\no1,s1,1.0,2.0,,tank\n")
+        (obj,) = read_objects_csv(path, self.schema)
+        assert set(obj.values) == {"position", "type"}
+
 
 class TestBreakdownCsv:
     def test_write(self, tmp_path):
@@ -181,6 +203,33 @@ class TestBreakdownCsv:
         header = breakdown_header(config.schema)
         assert cells[header.index("readiness_proximity")] == ""
         assert float(cells[header.index("aggregate_proximity")]) == breakdowns[0].aggregate_proximity
+
+    def test_columnar_rows_equal_csv_writer(self, tmp_path):
+        """PairScores rows are joined text; they must be the bytes csv.writer
+        writes for the same breakdowns, ids quoted where they must be."""
+        config = parse_config(FULL_CONFIG)
+        ids_a = ["plain", "com,ma", 'quo"te', "new\nline", "carriage\rreturn", " spaced out "]
+        ids_b = ["", "b,\n1", '"b2"']
+        position = FeatureValue((12.0, 980.0))
+        objects_a = [
+            InformationObject(oid, "s1", {"position": position, "type": FeatureValue("tank")}) for oid in ids_a
+        ]
+        objects_b = [
+            InformationObject(oid, "s2", {"position": position, "readiness": FeatureValue(4), "type": FeatureValue("tank")})
+            for oid in ids_b
+        ]
+        breakdowns = pairwise_breakdowns(MatchRun(
+            schema=config.schema, profiles=config.profiles,
+            dataset_a=tuple(objects_a), dataset_b=tuple(objects_b),
+        ))
+        columnar, per_row = tmp_path / "columnar.csv", tmp_path / "per_row.csv"
+        write_breakdowns_csv(columnar, breakdowns, config.schema)
+        write_breakdowns_csv(per_row, list(breakdowns), config.schema)
+        text = columnar.read_bytes()
+        assert text == per_row.read_bytes()
+        assert b'"com,ma",' in text and b'"quo""te",' in text and b'"b,\n1",' in text
+        # readiness is absent from every dataset-A object: two empty cells a row.
+        assert text.count(b",,,") == len(ids_a) * len(ids_b)
 
 
 def json_bytes(payload) -> bytes:
@@ -266,6 +315,57 @@ class TestJsonBytes:
     )
     def test_non_string_keys(self, value):
         assert json_bytes(value) == stdlib_bytes(value)
+
+    @staticmethod
+    def column_views():
+        """A payload of column views at several depths, and the same payload
+        with each view replaced by its list of records."""
+        config = parse_config(FULL_CONFIG)
+        breakdowns = pairwise_breakdowns(MatchRun(
+            schema=config.schema, profiles=config.profiles,
+            dataset_a=tuple(sample_objects(config.schema)),
+            dataset_b=(InformationObject("b0", "s2", {"position": FeatureValue((13.0, 981.0))}),),
+        ))
+        found = candidates(breakdowns, 0.0)
+        fields = {"%s": "float", "a": "id", "f": "flag"}
+        columns = [([0.5, -0.0], ["\u00e9\n", 'q"'], [True, False]), ([], [], []), ([1e-05], ["%r"], [False])]
+        records = [dict(zip(fields, row)) for block in columns for row in zip(*block)]
+        view = {
+            "c": found,
+            "deep": [[found], {"r": ColumnRecords(fields, columns)}],
+            "empty": [ColumnRecords(fields, []), ColumnRecords(fields, [([], [], [])])],
+            "none": candidates(breakdowns, 1.0),
+        }
+        plain = {
+            "c": [breakdown_record(b) for b in found],
+            "deep": [[[breakdown_record(b) for b in found]], {"r": records}],
+            "empty": [[], []],
+            "none": [],
+        }
+        return view, plain
+
+    def test_column_views_are_their_records(self):
+        view, plain = self.column_views()
+        assert json_bytes(view) == stdlib_bytes(plain)
+        assert json_bytes(view["c"]) == stdlib_bytes(plain["c"])
+
+    @pytest.mark.parametrize("decoy", [
+        "\x00column view 0:0",
+        "\x00column view 0:1",
+        'x"\x00column view 0:0',
+        ["\x00column view 0:0", "\x00column view 1:0", {"\x00column view 2:1": "\x00column view 2:0"}],
+    ])
+    def test_payload_strings_never_collide_with_a_view(self, decoy):
+        """json.dumps writes a marker in each view's place; a payload string or
+        key equal to a marker must be written as itself."""
+        view, plain = self.column_views()
+        view["decoy"] = plain["decoy"] = decoy
+        view[str(decoy)] = plain[str(decoy)] = 1
+        assert json_bytes(view) == stdlib_bytes(plain)
+
+    def test_record_keys_must_be_sorted(self):
+        with pytest.raises(ValueError, match="sorted"):
+            ColumnRecords({"b": "id", "a": "id"}, [])
 
     def test_unencodable_value_raises_like_the_stdlib(self):
         for value in ({"a": [object()]}, {"a": {(1, 2): [1]}}):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,10 +10,12 @@ from iomatch.simulate import (
     FAR_SEPARATION_M,
     SceneSpec,
     SceneSpecError,
+    emit_report_files,
     generate_scene,
     observe,
     run_experiment,
 )
+from iomatch.svgplot import render_match_svg
 
 
 def position_profile(source_id, sigma):
@@ -137,34 +140,7 @@ class TestRunExperiment:
 
     def test_summary_recounts_from_payload(self, reports):
         for report in reports:
-            payload = report.to_payload()
-            pairs = {(r["a"], r["b"]): r for r in payload["pairs"]}
-            found = [pairs[c["a"], c["b"]] for c in payload["candidates"]]
-            for c, r in zip(payload["candidates"], found):
-                assert (c["proximity"], c["true_pair"], c["type_mismatch"]) == (
-                    r["proximity"], r["true_pair"], r["type_mismatch"]
-                )
-            true_p = [r["proximity"] for r in pairs.values() if r["true_pair"]]
-            far_p = [
-                r["proximity"]
-                for r in pairs.values()
-                if not r["true_pair"] and r["separation_true"] > FAR_SEPARATION_M
-            ]
-            mismatch_p = [r["proximity"] for r in found if r["type_mismatch"]]
-            assert report.summary == {
-                "pair_count": len(pairs),
-                "true_pair_count": len(true_p),
-                "candidate_count": len(found),
-                "true_candidate_count": sum(1 for r in found if r["true_pair"]),
-                "type_mismatch_candidate_count": len(mismatch_p),
-                "mean_proximity_true_pairs": sum(true_p) / len(true_p),
-                "mean_proximity_distinct_far_pairs": sum(far_p) / len(far_p),
-                "max_type_mismatch_candidate_proximity": max(mismatch_p, default=None),
-                "nominal_mismatch_cap": report.spec.type_error ** 0.5,
-            }
-            assert {(r["a"], r["b"]) for r in found} == {
-                k for k, r in pairs.items() if r["proximity"] > report.threshold
-            }
+            assert report.summary == recount_summary(report.to_payload(), report.threshold)
 
     def test_separations_are_math_hypot(self, reports):
         for report in reports:
@@ -218,3 +194,115 @@ class TestRunExperiment:
         assert set(payload["datasets"]) == {"s1", "s2"}
         for c in payload["candidates"]:
             assert set(c) == {"a", "b", "proximity", "true_pair", "type_mismatch"}
+
+
+def recount_summary(payload, threshold):
+    """The report summary, recounted in plain Python from the payload's records."""
+    pairs = {(r["a"], r["b"]): r for r in payload["pairs"]}
+    found = [pairs[c["a"], c["b"]] for c in payload["candidates"]]
+    for c, r in zip(payload["candidates"], found):
+        assert (c["proximity"], c["true_pair"], c["type_mismatch"]) == (
+            r["proximity"], r["true_pair"], r["type_mismatch"]
+        )
+    assert {(r["a"], r["b"]) for r in found} == {k for k, r in pairs.items() if r["proximity"] > threshold}
+    true_p = [r["proximity"] for r in pairs.values() if r["true_pair"]]
+    far_p = [
+        r["proximity"]
+        for r in pairs.values()
+        if not r["true_pair"] and r["separation_true"] > FAR_SEPARATION_M
+    ]
+    mismatch_p = [r["proximity"] for r in found if r["type_mismatch"]]
+    return {
+        "pair_count": len(pairs),
+        "true_pair_count": len(true_p),
+        "candidate_count": len(found),
+        "true_candidate_count": sum(1 for r in found if r["true_pair"]),
+        "type_mismatch_candidate_count": len(mismatch_p),
+        "mean_proximity_true_pairs": sum(true_p) / len(true_p),
+        "mean_proximity_distinct_far_pairs": sum(far_p) / len(far_p) if far_p else None,
+        "max_type_mismatch_candidate_proximity": max(mismatch_p, default=None),
+        "nominal_mismatch_cap": payload["metadata"]["type_error"] ** 0.5,
+    }
+
+
+def reference_records(report):
+    """The pairs and candidates of ``to_payload``, one breakdown at a time,
+    each looked up in the ground-truth columns by its ids."""
+    row = {oid: i for i, oid in enumerate(report.breakdowns.ids_a)}
+    col = {oid: j for j, oid in enumerate(report.breakdowns.ids_b)}
+
+    def record(b):
+        i, j = row[b.pair[0]], col[b.pair[1]]
+        return {
+            "a": b.pair[0], "b": b.pair[1], "proximity": b.aggregate_proximity,
+            "true_pair": i == j, "type_mismatch": bool(report.type_mismatch[i, j]),
+        }, (i, j)
+
+    pairs = []
+    for b in report.breakdowns:
+        r, (i, j) = record(b)
+        pairs.append(dict(
+            r, distance=b.aggregate_distance,
+            separation_true=float(report.separation_true[i, j]),
+            separation_observed=float(report.separation_observed[i, j]),
+        ))
+    return pairs, [record(b)[0] for b in report.candidates]
+
+
+def svg_from_payload(payload):
+    """scene.svg drawn from the payload's datasets and candidates."""
+    meta = payload["metadata"]
+    position = {o["id"]: (o["x"], o["y"]) for objs in payload["datasets"].values() for o in objs}
+    links = [(*position[c["a"]], *position[c["b"]], c["type_mismatch"]) for c in payload["candidates"]]
+    datasets = [(sid, [(o["id"], o["x"], o["y"]) for o in objs]) for sid, objs in payload["datasets"].items()]
+    rmse = meta["rmse"]
+    title = f"candidates above {meta['threshold']:g} (RMSE {rmse[0]:g} m / {rmse[1]:g} m)"
+    return render_match_svg(tuple(meta["area"]), datasets, links, title=title)
+
+
+EMIT_SCENES = [
+    pytest.param((SceneSpec(object_count=n, rng_seed=seed), 0.01), id=f"n{n}-seed{seed}")
+    for n in (1, 20, 150)
+    for seed in (3, 7, 21)
+] + [pytest.param((SceneSpec(object_count=20, rng_seed=3), 1.0), id="n20-no-candidates")]
+
+
+class TestEmitFromColumns:
+    """report.json and scene.svg are rendered from the report's columns;
+    ``to_payload`` stays the oracle for both."""
+
+    @pytest.fixture(scope="class", params=EMIT_SCENES)
+    def emitted(self, request, tmp_path_factory):
+        spec, threshold = request.param
+        report = run_experiment(spec, threshold=threshold)
+        out = tmp_path_factory.mktemp("emit")
+        emit_report_files(report, out)
+        return report, report.to_payload(), out
+
+    def test_report_json_is_the_payload_dump(self, emitted):
+        _, payload, out = emitted
+        text = (out / "report.json").read_text()
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_payload_equals_per_breakdown_records(self, emitted):
+        report, payload, _ = emitted
+        assert (payload["pairs"], payload["candidates"]) == reference_records(report)
+        for record in payload["pairs"] + payload["candidates"]:
+            assert type(record["true_pair"]) is bool and type(record["type_mismatch"]) is bool
+
+    def test_summary_and_svg_from_payload(self, emitted):
+        report, payload, out = emitted
+        if report.spec.object_count == 1:
+            # One pair: no distinct pairs, so no far-pair mean.
+            assert report.summary["mean_proximity_distinct_far_pairs"] is None
+        assert report.summary == payload["summary"] == recount_summary(payload, report.threshold)
+        assert (out / "scene.svg").read_text() == svg_from_payload(payload)
+
+    def test_candidate_cells_index_the_ids(self, emitted):
+        report, _, _ = emitted
+        found, scores = report.candidates, report.breakdowns
+        assert list(found.ids_a) == [scores.ids_a[i] for i in found.rows.tolist()]
+        assert list(found.ids_b) == [scores.ids_b[j] for j in found.cols.tolist()]
+        assert not (found.rows.flags.writeable or found.cols.flags.writeable)
+        expected = sorted(zip(*np.nonzero(scores.aggregate_proximity > report.threshold)))
+        assert sorted(zip(found.rows.tolist(), found.cols.tolist())) == expected
