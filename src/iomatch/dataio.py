@@ -3,6 +3,16 @@
 Object CSVs keep full float precision (repr) so a written dataset re-reads to
 identical values.  All writers emit LF newlines and deterministic field order,
 so identical inputs produce byte-identical files.
+
+Every float is written as its ``float.__repr__`` text through one renderer,
+:func:`float_texts`, which renders each distinct 64-bit pattern once and keeps
+the texts in a memo.  The run's memo is ``PairScores.texts``: ``pairs.csv``,
+``candidates.json`` and ``report.json`` share it, so a score written to two
+of them is rendered once per run.  A memo is cleared once it holds more than
+``MEMO_CAP`` values.  The bulk writers work a bounded chunk at a time:
+``_CELLS`` floats of ``pairs.csv``, ``RECORDS_PER_BLOCK`` records of a JSON
+list, and ``_JOIN`` lines or records of text, so no artefact's text is held
+whole.
 """
 
 from __future__ import annotations
@@ -52,34 +62,95 @@ def dataset_header(schema: Schema) -> list[str]:
     return header
 
 
-def _format_number(x: float) -> str:
-    return repr(float(x))
+# Distinct floats a FloatTexts memo holds before it is cleared.
+MEMO_CAP = 1 << 16
+# Float cells rendered per pairs.csv chunk; rows per chunk of the row-wise
+# CSV writers; lines or records joined per chunk of text.
+_CELLS = 8192
+_ROWS = 1024
+_JOIN = 128
 
 
-def write_objects_csv(path: str | Path, objects: Iterable[InformationObject], schema: Schema) -> None:
-    columns = _value_columns(schema)
+class FloatTexts:
+    """A memo of float texts by 64-bit pattern: ``bits``, sorted, and each
+    one's ``float.__repr__`` at the same place in ``texts``."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self.bits = np.empty(0, dtype=np.uint64)
+        self.texts = np.empty(0, dtype=object)
+
+
+def float_texts(values, memo: FloatTexts) -> np.ndarray:
+    """``float.__repr__`` of every value of a float array, as an object array
+    of its shape.
+
+    Each distinct 64-bit pattern is rendered once and kept in ``memo``, so
+    ``0.0`` and ``-0.0`` keep their own texts and a value already in the memo
+    is not rendered again.  A memo that has passed ``MEMO_CAP`` entries is
+    cleared first.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.ravel().view(np.uint64), return_inverse=True)
+    if len(memo.bits) > MEMO_CAP:
+        memo.clear()
+    at = np.searchsorted(memo.bits, bits)
+    known = np.zeros(len(bits), dtype=bool)
+    if len(memo.bits):
+        known = memo.bits[np.minimum(at, len(memo.bits) - 1)] == bits
+    texts = np.empty(len(bits), dtype=object)
+    texts[known] = memo.texts[at[known]]
+    new = np.flatnonzero(~known)
+    if len(new):
+        texts[new] = fresh = np.array(list(map(float.__repr__, bits[new].view(np.float64).tolist())), dtype=object)
+        memo.bits = np.insert(memo.bits, at[new], bits[new])
+        memo.texts = np.insert(memo.texts, at[new], fresh)
+    return texts[inverse].reshape(values.shape)
+
+
+def _with_float_texts(rows: list[list], memo: FloatTexts) -> list[list]:
+    """``rows`` with each float cell replaced by its text, rendered in one call."""
+    cells = [(row, k) for row in rows for k, v in enumerate(row) if isinstance(v, float)]
+    for (row, k), text in zip(cells, float_texts([row[k] for row, k in cells], memo).tolist()):
+        row[k] = text
+    return rows
+
+
+def _object_row(obj: InformationObject, schema: Schema, columns) -> list:
+    """A dataset row, its numbers as floats but for integer ranks."""
+    row = [obj.object_id, obj.source_id]
+    for _, feature_name, axis in columns:
+        fv = obj.values.get(feature_name)
+        if fv is None:
+            row.append("")
+            continue
+        value = fv.value[axis] if axis >= 0 else fv.value
+        feature = schema.feature(feature_name)
+        if feature.kind is FeatureKind.NOMINAL:
+            row.append(str(value))
+        elif feature.kind is FeatureKind.ORDINAL_FUZZY and float(value).is_integer():
+            row.append(str(int(value)))
+        else:
+            row.append(float(value))
+    for f in schema.features:
+        fv = obj.values.get(f.name)
+        row.append(fv.certainty.label if fv is not None else "")
+    return row
+
+
+def write_objects_csv(
+    path: str | Path, objects: Iterable[InformationObject], schema: Schema, texts: FloatTexts | None = None
+) -> None:
+    """Write a dataset, its floats rendered through ``texts`` (by default a fresh memo)."""
+    columns, memo = _value_columns(schema), FloatTexts() if texts is None else texts
+    rows = (_object_row(obj, schema, columns) for obj in objects)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(dataset_header(schema))
-        for obj in objects:
-            row = [obj.object_id, obj.source_id]
-            for _, feature_name, axis in columns:
-                fv = obj.values.get(feature_name)
-                if fv is None:
-                    row.append("")
-                    continue
-                value = fv.value[axis] if axis >= 0 else fv.value
-                feature = schema.feature(feature_name)
-                if feature.kind is FeatureKind.NOMINAL:
-                    row.append(str(value))
-                elif feature.kind is FeatureKind.ORDINAL_FUZZY:
-                    row.append(str(int(value)) if float(value).is_integer() else _format_number(value))
-                else:
-                    row.append(_format_number(value))
-            for f in schema.features:
-                fv = obj.values.get(f.name)
-                row.append(fv.certainty.label if fv is not None else "")
-            writer.writerow(row)
+        while chunk := list(islice(rows, _ROWS)):
+            writer.writerows(_with_float_texts(chunk, memo))
 
 
 def _parse_value(feature_kind: FeatureKind, text: str):
@@ -112,10 +183,13 @@ def read_objects_csv(path: str | Path, schema: Schema) -> list[InformationObject
         unknown = [c for c in reader.fieldnames if c not in known]
         if unknown:
             raise DataError(f"{path}: unknown columns {unknown}")
+        # Each feature with its value columns and its certainty column.
+        features = [
+            (f, [c for c, name, _ in columns if name == f.name], f"{f.name}_certainty") for f in schema.features
+        ]
         for line, row in enumerate(reader, start=2):
             values: dict[str, FeatureValue] = {}
-            for f in schema.features:
-                cols = [c for c, name, _ in columns if name == f.name]
+            for f, cols, certainty_column in features:
                 cells = [row.get(c, "") or "" for c in cols]
                 if all(cell.strip() == "" for cell in cells):
                     continue
@@ -128,7 +202,7 @@ def read_objects_csv(path: str | Path, schema: Schema) -> list[InformationObject
                         payload = _parse_value(f.kind, cells[0].strip())
                 except ValueError as exc:
                     raise DataError(f"{path}:{line}: bad value for {f.name!r}: {exc}") from exc
-                certainty_text = (row.get(f"{f.name}_certainty", "") or "").strip()
+                certainty_text = (row.get(certainty_column, "") or "").strip()
                 try:
                     certainty = Certainty.from_label(certainty_text) if certainty_text else Certainty.CERTAIN
                 except ValueError as exc:
@@ -151,14 +225,6 @@ def breakdown_header(schema: Schema) -> list[str]:
     return header
 
 
-def _float_texts(values: np.ndarray, absent: Iterable[int] = ()) -> list[str]:
-    """``repr`` of every value of a float row, and ``""`` at the ``absent`` positions."""
-    texts = list(map(float.__repr__, values.tolist()))
-    for j in absent:
-        texts[j] = ""
-    return texts
-
-
 def _csv_fields(values: Iterable[str]) -> list[str]:
     """Each value as ``csv.writer`` writes it as a field of a row, quoted where it must be."""
     # writerow returns what the file's write returns: here the line itself.
@@ -174,32 +240,48 @@ def write_breakdowns_csv(
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(breakdown_header(schema))
         if not isinstance(breakdowns, PairScores):
-            for b in breakdowns:
-                row = [b.pair[0], b.pair[1]]
-                for score in map(b.per_feature.get, schema.names):
-                    row += ["", ""] if score is None else [_format_number(score.proximity), _format_number(score.distance)]
-                row += [_format_number(b.aggregate_proximity), _format_number(b.aggregate_distance)]
-                writer.writerow(row)
+            memo = FloatTexts()
+            rows = (
+                [
+                    *b.pair,
+                    *chain.from_iterable(
+                        ("", "") if score is None else (float(score.proximity), float(score.distance))
+                        for score in map(b.per_feature.get, schema.names)
+                    ),
+                    float(b.aggregate_proximity),
+                    float(b.aggregate_distance),
+                ]
+                for b in breakdowns
+            )
+            while chunk := list(islice(rows, _ROWS)):
+                writer.writerows(_with_float_texts(chunk, memo))
             return
-        # One block of rows per dataset-A object, formatted column by column
-        # and joined: only the ids can need quoting, and they are quoted once.
-        ids_b = _csv_fields(breakdowns.ids_b)
-        for i, a in enumerate(_csv_fields(breakdowns.ids_a)):
-            columns = [repeat(a), ids_b]
-            for name in schema.names:
-                p = breakdowns.proximity.get(name)
-                if p is None:
-                    columns += [repeat(""), repeat("")]
-                    continue
-                absent = np.flatnonzero(~breakdowns.present[name][i]).tolist()
-                columns += [_float_texts(p[i], absent), _float_texts(1.0 - p[i], absent)]
-            columns += [
-                _float_texts(breakdowns.aggregate_proximity[i]),
-                _float_texts(breakdowns.aggregate_distance[i]),
+        if not len(breakdowns):
+            return
+        # Blocks of whole dataset-A rows of about _CELLS floats, rendered in
+        # one call and joined column by column: only the ids can need quoting,
+        # and each is quoted once.
+        scores, names = breakdowns, schema.names
+        ids_a, ids_b = _csv_fields(scores.ids_a), _csv_fields(scores.ids_b)
+        n_b = len(ids_b)
+        step = max(1, _CELLS // (n_b * (2 * len(names) + 2)))
+        for start in range(0, len(ids_a), step):
+            block = slice(start, start + step)
+            p = [scores.proximity[name][block] for name in names]
+            values = [
+                *chain.from_iterable((q, 1.0 - q) for q in p),
+                scores.aggregate_proximity[block],
+                scores.aggregate_distance[block],
             ]
-            rows = "\n".join(map(",".join, zip(*columns)))
-            if rows:
-                fh.write(rows + "\n")
+            texts = float_texts(values, scores.texts)
+            for k, name in enumerate(names):
+                texts[2 * k : 2 * k + 2, ~scores.present[name][block]] = ""
+            a = ids_a[block]
+            columns = [chain.from_iterable(map(repeat, a, repeat(n_b))), ids_b * len(a)]
+            columns += texts.reshape(len(values), -1).tolist()
+            lines = map(",".join, zip(*columns))
+            while text := "\n".join(islice(lines, _JOIN)):
+                fh.write(text + "\n")
 
 
 def breakdown_record(b: ProximityBreakdown) -> dict:
@@ -222,16 +304,19 @@ def breakdown_record(b: ProximityBreakdown) -> dict:
 # records are rendered from the columns and spliced in where json.dumps wrote
 # a marker in their place.
 
-# Per column kind: the %-conversion of a field and the function, if any,
-# that turns a value into the text it converts.
+# Per column kind: the function that turns a value into its JSON text.
+# Floats are rendered by float_texts instead, all of a block's at once.
 _KINDS = {
-    "id": ("s", encode_basestring_ascii),  # a string
-    "flag": ("s", ("false", "true").__getitem__),  # a bool
-    "float": ("r", None),  # a finite float
-    "json": ("s", None),  # a value's JSON text
+    "id": encode_basestring_ascii,  # a string
+    "flag": ("false", "true").__getitem__,  # a bool
+    "float": None,  # a finite float
 }
-# Records rendered per chunk; bounds the text held at once.
-_BLOCK = 256
+# Records per block of a column view: its floats are rendered in one call.
+RECORDS_PER_BLOCK = 1024
+
+
+def _values(column: Iterable) -> Iterable:
+    return column.tolist() if isinstance(column, np.ndarray) else column
 
 
 class ColumnRecords:
@@ -240,70 +325,117 @@ class ColumnRecords:
 
     ``fields`` maps each key, in sorted order, to the kind of its values: one
     of ``_KINDS``.  ``blocks`` yields the records a block at a time, as one
-    sequence per field in that order; it is read once, when written.
+    sequence or array per field in that order, and is read once; a block
+    should hold at most ``RECORDS_PER_BLOCK`` records.  ``texts`` is the memo
+    of float texts to render through (see :func:`float_texts`): the run's
+    ``PairScores.texts``, or by default a fresh one.
     """
 
-    def __init__(self, fields: Mapping[str, str], blocks: Iterable[Sequence[Iterable]]):
+    def __init__(
+        self,
+        fields: Mapping[str, str],
+        blocks: Iterable[Sequence[Iterable]],
+        texts: FloatTexts | None = None,
+    ):
         if list(fields) != sorted(fields):
             raise ValueError(f"record keys {list(fields)} are not in sorted order")
         self.fields, self.blocks = dict(fields), blocks
+        self.texts = FloatTexts() if texts is None else texts
+
+    @classmethod
+    def from_columns(
+        cls, fields: Mapping[str, str], columns: Sequence[Sequence], texts: FloatTexts | None = None
+    ) -> "ColumnRecords":
+        """The records of equal-length ``columns``, one per field in order."""
+        blocks = (
+            [c[start : start + RECORDS_PER_BLOCK] for c in columns]
+            for start in range(0, len(columns[0]), RECORDS_PER_BLOCK)
+        )
+        return cls(fields, blocks, texts)
+
+    def records(self) -> list[dict]:
+        """The records as dicts of Python values; reads ``blocks``."""
+        return [dict(zip(self.fields, row)) for block in self.blocks for row in zip(*map(_values, block))]
 
 
-def _record_chunks(records: ColumnRecords, depth: int) -> Iterator[str]:
-    """The text of ``records`` ``depth`` levels deep, ``_BLOCK`` records per chunk."""
+def _list_chunks(blocks: Iterable[Iterable[str]], depth: int) -> Iterator[str]:
+    """The JSON list of the record texts of ``blocks``, ``depth`` levels
+    deep, at most ``_JOIN`` records per chunk."""
     pad = "\n" + "  " * (depth + 1)
-    keys = [encode_basestring_ascii(k).replace("%", "%%") for k in records.fields]
-    fields = [f"{pad}  {key}: %{_KINDS[kind][0]}" for key, kind in zip(keys, records.fields.values())]
-    template = "{" + ",".join(fields) + pad + "}"
-    to_text = [_KINDS[kind][1] for kind in records.fields.values()]
-    rows = chain.from_iterable(
-        zip(*(c if f is None else map(f, c) for f, c in zip(to_text, columns))) for columns in records.blocks
-    )
     lead = "[" + pad
-    while block := [template % row for row in islice(rows, _BLOCK)]:
-        yield lead + ("," + pad).join(block)
-        lead = "," + pad
+    for records in map(iter, blocks):
+        while text := ("," + pad).join(islice(records, _JOIN)):
+            yield lead
+            yield text
+            lead = "," + pad
     yield "[]" if lead[0] == "[" else "\n" + "  " * depth + "]"
 
 
-# The record of a breakdown_record, with its features rendered beforehand.
-_BREAKDOWN_FIELDS = {"a": "id", "b": "id", "distance": "float", "features": "json", "proximity": "float"}
+def _record_template(keys: Iterable[str], depth: int) -> str:
+    """The %-template of a record ``depth`` levels deep, one ``%s`` per key."""
+    pad = "\n" + "  " * (depth + 1)
+    fields = [f"{pad}  {encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in keys]
+    return "{" + ",".join(fields) + pad + "}"
+
+
+def _record_chunks(records: ColumnRecords, depth: int) -> Iterator[str]:
+    """The text of ``records`` ``depth`` levels deep."""
+    template = _record_template(records.fields, depth)
+    kinds = list(records.fields.values())
+    floats = [k for k, kind in enumerate(kinds) if kind == "float"]
+
+    def texts(block):
+        columns = [None if kind == "float" else map(_KINDS[kind], _values(c)) for kind, c in zip(kinds, block)]
+        for k, column in zip(floats, float_texts([block[k] for k in floats], records.texts).tolist()):
+            columns[k] = column
+        return map(template.__mod__, zip(*columns))
+
+    return _list_chunks(map(texts, records.blocks), depth)
 
 
 def _candidate_chunks(found: RankedCandidates, depth: int) -> Iterator[str]:
     """``[breakdown_record(b) for b in found]`` as json.dumps writes it
-    ``depth`` levels deep, rendered from the columns ``_BLOCK`` records at a time."""
-    pad = ["\n" + "  " * (depth + k) for k in range(5)]
+    ``depth`` levels deep, rendered from the columns a block at a time: one
+    %-template per pattern of present features."""
+    pad = "\n" + "  " * (depth + 2)
     names = sorted(found.proximity)
+    features = [
+        f'{encode_basestring_ascii(name).replace("%", "%%")}: '
+        f'{{{pad}    "distance": %s,{pad}    "proximity": %s{pad}  }}'
+        for name in names
+    ]
+    record = _record_template(("a", "b", "distance", "features", "proximity"), depth)
+    scores = found.scores
+    ids_a, ids_b = (
+        np.array(list(map(encode_basestring_ascii, ids)), dtype=object) for ids in (scores.ids_a, scores.ids_b)
+    )
 
-    def blocks():
-        for start in range(0, len(found), _BLOCK):
-            block = slice(start, start + _BLOCK)
-            ids_a = found.ids_a[block]
-            # One column of feature texts per feature, "" where it is absent.
-            columns = []
-            for name in names:
-                key, p = encode_basestring_ascii(name), found.proximity[name][block]
-                texts = [
-                    f'{key}: {{{pad[4]}"distance": {d!r},{pad[4]}"proximity": {q!r}{pad[3]}}}'
-                    for d, q in zip((1.0 - p).tolist(), p.tolist())
-                ]
-                for k in np.flatnonzero(~found.present[name][block]).tolist():
-                    texts[k] = ""
-                columns.append(texts)
-            features = []
-            for _, *parts in zip(ids_a, *columns):
-                shared = [t for t in parts if t]
-                features.append(f"{{{pad[3]}{(',' + pad[3]).join(shared)}{pad[2]}}}" if shared else "{}")
-            yield (
-                ids_a,
-                found.ids_b[block],
-                found.aggregate_distance[block].tolist(),
-                features,
-                found.aggregate_proximity[block].tolist(),
-            )
+    def texts(start):
+        block = slice(start, start + RECORDS_PER_BLOCK)
+        count = len(found.aggregate_proximity[block])
+        p = np.array([found.proximity[name][block] for name in names], dtype=float).reshape(len(names), count)
+        present = np.array([found.present[name][block] for name in names], dtype=bool).reshape(p.shape)
+        values = [found.aggregate_distance[block], *(1.0 - p), *p, found.aggregate_proximity[block]]
+        # Rows: a, b, distance, each feature's distance, its proximity, proximity.
+        ids = [ids_a[found.rows[block]], ids_b[found.cols[block]]]
+        cells = np.concatenate([ids, float_texts(values, scores.texts)])
+        patterns, inverse = np.unique(present, axis=1, return_inverse=True)
+        groups = []
+        for k, pattern in enumerate(patterns.T.tolist()):
+            shown = [j for j, here in enumerate(pattern) if here]
+            body = f"{{{pad}  {(',' + pad + '  ').join(features[j] for j in shown)}{pad}}}" if shown else "{}"
+            template = record % ("%s", "%s", "%s", body, "%s")
+            rows = [0, 1, 2, *(r for j in shown for r in (3 + j, 3 + len(names) + j)), 3 + 2 * len(names)]
+            at = np.flatnonzero(inverse.ravel() == k)
+            groups.append((at, map(template.__mod__, zip(*cells[rows][:, at].tolist()))))
+        if len(groups) == 1:
+            return groups[0][1]
+        out = np.empty(count, dtype=object)
+        for at, records in groups:
+            out[at] = np.array(list(records), dtype=object)
+        return out.tolist()
 
-    return _record_chunks(ColumnRecords(_BREAKDOWN_FIELDS, blocks()), depth)
+    return _list_chunks(map(texts, range(0, len(found), RECORDS_PER_BLOCK)), depth)
 
 
 def write_json(path: str | Path, payload) -> None:

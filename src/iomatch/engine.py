@@ -451,7 +451,9 @@ class PairScores(_ScoreColumns):
 
     Indexing or iterating builds :class:`ProximityBreakdown` objects on
     demand, iteration one row of the columns at a time; writers read the
-    columns directly.
+    columns directly.  ``texts`` is the writers' memo of float texts by 64-bit
+    pattern (see ``dataio.float_texts``): every artefact of the run renders
+    through it, so each distinct score is rendered once.
     """
 
     def __init__(
@@ -465,6 +467,13 @@ class PairScores(_ScoreColumns):
     ):
         self.ids_a, self.ids_b = tuple(ids_a), tuple(ids_b)
         super().__init__(proximity, present, aggregate_proximity, aggregate_distance)
+
+    @functools.cached_property
+    def texts(self):
+        """The writers' memo of float texts (a ``dataio.FloatTexts``)."""
+        from .dataio import FloatTexts  # dataio imports this module
+
+        return FloatTexts()
 
     def __len__(self) -> int:
         return len(self.ids_a) * len(self.ids_b)
@@ -534,16 +543,15 @@ class RankedCandidates(_ScoreColumns):
     """The pairs of a :class:`PairScores` kept as candidates, most similar
     first, held as read-only 1-D columns in that order: ``ids_a[k]`` and
     ``ids_b[k]`` name the k-th pair, ``rows[k]`` and ``cols[k]`` are its
-    indices into the :class:`PairScores` columns, and ``proximity``,
-    ``present``, ``aggregate_proximity`` and ``aggregate_distance`` hold its
-    scores.
+    indices into the columns of ``scores``, and ``proximity``, ``present``,
+    ``aggregate_proximity`` and ``aggregate_distance`` hold its scores.
 
     Indexing or iterating builds :class:`ProximityBreakdown` objects on
     demand; writers read the columns directly.
     """
 
     def __init__(self, scores: PairScores, rows: np.ndarray, cols: np.ndarray):
-        self.rows, self.cols = rows, cols
+        self.scores, self.rows, self.cols = scores, rows, cols
         rows.flags.writeable = cols.flags.writeable = False
         self.ids_a = tuple(map(scores.ids_a.__getitem__, rows.tolist()))
         self.ids_b = tuple(map(scores.ids_b.__getitem__, cols.tolist()))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .aggregate import AggregationMethod, AggregationSpec
-from .dataio import ColumnRecords, write_breakdowns_csv, write_json, write_objects_csv
+from .dataio import RECORDS_PER_BLOCK, ColumnRecords, write_breakdowns_csv, write_json, write_objects_csv
 from .engine import MatchRun, PairScores, RankedCandidates, candidates, pairwise_breakdowns
 from .model import (
     FeatureKind,
@@ -49,6 +49,8 @@ _PAIR_FIELDS = {
     "separation_true": "float", "true_pair": "flag", "type_mismatch": "flag",
 }
 _CANDIDATE_FIELDS = {"a": "id", "b": "id", "proximity": "float", "true_pair": "flag", "type_mismatch": "flag"}
+# The records of report.json's scene and datasets.
+_OBJECT_FIELDS = {"id": "id", "type": "id", "x": "float", "y": "float"}
 
 
 class SceneSpecError(ValueError):
@@ -237,14 +239,15 @@ class ExperimentReport:
     def to_payload(self) -> dict:
         """JSON-ready representation of the whole experiment."""
         payload = self._payload()
-        for key in ("pairs", "candidates"):
-            records = payload[key]
-            payload[key] = [dict(zip(records.fields, row)) for block in records.blocks for row in zip(*block)]
+        payload["datasets"] = {sid: records.records() for sid, records in payload["datasets"].items()}
+        for key in ("scene", "pairs", "candidates"):
+            payload[key] = payload[key].records()
         return payload
 
     def _payload(self) -> dict:
-        """:meth:`to_payload` with its pairs and candidates as
-        :class:`ColumnRecords` read from the report's columns."""
+        """:meth:`to_payload` with its lists of records as
+        :class:`ColumnRecords` read from the report's columns, their floats
+        rendered through the text memo of ``breakdowns``."""
         scores, found, n = self.breakdowns, self.candidates, len(self.breakdowns.ids_b)
         columns = (
             scores.aggregate_distance,
@@ -254,14 +257,26 @@ class ExperimentReport:
             np.eye(len(scores.ids_a), n, dtype=bool),
             self.type_mismatch,
         )
-        pairs = (([a] * n, scores.ids_b, *(c[i].tolist() for c in columns)) for i, a in enumerate(scores.ids_a))
+        step = max(1, RECORDS_PER_BLOCK // n)
+
+        def pairs():
+            """Whole rows of pairs, about RECORDS_PER_BLOCK records a block."""
+            for i in range(0, len(scores.ids_a), step):
+                ids_a = scores.ids_a[i : i + step]
+                ids = [a for a in ids_a for _ in range(n)], scores.ids_b * len(ids_a)
+                yield (*ids, *(c[i : i + step].ravel() for c in columns))
+
         candidates = (
             found.ids_a,
             found.ids_b,
-            found.aggregate_proximity.tolist(),
-            (found.rows == found.cols).tolist(),
-            self.type_mismatch[found.rows, found.cols].tolist(),
+            found.aggregate_proximity,
+            found.rows == found.cols,
+            self.type_mismatch[found.rows, found.cols],
         )
+        objects = self.scene.objects
+        scene = [
+            [o.po_id for o in objects], [o.type_label for o in objects], [o.x for o in objects], [o.y for o in objects]
+        ]
         return {
             "metadata": {
                 "generator": f"iomatch {__version__}",
@@ -276,26 +291,26 @@ class ExperimentReport:
                 "area": list(self.spec.area),
                 "types": list(self.spec.type_alphabet),
             },
-            "scene": [
-                {"id": po.po_id, "x": po.x, "y": po.y, "type": po.type_label}
-                for po in self.scene.objects
-            ],
+            "scene": ColumnRecords.from_columns(_OBJECT_FIELDS, scene, scores.texts),
             "datasets": {
-                source_id: [
-                    {
-                        "id": obj.object_id,
-                        "x": obj.values[POSITION_FEATURE].value[0],
-                        "y": obj.values[POSITION_FEATURE].value[1],
-                        "type": obj.values[TYPE_FEATURE].value,
-                    }
-                    for obj in objects
-                ]
+                source_id: ColumnRecords.from_columns(_OBJECT_FIELDS, _report_columns(objects), scores.texts)
                 for source_id, objects in self.datasets.items()
             },
-            "pairs": ColumnRecords(_PAIR_FIELDS, pairs),
-            "candidates": ColumnRecords(_CANDIDATE_FIELDS, [candidates]),
+            "pairs": ColumnRecords(_PAIR_FIELDS, pairs(), scores.texts),
+            "candidates": ColumnRecords.from_columns(_CANDIDATE_FIELDS, candidates, scores.texts),
             "summary": self.summary,
         }
+
+
+def _report_columns(objects: Sequence[InformationObject]) -> list[list]:
+    """The id, type, x and y columns of one source's reports."""
+    positions = [o.values[POSITION_FEATURE].value for o in objects]
+    return [
+        [o.object_id for o in objects],
+        [o.values[TYPE_FEATURE].value for o in objects],
+        [x for x, _ in positions],
+        [y for _, y in positions],
+    ]
 
 
 def _mean(values: Sequence[float]) -> float | None:
@@ -374,7 +389,7 @@ def emit_report_files(report: ExperimentReport, out_dir: Path, formats: Sequence
     if "csv" in formats:
         for source_id, objects in report.datasets.items():
             p = out_dir / f"objects_{source_id}.csv"
-            write_objects_csv(p, objects, schema)
+            write_objects_csv(p, objects, schema, report.breakdowns.texts)
             written.append(p)
         p = out_dir / "pairs.csv"
         write_breakdowns_csv(p, report.breakdowns, schema)

@@ -1,19 +1,25 @@
 import csv
+import io
 import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from iomatch import dataio
 from iomatch.config import ConfigError, load_config, parse_config, require_match_config
 from iomatch.dataio import (
     ColumnRecords,
     DataError,
+    FloatTexts,
     breakdown_header,
     breakdown_record,
     dataset_header,
+    float_texts,
     read_objects_csv,
     write_breakdowns_csv,
     write_json,
@@ -244,6 +250,27 @@ def stdlib_bytes(payload) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
+def pairs_bytes(breakdowns, schema) -> bytes:
+    """What write_breakdowns_csv writes for ``breakdowns``."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "pairs.csv"
+        write_breakdowns_csv(path, breakdowns, schema)
+        return path.read_bytes()
+
+
+def csv_writer_bytes(breakdowns, schema) -> bytes:
+    """pairs.csv as csv.writer writes it, one row of float reprs per breakdown."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(breakdown_header(schema))
+    for b in breakdowns:
+        row = list(b.pair)
+        for score in map(b.per_feature.get, schema.names):
+            row += ["", ""] if score is None else [repr(score.proximity), repr(score.distance)]
+        writer.writerow(row + [repr(b.aggregate_proximity), repr(b.aggregate_distance)])
+    return out.getvalue().encode()
+
+
 SCALARS = (
     st.none()
     | st.booleans()
@@ -373,6 +400,104 @@ class TestJsonBytes:
                 json.dumps(value, indent=2, sort_keys=True)
             with pytest.raises(TypeError):
                 json_bytes(value)
+
+
+OBJECTS_B = (
+    InformationObject("b0", "s2", {"position": FeatureValue((13.0, 981.0)), "type": FeatureValue("tank")}),
+    InformationObject("b1", "s2", {
+        "position": FeatureValue((12.0, 980.0)),
+        "readiness": FeatureValue(5, Certainty.DOUBTFUL),
+        "type": FeatureValue("truck"),
+    }),
+)
+
+
+def match_scores(n_a: int, n_b: int):
+    """The schema and the scores of a run of all feature kinds, readiness
+    absent from a1 and b0."""
+    config = parse_config(FULL_CONFIG)
+    scores = pairwise_breakdowns(MatchRun(
+        schema=config.schema, profiles=config.profiles,
+        dataset_a=tuple(sample_objects(config.schema)[:n_a]), dataset_b=OBJECTS_B[:n_b],
+    ))
+    return config.schema, scores
+
+
+def candidates_payload(found):
+    """candidates.json's payload, and the same with the candidates as records."""
+    payload = {"threshold": 0.0, "pair_count": len(found.scores), "candidates": found}
+    return payload, {**payload, "candidates": [breakdown_record(b) for b in found]}
+
+
+class TestSharedFloatTexts:
+    """pairs.csv and candidates.json render their floats through the run's
+    memo, and give the bytes of csv.writer and json.dumps in either order."""
+
+    def test_either_writer_first(self):
+        schema, scores = match_scores(2, 2)
+        payload, plain = candidates_payload(candidates(scores, 0.0))
+        csv_first = pairs_bytes(scores, schema)
+        rendered = len(scores.texts.bits)
+        json_after = json_bytes(payload)
+        # Every candidate float was rendered for pairs.csv already.
+        assert len(scores.texts.bits) == rendered
+
+        schema, scores = match_scores(2, 2)
+        payload, _ = candidates_payload(candidates(scores, 0.0))
+        json_first = json_bytes(payload)
+        csv_after = pairs_bytes(scores, schema)
+
+        assert json_first == json_after == stdlib_bytes(plain)
+        assert csv_first == csv_after == csv_writer_bytes(list(scores), schema)
+        assert {len(c["features"]) for c in plain["candidates"]} == {2, 3}
+
+    @pytest.mark.parametrize("n_a, n_b", [(0, 2), (2, 0), (1, 1)])
+    def test_edge_shapes(self, n_a, n_b):
+        schema, scores = match_scores(n_a, n_b)
+        payload, plain = candidates_payload(candidates(scores, 0.0))
+        assert json_bytes(payload) == stdlib_bytes(plain)
+        assert pairs_bytes(scores, schema) == csv_writer_bytes(list(scores), schema)
+        assert len(plain["candidates"]) == n_a * n_b
+
+    def test_each_run_has_its_own_memo(self):
+        (_, first), (_, second) = match_scores(2, 2), match_scores(2, 2)
+        assert first.texts is not second.texts
+        assert candidates(first, 0.0).scores is first
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e16, 9999999999999998.0, 1e-05, 0.0001, 1.7976931348623157e308]
+FLOAT_LISTS = st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False), max_size=30)
+
+
+class TestFloatTexts:
+    """float_texts gives float.__repr__ of every value, through one memo."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(FLOAT_LISTS, min_size=1, max_size=6), st.sampled_from([1, 4, 16, dataio.MEMO_CAP]))
+    @example([EDGE_FLOATS + [-x for x in EDGE_FLOATS] + EDGE_FLOATS] * 3, 4)
+    def test_texts_are_reprs(self, arrays, cap):
+        memo = FloatTexts()
+        with mock.patch.object(dataio, "MEMO_CAP", cap):
+            for values in arrays:
+                x = np.array(values, dtype=float)
+                assert float_texts(x, memo).tolist() == list(map(float.__repr__, values))
+                # The memo is sorted by bit pattern and holds each pattern's repr.
+                assert memo.bits.tolist() == sorted(set(memo.bits.tolist()))
+                assert memo.texts.tolist() == list(map(float.__repr__, memo.bits.view(np.float64).tolist()))
+
+    def test_memo_is_cleared_once_past_its_cap(self, monkeypatch):
+        monkeypatch.setattr(dataio, "MEMO_CAP", 2)
+        memo = FloatTexts()
+        assert float_texts(np.array([0.5, 0.25, 0.125, 0.25]), memo).tolist() == ["0.5", "0.25", "0.125", "0.25"]
+        assert len(memo.bits) == 3
+        assert float_texts(np.array([[0.5, -0.0], [0.0, 0.5]]), memo).tolist() == [["0.5", "-0.0"], ["0.0", "0.5"]]
+        assert memo.texts.tolist() == ["0.0", "0.5", "-0.0"]
+
+    def test_a_value_in_the_memo_is_not_rendered_again(self):
+        memo = FloatTexts()
+        float_texts(np.array([0.1, 0.2]), memo)
+        memo.texts[:] = ["one", "two"]
+        assert float_texts(np.array([0.2, 0.3, 0.1]), memo).tolist() == ["two", "0.3", "one"]
 
 
 # A valid document touching every section: a Gaussian ordinal feature with a
