@@ -64,23 +64,35 @@ def dataset_header(schema: Schema) -> list[str]:
 
 # Distinct floats a FloatTexts memo holds before it is cleared.
 MEMO_CAP = 1 << 16
-# Float cells rendered per pairs.csv chunk; rows per chunk of the row-wise
-# CSV writers; lines or records joined per chunk of text.
+# Float cells rendered per pairs.csv chunk, and chunks whose scores it lays
+# out at once; rows per chunk of the row-wise CSV writers; lines or records
+# joined per chunk of text.
 _CELLS = 8192
+_STEPS = 8
 _ROWS = 1024
 _JOIN = 128
 
 
 class FloatTexts:
-    """A memo of float texts by 64-bit pattern: ``bits``, sorted, and each
-    one's ``float.__repr__`` at the same place in ``texts``."""
+    """A memo of float texts by 64-bit pattern: ``bits``, sorted, and at the
+    same place in ``slots`` the index of each one's ``float.__repr__`` in
+    ``store``.  Texts are only appended to ``store``, so a call that adds
+    values moves integers alone; ``store`` keeps spare room at its end."""
 
     def __init__(self):
         self.clear()
 
     def clear(self) -> None:
         self.bits = np.empty(0, dtype=np.uint64)
-        self.texts = np.empty(0, dtype=object)
+        self.slots = np.empty(0, dtype=np.int64)
+        self.store = np.empty(0, dtype=object)
+
+    @property
+    def texts(self) -> np.ndarray:
+        """Each pattern's text, in the order of ``bits`` (a read-only copy)."""
+        texts = self.store[self.slots]
+        texts.flags.writeable = False
+        return texts
 
 
 def float_texts(values, memo: FloatTexts) -> np.ndarray:
@@ -101,12 +113,18 @@ def float_texts(values, memo: FloatTexts) -> np.ndarray:
     if len(memo.bits):
         known = memo.bits[np.minimum(at, len(memo.bits) - 1)] == bits
     texts = np.empty(len(bits), dtype=object)
-    texts[known] = memo.texts[at[known]]
+    texts[known] = memo.store[memo.slots[at[known]]]
     new = np.flatnonzero(~known)
     if len(new):
         texts[new] = fresh = np.array(list(map(float.__repr__, bits[new].view(np.float64).tolist())), dtype=object)
+        size = len(memo.bits)
+        if size + len(new) > len(memo.store):
+            grown = np.empty(max(2 * size, size + len(new)), dtype=object)
+            grown[:size] = memo.store[:size]
+            memo.store = grown
+        memo.store[size : size + len(new)] = fresh
         memo.bits = np.insert(memo.bits, at[new], bits[new])
-        memo.texts = np.insert(memo.texts, at[new], fresh)
+        memo.slots = np.insert(memo.slots, at[new], np.arange(size, size + len(new)))
     return texts[inverse].reshape(values.shape)
 
 
@@ -260,28 +278,29 @@ def write_breakdowns_csv(
             return
         # Blocks of whole dataset-A rows of about _CELLS floats, rendered in
         # one call and joined column by column: only the ids can need quoting,
-        # and each is quoted once.
+        # and each is quoted once.  The scores are laid out _STEPS blocks at a
+        # time, as scoring the pruned pairs of a block costs a fixed amount
+        # per call.
         scores, names = breakdowns, schema.names
         ids_a, ids_b = _csv_fields(scores.ids_a), _csv_fields(scores.ids_b)
         n_b = len(ids_b)
         step = max(1, _CELLS // (n_b * (2 * len(names) + 2)))
-        for start in range(0, len(ids_a), step):
-            block = slice(start, start + step)
-            p = [scores.proximity[name][block] for name in names]
-            values = [
-                *chain.from_iterable((q, 1.0 - q) for q in p),
-                scores.aggregate_proximity[block],
-                scores.aggregate_distance[block],
-            ]
-            texts = float_texts(values, scores.texts)
-            for k, name in enumerate(names):
-                texts[2 * k : 2 * k + 2, ~scores.present[name][block]] = ""
-            a = ids_a[block]
-            columns = [chain.from_iterable(map(repeat, a, repeat(n_b))), ids_b * len(a)]
-            columns += texts.reshape(len(values), -1).tolist()
-            lines = map(",".join, zip(*columns))
-            while text := "\n".join(islice(lines, _JOIN)):
-                fh.write(text + "\n")
+        fetch = _STEPS * step
+        for first in range(0, len(ids_a), fetch):
+            proximity, present, aggregate_p, aggregate_d = scores.block(first, first + fetch)
+            values = [*chain.from_iterable((proximity[n], 1.0 - proximity[n]) for n in names), aggregate_p, aggregate_d]
+            absent = [~present[n] for n in names]
+            for start in range(0, len(aggregate_p), step):
+                block = slice(start, start + step)
+                texts = float_texts([v[block] for v in values], scores.texts)
+                for k in range(len(names)):
+                    texts[2 * k : 2 * k + 2, absent[k][block]] = ""
+                a = ids_a[first + start : first + start + step]
+                columns = [chain.from_iterable(map(repeat, a, repeat(n_b))), ids_b * len(a)]
+                columns += texts.reshape(len(values), -1).tolist()
+                lines = map(",".join, zip(*columns))
+                while text := "\n".join(islice(lines, _JOIN)):
+                    fh.write(text + "\n")
 
 
 def breakdown_record(b: ProximityBreakdown) -> dict:
@@ -409,20 +428,36 @@ def _candidate_chunks(found: RankedCandidates, depth: int) -> Iterator[str]:
     ids_a, ids_b = (
         np.array(list(map(encode_basestring_ascii, ids)), dtype=object) for ids in (scores.ids_a, scores.ids_b)
     )
+    # Each object's features as bits of 64-bit words, bit j % 64 of word j // 64
+    # for the j-th name: a pair's pattern of present features is the AND of
+    # its objects' words.
+    words = max(1, -(-len(names) // 64))
+
+    def presence_words(n, held):
+        mask = np.zeros((n, words), dtype=np.uint64)
+        for j, has in enumerate(held):
+            mask[:, j // 64] |= has.astype(np.uint64) << np.uint64(j % 64)
+        return mask
+
+    mask_a = presence_words(len(scores.ids_a), [scores.sides[name].has_a for name in names])
+    mask_b = presence_words(len(scores.ids_b), [scores.sides[name].has_b for name in names])
 
     def texts(start):
         block = slice(start, start + RECORDS_PER_BLOCK)
         count = len(found.aggregate_proximity[block])
         p = np.array([found.proximity[name][block] for name in names], dtype=float).reshape(len(names), count)
-        present = np.array([found.present[name][block] for name in names], dtype=bool).reshape(p.shape)
         values = [found.aggregate_distance[block], *(1.0 - p), *p, found.aggregate_proximity[block]]
         # Rows: a, b, distance, each feature's distance, its proximity, proximity.
         ids = [ids_a[found.rows[block]], ids_b[found.cols[block]]]
         cells = np.concatenate([ids, float_texts(values, scores.texts)])
-        patterns, inverse = np.unique(present, axis=1, return_inverse=True)
+        codes = mask_a[found.rows[block]] & mask_b[found.cols[block]]
+        if words == 1:
+            patterns, inverse = np.unique(codes[:, 0], return_inverse=True)
+        else:
+            patterns, inverse = np.unique(codes, axis=0, return_inverse=True)
         groups = []
-        for k, pattern in enumerate(patterns.T.tolist()):
-            shown = [j for j, here in enumerate(pattern) if here]
+        for k, pattern in enumerate(patterns.reshape(len(patterns), words).tolist()):
+            shown = [j for j in range(len(names)) if pattern[j // 64] >> (j % 64) & 1]
             body = f"{{{pad}  {(',' + pad + '  ').join(features[j] for j in shown)}{pad}}}" if shown else "{}"
             template = record % ("%s", "%s", "%s", body, "%s")
             rows = [0, 1, 2, *(r for j in shown for r in (3 + j, 3 + len(names) + j)), 3 + 2 * len(names)]
@@ -472,3 +507,6 @@ def write_json(path: str | Path, payload) -> None:
             )
             end = start + len(tokens[k])
         fh.write(text[end:] + "\n")
+    # json.dumps leaves its encoder's closures, which hold ``mark``, in a
+    # reference cycle; emptying ``views`` lets the views go at once.
+    views.clear()

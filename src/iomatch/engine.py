@@ -1,12 +1,26 @@
 """Pairwise proximity evaluation over two cross-source datasets.
 
-Every feature is scored for all pairs at once: a kernel turns the two
-datasets' values into an ``n_a x n_b`` proximity array plus a presence mask,
-and aggregation folds those arrays through one weight resolver and two
-kernels (a weighted geometric product and a weighted sum of distances).  The
-result stays columnar; a :class:`ProximityBreakdown` is built only where one
-is read.  The scalar functions in ``quant``, ``fuzzy`` and ``aggregate``
-define the same numbers one pair at a time and serve as the test reference.
+Every feature is scored for a list of pair cells at once: a kernel turns the
+two datasets' values at those cells into 1-D proximities, a presence mask
+says where both objects hold the feature, and aggregation folds those
+columns through one weight resolver and two kernels (a weighted geometric
+product and a weighted sum of distances).  The result stays columnar; a
+:class:`ProximityBreakdown` is built only where one is read.  The scalar
+functions in ``quant``, ``fuzzy`` and ``aggregate`` define the same numbers
+one pair at a time and serve as the test reference.
+
+Exact blocking decides which cells are scored.  A quantitative proximity is
+exactly 0 when the two three-sigma windows miss on some axis (``lo_a >
+hi_b`` or ``lo_b > hi_a``), and under the multiplicative convolution a
+feature whose weight is positive in every pair then makes the whole pair
+(0, 1).  So under that method only, the pairs whose windows miss on such a
+feature are pruned: a sort-and-sweep on one blocking axis finds the
+candidates, and every blocking axis filters them with the same float tests
+the kernel applies.  A pair where either object lacks the feature is kept.
+The additive family never reaches 0 that way, so it scores every pair.
+:class:`PairScores` stores the scored cells and implies the pruned ones
+(aggregate (0, 1), each feature what its kernel gives), so it, ``pairs.csv``
+and the breakdowns still cover every pair.
 """
 
 from __future__ import annotations
@@ -17,7 +31,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -134,10 +148,11 @@ def _run_xi(feature: FeatureSchema, profiles: Iterable[SourceProfile]) -> float:
 
 # --- per-feature kernels ------------------------------------------------------
 #
-# Each kernel returns an (n_a, n_b) proximity array.  Absent values are filled
-# with harmless placeholders; the presence mask removes them later.  The
-# ordinal kernels take side A's values shaped (n_a, 1) and side B's (1, n_b),
-# so their arithmetic broadcasts to the pair grid.
+# A feature's kernel scores any cells, each given by its row in dataset A and
+# its column in dataset B: ``kernel(rows, cols)`` is the proximity of those
+# cells, in the shape the two index arrays broadcast to (1-D lists of cells,
+# or an (n_a, 1) and a (1, n_b) range for the whole grid).  Absent values are
+# filled with harmless placeholders; the presence mask removes them later.
 
 
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
@@ -152,33 +167,57 @@ def _interval_probability(value, sigma: float, c, d) -> np.ndarray:
     return np.minimum(1.0, np.maximum(0.0, hi - lo))
 
 
+@dataclass(frozen=True)
+class _Windows:
+    """A quantitative feature's values and three-sigma windows, ``(n, axes)`` per side."""
+
+    va: np.ndarray
+    vb: np.ndarray
+    lo_a: np.ndarray
+    hi_a: np.ndarray
+    lo_b: np.ndarray
+    hi_b: np.ndarray
+
+    @classmethod
+    def of(cls, va: np.ndarray, sigma_a: float, vb: np.ndarray, sigma_b: float) -> "_Windows":
+        half_a, half_b = THREE_SIGMA * sigma_a, THREE_SIGMA * sigma_b
+        return cls(va, vb, va - half_a, va + half_a, vb - half_b, vb + half_b)
+
+    def meet(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Whether the windows of each cell overlap on every axis:
+        ``lo_a <= hi_b`` and ``lo_b <= hi_a``.  This is the engine's one
+        window test; blocking and the kernel both apply it."""
+        meet = True
+        for axis in range(self.va.shape[1]):
+            meet = meet & (self.lo_a[rows, axis] <= self.hi_b[cols, axis])
+            meet = meet & (self.lo_b[cols, axis] <= self.hi_a[rows, axis])
+        return meet
+
+
 def _quantitative_column(
-    va: np.ndarray, sigma_a: float, vb: np.ndarray, sigma_b: float, xi: float, present: np.ndarray
+    windows: _Windows, has_a, has_b, sigma_a: float, sigma_b: float, xi: float, rows, cols
 ) -> np.ndarray:
     """Per-axis joint three-sigma overlap probability times the confidence
-    coefficient, multiplied over the axes; ``va`` is (n_a, axes), ``vb`` (n_b, axes).
+    coefficient, multiplied over the axes.
 
-    The probabilities are computed only where every axis's windows overlap;
-    elsewhere the proximity is exactly 0.
+    The probabilities are computed only where both values are present and
+    every axis's windows overlap; elsewhere the proximity is exactly 0.
     """
-    lo_a, hi_a = va - THREE_SIGMA * sigma_a, va + THREE_SIGMA * sigma_a
-    lo_b, hi_b = vb - THREE_SIGMA * sigma_b, vb + THREE_SIGMA * sigma_b
-    overlap = present.copy()
-    for axis in range(va.shape[1]):
-        overlap &= lo_a[:, None, axis] <= hi_b[None, :, axis]
-        overlap &= lo_b[None, :, axis] <= hi_a[:, None, axis]
-    i, j = np.nonzero(overlap)
+    live = has_a[rows] & has_b[cols] & windows.meet(rows, cols)
+    proximity = np.zeros(live.shape)
+    if not live.any():
+        return proximity
+    i, j = (np.broadcast_to(x, live.shape)[live] for x in (rows, cols))
     coefficient = quant.confidence_coefficient(sigma_a, sigma_b, xi)
     values = np.ones(len(i))
-    for axis in range(va.shape[1]):
-        a, b = va[i, axis], vb[j, axis]
-        c = np.maximum(lo_a[i, axis], lo_b[j, axis])
-        d = np.minimum(hi_a[i, axis], hi_b[j, axis])
+    for axis in range(windows.va.shape[1]):
+        a, b = windows.va[i, axis], windows.vb[j, axis]
+        c = np.maximum(windows.lo_a[i, axis], windows.lo_b[j, axis])
+        d = np.minimum(windows.hi_a[i, axis], windows.hi_b[j, axis])
         p_a = _interval_probability(a, sigma_a, c, d)
         p_b = _interval_probability(b, sigma_b, c, d)
         values = values * (p_a * p_b * coefficient)
-    proximity = np.zeros(present.shape)
-    proximity[i, j] = values
+    proximity[live] = values
     return proximity
 
 
@@ -248,6 +287,19 @@ def _gaussian_possibility(ra, ha, sa: float, rb, hb, sb: float) -> np.ndarray:
         )
 
 
+def _ordinal_column(side_a, width_a: float, side_b, width_b: float, gaussian: bool, rows, cols) -> np.ndarray:
+    """Possibility of two memberships, each side given as (lo, peak, hi, height) columns."""
+    side_a = tuple(c[rows] for c in side_a)
+    side_b = tuple(c[cols] for c in side_b)
+    if gaussian:
+        return _gaussian_possibility(side_a[1], side_a[3], width_a, side_b[1], side_b[3], width_b)
+    return _triangular_possibility(side_a, side_b)
+
+
+def _nominal_column(codes_a, codes_b, delta: float, rows, cols) -> np.ndarray:
+    return np.where(codes_a[rows] == codes_b[cols], 1.0, delta)
+
+
 def _quantitative_values(feature: FeatureSchema, dataset) -> np.ndarray:
     """(n, axes) array of one side's components; 0 where absent."""
     rows = []
@@ -293,44 +345,124 @@ def _nominal_codes(feature: FeatureSchema, dataset, codes: dict, missing: int) -
     )
 
 
-def _feature_column(run: MatchRun, feature: FeatureSchema, profile_a, profile_b, present):
-    """Proximity of every pair on one feature (meaningful where ``present``)."""
+@dataclass(frozen=True)
+class _FeatureSides:
+    """One feature's inputs from both datasets: which objects hold it, the
+    kernel that scores any cells, and, for a quantitative feature, its windows."""
+
+    has_a: np.ndarray
+    has_b: np.ndarray
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    windows: _Windows | None = None
+
+    def present(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return self.has_a[rows] & self.has_b[cols]
+
+
+def _feature_sides(run: MatchRun, feature: FeatureSchema, profile_a, profile_b) -> _FeatureSides:
+    has_a = np.array([feature.name in o.values for o in run.dataset_a], dtype=bool)
+    has_b = np.array([feature.name in o.values for o in run.dataset_b], dtype=bool)
     if feature.kind is FeatureKind.QUANTITATIVE:
-        return _quantitative_column(
-            _quantitative_values(feature, run.dataset_a),
-            profile_a.quantitative_sigma(feature.name),
-            _quantitative_values(feature, run.dataset_b),
-            profile_b.quantitative_sigma(feature.name),
-            _run_xi(feature, run.profiles.values()),
-            present,
+        sigma_a = profile_a.quantitative_sigma(feature.name)
+        sigma_b = profile_b.quantitative_sigma(feature.name)
+        windows = _Windows.of(
+            _quantitative_values(feature, run.dataset_a), sigma_a, _quantitative_values(feature, run.dataset_b), sigma_b
         )
+        xi = _run_xi(feature, run.profiles.values())
+        kernel = functools.partial(_quantitative_column, windows, has_a, has_b, sigma_a, sigma_b, xi)
+        return _FeatureSides(has_a, has_b, kernel, windows)
     if feature.kind is FeatureKind.ORDINAL_FUZZY:
         side_a, width_a = _ordinal_memberships(feature, profile_a, run.dataset_a)
         side_b, width_b = _ordinal_memberships(feature, profile_b, run.dataset_b)
-        side_a = tuple(c[:, None] for c in side_a)
-        side_b = tuple(c[None, :] for c in side_b)
-        if feature.ordinal_params.shape is MembershipShape.GAUSSIAN:
-            return _gaussian_possibility(side_a[1], side_a[3], width_a, side_b[1], side_b[3], width_b)
-        return _triangular_possibility(side_a, side_b)
-    if feature.nominal_delta == MAX_NOMINAL_DELTA and present.any():
+        gaussian = feature.ordinal_params.shape is MembershipShape.GAUSSIAN
+        kernel = functools.partial(_ordinal_column, side_a, width_a, side_b, width_b, gaussian)
+        return _FeatureSides(has_a, has_b, kernel)
+    if feature.nominal_delta == MAX_NOMINAL_DELTA and has_a.any() and has_b.any():
         warnings.warn(
             "delta = 0.5 makes a nominal match indistinguishable from a mismatch",
             IdentificationPowerWarning,
             stacklevel=3,
         )
     codes: dict = {}
-    same = (
-        _nominal_codes(feature, run.dataset_a, codes, -1)[:, None]
-        == _nominal_codes(feature, run.dataset_b, codes, -2)[None, :]
-    )
-    return np.where(same, 1.0, feature.nominal_delta)
+    codes_a = _nominal_codes(feature, run.dataset_a, codes, -1)
+    codes_b = _nominal_codes(feature, run.dataset_b, codes, -2)
+    return _FeatureSides(has_a, has_b, functools.partial(_nominal_column, codes_a, codes_b, feature.nominal_delta))
+
+
+# --- blocking -----------------------------------------------------------------
+#
+# A quantitative proximity is exactly 0 where the three-sigma windows miss on
+# an axis, and under the multiplicative convolution a factor of 0 with a
+# positive weight makes the whole pair (0, 1).  Such cells need no scoring:
+# they are pruned, and the results imply their values.
+
+
+def _base_weights(schema: Schema, spec: agg.AggregationSpec) -> Mapping[str, float]:
+    return spec.feature_weights or {f.name: f.weight for f in schema.features}
+
+
+def _blocking(run: MatchRun, sides: Mapping[str, _FeatureSides]) -> list[_FeatureSides]:
+    """The features that prune: under the multiplicative convolution, the
+    quantitative features whose weight is positive in every pair holding them.
+
+    A pair's weight of a feature is its base weight over the sum of the base
+    weights of the pair's features; that sum is at most ``total``, so the
+    weight is at least ``base / total``.
+    """
+    if run.aggregation.method is not agg.AggregationMethod.MULTIPLICATIVE:
+        return []
+    base = _base_weights(run.schema, run.aggregation)
+    total = sum(base[n] for n in run.schema.names)
+    return [s for n, s in sides.items() if s.windows is not None and base[n] > 0.0 and base[n] / total > 0.0]
+
+
+def _sweep(sides: _FeatureSides, axis: int, n_b: int):
+    """Sort-and-sweep on one axis of a blocking feature.
+
+    Side B's holders are sorted on the axis; ``lo_b`` and ``hi_b`` grow with
+    the value, so both are sorted too, and each A window's cells are the run
+    ``order[start:start + count]`` of the B windows it meets on that axis.
+    Returns the number of candidate cells, objects lacking the feature
+    pairing with everything, then ``sides``, ``ia`` (the A holders),
+    ``order``, ``start`` and ``counts``.
+    """
+    w = sides.windows
+    ia, ib = np.flatnonzero(sides.has_a), np.flatnonzero(sides.has_b)
+    order = ib[np.argsort(w.vb[ib, axis], kind="stable")]
+    start = np.searchsorted(w.hi_b[order, axis], w.lo_a[ia, axis], side="left")
+    stop = np.searchsorted(w.lo_b[order, axis], w.hi_a[ia, axis], side="right")
+    counts = np.maximum(stop - start, 0)
+    size = int(counts.sum()) + (len(sides.has_a) - len(ia)) * n_b + len(ia) * (n_b - len(ib))
+    return size, sides, ia, order, start, counts
+
+
+def _scored_cells(blocking: Sequence[_FeatureSides], n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (rows, cols) of the cells to score: every cell where no
+    blocking feature's windows miss.  When nothing blocks they are the whole
+    grid, given as an (n_a, 1) and a (1, n_b) range that broadcast.
+
+    The candidates come from the sweep of the blocking axis that yields the
+    fewest; every blocking axis then filters them with the window test.
+    """
+    if not blocking:
+        return np.arange(n_a)[:, None], np.arange(n_b)[None, :]
+    sweeps = [_sweep(sides, axis, n_b) for sides in blocking for axis in range(sides.windows.va.shape[1])]
+    _, sides, ia, order, start, counts = min(sweeps, key=lambda sweep: sweep[0])
+    at = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - start, counts)
+    lack_a, lack_b = np.flatnonzero(~sides.has_a), np.flatnonzero(~sides.has_b)
+    rows = np.concatenate([np.repeat(ia, counts), np.repeat(lack_a, n_b), np.repeat(ia, len(lack_b))])
+    cols = np.concatenate([order[at], np.tile(np.arange(n_b), len(lack_a)), np.tile(lack_b, len(ia))])
+    keep = np.ones(len(rows), dtype=bool)
+    for s in blocking:
+        keep &= ~s.present(rows, cols) | s.windows.meet(rows, cols)
+    return np.divmod(np.sort(rows[keep] * n_b + cols[keep]), n_b)
 
 
 # --- aggregation --------------------------------------------------------------
 
 
 def _pair_weights(
-    schema: Schema, spec: agg.AggregationSpec, present: Mapping[str, np.ndarray]
+    schema: Schema, spec: agg.AggregationSpec, present: Mapping[str, np.ndarray], shape: tuple[int, ...]
 ) -> dict[str, np.ndarray]:
     """Every pair's weight per feature, zero where the feature is absent.
 
@@ -342,7 +474,6 @@ def _pair_weights(
     normalized, and otherwise over w|Q| + (1-w)|L|.
     """
     method = spec.method
-    shape = next(iter(present.values())).shape if present else (0, 0)
     zero = np.zeros(shape)
     quantitative = {n: schema.feature(n).kind is FeatureKind.QUANTITATIVE for n in present}
     count = sum(present.values(), zero)
@@ -350,7 +481,7 @@ def _pair_weights(
     n_qual = count - n_quant
     with np.errstate(divide="ignore", invalid="ignore"):
         if method in (agg.AggregationMethod.MULTIPLICATIVE, agg.AggregationMethod.WEIGHTED_ADDITIVE):
-            base = spec.feature_weights or {f.name: f.weight for f in schema.features}
+            base = _base_weights(schema, spec)
             total = sum((base[n] * m for n, m in present.items()), zero)
             raw = {n: np.where(total > 0.0, base[n] / total, 1.0 / count) for n in present}
         elif method is agg.AggregationMethod.ADDITIVE:
@@ -376,11 +507,11 @@ def _aggregate(
     spec: agg.AggregationSpec,
     proximity: Mapping[str, np.ndarray],
     present: Mapping[str, np.ndarray],
-    shape: tuple[int, int],
+    shape: tuple[int, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
     """(aggregate proximity, aggregate distance) of every pair; the two always
     complement each other, and a pair with no shared feature scores (1, 0)."""
-    weights = _pair_weights(schema, spec, present)
+    weights = _pair_weights(schema, spec, present, shape)
     if spec.method is agg.AggregationMethod.MULTIPLICATIVE:
         p = np.ones(shape)
         for name, w in weights.items():
@@ -395,14 +526,29 @@ def _aggregate(
 
 # --- results ------------------------------------------------------------------
 
+# Cells per block when PairScores is iterated.
+_ITER_CELLS = 8192
 
-class _ScoreColumns:
-    """Breakdowns held as read-only numpy columns: per feature ``proximity``
-    and ``present``, plus ``aggregate_proximity`` and ``aggregate_distance``.
 
-    Indexing builds a :class:`ProximityBreakdown`; ``_locate`` maps an entry
-    to its pair and to its index into the columns.
-    """
+def _read_only(columns):
+    for column in columns.values() if isinstance(columns, dict) else (columns,):
+        column.flags.writeable = False
+    return columns
+
+
+def _breakdown(pair, proximity, present, aggregate_proximity, aggregate_distance, at) -> ProximityBreakdown:
+    """The breakdown of the cell ``at`` of the given columns."""
+    return ProximityBreakdown(
+        pair=pair,
+        per_feature={n: FeatureScore.from_proximity(float(p[at])) for n, p in proximity.items() if present[n][at]},
+        aggregate_proximity=float(aggregate_proximity[at]),
+        aggregate_distance=float(aggregate_distance[at]),
+    )
+
+
+class _Breakdowns:
+    """A read-only sequence of breakdowns; subclasses give ``__len__`` and
+    ``_breakdown(k)``, and indexing builds a :class:`ProximityBreakdown`."""
 
     # A registered Sequence with its mixin methods, not a subclass: isinstance
     # against a class of metaclass ABCMeta runs Python code, and the JSON
@@ -413,60 +559,80 @@ class _ScoreColumns:
     index = collections.abc.Sequence.index
     count = collections.abc.Sequence.count
 
-    def __init__(
-        self,
-        proximity: Mapping[str, np.ndarray],
-        present: Mapping[str, np.ndarray],
-        aggregate_proximity: np.ndarray,
-        aggregate_distance: np.ndarray,
-    ):
-        self.proximity, self.present = dict(proximity), dict(present)
-        self.aggregate_proximity, self.aggregate_distance = aggregate_proximity, aggregate_distance
-        for column in (*self.proximity.values(), *self.present.values(), aggregate_proximity, aggregate_distance):
-            column.flags.writeable = False
-
-    def _locate(self, k: int) -> tuple[tuple[str, str], object]:
-        raise NotImplementedError
-
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[k] for k in range(*index.indices(len(self)))]
         k = index + len(self) if index < 0 else index
         if not 0 <= k < len(self):
             raise IndexError(index)
-        pair, at = self._locate(k)
-        return ProximityBreakdown(
-            pair=pair,
-            per_feature={
-                n: FeatureScore.from_proximity(float(p[at])) for n, p in self.proximity.items() if self.present[n][at]
-            },
-            aggregate_proximity=float(self.aggregate_proximity[at]),
-            aggregate_distance=float(self.aggregate_distance[at]),
-        )
+        return self._breakdown(k)
 
 
-class PairScores(_ScoreColumns):
-    """Breakdowns of every cross-source pair, dataset A outer and B inner,
-    held as read-only ``(n_a, n_b)`` columns.
+class _ScoreColumns(_Breakdowns):
+    """Scores of some cells of a pair grid held as read-only 1-D columns:
+    ``rows[k]`` and ``cols[k]`` index the k-th cell's pair into the grid's
+    ids, ``grid_ids``, and ``proximity`` and ``present`` (per feature),
+    ``aggregate_proximity`` and ``aggregate_distance`` hold its scores."""
+
+    def __init__(
+        self,
+        grid_ids: tuple[Sequence[str], Sequence[str]],
+        rows: np.ndarray,
+        cols: np.ndarray,
+        proximity: Mapping[str, np.ndarray],
+        present: Mapping[str, np.ndarray],
+        aggregate_proximity: np.ndarray,
+        aggregate_distance: np.ndarray,
+    ):
+        self.grid_ids, self.rows, self.cols = grid_ids, _read_only(rows), _read_only(cols)
+        self.proximity, self.present = _read_only(dict(proximity)), _read_only(dict(present))
+        self.aggregate_proximity = _read_only(aggregate_proximity)
+        self.aggregate_distance = _read_only(aggregate_distance)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _breakdown(self, k: int) -> ProximityBreakdown:
+        pair = (self.grid_ids[0][self.rows[k]], self.grid_ids[1][self.cols[k]])
+        return _breakdown(pair, self.proximity, self.present, self.aggregate_proximity, self.aggregate_distance, k)
+
+
+class PairScores(_Breakdowns):
+    """Breakdowns of every cross-source pair, dataset A outer and B inner.
+
+    Only the scored cells are stored: ``cells`` holds their row-major
+    ``rows`` and ``cols`` and their scores.  A cell that blocking pruned is
+    implied: each feature scores what its kernel gives for it (``sides``
+    keeps every feature's per-side inputs), and its aggregate is (0.0, 1.0).
+    :meth:`block` lays whole rows of the pair grid out as dense columns;
+    ``proximity``, ``present`` (per feature), ``aggregate_proximity`` and
+    ``aggregate_distance`` are the whole read-only ``(n_a, n_b)`` grid,
+    built on first use.
 
     Indexing or iterating builds :class:`ProximityBreakdown` objects on
-    demand, iteration one row of the columns at a time; writers read the
-    columns directly.  ``texts`` is the writers' memo of float texts by 64-bit
-    pattern (see ``dataio.float_texts``): every artefact of the run renders
-    through it, so each distinct score is rendered once.
+    demand, iteration a block of rows at a time.  ``texts`` is the writers'
+    memo of float texts by 64-bit pattern (see ``dataio.float_texts``): every
+    artefact of the run renders through it, so each distinct score is
+    rendered once.
     """
 
     def __init__(
         self,
         ids_a: Sequence[str],
         ids_b: Sequence[str],
+        sides: Mapping[str, _FeatureSides],
+        rows: np.ndarray,
+        cols: np.ndarray,
         proximity: Mapping[str, np.ndarray],
         present: Mapping[str, np.ndarray],
         aggregate_proximity: np.ndarray,
         aggregate_distance: np.ndarray,
     ):
         self.ids_a, self.ids_b = tuple(ids_a), tuple(ids_b)
-        super().__init__(proximity, present, aggregate_proximity, aggregate_distance)
+        self.sides = dict(sides)
+        self.cells = _ScoreColumns(
+            (self.ids_a, self.ids_b), rows, cols, proximity, present, aggregate_proximity, aggregate_distance
+        )
 
     @functools.cached_property
     def texts(self):
@@ -478,18 +644,68 @@ class PairScores(_ScoreColumns):
     def __len__(self) -> int:
         return len(self.ids_a) * len(self.ids_b)
 
-    def _locate(self, k: int):
+    def _dense(self, column: np.ndarray, implied, start: int, stop: int) -> np.ndarray:
+        """Rows ``start:stop`` of the pair grid: ``column``'s stored cells
+        laid over ``implied``, the pruned cells' value or a block of values."""
+        cells = self.cells
+        lo, hi = np.searchsorted(cells.rows, (start, stop))
+        block = np.full((stop - start, len(self.ids_b)), implied)
+        block[cells.rows[lo:hi] - start, cells.cols[lo:hi]] = column[lo:hi]
+        return block
+
+    def block(self, start: int, stop: int):
+        """Rows ``start:stop`` of the pair grid as dense ``(rows, n_b)``
+        arrays: (proximity per feature, present per feature, aggregate
+        proximity, aggregate distance).
+
+        Where the rows hold pruned cells, each feature's kernel scores the
+        whole block, and the stored cells then take their stored scores."""
+        stop = min(stop, len(self.ids_a))
+        rows, cols = np.arange(start, stop)[:, None], np.arange(len(self.ids_b))[None, :]
+        cells = self.cells
+        lo, hi = np.searchsorted(cells.rows, (start, stop))
+        pruned = hi - lo < rows.size * cols.size
+        return (
+            {
+                n: self._dense(cells.proximity[n], s.kernel(rows, cols) if pruned else 0.0, start, stop)
+                for n, s in self.sides.items()
+            },
+            {n: s.present(rows, cols) for n, s in self.sides.items()},
+            self._dense(cells.aggregate_proximity, 0.0, start, stop),
+            self._dense(cells.aggregate_distance, 1.0, start, stop),
+        )
+
+    @functools.cached_property
+    def proximity(self) -> dict[str, np.ndarray]:
+        return _read_only(self.block(0, len(self.ids_a))[0])
+
+    @functools.cached_property
+    def present(self) -> dict[str, np.ndarray]:
+        return _read_only({n: s.has_a[:, None] & s.has_b for n, s in self.sides.items()})
+
+    @functools.cached_property
+    def aggregate_proximity(self) -> np.ndarray:
+        return _read_only(self._dense(self.cells.aggregate_proximity, 0.0, 0, len(self.ids_a)))
+
+    @functools.cached_property
+    def aggregate_distance(self) -> np.ndarray:
+        return _read_only(self._dense(self.cells.aggregate_distance, 1.0, 0, len(self.ids_a)))
+
+    def _breakdown(self, k: int) -> ProximityBreakdown:
         i, j = divmod(k, len(self.ids_b))
-        return (self.ids_a[i], self.ids_b[j]), (i, j)
+        return _breakdown((self.ids_a[i], self.ids_b[j]), *self.block(i, i + 1), (0, j))
 
     def __iter__(self) -> Iterator[ProximityBreakdown]:
-        names = tuple(self.proximity)
-        for i, a in enumerate(self.ids_a):
-            rows = [(self.proximity[n][i].tolist(), self.present[n][i].tolist()) for n in names]
-            agg_p, agg_d = self.aggregate_proximity[i].tolist(), self.aggregate_distance[i].tolist()
-            for j, b in enumerate(self.ids_b):
-                per_feature = {n: FeatureScore.from_proximity(p[j]) for n, (p, m) in zip(names, rows) if m[j]}
-                yield ProximityBreakdown((a, b), per_feature, agg_p[j], agg_d[j])
+        names = tuple(self.sides)
+        step = max(1, _ITER_CELLS // max(1, len(self.ids_b)))
+        for start in range(0, len(self.ids_a), step):
+            proximity, present, aggregate_p, aggregate_d = self.block(start, start + step)
+            for i, a in enumerate(self.ids_a[start : start + step]):
+                rows = [(proximity[n][i].tolist(), present[n][i].tolist()) for n in names]
+                agg_p, agg_d = aggregate_p[i].tolist(), aggregate_d[i].tolist()
+                for j, b in enumerate(self.ids_b):
+                    per_feature = {n: FeatureScore.from_proximity(p[j]) for n, (p, m) in zip(names, rows) if m[j]}
+                    yield ProximityBreakdown((a, b), per_feature, agg_p[j], agg_d[j])
 
 
 def pairwise_breakdowns(run: MatchRun) -> PairScores:
@@ -502,23 +718,24 @@ def pairwise_breakdowns(run: MatchRun) -> PairScores:
     errors = run_violations(run)
     if errors:
         raise MatchRunError(errors)
-    shape = (len(run.dataset_a), len(run.dataset_b))
-    proximity: dict[str, np.ndarray] = {}
-    present: dict[str, np.ndarray] = {}
-    if shape[0] and shape[1]:
+    n_a, n_b = len(run.dataset_a), len(run.dataset_b)
+    sides: dict[str, _FeatureSides] = {}
+    if n_a and n_b:
         profile_a = run.profiles[run.dataset_a[0].source_id]
         profile_b = run.profiles[run.dataset_b[0].source_id]
         for feature in run.schema.features:
-            has_a = np.array([feature.name in o.values for o in run.dataset_a])
-            has_b = np.array([feature.name in o.values for o in run.dataset_b])
-            present[feature.name] = has_a[:, None] & has_b[None, :]
-            proximity[feature.name] = _feature_column(
-                run, feature, profile_a, profile_b, present[feature.name]
-            )
-    aggregate_p, aggregate_d = _aggregate(run.schema, run.aggregation, proximity, present, shape)
+            sides[feature.name] = _feature_sides(run, feature, profile_a, profile_b)
+    rows, cols = _scored_cells(_blocking(run, sides), n_a, n_b)
+    proximity = {n: s.kernel(rows, cols).ravel() for n, s in sides.items()}
+    present = {n: s.present(rows, cols).ravel() for n, s in sides.items()}
+    rows, cols = (np.broadcast_to(x, np.broadcast_shapes(rows.shape, cols.shape)).ravel() for x in (rows, cols))
+    aggregate_p, aggregate_d = _aggregate(run.schema, run.aggregation, proximity, present, rows.shape)
     return PairScores(
         (o.object_id for o in run.dataset_a),
         (o.object_id for o in run.dataset_b),
+        sides,
+        rows,
+        cols,
         proximity,
         present,
         aggregate_p,
@@ -540,36 +757,35 @@ def evaluate_pair(
 
 
 class RankedCandidates(_ScoreColumns):
-    """The pairs of a :class:`PairScores` kept as candidates, most similar
-    first, held as read-only 1-D columns in that order: ``ids_a[k]`` and
-    ``ids_b[k]`` name the k-th pair, ``rows[k]`` and ``cols[k]`` are its
-    indices into the columns of ``scores``, and ``proximity``, ``present``,
-    ``aggregate_proximity`` and ``aggregate_distance`` hold its scores.
+    """The stored cells of a :class:`PairScores` kept as candidates, most
+    similar first, held as read-only 1-D columns in that order: ``ids_a[k]``
+    and ``ids_b[k]`` name the k-th pair, ``rows[k]`` and ``cols[k]`` are its
+    indices into the ``(n_a, n_b)`` grid of ``scores``, and ``proximity``,
+    ``present``, ``aggregate_proximity`` and ``aggregate_distance`` hold its
+    scores.
 
     Indexing or iterating builds :class:`ProximityBreakdown` objects on
     demand; writers read the columns directly.
     """
 
-    def __init__(self, scores: PairScores, rows: np.ndarray, cols: np.ndarray):
-        self.scores, self.rows, self.cols = scores, rows, cols
-        rows.flags.writeable = cols.flags.writeable = False
-        self.ids_a = tuple(map(scores.ids_a.__getitem__, rows.tolist()))
-        self.ids_b = tuple(map(scores.ids_b.__getitem__, cols.tolist()))
+    def __init__(self, scores: PairScores, keep: np.ndarray):
+        """``keep`` indexes the candidates, in rank order, into ``scores.cells``."""
+        cells = scores.cells
+        self.scores = scores
         super().__init__(
-            {n: p[rows, cols] for n, p in scores.proximity.items()},
-            {n: m[rows, cols] for n, m in scores.present.items()},
-            scores.aggregate_proximity[rows, cols],
-            scores.aggregate_distance[rows, cols],
+            cells.grid_ids,
+            cells.rows[keep],
+            cells.cols[keep],
+            {n: p[keep] for n, p in cells.proximity.items()},
+            {n: m[keep] for n, m in cells.present.items()},
+            cells.aggregate_proximity[keep],
+            cells.aggregate_distance[keep],
         )
-
-    def __len__(self) -> int:
-        return len(self.ids_a)
-
-    def _locate(self, k: int):
-        return (self.ids_a[k], self.ids_b[k]), k
+        self.ids_a = tuple(map(scores.ids_a.__getitem__, self.rows.tolist()))
+        self.ids_b = tuple(map(scores.ids_b.__getitem__, self.cols.tolist()))
 
 
-collections.abc.Sequence.register(_ScoreColumns)
+collections.abc.Sequence.register(_Breakdowns)
 
 
 def _id_ranks(ids: Sequence[str]) -> np.ndarray:
@@ -584,17 +800,21 @@ def candidates(
     """Pairs whose aggregate proximity exceeds the threshold, most similar first.
 
     Ties are broken by the pair's identifier tuple.  Given a
-    :class:`PairScores`, the kept cells are ranked with one ``np.lexsort`` and
-    returned as a :class:`RankedCandidates` view; any other iterable gives a list.
+    :class:`PairScores`, its stored cells above the threshold are ranked
+    with one ``np.lexsort`` and returned as a :class:`RankedCandidates` view
+    (a pruned cell scores 0, which no threshold keeps); any other iterable
+    gives a list.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold {threshold} outside [0, 1]")
     if isinstance(breakdowns, PairScores):
-        flat = breakdowns.aggregate_proximity.ravel()
-        keep = np.flatnonzero(flat > threshold)
-        rows, cols = np.divmod(keep, len(breakdowns.ids_b))
+        cells = breakdowns.cells
+        keep = np.flatnonzero(cells.aggregate_proximity > threshold)
+        rows, cols = cells.rows[keep], cells.cols[keep]
         # lexsort's last key is the primary one.
-        order = np.lexsort((_id_ranks(breakdowns.ids_b)[cols], _id_ranks(breakdowns.ids_a)[rows], -flat[keep]))
-        return RankedCandidates(breakdowns, rows[order], cols[order])
+        order = np.lexsort(
+            (_id_ranks(breakdowns.ids_b)[cols], _id_ranks(breakdowns.ids_a)[rows], -cells.aggregate_proximity[keep])
+        )
+        return RankedCandidates(breakdowns, keep[order])
     keep = [b for b in breakdowns if b.aggregate_proximity > threshold]
     return sorted(keep, key=lambda b: (-b.aggregate_proximity, b.pair))

@@ -254,6 +254,28 @@ def test_candidates_json_over_several_blocks():
     assert_json_records(found)
 
 
+def test_candidates_json_with_more_features_than_one_mask_word():
+    """70 features take two 64-bit presence words per object; each object
+    lacks a different fifth of them, so pairs show many patterns."""
+    names = [f"f{k:02d}" for k in range(70)]
+    schema = Schema(tuple(FeatureSchema(n, FeatureKind.NOMINAL, 1 / 70, nominal_delta=0.2) for n in names))
+
+    def side(source):
+        return tuple(
+            InformationObject(f"{source}{i}", source, {
+                n: FeatureValue(LABELS[(i + k) % 3]) for k, n in enumerate(names) if (7 * i + k) % 5
+            })
+            for i in range(6)
+        )
+
+    profiles = {s: SourceProfile(s, {}) for s in "ab"}
+    run = MatchRun(schema, profiles, side("a"), side("b"), AggregationSpec(method=AggregationMethod.ADDITIVE))
+    found = candidates(pairwise_breakdowns(run), 0.0)
+    assert len({tuple(b.per_feature) for b in found}) > 1
+    assert any(n in b.per_feature for b in found for n in names[64:])
+    assert_json_records(found)
+
+
 @pytest.mark.parametrize("method", list(AggregationMethod))
 @pytest.mark.parametrize("kind", sorted(FEATURES))
 def test_every_method_and_kind(method, kind):

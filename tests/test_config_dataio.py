@@ -496,7 +496,10 @@ class TestFloatTexts:
     def test_a_value_in_the_memo_is_not_rendered_again(self):
         memo = FloatTexts()
         float_texts(np.array([0.1, 0.2]), memo)
-        memo.texts[:] = ["one", "two"]
+        # The texts live in the append-only store; ``texts`` is a read-only copy.
+        with pytest.raises(ValueError):
+            memo.texts[:] = ["one", "two"]
+        memo.store[memo.slots] = ["one", "two"]
         assert float_texts(np.array([0.2, 0.3, 0.1]), memo).tolist() == ["two", "0.3", "one"]
 
 
