@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config, require_match_config
-from .dataio import DataError, read_objects_csv, write_breakdowns_csv, write_json
+from .dataio import DataError, read_dataset, read_objects_csv, write_breakdowns_csv, write_json
 from .dataio import breakdown_record  # noqa: F401  (a boundary the per-layer trace in bench/spans.py wraps)
 from .engine import MatchRun, MatchRunError, candidates, pairwise_breakdowns
 from .model import SchemaError
@@ -69,12 +69,12 @@ def _load_for_matching(path: str) -> RunConfig:
     return config
 
 
-def _build_run(config: RunConfig, objects_a, objects_b, threshold: float) -> MatchRun:
+def _build_run(config: RunConfig, dataset_a, dataset_b, threshold: float) -> MatchRun:
     return MatchRun(
         schema=config.schema,
         profiles=config.profiles,
-        dataset_a=tuple(objects_a),
-        dataset_b=tuple(objects_b),
+        dataset_a=dataset_a,
+        dataset_b=dataset_b,
         aggregation=config.aggregation,
         candidate_threshold=threshold,
     )
@@ -110,9 +110,9 @@ def _cmd_measure(args) -> int:
 def _cmd_match(args) -> int:
     config = _load_for_matching(args.config)
     threshold = args.threshold if args.threshold is not None else config.threshold
-    objects_a = read_objects_csv(args.dataset_a, config.schema)
-    objects_b = read_objects_csv(args.dataset_b, config.schema)
-    run = _build_run(config, objects_a, objects_b, threshold)
+    dataset_a = read_dataset(args.dataset_a, config.schema)
+    dataset_b = read_dataset(args.dataset_b, config.schema)
+    run = _build_run(config, dataset_a, dataset_b, threshold)
     breakdowns = pairwise_breakdowns(run)
     found = candidates(breakdowns, threshold)
     lines = [f"pairs evaluated: {len(breakdowns)}; candidates above {threshold:g}: {len(found)}"]

@@ -1,5 +1,11 @@
 """Flat-file formats: object datasets as CSV, breakdowns as CSV, reports as JSON.
 
+A dataset CSV is read into columns (:func:`read_dataset`): its records are
+transposed once and each column is parsed and checked in one pass, so the
+engine scores from the columns and no object is built.  A record must have
+as many fields as the header (fully blank lines are skipped), and an error
+names the physical line on which its record starts.
+
 Object CSVs keep full float precision (repr) so a written dataset re-reads to
 identical values.  All writers emit LF newlines and deterministic field order,
 so identical inputs produce byte-identical files.
@@ -31,8 +37,10 @@ import numpy as np
 from .engine import PairScores, RankedCandidates
 from .model import (
     Certainty,
+    Dataset,
+    FeatureColumn,
     FeatureKind,
-    FeatureValue,
+    FeatureSchema,
     InformationObject,
     ProximityBreakdown,
     Schema,
@@ -171,67 +179,160 @@ def write_objects_csv(
             writer.writerows(_with_float_texts(chunk, memo))
 
 
-def _parse_value(feature_kind: FeatureKind, text: str):
-    if feature_kind is FeatureKind.NOMINAL:
-        return text
-    if feature_kind is FeatureKind.ORDINAL_FUZZY:
+def _number(text: str, rank: bool):
+    """One cell's number as Python parses it: an ``int`` where a rank's text
+    is an integer, else a ``float``.  Raises ValueError with the message a
+    bad value is reported with, also for a value beyond the float range."""
+    if rank:
         try:
-            return int(text)
+            value = int(text)
         except ValueError:
-            pass
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text!r}")
-    return value
+            value = float(text)
+    else:
+        value = float(text)
+    try:
+        if math.isfinite(value):
+            return value
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ValueError(f"non-finite number {text!r}")
 
 
-def read_objects_csv(path: str | Path, schema: Schema) -> list[InformationObject]:
+def _numbers(cells: list[str], rank: bool) -> tuple[list, np.ndarray, int, str]:
+    """Parse a column of stripped cells, ``"0"`` standing for each empty one:
+    (payloads, their float64 values, the index of the first bad cell or
+    ``len(cells)``, its message).  Every cell is parsed at C speed through
+    ``map`` unless one fails; then they are parsed one at a time."""
+    try:
+        payloads = list(map(int if rank else float, cells))
+        values = np.array(payloads, dtype=float)  # OverflowError for an int beyond the float range
+        if np.isfinite(values).all():
+            return payloads, values, len(cells), ""
+    except (ValueError, OverflowError):
+        pass
+    payloads = []
+    for k, text in enumerate(cells):
+        try:
+            payloads.append(_number(text, rank))
+        except ValueError as exc:
+            return payloads, np.empty(0), k, str(exc)
+    return payloads, np.array(payloads, dtype=float), len(cells), ""
+
+
+def _certainty_levels(cells: Sequence[str]) -> tuple[np.ndarray, dict[str, str]]:
+    """Each stripped cell's certainty level (CERTAIN where empty, NaN where
+    unknown) and the message of each unknown label."""
+    levels, errors = {"": Certainty.CERTAIN.value}, {}
+    for text in set(cells) - {""}:
+        try:
+            levels[text] = Certainty.from_label(text).value
+        except ValueError as exc:
+            levels[text], errors[text] = math.nan, str(exc)
+    return np.fromiter(map(levels.__getitem__, cells), float, len(cells)), errors
+
+
+def _feature_column(
+    feature: FeatureSchema, cells: list[list[str]], certainty_cells: Sequence[str] | None
+) -> FeatureColumn | tuple[int, str]:
+    """A feature's column from its stripped value cells, one list per axis,
+    and its certainty cells; or the (record index, message) of its first bad
+    record.  Within a record a partial value is reported first, then the
+    first bad axis, then an unknown certainty label."""
+    n = len(cells[0])
+    filled = [np.fromiter(map(bool, axis), bool, n) for axis in cells]
+    present = np.logical_and.reduce(filled)
+    bad = [(np.flatnonzero(np.logical_or.reduce(filled) & ~present), f"partial value for feature {feature.name!r}")]
+    parsed = []
+    if feature.kind is not FeatureKind.NOMINAL:
+        rank = feature.kind is FeatureKind.ORDINAL_FUZZY
+        for axis in cells:
+            payloads, values, first, message = _numbers([text or "0" for text in axis], rank)
+            parsed.append((payloads, values))
+            bad.append(([first] if first < n else [], f"bad value for {feature.name!r}: {message}"))
+    levels = np.ones(n)
+    if certainty_cells is not None:
+        texts = list(map(str.strip, certainty_cells))
+        levels, unknown_labels = _certainty_levels(texts)
+        unknown = np.flatnonzero(present & np.isnan(levels))
+        if len(unknown):
+            bad.append((unknown, f"bad certainty for {feature.name!r}: {unknown_labels[texts[unknown[0]]]}"))
+    errors = [(int(rows[0]), order, message) for order, (rows, message) in enumerate(bad) if len(rows)]
+    if errors:
+        record, _, message = min(errors)
+        return record, message
+    certainty = np.where(present, levels, 1.0)
+    if feature.kind is FeatureKind.NOMINAL:
+        labels = np.empty(n, dtype=object)
+        labels[:] = cells[0]
+        return FeatureColumn(present, np.where(present, labels, None), certainty)
+    values = np.where(present[:, None], np.stack([v for _, v in parsed], axis=1), 0.0)
+    if feature.kind is FeatureKind.QUANTITATIVE:
+        return FeatureColumn(present, values, certainty)
+    ranks = tuple(r if held else None for r, held in zip(parsed[0][0], present.tolist()))
+    return FeatureColumn(present, values, certainty, ranks)
+
+
+def read_dataset(path: str | Path, schema: Schema) -> Dataset:
+    """Read a dataset CSV into columns.
+
+    The records are transposed to columns once, and each column is parsed
+    and checked in one pass with Python's ``float`` and ``int``: every
+    number must be finite, a feature is given on all of its axes or on none,
+    and a certainty must be a known label.  The first bad record in file
+    order, and in it the first bad feature in schema order, raises
+    :class:`DataError` naming the physical line on which the record starts.
+    Fully blank lines are skipped; every other record must have as many
+    fields as the header.
+    """
     columns = _value_columns(schema)
-    objects: list[InformationObject] = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{path}: empty dataset file")
         # Every value column is named, also when left empty for an absent feature.
         required = ["object_id", "source_id", *(c for c, _, _ in columns)]
-        missing = [c for c in required if c not in reader.fieldnames]
+        missing = [c for c in required if c not in header]
         if missing:
             raise DataError(f"{path}: missing columns {missing}")
         known = dataset_header(schema)
-        unknown = [c for c in reader.fieldnames if c not in known]
+        unknown = [c for c in header if c not in known]
         if unknown:
             raise DataError(f"{path}: unknown columns {unknown}")
-        # Each feature with its value columns and its certainty column.
-        features = [
-            (f, [c for c, name, _ in columns if name == f.name], f"{f.name}_certainty") for f in schema.features
-        ]
-        for line, row in enumerate(reader, start=2):
-            values: dict[str, FeatureValue] = {}
-            for f, cols, certainty_column in features:
-                cells = [row.get(c, "") or "" for c in cols]
-                if all(cell.strip() == "" for cell in cells):
-                    continue
-                if any(cell.strip() == "" for cell in cells):
-                    raise DataError(f"{path}:{line}: partial value for feature {f.name!r}")
-                try:
-                    if f.axes:
-                        payload = tuple(_parse_value(f.kind, c.strip()) for c in cells)
-                    else:
-                        payload = _parse_value(f.kind, cells[0].strip())
-                except ValueError as exc:
-                    raise DataError(f"{path}:{line}: bad value for {f.name!r}: {exc}") from exc
-                certainty_text = (row.get(certainty_column, "") or "").strip()
-                try:
-                    certainty = Certainty.from_label(certainty_text) if certainty_text else Certainty.CERTAIN
-                except ValueError as exc:
-                    raise DataError(f"{path}:{line}: bad certainty for {f.name!r}: {exc}") from exc
-                values[f.name] = FeatureValue(payload, certainty)
-            objects.append(
-                InformationObject(
-                    object_id=row["object_id"], source_id=row["source_id"], values=values
-                )
-            )
-    return objects
+        records, lines = [], []
+        line = reader.line_num
+        for record in reader:
+            if record:
+                records.append(record)
+                lines.append(line + 1)
+            line = reader.line_num
+    # A record of another width ends the checked records: an earlier bad
+    # record is reported first.
+    width = len(header)
+    ragged = np.flatnonzero(np.fromiter(map(len, records), int, len(records)) != width)
+    checked = int(ragged[0]) if len(ragged) else len(records)
+    fields = list(zip(*records[:checked])) or [()] * width
+    # A name given twice takes its last column, as a csv.DictReader row does.
+    at = {name: k for k, name in enumerate(header)}
+    features, first = {}, None
+    for f in schema.features:
+        cells = [list(map(str.strip, fields[at[c]])) for c, name, _ in columns if name == f.name]
+        certainty = at.get(f"{f.name}_certainty")
+        column = _feature_column(f, cells, None if certainty is None else fields[certainty])
+        if isinstance(column, FeatureColumn):
+            features[f.name] = column
+        elif first is None or column[0] < first[0]:
+            first = column
+    if first is not None:
+        raise DataError(f"{path}:{lines[first[0]]}: {first[1]}")
+    if checked < len(records):
+        raise DataError(f"{path}:{lines[checked]}: expected {width} fields, found {len(records[checked])}")
+    return Dataset(schema, fields[at["object_id"]], fields[at["source_id"]], features)
+
+
+def read_objects_csv(path: str | Path, schema: Schema) -> list[InformationObject]:
+    """The objects of a dataset CSV (see :func:`read_dataset`)."""
+    return list(read_dataset(path, schema))
 
 
 def breakdown_header(schema: Schema) -> list[str]:

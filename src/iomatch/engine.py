@@ -1,7 +1,13 @@
 """Pairwise proximity evaluation over two cross-source datasets.
 
+The engine's input is two columnar datasets (:class:`~iomatch.model.Dataset`);
+:class:`MatchRun` turns objects given in place of one into one, once.
+Validation reads the columns: the payload violations a dataset carries,
+duplicate ids, mixed or missing source profiles, and relative-k supports
+that exclude their rank, each distinct rank of a source tried once.
+
 Every feature is scored for a list of pair cells at once: a kernel turns the
-two datasets' values at those cells into 1-D proximities, a presence mask
+two datasets' columns at those cells into 1-D proximities, a presence mask
 says where both objects hold the feature, and aggregation folds those
 columns through one weight resolver and two kernels (a weighted geometric
 product and a weighted sum of distances).  The result stays columnar; a
@@ -40,6 +46,8 @@ from . import quant
 from .fuzzy import IdentificationPowerWarning, triangular_from_relative_error
 from .model import (
     MAX_NOMINAL_DELTA,
+    Dataset,
+    FeatureColumn,
     FeatureKind,
     FeatureSchema,
     FeatureScore,
@@ -49,8 +57,6 @@ from .model import (
     ProximityBreakdown,
     Schema,
     SourceProfile,
-    is_finite_number,
-    object_violations,
     profile_violations,
     schema_violations,
 )
@@ -70,14 +76,24 @@ class MatchRunError(ValueError):
 
 @dataclass(frozen=True)
 class MatchRun:
-    """One matching task: schema, source accuracies, two datasets, aggregation."""
+    """One matching task: schema, source accuracies, two datasets, aggregation.
+
+    Each dataset is a :class:`Dataset`; objects given in its place are turned
+    into one here, once, as is a dataset read for another schema.
+    """
 
     schema: Schema
     profiles: Mapping[str, SourceProfile]
-    dataset_a: tuple[InformationObject, ...]
-    dataset_b: tuple[InformationObject, ...]
+    dataset_a: Dataset
+    dataset_b: Dataset
     aggregation: agg.AggregationSpec = agg.AggregationSpec()
     candidate_threshold: float = 0.01
+
+    def __post_init__(self):
+        for side in ("dataset_a", "dataset_b"):
+            data = getattr(self, side)
+            if not isinstance(data, Dataset) or data.schema != self.schema:
+                object.__setattr__(self, side, Dataset.from_objects(data, self.schema))
 
 
 def run_violations(run: MatchRun) -> list[str]:
@@ -88,21 +104,21 @@ def run_violations(run: MatchRun) -> list[str]:
     if not 0.0 <= run.candidate_threshold <= 1.0:
         errors.append(f"candidate threshold {run.candidate_threshold} outside [0, 1]")
     for label, dataset in (("A", run.dataset_a), ("B", run.dataset_b)):
-        sources = {obj.source_id for obj in dataset}
+        sources = set(dataset.source_ids)
         if len(sources) > 1:
             errors.append(f"dataset {label} mixes source ids {sorted(sources)}")
         for sid in sources:
             if sid not in run.profiles:
                 errors.append(f"dataset {label}: no profile for source {sid!r}")
         # Ids key every report and candidate lookup, so each names one object.
-        for oid, count in Counter(obj.object_id for obj in dataset).items():
-            if count > 1:
-                errors.append(f"dataset {label}: object id {oid!r} appears {count} times")
-        for obj in dataset:
-            errors.extend(object_violations(obj, run.schema))
-            errors.extend(_support_violations(obj, run.schema, run.profiles.get(obj.source_id)))
-    a_sources = {obj.source_id for obj in run.dataset_a}
-    b_sources = {obj.source_id for obj in run.dataset_b}
+        if len(set(dataset.ids)) < len(dataset.ids):
+            for oid, count in Counter(dataset.ids).items():
+                if count > 1:
+                    errors.append(f"dataset {label}: object id {oid!r} appears {count} times")
+        # Per object: its payload violations, then its collapsed supports.
+        found = sorted((*dataset.violations, *_collapsed_supports(dataset, run)), key=lambda v: v[0])
+        errors.extend(message for _, message in found)
+    a_sources, b_sources = set(run.dataset_a.source_ids), set(run.dataset_b.source_ids)
     if a_sources and a_sources == b_sources:
         errors.append("both datasets reference the same source id")
     errors.extend(agg.weight_violations(run.schema, run.aggregation))
@@ -114,28 +130,39 @@ def _relative_k(feature: FeatureSchema, profile: SourceProfile) -> float | None:
     return acc.relative_k if isinstance(acc, OrdinalAccuracy) else None
 
 
-def _support_violations(
-    obj: InformationObject, schema: Schema, profile: SourceProfile | None
-) -> list[str]:
-    """Ranks whose relative-k triangle rounds to a support that excludes the rank."""
-    if profile is None:
-        return []
-    errors = []
-    for feature in schema.features:
-        fv = obj.values.get(feature.name)
-        if feature.kind is not FeatureKind.ORDINAL_FUZZY or fv is None:
+def _keeps_rank(rank: float, k: float) -> bool:
+    try:
+        triangular_from_relative_error(rank, k)
+    except ValueError:
+        return False
+    return True
+
+
+def _collapsed_supports(dataset: Dataset, run: MatchRun) -> list[tuple[int, str]]:
+    """(object index, message) of every rank whose relative-k triangle rounds
+    to a support that excludes the rank; each distinct rank of a source is
+    tried once, in feature order."""
+    found = []
+    source_ids = np.array(dataset.source_ids, dtype=object)
+    for sid in dict.fromkeys(dataset.source_ids):
+        profile = run.profiles.get(sid)
+        if profile is None:
             continue
-        k = _relative_k(feature, profile)
-        if k is None or not is_finite_number(fv.value) or not 0.0 < k < 1.0:
-            continue
-        try:
-            triangular_from_relative_error(float(fv.value), k)
-        except ValueError:
-            errors.append(
-                f"{obj.object_id}/{feature.name}: relative k {k} of source {obj.source_id!r} "
-                f"rounds the support of rank {fv.value} onto the rank itself"
-            )
-    return errors
+        for feature in run.schema.features:
+            k = _relative_k(feature, profile) if feature.kind is FeatureKind.ORDINAL_FUZZY else None
+            if k is None or not 0.0 < k < 1.0:
+                continue
+            column = dataset.columns[feature.name]
+            held = column.present & (source_ids == sid)
+            ranks = column.values[:, 0]
+            collapsed = [r for r in set(ranks[held].tolist()) if not _keeps_rank(r, k)]
+            for i in np.flatnonzero(held & np.isin(ranks, collapsed)).tolist():
+                found.append((
+                    i,
+                    f"{dataset.ids[i]}/{feature.name}: relative k {k} of source {sid!r} "
+                    f"rounds the support of rank {column.ranks[i]} onto the rank itself",
+                ))
+    return found
 
 
 def _run_xi(feature: FeatureSchema, profiles: Iterable[SourceProfile]) -> float:
@@ -153,6 +180,9 @@ def _run_xi(feature: FeatureSchema, profiles: Iterable[SourceProfile]) -> float:
 # cells, in the shape the two index arrays broadcast to (1-D lists of cells,
 # or an (n_a, 1) and a (1, n_b) range for the whole grid).  Absent values are
 # filled with harmless placeholders; the presence mask removes them later.
+# ``kernel(rows, cols, wanted)`` may leave the cells outside the mask
+# ``wanted`` unscored (0): the quantitative kernel, whose Phi terms cost a
+# ``math.erf`` call each, does so.
 
 
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
@@ -195,15 +225,16 @@ class _Windows:
 
 
 def _quantitative_column(
-    windows: _Windows, has_a, has_b, sigma_a: float, sigma_b: float, xi: float, rows, cols
+    windows: _Windows, has_a, has_b, sigma_a: float, sigma_b: float, xi: float, rows, cols, wanted=True
 ) -> np.ndarray:
     """Per-axis joint three-sigma overlap probability times the confidence
     coefficient, multiplied over the axes.
 
-    The probabilities are computed only where both values are present and
-    every axis's windows overlap; elsewhere the proximity is exactly 0.
+    The probabilities are computed only where both values are present, every
+    axis's windows overlap and the cell is ``wanted``; elsewhere the
+    proximity is 0.
     """
-    live = has_a[rows] & has_b[cols] & windows.meet(rows, cols)
+    live = has_a[rows] & has_b[cols] & wanted & windows.meet(rows, cols)
     proximity = np.zeros(live.shape)
     if not live.any():
         return proximity
@@ -287,7 +318,7 @@ def _gaussian_possibility(ra, ha, sa: float, rb, hb, sb: float) -> np.ndarray:
         )
 
 
-def _ordinal_column(side_a, width_a: float, side_b, width_b: float, gaussian: bool, rows, cols) -> np.ndarray:
+def _ordinal_column(side_a, width_a: float, side_b, width_b: float, gaussian: bool, rows, cols, wanted=True) -> np.ndarray:
     """Possibility of two memberships, each side given as (lo, peak, hi, height) columns."""
     side_a = tuple(c[rows] for c in side_a)
     side_b = tuple(c[cols] for c in side_b)
@@ -296,53 +327,40 @@ def _ordinal_column(side_a, width_a: float, side_b, width_b: float, gaussian: bo
     return _triangular_possibility(side_a, side_b)
 
 
-def _nominal_column(codes_a, codes_b, delta: float, rows, cols) -> np.ndarray:
+def _nominal_column(codes_a, codes_b, delta: float, rows, cols, wanted=True) -> np.ndarray:
     return np.where(codes_a[rows] == codes_b[cols], 1.0, delta)
 
 
-def _quantitative_values(feature: FeatureSchema, dataset) -> np.ndarray:
-    """(n, axes) array of one side's components; 0 where absent."""
-    rows = []
-    for obj in dataset:
-        fv = obj.values.get(feature.name)
-        if fv is None:
-            rows.append((0.0,) * feature.arity)
-        else:
-            rows.append(fv.value if feature.axes else (fv.value,))
-    return np.array(rows, dtype=float).reshape(len(rows), feature.arity)
-
-
-def _ordinal_memberships(feature: FeatureSchema, profile: SourceProfile, dataset):
+def _ordinal_memberships(feature: FeatureSchema, profile: SourceProfile, column: FeatureColumn):
     """(lo, peak, hi, height) arrays of one side's memberships, and the width
     (half-width or Gaussian spread) the side uses; lo and hi are unused for
-    Gaussians, and absent values get a placeholder triangle."""
+    Gaussians, and absent values get a placeholder triangle.  A relative-k
+    support is rounded once per distinct rank."""
     acc = profile.accuracy.get(feature.name)
     k = _relative_k(feature, profile)
     width = acc.width if isinstance(acc, OrdinalAccuracy) and acc.width is not None else feature.ordinal_params.width
-    rows = []
-    for obj in dataset:
-        fv = obj.values.get(feature.name)
-        if fv is None:
-            rows.append((-1.0, 0.0, 1.0, 1.0))
-            continue
-        rank = float(fv.value)
-        if k is not None:
-            triangle = triangular_from_relative_error(rank, k)
-            lo, hi = triangle.g_min, triangle.g_max
-        else:
-            lo, hi = rank - width, rank + width
-        rows.append((lo, rank, hi, fv.certainty.value))
-    columns = np.array(rows, dtype=float).reshape(len(rows), 4)
-    return tuple(columns[:, m] for m in range(4)), width
+    present, peak = column.present, column.values[:, 0]
+    if k is None:
+        lo, hi = np.where(present, peak - width, -1.0), np.where(present, peak + width, 1.0)
+    else:
+        # Distinct ranks by bit pattern: np.unique on a float array would
+        # import numpy.ma, about 1 MiB, on the first call.
+        ranks, at = np.unique(peak[present].view(np.uint64), return_inverse=True)
+        supports = [triangular_from_relative_error(r, k) for r in ranks.view(np.float64).tolist()]
+        lo, hi = np.full(len(peak), -1.0), np.full(len(peak), 1.0)
+        lo[present] = np.array([m.g_min for m in supports], dtype=float)[at]
+        hi[present] = np.array([m.g_max for m in supports], dtype=float)[at]
+    return (lo, peak, hi, column.certainty), width
 
 
-def _nominal_codes(feature: FeatureSchema, dataset, codes: dict, missing: int) -> np.ndarray:
-    """One side's labels as integer codes shared through ``codes``; ``missing`` where absent."""
-    return np.array(
-        [codes.setdefault(o.values[feature.name].value, len(codes)) if feature.name in o.values else missing
-         for o in dataset],
-        dtype=np.int64,
-    )
+def _nominal_codes(column_a: FeatureColumn, column_b: FeatureColumn) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides' labels as integer codes, equal where the labels are; -1
+    and -2 where absent."""
+    held_a, held_b = column_a.values[column_a.present], column_b.values[column_b.present]
+    _, codes = np.unique(np.concatenate([held_a, held_b]), return_inverse=True)
+    codes_a, codes_b = np.full(len(column_a.present), -1), np.full(len(column_b.present), -2)
+    codes_a[column_a.present], codes_b[column_b.present] = codes.ravel()[: len(held_a)], codes.ravel()[len(held_a) :]
+    return codes_a, codes_b
 
 
 @dataclass(frozen=True)
@@ -360,20 +378,18 @@ class _FeatureSides:
 
 
 def _feature_sides(run: MatchRun, feature: FeatureSchema, profile_a, profile_b) -> _FeatureSides:
-    has_a = np.array([feature.name in o.values for o in run.dataset_a], dtype=bool)
-    has_b = np.array([feature.name in o.values for o in run.dataset_b], dtype=bool)
+    column_a, column_b = run.dataset_a.columns[feature.name], run.dataset_b.columns[feature.name]
+    has_a, has_b = column_a.present, column_b.present
     if feature.kind is FeatureKind.QUANTITATIVE:
         sigma_a = profile_a.quantitative_sigma(feature.name)
         sigma_b = profile_b.quantitative_sigma(feature.name)
-        windows = _Windows.of(
-            _quantitative_values(feature, run.dataset_a), sigma_a, _quantitative_values(feature, run.dataset_b), sigma_b
-        )
+        windows = _Windows.of(column_a.values, sigma_a, column_b.values, sigma_b)
         xi = _run_xi(feature, run.profiles.values())
         kernel = functools.partial(_quantitative_column, windows, has_a, has_b, sigma_a, sigma_b, xi)
         return _FeatureSides(has_a, has_b, kernel, windows)
     if feature.kind is FeatureKind.ORDINAL_FUZZY:
-        side_a, width_a = _ordinal_memberships(feature, profile_a, run.dataset_a)
-        side_b, width_b = _ordinal_memberships(feature, profile_b, run.dataset_b)
+        side_a, width_a = _ordinal_memberships(feature, profile_a, column_a)
+        side_b, width_b = _ordinal_memberships(feature, profile_b, column_b)
         gaussian = feature.ordinal_params.shape is MembershipShape.GAUSSIAN
         kernel = functools.partial(_ordinal_column, side_a, width_a, side_b, width_b, gaussian)
         return _FeatureSides(has_a, has_b, kernel)
@@ -383,9 +399,7 @@ def _feature_sides(run: MatchRun, feature: FeatureSchema, profile_a, profile_b) 
             IdentificationPowerWarning,
             stacklevel=3,
         )
-    codes: dict = {}
-    codes_a = _nominal_codes(feature, run.dataset_a, codes, -1)
-    codes_b = _nominal_codes(feature, run.dataset_b, codes, -2)
+    codes_a, codes_b = _nominal_codes(column_a, column_b)
     return _FeatureSides(has_a, has_b, functools.partial(_nominal_column, codes_a, codes_b, feature.nominal_delta))
 
 
@@ -659,15 +673,17 @@ class PairScores(_Breakdowns):
         proximity, aggregate distance).
 
         Where the rows hold pruned cells, each feature's kernel scores the
-        whole block, and the stored cells then take their stored scores."""
+        block with the pruned cells ``wanted``, and the stored cells take
+        their stored scores."""
         stop = min(stop, len(self.ids_a))
         rows, cols = np.arange(start, stop)[:, None], np.arange(len(self.ids_b))[None, :]
         cells = self.cells
         lo, hi = np.searchsorted(cells.rows, (start, stop))
-        pruned = hi - lo < rows.size * cols.size
+        pruned = np.ones((stop - start, len(self.ids_b)), dtype=bool)
+        pruned[cells.rows[lo:hi] - start, cells.cols[lo:hi]] = False
         return (
             {
-                n: self._dense(cells.proximity[n], s.kernel(rows, cols) if pruned else 0.0, start, stop)
+                n: self._dense(cells.proximity[n], s.kernel(rows, cols, pruned) if hi - lo < pruned.size else 0.0, start, stop)
                 for n, s in self.sides.items()
             },
             {n: s.present(rows, cols) for n, s in self.sides.items()},
@@ -721,8 +737,8 @@ def pairwise_breakdowns(run: MatchRun) -> PairScores:
     n_a, n_b = len(run.dataset_a), len(run.dataset_b)
     sides: dict[str, _FeatureSides] = {}
     if n_a and n_b:
-        profile_a = run.profiles[run.dataset_a[0].source_id]
-        profile_b = run.profiles[run.dataset_b[0].source_id]
+        profile_a = run.profiles[run.dataset_a.source_ids[0]]
+        profile_b = run.profiles[run.dataset_b.source_ids[0]]
         for feature in run.schema.features:
             sides[feature.name] = _feature_sides(run, feature, profile_a, profile_b)
     rows, cols = _scored_cells(_blocking(run, sides), n_a, n_b)
@@ -731,8 +747,8 @@ def pairwise_breakdowns(run: MatchRun) -> PairScores:
     rows, cols = (np.broadcast_to(x, np.broadcast_shapes(rows.shape, cols.shape)).ravel() for x in (rows, cols))
     aggregate_p, aggregate_d = _aggregate(run.schema, run.aggregation, proximity, present, rows.shape)
     return PairScores(
-        (o.object_id for o in run.dataset_a),
-        (o.object_id for o in run.dataset_b),
+        run.dataset_a.ids,
+        run.dataset_b.ids,
         sides,
         rows,
         cols,

@@ -1,4 +1,5 @@
-"""Core data model: feature schema, source accuracy profiles, object records, results.
+"""Core data model: feature schema, source accuracy profiles, object records,
+columnar datasets, results.
 
 Everything here is an immutable value object; instances can be shared freely
 across concurrent evaluators.
@@ -6,10 +7,13 @@ across concurrent evaluators.
 
 from __future__ import annotations
 
+import collections.abc
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 from .quant import sigma_from_max_error
 
@@ -330,40 +334,156 @@ def is_finite_number(x) -> bool:
         return False
 
 
+def _value_error(feature: FeatureSchema, fv) -> str | None:
+    """What is wrong with one reported value of ``feature``, or None."""
+    if not isinstance(fv, FeatureValue):
+        return "expected a FeatureValue"
+    v = fv.value
+    if feature.kind is FeatureKind.QUANTITATIVE:
+        if feature.axes:
+            ok = isinstance(v, tuple) and len(v) == len(feature.axes) and all(is_finite_number(c) for c in v)
+            return None if ok else f"expected {len(feature.axes)} finite numeric components"
+        return None if is_finite_number(v) else "expected a finite numeric value"
+    if feature.kind is FeatureKind.ORDINAL_FUZZY:
+        if not is_finite_number(v):
+            return "expected a finite numeric rank"
+        # The certainty level is the height of the rank's membership.
+        return None if isinstance(fv.certainty, Certainty) else "expected a Certainty"
+    return None if isinstance(v, str) else "expected a label"
+
+
+def _by_name(schema: Schema) -> dict[str, FeatureSchema]:
+    """Each feature name with the first feature of that name, as ``Schema.feature`` finds it."""
+    return {f.name: f for f in reversed(schema.features)}
+
+
+def _checked_values(obj: InformationObject, features: Mapping[str, FeatureSchema]) -> tuple[list[str], dict]:
+    """An object's violations against ``features`` (by name) and its valid entries."""
+    errors, valid = [], {}
+    for name, fv in obj.values.items():
+        feature = features.get(name)
+        if feature is None:
+            errors.append(f"{obj.object_id}: value for unknown feature {name!r}")
+            continue
+        error = _value_error(feature, fv)
+        if error is None:
+            valid[name] = fv
+        else:
+            errors.append(f"{obj.object_id}/{name}: {error}")
+    return errors, valid
+
+
 def object_violations(obj: InformationObject, schema: Schema) -> list[str]:
     """Check one object's payloads against the schema; returns every violation."""
-    errors: list[str] = []
-    oid = obj.object_id
-    names = set(schema.names)
-    for name, fv in obj.values.items():
-        if name not in names:
-            errors.append(f"{oid}: value for unknown feature {name!r}")
-            continue
-        feature = schema.feature(name)
-        if not isinstance(fv, FeatureValue):
-            errors.append(f"{oid}/{name}: expected a FeatureValue")
-            continue
-        v = fv.value
-        if feature.kind is FeatureKind.QUANTITATIVE:
-            if feature.axes:
-                ok = (
-                    isinstance(v, tuple)
-                    and len(v) == len(feature.axes)
-                    and all(is_finite_number(c) for c in v)
-                )
-                if not ok:
-                    errors.append(
-                        f"{oid}/{name}: expected {len(feature.axes)} finite numeric components"
-                    )
-            elif not is_finite_number(v):
-                errors.append(f"{oid}/{name}: expected a finite numeric value")
-        elif feature.kind is FeatureKind.ORDINAL_FUZZY:
-            if not is_finite_number(v):
-                errors.append(f"{oid}/{name}: expected a finite numeric rank")
-        else:
-            if not isinstance(v, str):
-                errors.append(f"{oid}/{name}: expected a label")
-    return errors
+    return _checked_values(obj, _by_name(schema))[0]
+
+
+@dataclass(frozen=True, eq=False)
+class FeatureColumn:
+    """One feature of a dataset, one entry per object.
+
+    ``present`` marks the objects that hold a valid value of the feature.
+    ``values`` is a float64 ``(n, arity)`` array for a quantitative or
+    ordinal feature (0.0 where absent) and an object array of labels for a
+    nominal one (None where absent).  ``certainty`` holds each value's
+    certainty level (1.0 where absent).  ``ranks`` keeps an ordinal
+    feature's ranks as reported, an ``int`` where the text was an integer
+    (None where absent); the other kinds leave it None.
+    """
+
+    present: np.ndarray
+    values: np.ndarray
+    certainty: np.ndarray
+    ranks: tuple | None = None
+
+    def payload(self, feature: FeatureSchema, k: int) -> Payload:
+        """The k-th object's value as an :class:`InformationObject` holds it."""
+        if feature.kind is FeatureKind.NOMINAL:
+            return self.values[k]
+        if feature.kind is FeatureKind.ORDINAL_FUZZY:
+            return self.ranks[k]
+        return tuple(self.values[k].tolist()) if feature.axes else self.values[k, 0].item()
+
+
+def _object_column(feature: FeatureSchema, held: Sequence[FeatureValue | None]) -> FeatureColumn:
+    """The column of ``held``, each object's valid entry for the feature or None."""
+    n = len(held)
+    present = np.array([fv is not None for fv in held], dtype=bool)
+    # Validation lets a certainty that is not a Certainty pass only where no kernel reads it.
+    certainty = np.array(
+        [fv.certainty.value if fv is not None and isinstance(fv.certainty, Certainty) else 1.0 for fv in held],
+        dtype=float,
+    )
+    payloads = [None if fv is None else fv.value for fv in held]
+    if feature.kind is FeatureKind.NOMINAL:
+        labels = np.empty(n, dtype=object)
+        labels[:] = payloads
+        return FeatureColumn(present, labels, certainty)
+    if feature.kind is FeatureKind.ORDINAL_FUZZY:
+        ranks = np.array([0.0 if r is None else float(r) for r in payloads], dtype=float).reshape(n, 1)
+        return FeatureColumn(present, ranks, certainty, tuple(payloads))
+    zero = (0.0,) * feature.arity
+    rows = [zero if v is None else v if feature.axes else (v,) for v in payloads]
+    return FeatureColumn(present, np.array(rows, dtype=float).reshape(n, feature.arity), certainty)
+
+
+class Dataset(collections.abc.Sequence):
+    """One source's reports held as columns: ``ids`` and ``source_ids``,
+    and per feature of ``schema`` a :class:`FeatureColumn` in ``columns``.
+    ``violations`` lists the ``(object index, message)`` of every payload
+    that fails the schema; a dataset read from CSV has none, as the reader
+    rejects the file instead.
+
+    Indexing builds the :class:`InformationObject` of an entry on demand; a
+    dataset made by :meth:`from_objects` returns the objects it was given.
+    """
+
+    def __init__(
+        self,
+        schema: Schema,
+        ids: Sequence[str],
+        source_ids: Sequence[str],
+        columns: Mapping[str, FeatureColumn],
+        violations: Sequence[tuple[int, str]] = (),
+        objects: Sequence[InformationObject] | None = None,
+    ):
+        self.schema, self.ids, self.source_ids = schema, tuple(ids), tuple(source_ids)
+        self.columns, self.violations, self._objects = dict(columns), tuple(violations), objects
+
+    @classmethod
+    def from_objects(cls, objects: Iterable[InformationObject], schema: Schema) -> "Dataset":
+        """The columns of ``objects``, with :func:`object_violations` of each
+        in ``violations``; an entry that fails the schema counts as absent in
+        the columns, so this never raises on one."""
+        objects = tuple(objects)
+        features = _by_name(schema)
+        checked = [_checked_values(obj, features) for obj in objects]
+        violations = [(k, error) for k, (errors, _) in enumerate(checked) for error in errors]
+        columns = {f.name: _object_column(f, [valid.get(f.name) for _, valid in checked]) for f in schema.features}
+        return cls(
+            schema,
+            [obj.object_id for obj in objects],
+            [obj.source_id for obj in objects],
+            columns,
+            violations,
+            objects,
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        if self._objects is not None:
+            return self._objects[index]
+        k = range(len(self))[index]
+        values = {}
+        for f in self.schema.features:
+            column = self.columns[f.name]
+            if column.present[k]:
+                values[f.name] = FeatureValue(column.payload(f, k), Certainty(column.certainty[k].item()))
+        return InformationObject(self.ids[k], self.source_ids[k], values)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,15 @@
 These deliberately avoid the library's own computation paths: interval
 probabilities are estimated by Monte-Carlo sampling, possibilities by a dense
 grid search over an independent (clipped min-of-lines) membership formula,
-and whole-pair scores by composing the scalar functions one pair at a time
-in place of the columnar engine.
+whole-pair scores by composing the scalar functions one pair at a time in
+place of the columnar engine, and dataset files by reading one record and
+one feature at a time in place of the columnar reader.
 """
 
 from __future__ import annotations
+
+import csv
+import math
 
 import numpy as np
 
@@ -29,7 +33,9 @@ from iomatch.fuzzy import (
     triangular_from_halfwidth,
     triangular_from_relative_error,
 )
+from iomatch.dataio import DataError, dataset_header
 from iomatch.model import (
+    Certainty,
     FeatureKind,
     FeatureSchema,
     FeatureValue,
@@ -166,3 +172,75 @@ def scalar_pair_scores(run, a: InformationObject, b: InformationObject):
         if f.name in a.values and f.name in b.values
     }
     return (proximities, *scalar_aggregate(run.schema, run.aggregation, proximities))
+
+
+# --- record-by-record reference for the columnar CSV reader -----------------------
+
+
+def _parse_value(kind: FeatureKind, text: str):
+    if kind is FeatureKind.NOMINAL:
+        return text
+    if kind is FeatureKind.ORDINAL_FUZZY:
+        try:
+            value = int(text)
+        except ValueError:
+            value = float(text)
+    else:
+        value = float(text)
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
+def read_objects_by_record(path, schema: Schema) -> list[InformationObject]:
+    """A dataset CSV read one record at a time, each record one feature at a
+    time, through a dict per record as ``csv.DictReader`` builds it.  Fully
+    blank lines are skipped; a record of another width than the header is
+    rejected; errors name the physical line on which the record starts."""
+    value_columns = {
+        f.name: [f"{f.name}_{axis}" for axis in f.axes] if f.axes else [f.name] for f in schema.features
+    }
+    objects: list[InformationObject] = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty dataset file")
+        required = ["object_id", "source_id", *(c for f in schema.features for c in value_columns[f.name])]
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise DataError(f"{path}: missing columns {missing}")
+        unknown = [c for c in header if c not in dataset_header(schema)]
+        if unknown:
+            raise DataError(f"{path}: unknown columns {unknown}")
+        end = reader.line_num
+        for fields in reader:
+            line, end = end + 1, reader.line_num
+            if not fields:
+                continue
+            if len(fields) != len(header):
+                raise DataError(f"{path}:{line}: expected {len(header)} fields, found {len(fields)}")
+            row = dict(zip(header, fields))
+            values: dict[str, FeatureValue] = {}
+            for f in schema.features:
+                cells = [row[c] for c in value_columns[f.name]]
+                if all(cell.strip() == "" for cell in cells):
+                    continue
+                if any(cell.strip() == "" for cell in cells):
+                    raise DataError(f"{path}:{line}: partial value for feature {f.name!r}")
+                try:
+                    parsed = [_parse_value(f.kind, cell.strip()) for cell in cells]
+                except ValueError as exc:
+                    raise DataError(f"{path}:{line}: bad value for {f.name!r}: {exc}") from exc
+                certainty_text = row.get(f"{f.name}_certainty", "").strip()
+                try:
+                    certainty = Certainty.from_label(certainty_text) if certainty_text else Certainty.CERTAIN
+                except ValueError as exc:
+                    raise DataError(f"{path}:{line}: bad certainty for {f.name!r}: {exc}") from exc
+                values[f.name] = FeatureValue(tuple(parsed) if f.axes else parsed[0], certainty)
+            objects.append(InformationObject(row["object_id"], row["source_id"], values))
+    return objects

@@ -6,6 +6,7 @@ rest are implied.  Every cell, stored or implied, must still equal the
 per-pair composition of the scalar functions.
 """
 
+import dataclasses
 import math
 import random
 import subprocess
@@ -216,8 +217,7 @@ SCENE_CONFIG = """{
 """
 
 
-def test_stored_cells_equal_brute_force_window_count():
-    sides = _scene(300, 5)
+def _scene_scores(sides):
     schema = Schema((
         FeatureSchema("position", FeatureKind.QUANTITATIVE, 0.5, quantitative_xi=30.0, axes=("x", "y")),
         FeatureSchema("type", FeatureKind.NOMINAL, 0.5, nominal_delta=0.1),
@@ -230,13 +230,46 @@ def test_stored_cells_equal_brute_force_window_count():
     profiles = {
         s: SourceProfile(s, {"position": QuantAccuracy(sigma=sigma)}) for s, sigma in (("a", 20.0), ("b", 30.0))
     }
-    scores = pairwise_breakdowns(MatchRun(schema, profiles, datasets["a"], datasets["b"]))
+    return pairwise_breakdowns(MatchRun(schema, profiles, datasets["a"], datasets["b"]))
+
+
+def test_stored_cells_equal_brute_force_window_count():
+    sides = _scene(300, 5)
+    scores = _scene_scores(sides)
     pa, pb = (np.array([(x, y) for _, x, y, _ in sides[s]]) for s in "ab")
     lo_a, hi_a = pa - THREE_SIGMA * 20.0, pa + THREE_SIGMA * 20.0
     lo_b, hi_b = pb - THREE_SIGMA * 30.0, pb + THREE_SIGMA * 30.0
     meet = np.all((lo_a[:, None] <= hi_b[None]) & (lo_b[None] <= hi_a[:, None]), axis=2)
     assert 0 < len(scores.cells) == int(meet.sum()) < len(scores) // 100
     assert list(zip(scores.cells.rows.tolist(), scores.cells.cols.tolist())) == list(zip(*np.nonzero(meet)))
+
+
+def test_block_scores_only_the_pruned_cells():
+    """The kernels are asked for a block's pruned cells alone: the stored
+    cells keep their stored scores, so no Phi term is computed again for
+    them, and here every pruned pair's windows miss, so none at all."""
+    scores = _scene_scores(_scene(300, 5))
+    grid = np.arange(120)[:, None], np.arange(len(scores.ids_b))[None, :]
+    dense = {name: side.kernel(*grid) for name, side in scores.sides.items()}
+    wanted = []
+
+    def counted(kernel):
+        def score(rows, cols, mask):
+            wanted.append(mask.copy())
+            return kernel(rows, cols, mask)
+        return score
+
+    for name, side in scores.sides.items():
+        scores.sides[name] = dataclasses.replace(side, kernel=counted(side.kernel))
+    with mock.patch("math.erf", side_effect=AssertionError("math.erf called")):
+        proximity = scores.block(0, 120)[0]
+    pruned = np.ones((120, len(scores.ids_b)), dtype=bool)
+    stored = scores.cells.rows < 120
+    pruned[scores.cells.rows[stored], scores.cells.cols[stored]] = False
+    assert 0 < pruned.sum() < pruned.size and len(wanted) == len(scores.sides)
+    assert all(np.array_equal(mask, pruned) for mask in wanted)
+    for name in scores.sides:
+        assert np.array_equal(proximity[name][pruned], dense[name][pruned])
 
 
 PEAK_RSS = """\

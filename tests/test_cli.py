@@ -1,11 +1,19 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from iomatch.cli import main
 from iomatch.config import load_config
 from iomatch.dataio import read_objects_csv
 from iomatch.engine import MatchRun, candidates, pairwise_breakdowns
+from iomatch.model import InformationObject
+from test_config_dataio import FUZZ_CONFIG, fuzz_files, mutated_configs, write_rows
 
 CONFIG = {
     "schema": {
@@ -98,6 +106,23 @@ class TestMatch:
         payload = json.loads((out_dir / "candidates.json").read_text())
         assert payload["pair_count"] == 2
         assert payload["candidates"][0]["a"] == "a1"
+
+    def test_match_builds_no_information_object(self, tmp_path, config_path, capsys):
+        """match reads both files into columns and scores from the columns."""
+        a = write(tmp_path, "a.csv", "object_id,source_id,speed,type\na1,alpha,12.0,tank\na2,alpha,300.0,\n")
+        b = write(tmp_path, "b.csv", "object_id,source_id,speed,type\nb1,beta,12.5,tank\n")
+        built = []
+        init = InformationObject.__init__
+
+        def counted(obj, *args, **kwargs):
+            built.append(obj)
+            init(obj, *args, **kwargs)
+
+        with mock.patch.object(InformationObject, "__init__", counted):
+            assert main(["match", "--config", str(config_path), str(a), str(b), "--out", str(tmp_path / "out")]) == 0
+            assert built == []
+            assert len(read_objects_csv(a, load_config(config_path).schema)) == len(built) == 2
+        assert "pairs evaluated: 2" in capsys.readouterr().out
 
     def test_stdout_equals_per_breakdown_lines(self, tmp_path, config_path, capsys):
         """The console list, written from the candidate columns, equals one
@@ -217,6 +242,30 @@ class TestRejectedAtValidation:
         assert captured.err == f"error: {a}: missing columns ['position_x', 'position_y', 'type']\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("text, message", [
+        # A short record was read as an object with no features, listed first
+        # against every B object at 1.0000.
+        ("a1,a,10.0,20.0,tank\na2,a\n", "3: expected 5 fields, found 2"),
+        # The line was the record index + 2, so a blank line shifted it.
+        ("a1,a,10.0,20.0,tank\n\na2,a,oops,20.0,tank\n",
+         "4: bad value for 'position': could not convert string to float: 'oops'"),
+    ])
+    def test_bad_record_named_by_its_line(self, tmp_path, capsys, text, message):
+        config = {
+            "schema": {"features": [
+                {"name": "position", "kind": "quantitative", "weight": 0.5, "axes": ["x", "y"], "xi": 30.0},
+                {"name": "type", "kind": "nominal", "weight": 0.5, "delta": 0.1},
+            ]},
+            "sources": {"a": {"position": {"sigma": 20.0}}, "b": {"position": {"sigma": 30.0}}},
+        }
+        path = write(tmp_path, "config.json", json.dumps(config))
+        header = "object_id,source_id,position_x,position_y,type\n"
+        a = write(tmp_path, "a.csv", header + text)
+        b = write(tmp_path, "b.csv", header + "b1,b,12.0,21.0,tank\nb2,b,500.0,500.0,truck\n")
+        assert main(["match", "--config", str(path), str(a), str(b)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {a}:{message}\n" and captured.out == ""
+
     def test_duplicate_object_id(self, tmp_path, capsys):
         assert self.match(tmp_path, RANKED_CONFIG, "a1,alpha,12.0,4\na1,alpha,13.0,5\n") == 1
         captured = capsys.readouterr()
@@ -303,3 +352,60 @@ class TestSimulate:
         assert "mean proximity, true pairs: 0." in out
         mean_line = [l for l in out.splitlines() if "true pairs" in l][0]
         assert len(mean_line.rsplit("0.", 1)[1]) == 4
+
+
+# --- the command line on arbitrary files ----------------------------------------
+
+THRESHOLD_TEXTS = st.sampled_from(["0", "1", "0.01", "-0.5", "1.5", "nan", "inf", "-inf", "1e-300"]) | st.builds(
+    repr, st.floats()
+)
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv builder, config document or None, dataset files): argv over
+    the four verbs, with the files drawn from the reader and config fuzz."""
+    verb = draw(st.sampled_from(["validate", "measure", "match", "simulate"]))
+    doc = draw(st.just(FUZZ_CONFIG) | mutated_configs())
+    files = [draw(fuzz_files()) for _ in range({"measure": 1, "match": 2}.get(verb, 0))]
+    options = []
+    if verb in ("match", "simulate") and draw(st.booleans()):
+        # With "=", argparse takes a value such as -1e+16 that it would read as an option.
+        options.append(f"--threshold={draw(THRESHOLD_TEXTS)}")
+    if verb == "simulate":
+        # A scene of n objects scores n^2 pairs: keep drawn scenes small.
+        count = doc.get("simulation", {}).get("object_count") if isinstance(doc.get("simulation"), dict) else None
+        assume(not isinstance(count, int) or count <= 30)
+        if draw(st.booleans()):
+            options.append(f"--seed={draw(st.integers(-3, 2**70))}")
+    formats = {"match": ["csv", "json"], "simulate": ["csv", "json", "svg"]}.get(verb)
+    if formats and draw(st.booleans()):
+        options.append(f"--format={draw(st.sampled_from(formats))}")
+    with_config = verb != "simulate" or draw(st.booleans())
+    return verb, doc if with_config else None, files, options, formats is not None and draw(st.booleans())
+
+
+class TestCommandLineFuzz:
+    """Every run exits 0, 1 or 2, writes nothing to stderr but ``error:``
+    lines, and never raises."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(cli_runs())
+    def test_main(self, drawn):
+        verb, doc, files, options, out = drawn
+        with tempfile.TemporaryDirectory() as directory:
+            root = Path(directory)
+            argv = [verb]
+            if doc is not None:
+                (root / "config.json").write_text(json.dumps(doc))
+                argv += ["--config", str(root / "config.json")]
+            for k, (header, records) in enumerate(files):
+                write_rows(root / f"{k}.csv", [header, *records])
+                argv.append(str(root / f"{k}.csv"))
+            argv += options + (["--out", str(root / "out")] if out else [])
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        assert code in (0, 1, 2)
+        assert all(line.startswith("error: ") for line in stderr.getvalue().splitlines()), stderr.getvalue()
+        assert (code == 0) == (stderr.getvalue() == "")

@@ -20,14 +20,16 @@ from iomatch.dataio import (
     breakdown_record,
     dataset_header,
     float_texts,
+    read_dataset,
     read_objects_csv,
     write_breakdowns_csv,
     write_json,
     write_objects_csv,
 )
 from iomatch.engine import candidates, pairwise_breakdowns, MatchRun
-from iomatch.model import Certainty, FeatureValue, InformationObject
+from iomatch.model import Certainty, Dataset, FeatureValue, InformationObject
 from iomatch.simulate import SceneSpec, run_experiment
+from oracles import read_objects_by_record
 
 FULL_CONFIG = {
     "schema": {
@@ -178,6 +180,80 @@ class TestDatasetCsv:
         path.write_text(f"{header}\n")
         with pytest.raises(DataError, match=message):
             read_objects_csv(path, self.schema)
+
+    def test_ragged_record_rejected(self, tmp_path):
+        """A short record was read as an object with no features, which then
+        scored 1.0 against every object of the other side."""
+        path = tmp_path / "ragged.csv"
+        path.write_text("object_id,source_id,position_x,position_y,readiness,type\no1,s1,1.0,2.0,4,tank\no2,s1\n")
+        with pytest.raises(DataError) as excinfo:
+            read_objects_csv(path, self.schema)
+        assert str(excinfo.value) == f"{path}:3: expected 6 fields, found 2"
+        path.write_text("object_id,source_id,position_x,position_y,readiness,type\no1,s1,1.0,2.0,4,tank,extra\n")
+        with pytest.raises(DataError, match="2: expected 6 fields, found 7"):
+            read_objects_csv(path, self.schema)
+
+    def test_errors_name_the_physical_line(self, tmp_path):
+        """Blank lines are skipped but counted, and a record's line is the one
+        it starts on, also after a quoted field that spans lines."""
+        path = tmp_path / "lines.csv"
+        header = "object_id,source_id,position_x,position_y,readiness,type\n"
+        path.write_text(header + "o1,s1,1.0,2.0,4,tank\n\n" + "o2,s1,oops,2.0,4,tank\n")
+        with pytest.raises(DataError) as excinfo:
+            read_objects_csv(path, self.schema)
+        assert str(excinfo.value).startswith(f"{path}:4: bad value for 'position'")
+        # Lines 2-4 hold one record, 5 and 6 are blank.
+        path.write_text(header + '"o\n1",s1,1.0,2.0,4,"two\nlines"\n\n\n' + "o2,s1,1.0,2.0,4.5.6,tank\n")
+        with pytest.raises(DataError) as excinfo:
+            read_objects_csv(path, self.schema)
+        assert str(excinfo.value).startswith(f"{path}:7: bad value for 'readiness'")
+        path.write_text(header + "\n" + '"o\n1",s1,1.0,2.0,4.5.6,"two\nlines"\n')
+        with pytest.raises(DataError) as excinfo:
+            read_objects_csv(path, self.schema)
+        assert str(excinfo.value).startswith(f"{path}:3: bad value for 'readiness'")
+
+    def test_first_bad_record_then_first_bad_feature(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        header = "object_id,source_id,position_x,position_y,readiness,type,readiness_certainty\n"
+        path.write_text(header + "o1,s1,1.0,2.0,4,tank,sure\no2,s1,1.0,,x,tank,\no3\n")
+        with pytest.raises(DataError) as excinfo:
+            read_objects_csv(path, self.schema)
+        assert str(excinfo.value) == f"{path}:2: bad certainty for 'readiness': unknown certainty label: 'sure'"
+        path.write_text(header + "o1,s1,1.0,2.0,4,tank,\no2,s1,1.0,,x,tank,sure\n")
+        with pytest.raises(DataError) as excinfo:
+            read_objects_csv(path, self.schema)
+        assert str(excinfo.value) == f"{path}:3: partial value for feature 'position'"
+
+    def test_rank_beyond_the_float_range_rejected(self, tmp_path):
+        path = tmp_path / "big.csv"
+        rank = "1" + "0" * 400
+        path.write_text(f"object_id,source_id,position_x,position_y,readiness,type\no1,s1,1.0,2.0,{rank},tank\n")
+        with pytest.raises(DataError) as excinfo:
+            read_objects_csv(path, self.schema)
+        assert str(excinfo.value) == f"{path}:2: bad value for 'readiness': non-finite number {rank!r}"
+
+    def test_objects_keep_their_payload_types(self, tmp_path):
+        """Integer rank texts give ints, every other number a float; axes give tuples."""
+        path = tmp_path / "types.csv"
+        path.write_text(
+            "object_id,source_id,position_x,position_y,readiness,type,readiness_certainty\n"
+            "o1,s1,1,2.5,4,tank,doubtful\no2,s1,3,4,4.0, truck ,\no3,s1,,,1_0,,\no4,s1,5,6,123456789012345678901,,\n"
+        )
+        dataset = read_dataset(path, self.schema)
+        assert len(dataset) == 4 and dataset.ids == ("o1", "o2", "o3", "o4")
+        o1, o2, o3, o4 = dataset
+        assert o1.values == {
+            "position": FeatureValue((1.0, 2.5)),
+            "readiness": FeatureValue(4, Certainty.DOUBTFUL),
+            "type": FeatureValue("tank"),
+        }
+        assert type(o1.values["readiness"].value) is int and type(o2.values["readiness"].value) is float
+        assert o2.values["type"].value == "truck"
+        assert o3.values == {"readiness": FeatureValue(10)}
+        assert o4.values["readiness"].value == 123456789012345678901
+        assert dataset[-1] == o4 and dataset[1:3] == [o2, o3]
+        with pytest.raises(IndexError):
+            dataset[4]
 
     def test_absent_feature_keeps_an_empty_column(self, tmp_path):
         path = tmp_path / "objects.csv"
@@ -558,6 +634,79 @@ FUZZ_CELLS = st.sampled_from([
     "", " ", "nan", "-inf", "1e400", "0x10", "1_0", "3", "-2", "4.5", "12.25", "tank",
     "certain", "Probable ", "sure", "CERTAINTY", "٣",
 ]) | st.text(max_size=6)
+# Cells the reader accepts, per kind of column.
+NUMBERS = st.sampled_from(["3", "-2", "4.5", "1_0", "٣", " 7 ", "1e3", "-0.0"]) | st.builds(
+    repr, st.floats(allow_nan=False, allow_infinity=False)
+) | st.builds(str, st.integers(-(2**70), 2**70))
+LABELS = st.sampled_from(["tank", " truck", "٣", "a,b", 'q"t', "x\ny"])
+LEVELS = st.sampled_from(["", " ", "certain", "Probable ", "DOUBTFUL", "possible"])
+
+
+@st.composite
+def valid_records(draw, count):
+    """``count`` records of FUZZ_COLUMNS that the reader accepts, every
+    feature absent or given, with every certainty, given or not."""
+    records = []
+    for k in range(count):
+        position = draw(st.just(["", " "]) | st.lists(NUMBERS, min_size=2, max_size=2))
+        readiness, label = draw(st.just("") | NUMBERS), draw(st.just("") | LABELS)
+        records.append([f"o{k}", "s1", *position, readiness, label, *(draw(LEVELS) for _ in range(3))])
+    return records
+
+
+@st.composite
+def fuzz_files(draw):
+    """(header, records) of a dataset file drawn around the FULL_CONFIG
+    schema: records of fuzzed cells, of cells the reader accepts (a column
+    of its own, if the header has one), of another width, or empty (a blank
+    line)."""
+    header = draw(
+        st.lists(st.sampled_from(FUZZ_COLUMNS) | st.sampled_from(["", "extra", "position"]) | st.text(max_size=4),
+                 min_size=1, max_size=11)
+        | st.permutations(FUZZ_COLUMNS)
+        | st.permutations(FUZZ_COLUMNS[:6] + FUZZ_COLUMNS[7:])
+    )
+    records = []
+    for kind in draw(st.lists(st.sampled_from(["fuzzed", "valid", "valid", "ragged", "blank"]), max_size=5)):
+        if kind == "fuzzed":
+            records.append(draw(st.lists(FUZZ_CELLS, min_size=len(header), max_size=len(header))))
+        elif kind == "valid":
+            valid = dict(zip(FUZZ_COLUMNS, draw(valid_records(1))[0]))
+            records.append([valid[c] if c in valid else draw(FUZZ_CELLS) for c in header])
+        elif kind == "ragged":
+            records.append(draw(st.lists(FUZZ_CELLS, min_size=1, max_size=11).filter(lambda r: len(r) != len(header))))
+        else:
+            records.append([])
+    return header, records
+
+
+def write_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def payload_types(objects):
+    return [
+        [(name, type(fv.value), tuple(map(type, fv.value)) if isinstance(fv.value, tuple) else ())
+         for name, fv in obj.values.items()]
+        for obj in objects
+    ]
+
+
+def columns_equal(a: Dataset, b: Dataset) -> bool:
+    """Whether two datasets hold the same ids and columns, payload types of
+    ordinal ranks included."""
+    if (a.ids, a.source_ids) != (b.ids, b.source_ids) or list(a.columns) != list(b.columns):
+        return False
+    for name, x in a.columns.items():
+        y = b.columns[name]
+        if not (np.array_equal(x.present, y.present) and np.array_equal(x.certainty, y.certainty)):
+            return False
+        if x.values.dtype != y.values.dtype or x.values.shape != y.values.shape or list(x.values.ravel()) != list(y.values.ravel()):
+            return False
+        if x.ranks != y.ranks or [type(r) for r in x.ranks or ()] != [type(r) for r in y.ranks or ()]:
+            return False
+    return True
 
 
 class TestFuzz:
@@ -574,19 +723,39 @@ class TestFuzz:
             pass
 
     @settings(max_examples=400, deadline=None)
-    @given(
-        st.lists(st.sampled_from(FUZZ_COLUMNS) | st.sampled_from(["", "extra", "position"]) | st.text(max_size=4),
-                 min_size=1, max_size=11),
-        st.lists(st.lists(FUZZ_CELLS, max_size=11), max_size=4),
-    )
-    @example(FUZZ_COLUMNS, [["o1", "s1", "1.0", "2.0", "4", "tank", "", "sure", ""]])
-    def test_read_objects_csv(self, header, rows):
+    @given(fuzz_files())
+    @example((FUZZ_COLUMNS, [["o1", "s1", "1.0", "2.0", "4", "tank", "", "sure", ""]]))
+    @example((FUZZ_COLUMNS, [["o1", "s1", "1.0", "2.0", "1" + "0" * 400, "tank", "", "", ""]]))
+    @example((FUZZ_COLUMNS, [["o\n1", "s1", "1", "2", "4", "tank", "", "", ""], [], ["o2", "s1", "x", "2", "", "", "", "", ""]]))
+    @example((FUZZ_COLUMNS[:5], [["o1", "s1", "1", "2", "3"], ["o2", "s1"]]))
+    def test_read_objects_csv(self, file):
+        """The columnar reader against the record-by-record one: the same
+        objects, payload types included, or the same DataError text; and
+        the columns of what it read equal those built from the objects."""
         schema = parse_config(FULL_CONFIG).schema
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "objects.csv"
-            with open(path, "w", newline="") as fh:
-                csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+            write_rows(path, [file[0], *file[1]])
             try:
-                read_objects_csv(path, schema)
-            except DataError:
-                pass
+                want = read_objects_by_record(path, schema)
+            except DataError as exc:
+                with pytest.raises(DataError) as got:
+                    read_objects_csv(path, schema)
+                assert str(got.value) == str(exc)
+                return
+            got = read_objects_csv(path, schema)
+            assert got == want and payload_types(got) == payload_types(want)
+            assert columns_equal(Dataset.from_objects(got, schema), read_dataset(path, schema))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6).flatmap(valid_records))
+    def test_columns_read_equal_columns_of_the_objects(self, records):
+        """On files the reader accepts, ``read_dataset`` holds the columns
+        ``Dataset.from_objects`` builds from the objects read."""
+        schema = parse_config(FULL_CONFIG).schema
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "objects.csv"
+            write_rows(path, [FUZZ_COLUMNS, *records])
+            read = read_dataset(path, schema)
+            assert columns_equal(Dataset.from_objects(read_objects_csv(path, schema), schema), read)
+            assert list(read) == read_objects_by_record(path, schema)

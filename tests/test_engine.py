@@ -1,10 +1,13 @@
+import dataclasses
+
 import pytest
 
 from iomatch.aggregate import AggregationMethod, AggregationSpec
-from iomatch.engine import MatchRun, MatchRunError, candidates, evaluate_pair, pairwise_breakdowns
+from iomatch.engine import MatchRun, MatchRunError, candidates, evaluate_pair, pairwise_breakdowns, run_violations
 from iomatch.fuzzy import apply_certainty, possibility, triangular_from_halfwidth
 from iomatch.model import (
     Certainty,
+    Dataset,
     FeatureKind,
     FeatureSchema,
     FeatureValue,
@@ -196,6 +199,60 @@ class TestRunValidation:
             pairwise_breakdowns(run)
         messages = "\n".join(excinfo.value.errors)
         assert "a1" in messages and "b1" in messages
+
+    def test_messages_in_object_order(self):
+        """Per dataset: duplicate ids, then per object its payload violations
+        and its collapsed relative-k supports, the rank as it was given."""
+        schema = Schema((
+            SPEED,
+            FeatureSchema("rank", FeatureKind.ORDINAL_FUZZY, 0.5,
+                          ordinal_params=OrdinalParams(MembershipShape.TRIANGULAR, width=2.0)),
+        ))
+        profiles = {
+            "a": SourceProfile("a", {"speed": QuantAccuracy(sigma=1.0), "rank": OrdinalAccuracy(relative_k=0.4)}),
+            "b": SourceProfile("b", {"speed": QuantAccuracy(sigma=1.0)}),
+        }
+        dataset_a = (
+            InformationObject("a1", "a", {"rank": FeatureValue(1), "speed": FeatureValue("fast")}),
+            InformationObject("a2", "a", {"colour": FeatureValue("red"), "rank": FeatureValue(0.0)}),
+            InformationObject("a1", "a", {"rank": FeatureValue(5), "speed": FeatureValue(2)}),
+            InformationObject("a3", "a", {"rank": FeatureValue(-1), "speed": FeatureValue(float("nan"))}),
+        )
+        dataset_b = (InformationObject("b1", "b", {"rank": FeatureValue(1)}),
+                     InformationObject("b2", "b", {"rank": FeatureValue("x")}))
+        run = MatchRun(schema, profiles, dataset_a, dataset_b)
+        assert run_violations(run) == [
+            "dataset A: object id 'a1' appears 2 times",
+            "a1/speed: expected a finite numeric value",
+            "a1/rank: relative k 0.4 of source 'a' rounds the support of rank 1 onto the rank itself",
+            "a2: value for unknown feature 'colour'",
+            "a2/rank: relative k 0.4 of source 'a' rounds the support of rank 0.0 onto the rank itself",
+            "a3/speed: expected a finite numeric value",
+            "a3/rank: relative k 0.4 of source 'a' rounds the support of rank -1 onto the rank itself",
+            "b2/rank: expected a finite numeric rank",
+        ]
+
+    def test_entry_that_is_not_a_feature_value(self):
+        """Was an AttributeError on an ordinal feature with a relative k."""
+        schema = Schema((
+            FeatureSchema("rank", FeatureKind.ORDINAL_FUZZY, 1.0,
+                          ordinal_params=OrdinalParams(MembershipShape.TRIANGULAR, width=2.0)),
+        ))
+        profiles = {"a": SourceProfile("a", {"rank": OrdinalAccuracy(relative_k=0.4)}),
+                    "b": SourceProfile("b", {})}
+        run = MatchRun(schema, profiles, (InformationObject("a1", "a", {"rank": 4}),),
+                       (InformationObject("b1", "b", {"rank": FeatureValue(4, "sure")}),))
+        # A certainty that is not a Certainty was an AttributeError while scoring.
+        assert run_violations(run) == ["a1/rank: expected a FeatureValue", "b1/rank: expected a Certainty"]
+
+    def test_datasets_are_columns_of_the_objects_given(self):
+        a, b = obj("a", "alpha", 1.0), obj("b", "beta", 2.0)
+        run = make_run([a], [b])
+        assert isinstance(run.dataset_a, Dataset) and run.dataset_a.ids == ("a",)
+        assert list(run.dataset_a) == [a] and run.dataset_b[0] is b
+        assert dataclasses.replace(run, candidate_threshold=0.5).dataset_a is run.dataset_a
+        other = Schema((dataclasses.replace(SPEED, weight=1.0),))
+        assert set(dataclasses.replace(run, schema=other).dataset_a.columns) == {"speed"}
 
     def test_threshold_out_of_range(self):
         run = make_run([obj("a", "alpha", 1.0)], [obj("b", "beta", 1.0)],
