@@ -251,8 +251,8 @@ def parse_config(document: Mapping[str, Any]) -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     """Load and validate a JSON configuration document from disk."""
     try:
-        document = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError([f"cannot read config {path}: {exc}"]) from exc
     if not isinstance(document, dict):
         raise ConfigError([f"config root must be an object, got {type(document).__name__}"])

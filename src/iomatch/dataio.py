@@ -6,9 +6,10 @@ engine scores from the columns and no object is built.  A record must have
 as many fields as the header (fully blank lines are skipped), and an error
 names the physical line on which its record starts.
 
-Object CSVs keep full float precision (repr) so a written dataset re-reads to
-identical values.  All writers emit LF newlines and deterministic field order,
-so identical inputs produce byte-identical files.
+A dataset is written from its columns too (:func:`write_objects_csv`), each
+float as its repr and each ordinal rank as reported, so a written dataset
+re-reads to identical values.  All writers emit LF newlines and
+deterministic field order, so identical inputs produce byte-identical files.
 
 Every float is written as its ``float.__repr__`` text through one renderer,
 :func:`float_texts`, which renders each distinct 64-bit pattern once and keeps
@@ -73,11 +74,9 @@ def dataset_header(schema: Schema) -> list[str]:
 # Distinct floats a FloatTexts memo holds before it is cleared.
 MEMO_CAP = 1 << 16
 # Float cells rendered per pairs.csv chunk, and chunks whose scores it lays
-# out at once; rows per chunk of the row-wise CSV writers; lines or records
-# joined per chunk of text.
+# out at once; lines or records joined per chunk of text.
 _CELLS = 8192
 _STEPS = 8
-_ROWS = 1024
 _JOIN = 128
 
 
@@ -136,47 +135,47 @@ def float_texts(values, memo: FloatTexts) -> np.ndarray:
     return texts[inverse].reshape(values.shape)
 
 
-def _with_float_texts(rows: list[list], memo: FloatTexts) -> list[list]:
-    """``rows`` with each float cell replaced by its text, rendered in one call."""
-    cells = [(row, k) for row in rows for k, v in enumerate(row) if isinstance(v, float)]
-    for (row, k), text in zip(cells, float_texts([row[k] for row, k in cells], memo).tolist()):
-        row[k] = text
-    return rows
+def _write_lines(fh, columns: Sequence[Iterable[str]]) -> None:
+    """Write the rows of equal-length columns of CSV field texts, ``_JOIN`` lines at a time."""
+    lines = map(",".join, zip(*columns))
+    while text := "\n".join(islice(lines, _JOIN)):
+        fh.write(text + "\n")
 
 
-def _object_row(obj: InformationObject, schema: Schema, columns) -> list:
-    """A dataset row, its numbers as floats but for integer ranks."""
-    row = [obj.object_id, obj.source_id]
-    for _, feature_name, axis in columns:
-        fv = obj.values.get(feature_name)
-        if fv is None:
-            row.append("")
-            continue
-        value = fv.value[axis] if axis >= 0 else fv.value
-        feature = schema.feature(feature_name)
-        if feature.kind is FeatureKind.NOMINAL:
-            row.append(str(value))
-        elif feature.kind is FeatureKind.ORDINAL_FUZZY and float(value).is_integer():
-            row.append(str(int(value)))
-        else:
-            row.append(float(value))
-    for f in schema.features:
-        fv = obj.values.get(f.name)
-        row.append(fv.certainty.label if fv is not None else "")
-    return row
+def _feature_texts(feature: FeatureSchema, column: FeatureColumn, memo: FloatTexts) -> list[list[str]]:
+    """A feature's value cells as CSV field texts, one list per value column,
+    empty where the feature is absent."""
+    if feature.kind is FeatureKind.NOMINAL:
+        return [_csv_fields(np.where(column.present, column.values, "").tolist())]
+    texts = float_texts(column.values, memo)
+    texts[~column.present] = ""
+    if feature.kind is FeatureKind.ORDINAL_FUZZY:
+        # A rank reported as an integer is written as one.
+        return [[str(r) if isinstance(r, int) else t for r, t in zip(column.ranks, texts[:, 0].tolist())]]
+    return texts.T.tolist()
 
 
-def write_objects_csv(
-    path: str | Path, objects: Iterable[InformationObject], schema: Schema, texts: FloatTexts | None = None
-) -> None:
-    """Write a dataset, its floats rendered through ``texts`` (by default a fresh memo)."""
-    columns, memo = _value_columns(schema), FloatTexts() if texts is None else texts
-    rows = (_object_row(obj, schema, columns) for obj in objects)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(dataset_header(schema))
-        while chunk := list(islice(rows, _ROWS)):
-            writer.writerows(_with_float_texts(chunk, memo))
+def write_objects_csv(path: str | Path, dataset: Dataset, texts: FloatTexts | None = None) -> None:
+    """Write a dataset column by column, its floats rendered through ``texts``
+    (by default a fresh memo).
+
+    Raises ValueError for a dataset that carries payload violations: its
+    columns hold such a value as absent, which would be written as blank.
+    """
+    if dataset.violations:
+        raise ValueError(f"cannot write a dataset with payload violations: {dataset.violations[0][1]}")
+    memo = FloatTexts() if texts is None else texts
+    columns = [_csv_fields(dataset.ids), _csv_fields(dataset.source_ids)]
+    certainties = []
+    for f in dataset.schema.features:
+        column = dataset.columns[f.name]
+        columns.extend(_feature_texts(f, column, memo))
+        labels = {level: Certainty(level).label for level in set(column.certainty[column.present].tolist())}
+        held = column.present.tolist()
+        certainties.append([labels[c] if h else "" for c, h in zip(column.certainty.tolist(), held)])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(dataset_header(dataset.schema))
+        _write_lines(fh, columns + certainties)
 
 
 def _number(text: str, rank: bool):
@@ -282,30 +281,37 @@ def read_dataset(path: str | Path, schema: Schema) -> Dataset:
     order, and in it the first bad feature in schema order, raises
     :class:`DataError` naming the physical line on which the record starts.
     Fully blank lines are skipped; every other record must have as many
-    fields as the header.
+    fields as the header.  A file that is not UTF-8 text, or a record the
+    csv module rejects (such as a field over its size limit), also raises
+    :class:`DataError`.
     """
     columns = _value_columns(schema)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty dataset file")
-        # Every value column is named, also when left empty for an absent feature.
-        required = ["object_id", "source_id", *(c for c, _, _ in columns)]
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise DataError(f"{path}: missing columns {missing}")
-        known = dataset_header(schema)
-        unknown = [c for c in header if c not in known]
-        if unknown:
-            raise DataError(f"{path}: unknown columns {unknown}")
-        records, lines = [], []
-        line = reader.line_num
-        for record in reader:
-            if record:
-                records.append(record)
-                lines.append(line + 1)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            records, lines = [], []
             line = reader.line_num
+            for record in reader:
+                if record:
+                    records.append(record)
+                    lines.append(line + 1)
+                line = reader.line_num
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: cannot decode as UTF-8: {exc.reason}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    if header is None:
+        raise DataError(f"{path}: empty dataset file")
+    # Every value column is named, also when left empty for an absent feature.
+    required = ["object_id", "source_id", *(c for c, _, _ in columns)]
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise DataError(f"{path}: missing columns {missing}")
+    known = dataset_header(schema)
+    unknown = [c for c in header if c not in known]
+    if unknown:
+        raise DataError(f"{path}: unknown columns {unknown}")
     # A record of another width ends the checked records: an earlier bad
     # record is reported first.
     width = len(header)
@@ -352,37 +358,18 @@ def _csv_fields(values: Iterable[str]) -> list[str]:
     return [writer.writerow((v, ""))[:-2] for v in values]
 
 
-def write_breakdowns_csv(
-    path: str | Path, breakdowns: Iterable[ProximityBreakdown], schema: Schema
-) -> None:
-    with open(path, "w", newline="") as fh:
+def write_breakdowns_csv(path: str | Path, scores: PairScores, schema: Schema) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(breakdown_header(schema))
-        if not isinstance(breakdowns, PairScores):
-            memo = FloatTexts()
-            rows = (
-                [
-                    *b.pair,
-                    *chain.from_iterable(
-                        ("", "") if score is None else (float(score.proximity), float(score.distance))
-                        for score in map(b.per_feature.get, schema.names)
-                    ),
-                    float(b.aggregate_proximity),
-                    float(b.aggregate_distance),
-                ]
-                for b in breakdowns
-            )
-            while chunk := list(islice(rows, _ROWS)):
-                writer.writerows(_with_float_texts(chunk, memo))
-            return
-        if not len(breakdowns):
+        if not len(scores):
             return
         # Blocks of whole dataset-A rows of about _CELLS floats, rendered in
         # one call and joined column by column: only the ids can need quoting,
         # and each is quoted once.  The scores are laid out _STEPS blocks at a
         # time, as scoring the pruned pairs of a block costs a fixed amount
         # per call.
-        scores, names = breakdowns, schema.names
+        names = schema.names
         ids_a, ids_b = _csv_fields(scores.ids_a), _csv_fields(scores.ids_b)
         n_b = len(ids_b)
         step = max(1, _CELLS // (n_b * (2 * len(names) + 2)))
@@ -398,10 +385,7 @@ def write_breakdowns_csv(
                     texts[2 * k : 2 * k + 2, absent[k][block]] = ""
                 a = ids_a[first + start : first + start + step]
                 columns = [chain.from_iterable(map(repeat, a, repeat(n_b))), ids_b * len(a)]
-                columns += texts.reshape(len(values), -1).tolist()
-                lines = map(",".join, zip(*columns))
-                while text := "\n".join(islice(lines, _JOIN)):
-                    fh.write(text + "\n")
+                _write_lines(fh, columns + texts.reshape(len(values), -1).tolist())
 
 
 def breakdown_record(b: ProximityBreakdown) -> dict:

@@ -107,7 +107,7 @@ def run_violations(run: MatchRun) -> list[str]:
         sources = set(dataset.source_ids)
         if len(sources) > 1:
             errors.append(f"dataset {label} mixes source ids {sorted(sources)}")
-        for sid in sources:
+        for sid in sorted(sources):
             if sid not in run.profiles:
                 errors.append(f"dataset {label}: no profile for source {sid!r}")
         # Ids key every report and candidate lookup, so each names one object.
@@ -560,18 +560,9 @@ def _breakdown(pair, proximity, present, aggregate_proximity, aggregate_distance
     )
 
 
-class _Breakdowns:
+class _Breakdowns(collections.abc.Sequence):
     """A read-only sequence of breakdowns; subclasses give ``__len__`` and
     ``_breakdown(k)``, and indexing builds a :class:`ProximityBreakdown`."""
-
-    # A registered Sequence with its mixin methods, not a subclass: isinstance
-    # against a class of metaclass ABCMeta runs Python code, and the JSON
-    # writer tests every value it writes against RankedCandidates.
-    __iter__ = collections.abc.Sequence.__iter__
-    __contains__ = collections.abc.Sequence.__contains__
-    __reversed__ = collections.abc.Sequence.__reversed__
-    index = collections.abc.Sequence.index
-    count = collections.abc.Sequence.count
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -801,36 +792,25 @@ class RankedCandidates(_ScoreColumns):
         self.ids_b = tuple(map(scores.ids_b.__getitem__, self.cols.tolist()))
 
 
-collections.abc.Sequence.register(_Breakdowns)
-
-
 def _id_ranks(ids: Sequence[str]) -> np.ndarray:
     """Each id's place among the distinct ids in Python's sort order."""
     place = {x: r for r, x in enumerate(sorted(set(ids)))}
     return np.array([place[x] for x in ids], dtype=np.int64)
 
 
-def candidates(
-    breakdowns: Iterable[ProximityBreakdown], threshold: float
-) -> Sequence[ProximityBreakdown]:
+def candidates(scores: PairScores, threshold: float) -> RankedCandidates:
     """Pairs whose aggregate proximity exceeds the threshold, most similar first.
 
-    Ties are broken by the pair's identifier tuple.  Given a
-    :class:`PairScores`, its stored cells above the threshold are ranked
-    with one ``np.lexsort`` and returned as a :class:`RankedCandidates` view
-    (a pruned cell scores 0, which no threshold keeps); any other iterable
-    gives a list.
+    Ties are broken by the pair's identifier tuple.  The stored cells above
+    the threshold are ranked with one ``np.lexsort`` and returned as a
+    :class:`RankedCandidates` view; a pruned cell scores 0, which no
+    threshold keeps.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold {threshold} outside [0, 1]")
-    if isinstance(breakdowns, PairScores):
-        cells = breakdowns.cells
-        keep = np.flatnonzero(cells.aggregate_proximity > threshold)
-        rows, cols = cells.rows[keep], cells.cols[keep]
-        # lexsort's last key is the primary one.
-        order = np.lexsort(
-            (_id_ranks(breakdowns.ids_b)[cols], _id_ranks(breakdowns.ids_a)[rows], -cells.aggregate_proximity[keep])
-        )
-        return RankedCandidates(breakdowns, keep[order])
-    keep = [b for b in breakdowns if b.aggregate_proximity > threshold]
-    return sorted(keep, key=lambda b: (-b.aggregate_proximity, b.pair))
+    cells = scores.cells
+    keep = np.flatnonzero(cells.aggregate_proximity > threshold)
+    rows, cols = cells.rows[keep], cells.cols[keep]
+    # lexsort's last key is the primary one.
+    order = np.lexsort((_id_ranks(scores.ids_b)[cols], _id_ranks(scores.ids_a)[rows], -cells.aggregate_proximity[keep]))
+    return RankedCandidates(scores, keep[order])

@@ -21,15 +21,7 @@ from . import __version__
 from .aggregate import AggregationMethod, AggregationSpec
 from .dataio import RECORDS_PER_BLOCK, ColumnRecords, write_breakdowns_csv, write_json, write_objects_csv
 from .engine import MatchRun, PairScores, RankedCandidates, candidates, pairwise_breakdowns
-from .model import (
-    FeatureKind,
-    FeatureSchema,
-    FeatureValue,
-    InformationObject,
-    QuantAccuracy,
-    Schema,
-    SourceProfile,
-)
+from .model import Dataset, FeatureColumn, FeatureKind, FeatureSchema, QuantAccuracy, Schema, SourceProfile
 from .svgplot import SVG_GENERATOR, render_match_svg
 
 RNG_NAME = "numpy.random.PCG64"
@@ -150,8 +142,8 @@ def generate_scene(spec: SceneSpec) -> Scene:
     return Scene(spec=spec, objects=objects)
 
 
-def observe(scene: Scene, profile: SourceProfile, seed) -> list[InformationObject]:
-    """One source's noisy report of the scene.
+def observe(scene: Scene, profile: SourceProfile, seed) -> Dataset:
+    """One source's noisy report of the scene, as a dataset of the scene schema.
 
     Coordinates are perturbed per axis by zero-mean Gaussian noise with the
     source's position sigma; the type flips with probability type_error to a
@@ -166,25 +158,21 @@ def observe(scene: Scene, profile: SourceProfile, seed) -> list[InformationObjec
     unit_noise = rng.standard_normal((n, 2))
     flip_draws = rng.random(n)
     replacement_draws = rng.integers(0, len(spec.type_alphabet) - 1, n)
-    objects = []
-    for i, po in enumerate(scene.objects):
-        x = po.x + sigma * float(unit_noise[i, 0])
-        y = po.y + sigma * float(unit_noise[i, 1])
-        label = po.type_label
-        if float(flip_draws[i]) < spec.type_error:
-            others = [t for t in spec.type_alphabet if t != po.type_label]
-            label = others[int(replacement_draws[i])]
-        objects.append(
-            InformationObject(
-                object_id=f"{profile.source_id}-{i:03d}",
-                source_id=profile.source_id,
-                values={
-                    POSITION_FEATURE: FeatureValue((x, y)),
-                    TYPE_FEATURE: FeatureValue(label),
-                },
-            )
-        )
-    return objects
+    truth = np.array([(po.x, po.y) for po in scene.objects], dtype=float).reshape(n, 2)
+    labels = []
+    for po, flip, pick in zip(scene.objects, flip_draws.tolist(), replacement_draws.tolist()):
+        others = [t for t in spec.type_alphabet if t != po.type_label]
+        labels.append(others[pick] if flip < spec.type_error else po.type_label)
+    present, certainty = np.ones(n, dtype=bool), np.ones(n)
+    return Dataset(
+        scene_schema(spec),
+        [f"{profile.source_id}-{i:03d}" for i in range(n)],
+        [profile.source_id] * n,
+        {
+            POSITION_FEATURE: FeatureColumn(present, truth + sigma * unit_noise, certainty),
+            TYPE_FEATURE: FeatureColumn(present, np.array(labels, dtype=object), certainty),
+        },
+    )
 
 
 @dataclass(frozen=True)
@@ -202,7 +190,7 @@ class ExperimentReport:
     spec: SceneSpec
     threshold: float
     scene: Scene
-    datasets: Mapping[str, tuple[InformationObject, ...]]
+    datasets: Mapping[str, Dataset]
     breakdowns: PairScores
     candidates: RankedCandidates
     type_mismatch: np.ndarray
@@ -293,8 +281,8 @@ class ExperimentReport:
             },
             "scene": ColumnRecords.from_columns(_OBJECT_FIELDS, scene, scores.texts),
             "datasets": {
-                source_id: ColumnRecords.from_columns(_OBJECT_FIELDS, _report_columns(objects), scores.texts)
-                for source_id, objects in self.datasets.items()
+                source_id: ColumnRecords.from_columns(_OBJECT_FIELDS, _report_columns(dataset), scores.texts)
+                for source_id, dataset in self.datasets.items()
             },
             "pairs": ColumnRecords(_PAIR_FIELDS, pairs(), scores.texts),
             "candidates": ColumnRecords.from_columns(_CANDIDATE_FIELDS, candidates, scores.texts),
@@ -302,15 +290,10 @@ class ExperimentReport:
         }
 
 
-def _report_columns(objects: Sequence[InformationObject]) -> list[list]:
+def _report_columns(dataset: Dataset) -> list[Sequence]:
     """The id, type, x and y columns of one source's reports."""
-    positions = [o.values[POSITION_FEATURE].value for o in objects]
-    return [
-        [o.object_id for o in objects],
-        [o.values[TYPE_FEATURE].value for o in objects],
-        [x for x, _ in positions],
-        [y for _, y in positions],
-    ]
+    position = dataset.columns[POSITION_FEATURE].values
+    return [dataset.ids, dataset.columns[TYPE_FEATURE].values, position[:, 0], position[:, 1]]
 
 
 def _mean(values: Sequence[float]) -> float | None:
@@ -344,10 +327,7 @@ def run_experiment(
         )
         for i, sid in enumerate(DEFAULT_SOURCE_IDS)
     }
-    datasets = {
-        sid: tuple(observe(scene, profiles[sid], observation_seeds[i]))
-        for i, sid in enumerate(DEFAULT_SOURCE_IDS)
-    }
+    datasets = {sid: observe(scene, profiles[sid], observation_seeds[i]) for i, sid in enumerate(DEFAULT_SOURCE_IDS)}
     dataset_a, dataset_b = (datasets[sid] for sid in DEFAULT_SOURCE_IDS)
     run = MatchRun(
         schema=schema,
@@ -359,12 +339,8 @@ def run_experiment(
     )
     breakdowns = pairwise_breakdowns(run)
     truth = np.array([(po.x, po.y) for po in scene.objects])
-    observed_a, observed_b = (
-        np.array([o.values[POSITION_FEATURE].value for o in objs]) for objs in (dataset_a, dataset_b)
-    )
-    labels_a, labels_b = (
-        np.array([o.values[TYPE_FEATURE].value for o in objs]) for objs in (dataset_a, dataset_b)
-    )
+    observed_a, observed_b = (d.columns[POSITION_FEATURE].values for d in (dataset_a, dataset_b))
+    labels_a, labels_b = (d.columns[TYPE_FEATURE].values for d in (dataset_a, dataset_b))
     report = ExperimentReport(
         spec=spec,
         threshold=threshold,
@@ -387,9 +363,9 @@ def emit_report_files(report: ExperimentReport, out_dir: Path, formats: Sequence
     schema = scene_schema(report.spec)
     written = []
     if "csv" in formats:
-        for source_id, objects in report.datasets.items():
+        for source_id, dataset in report.datasets.items():
             p = out_dir / f"objects_{source_id}.csv"
-            write_objects_csv(p, objects, schema, report.breakdowns.texts)
+            write_objects_csv(p, dataset, report.breakdowns.texts)
             written.append(p)
         p = out_dir / "pairs.csv"
         write_breakdowns_csv(p, report.breakdowns, schema)
@@ -406,16 +382,15 @@ def emit_report_files(report: ExperimentReport, out_dir: Path, formats: Sequence
 
 
 def render_scene_svg(report: ExperimentReport) -> str:
-    dataset_a, dataset_b = (report.datasets[sid] for sid in DEFAULT_SOURCE_IDS)
-    links = []
+    positions = {sid: d.columns[POSITION_FEATURE].values.tolist() for sid, d in report.datasets.items()}
+    position_a, position_b = (positions[sid] for sid in DEFAULT_SOURCE_IDS)
     found = report.candidates
-    for i, j in zip(found.rows.tolist(), found.cols.tolist()):
-        ax, ay = dataset_a[i].values[POSITION_FEATURE].value
-        bx, by_ = dataset_b[j].values[POSITION_FEATURE].value
-        links.append((ax, ay, bx, by_, bool(report.type_mismatch[i, j])))
+    links = [
+        (*position_a[i], *position_b[j], bool(report.type_mismatch[i, j]))
+        for i, j in zip(found.rows.tolist(), found.cols.tolist())
+    ]
     datasets = [
-        (sid, [(o.object_id, o.values[POSITION_FEATURE].value[0], o.values[POSITION_FEATURE].value[1]) for o in objs])
-        for sid, objs in report.datasets.items()
+        (sid, [(oid, x, y) for oid, (x, y) in zip(d.ids, positions[sid])]) for sid, d in report.datasets.items()
     ]
     rmse = report.spec.rmse
     title = f"candidates above {report.threshold:g} (RMSE {rmse[0]:g} m / {rmse[1]:g} m)"

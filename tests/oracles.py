@@ -4,13 +4,16 @@ These deliberately avoid the library's own computation paths: interval
 probabilities are estimated by Monte-Carlo sampling, possibilities by a dense
 grid search over an independent (clipped min-of-lines) membership formula,
 whole-pair scores by composing the scalar functions one pair at a time in
-place of the columnar engine, and dataset files by reading one record and
-one feature at a time in place of the columnar reader.
+place of the columnar engine, ``pairs.csv`` and the candidate ranking one
+breakdown at a time in place of the columnar writer and ``np.lexsort``, and
+dataset files by reading one record and one feature at a time in place of
+the columnar reader.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 
 import numpy as np
@@ -33,7 +36,7 @@ from iomatch.fuzzy import (
     triangular_from_halfwidth,
     triangular_from_relative_error,
 )
-from iomatch.dataio import DataError, dataset_header
+from iomatch.dataio import DataError, breakdown_header, dataset_header
 from iomatch.model import (
     Certainty,
     FeatureKind,
@@ -172,6 +175,28 @@ def scalar_pair_scores(run, a: InformationObject, b: InformationObject):
         if f.name in a.values and f.name in b.values
     }
     return (proximities, *scalar_aggregate(run.schema, run.aggregation, proximities))
+
+
+# --- breakdown-by-breakdown references for the columnar writer and ranking --------
+
+
+def csv_writer_bytes(breakdowns, schema: Schema) -> bytes:
+    """pairs.csv as csv.writer writes it, one row of float reprs per breakdown."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(breakdown_header(schema))
+    for b in breakdowns:
+        row = list(b.pair)
+        for score in map(b.per_feature.get, schema.names):
+            row += ["", ""] if score is None else [repr(score.proximity), repr(score.distance)]
+        writer.writerow(row + [repr(b.aggregate_proximity), repr(b.aggregate_distance)])
+    return out.getvalue().encode()
+
+
+def ranked_breakdowns(breakdowns, threshold: float) -> list:
+    """The breakdowns above ``threshold``, most similar first, ties by pair."""
+    kept = [b for b in breakdowns if b.aggregate_proximity > threshold]
+    return sorted(kept, key=lambda b: (-b.aggregate_proximity, b.pair))
 
 
 # --- record-by-record reference for the columnar CSV reader -----------------------

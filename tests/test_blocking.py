@@ -29,7 +29,7 @@ from iomatch.model import (
     SourceProfile,
 )
 
-from oracles import scalar_pair_scores
+from oracles import csv_writer_bytes, scalar_pair_scores
 from test_columnar import _csv_bytes, assert_matches_scalar
 
 AXES = ("x", "y", "z")
@@ -177,12 +177,12 @@ def test_blocked_scores_equal_scalar_oracle(run, threshold):
     listed = list(scores)
     want = {b.pair for b in listed if b.aggregate_proximity > threshold}
     assert {b.pair for b in candidates(scores, threshold)} == want
-    # Random access, the dense views and both pairs.csv writers agree.
+    # Random access, the dense views and the pairs.csv writer agree with the breakdowns.
     for k in range(0, len(scores), 7):
         assert scores[k] == listed[k]
     assert scores.aggregate_proximity.ravel().tolist() == [b.aggregate_proximity for b in listed]
     if any(pruned):
-        want = _csv_bytes(listed, run.schema)
+        want = csv_writer_bytes(listed, run.schema)
         assert _csv_bytes(scores, run.schema) == want
         # One row per chunk and two chunks per layout: several layouts a file.
         with mock.patch.object(dataio, "_CELLS", 1), mock.patch.object(dataio, "_STEPS", 2):

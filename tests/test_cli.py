@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -11,8 +14,9 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from iomatch.cli import main
 from iomatch.config import load_config
 from iomatch.dataio import read_objects_csv
-from iomatch.engine import MatchRun, candidates, pairwise_breakdowns
+from iomatch.engine import MatchRun, pairwise_breakdowns
 from iomatch.model import InformationObject
+from oracles import ranked_breakdowns
 from test_config_dataio import FUZZ_CONFIG, fuzz_files, mutated_configs, write_rows
 
 CONFIG = {
@@ -137,7 +141,7 @@ class TestMatch:
         run = MatchRun(config.schema, config.profiles,
                        tuple(read_objects_csv(a, config.schema)), tuple(read_objects_csv(b, config.schema)),
                        config.aggregation)
-        found = candidates(list(pairwise_breakdowns(run)), 0.01)
+        found = ranked_breakdowns(pairwise_breakdowns(run), 0.01)
         lines = [f"pairs evaluated: 60; candidates above 0.01: {len(found)}"]
         lines += [f"{x.pair[0]}  {x.pair[1]}  {x.aggregate_proximity:.4f}" for x in found]
         assert out == "\n".join(lines) + "\n"
@@ -265,6 +269,56 @@ class TestRejectedAtValidation:
         assert main(["match", "--config", str(path), str(a), str(b)]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {a}:{message}\n" and captured.out == ""
+
+    def test_dataset_not_utf8(self, tmp_path, capsys):
+        """A Latin-1 file raised UnicodeDecodeError with a traceback."""
+        path = write(tmp_path, "config.json", json.dumps(RANKED_CONFIG))
+        a = tmp_path / "a.csv"
+        a.write_bytes("object_id,source_id,speed,rank\nd\u00e9j\u00e0,alpha,12.0,4\n".encode("latin-1"))
+        b = write(tmp_path, "b.csv", "object_id,source_id,speed,rank\nb1,beta,12.0,4\n")
+        assert main(["match", "--config", str(path), str(a), str(b)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {a}: cannot decode as UTF-8: invalid continuation byte\n"
+        assert captured.out == ""
+
+    def test_field_over_csv_limit(self, tmp_path, capsys):
+        """A field over the csv module's size limit raised _csv.Error with a traceback."""
+        rows = "a1,alpha,12.0,4\n" + "x" * 200_000 + ",alpha,12.0,4\n"
+        assert self.match(tmp_path, RANKED_CONFIG, rows) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {tmp_path / 'a.csv'}:3: field larger than field limit (131072)\n"
+        assert captured.out == ""
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        """A non-UTF-8 config raised UnicodeDecodeError with a traceback."""
+        path = tmp_path / "config.json"
+        path.write_bytes('{"threshold": "\u00e9"}'.encode("latin-1"))
+        for verb in ("validate", "simulate"):
+            assert main([verb, "--config", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"error: cannot read config {path}: 'utf-8' codec can't decode byte 0xe9 in position 15: "
+                "invalid continuation byte\n"
+            )
+            assert captured.out == ""
+
+    def test_unknown_sources_listed_in_sorted_order(self, tmp_path):
+        """The messages followed set iteration, so their order changed with
+        the string-hash seed."""
+        path = write(tmp_path, "config.json", json.dumps(RANKED_CONFIG))
+        a = write(tmp_path, "a.csv", "object_id,source_id,speed,rank\na1,q,12.0,4\na2,r,12.0,4\na3,z,12.0,4\n")
+        b = write(tmp_path, "b.csv", "object_id,source_id,speed,rank\nb1,beta,12.0,4\n")
+        want = "".join(
+            f"error: {m}\n"
+            for m in ["dataset A mixes source ids ['q', 'r', 'z']"]
+            + [f"dataset A: no profile for source {s!r}" for s in "qrz"]
+        )
+        for seed in ("0", "1"):
+            child = subprocess.run(
+                [sys.executable, "-m", "iomatch.cli", "match", "--config", str(path), str(a), str(b)],
+                capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert (child.returncode, child.stderr, child.stdout) == (1, want, "")
 
     def test_duplicate_object_id(self, tmp_path, capsys):
         assert self.match(tmp_path, RANKED_CONFIG, "a1,alpha,12.0,4\na1,alpha,13.0,5\n") == 1

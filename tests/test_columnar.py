@@ -37,7 +37,7 @@ from iomatch.model import (
 )
 from iomatch.quant import NormalErrorModel, quantitative_proximity
 
-from oracles import scalar_pair_scores
+from oracles import csv_writer_bytes, ranked_breakdowns, scalar_pair_scores
 from test_config_dataio import json_bytes, stdlib_bytes
 
 TOLERANCE = 1e-12
@@ -161,10 +161,10 @@ def _csv_bytes(breakdowns, schema) -> bytes:
 @settings(max_examples=200, deadline=None)
 @given(runs())
 def test_csv_from_columns_equals_csv_from_breakdowns(run):
-    """The column-by-column writer against the row-by-row one, absent features
-    and empty sides included."""
+    """The column-by-column writer against csv.writer row by row, absent
+    features and empty sides included."""
     scores = pairwise_breakdowns(run)
-    assert _csv_bytes(scores, run.schema) == _csv_bytes(list(scores), run.schema)
+    assert _csv_bytes(scores, run.schema) == csv_writer_bytes(list(scores), run.schema)
 
 
 # --- ranked candidates ------------------------------------------------------------
@@ -392,7 +392,7 @@ class TestPairScores:
     def test_candidates_from_columns_equal_candidates_from_breakdowns(self):
         scores = self.scores()
         for threshold in (0.0, 0.01, 0.5, 1.0):
-            assert list(candidates(scores, threshold)) == candidates(list(scores), threshold)
+            assert list(candidates(scores, threshold)) == ranked_breakdowns(scores, threshold)
 
 
 def test_one_xi_rule_for_evaluate_pair_and_runs():

@@ -1,5 +1,4 @@
 import csv
-import io
 import json
 import math
 import tempfile
@@ -29,7 +28,7 @@ from iomatch.dataio import (
 from iomatch.engine import candidates, pairwise_breakdowns, MatchRun
 from iomatch.model import Certainty, Dataset, FeatureValue, InformationObject
 from iomatch.simulate import SceneSpec, run_experiment
-from oracles import read_objects_by_record
+from oracles import csv_writer_bytes, read_objects_by_record
 
 FULL_CONFIG = {
     "schema": {
@@ -120,7 +119,7 @@ class TestDatasetCsv:
     def test_round_trip_identity(self, tmp_path):
         objects = sample_objects(self.schema)
         path = tmp_path / "objects.csv"
-        write_objects_csv(path, objects, self.schema)
+        write_objects_csv(path, Dataset.from_objects(objects, self.schema))
         assert read_objects_csv(path, self.schema) == objects
 
     def test_round_trip_preserves_breakdowns(self, tmp_path):
@@ -132,8 +131,8 @@ class TestDatasetCsv:
             })
         ]
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_objects_csv(pa, objects_a, self.schema)
-        write_objects_csv(pb, objects_b, self.schema)
+        write_objects_csv(pa, Dataset.from_objects(objects_a, self.schema))
+        write_objects_csv(pb, Dataset.from_objects(objects_b, self.schema))
 
         def run(a, b):
             return pairwise_breakdowns(MatchRun(
@@ -145,6 +144,15 @@ class TestDatasetCsv:
         assert list(run(read_objects_csv(pa, self.schema), read_objects_csv(pb, self.schema))) == list(
             run(objects_a, objects_b)
         )
+
+    def test_dataset_with_violations_refused(self, tmp_path):
+        """Its columns hold a bad payload as absent, which would be written blank."""
+        objects = sample_objects(self.schema)
+        bad = InformationObject("a9", "s1", {"position": FeatureValue((1.0, math.nan)), "type": FeatureValue("tank")})
+        path = tmp_path / "objects.csv"
+        with pytest.raises(ValueError, match="a9/position: expected 2 finite numeric components"):
+            write_objects_csv(path, Dataset.from_objects([*objects, bad], self.schema))
+        assert not path.exists()
 
     def test_partial_composite_rejected(self, tmp_path):
         path = tmp_path / "broken.csv"
@@ -304,11 +312,10 @@ class TestBreakdownCsv:
             schema=config.schema, profiles=config.profiles,
             dataset_a=tuple(objects_a), dataset_b=tuple(objects_b),
         ))
-        columnar, per_row = tmp_path / "columnar.csv", tmp_path / "per_row.csv"
+        columnar = tmp_path / "columnar.csv"
         write_breakdowns_csv(columnar, breakdowns, config.schema)
-        write_breakdowns_csv(per_row, list(breakdowns), config.schema)
         text = columnar.read_bytes()
-        assert text == per_row.read_bytes()
+        assert text == csv_writer_bytes(list(breakdowns), config.schema)
         assert b'"com,ma",' in text and b'"quo""te",' in text and b'"b,\n1",' in text
         # readiness is absent from every dataset-A object: two empty cells a row.
         assert text.count(b",,,") == len(ids_a) * len(ids_b)
@@ -332,19 +339,6 @@ def pairs_bytes(breakdowns, schema) -> bytes:
         path = Path(directory) / "pairs.csv"
         write_breakdowns_csv(path, breakdowns, schema)
         return path.read_bytes()
-
-
-def csv_writer_bytes(breakdowns, schema) -> bytes:
-    """pairs.csv as csv.writer writes it, one row of float reprs per breakdown."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(breakdown_header(schema))
-    for b in breakdowns:
-        row = list(b.pair)
-        for score in map(b.per_feature.get, schema.names):
-            row += ["", ""] if score is None else [repr(score.proximity), repr(score.distance)]
-        writer.writerow(row + [repr(b.aggregate_proximity), repr(b.aggregate_distance)])
-    return out.getvalue().encode()
 
 
 SCALARS = (

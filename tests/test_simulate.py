@@ -72,7 +72,7 @@ class TestObserve:
     def test_deterministic_per_seed(self):
         scene = generate_scene(SceneSpec(object_count=30, rng_seed=4))
         p = position_profile("s1", 15.0)
-        assert observe(scene, p, seed=77) == observe(scene, p, seed=77)
+        assert list(observe(scene, p, seed=77)) == list(observe(scene, p, seed=77))
 
     def test_noise_scales_with_sigma_for_same_seed(self):
         scene = generate_scene(SceneSpec(object_count=5, rng_seed=4))
