@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config, require_match_config
-from .dataio import DataError, read_dataset, read_objects_csv, write_breakdowns_csv, write_json
+from .dataio import DataError, interleave, read_dataset, read_objects_csv, write_breakdowns_csv, write_json
 from .dataio import breakdown_record  # noqa: F401  (a boundary the per-layer trace in bench/spans.py wraps)
 from .engine import MatchRun, MatchRunError, candidates, pairwise_breakdowns
 from .model import SchemaError
@@ -57,6 +58,23 @@ def _build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser("validate", help="validate a configuration document")
     validate.add_argument("--config", required=True)
     return parser
+
+
+# Options that take a number.  argparse reads a value that starts with "-" as
+# an option unless it has the form of a plain negative number, so "-1e+16" or
+# "-inf" would exit 2 with its usage; such a value is joined to its option, as
+# "--threshold=-1e+16", so that it reaches validation.
+_NUMBER_OPTIONS = ("--threshold", "--seed")
+
+
+def _joined_numbers(argv: list[str]) -> list[str]:
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in _NUMBER_OPTIONS and arg.startswith("-"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
 
 
 def _fmt(x: float) -> str:
@@ -115,11 +133,9 @@ def _cmd_match(args) -> int:
     run = _build_run(config, dataset_a, dataset_b, threshold)
     breakdowns = pairwise_breakdowns(run)
     found = candidates(breakdowns, threshold)
-    lines = [f"pairs evaluated: {len(breakdowns)}; candidates above {threshold:g}: {len(found)}"]
-    lines += [
-        f"{a}  {b}  {_fmt(p)}" for a, b, p in zip(found.ids_a, found.ids_b, found.aggregate_proximity.tolist())
-    ]
-    print("\n".join(lines))
+    proximities = list(map(format, found.aggregate_proximity.tolist(), repeat(".4f")))
+    listing = interleave(["\n", found.ids_a, "  ", found.ids_b, "  ", proximities])
+    print(f"pairs evaluated: {len(breakdowns)}; candidates above {threshold:g}: {len(found)}{listing}")
     if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -194,7 +210,7 @@ def _cmd_validate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_joined_numbers(sys.argv[1:] if argv is None else argv))
     handlers = {
         "measure": _cmd_measure,
         "match": _cmd_match,

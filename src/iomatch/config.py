@@ -249,9 +249,10 @@ def parse_config(document: Mapping[str, Any]) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Load and validate a JSON configuration document from disk."""
+    """Load and validate a JSON configuration document from disk (UTF-8, a
+    leading byte-order mark skipped)."""
     try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
+        document = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError([f"cannot read config {path}: {exc}"]) from exc
     if not isinstance(document, dict):

@@ -16,10 +16,11 @@ Every float is written as its ``float.__repr__`` text through one renderer,
 the texts in a memo.  The run's memo is ``PairScores.texts``: ``pairs.csv``,
 ``candidates.json`` and ``report.json`` share it, so a score written to two
 of them is rendered once per run.  A memo is cleared once it holds more than
-``MEMO_CAP`` values.  The bulk writers work a bounded chunk at a time:
-``_CELLS`` floats of ``pairs.csv``, ``RECORDS_PER_BLOCK`` records of a JSON
-list, and ``_JOIN`` lines or records of text, so no artefact's text is held
-whole.
+``MEMO_CAP`` values.  The bulk writers work a bounded block at a time:
+``_CELLS`` floats of ``pairs.csv``, and ``RECORDS_PER_BLOCK`` lines of a CSV
+or records of a JSON list, so no artefact's text is held whole.  Each
+block's text is joined once, by :func:`interleave`, from the constant text
+around its fields and a column of texts per field.
 """
 
 from __future__ import annotations
@@ -74,10 +75,11 @@ def dataset_header(schema: Schema) -> list[str]:
 # Distinct floats a FloatTexts memo holds before it is cleared.
 MEMO_CAP = 1 << 16
 # Float cells rendered per pairs.csv chunk, and chunks whose scores it lays
-# out at once; lines or records joined per chunk of text.
+# out at once.
 _CELLS = 8192
 _STEPS = 8
-_JOIN = 128
+# Lines or records per block of text, rendered and joined once.
+RECORDS_PER_BLOCK = 1024
 
 
 class FloatTexts:
@@ -135,11 +137,23 @@ def float_texts(values, memo: FloatTexts) -> np.ndarray:
     return texts[inverse].reshape(values.shape)
 
 
+def interleave(lanes: Sequence[str | Sequence[str]]) -> str:
+    """The texts of a block of records, joined once: record k is the k-th
+    text of each lane in turn, where a ``str`` lane is the same text in every
+    record.  At least one lane is a sequence of texts; all of those are of
+    one length, the number of records."""
+    n = next(len(lane) for lane in lanes if not isinstance(lane, str))
+    texts = [""] * (n * len(lanes))
+    for k, lane in enumerate(lanes):
+        texts[k :: len(lanes)] = [lane] * n if isinstance(lane, str) else lane
+    return "".join(texts)
+
+
 def _write_lines(fh, columns: Sequence[Iterable[str]]) -> None:
-    """Write the rows of equal-length columns of CSV field texts, ``_JOIN`` lines at a time."""
+    """Write the rows of equal-length columns of CSV field texts, ``RECORDS_PER_BLOCK`` lines at a time."""
     lines = map(",".join, zip(*columns))
-    while text := "\n".join(islice(lines, _JOIN)):
-        fh.write(text + "\n")
+    while text := interleave([list(islice(lines, RECORDS_PER_BLOCK)), "\n"]):
+        fh.write(text)
 
 
 def _feature_texts(feature: FeatureSchema, column: FeatureColumn, memo: FloatTexts) -> list[list[str]]:
@@ -283,11 +297,11 @@ def read_dataset(path: str | Path, schema: Schema) -> Dataset:
     Fully blank lines are skipped; every other record must have as many
     fields as the header.  A file that is not UTF-8 text, or a record the
     csv module rejects (such as a field over its size limit), also raises
-    :class:`DataError`.
+    :class:`DataError`; a leading UTF-8 byte-order mark is skipped.
     """
     columns = _value_columns(schema)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             records, lines = [], []
@@ -415,8 +429,6 @@ _KINDS = {
     "flag": ("false", "true").__getitem__,  # a bool
     "float": None,  # a finite float
 }
-# Records per block of a column view: its floats are rendered in one call.
-RECORDS_PER_BLOCK = 1024
 
 
 def _values(column: Iterable) -> Iterable:
@@ -462,100 +474,87 @@ class ColumnRecords:
         return [dict(zip(self.fields, row)) for block in self.blocks for row in zip(*map(_values, block))]
 
 
-def _list_chunks(blocks: Iterable[Iterable[str]], depth: int) -> Iterator[str]:
-    """The JSON list of the record texts of ``blocks``, ``depth`` levels
-    deep, at most ``_JOIN`` records per chunk."""
-    pad = "\n" + "  " * (depth + 1)
-    lead = "[" + pad
-    for records in map(iter, blocks):
-        while text := ("," + pad).join(islice(records, _JOIN)):
-            yield lead
-            yield text
-            lead = "," + pad
-    yield "[]" if lead[0] == "[" else "\n" + "  " * depth + "]"
+def _list_chunks(blocks: Iterable[str], depth: int) -> Iterator[str]:
+    """The JSON list, ``depth`` levels deep, of the records in ``blocks``:
+    texts of whole records, each led by a comma and its line break."""
+    opened = False
+    for text in blocks:
+        if text:
+            yield text if opened else "[" + text[1:]
+            opened = True
+    yield "\n" + "  " * depth + "]" if opened else "[]"
 
 
-def _record_template(keys: Iterable[str], depth: int) -> str:
-    """The %-template of a record ``depth`` levels deep, one ``%s`` per key."""
+def _record_pieces(keys: Iterable[str], depth: int) -> list[str]:
+    """The text around the values of a record ``depth`` levels deep, one
+    piece before each key's value and one after the last, led by the comma
+    and line break that come before the record in its list."""
     pad = "\n" + "  " * (depth + 1)
-    fields = [f"{pad}  {encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in keys]
-    return "{" + ",".join(fields) + pad + "}"
+    leads = chain(["," + pad + "{"], repeat(","))
+    return [*(f"{lead}{pad}  {encode_basestring_ascii(k)}: " for lead, k in zip(leads, keys)), pad + "}"]
 
 
 def _record_chunks(records: ColumnRecords, depth: int) -> Iterator[str]:
-    """The text of ``records`` ``depth`` levels deep."""
-    template = _record_template(records.fields, depth)
+    """The text of ``records`` ``depth`` levels deep.  Each distinct id or
+    flag of a block is encoded once, and its floats are rendered in one call."""
+    pieces = _record_pieces(records.fields, depth)
     kinds = list(records.fields.values())
     floats = [k for k, kind in enumerate(kinds) if kind == "float"]
 
-    def texts(block):
-        columns = [None if kind == "float" else map(_KINDS[kind], _values(c)) for kind, c in zip(kinds, block)]
-        for k, column in zip(floats, float_texts([block[k] for k in floats], records.texts).tolist()):
-            columns[k] = column
-        return map(template.__mod__, zip(*columns))
+    def text(block):
+        rendered = iter(float_texts([block[k] for k in floats], records.texts).tolist())
+        lanes = []
+        for piece, kind, column in zip(pieces, kinds, block):
+            if kind == "float":
+                lanes += [piece, next(rendered)]
+            else:
+                column = _values(column)
+                encoded = {v: _KINDS[kind](v) for v in set(column)}
+                lanes += [piece, list(map(encoded.__getitem__, column))]
+        return interleave([*lanes, pieces[-1]])
 
-    return _list_chunks(map(texts, records.blocks), depth)
+    return _list_chunks(map(text, records.blocks), depth)
 
 
 def _candidate_chunks(found: RankedCandidates, depth: int) -> Iterator[str]:
     """``[breakdown_record(b) for b in found]`` as json.dumps writes it
-    ``depth`` levels deep, rendered from the columns a block at a time: one
-    %-template per pattern of present features."""
+    ``depth`` levels deep, rendered from the columns a block at a time.
+
+    Each feature takes five lanes of a record: its opening text, distance,
+    middle text, proximity and closing text, all ``""`` where the pair lacks
+    the feature.  The opening text starts with a comma where the pair shows
+    an earlier feature."""
     pad = "\n" + "  " * (depth + 2)
     names = sorted(found.proximity)
-    features = [
-        f'{encode_basestring_ascii(name).replace("%", "%%")}: '
-        f'{{{pad}    "distance": %s,{pad}    "proximity": %s{pad}  }}'
-        for name in names
-    ]
-    record = _record_template(("a", "b", "distance", "features", "proximity"), depth)
-    scores = found.scores
-    ids_a, ids_b = (
-        np.array(list(map(encode_basestring_ascii, ids)), dtype=object) for ids in (scores.ids_a, scores.ids_b)
+    a, b, distance, features, proximity, end = _record_pieces(("a", "b", "distance", "features", "proximity"), depth)
+    # One-element object arrays, which np.where spreads by reference.
+    openings = [f"{pad}  {encode_basestring_ascii(name)}: {{{pad}    \"distance\": " for name in names]
+    first, later = ([np.array([lead + text], dtype=object) for text in openings] for lead in ("", ","))
+    blank, middle, closing, shut, empty = (
+        np.array([text], dtype=object) for text in ("", f",{pad}    \"proximity\": ", pad + "  }", pad + "}", "}")
     )
-    # Each object's features as bits of 64-bit words, bit j % 64 of word j // 64
-    # for the j-th name: a pair's pattern of present features is the AND of
-    # its objects' words.
-    words = max(1, -(-len(names) // 64))
+    ids_a, ids_b = (np.array([encode_basestring_ascii(i) for i in ids], dtype=object) for ids in found.grid_ids)
 
-    def presence_words(n, held):
-        mask = np.zeros((n, words), dtype=np.uint64)
-        for j, has in enumerate(held):
-            mask[:, j // 64] |= has.astype(np.uint64) << np.uint64(j % 64)
-        return mask
-
-    mask_a = presence_words(len(scores.ids_a), [scores.sides[name].has_a for name in names])
-    mask_b = presence_words(len(scores.ids_b), [scores.sides[name].has_b for name in names])
-
-    def texts(start):
+    def text(start):
         block = slice(start, start + RECORDS_PER_BLOCK)
-        count = len(found.aggregate_proximity[block])
-        p = np.array([found.proximity[name][block] for name in names], dtype=float).reshape(len(names), count)
+        present = np.array([found.present[name][block] for name in names], dtype=bool)
+        p = np.array([found.proximity[name][block] for name in names], dtype=float)
+        # Rows: distance, each feature's distance, its proximity, proximity.
         values = [found.aggregate_distance[block], *(1.0 - p), *p, found.aggregate_proximity[block]]
-        # Rows: a, b, distance, each feature's distance, its proximity, proximity.
-        ids = [ids_a[found.rows[block]], ids_b[found.cols[block]]]
-        cells = np.concatenate([ids, float_texts(values, scores.texts)])
-        codes = mask_a[found.rows[block]] & mask_b[found.cols[block]]
-        if words == 1:
-            patterns, inverse = np.unique(codes[:, 0], return_inverse=True)
-        else:
-            patterns, inverse = np.unique(codes, axis=0, return_inverse=True)
-        groups = []
-        for k, pattern in enumerate(patterns.reshape(len(patterns), words).tolist()):
-            shown = [j for j in range(len(names)) if pattern[j // 64] >> (j % 64) & 1]
-            body = f"{{{pad}  {(',' + pad + '  ').join(features[j] for j in shown)}{pad}}}" if shown else "{}"
-            template = record % ("%s", "%s", "%s", body, "%s")
-            rows = [0, 1, 2, *(r for j in shown for r in (3 + j, 3 + len(names) + j)), 3 + 2 * len(names)]
-            at = np.flatnonzero(inverse.ravel() == k)
-            groups.append((at, map(template.__mod__, zip(*cells[rows][:, at].tolist()))))
-        if len(groups) == 1:
-            return groups[0][1]
-        out = np.empty(count, dtype=object)
-        for at, records in groups:
-            out[at] = np.array(list(records), dtype=object)
-        return out.tolist()
+        values = float_texts(values, found.scores.texts)
+        values[1:-1][np.concatenate([~present, ~present])] = ""
+        values = values.tolist()
+        lanes = [a, ids_a[found.rows[block]].tolist(), b, ids_b[found.cols[block]].tolist(), distance, values[0]]
+        lanes.append(features + "{")
+        earlier = np.zeros(len(values[0]), dtype=bool)
+        for j, held in enumerate(present):
+            opening = np.where(held, np.where(earlier, later[j], first[j]), blank).tolist()
+            middles, closings = (np.where(held, t, blank).tolist() for t in (middle, closing))
+            lanes += [opening, values[1 + j], middles, values[1 + len(names) + j], closings]
+            earlier |= held
+        return interleave([*lanes, np.where(earlier, shut, empty).tolist(), proximity, values[-1], end])
 
-    return _list_chunks(map(texts, range(0, len(found), RECORDS_PER_BLOCK)), depth)
+    return _list_chunks(map(text, range(0, len(found), RECORDS_PER_BLOCK)), depth)
 
 
 def write_json(path: str | Path, payload) -> None:

@@ -152,6 +152,26 @@ class TestMatch:
         b = write(tmp_path, "b.csv", "object_id,source_id,speed,type\nb1,beta,1.0,tank\n")
         assert main(["match", "--config", str(config_path), str(a), str(b)]) == 1
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, config_path, capsys):
+        """A dataset or config starting with a UTF-8 byte-order mark, as
+        spreadsheet exports often do, was rejected: the dataset as missing its
+        first column, the config as not JSON.  It now reads as without one."""
+        text = "object_id,source_id,speed,type\na1,alpha,12.0,tank\na2,alpha,13.0,\n"
+        b = write(tmp_path, "b.csv", "object_id,source_id,speed,type\nb1,beta,12.5,tank\n")
+        runs = {}
+        for bom in ("", "\ufeff"):
+            root = tmp_path / f"bom-{len(bom)}"
+            root.mkdir()
+            a = write(root, "a.csv", bom + text)
+            config = write(root, "config.json", bom + config_path.read_text())
+            assert main(["match", "--config", str(config), str(a), str(b), "--out", str(root / "out")]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            runs[bom] = [captured.out, *((root / "out" / n).read_bytes() for n in ("pairs.csv", "candidates.json"))]
+        assert (tmp_path / "bom-1" / "a.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert runs["\ufeff"] == runs[""]
+        assert "a1  b1" in runs[""][0]
+
 
 RANKED_CONFIG = {
     "schema": {
@@ -320,6 +340,18 @@ class TestRejectedAtValidation:
             )
             assert (child.returncode, child.stderr, child.stdout) == (1, want, "")
 
+    @pytest.mark.parametrize("verb", ["match", "simulate"])
+    def test_negative_exponent_threshold_reaches_validation(self, tmp_path, config_path, capsys, verb):
+        """argparse read "-1e+16" or "-inf" as an option and exited 2 with usage lines."""
+        text = "object_id,source_id,speed,type\na1,alpha,12.0,tank\n"
+        a, b = write(tmp_path, "a.csv", text), write(tmp_path, "b.csv", text.replace("alpha", "beta"))
+        inputs = {"match": ["--config", str(config_path), str(a), str(b)], "simulate": []}[verb]
+        for value in ("-1e+16", "-inf"):
+            assert main([verb, *inputs, "--threshold", value]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: candidate threshold {float(value):g} outside [0, 1]\n"
+            assert captured.out == ""
+
     def test_duplicate_object_id(self, tmp_path, capsys):
         assert self.match(tmp_path, RANKED_CONFIG, "a1,alpha,12.0,4\na1,alpha,13.0,5\n") == 1
         captured = capsys.readouterr()
@@ -424,8 +456,8 @@ def cli_runs(draw):
     files = [draw(fuzz_files()) for _ in range({"measure": 1, "match": 2}.get(verb, 0))]
     options = []
     if verb in ("match", "simulate") and draw(st.booleans()):
-        # With "=", argparse takes a value such as -1e+16 that it would read as an option.
-        options.append(f"--threshold={draw(THRESHOLD_TEXTS)}")
+        value = draw(THRESHOLD_TEXTS)
+        options += draw(st.sampled_from([[f"--threshold={value}"], ["--threshold", value]]))
     if verb == "simulate":
         # A scene of n objects scores n^2 pairs: keep drawn scenes small.
         count = doc.get("simulation", {}).get("object_count") if isinstance(doc.get("simulation"), dict) else None

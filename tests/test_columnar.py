@@ -231,6 +231,41 @@ def test_candidates_json_from_columns_equals_stdlib(run, threshold):
     assert_json_records(candidates(pairwise_breakdowns(run), threshold))
 
 
+def _masked_side(source, names, masks):
+    """Objects of ``source``, the i-th holding the features whose bits ``masks[i]`` sets."""
+    drawn = {
+        "pos": lambda i: (float(i % 5), float(i % 3)),
+        "speed": lambda i: float(i % 4),
+        "ready": lambda i: 2 + i % 5,
+        "threat": lambda i: 3 + i % 4,
+        "type": lambda i: LABELS[i % 3],
+    }
+    return tuple(
+        InformationObject(f"{source}{i}", source, {
+            n: FeatureValue(drawn[n](i)) for k, n in enumerate(names) if mask >> k & 1
+        })
+        for i, mask in enumerate(masks)
+    )
+
+
+MASKS = st.lists(st.integers(0, 31), min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(sorted(FEATURES)), min_size=1, max_size=5, unique=True), MASKS, MASKS)
+@example(sorted(FEATURES), [0b11110, 0b11100], [0b11110])  # the first feature absent
+@example(["speed", "type"], [0b01, 0b01], [0b10])  # no shared feature
+@example(sorted(FEATURES), [0b11111, 0b11111], [0b11111])  # every feature present
+def test_candidates_json_for_any_presence_masks(names, masks_a, masks_b):
+    """Whichever of up to five features of mixed kinds a pair shows, none to
+    all, candidates.json is json.dumps of the breakdown records."""
+    schema = Schema(tuple(FeatureSchema(**{**FEATURES[n].__dict__, "weight": 1 / len(names)}) for n in names))
+    run = MatchRun(schema, _profiles(names, [1.0, 2.0, 0.5], 0.4, 2.5, 1.0), _masked_side("a", names, masks_a),
+                   _masked_side("b", names, masks_b), AggregationSpec(method=AggregationMethod.ADDITIVE))
+    found = candidates(pairwise_breakdowns(run), 0.0)
+    assert_json_records(found)
+
+
 def test_candidates_json_over_several_blocks():
     """529 candidates span three blocks of records; some pairs share no feature."""
     names = ["speed", "type"]
@@ -255,8 +290,8 @@ def test_candidates_json_over_several_blocks():
 
 
 def test_candidates_json_with_more_features_than_one_mask_word():
-    """70 features take two 64-bit presence words per object; each object
-    lacks a different fifth of them, so pairs show many patterns."""
+    """70 features, of which each object lacks a different fifth: pairs show
+    many patterns of present features, some past the 64th feature."""
     names = [f"f{k:02d}" for k in range(70)]
     schema = Schema(tuple(FeatureSchema(n, FeatureKind.NOMINAL, 1 / 70, nominal_delta=0.2) for n in names))
 

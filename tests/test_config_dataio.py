@@ -460,6 +460,19 @@ class TestJsonBytes:
         view[str(decoy)] = plain[str(decoy)] = 1
         assert json_bytes(view) == stdlib_bytes(plain)
 
+    def test_column_records_with_repeated_and_escaped_ids(self):
+        """Each distinct id and flag of a block is encoded once: ids repeated
+        within and across blocks, and ids holding %, a quote, a backslash or
+        non-ASCII text, keep their own texts."""
+        ids = ["%s", 'q"', "back\\slash", "\u00e9t\u00e9", "\U0001f600", "%%", "%s", 'q"']
+        fields = {"a": "id", "b": "id", "f": "flag", "p": "float"}
+        blocks = [
+            [ids, ["b0"] * 8, [True, False] * 4, [0.5, -0.0] * 4],
+            [ids[::-1], ids, np.array([True] * 8), np.arange(8.0)],
+        ]
+        records = [dict(zip(fields, row)) for block in blocks for row in zip(*(np.asarray(c).tolist() for c in block))]
+        assert json_bytes({"r": ColumnRecords(fields, blocks), "s": 1}) == stdlib_bytes({"r": records, "s": 1})
+
     def test_record_keys_must_be_sorted(self):
         with pytest.raises(ValueError, match="sorted"):
             ColumnRecords({"b": "id", "a": "id"}, [])
