@@ -43,15 +43,15 @@ def _build_parser() -> argparse.ArgumentParser:
     match.add_argument("--config", required=True)
     match.add_argument("dataset_a", help="CSV dataset of the first source")
     match.add_argument("dataset_b", help="CSV dataset of the second source")
-    match.add_argument("--threshold", type=float, default=None, help="candidate threshold override")
+    match.add_argument("--threshold", default=None, help="candidate threshold override")
     match.add_argument("--out", default=None, help="directory for emitted files")
     match.add_argument("--format", choices=("csv", "json"), default=None,
                        help="restrict emitted files to one format")
 
     simulate = sub.add_parser("simulate", help="run the synthetic two-source experiment")
     simulate.add_argument("--config", default=None, help="configuration with a simulation section")
-    simulate.add_argument("--seed", type=int, default=None, help="scene RNG seed override")
-    simulate.add_argument("--threshold", type=float, default=None)
+    simulate.add_argument("--seed", default=None, help="scene RNG seed override")
+    simulate.add_argument("--threshold", default=None)
     simulate.add_argument("--out", default=None, help="directory for emitted files")
     simulate.add_argument("--format", choices=("csv", "json", "svg"), default=None)
 
@@ -60,11 +60,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Options that take a number.  argparse reads a value that starts with "-" as
-# an option unless it has the form of a plain negative number, so "-1e+16" or
-# "-inf" would exit 2 with its usage; such a value is joined to its option, as
-# "--threshold=-1e+16", so that it reaches validation.
-_NUMBER_OPTIONS = ("--threshold", "--seed")
+# Options that take a number, with the type of the value and what an error
+# says it must be.  argparse takes the values as text.  It reads a value that starts
+# with "-" as an option unless it has the form of a plain negative number, so
+# "-1e+16" or "-inf" is joined to its option, as "--threshold=-1e+16".
+_NUMBER_OPTIONS = {"--threshold": (float, "a number"), "--seed": (int, "an integer")}
 
 
 def _joined_numbers(argv: list[str]) -> list[str]:
@@ -75,6 +75,19 @@ def _joined_numbers(argv: list[str]) -> list[str]:
         else:
             joined.append(arg)
     return joined
+
+
+def _parse_numbers(args) -> None:
+    """Parse the number options of ``args`` in place; raises ConfigError naming each malformed value."""
+    errors = []
+    for option, (kind, expected) in _NUMBER_OPTIONS.items():
+        text = getattr(args, option[2:], None)
+        try:
+            setattr(args, option[2:], text if text is None else kind(text))
+        except ValueError:
+            errors.append(f"{option} must be {expected}, got {text!r}")
+    if errors:
+        raise ConfigError(errors)
 
 
 def _fmt(x: float) -> str:
@@ -218,6 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         "validate": _cmd_validate,
     }
     try:
+        _parse_numbers(args)
         return handlers[args.command](args)
     except (ConfigError, SchemaError, MatchRunError, SceneSpecError) as exc:
         for error in exc.errors:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from itertools import chain, count, islice, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
@@ -416,11 +416,6 @@ def breakdown_record(b: ProximityBreakdown) -> dict:
 
 
 # --- JSON -----------------------------------------------------------------------
-#
-# json.dumps(indent=2, sort_keys=True) writes every value but the column views:
-# a RankedCandidates or ColumnRecords would cost a dict per record, so their
-# records are rendered from the columns and spliced in where json.dumps wrote
-# a marker in their place.
 
 # Per column kind: the function that turns a value into its JSON text.
 # Floats are rendered by float_texts instead, all of a block's at once.
@@ -557,40 +552,35 @@ def _candidate_chunks(found: RankedCandidates, depth: int) -> Iterator[str]:
     return _list_chunks(map(text, range(0, len(found), RECORDS_PER_BLOCK)), depth)
 
 
+def _json_chunks(value, depth: int) -> Iterator[str]:
+    """``json.dumps(value, indent=2, sort_keys=True)`` written ``depth`` levels
+    deep, in pieces, a column view standing for its list of records.  Non-empty
+    lists, tuples and string-keyed dicts are walked; any other value is written
+    by ``json.dumps``, each of its line breaks indented (none is in a string)."""
+    indent = "\n" + "  " * depth
+    if isinstance(value, RankedCandidates):
+        yield from _candidate_chunks(value, depth)
+    elif isinstance(value, ColumnRecords):
+        yield from _record_chunks(value, depth)
+    elif isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        for lead, key in zip(chain("{", repeat(",")), sorted(value)):
+            yield f"{lead}{indent}  {encode_basestring_ascii(key)}: "
+            yield from _json_chunks(value[key], depth + 1)
+        yield indent + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        for lead, item in zip(chain("[", repeat(",")), value):
+            yield lead + indent + "  "
+            yield from _json_chunks(item, depth + 1)
+        yield indent + "]"
+    else:
+        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
+
+
 def write_json(path: str | Path, payload) -> None:
     """Write ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline,
-    byte for byte, where a column view stands for the list of its records:
-    a :class:`RankedCandidates` for its ``breakdown_record``s, and a
-    :class:`ColumnRecords` for its records.  The views are streamed from
-    their columns, so their text is never held whole."""
-    views = []
-
-    def mark(value):
-        if not isinstance(value, (RankedCandidates, ColumnRecords)):
-            return json.JSONEncoder().default(value)  # raises the stdlib's TypeError
-        views.append(value)
-        return f"{marker}{len(views) - 1}"
-
-    # Each view's marker must occur once: a payload string may hold one.
-    for nonce in count():
-        marker = f"\x00column view {nonce}:"
-        views.clear()
-        text = json.dumps(payload, indent=2, sort_keys=True, default=mark)
-        tokens = [json.dumps(f"{marker}{k}") for k in range(len(views))]
-        if all(text.count(t) == 1 for t in tokens):
-            break
+    byte for byte, where a :class:`RankedCandidates` stands for its
+    ``breakdown_record``s and a :class:`ColumnRecords` for its records, each
+    streamed from its columns, so that no view's text is held whole."""
     with open(path, "w") as fh:
-        end = 0
-        for start, k in sorted((text.index(t), k) for k, t in enumerate(tokens)):
-            fh.write(text[end:start])
-            line = text[text.rfind("\n", 0, start) + 1 : start]
-            depth = (len(line) - len(line.lstrip(" "))) // 2
-            view = views[k]
-            fh.writelines(
-                _candidate_chunks(view, depth) if isinstance(view, RankedCandidates) else _record_chunks(view, depth)
-            )
-            end = start + len(tokens[k])
-        fh.write(text[end:] + "\n")
-    # json.dumps leaves its encoder's closures, which hold ``mark``, in a
-    # reference cycle; emptying ``views`` lets the views go at once.
-    views.clear()
+        fh.writelines(_json_chunks(payload, 0))
+        fh.write("\n")

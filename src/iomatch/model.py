@@ -254,6 +254,8 @@ def profile_violations(profile: SourceProfile, schema: Schema) -> list[str]:
                 errors.append(f"{sid}/{name}: give exactly one of sigma or delta_max")
             elif not given[0] > 0.0:
                 errors.append(f"{sid}/{name}: accuracy must be positive")
+            elif not acc.resolved_sigma() > 0.0:  # a delta_max whose sigma underflows
+                errors.append(f"{sid}/{name}: sigma must be strictly positive")
         elif feature.kind is FeatureKind.ORDINAL_FUZZY:
             if not isinstance(acc, OrdinalAccuracy):
                 errors.append(f"{sid}/{name}: expected ordinal accuracy")
@@ -271,14 +273,7 @@ def profile_violations(profile: SourceProfile, schema: Schema) -> list[str]:
         else:
             errors.append(f"{sid}/{name}: nominal error lives in the schema, not the profile")
     for name in schema.quantitative_names:
-        acc = profile.accuracy.get(name)
-        if not isinstance(acc, QuantAccuracy):
-            errors.append(f"{sid}: missing accuracy parameter for quantitative feature {name!r}")
-            continue
-        try:
-            if not acc.resolved_sigma() > 0.0:
-                errors.append(f"{sid}/{name}: sigma must be strictly positive")
-        except ValueError:
+        if name not in profile.accuracy:
             errors.append(f"{sid}: missing accuracy parameter for quantitative feature {name!r}")
     for f in schema.features:
         if f.kind is not FeatureKind.ORDINAL_FUZZY:

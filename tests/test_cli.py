@@ -352,6 +352,23 @@ class TestRejectedAtValidation:
             assert captured.err == f"error: candidate threshold {float(value):g} outside [0, 1]\n"
             assert captured.out == ""
 
+    @pytest.mark.parametrize("verb, option, value, message", [
+        ("match", "--threshold", "abc", "error: --threshold must be a number, got 'abc'"),
+        ("simulate", "--threshold", "abc", "error: --threshold must be a number, got 'abc'"),
+        ("match", "--threshold", "", "error: --threshold must be a number, got ''"),
+        ("simulate", "--seed", "1.5", "error: --seed must be an integer, got '1.5'"),
+        ("simulate", "--seed", "", "error: --seed must be an integer, got ''"),
+    ])
+    def test_malformed_option_value(self, tmp_path, config_path, capsys, verb, option, value, message):
+        """argparse rejected a malformed number with usage lines and exit 2."""
+        text = "object_id,source_id,speed,type\na1,alpha,12.0,tank\n"
+        a, b = write(tmp_path, "a.csv", text), write(tmp_path, "b.csv", text.replace("alpha", "beta"))
+        inputs = {"match": ["--config", str(config_path), str(a), str(b)], "simulate": []}[verb]
+        for options in ([option, value], [f"{option}={value}"]):
+            assert main([verb, *inputs, *options]) == 1
+            captured = capsys.readouterr()
+            assert (captured.err, captured.out) == (message + "\n", "")
+
     def test_duplicate_object_id(self, tmp_path, capsys):
         assert self.match(tmp_path, RANKED_CONFIG, "a1,alpha,12.0,4\na1,alpha,13.0,5\n") == 1
         captured = capsys.readouterr()
@@ -442,9 +459,14 @@ class TestSimulate:
 
 # --- the command line on arbitrary files ----------------------------------------
 
-THRESHOLD_TEXTS = st.sampled_from(["0", "1", "0.01", "-0.5", "1.5", "nan", "inf", "-inf", "1e-300"]) | st.builds(
-    repr, st.floats()
+# Malformed values too: each is one error line, never argparse's usage.
+MALFORMED_TEXTS = st.sampled_from(["", "abc", "1,5", "0x1", "--1"])
+THRESHOLD_TEXTS = (
+    st.sampled_from(["0", "1", "0.01", "-0.5", "1.5", "nan", "inf", "-inf", "1e-300"])
+    | st.builds(repr, st.floats())
+    | MALFORMED_TEXTS
 )
+SEED_TEXTS = st.integers(-3, 2**70).map(str) | st.sampled_from(["1.5", "1e3", "-0.5"]) | MALFORMED_TEXTS
 
 
 @st.composite
@@ -463,7 +485,8 @@ def cli_runs(draw):
         count = doc.get("simulation", {}).get("object_count") if isinstance(doc.get("simulation"), dict) else None
         assume(not isinstance(count, int) or count <= 30)
         if draw(st.booleans()):
-            options.append(f"--seed={draw(st.integers(-3, 2**70))}")
+            value = draw(SEED_TEXTS)
+            options += draw(st.sampled_from([[f"--seed={value}"], ["--seed", value]]))
     formats = {"match": ["csv", "json"], "simulate": ["csv", "json", "svg"]}.get(verb)
     if formats and draw(st.booleans()):
         options.append(f"--format={draw(st.sampled_from(formats))}")

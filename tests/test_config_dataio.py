@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 import tempfile
@@ -363,6 +364,34 @@ JSON_VALUES = st.recursive(
 )
 
 
+class ViewSlot:
+    """Where a drawn payload holds a column view: ``kind`` is ``"records"``
+    (the drawn ``rows``, cut into two blocks at ``cut``), ``"candidates"`` or
+    ``"no candidates"``."""
+
+    def __init__(self, kind, rows=(), cut=0):
+        self.kind, self.rows, self.cut = kind, rows, cut
+
+
+VIEW_FIELDS = {"%s": "float", "a": "id", "f": "flag"}
+VIEW_ROWS = st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=6), st.booleans()), max_size=5)
+VIEW_SLOTS = st.sampled_from(["candidates", "no candidates"]).map(ViewSlot) | st.builds(
+    lambda rows, cut: ViewSlot("records", rows, cut), VIEW_ROWS, st.integers(0, 5)
+)
+# Column views anywhere in a JSON value, next to dicts whose keys are not
+# strings (which no view may sit in: json.dumps rejects any value it cannot
+# encode, a view too).
+VIEW_PAYLOADS = st.recursive(
+    SCALARS | VIEW_SLOTS | st.dictionaries(st.integers() | st.floats(allow_nan=False), SCALARS, min_size=1, max_size=3),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=8), children, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
 class TestJsonBytes:
     """write_json writes the bytes of json.dumps(indent=2, sort_keys=True)."""
 
@@ -446,6 +475,43 @@ class TestJsonBytes:
         assert json_bytes(view) == stdlib_bytes(plain)
         assert json_bytes(view["c"]) == stdlib_bytes(plain["c"])
 
+    @staticmethod
+    def filled(value, found):
+        """``value`` with each :class:`ViewSlot` replaced by a fresh view,
+        and ``value`` with each replaced by the view's list of records;
+        ``found`` is (candidates, no candidates)."""
+        if isinstance(value, ViewSlot):
+            if value.kind != "records":
+                view = found[value.kind == "no candidates"]
+                return view, [breakdown_record(b) for b in view]
+            halves = value.rows[: value.cut], value.rows[value.cut :]
+            blocks = [[list(c) for c in zip(*rows)] or [[], [], []] for rows in halves]
+            return ColumnRecords(VIEW_FIELDS, blocks), [dict(zip(VIEW_FIELDS, row)) for row in value.rows]
+        if isinstance(value, dict):
+            pairs = {k: TestJsonBytes.filled(v, found) for k, v in value.items()}
+            return {k: v for k, (v, _) in pairs.items()}, {k: p for k, (_, p) in pairs.items()}
+        if isinstance(value, (list, tuple)):
+            pairs = [TestJsonBytes.filled(v, found) for v in value]
+            return type(value)(v for v, _ in pairs), type(value)(p for _, p in pairs)
+        return value, value
+
+    @settings(max_examples=200, deadline=None)
+    @given(VIEW_PAYLOADS)
+    @example(ViewSlot("candidates"))
+    @example(ViewSlot("records", [(0.5, "\u00e9\n", True), (-0.0, 'q"', False)], 1))
+    @example({"a": ({1: 2.5}, ViewSlot("no candidates"), [ViewSlot("records")]), "b": {1.5: None}, "c": [[ViewSlot("candidates")]]})
+    def test_column_views_anywhere(self, value):
+        """A view anywhere in a payload is written as its list of records."""
+        view, plain = self.filled(value, self.found())
+        assert json_bytes(view) == stdlib_bytes(plain)
+
+    @staticmethod
+    @functools.cache
+    def found():
+        """Candidates of every pair of a match, and none."""
+        view, _ = TestJsonBytes.column_views()
+        return view["c"], view["none"]
+
     @pytest.mark.parametrize("decoy", [
         "\x00column view 0:0",
         "\x00column view 0:1",
@@ -453,8 +519,8 @@ class TestJsonBytes:
         ["\x00column view 0:0", "\x00column view 1:0", {"\x00column view 2:1": "\x00column view 2:0"}],
     ])
     def test_payload_strings_never_collide_with_a_view(self, decoy):
-        """json.dumps writes a marker in each view's place; a payload string or
-        key equal to a marker must be written as itself."""
+        """Payload strings and keys that look like text a writer might mark a
+        view's place with are written as themselves, next to the views."""
         view, plain = self.column_views()
         view["decoy"] = plain["decoy"] = decoy
         view[str(decoy)] = plain[str(decoy)] = 1

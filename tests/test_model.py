@@ -123,6 +123,19 @@ class TestSourceProfile:
         profile = SourceProfile("s", {"speed": QuantAccuracy(sigma=1.0, delta_max=3.0)})
         assert any("exactly one" in e for e in profile_violations(profile, self.schema))
 
+    @pytest.mark.parametrize("accuracy, errors", [
+        (QuantAccuracy(), ["s/speed: give exactly one of sigma or delta_max"]),
+        (QuantAccuracy(sigma=-1.0, delta_max=3.0), ["s/speed: give exactly one of sigma or delta_max"]),
+        (OrdinalAccuracy(width=1.0), ["s/speed: expected quantitative accuracy"]),
+        (QuantAccuracy(sigma=-1.0), ["s/speed: accuracy must be positive"]),
+    ])
+    def test_one_fault_one_message(self, accuracy, errors):
+        assert profile_violations(SourceProfile("s", {"speed": accuracy}), self.schema) == errors
+
+    def test_delta_max_whose_sigma_underflows(self):
+        profile = SourceProfile("s", {"speed": QuantAccuracy(delta_max=5e-324)})
+        assert profile_violations(profile, self.schema) == ["s/speed: sigma must be strictly positive"]
+
     def test_ordinal_k_range(self):
         profile = SourceProfile("s", {"speed": QuantAccuracy(sigma=1.0),
                                       "rank": OrdinalAccuracy(relative_k=1.5)})
