@@ -57,6 +57,7 @@ from .model import (
     ProximityBreakdown,
     Schema,
     SourceProfile,
+    non_finite_violation,
     profile_violations,
     schema_violations,
 )
@@ -115,14 +116,25 @@ def run_violations(run: MatchRun) -> list[str]:
             for oid, count in Counter(dataset.ids).items():
                 if count > 1:
                     errors.append(f"dataset {label}: object id {oid!r} appears {count} times")
-        # Per object: its payload violations, then its collapsed supports.
-        found = sorted((*dataset.violations, *_collapsed_supports(dataset, run)), key=lambda v: v[0])
-        errors.extend(message for _, message in found)
+        # Per object: its payload violations, its non-finite numbers, then its collapsed supports.
+        found = [*dataset.violations, *_non_finite(dataset), *_collapsed_supports(dataset, run)]
+        errors.extend(message for _, message in sorted(found, key=lambda v: v[0]))
     a_sources, b_sources = set(run.dataset_a.source_ids), set(run.dataset_b.source_ids)
     if a_sources and a_sources == b_sources:
         errors.append("both datasets reference the same source id")
     errors.extend(agg.weight_violations(run.schema, run.aggregation))
     return errors
+
+
+def _non_finite(dataset: Dataset) -> list[tuple[int, str]]:
+    """(object index, message) of every present quantitative or ordinal value
+    that is not finite: a dataset built from columns is not checked when made."""
+    found = []
+    for f in (f for f in dataset.schema.features if f.kind is not FeatureKind.NOMINAL):
+        column = dataset.columns[f.name]
+        bad = np.flatnonzero(column.present & ~np.isfinite(column.values).all(axis=1))
+        found += [(i, f"{dataset.ids[i]}/{f.name}: {non_finite_violation(f)}") for i in bad.tolist()]
+    return found
 
 
 def _relative_k(feature: FeatureSchema, profile: SourceProfile) -> float | None:
@@ -139,9 +151,9 @@ def _keeps_rank(rank: float, k: float) -> bool:
 
 
 def _collapsed_supports(dataset: Dataset, run: MatchRun) -> list[tuple[int, str]]:
-    """(object index, message) of every rank whose relative-k triangle rounds
-    to a support that excludes the rank; each distinct rank of a source is
-    tried once, in feature order."""
+    """(object index, message) of every finite rank whose relative-k triangle
+    rounds to a support that excludes the rank; each distinct rank of a
+    source is tried once, in feature order."""
     found = []
     source_ids = np.array(dataset.source_ids, dtype=object)
     for sid in dict.fromkeys(dataset.source_ids):
@@ -153,8 +165,8 @@ def _collapsed_supports(dataset: Dataset, run: MatchRun) -> list[tuple[int, str]
             if k is None or not 0.0 < k < 1.0:
                 continue
             column = dataset.columns[feature.name]
-            held = column.present & (source_ids == sid)
             ranks = column.values[:, 0]
+            held = column.present & (source_ids == sid) & np.isfinite(ranks)
             collapsed = [r for r in set(ranks[held].tolist()) if not _keeps_rank(r, k)]
             for i in np.flatnonzero(held & np.isin(ranks, collapsed)).tolist():
                 found.append((
@@ -523,8 +535,8 @@ def _aggregate(
     present: Mapping[str, np.ndarray],
     shape: tuple[int, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(aggregate proximity, aggregate distance) of every pair; the two always
-    complement each other, and a pair with no shared feature scores (1, 0)."""
+    """(aggregate proximity, aggregate distance) of every pair, complements of
+    each other; a pair with no shared feature scores (1, 0), never a candidate."""
     weights = _pair_weights(schema, spec, present, shape)
     if spec.method is agg.AggregationMethod.MULTIPLICATIVE:
         p = np.ones(shape)
@@ -801,15 +813,16 @@ def _id_ranks(ids: Sequence[str]) -> np.ndarray:
 def candidates(scores: PairScores, threshold: float) -> RankedCandidates:
     """Pairs whose aggregate proximity exceeds the threshold, most similar first.
 
-    Ties are broken by the pair's identifier tuple.  The stored cells above
-    the threshold are ranked with one ``np.lexsort`` and returned as a
-    :class:`RankedCandidates` view; a pruned cell scores 0, which no
-    threshold keeps.
+    A pair sharing no feature, whose group proximity is undefined, is never
+    one.  Ties are broken by the pair's identifier tuple.  The cells kept are
+    ranked with one ``np.lexsort`` and returned as a :class:`RankedCandidates`
+    view; a pruned cell scores 0, which no threshold keeps.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold {threshold} outside [0, 1]")
     cells = scores.cells
-    keep = np.flatnonzero(cells.aggregate_proximity > threshold)
+    shared = functools.reduce(np.logical_or, cells.present.values(), np.zeros(len(cells), dtype=bool))
+    keep = np.flatnonzero((cells.aggregate_proximity > threshold) & shared)
     rows, cols = cells.rows[keep], cells.cols[keep]
     # lexsort's last key is the primary one.
     order = np.lexsort((_id_ranks(scores.ids_b)[cols], _id_ranks(scores.ids_a)[rows], -cells.aggregate_proximity[keep]))

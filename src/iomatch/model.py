@@ -129,10 +129,6 @@ class Schema:
     def quantitative_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.features if f.kind is FeatureKind.QUANTITATIVE)
 
-    @property
-    def qualitative_names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.features if f.kind is not FeatureKind.QUANTITATIVE)
-
 
 def schema_violations(features: Sequence[FeatureSchema]) -> list[str]:
     """Collect every invariant violation in a feature list (empty list = valid)."""
@@ -184,15 +180,11 @@ def validate_schema(features: Union[Schema, Sequence[FeatureSchema]]) -> Schema:
     """Return a validated :class:`Schema`, or raise :class:`SchemaError` listing
     every violation.  Validating an already-validated schema returns it unchanged.
     """
-    if isinstance(features, Schema):
-        errors = schema_violations(features.features)
-        if errors:
-            raise SchemaError(errors)
-        return features
-    errors = schema_violations(tuple(features))
+    schema = features if isinstance(features, Schema) else Schema(tuple(features))
+    errors = schema_violations(schema.features)
     if errors:
         raise SchemaError(errors)
-    return Schema(tuple(features))
+    return schema
 
 
 @dataclass(frozen=True)
@@ -329,6 +321,15 @@ def is_finite_number(x) -> bool:
         return False
 
 
+def non_finite_violation(feature: FeatureSchema) -> str:
+    """The violation of a quantitative or ordinal value that is not finite."""
+    if feature.kind is FeatureKind.ORDINAL_FUZZY:
+        return "expected a finite numeric rank"
+    if feature.axes:
+        return f"expected {len(feature.axes)} finite numeric components"
+    return "expected a finite numeric value"
+
+
 def _value_error(feature: FeatureSchema, fv) -> str | None:
     """What is wrong with one reported value of ``feature``, or None."""
     if not isinstance(fv, FeatureValue):
@@ -337,11 +338,11 @@ def _value_error(feature: FeatureSchema, fv) -> str | None:
     if feature.kind is FeatureKind.QUANTITATIVE:
         if feature.axes:
             ok = isinstance(v, tuple) and len(v) == len(feature.axes) and all(is_finite_number(c) for c in v)
-            return None if ok else f"expected {len(feature.axes)} finite numeric components"
-        return None if is_finite_number(v) else "expected a finite numeric value"
+            return None if ok else non_finite_violation(feature)
+        return None if is_finite_number(v) else non_finite_violation(feature)
     if feature.kind is FeatureKind.ORDINAL_FUZZY:
         if not is_finite_number(v):
-            return "expected a finite numeric rank"
+            return non_finite_violation(feature)
         # The certainty level is the height of the rank's membership.
         return None if isinstance(fv.certainty, Certainty) else "expected a Certainty"
     return None if isinstance(v, str) else "expected a label"

@@ -71,6 +71,8 @@ class SceneSpec:
             errors.append(f"area sides must be positive, got {self.area}")
         if len(self.type_alphabet) < 2:
             errors.append("type alphabet needs at least two labels")
+        if len(set(self.type_alphabet)) < len(self.type_alphabet):
+            errors.append(f"type alphabet labels must be distinct, got {list(self.type_alphabet)}")
         if len(self.rmse) != 2 or any(not r > 0.0 for r in self.rmse):
             errors.append(f"need two positive RMSE values, got {self.rmse}")
         if not 0.0 < self.type_error <= 0.5:
@@ -87,18 +89,20 @@ class SceneSpec:
         return 3.0 * self.fleet_sigma_min
 
 
-@dataclass(frozen=True)
-class PhysicalObject:
-    po_id: str
-    x: float
-    y: float
-    type_label: str
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scene:
+    """The ground truth as columns: the objects' ``ids`` (``po-000``, ...),
+    their read-only ``(n, 2)`` ``positions``, and ``kinds``, each object's
+    index into ``spec.type_alphabet``."""
+
     spec: SceneSpec
-    objects: tuple[PhysicalObject, ...]
+    ids: tuple[str, ...]
+    positions: np.ndarray
+    kinds: np.ndarray
+
+    def __post_init__(self):
+        for column in (self.positions, self.kinds):
+            column.flags.writeable = False
 
 
 def scene_schema(spec: SceneSpec) -> Schema:
@@ -130,47 +134,36 @@ def generate_scene(spec: SceneSpec) -> Scene:
     xs = rng.uniform(0.0, spec.area[0], spec.object_count)
     ys = rng.uniform(0.0, spec.area[1], spec.object_count)
     kinds = rng.integers(0, len(spec.type_alphabet), spec.object_count)
-    objects = tuple(
-        PhysicalObject(
-            po_id=f"po-{i:03d}",
-            x=float(xs[i]),
-            y=float(ys[i]),
-            type_label=spec.type_alphabet[int(kinds[i])],
-        )
-        for i in range(spec.object_count)
-    )
-    return Scene(spec=spec, objects=objects)
+    return Scene(spec, tuple(map("po-{:03d}".format, range(spec.object_count))), np.stack([xs, ys], axis=1), kinds)
 
 
 def observe(scene: Scene, profile: SourceProfile, seed) -> Dataset:
     """One source's noisy report of the scene, as a dataset of the scene schema.
 
     Coordinates are perturbed per axis by zero-mean Gaussian noise with the
-    source's position sigma; the type flips with probability type_error to a
-    uniformly drawn different label.  Unit noise is drawn before scaling, so
-    two sources differing only in sigma see proportional perturbations for
-    the same seed.
+    source's position sigma; the type flips with probability type_error to
+    kind ``pick + (pick >= kind)``, a uniform draw among the other labels.
+    Unit noise is drawn before scaling, so two sources differing only in
+    sigma see proportional perturbations for the same seed.
     """
     spec = scene.spec
     sigma = profile.quantitative_sigma(POSITION_FEATURE)
     rng = np.random.Generator(np.random.PCG64(seed))
-    n = len(scene.objects)
+    n = len(scene.ids)
     unit_noise = rng.standard_normal((n, 2))
     flip_draws = rng.random(n)
-    replacement_draws = rng.integers(0, len(spec.type_alphabet) - 1, n)
-    truth = np.array([(po.x, po.y) for po in scene.objects], dtype=float).reshape(n, 2)
-    labels = []
-    for po, flip, pick in zip(scene.objects, flip_draws.tolist(), replacement_draws.tolist()):
-        others = [t for t in spec.type_alphabet if t != po.type_label]
-        labels.append(others[pick] if flip < spec.type_error else po.type_label)
+    picks = rng.integers(0, len(spec.type_alphabet) - 1, n)
+    kinds = np.where(flip_draws < spec.type_error, picks + (picks >= scene.kinds), scene.kinds)
+    with np.errstate(over="ignore"):  # validating the run reports a non-finite position
+        positions = scene.positions + sigma * unit_noise
     present, certainty = np.ones(n, dtype=bool), np.ones(n)
     return Dataset(
         scene_schema(spec),
         [f"{profile.source_id}-{i:03d}" for i in range(n)],
         [profile.source_id] * n,
         {
-            POSITION_FEATURE: FeatureColumn(present, truth + sigma * unit_noise, certainty),
-            TYPE_FEATURE: FeatureColumn(present, np.array(labels, dtype=object), certainty),
+            POSITION_FEATURE: FeatureColumn(present, positions, certainty),
+            TYPE_FEATURE: FeatureColumn(present, np.array(spec.type_alphabet, dtype=object)[kinds], certainty),
         },
     )
 
@@ -261,10 +254,8 @@ class ExperimentReport:
             found.rows == found.cols,
             self.type_mismatch[found.rows, found.cols],
         )
-        objects = self.scene.objects
-        scene = [
-            [o.po_id for o in objects], [o.type_label for o in objects], [o.x for o in objects], [o.y for o in objects]
-        ]
+        truth = self.scene
+        scene = [truth.ids, np.array(self.spec.type_alphabet, dtype=object)[truth.kinds], *truth.positions.T]
         return {
             "metadata": {
                 "generator": f"iomatch {__version__}",
@@ -292,8 +283,7 @@ class ExperimentReport:
 
 def _report_columns(dataset: Dataset) -> list[Sequence]:
     """The id, type, x and y columns of one source's reports."""
-    position = dataset.columns[POSITION_FEATURE].values
-    return [dataset.ids, dataset.columns[TYPE_FEATURE].values, position[:, 0], position[:, 1]]
+    return [dataset.ids, dataset.columns[TYPE_FEATURE].values, *dataset.columns[POSITION_FEATURE].values.T]
 
 
 def _mean(values: Sequence[float]) -> float | None:
@@ -322,10 +312,8 @@ def run_experiment(
     root = np.random.SeedSequence(spec.rng_seed)
     observation_seeds = root.spawn(len(DEFAULT_SOURCE_IDS) + 1)[1:]
     profiles = {
-        sid: SourceProfile(
-            source_id=sid, accuracy={POSITION_FEATURE: QuantAccuracy(sigma=spec.rmse[i])}
-        )
-        for i, sid in enumerate(DEFAULT_SOURCE_IDS)
+        sid: SourceProfile(sid, {POSITION_FEATURE: QuantAccuracy(sigma=sigma)})
+        for sid, sigma in zip(DEFAULT_SOURCE_IDS, spec.rmse)
     }
     datasets = {sid: observe(scene, profiles[sid], observation_seeds[i]) for i, sid in enumerate(DEFAULT_SOURCE_IDS)}
     dataset_a, dataset_b = (datasets[sid] for sid in DEFAULT_SOURCE_IDS)
@@ -338,7 +326,6 @@ def run_experiment(
         candidate_threshold=threshold,
     )
     breakdowns = pairwise_breakdowns(run)
-    truth = np.array([(po.x, po.y) for po in scene.objects])
     observed_a, observed_b = (d.columns[POSITION_FEATURE].values for d in (dataset_a, dataset_b))
     labels_a, labels_b = (d.columns[TYPE_FEATURE].values for d in (dataset_a, dataset_b))
     report = ExperimentReport(
@@ -349,7 +336,7 @@ def run_experiment(
         breakdowns=breakdowns,
         candidates=candidates(breakdowns, threshold),
         type_mismatch=labels_a[:, None] != labels_b[None, :],
-        separation_true=_separations(truth, truth),
+        separation_true=_separations(scene.positions, scene.positions),
         separation_observed=_separations(observed_a, observed_b),
     )
     if out_dir is not None:
@@ -382,16 +369,10 @@ def emit_report_files(report: ExperimentReport, out_dir: Path, formats: Sequence
 
 
 def render_scene_svg(report: ExperimentReport) -> str:
-    positions = {sid: d.columns[POSITION_FEATURE].values.tolist() for sid, d in report.datasets.items()}
+    positions = {sid: d.columns[POSITION_FEATURE].values for sid, d in report.datasets.items()}
     position_a, position_b = (positions[sid] for sid in DEFAULT_SOURCE_IDS)
     found = report.candidates
-    links = [
-        (*position_a[i], *position_b[j], bool(report.type_mismatch[i, j]))
-        for i, j in zip(found.rows.tolist(), found.cols.tolist())
-    ]
-    datasets = [
-        (sid, [(oid, x, y) for oid, (x, y) in zip(d.ids, positions[sid])]) for sid, d in report.datasets.items()
-    ]
+    links = (position_a[found.rows], position_b[found.cols], report.type_mismatch[found.rows, found.cols])
     rmse = report.spec.rmse
     title = f"candidates above {report.threshold:g} (RMSE {rmse[0]:g} m / {rmse[1]:g} m)"
-    return render_match_svg(report.spec.area, datasets, links, title=title)
+    return render_match_svg(report.spec.area, list(positions.items()), links, title=title)

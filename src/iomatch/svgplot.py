@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 SVG_GENERATOR = "iomatch-svg/1"
 
 _MARGIN = 40.0
@@ -21,16 +23,18 @@ def _fmt(x: float) -> str:
 
 def render_match_svg(
     area: tuple[float, float],
-    datasets: Sequence[tuple[str, Sequence[tuple[str, float, float]]]],
-    candidate_links: Sequence[tuple[float, float, float, float, bool]],
+    datasets: Sequence[tuple[str, np.ndarray]],
+    candidate_links: tuple[np.ndarray, np.ndarray, np.ndarray],
     title: str = "",
 ) -> str:
     """Render observed points and candidate-pair annotations.
 
-    ``datasets`` is a sequence of (source_id, [(object_id, x, y), ...]); the
+    ``datasets`` is a sequence of (source_id, ``(n, 2)`` positions); the
     first source is drawn as circles, the second as diamonds.
-    ``candidate_links`` holds (ax, ay, bx, by, type_mismatch) per candidate
-    pair; each pair gets a translucent circle, mismatched pairs a box as well.
+    ``candidate_links`` holds three columns over the candidate pairs: the
+    ``(k, 2)`` positions of each pair's two reports and the ``(k,)``
+    type-mismatch flags; each pair gets a translucent circle, mismatched
+    pairs a box as well.
     """
     area_w, area_h = area
     scale = (_WIDTH - 2.0 * _MARGIN) / max(area_w, 1e-9)
@@ -56,7 +60,7 @@ def render_match_svg(
             f'<text x="{_fmt(_WIDTH / 2)}" y="{_fmt(_MARGIN / 2)}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{title}</text>'
         )
-    for ax, ay, bx, by, mismatch in candidate_links:
+    for (ax, ay), (bx, by), mismatch in zip(*(column.tolist() for column in candidate_links)):
         cx, cy = px((ax + bx) / 2.0), py((ay + by) / 2.0)
         half = ((px(ax) - px(bx)) ** 2 + (py(ay) - py(by)) ** 2) ** 0.5 / 2.0
         r = half + 9.0
@@ -70,9 +74,9 @@ def render_match_svg(
                 f'width="{_fmt(2.0 * (r + 4.0))}" height="{_fmt(2.0 * (r + 4.0))}" '
                 'fill="none" stroke="#222222" stroke-width="1.5"/>'
             )
-    for index, (source_id, points) in enumerate(datasets):
+    for index, (source_id, positions) in enumerate(datasets):
         color = _SOURCE_COLORS[index % len(_SOURCE_COLORS)]
-        for _, x, y in points:
+        for x, y in positions.tolist():
             cx, cy = px(x), py(y)
             if index == 0:
                 lines.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="4" fill="{color}"/>')

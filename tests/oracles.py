@@ -194,8 +194,9 @@ def csv_writer_bytes(breakdowns, schema: Schema) -> bytes:
 
 
 def ranked_breakdowns(breakdowns, threshold: float) -> list:
-    """The breakdowns above ``threshold``, most similar first, ties by pair."""
-    kept = [b for b in breakdowns if b.aggregate_proximity > threshold]
+    """The breakdowns above ``threshold`` that share a feature, most similar
+    first, ties by pair."""
+    kept = [b for b in breakdowns if b.aggregate_proximity > threshold and b.per_feature]
     return sorted(kept, key=lambda b: (-b.aggregate_proximity, b.pair))
 
 

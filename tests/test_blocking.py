@@ -173,9 +173,10 @@ def test_blocked_scores_equal_scalar_oracle(run, threshold):
     # Pruned pairs score 0 by the oracle too, so no threshold keeps them.
     for (a, b), miss in zip(pairs, pruned):
         assert not miss or scalar_pair_scores(run, a, b)[1] == 0.0
-    # The candidate set against brute force over every cell.
+    # The candidate set against brute force over every cell: above the
+    # threshold, with a feature in common.
     listed = list(scores)
-    want = {b.pair for b in listed if b.aggregate_proximity > threshold}
+    want = {b.pair for b in listed if b.aggregate_proximity > threshold and b.per_feature}
     assert {b.pair for b in candidates(scores, threshold)} == want
     # Random access, the dense views and the pairs.csv writer agree with the breakdowns.
     for k in range(0, len(scores), 7):

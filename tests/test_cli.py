@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from iomatch.cli import main
 from iomatch.config import load_config
-from iomatch.dataio import read_objects_csv
+from iomatch.dataio import read_dataset, read_objects_csv
 from iomatch.engine import MatchRun, pairwise_breakdowns
 from iomatch.model import InformationObject
 from oracles import ranked_breakdowns
@@ -171,6 +171,40 @@ class TestMatch:
         assert (tmp_path / "bom-1" / "a.csv").read_bytes().startswith(b"\xef\xbb\xbf")
         assert runs["\ufeff"] == runs[""]
         assert "a1  b1" in runs[""][0]
+
+    @pytest.mark.parametrize("method, blocked, proximity", [
+        ("multiplicative", True, "0.7263"), ("additive", False, "0.7638"),
+    ])
+    def test_pair_sharing_no_feature_is_not_a_candidate(self, tmp_path, capsys, method, blocked, proximity):
+        """a2 lacks a position and b2 a type, so the pair shares no feature
+        and scores the empty (1, 0).  It was listed as a 1.0 candidate above
+        the true pair a1 b1, with ``"features": {}``; pairs.csv keeps it."""
+        config = write(tmp_path, "config.json", json.dumps({
+            "schema": {"features": [
+                {"name": "position", "kind": "quantitative", "weight": 0.5, "axes": ["x", "y"], "xi": 30.0},
+                {"name": "type", "kind": "nominal", "weight": 0.5, "delta": 0.1},
+            ]},
+            "sources": {"a": {"position": {"sigma": 20.0}}, "b": {"position": {"sigma": 30.0}}},
+            "aggregation": {"method": method},
+            "threshold": 0.01,
+        }))
+        header = "object_id,source_id,position_x,position_y,type\n"
+        a = write(tmp_path, "a.csv", header + "a1,a,0,0,tank\na2,a,,,tank\n")
+        b = write(tmp_path, "b.csv", header + "b1,b,10,5,tank\nb2,b,5000,5000,\n")
+        out = tmp_path / "out"
+        assert main(["match", "--config", str(config), str(a), str(b), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"pairs evaluated: 4; candidates above 0.01: 2\na2  b1  1.0000\na1  b1  {proximity}\n"
+        )
+        doc = json.loads((out / "candidates.json").read_text())
+        assert [(c["a"], c["b"]) for c in doc["candidates"]] == [("a2", "b1"), ("a1", "b1")]
+        assert "a2,b2,,,,,1.0,0.0\n" in (out / "pairs.csv").read_text()
+        # Only the multiplicative method blocks: it prunes a1 b2, whose
+        # windows miss, and stores a2 b2, as a2 lacks the blocking feature.
+        loaded = load_config(config)
+        run = MatchRun(loaded.schema, loaded.profiles, read_dataset(a, loaded.schema),
+                       read_dataset(b, loaded.schema), loaded.aggregation)
+        assert len(pairwise_breakdowns(run).cells) == (3 if blocked else 4)
 
 
 RANKED_CONFIG = {
@@ -423,6 +457,30 @@ class TestWronglyTypedConfig:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("types", [["tank", "tank"], ["tank", "truck", "tank"]])
+    def test_repeated_type_label(self, tmp_path, capsys, types):
+        """Was an IndexError traceback from the flip of an observed type."""
+        doc = {"simulation": {"object_count": 30, "types": types, "type_error": 0.5, "seed": 2}}
+        config = write(tmp_path, "sim.json", json.dumps(doc))
+        assert main(["simulate", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == (f"error: type alphabet labels must be distinct, got {types}\n", "")
+
+    def test_positions_overflowing_to_infinity(self, tmp_path, capsys):
+        """Observed positions overflow to inf.  They were written to
+        objects_s1.csv, and to report.json as a bare ``inf``, before an
+        OverflowError traceback from the SVG; now validation rejects them
+        before any file is written."""
+        doc = {"simulation": {"object_count": 5, "rmse": [1e308, 1e308], "fleet_sigma_min": 1e308}}
+        config = write(tmp_path, "sim.json", json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "".join(
+            f"error: {oid}/position: expected 2 finite numeric components\n" for oid in ("s1-000", "s2-002", "s2-003")
+        )
+        assert captured.out == "" and not out.exists()
+
     def test_default_spec_with_seed(self, tmp_path, capsys):
         out_dir = tmp_path / "sim"
         assert main(["simulate", "--seed", "7", "--out", str(out_dir)]) == 0

@@ -7,6 +7,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -198,10 +199,10 @@ THRESHOLDS = st.sampled_from([0.0, 0.01, 0.2, 0.5, 1.0]) | st.floats(0.0, 1.0)
 @given(ranked_runs(), THRESHOLDS)
 def test_ranked_candidates_equal_sorted_breakdowns(run, threshold):
     """One lexsort over the columns ranks exactly as sorting the breakdowns by
-    (-proximity, pair), ties included."""
+    (-proximity, pair), ties included; a pair that shares no feature is never kept."""
     scores = pairwise_breakdowns(run)
     want = sorted(
-        (b for b in list(scores) if b.aggregate_proximity > threshold),
+        (b for b in list(scores) if b.aggregate_proximity > threshold and b.per_feature),
         key=lambda b: (-b.aggregate_proximity, b.pair),
     )
     found = candidates(scores, threshold)
@@ -226,9 +227,12 @@ def assert_json_records(found):
 @settings(max_examples=200, deadline=None)
 @given(ranked_runs(ids=ODD_IDS), THRESHOLDS)
 def test_candidates_json_from_columns_equals_stdlib(run, threshold):
-    """Absent features, pairs that share no feature, empty lists and ids that
-    need escaping are written as json.dumps writes the breakdown records."""
-    assert_json_records(candidates(pairwise_breakdowns(run), threshold))
+    """Absent features, empty lists and ids that need escaping are written as
+    json.dumps writes the breakdown records; so are pairs that share no
+    feature, in a view of every stored cell, since no candidate list holds one."""
+    scores = pairwise_breakdowns(run)
+    assert_json_records(candidates(scores, threshold))
+    assert_json_records(RankedCandidates(scores, np.arange(len(scores.cells))))
 
 
 def _masked_side(source, names, masks):
@@ -282,10 +286,16 @@ def test_candidates_json_over_several_blocks():
 
     run = MatchRun(schema, _profiles(names, [1.0, 2.0, 0.5], 0.4, 2.5, 1.0), side("a"), side("b"),
                    AggregationSpec(method=AggregationMethod.ADDITIVE))
-    found = candidates(pairwise_breakdowns(run), 0.0)
-    assert len(found) == 529
-    assert any(not b.per_feature for b in found)
-    assert any(len(b.per_feature) == 1 for b in found)
+    scores = pairwise_breakdowns(run)
+    every = RankedCandidates(scores, np.arange(len(scores.cells)))
+    assert len(every) == 529
+    assert any(not b.per_feature for b in every)
+    assert any(len(b.per_feature) == 1 for b in every)
+    assert_json_records(every)
+    # The pairs that share no feature are not candidates.
+    found = candidates(scores, 0.0)
+    assert {b.pair for b in found} == {b.pair for b in every if b.per_feature}
+    assert len(found) < 529
     assert_json_records(found)
 
 

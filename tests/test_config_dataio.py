@@ -351,7 +351,7 @@ SCALARS = (
     | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-05])
     | st.text()
 )
-# Lists and dicts of scalar-only dicts are written in one C call per block.
+# Flat records, as report.json holds them: lists and dicts of dicts of scalars.
 RECORDS = st.dictionaries(st.text(max_size=8), SCALARS, min_size=1, max_size=4)
 JSON_VALUES = st.recursive(
     SCALARS | st.lists(RECORDS, max_size=6) | st.dictionaries(st.text(max_size=8), RECORDS, max_size=4),

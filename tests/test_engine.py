@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from iomatch.aggregate import AggregationMethod, AggregationSpec
@@ -8,6 +9,7 @@ from iomatch.fuzzy import apply_certainty, possibility, triangular_from_halfwidt
 from iomatch.model import (
     Certainty,
     Dataset,
+    FeatureColumn,
     FeatureKind,
     FeatureSchema,
     FeatureValue,
@@ -260,6 +262,71 @@ class TestRunValidation:
         with pytest.raises(MatchRunError, match="threshold"):
             pairwise_breakdowns(run)
 
+    @pytest.mark.parametrize("feature, values, message", [
+        (FeatureSchema("pos", FeatureKind.QUANTITATIVE, 1.0, quantitative_xi=3.0, axes=("x", "y")),
+         [[1.0, 2.0], [np.nan, 2.0], [1.0, -np.inf]], "expected 2 finite numeric components"),
+        (FeatureSchema("pos", FeatureKind.QUANTITATIVE, 1.0, quantitative_xi=3.0),
+         [[1.0], [np.inf], [np.nan]], "expected a finite numeric value"),
+        (FeatureSchema("pos", FeatureKind.ORDINAL_FUZZY, 1.0,
+                       ordinal_params=OrdinalParams(MembershipShape.TRIANGULAR, width=2.0)),
+         [[4.0], [np.nan], [-np.inf]], "expected a finite numeric rank"),
+    ])
+    def test_non_finite_value_in_columns(self, feature, values, message):
+        """A dataset built from columns holds what it is given: a NaN position
+        scored position 0.0 and aggregate 0.0 with no violation.  Each present
+        non-finite value now gets the message the object path gives it."""
+        schema = Schema((feature,))
+        ordinal = feature.kind is FeatureKind.ORDINAL_FUZZY
+        accuracy = {} if ordinal else {"pos": QuantAccuracy(sigma=1.0)}
+        profiles = {s: SourceProfile(s, accuracy) for s in ("a", "b")}
+
+        def column(rows):
+            n = len(rows)
+            ranks = tuple(r for (r, *_) in rows) if ordinal else None
+            return {"pos": FeatureColumn(np.ones(n, dtype=bool), np.array(rows), np.ones(n), ranks)}
+
+        dataset_a = Dataset(schema, ["a0", "a1", "a2"], ["a"] * 3, column(values))
+        dataset_b = Dataset(schema, ["b0"], ["b"], column(values[:1]))
+        run = MatchRun(schema, profiles, dataset_a, dataset_b)
+        assert run_violations(run) == [f"a1/pos: {message}", f"a2/pos: {message}"]
+        with pytest.raises(MatchRunError):
+            pairwise_breakdowns(run)
+
+    def test_non_finite_values_merged_in_object_order(self):
+        """Non-finite values of every kind, absent ones left out, among the
+        collapsed relative-k supports; a non-finite rank is not also tried
+        as a support, so it gets one message."""
+        schema = Schema((
+            FeatureSchema("pos", FeatureKind.QUANTITATIVE, 0.4, quantitative_xi=3.0, axes=("x", "y")),
+            FeatureSchema("speed", FeatureKind.QUANTITATIVE, 0.3, quantitative_xi=3.0),
+            FeatureSchema("rank", FeatureKind.ORDINAL_FUZZY, 0.3,
+                          ordinal_params=OrdinalParams(MembershipShape.TRIANGULAR, width=2.0)),
+        ))
+        accuracy = {"pos": QuantAccuracy(sigma=1.0), "speed": QuantAccuracy(sigma=1.0)}
+        profiles = {"a": SourceProfile("a", {**accuracy, "rank": OrdinalAccuracy(relative_k=0.4)}),
+                    "b": SourceProfile("b", accuracy)}
+        ones = np.ones(4)
+        dataset_a = Dataset(schema, ["a0", "a1", "a2", "a3"], ["a"] * 4, {
+            "pos": FeatureColumn(np.array([True, True, False, True]),
+                                 np.array([[0.0, 0.0], [np.nan, 1.0], [np.inf, np.inf], [1.0, -np.inf]]), ones),
+            "speed": FeatureColumn(np.ones(4, dtype=bool), np.array([[1.0], [np.inf], [2.0], [3.0]]), ones),
+            "rank": FeatureColumn(np.array([True, True, True, False]), np.array([[np.nan], [4.0], [1.0], [np.inf]]),
+                                  ones, (float("nan"), 4, 1, None)),
+        })
+        dataset_b = Dataset(schema, ["b0"], ["b"], {
+            "pos": FeatureColumn(np.ones(1, dtype=bool), np.array([[0.0, 0.0]]), np.ones(1)),
+            "speed": FeatureColumn(np.ones(1, dtype=bool), np.array([[-np.inf]]), np.ones(1)),
+            "rank": FeatureColumn(np.ones(1, dtype=bool), np.array([[4.0]]), np.ones(1), (4,)),
+        })
+        assert run_violations(MatchRun(schema, profiles, dataset_a, dataset_b)) == [
+            "a0/rank: expected a finite numeric rank",
+            "a1/pos: expected 2 finite numeric components",
+            "a1/speed: expected a finite numeric value",
+            "a2/rank: relative k 0.4 of source 'a' rounds the support of rank 1 onto the rank itself",
+            "a3/pos: expected 2 finite numeric components",
+            "b0/speed: expected a finite numeric value",
+        ]
+
 
 class TestTwoClassNormalizedOneClassEmpty:
     """Normalized two-class weights are rescaled by the attainable maximum
@@ -319,3 +386,16 @@ class TestCandidates:
     def test_threshold_out_of_range(self):
         with pytest.raises(ValueError):
             candidates([], -0.1)
+
+    @pytest.mark.parametrize("method", [AggregationMethod.MULTIPLICATIVE, AggregationMethod.ADDITIVE])
+    def test_pair_sharing_no_feature_is_never_kept(self, method):
+        """Such a pair scores the empty (1, 0), but with no evidence in common
+        its group proximity is undefined."""
+        a = [InformationObject("a0", "alpha", {"speed": FeatureValue(10.0)}), obj("a1", "alpha", 10.0)]
+        b = [InformationObject("b0", "beta", {"type": FeatureValue("tank")}), obj("b1", "beta", 10.5)]
+        scores = pairwise_breakdowns(make_run(a, b, aggregation=AggregationSpec(method=method)))
+        assert (scores[0].per_feature, scores[0].aggregate_proximity) == ({}, 1.0)
+        for threshold in (0.0, 0.5):
+            found = candidates(scores, threshold)
+            assert {b.pair for b in found} == {("a0", "b1"), ("a1", "b0"), ("a1", "b1")}
+        assert list(candidates(scores, 1.0)) == []

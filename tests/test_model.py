@@ -44,6 +44,11 @@ class TestValidateSchema:
         schema = validate_schema([quant("speed", 1.0)])
         assert len(schema) == 1
 
+    def test_features_read_once(self):
+        """A generator of features was read twice, so the schema came back empty."""
+        schema = validate_schema(f for f in [quant("speed", 0.5, xi=3.0), nominal("type", 0.5, 0.1)])
+        assert schema.names == ("speed", "type")
+
     def test_delta_above_half_rejected(self):
         with pytest.raises(SchemaError, match="0.5"):
             validate_schema([nominal("type", 1.0, 0.6)])

@@ -25,7 +25,11 @@ def position_profile(source_id, sigma):
 class TestGenerateScene:
     def test_deterministic(self):
         spec = SceneSpec(object_count=12, rng_seed=5)
-        assert generate_scene(spec) == generate_scene(spec)
+        one, two = generate_scene(spec), generate_scene(spec)
+        assert one.ids == two.ids == tuple(f"po-{i:03d}" for i in range(12))
+        assert one.positions.tolist() == two.positions.tolist()
+        assert one.kinds.tolist() == two.kinds.tolist()
+        assert not (one.positions.flags.writeable or one.kinds.flags.writeable)
 
     def test_zero_objects_rejected(self):
         with pytest.raises(SceneSpecError):
@@ -33,13 +37,22 @@ class TestGenerateScene:
 
     def test_coordinates_within_area(self):
         scene = generate_scene(SceneSpec(object_count=20, area=(1000.0, 1000.0), rng_seed=3))
-        assert all(0.0 <= po.x <= 1000.0 and 0.0 <= po.y <= 1000.0 for po in scene.objects)
-        assert all(po.type_label in ("tank", "truck") for po in scene.objects)
+        assert scene.positions.shape == (20, 2)
+        assert all(0.0 <= x <= 1000.0 and 0.0 <= y <= 1000.0 for x, y in scene.positions.tolist())
+        assert all(k in (0, 1) for k in scene.kinds.tolist())
 
     def test_bad_spec_lists_errors(self):
         with pytest.raises(SceneSpecError) as excinfo:
             generate_scene(SceneSpec(object_count=-1, type_error=0.9, rmse=(0.0, 1.0)))
         assert len(excinfo.value.errors) == 3
+
+    @pytest.mark.parametrize("types", [("tank", "tank"), ("tank", "truck", "tank")])
+    def test_repeated_type_label_rejected(self, types):
+        """A flipped report draws among the labels other than its own, which
+        is only defined when the labels are distinct."""
+        assert SceneSpec(type_alphabet=types).violations() == [
+            f"type alphabet labels must be distinct, got {list(types)}"
+        ]
 
 
 class TestObserve:
@@ -47,8 +60,8 @@ class TestObserve:
         scene = generate_scene(SceneSpec(object_count=10_000, area=(100_000.0, 100_000.0), rng_seed=11))
         observed = observe(scene, position_profile("s1", 20.0), seed=123)
         errors = np.array([
-            [o.values["position"].value[0] - po.x, o.values["position"].value[1] - po.y]
-            for o, po in zip(observed, scene.objects)
+            [o.values["position"].value[0] - x, o.values["position"].value[1] - y]
+            for o, (x, y) in zip(observed, scene.positions.tolist())
         ])
         assert abs(errors[:, 0].std() - 20.0) <= 0.5
         assert abs(errors[:, 1].std() - 20.0) <= 0.5
@@ -57,17 +70,16 @@ class TestObserve:
     def test_type_flip_fraction(self):
         scene = generate_scene(SceneSpec(object_count=10_000, type_error=0.1, rng_seed=11))
         observed = observe(scene, position_profile("s1", 1.0), seed=123)
-        flips = sum(
-            o.values["type"].value != po.type_label for o, po in zip(observed, scene.objects)
-        )
+        labels = [scene.spec.type_alphabet[k] for k in scene.kinds.tolist()]
+        flips = sum(o.values["type"].value != label for o, label in zip(observed, labels))
         assert abs(flips / 10_000 - 0.1) <= 0.01
 
     def test_noiseless_limit(self):
         scene = generate_scene(SceneSpec(object_count=50, rng_seed=2))
         observed = observe(scene, position_profile("s1", 0.001), seed=9)
-        for o, po in zip(observed, scene.objects):
+        for o, (tx, ty) in zip(observed, scene.positions.tolist()):
             x, y = o.values["position"].value
-            assert abs(x - po.x) <= 0.01 and abs(y - po.y) <= 0.01
+            assert abs(x - tx) <= 0.01 and abs(y - ty) <= 0.01
 
     def test_deterministic_per_seed(self):
         scene = generate_scene(SceneSpec(object_count=30, rng_seed=4))
@@ -78,11 +90,30 @@ class TestObserve:
         scene = generate_scene(SceneSpec(object_count=5, rng_seed=4))
         coarse = observe(scene, position_profile("s1", 20.0), seed=77)
         fine = observe(scene, position_profile("s1", 10.0), seed=77)
-        for c, f, po in zip(coarse, fine, scene.objects):
-            cx = c.values["position"].value[0] - po.x
-            fx = f.values["position"].value[0] - po.x
+        for c, f, (tx, _) in zip(coarse, fine, scene.positions.tolist()):
+            cx = c.values["position"].value[0] - tx
+            fx = f.values["position"].value[0] - tx
             assert cx == pytest.approx(2.0 * fx, rel=1e-12)
             assert c.values["type"].value == f.values["type"].value
+
+    def test_flip_draws_another_label(self):
+        """The flipped label is the replacement draw's entry among the labels
+        other than the object's own, one object at a time, from the stream
+        the docstring lays out: two normals, one uniform, one replacement."""
+        spec = SceneSpec(object_count=2000, type_alphabet=("tank", "truck", "apc", "radar"),
+                         type_error=0.5, rng_seed=6)
+        scene = generate_scene(spec)
+        observed = observe(scene, position_profile("s1", 5.0), seed=31)
+        rng = np.random.Generator(np.random.PCG64(31))
+        rng.standard_normal((2000, 2))
+        flips, picks = rng.random(2000).tolist(), rng.integers(0, 3, 2000).tolist()
+        want = []
+        for kind, flip, pick in zip(scene.kinds.tolist(), flips, picks):
+            own = spec.type_alphabet[kind]
+            others = [t for t in spec.type_alphabet if t != own]
+            want.append(others[pick] if flip < spec.type_error else own)
+        assert [o.values["type"].value for o in observed] == want
+        assert len(set(want)) == 4
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +175,7 @@ class TestRunExperiment:
 
     def test_separations_are_math_hypot(self, reports):
         for report in reports:
-            scene = report.scene.objects
+            scene = report.scene.positions.tolist()
             obs_a, obs_b = (
                 [o.values["position"].value for o in report.datasets[sid]] for sid in ("s1", "s2")
             )
@@ -152,7 +183,7 @@ class TestRunExperiment:
             for i in range(n):
                 for j in range(n):
                     assert report.separation_true[i, j] == math.hypot(
-                        scene[i].x - scene[j].x, scene[i].y - scene[j].y
+                        scene[i][0] - scene[j][0], scene[i][1] - scene[j][1]
                     )
                     assert report.separation_observed[i, j] == math.hypot(
                         obs_a[i][0] - obs_b[j][0], obs_a[i][1] - obs_b[j][1]
@@ -253,8 +284,17 @@ def svg_from_payload(payload):
     """scene.svg drawn from the payload's datasets and candidates."""
     meta = payload["metadata"]
     position = {o["id"]: (o["x"], o["y"]) for objs in payload["datasets"].values() for o in objs}
-    links = [(*position[c["a"]], *position[c["b"]], c["type_mismatch"]) for c in payload["candidates"]]
-    datasets = [(sid, [(o["id"], o["x"], o["y"]) for o in objs]) for sid, objs in payload["datasets"].items()]
+
+    def positions(points):
+        return np.array(list(points), dtype=float).reshape(-1, 2)
+
+    found = payload["candidates"]
+    links = (
+        positions(position[c["a"]] for c in found),
+        positions(position[c["b"]] for c in found),
+        np.array([c["type_mismatch"] for c in found], dtype=bool),
+    )
+    datasets = [(sid, positions((o["x"], o["y"]) for o in objs)) for sid, objs in payload["datasets"].items()]
     rmse = meta["rmse"]
     title = f"candidates above {meta['threshold']:g} (RMSE {rmse[0]:g} m / {rmse[1]:g} m)"
     return render_match_svg(tuple(meta["area"]), datasets, links, title=title)
