@@ -18,9 +18,9 @@ from . import __version__
 from .config import ConfigError, RunConfig, load_config, require_match_config
 from .dataio import DataError, interleave, read_dataset, read_objects_csv, write_breakdowns_csv, write_json
 from .dataio import breakdown_record  # noqa: F401  (a boundary the per-layer trace in bench/spans.py wraps)
-from .engine import MatchRun, MatchRunError, candidates, pairwise_breakdowns
-from .model import SchemaError
-from .simulate import SceneSpec, SceneSpecError, emit_report_files, run_experiment
+from .engine import MatchRun, candidates, evaluate_pair, pairwise_breakdowns
+from .model import ValidationError
+from .simulate import SceneSpec, emit_report_files, run_experiment
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -100,25 +100,13 @@ def _load_for_matching(path: str) -> RunConfig:
     return config
 
 
-def _build_run(config: RunConfig, dataset_a, dataset_b, threshold: float) -> MatchRun:
-    return MatchRun(
-        schema=config.schema,
-        profiles=config.profiles,
-        dataset_a=dataset_a,
-        dataset_b=dataset_b,
-        aggregation=config.aggregation,
-        candidate_threshold=threshold,
-    )
-
-
 def _cmd_measure(args) -> int:
     config = _load_for_matching(args.config)
     objects = read_objects_csv(args.pairfile, config.schema)
     if len(objects) != 2:
         print(f"error: expected exactly two objects, found {len(objects)}", file=sys.stderr)
         return EXIT_VALIDATION
-    run = _build_run(config, objects[:1], objects[1:], config.threshold)
-    breakdown = pairwise_breakdowns(run)[0]
+    breakdown = evaluate_pair(config.schema, config.profiles, config.aggregation, *objects)
     print(f"pair: {breakdown.pair[0]} x {breakdown.pair[1]}")
     name_width = max(len("aggregate"), *(len(n) for n in config.schema.names))
     print(f"{'feature':<{name_width}}  {'proximity':>9}  {'distance':>9}")
@@ -141,9 +129,14 @@ def _cmd_measure(args) -> int:
 def _cmd_match(args) -> int:
     config = _load_for_matching(args.config)
     threshold = args.threshold if args.threshold is not None else config.threshold
-    dataset_a = read_dataset(args.dataset_a, config.schema)
-    dataset_b = read_dataset(args.dataset_b, config.schema)
-    run = _build_run(config, dataset_a, dataset_b, threshold)
+    run = MatchRun(
+        schema=config.schema,
+        profiles=config.profiles,
+        dataset_a=read_dataset(args.dataset_a, config.schema),
+        dataset_b=read_dataset(args.dataset_b, config.schema),
+        aggregation=config.aggregation,
+        candidate_threshold=threshold,
+    )
     breakdowns = pairwise_breakdowns(run)
     found = candidates(breakdowns, threshold)
     proximities = list(map(format, found.aggregate_proximity.tolist(), repeat(".4f")))
@@ -233,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _parse_numbers(args)
         return handlers[args.command](args)
-    except (ConfigError, SchemaError, MatchRunError, SceneSpecError) as exc:
+    except ValidationError as exc:
         for error in exc.errors:
             print(f"error: {error}", file=sys.stderr)
         return EXIT_VALIDATION

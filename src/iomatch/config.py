@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from .aggregate import AggregationMethod, AggregationSpec, weight_violations
 from .model import (
@@ -22,6 +22,7 @@ from .model import (
     QuantAccuracy,
     Schema,
     SourceProfile,
+    ValidationError,
     is_finite_number,
     profile_violations,
     schema_violations,
@@ -41,10 +42,8 @@ _SHAPES = {
 }
 
 
-class ConfigError(ValueError):
-    def __init__(self, errors: Sequence[str]):
-        self.errors = list(errors)
-        super().__init__("; ".join(self.errors))
+class ConfigError(ValidationError):
+    """Raised when a configuration document fails validation."""
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ from .model import (
     FeatureColumn,
     FeatureKind,
     FeatureSchema,
+    FeatureValue,
     InformationObject,
     ProximityBreakdown,
     Schema,
@@ -351,8 +352,18 @@ def read_dataset(path: str | Path, schema: Schema) -> Dataset:
 
 
 def read_objects_csv(path: str | Path, schema: Schema) -> list[InformationObject]:
-    """The objects of a dataset CSV (see :func:`read_dataset`)."""
-    return list(read_dataset(path, schema))
+    """The objects of a dataset CSV (see :func:`read_dataset`), each value
+    typed as its column's payload."""
+    dataset = read_dataset(path, schema)
+    columns = [(f, dataset.columns[f.name]) for f in schema.features]
+    return [
+        InformationObject(
+            object_id,
+            source_id,
+            {f.name: FeatureValue(c.payload(f, k), Certainty(c.certainty[k].item())) for f, c in columns if c.present[k]},
+        )
+        for k, (object_id, source_id) in enumerate(zip(dataset.ids, dataset.source_ids))
+    ]
 
 
 def breakdown_header(schema: Schema) -> list[str]:

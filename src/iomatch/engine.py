@@ -1,10 +1,11 @@
 """Pairwise proximity evaluation over two cross-source datasets.
 
-The engine's input is two columnar datasets (:class:`~iomatch.model.Dataset`);
-:class:`MatchRun` turns objects given in place of one into one, once.
-Validation reads the columns: the payload violations a dataset carries,
-duplicate ids, mixed or missing source profiles, and relative-k supports
-that exclude their rank, each distinct rank of a source tried once.
+The engine's input is two columnar datasets (:class:`~iomatch.model.Dataset`),
+each built for the run's schema; :meth:`Dataset.from_objects` builds one
+from objects.  Validation reads the columns: the payload violations a
+dataset carries, duplicate ids, mixed or missing source profiles, and
+triangular supports that are not finite or, under a relative k, exclude
+their rank.
 
 Every feature is scored for a list of pair cells at once: a kernel turns the
 two datasets' columns at those cells into 1-D proximities, a presence mask
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import aggregate as agg
 from . import quant
-from .fuzzy import IdentificationPowerWarning, triangular_from_relative_error
+from .fuzzy import IdentificationPowerWarning
 from .model import (
     MAX_NOMINAL_DELTA,
     Dataset,
@@ -57,6 +58,7 @@ from .model import (
     ProximityBreakdown,
     Schema,
     SourceProfile,
+    ValidationError,
     non_finite_violation,
     profile_violations,
     schema_violations,
@@ -67,20 +69,16 @@ THREE_SIGMA = 3.0
 _SQRT2 = math.sqrt(2.0)
 
 
-class MatchRunError(ValueError):
+class MatchRunError(ValidationError):
     """Raised when a run's configuration or data violates the schema."""
-
-    def __init__(self, errors: Sequence[str]):
-        self.errors = list(errors)
-        super().__init__("; ".join(self.errors))
 
 
 @dataclass(frozen=True)
 class MatchRun:
     """One matching task: schema, source accuracies, two datasets, aggregation.
 
-    Each dataset is a :class:`Dataset`; objects given in its place are turned
-    into one here, once, as is a dataset read for another schema.
+    Each dataset is a :class:`Dataset`; anything else raises ``TypeError``.
+    A dataset built for another schema is a violation of the run.
     """
 
     schema: Schema
@@ -93,8 +91,8 @@ class MatchRun:
     def __post_init__(self):
         for side in ("dataset_a", "dataset_b"):
             data = getattr(self, side)
-            if not isinstance(data, Dataset) or data.schema != self.schema:
-                object.__setattr__(self, side, Dataset.from_objects(data, self.schema))
+            if not isinstance(data, Dataset):
+                raise TypeError(f"{side} must be a Dataset, got {type(data).__name__}")
 
 
 def run_violations(run: MatchRun) -> list[str]:
@@ -116,8 +114,11 @@ def run_violations(run: MatchRun) -> list[str]:
             for oid, count in Counter(dataset.ids).items():
                 if count > 1:
                     errors.append(f"dataset {label}: object id {oid!r} appears {count} times")
-        # Per object: its payload violations, its non-finite numbers, then its collapsed supports.
-        found = [*dataset.violations, *_non_finite(dataset), *_collapsed_supports(dataset, run)]
+        if dataset.schema != run.schema:
+            errors.append(f"dataset {label} was built for another schema")
+            continue
+        # Per object: its payload violations, its non-finite numbers, then its bad supports.
+        found = [*dataset.violations, *_non_finite(dataset), *_support_violations(dataset, run)]
         errors.extend(message for _, message in sorted(found, key=lambda v: v[0]))
     a_sources, b_sources = set(run.dataset_a.source_ids), set(run.dataset_b.source_ids)
     if a_sources and a_sources == b_sources:
@@ -142,18 +143,35 @@ def _relative_k(feature: FeatureSchema, profile: SourceProfile) -> float | None:
     return acc.relative_k if isinstance(acc, OrdinalAccuracy) else None
 
 
-def _keeps_rank(rank: float, k: float) -> bool:
-    try:
-        triangular_from_relative_error(rank, k)
-    except ValueError:
-        return False
-    return True
+def _width(feature: FeatureSchema, profile: SourceProfile) -> float | None:
+    """The source's half-width or Gaussian spread, else the schema's."""
+    acc = profile.accuracy.get(feature.name)
+    return acc.width if isinstance(acc, OrdinalAccuracy) and acc.width is not None else feature.ordinal_params.width
 
 
-def _collapsed_supports(dataset: Dataset, run: MatchRun) -> list[tuple[int, str]]:
-    """(object index, message) of every finite rank whose relative-k triangle
-    rounds to a support that excludes the rank; each distinct rank of a
-    source is tried once, in feature order."""
+def _supports(feature: FeatureSchema, profile: SourceProfile, column: FeatureColumn) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of every rank's triangular support, -1 and 1 where absent:
+    ROUND(rank * (1 -+ k)) under a relative k, as
+    ``fuzzy.triangular_from_relative_error`` rounds them (halves away from
+    zero), else rank -+ width.  A bound may overflow to infinity."""
+    k = _relative_k(feature, profile)
+    ranks = column.values[:, 0]
+    with np.errstate(over="ignore"):
+        if k is None:
+            width = _width(feature, profile)
+            lo, hi = ranks - width, ranks + width
+        else:
+            bounds = ranks * (1.0 - k), ranks * (1.0 + k)
+            lo, hi = (np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5)) for x in bounds)
+    return np.where(column.present, lo, -1.0), np.where(column.present, hi, 1.0)
+
+
+def _support_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, str]]:
+    """(object index, message) of every finite rank whose triangular support
+    is not finite or, under a relative k, rounds onto the rank itself; in
+    feature order, one message per object and feature.  A Gaussian has no
+    support, and a feature whose accuracy the profile check rejects is
+    skipped, as that check reports it."""
     found = []
     source_ids = np.array(dataset.source_ids, dtype=object)
     for sid in dict.fromkeys(dataset.source_ids):
@@ -161,19 +179,24 @@ def _collapsed_supports(dataset: Dataset, run: MatchRun) -> list[tuple[int, str]
         if profile is None:
             continue
         for feature in run.schema.features:
-            k = _relative_k(feature, profile) if feature.kind is FeatureKind.ORDINAL_FUZZY else None
-            if k is None or not 0.0 < k < 1.0:
+            params = feature.ordinal_params if feature.kind is FeatureKind.ORDINAL_FUZZY else None
+            if params is None or params.shape is not MembershipShape.TRIANGULAR:
+                continue
+            k, width = _relative_k(feature, profile), _width(feature, profile)
+            if not (0.0 < k < 1.0 if k is not None else width is not None and width > 0.0):
                 continue
             column = dataset.columns[feature.name]
             ranks = column.values[:, 0]
+            lo, hi = _supports(feature, profile, column)
             held = column.present & (source_ids == sid) & np.isfinite(ranks)
-            collapsed = [r for r in set(ranks[held].tolist()) if not _keeps_rank(r, k)]
-            for i in np.flatnonzero(held & np.isin(ranks, collapsed)).tolist():
-                found.append((
-                    i,
-                    f"{dataset.ids[i]}/{feature.name}: relative k {k} of source {sid!r} "
-                    f"rounds the support of rank {column.ranks[i]} onto the rank itself",
-                ))
+            infinite = ~(np.isfinite(lo) & np.isfinite(hi))
+            collapsed = (k is not None) & ~((lo < ranks) & (ranks < hi))
+            for i in np.flatnonzero(held & (infinite | collapsed)).tolist():
+                rank = column.ranks[i]
+                found.append((i, f"{dataset.ids[i]}/{feature.name}: " + (
+                    f"the membership support of rank {rank} is not finite" if infinite[i]
+                    else f"relative k {k} of source {sid!r} rounds the support of rank {rank} onto the rank itself"
+                )))
     return found
 
 
@@ -346,23 +369,9 @@ def _nominal_column(codes_a, codes_b, delta: float, rows, cols, wanted=True) -> 
 def _ordinal_memberships(feature: FeatureSchema, profile: SourceProfile, column: FeatureColumn):
     """(lo, peak, hi, height) arrays of one side's memberships, and the width
     (half-width or Gaussian spread) the side uses; lo and hi are unused for
-    Gaussians, and absent values get a placeholder triangle.  A relative-k
-    support is rounded once per distinct rank."""
-    acc = profile.accuracy.get(feature.name)
-    k = _relative_k(feature, profile)
-    width = acc.width if isinstance(acc, OrdinalAccuracy) and acc.width is not None else feature.ordinal_params.width
-    present, peak = column.present, column.values[:, 0]
-    if k is None:
-        lo, hi = np.where(present, peak - width, -1.0), np.where(present, peak + width, 1.0)
-    else:
-        # Distinct ranks by bit pattern: np.unique on a float array would
-        # import numpy.ma, about 1 MiB, on the first call.
-        ranks, at = np.unique(peak[present].view(np.uint64), return_inverse=True)
-        supports = [triangular_from_relative_error(r, k) for r in ranks.view(np.float64).tolist()]
-        lo, hi = np.full(len(peak), -1.0), np.full(len(peak), 1.0)
-        lo[present] = np.array([m.g_min for m in supports], dtype=float)[at]
-        hi[present] = np.array([m.g_max for m in supports], dtype=float)[at]
-    return (lo, peak, hi, column.certainty), width
+    Gaussians, and absent values get a placeholder triangle."""
+    lo, hi = _supports(feature, profile, column)
+    return (lo, column.values[:, 0], hi, column.certainty), _width(feature, profile)
 
 
 def _nominal_codes(column_a: FeatureColumn, column_b: FeatureColumn) -> tuple[np.ndarray, np.ndarray]:
@@ -572,24 +581,12 @@ def _breakdown(pair, proximity, present, aggregate_proximity, aggregate_distance
     )
 
 
-class _Breakdowns(collections.abc.Sequence):
-    """A read-only sequence of breakdowns; subclasses give ``__len__`` and
-    ``_breakdown(k)``, and indexing builds a :class:`ProximityBreakdown`."""
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[k] for k in range(*index.indices(len(self)))]
-        k = index + len(self) if index < 0 else index
-        if not 0 <= k < len(self):
-            raise IndexError(index)
-        return self._breakdown(k)
-
-
-class _ScoreColumns(_Breakdowns):
+class _ScoreColumns(collections.abc.Sequence):
     """Scores of some cells of a pair grid held as read-only 1-D columns:
     ``rows[k]`` and ``cols[k]`` index the k-th cell's pair into the grid's
     ids, ``grid_ids``, and ``proximity`` and ``present`` (per feature),
-    ``aggregate_proximity`` and ``aggregate_distance`` hold its scores."""
+    ``aggregate_proximity`` and ``aggregate_distance`` hold its scores.
+    Indexing builds a :class:`ProximityBreakdown`."""
 
     def __init__(
         self,
@@ -609,28 +606,31 @@ class _ScoreColumns(_Breakdowns):
     def __len__(self) -> int:
         return len(self.rows)
 
-    def _breakdown(self, k: int) -> ProximityBreakdown:
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        k = range(len(self))[index]
         pair = (self.grid_ids[0][self.rows[k]], self.grid_ids[1][self.cols[k]])
         return _breakdown(pair, self.proximity, self.present, self.aggregate_proximity, self.aggregate_distance, k)
 
 
-class PairScores(_Breakdowns):
-    """Breakdowns of every cross-source pair, dataset A outer and B inner.
+class PairScores:
+    """Breakdowns of every cross-source pair, dataset A outer and B inner:
+    an ``(n_a, n_b)`` grid whose ``len`` is its size.
 
     Only the scored cells are stored: ``cells`` holds their row-major
     ``rows`` and ``cols`` and their scores.  A cell that blocking pruned is
     implied: each feature scores what its kernel gives for it (``sides``
     keeps every feature's per-side inputs), and its aggregate is (0.0, 1.0).
-    :meth:`block` lays whole rows of the pair grid out as dense columns;
-    ``proximity``, ``present`` (per feature), ``aggregate_proximity`` and
-    ``aggregate_distance`` are the whole read-only ``(n_a, n_b)`` grid,
-    built on first use.
+    :meth:`block` lays whole rows of the grid out as dense columns;
+    ``aggregate_proximity`` and ``aggregate_distance`` are the whole
+    read-only grid, built on first use.
 
-    Indexing or iterating builds :class:`ProximityBreakdown` objects on
-    demand, iteration a block of rows at a time.  ``texts`` is the writers'
-    memo of float texts by 64-bit pattern (see ``dataio.float_texts``): every
-    artefact of the run renders through it, so each distinct score is
-    rendered once.
+    :meth:`breakdown` builds the :class:`ProximityBreakdown` of one pair,
+    and iterating builds every pair's, a block of rows at a time.  ``texts``
+    is the writers' memo of float texts by 64-bit pattern (see
+    ``dataio.float_texts``): every artefact of the run renders through it,
+    so each distinct score is rendered once.
     """
 
     def __init__(
@@ -695,14 +695,6 @@ class PairScores(_Breakdowns):
         )
 
     @functools.cached_property
-    def proximity(self) -> dict[str, np.ndarray]:
-        return _read_only(self.block(0, len(self.ids_a))[0])
-
-    @functools.cached_property
-    def present(self) -> dict[str, np.ndarray]:
-        return _read_only({n: s.has_a[:, None] & s.has_b for n, s in self.sides.items()})
-
-    @functools.cached_property
     def aggregate_proximity(self) -> np.ndarray:
         return _read_only(self._dense(self.cells.aggregate_proximity, 0.0, 0, len(self.ids_a)))
 
@@ -710,8 +702,9 @@ class PairScores(_Breakdowns):
     def aggregate_distance(self) -> np.ndarray:
         return _read_only(self._dense(self.cells.aggregate_distance, 1.0, 0, len(self.ids_a)))
 
-    def _breakdown(self, k: int) -> ProximityBreakdown:
-        i, j = divmod(k, len(self.ids_b))
+    def breakdown(self, i: int, j: int) -> ProximityBreakdown:
+        """The breakdown of the pair (``ids_a[i]``, ``ids_b[j]``)."""
+        i, j = range(len(self.ids_a))[i], range(len(self.ids_b))[j]
         return _breakdown((self.ids_a[i], self.ids_b[j]), *self.block(i, i + 1), (0, j))
 
     def __iter__(self) -> Iterator[ProximityBreakdown]:
@@ -771,8 +764,9 @@ def evaluate_pair(
 ) -> ProximityBreakdown:
     """Full proximity breakdown for one cross-source pair: a 1 x 1 run, so xi
     and every other rule are the ones :func:`pairwise_breakdowns` applies."""
-    run = MatchRun(schema=schema, profiles=profiles, dataset_a=(a,), dataset_b=(b,), aggregation=spec)
-    return pairwise_breakdowns(run)[0]
+    dataset_a, dataset_b = (Dataset.from_objects((x,), schema) for x in (a, b))
+    run = MatchRun(schema=schema, profiles=profiles, dataset_a=dataset_a, dataset_b=dataset_b, aggregation=spec)
+    return pairwise_breakdowns(run).breakdown(0, 0)
 
 
 class RankedCandidates(_ScoreColumns):

@@ -7,7 +7,6 @@ across concurrent evaluators.
 
 from __future__ import annotations
 
-import collections.abc
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -95,12 +94,16 @@ class FeatureSchema:
         return len(self.axes) if self.axes else 1
 
 
-class SchemaError(ValueError):
-    """Raised when a schema or profile fails validation; carries every violation."""
+class ValidationError(ValueError):
+    """Raised when an input fails validation; ``errors`` holds every violation."""
 
     def __init__(self, errors: Sequence[str]):
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
+
+
+class SchemaError(ValidationError):
+    """Raised when a schema or profile fails validation."""
 
 
 @dataclass(frozen=True)
@@ -423,15 +426,12 @@ def _object_column(feature: FeatureSchema, held: Sequence[FeatureValue | None]) 
     return FeatureColumn(present, np.array(rows, dtype=float).reshape(n, feature.arity), certainty)
 
 
-class Dataset(collections.abc.Sequence):
+class Dataset:
     """One source's reports held as columns: ``ids`` and ``source_ids``,
     and per feature of ``schema`` a :class:`FeatureColumn` in ``columns``.
     ``violations`` lists the ``(object index, message)`` of every payload
     that fails the schema; a dataset read from CSV has none, as the reader
     rejects the file instead.
-
-    Indexing builds the :class:`InformationObject` of an entry on demand; a
-    dataset made by :meth:`from_objects` returns the objects it was given.
     """
 
     def __init__(
@@ -441,10 +441,9 @@ class Dataset(collections.abc.Sequence):
         source_ids: Sequence[str],
         columns: Mapping[str, FeatureColumn],
         violations: Sequence[tuple[int, str]] = (),
-        objects: Sequence[InformationObject] | None = None,
     ):
         self.schema, self.ids, self.source_ids = schema, tuple(ids), tuple(source_ids)
-        self.columns, self.violations, self._objects = dict(columns), tuple(violations), objects
+        self.columns, self.violations = dict(columns), tuple(violations)
 
     @classmethod
     def from_objects(cls, objects: Iterable[InformationObject], schema: Schema) -> "Dataset":
@@ -456,30 +455,10 @@ class Dataset(collections.abc.Sequence):
         checked = [_checked_values(obj, features) for obj in objects]
         violations = [(k, error) for k, (errors, _) in enumerate(checked) for error in errors]
         columns = {f.name: _object_column(f, [valid.get(f.name) for _, valid in checked]) for f in schema.features}
-        return cls(
-            schema,
-            [obj.object_id for obj in objects],
-            [obj.source_id for obj in objects],
-            columns,
-            violations,
-            objects,
-        )
+        return cls(schema, [obj.object_id for obj in objects], [obj.source_id for obj in objects], columns, violations)
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[k] for k in range(*index.indices(len(self)))]
-        if self._objects is not None:
-            return self._objects[index]
-        k = range(len(self))[index]
-        values = {}
-        for f in self.schema.features:
-            column = self.columns[f.name]
-            if column.present[k]:
-                values[f.name] = FeatureValue(column.payload(f, k), Certainty(column.certainty[k].item()))
-        return InformationObject(self.ids[k], self.source_ids[k], values)
 
 
 @dataclass(frozen=True)

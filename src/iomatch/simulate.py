@@ -21,7 +21,16 @@ from . import __version__
 from .aggregate import AggregationMethod, AggregationSpec
 from .dataio import RECORDS_PER_BLOCK, ColumnRecords, write_breakdowns_csv, write_json, write_objects_csv
 from .engine import MatchRun, PairScores, RankedCandidates, candidates, pairwise_breakdowns
-from .model import Dataset, FeatureColumn, FeatureKind, FeatureSchema, QuantAccuracy, Schema, SourceProfile
+from .model import (
+    Dataset,
+    FeatureColumn,
+    FeatureKind,
+    FeatureSchema,
+    QuantAccuracy,
+    Schema,
+    SourceProfile,
+    ValidationError,
+)
 from .svgplot import SVG_GENERATOR, render_match_svg
 
 RNG_NAME = "numpy.random.PCG64"
@@ -45,10 +54,8 @@ _CANDIDATE_FIELDS = {"a": "id", "b": "id", "proximity": "float", "true_pair": "f
 _OBJECT_FIELDS = {"id": "id", "type": "id", "x": "float", "y": "float"}
 
 
-class SceneSpecError(ValueError):
-    def __init__(self, errors: Sequence[str]):
-        self.errors = list(errors)
-        super().__init__("; ".join(self.errors))
+class SceneSpecError(ValidationError):
+    """Raised when a scene spec fails validation."""
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ the generator-version header line.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -61,8 +62,9 @@ def render_match_svg(
             f'font-family="sans-serif" font-size="14">{title}</text>'
         )
     for (ax, ay), (bx, by), mismatch in zip(*(column.tolist() for column in candidate_links)):
-        cx, cy = px((ax + bx) / 2.0), py((ay + by) / 2.0)
-        half = ((px(ax) - px(bx)) ** 2 + (py(ay) - py(by)) ** 2) ** 0.5 / 2.0
+        # Halved before the sum and hypot for the radius: finite huge positions must not overflow.
+        cx, cy = px(ax / 2.0 + bx / 2.0), py(ay / 2.0 + by / 2.0)
+        half = math.hypot(px(ax) - px(bx), py(ay) - py(by)) / 2.0
         r = half + 9.0
         lines.append(
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '

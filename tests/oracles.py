@@ -7,7 +7,8 @@ whole-pair scores by composing the scalar functions one pair at a time in
 place of the columnar engine, ``pairs.csv`` and the candidate ranking one
 breakdown at a time in place of the columnar writer and ``np.lexsort``, and
 dataset files by reading one record and one feature at a time in place of
-the columnar reader.
+the columnar reader.  ``object_run`` builds a run from objects, the form
+the scalar oracles read.
 """
 
 from __future__ import annotations
@@ -37,8 +38,10 @@ from iomatch.fuzzy import (
     triangular_from_relative_error,
 )
 from iomatch.dataio import DataError, breakdown_header, dataset_header
+from iomatch.engine import MatchRun
 from iomatch.model import (
     Certainty,
+    Dataset,
     FeatureKind,
     FeatureSchema,
     FeatureValue,
@@ -49,6 +52,13 @@ from iomatch.model import (
     SourceProfile,
 )
 from iomatch.quant import NormalErrorModel, quantitative_proximity
+
+
+def object_run(schema: Schema, profiles, objects_a, objects_b, *args, **kwargs) -> MatchRun:
+    """A :class:`MatchRun` over two datasets built from objects by ``Dataset.from_objects``."""
+    return MatchRun(
+        schema, profiles, Dataset.from_objects(objects_a, schema), Dataset.from_objects(objects_b, schema), *args, **kwargs
+    )
 
 
 def mc_interval_probability(rng, mean, sigma, c, d, n=1_000_000):

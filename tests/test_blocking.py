@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from iomatch import dataio
 from iomatch.aggregate import AggregationMethod, AggregationSpec
-from iomatch.engine import THREE_SIGMA, MatchRun, candidates, pairwise_breakdowns
+from iomatch.engine import THREE_SIGMA, candidates, pairwise_breakdowns
 from iomatch.model import (
     FeatureKind,
     FeatureSchema,
@@ -29,7 +29,7 @@ from iomatch.model import (
     SourceProfile,
 )
 
-from oracles import csv_writer_bytes, scalar_pair_scores
+from oracles import csv_writer_bytes, object_run, scalar_pair_scores
 from test_columnar import _csv_bytes, assert_matches_scalar
 
 AXES = ("x", "y", "z")
@@ -60,7 +60,8 @@ def _touching(target: float, half: float, below: bool) -> float:
 def blocked_runs(draw):
     """Two quantitative features (one of 1-3 axes) and maybe a nominal one,
     over scenes of a drawn density; some values absent, some windows touching
-    exactly, some weights zero, and every aggregation method."""
+    exactly, some weights zero, and every aggregation method.  Returns the
+    run and the objects of each side, which the scalar oracle reads."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     axes = draw(st.integers(1, 3))
     dyadic = draw(st.booleans())  # exact window ends, so touching is common
@@ -132,7 +133,8 @@ def blocked_runs(draw):
     }
     method = draw(st.sampled_from([AggregationMethod.MULTIPLICATIVE] * 4 + list(AggregationMethod)))
     spec = AggregationSpec(method=method, class_weight=0.6)
-    return MatchRun(schema, profiles, objects("a", raw_a), objects("b", raw_b), spec)
+    objects_a, objects_b = objects("a", raw_a), objects("b", raw_b)
+    return object_run(schema, profiles, objects_a, objects_b, spec), objects_a, objects_b
 
 
 def _window_misses(run, a, b) -> bool:
@@ -158,15 +160,16 @@ def _window_misses(run, a, b) -> bool:
 
 @settings(max_examples=300, deadline=None)
 @given(blocked_runs(), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
-def test_blocked_scores_equal_scalar_oracle(run, threshold):
+def test_blocked_scores_equal_scalar_oracle(drawn, threshold):
+    run, objects_a, objects_b = drawn
     scores = pairwise_breakdowns(run)
     # Every cell, stored or implied, per feature and aggregate.
-    assert_matches_scalar(run, scores)
-    pairs = [(a, b) for a in run.dataset_a for b in run.dataset_b]
+    assert_matches_scalar(run, objects_a, objects_b, scores)
+    pairs = [(a, b) for a in objects_a for b in objects_b]
     pruned = [_window_misses(run, a, b) for a, b in pairs]
     # The stored cells are exactly those brute force does not prune.
     stored = set(zip(scores.cells.rows.tolist(), scores.cells.cols.tolist()))
-    n_b = len(run.dataset_b)
+    n_b = len(objects_b)
     assert stored == {divmod(k, n_b) for k, miss in enumerate(pruned) if not miss}
     if run.aggregation.method is not AggregationMethod.MULTIPLICATIVE:
         assert len(scores.cells) == len(scores)
@@ -179,8 +182,8 @@ def test_blocked_scores_equal_scalar_oracle(run, threshold):
     want = {b.pair for b in listed if b.aggregate_proximity > threshold and b.per_feature}
     assert {b.pair for b in candidates(scores, threshold)} == want
     # Random access, the dense views and the pairs.csv writer agree with the breakdowns.
-    for k in range(0, len(scores), 7):
-        assert scores[k] == listed[k]
+    for k in range(len(scores)):
+        assert scores.breakdown(*divmod(k, n_b)) == listed[k]
     assert scores.aggregate_proximity.ravel().tolist() == [b.aggregate_proximity for b in listed]
     if any(pruned):
         want = csv_writer_bytes(listed, run.schema)
@@ -224,14 +227,13 @@ def _scene_scores(sides):
         FeatureSchema("type", FeatureKind.NOMINAL, 0.5, nominal_delta=0.1),
     ))
     datasets = {
-        s: tuple(InformationObject(i, s, {"position": FeatureValue((x, y)), "type": FeatureValue(t)})
-                 for i, x, y, t in rows)
+        s: [InformationObject(i, s, {"position": FeatureValue((x, y)), "type": FeatureValue(t)}) for i, x, y, t in rows]
         for s, rows in sides.items()
     }
     profiles = {
         s: SourceProfile(s, {"position": QuantAccuracy(sigma=sigma)}) for s, sigma in (("a", 20.0), ("b", 30.0))
     }
-    return pairwise_breakdowns(MatchRun(schema, profiles, datasets["a"], datasets["b"]))
+    return pairwise_breakdowns(object_run(schema, profiles, datasets["a"], datasets["b"]))
 
 
 def test_stored_cells_equal_brute_force_window_count():

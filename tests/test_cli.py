@@ -16,7 +16,7 @@ from iomatch.config import load_config
 from iomatch.dataio import read_dataset, read_objects_csv
 from iomatch.engine import MatchRun, pairwise_breakdowns
 from iomatch.model import InformationObject
-from oracles import ranked_breakdowns
+from oracles import object_run, ranked_breakdowns
 from test_config_dataio import FUZZ_CONFIG, fuzz_files, mutated_configs, write_rows
 
 CONFIG = {
@@ -138,9 +138,8 @@ class TestMatch:
         assert main(["match", "--config", str(config_path), str(a), str(b)]) == 0
         out = capsys.readouterr().out
         config = load_config(config_path)
-        run = MatchRun(config.schema, config.profiles,
-                       tuple(read_objects_csv(a, config.schema)), tuple(read_objects_csv(b, config.schema)),
-                       config.aggregation)
+        run = object_run(config.schema, config.profiles, read_objects_csv(a, config.schema),
+                         read_objects_csv(b, config.schema), config.aggregation)
         found = ranked_breakdowns(pairwise_breakdowns(run), 0.01)
         lines = [f"pairs evaluated: 60; candidates above 0.01: {len(found)}"]
         lines += [f"{x.pair[0]}  {x.pair[1]}  {x.aggregate_proximity:.4f}" for x in found]
@@ -403,6 +402,26 @@ class TestRejectedAtValidation:
             captured = capsys.readouterr()
             assert (captured.err, captured.out) == (message + "\n", "")
 
+    @pytest.mark.parametrize("accuracy", [{"width": 1e308}, {"k": 0.5}])
+    @pytest.mark.parametrize("rank, shown", [("1.7e308", "1.7e+308"), ("-1.7e308", "-1.7e+308")])
+    def test_membership_support_that_overflows(self, tmp_path, capsys, accuracy, rank, shown):
+        """A triangular support past the float range.  Under a width, match
+        wrote nan into pairs.csv and dropped the pair, and measure died with
+        ``ValueError: scores outside [0, 1]``; under a relative k both raised
+        an OverflowError traceback from the rounding."""
+        config = json.loads(json.dumps(RANKED_CONFIG))
+        config["sources"]["alpha"]["rank"] = accuracy
+        path = write(tmp_path, "config.json", json.dumps(config))
+        header, row_a, row_b = "object_id,source_id,speed,rank\n", f"a1,alpha,12.0,{rank}\n", "b1,beta,12.0,4\n"
+        a, b = write(tmp_path, "a.csv", header + row_a), write(tmp_path, "b.csv", header + row_b)
+        pair = write(tmp_path, "pair.csv", header + row_a + row_b)
+        for argv in (["match", "--config", str(path), str(a), str(b)], ["measure", "--config", str(path), str(pair)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert (captured.err, captured.out) == (
+                f"error: a1/rank: the membership support of rank {shown} is not finite\n", ""
+            )
+
     def test_duplicate_object_id(self, tmp_path, capsys):
         assert self.match(tmp_path, RANKED_CONFIG, "a1,alpha,12.0,4\na1,alpha,13.0,5\n") == 1
         captured = capsys.readouterr()
@@ -480,6 +499,18 @@ class TestSimulate:
             f"error: {oid}/position: expected 2 finite numeric components\n" for oid in ("s1-000", "s2-002", "s2-003")
         )
         assert captured.out == "" and not out.exists()
+
+    def test_finite_huge_positions_are_drawn(self, tmp_path, capsys):
+        """The SVG squared pixel distances of positions near 1e200: an
+        OverflowError traceback after the other four files were written."""
+        doc = {"simulation": {"object_count": 5, "rmse": [1e200, 1e200], "fleet_sigma_min": 1e200}}
+        config = write(tmp_path, "sim.json", json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        names = ["objects_s1.csv", "objects_s2.csv", "pairs.csv", "report.json", "scene.svg"]
+        assert sorted(p.name for p in out.iterdir()) == names
+        assert (out / "scene.svg").read_text().endswith("</svg>\n")
 
     def test_default_spec_with_seed(self, tmp_path, capsys):
         out_dir = tmp_path / "sim"

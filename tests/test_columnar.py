@@ -14,15 +14,21 @@ from hypothesis import example, given, settings, strategies as st
 from iomatch.aggregate import AggregationMethod, AggregationSpec
 from iomatch.dataio import breakdown_record, write_breakdowns_csv
 from iomatch.engine import (
-    MatchRun,
     MatchRunError,
     PairScores,
     RankedCandidates,
     candidates,
     evaluate_pair,
     pairwise_breakdowns,
+    run_violations,
 )
-from iomatch.fuzzy import apply_certainty, gaussian_membership, possibility
+from iomatch.fuzzy import (
+    apply_certainty,
+    gaussian_membership,
+    possibility,
+    triangular_from_halfwidth,
+    triangular_from_relative_error,
+)
 from iomatch.model import (
     Certainty,
     FeatureKind,
@@ -38,7 +44,7 @@ from iomatch.model import (
 )
 from iomatch.quant import NormalErrorModel, quantitative_proximity
 
-from oracles import csv_writer_bytes, ranked_breakdowns, scalar_pair_scores
+from oracles import csv_writer_bytes, object_run, ranked_breakdowns, scalar_pair_scores
 from test_config_dataio import json_bytes, stdlib_bytes
 
 TOLERANCE = 1e-12
@@ -100,6 +106,7 @@ def objects(draw, source, names, n):
 
 @st.composite
 def runs(draw, names=None, sizes=st.integers(0, 4)):
+    """(run, objects of side A, objects of side B): the scalar oracle reads the objects."""
     names = names or draw(st.lists(st.sampled_from(sorted(FEATURES)), min_size=1, max_size=5, unique=True))
     raw = [draw(st.integers(0, 4)) for _ in names]
     raw[0] = raw[0] or 1
@@ -124,18 +131,13 @@ def runs(draw, names=None, sizes=st.integers(0, 4)):
         draw(st.floats(0.5, 4.0)),
         draw(st.one_of(st.floats(0.5, 4.0), TINY_SPREADS)),
     )
-    return MatchRun(
-        schema=Schema(features),
-        profiles=profiles,
-        dataset_a=tuple(draw(objects("a", names, draw(sizes)))),
-        dataset_b=tuple(draw(objects("b", names, draw(sizes)))),
-        aggregation=spec,
-    )
+    objects_a, objects_b = draw(objects("a", names, draw(sizes))), draw(objects("b", names, draw(sizes)))
+    return object_run(Schema(features), profiles, objects_a, objects_b, aggregation=spec), objects_a, objects_b
 
 
-def assert_matches_scalar(run, scores):
-    assert len(scores) == len(run.dataset_a) * len(run.dataset_b)
-    pairs = [(a, b) for a in run.dataset_a for b in run.dataset_b]
+def assert_matches_scalar(run, objects_a, objects_b, scores):
+    assert len(scores) == len(objects_a) * len(objects_b)
+    pairs = [(a, b) for a in objects_a for b in objects_b]
     for (a, b), got in zip(pairs, scores):
         per_feature, p, d = scalar_pair_scores(run, a, b)
         assert got.pair == (a.object_id, b.object_id)
@@ -148,8 +150,9 @@ def assert_matches_scalar(run, scores):
 
 @settings(max_examples=300, deadline=None)
 @given(runs())
-def test_columnar_equals_scalar_composition(run):
-    assert_matches_scalar(run, pairwise_breakdowns(run))
+def test_columnar_equals_scalar_composition(drawn):
+    run, objects_a, objects_b = drawn
+    assert_matches_scalar(run, objects_a, objects_b, pairwise_breakdowns(run))
 
 
 def _csv_bytes(breakdowns, schema) -> bytes:
@@ -161,9 +164,10 @@ def _csv_bytes(breakdowns, schema) -> bytes:
 
 @settings(max_examples=200, deadline=None)
 @given(runs())
-def test_csv_from_columns_equals_csv_from_breakdowns(run):
+def test_csv_from_columns_equals_csv_from_breakdowns(drawn):
     """The column-by-column writer against csv.writer row by row, absent
     features and empty sides included."""
+    run = drawn[0]
     scores = pairwise_breakdowns(run)
     assert _csv_bytes(scores, run.schema) == csv_writer_bytes(list(scores), run.schema)
 
@@ -180,16 +184,16 @@ def ranked_runs(draw, ids=None):
     a10 sort before a9 wherever they stand.  A nominal-only schema gives many
     exactly equal aggregates; ``ids``, if given, draws the object ids."""
     names = ["type"] if draw(st.booleans()) else None
-    run = draw(runs(names=names, sizes=st.integers(0, 12)))
+    run, objects_a, objects_b = draw(runs(names=names, sizes=st.integers(0, 12)))
 
-    def side(dataset):
-        dataset = draw(st.permutations(dataset))
+    def side(objects):
+        objects = draw(st.permutations(objects))
         if ids is not None:
-            new = draw(st.lists(ids, min_size=len(dataset), max_size=len(dataset), unique=True))
-            dataset = [dataclasses.replace(o, object_id=i) for o, i in zip(dataset, new)]
-        return tuple(dataset)
+            new = draw(st.lists(ids, min_size=len(objects), max_size=len(objects), unique=True))
+            objects = [dataclasses.replace(o, object_id=i) for o, i in zip(objects, new)]
+        return objects
 
-    return dataclasses.replace(run, dataset_a=side(run.dataset_a), dataset_b=side(run.dataset_b))
+    return object_run(run.schema, run.profiles, side(objects_a), side(objects_b), aggregation=run.aggregation)
 
 
 THRESHOLDS = st.sampled_from([0.0, 0.01, 0.2, 0.5, 1.0]) | st.floats(0.0, 1.0)
@@ -264,8 +268,8 @@ def test_candidates_json_for_any_presence_masks(names, masks_a, masks_b):
     """Whichever of up to five features of mixed kinds a pair shows, none to
     all, candidates.json is json.dumps of the breakdown records."""
     schema = Schema(tuple(FeatureSchema(**{**FEATURES[n].__dict__, "weight": 1 / len(names)}) for n in names))
-    run = MatchRun(schema, _profiles(names, [1.0, 2.0, 0.5], 0.4, 2.5, 1.0), _masked_side("a", names, masks_a),
-                   _masked_side("b", names, masks_b), AggregationSpec(method=AggregationMethod.ADDITIVE))
+    run = object_run(schema, _profiles(names, [1.0, 2.0, 0.5], 0.4, 2.5, 1.0), _masked_side("a", names, masks_a),
+                     _masked_side("b", names, masks_b), AggregationSpec(method=AggregationMethod.ADDITIVE))
     found = candidates(pairwise_breakdowns(run), 0.0)
     assert_json_records(found)
 
@@ -284,8 +288,8 @@ def test_candidates_json_over_several_blocks():
     def side(source):
         return tuple(InformationObject(f"{source}{i}", source, values(i)) for i in range(23))
 
-    run = MatchRun(schema, _profiles(names, [1.0, 2.0, 0.5], 0.4, 2.5, 1.0), side("a"), side("b"),
-                   AggregationSpec(method=AggregationMethod.ADDITIVE))
+    run = object_run(schema, _profiles(names, [1.0, 2.0, 0.5], 0.4, 2.5, 1.0), side("a"), side("b"),
+                     AggregationSpec(method=AggregationMethod.ADDITIVE))
     scores = pairwise_breakdowns(run)
     every = RankedCandidates(scores, np.arange(len(scores.cells)))
     assert len(every) == 529
@@ -314,7 +318,7 @@ def test_candidates_json_with_more_features_than_one_mask_word():
         )
 
     profiles = {s: SourceProfile(s, {}) for s in "ab"}
-    run = MatchRun(schema, profiles, side("a"), side("b"), AggregationSpec(method=AggregationMethod.ADDITIVE))
+    run = object_run(schema, profiles, side("a"), side("b"), AggregationSpec(method=AggregationMethod.ADDITIVE))
     found = candidates(pairwise_breakdowns(run), 0.0)
     assert len({tuple(b.per_feature) for b in found}) > 1
     assert any(n in b.per_feature for b in found for n in names[64:])
@@ -345,14 +349,10 @@ def test_every_method_and_kind(method, kind):
             for i in range(3)
         )
 
-    run = MatchRun(
-        schema=schema,
-        profiles=_profiles(names, [1.0, 2.0, 0.5], 0.4, 2.5, 1.0),
-        dataset_a=side("a", 0),
-        dataset_b=side("b", 1),
-        aggregation=AggregationSpec(method=method, class_weight=0.6),
-    )
-    assert_matches_scalar(run, pairwise_breakdowns(run))
+    objects_a, objects_b = side("a", 0), side("b", 1)
+    run = object_run(schema, _profiles(names, [1.0, 2.0, 0.5], 0.4, 2.5, 1.0), objects_a, objects_b,
+                     AggregationSpec(method=method, class_weight=0.6))
+    assert_matches_scalar(run, objects_a, objects_b, pairwise_breakdowns(run))
 
 
 @settings(max_examples=300, deadline=None)
@@ -378,7 +378,7 @@ def test_gaussian_rule_matches_integer_grid(ranks_a, ranks_b, spread_a, spread_b
     side_b = [InformationObject(f"b{i}", "b", {"threat": FeatureValue(r, levels[5 + i])}) for i, r in enumerate(ranks_b)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        scores = pairwise_breakdowns(MatchRun(schema, profiles, tuple(side_a), tuple(side_b)))
+        scores = pairwise_breakdowns(object_run(schema, profiles, side_a, side_b))
     for k, got in enumerate(scores):
         oa, ob = side_a[k // len(side_b)], side_b[k % len(side_b)]
         want = possibility(
@@ -388,32 +388,73 @@ def test_gaussian_rule_matches_integer_grid(ranks_a, ranks_b, spread_a, spread_b
         assert got.per_feature["threat"].proximity == pytest.approx(want, abs=TOLERANCE)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.integers(-40, 40) | st.integers(-80, 80).map(lambda h: h / 2) | st.floats(-1e6, 1e6)
+        | st.sampled_from([1e308, 1.7e308, -1.7e308, 1.7976931348623157e308]),
+        min_size=1, max_size=6,
+    ),
+    st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]) | st.floats(0.01, 0.99),
+)
+def test_relative_k_supports_equal_the_scalar_rounding(ranks, k):
+    """Validation rejects a rank exactly where triangular_from_relative_error
+    refuses it (a support that collapses onto the rank, or one it cannot
+    round); every other rank scores what the scalar possibility gives."""
+    schema = Schema((FeatureSchema(**{**FEATURES["ready"].__dict__, "weight": 1.0}),))
+    profiles = {"a": SourceProfile("a", {"ready": OrdinalAccuracy(relative_k=k)}),
+                "b": SourceProfile("b", {"ready": OrdinalAccuracy(width=2.5)})}
+    side_a = [InformationObject(f"a{i}", "a", {"ready": FeatureValue(r)}) for i, r in enumerate(ranks)]
+    side_b = [InformationObject("b0", "b", {"ready": FeatureValue(4)})]
+
+    def membership(rank):
+        try:
+            return triangular_from_relative_error(float(rank), k)
+        except (ValueError, OverflowError):
+            return None
+
+    memberships = [membership(r) for r in ranks]
+    errors = run_violations(object_run(schema, profiles, side_a, side_b))
+    assert [m is None for m in memberships] == [any(e.startswith(f"a{i}/") for e in errors) for i in range(len(ranks))]
+    kept = [(o, m) for o, m in zip(side_a, memberships) if m is not None]
+    # A kept rank near 1e308 overflows the crossing formula, harmlessly here:
+    # its support and that of rank 4 are disjoint.
+    with np.errstate(over="ignore"):
+        scores = list(pairwise_breakdowns(object_run(schema, profiles, [o for o, _ in kept], side_b)))
+    for (_, m), got in zip(kept, scores):
+        want = possibility(m, triangular_from_halfwidth(4.0, 2.5))
+        assert got.per_feature["ready"].proximity == pytest.approx(want, abs=TOLERANCE)
+
+
 class TestPairScores:
     def scores(self):
         schema = Schema((FeatureSchema("speed", FeatureKind.QUANTITATIVE, 1.0, quantitative_xi=3.0),))
         profiles = {s: SourceProfile(s, {"speed": QuantAccuracy(sigma=1.0)}) for s in ("a", "b")}
         side_a = tuple(InformationObject(f"a{i}", "a", {"speed": FeatureValue(float(i))}) for i in range(3))
         side_b = tuple(InformationObject(f"b{i}", "b", {"speed": FeatureValue(float(2 * i))}) for i in range(2))
-        return pairwise_breakdowns(MatchRun(schema, profiles, side_a, side_b))
+        return pairwise_breakdowns(object_run(schema, profiles, side_a, side_b))
 
-    def test_sequence_protocol(self):
+    def test_grid_protocol(self):
+        """``len`` and iteration cover the (3, 2) grid, A outer; it is not a sequence."""
         scores = self.scores()
-        assert isinstance(scores, PairScores) and isinstance(scores, collections.abc.Sequence)
+        assert isinstance(scores, PairScores) and not isinstance(scores, collections.abc.Sequence)
         listed = list(scores)
         assert len(scores) == len(listed) == 6
-        assert [scores[k] for k in range(6)] == listed
-        assert scores[-1] == listed[-1]
-        assert scores[1:4] == listed[1:4]
         assert [b.pair for b in listed][:3] == [("a0", "b0"), ("a0", "b1"), ("a1", "b0")]
+        assert scores.breakdown(-1, -1) == listed[-1]
         with pytest.raises(IndexError):
-            scores[6]
+            scores.breakdown(3, 0)
+        with pytest.raises(IndexError):
+            scores.breakdown(0, 2)
+        with pytest.raises(TypeError):
+            scores[0]
 
     def test_columns_are_read_only(self):
         scores = self.scores()
         with pytest.raises(ValueError):
             scores.aggregate_proximity[0, 0] = 0.5
         with pytest.raises(ValueError):
-            scores.proximity["speed"][0, 0] = 0.5
+            scores.cells.proximity["speed"][0] = 0.5
 
     def test_ranked_candidates_protocol(self):
         found = candidates(self.scores(), 0.01)
@@ -451,7 +492,7 @@ def test_one_xi_rule_for_evaluate_pair_and_runs():
     a = InformationObject("a", "alpha", {"speed": FeatureValue(10.0)})
     b = InformationObject("b", "beta", {"speed": FeatureValue(10.5)})
     single = evaluate_pair(schema, profiles, AggregationSpec(), a, b)
-    (batch,) = pairwise_breakdowns(MatchRun(schema, profiles, (a,), (b,)))
+    (batch,) = pairwise_breakdowns(object_run(schema, profiles, [a], [b]))
     want = quantitative_proximity(NormalErrorModel(10.0, 1.0), NormalErrorModel(10.5, 1.0), xi=0.3)
     assert single == batch
     assert single.aggregate_proximity == pytest.approx(want, abs=TOLERANCE)
@@ -471,7 +512,7 @@ class TestRejectedInputs:
     def run(self, value_a, rank_a=5, **spec):
         a = InformationObject("a0", "a", {"speed": FeatureValue(value_a), "rank": FeatureValue(rank_a)})
         b = InformationObject("b0", "b", {"speed": FeatureValue(1.0), "rank": FeatureValue(4)})
-        return MatchRun(self.SCHEMA, self.PROFILES, (a,), (b,), AggregationSpec(**spec))
+        return object_run(self.SCHEMA, self.PROFILES, [a], [b], AggregationSpec(**spec))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_quantitative(self, value):

@@ -26,10 +26,10 @@ from iomatch.dataio import (
     write_json,
     write_objects_csv,
 )
-from iomatch.engine import candidates, pairwise_breakdowns, MatchRun
+from iomatch.engine import candidates, pairwise_breakdowns
 from iomatch.model import Certainty, Dataset, FeatureValue, InformationObject
 from iomatch.simulate import SceneSpec, run_experiment
-from oracles import csv_writer_bytes, read_objects_by_record
+from oracles import csv_writer_bytes, object_run, read_objects_by_record
 
 FULL_CONFIG = {
     "schema": {
@@ -136,11 +136,7 @@ class TestDatasetCsv:
         write_objects_csv(pb, Dataset.from_objects(objects_b, self.schema))
 
         def run(a, b):
-            return pairwise_breakdowns(MatchRun(
-                schema=self.schema, profiles=self.config.profiles,
-                dataset_a=tuple(a), dataset_b=tuple(b),
-                aggregation=self.config.aggregation,
-            ))
+            return pairwise_breakdowns(object_run(self.schema, self.config.profiles, a, b, self.config.aggregation))
 
         assert list(run(read_objects_csv(pa, self.schema), read_objects_csv(pb, self.schema))) == list(
             run(objects_a, objects_b)
@@ -242,7 +238,8 @@ class TestDatasetCsv:
         assert str(excinfo.value) == f"{path}:2: bad value for 'readiness': non-finite number {rank!r}"
 
     def test_objects_keep_their_payload_types(self, tmp_path):
-        """Integer rank texts give ints, every other number a float; axes give tuples."""
+        """``read_objects_csv`` builds each value from its column's payload:
+        integer rank texts give ints, every other number a float; axes give tuples."""
         path = tmp_path / "types.csv"
         path.write_text(
             "object_id,source_id,position_x,position_y,readiness,type,readiness_certainty\n"
@@ -250,7 +247,7 @@ class TestDatasetCsv:
         )
         dataset = read_dataset(path, self.schema)
         assert len(dataset) == 4 and dataset.ids == ("o1", "o2", "o3", "o4")
-        o1, o2, o3, o4 = dataset
+        o1, o2, o3, o4 = read_objects_csv(path, self.schema)
         assert o1.values == {
             "position": FeatureValue((1.0, 2.5)),
             "readiness": FeatureValue(4, Certainty.DOUBTFUL),
@@ -260,9 +257,7 @@ class TestDatasetCsv:
         assert o2.values["type"].value == "truck"
         assert o3.values == {"readiness": FeatureValue(10)}
         assert o4.values["readiness"].value == 123456789012345678901
-        assert dataset[-1] == o4 and dataset[1:3] == [o2, o3]
-        with pytest.raises(IndexError):
-            dataset[4]
+        assert [o.object_id for o in (o1, o2, o3, o4)] == list(dataset.ids)
 
     def test_absent_feature_keeps_an_empty_column(self, tmp_path):
         path = tmp_path / "objects.csv"
@@ -279,10 +274,7 @@ class TestBreakdownCsv:
             "position": FeatureValue((13.0, 981.0)),
             "type": FeatureValue("tank"),
         })]
-        breakdowns = pairwise_breakdowns(MatchRun(
-            schema=config.schema, profiles=config.profiles,
-            dataset_a=tuple(objects_a), dataset_b=tuple(objects_b),
-        ))
+        breakdowns = pairwise_breakdowns(object_run(config.schema, config.profiles, objects_a, objects_b))
         path = tmp_path / "pairs.csv"
         write_breakdowns_csv(path, breakdowns, config.schema)
         lines = path.read_text().splitlines()
@@ -293,7 +285,7 @@ class TestBreakdownCsv:
         # readiness absent from b0: empty proximity/distance cells
         header = breakdown_header(config.schema)
         assert cells[header.index("readiness_proximity")] == ""
-        assert float(cells[header.index("aggregate_proximity")]) == breakdowns[0].aggregate_proximity
+        assert float(cells[header.index("aggregate_proximity")]) == breakdowns.breakdown(0, 0).aggregate_proximity
 
     def test_columnar_rows_equal_csv_writer(self, tmp_path):
         """PairScores rows are joined text; they must be the bytes csv.writer
@@ -309,10 +301,7 @@ class TestBreakdownCsv:
             InformationObject(oid, "s2", {"position": position, "readiness": FeatureValue(4), "type": FeatureValue("tank")})
             for oid in ids_b
         ]
-        breakdowns = pairwise_breakdowns(MatchRun(
-            schema=config.schema, profiles=config.profiles,
-            dataset_a=tuple(objects_a), dataset_b=tuple(objects_b),
-        ))
+        breakdowns = pairwise_breakdowns(object_run(config.schema, config.profiles, objects_a, objects_b))
         columnar = tmp_path / "columnar.csv"
         write_breakdowns_csv(columnar, breakdowns, config.schema)
         text = columnar.read_bytes()
@@ -423,10 +412,7 @@ class TestJsonBytes:
                 "type": FeatureValue("truck"),
             }),
         ]
-        breakdowns = pairwise_breakdowns(MatchRun(
-            schema=config.schema, profiles=config.profiles,
-            dataset_a=tuple(sample_objects(config.schema)), dataset_b=tuple(objects_b),
-        ))
+        breakdowns = pairwise_breakdowns(object_run(config.schema, config.profiles, sample_objects(config.schema), objects_b))
         found = candidates(breakdowns, 0.0)
         payload = {
             "threshold": 0.0,
@@ -447,10 +433,9 @@ class TestJsonBytes:
         """A payload of column views at several depths, and the same payload
         with each view replaced by its list of records."""
         config = parse_config(FULL_CONFIG)
-        breakdowns = pairwise_breakdowns(MatchRun(
-            schema=config.schema, profiles=config.profiles,
-            dataset_a=tuple(sample_objects(config.schema)),
-            dataset_b=(InformationObject("b0", "s2", {"position": FeatureValue((13.0, 981.0))}),),
+        breakdowns = pairwise_breakdowns(object_run(
+            config.schema, config.profiles, sample_objects(config.schema),
+            [InformationObject("b0", "s2", {"position": FeatureValue((13.0, 981.0))})],
         ))
         found = candidates(breakdowns, 0.0)
         fields = {"%s": "float", "a": "id", "f": "flag"}
@@ -565,10 +550,9 @@ def match_scores(n_a: int, n_b: int):
     """The schema and the scores of a run of all feature kinds, readiness
     absent from a1 and b0."""
     config = parse_config(FULL_CONFIG)
-    scores = pairwise_breakdowns(MatchRun(
-        schema=config.schema, profiles=config.profiles,
-        dataset_a=tuple(sample_objects(config.schema)[:n_a]), dataset_b=OBJECTS_B[:n_b],
-    ))
+    scores = pairwise_breakdowns(
+        object_run(config.schema, config.profiles, sample_objects(config.schema)[:n_a], OBJECTS_B[:n_b])
+    )
     return config.schema, scores
 
 
@@ -831,4 +815,4 @@ class TestFuzz:
             write_rows(path, [FUZZ_COLUMNS, *records])
             read = read_dataset(path, schema)
             assert columns_equal(Dataset.from_objects(read_objects_csv(path, schema), schema), read)
-            assert list(read) == read_objects_by_record(path, schema)
+            assert read_objects_csv(path, schema) == read_objects_by_record(path, schema)

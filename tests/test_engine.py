@@ -22,6 +22,7 @@ from iomatch.model import (
     SourceProfile,
 )
 from iomatch.quant import NormalErrorModel, quantitative_proximity
+from oracles import object_run
 
 SPEED = FeatureSchema("speed", FeatureKind.QUANTITATIVE, weight=0.5, quantitative_xi=3.0)
 TYPE = FeatureSchema("type", FeatureKind.NOMINAL, weight=0.5, nominal_delta=0.1)
@@ -40,13 +41,8 @@ def obj(object_id, source_id, speed, label="tank", certainty=Certainty.CERTAIN):
 
 
 def make_run(dataset_a, dataset_b, schema=SCHEMA, sigma_a=1.0, sigma_b=1.0, **kwargs):
-    return MatchRun(
-        schema=schema,
-        profiles={"alpha": profile("alpha", sigma_a), "beta": profile("beta", sigma_b)},
-        dataset_a=tuple(dataset_a),
-        dataset_b=tuple(dataset_b),
-        **kwargs,
-    )
+    profiles = {"alpha": profile("alpha", sigma_a), "beta": profile("beta", sigma_b)}
+    return object_run(schema, profiles, dataset_a, dataset_b, **kwargs)
 
 
 class TestPairwiseBreakdowns:
@@ -80,12 +76,7 @@ class TestPairwiseBreakdowns:
         b = [obj(f"b{i}", "beta", 11.0 + i) for i in range(2)]
         forward = pairwise_breakdowns(make_run(a, b, sigma_a=1.0, sigma_b=2.0))
         backward = pairwise_breakdowns(
-            MatchRun(
-                schema=SCHEMA,
-                profiles={"alpha": profile("alpha", 1.0), "beta": profile("beta", 2.0)},
-                dataset_a=tuple(b),
-                dataset_b=tuple(a),
-            )
+            object_run(SCHEMA, {"alpha": profile("alpha", 1.0), "beta": profile("beta", 2.0)}, b, a)
         )
         forward_map = {bd.pair: bd for bd in forward}
         for bd in backward:
@@ -122,7 +113,7 @@ class TestPairwiseBreakdowns:
         }
         a = InformationObject("a", "alpha", {"pos": FeatureValue((0.0, 1.0))})
         b = InformationObject("b", "beta", {"pos": FeatureValue((1.0, 3.0))})
-        run = MatchRun(schema=schema, profiles=profiles, dataset_a=(a,), dataset_b=(b,))
+        run = object_run(schema, profiles, [a], [b])
         (breakdown,) = pairwise_breakdowns(run)
         expected = quantitative_proximity(
             NormalErrorModel(0, 1), NormalErrorModel(1, 2), xi=3.0
@@ -133,10 +124,10 @@ class TestPairwiseBreakdowns:
         schema = Schema((FeatureSchema("speed", FeatureKind.QUANTITATIVE, weight=1.0),))
         a = InformationObject("a", "alpha", {"speed": FeatureValue(10.0)})
         b = InformationObject("b", "beta", {"speed": FeatureValue(12.0)})
-        run = MatchRun(schema=schema,
-                       profiles={"alpha": SourceProfile("alpha", {"speed": QuantAccuracy(sigma=1.0)}),
-                                 "beta": SourceProfile("beta", {"speed": QuantAccuracy(sigma=2.0)})},
-                       dataset_a=(a,), dataset_b=(b,))
+        run = object_run(schema,
+                         {"alpha": SourceProfile("alpha", {"speed": QuantAccuracy(sigma=1.0)}),
+                          "beta": SourceProfile("beta", {"speed": QuantAccuracy(sigma=2.0)})},
+                         [a], [b])
         (breakdown,) = pairwise_breakdowns(run)
         # Default xi = 3 * min(1, 2) = 3.
         expected = quantitative_proximity(NormalErrorModel(10, 1), NormalErrorModel(12, 2), xi=3.0)
@@ -153,7 +144,7 @@ class TestPairwiseBreakdowns:
         }
         a = InformationObject("a", "alpha", {"rank": FeatureValue(5, Certainty.PROBABLE)})
         b = InformationObject("b", "beta", {"rank": FeatureValue(6)})
-        run = MatchRun(schema=schema, profiles=profiles, dataset_a=(a,), dataset_b=(b,))
+        run = object_run(schema, profiles, [a], [b])
         (breakdown,) = pairwise_breakdowns(run)
         expected = possibility(
             apply_certainty(triangular_from_halfwidth(5.0, 2.0), Certainty.PROBABLE),
@@ -188,8 +179,7 @@ class TestRunValidation:
             pairwise_breakdowns(run)
 
     def test_missing_profile(self):
-        run = MatchRun(schema=SCHEMA, profiles={"alpha": profile("alpha")},
-                       dataset_a=(obj("a", "alpha", 1.0),), dataset_b=(obj("b", "beta", 1.0),))
+        run = object_run(SCHEMA, {"alpha": profile("alpha")}, [obj("a", "alpha", 1.0)], [obj("b", "beta", 1.0)])
         with pytest.raises(MatchRunError, match="no profile"):
             pairwise_breakdowns(run)
 
@@ -222,7 +212,7 @@ class TestRunValidation:
         )
         dataset_b = (InformationObject("b1", "b", {"rank": FeatureValue(1)}),
                      InformationObject("b2", "b", {"rank": FeatureValue("x")}))
-        run = MatchRun(schema, profiles, dataset_a, dataset_b)
+        run = object_run(schema, profiles, dataset_a, dataset_b)
         assert run_violations(run) == [
             "dataset A: object id 'a1' appears 2 times",
             "a1/speed: expected a finite numeric value",
@@ -242,19 +232,35 @@ class TestRunValidation:
         ))
         profiles = {"a": SourceProfile("a", {"rank": OrdinalAccuracy(relative_k=0.4)}),
                     "b": SourceProfile("b", {})}
-        run = MatchRun(schema, profiles, (InformationObject("a1", "a", {"rank": 4}),),
-                       (InformationObject("b1", "b", {"rank": FeatureValue(4, "sure")}),))
+        run = object_run(schema, profiles, [InformationObject("a1", "a", {"rank": 4})],
+                         [InformationObject("b1", "b", {"rank": FeatureValue(4, "sure")})])
         # A certainty that is not a Certainty was an AttributeError while scoring.
         assert run_violations(run) == ["a1/rank: expected a FeatureValue", "b1/rank: expected a Certainty"]
 
-    def test_datasets_are_columns_of_the_objects_given(self):
-        a, b = obj("a", "alpha", 1.0), obj("b", "beta", 2.0)
-        run = make_run([a], [b])
-        assert isinstance(run.dataset_a, Dataset) and run.dataset_a.ids == ("a",)
-        assert list(run.dataset_a) == [a] and run.dataset_b[0] is b
+    @pytest.mark.parametrize("side", ["dataset_a", "dataset_b"])
+    def test_objects_in_place_of_a_dataset(self, side):
+        """A run takes datasets only; build one with Dataset.from_objects."""
+        dataset = Dataset.from_objects([obj("a", "alpha", 1.0)], SCHEMA)
+        datasets = {"dataset_a": dataset, "dataset_b": dataset, side: (obj("b", "beta", 2.0),)}
+        with pytest.raises(TypeError, match=f"^{side} must be a Dataset, got tuple$"):
+            MatchRun(SCHEMA, {"alpha": profile("alpha"), "beta": profile("beta")}, **datasets)
+
+    def test_dataset_built_for_another_schema(self):
+        """Reported, not converted: its columns follow the other schema."""
+        run = make_run([obj("a", "alpha", 1.0)], [obj("b", "beta", 2.0)])
         assert dataclasses.replace(run, candidate_threshold=0.5).dataset_a is run.dataset_a
         other = Schema((dataclasses.replace(SPEED, weight=1.0),))
-        assert set(dataclasses.replace(run, schema=other).dataset_a.columns) == {"speed"}
+        profiles = {"alpha": profile("alpha"), "beta": profile("beta")}
+        dataset_b = Dataset.from_objects([InformationObject("b", "beta", {"speed": FeatureValue(2.0)})], other)
+        assert run_violations(MatchRun(other, profiles, run.dataset_a, dataset_b)) == [
+            "dataset A was built for another schema"
+        ]
+        assert run_violations(dataclasses.replace(run, schema=other)) == [
+            "dataset A was built for another schema",
+            "dataset B was built for another schema",
+        ]
+        with pytest.raises(MatchRunError, match="dataset A was built for another schema"):
+            pairwise_breakdowns(dataclasses.replace(run, schema=other))
 
     def test_threshold_out_of_range(self):
         run = make_run([obj("a", "alpha", 1.0)], [obj("b", "beta", 1.0)],
@@ -328,6 +334,28 @@ class TestRunValidation:
         ]
 
 
+    def test_support_past_the_float_range(self):
+        """One message per object and feature, in object order: a support
+        that is not finite is not also reported as collapsed."""
+        schema = Schema((
+            FeatureSchema("tri", FeatureKind.ORDINAL_FUZZY, 1.0,
+                          ordinal_params=OrdinalParams(MembershipShape.TRIANGULAR, width=1e308)),
+        ))
+        profiles = {"a": SourceProfile("a", {"tri": OrdinalAccuracy(relative_k=0.5)}), "b": SourceProfile("b", {})}
+
+        def side(source, ranks):
+            return [InformationObject(f"{source}{i}", source, {"tri": FeatureValue(r)}) for i, r in enumerate(ranks)]
+
+        run = object_run(schema, profiles, side("a", [4, 1.7e308, -1.7e308, 0, 1e308]), side("b", [4.5e307, 1.7e308, -9e307]))
+        assert run_violations(run) == [
+            "a1/tri: the membership support of rank 1.7e+308 is not finite",
+            "a2/tri: the membership support of rank -1.7e+308 is not finite",
+            "a3/tri: relative k 0.5 of source 'a' rounds the support of rank 0 onto the rank itself",
+            "b1/tri: the membership support of rank 1.7e+308 is not finite",
+            "b2/tri: the membership support of rank -9e+307 is not finite",
+        ]
+
+
 class TestTwoClassNormalizedOneClassEmpty:
     """Normalized two-class weights are rescaled by the attainable maximum
     w[quantitative shared] + (1-w)[qualitative shared], so a total mismatch
@@ -379,7 +407,7 @@ class TestCandidates:
 
     def test_strictly_above_threshold(self):
         bds = self.breakdowns()
-        pivot = bds[0].aggregate_proximity
+        pivot = bds.breakdown(0, 0).aggregate_proximity
         kept = candidates(bds, pivot)
         assert all(b.aggregate_proximity > pivot for b in kept)
 
@@ -394,7 +422,7 @@ class TestCandidates:
         a = [InformationObject("a0", "alpha", {"speed": FeatureValue(10.0)}), obj("a1", "alpha", 10.0)]
         b = [InformationObject("b0", "beta", {"type": FeatureValue("tank")}), obj("b1", "beta", 10.5)]
         scores = pairwise_breakdowns(make_run(a, b, aggregation=AggregationSpec(method=method)))
-        assert (scores[0].per_feature, scores[0].aggregate_proximity) == ({}, 1.0)
+        assert (scores.breakdown(0, 0).per_feature, scores.breakdown(0, 0).aggregate_proximity) == ({}, 1.0)
         for threshold in (0.0, 0.5):
             found = candidates(scores, threshold)
             assert {b.pair for b in found} == {("a0", "b1"), ("a1", "b0"), ("a1", "b1")}

@@ -1,7 +1,12 @@
+import collections.abc
+
 import pytest
 
+from iomatch.config import ConfigError
+from iomatch.engine import MatchRunError
 from iomatch.model import (
     Certainty,
+    Dataset,
     FeatureKind,
     FeatureSchema,
     FeatureScore,
@@ -14,11 +19,13 @@ from iomatch.model import (
     QuantAccuracy,
     SchemaError,
     SourceProfile,
+    ValidationError,
     object_violations,
     profile_violations,
     validate_profile,
     validate_schema,
 )
+from iomatch.simulate import SceneSpecError
 
 
 def quant(name, weight, xi=None, axes=None):
@@ -212,3 +219,27 @@ class TestResultRecords:
     def test_breakdown_invariant_enforced(self):
         with pytest.raises(ValueError):
             ProximityBreakdown(("a", "b"), {}, aggregate_proximity=0.4, aggregate_distance=0.4)
+
+
+class TestValidationError:
+    @pytest.mark.parametrize("error", [SchemaError, MatchRunError, ConfigError, SceneSpecError])
+    def test_one_base_for_every_validation_error(self, error):
+        """The command line catches the base and prints each violation."""
+        exc = error(["first", "second"])
+        assert isinstance(exc, ValidationError) and isinstance(exc, ValueError)
+        assert exc.errors == ["first", "second"] and str(exc) == "first; second"
+
+
+class TestDataset:
+    def test_a_store_of_columns_not_a_sequence(self):
+        schema = validate_schema([quant("speed", 0.5), nominal("type", 0.5, 0.1)])
+        a = InformationObject("a1", "s1", {"speed": FeatureValue(2.5)})
+        b = InformationObject("a2", "s1", {"speed": FeatureValue(1.0), "type": FeatureValue("tank", Certainty.DOUBTFUL)})
+        dataset = Dataset.from_objects([a, b], schema)
+        assert not isinstance(dataset, collections.abc.Sequence)
+        assert (len(dataset), dataset.ids, dataset.source_ids, dataset.violations) == (2, ("a1", "a2"), ("s1", "s1"), ())
+        assert dataset.columns["speed"].values.tolist() == [[2.5], [1.0]]
+        assert dataset.columns["type"].present.tolist() == [False, True]
+        assert dataset.columns["type"].certainty.tolist() == [1.0, Certainty.DOUBTFUL.value]
+        with pytest.raises(TypeError):
+            dataset[0]

@@ -16,10 +16,19 @@ from iomatch.simulate import (
     run_experiment,
 )
 from iomatch.svgplot import render_match_svg
+from test_config_dataio import columns_equal
 
 
 def position_profile(source_id, sigma):
     return SourceProfile(source_id, {"position": QuantAccuracy(sigma=sigma)})
+
+
+def positions(dataset):
+    return dataset.columns["position"].values.tolist()
+
+
+def labels(dataset):
+    return dataset.columns["type"].values.tolist()
 
 
 class TestGenerateScene:
@@ -60,8 +69,7 @@ class TestObserve:
         scene = generate_scene(SceneSpec(object_count=10_000, area=(100_000.0, 100_000.0), rng_seed=11))
         observed = observe(scene, position_profile("s1", 20.0), seed=123)
         errors = np.array([
-            [o.values["position"].value[0] - x, o.values["position"].value[1] - y]
-            for o, (x, y) in zip(observed, scene.positions.tolist())
+            [x - tx, y - ty] for (x, y), (tx, ty) in zip(positions(observed), scene.positions.tolist())
         ])
         assert abs(errors[:, 0].std() - 20.0) <= 0.5
         assert abs(errors[:, 1].std() - 20.0) <= 0.5
@@ -70,31 +78,28 @@ class TestObserve:
     def test_type_flip_fraction(self):
         scene = generate_scene(SceneSpec(object_count=10_000, type_error=0.1, rng_seed=11))
         observed = observe(scene, position_profile("s1", 1.0), seed=123)
-        labels = [scene.spec.type_alphabet[k] for k in scene.kinds.tolist()]
-        flips = sum(o.values["type"].value != label for o, label in zip(observed, labels))
+        truth = [scene.spec.type_alphabet[k] for k in scene.kinds.tolist()]
+        flips = sum(label != true for label, true in zip(labels(observed), truth))
         assert abs(flips / 10_000 - 0.1) <= 0.01
 
     def test_noiseless_limit(self):
         scene = generate_scene(SceneSpec(object_count=50, rng_seed=2))
         observed = observe(scene, position_profile("s1", 0.001), seed=9)
-        for o, (tx, ty) in zip(observed, scene.positions.tolist()):
-            x, y = o.values["position"].value
+        for (x, y), (tx, ty) in zip(positions(observed), scene.positions.tolist()):
             assert abs(x - tx) <= 0.01 and abs(y - ty) <= 0.01
 
     def test_deterministic_per_seed(self):
         scene = generate_scene(SceneSpec(object_count=30, rng_seed=4))
         p = position_profile("s1", 15.0)
-        assert list(observe(scene, p, seed=77)) == list(observe(scene, p, seed=77))
+        assert columns_equal(observe(scene, p, seed=77), observe(scene, p, seed=77))
 
     def test_noise_scales_with_sigma_for_same_seed(self):
         scene = generate_scene(SceneSpec(object_count=5, rng_seed=4))
         coarse = observe(scene, position_profile("s1", 20.0), seed=77)
         fine = observe(scene, position_profile("s1", 10.0), seed=77)
-        for c, f, (tx, _) in zip(coarse, fine, scene.positions.tolist()):
-            cx = c.values["position"].value[0] - tx
-            fx = f.values["position"].value[0] - tx
-            assert cx == pytest.approx(2.0 * fx, rel=1e-12)
-            assert c.values["type"].value == f.values["type"].value
+        for (c, _), (f, _), (tx, _) in zip(positions(coarse), positions(fine), scene.positions.tolist()):
+            assert c - tx == pytest.approx(2.0 * (f - tx), rel=1e-12)
+        assert labels(coarse) == labels(fine)
 
     def test_flip_draws_another_label(self):
         """The flipped label is the replacement draw's entry among the labels
@@ -112,7 +117,7 @@ class TestObserve:
             own = spec.type_alphabet[kind]
             others = [t for t in spec.type_alphabet if t != own]
             want.append(others[pick] if flip < spec.type_error else own)
-        assert [o.values["type"].value for o in observed] == want
+        assert labels(observed) == want
         assert len(set(want)) == 4
 
 
@@ -129,7 +134,7 @@ class TestRunExperiment:
         report, _ = reports
         assert report.summary["pair_count"] == 400
         assert report.summary["true_pair_count"] == 20
-        ids = {o.object_id for objs in report.datasets.values() for o in objs}
+        ids = {i for dataset in report.datasets.values() for i in dataset.ids}
         for b in report.candidates:
             assert b.pair[0] in ids and b.pair[1] in ids
 
@@ -176,9 +181,7 @@ class TestRunExperiment:
     def test_separations_are_math_hypot(self, reports):
         for report in reports:
             scene = report.scene.positions.tolist()
-            obs_a, obs_b = (
-                [o.values["position"].value for o in report.datasets[sid]] for sid in ("s1", "s2")
-            )
+            obs_a, obs_b = (positions(report.datasets[sid]) for sid in ("s1", "s2"))
             n = len(scene)
             for i in range(n):
                 for j in range(n):
