@@ -12,11 +12,10 @@ re-reads to identical values.  All writers emit LF newlines and
 deterministic field order, so identical inputs produce byte-identical files.
 
 Every float is written as its ``float.__repr__`` text through one renderer,
-:func:`float_texts`, which renders each distinct 64-bit pattern once and keeps
-the texts in a memo.  The run's memo is ``PairScores.texts``: ``pairs.csv``,
-``candidates.json`` and ``report.json`` share it, so a score written to two
-of them is rendered once per run.  A memo is cleared once it holds more than
-``MEMO_CAP`` values.  The bulk writers work a bounded block at a time:
+:func:`float_texts`, which renders each distinct 64-bit pattern of a call
+once: with orjson's shortest round-trip writer where its text is repr's (zero
+and magnitudes in ``[1e-4, 1e16)``), else with repr.  It keeps no state
+between calls.  The bulk writers work a bounded block at a time:
 ``_CELLS`` floats of ``pairs.csv``, and ``RECORDS_PER_BLOCK`` lines of a CSV
 or records of a JSON list, so no artefact's text is held whole.  Each
 block's text is joined once, by :func:`interleave`, from the constant text
@@ -35,6 +34,7 @@ from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+import orjson
 
 from .engine import PairScores, RankedCandidates
 from .model import (
@@ -73,68 +73,36 @@ def dataset_header(schema: Schema) -> list[str]:
     return header
 
 
-# Distinct floats a FloatTexts memo holds before it is cleared.
-MEMO_CAP = 1 << 16
 # Float cells rendered per pairs.csv chunk, and chunks whose scores it lays
 # out at once.
 _CELLS = 8192
 _STEPS = 8
 # Lines or records per block of text, rendered and joined once.
 RECORDS_PER_BLOCK = 1024
+# orjson writes the shortest round-trip text of a double in the same form as
+# float.__repr__ for zero and for magnitudes in [_NATIVE_MIN, _NATIVE_MAX);
+# outside that range repr switches to exponent form and orjson does not.
+_NATIVE_MIN, _NATIVE_MAX = 1e-4, 1e16
 
 
-class FloatTexts:
-    """A memo of float texts by 64-bit pattern: ``bits``, sorted, and at the
-    same place in ``slots`` the index of each one's ``float.__repr__`` in
-    ``store``.  Texts are only appended to ``store``, so a call that adds
-    values moves integers alone; ``store`` keeps spare room at its end."""
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self) -> None:
-        self.bits = np.empty(0, dtype=np.uint64)
-        self.slots = np.empty(0, dtype=np.int64)
-        self.store = np.empty(0, dtype=object)
-
-    @property
-    def texts(self) -> np.ndarray:
-        """Each pattern's text, in the order of ``bits`` (a read-only copy)."""
-        texts = self.store[self.slots]
-        texts.flags.writeable = False
-        return texts
-
-
-def float_texts(values, memo: FloatTexts) -> np.ndarray:
+def float_texts(values) -> np.ndarray:
     """``float.__repr__`` of every value of a float array, as an object array
     of its shape.
 
-    Each distinct 64-bit pattern is rendered once and kept in ``memo``, so
-    ``0.0`` and ``-0.0`` keep their own texts and a value already in the memo
-    is not rendered again.  A memo that has passed ``MEMO_CAP`` entries is
-    cleared first.
+    Each distinct 64-bit pattern is rendered once, so ``0.0`` and ``-0.0``
+    keep their own texts.  Zeros and magnitudes in ``[1e-4, 1e16)`` are
+    rendered by one ``orjson.dumps`` call, whose text there is repr's; every
+    other value (smaller, larger, subnormal or not finite) by repr itself.
     """
     values = np.asarray(values, dtype=np.float64)
     bits, inverse = np.unique(values.ravel().view(np.uint64), return_inverse=True)
-    if len(memo.bits) > MEMO_CAP:
-        memo.clear()
-    at = np.searchsorted(memo.bits, bits)
-    known = np.zeros(len(bits), dtype=bool)
-    if len(memo.bits):
-        known = memo.bits[np.minimum(at, len(memo.bits) - 1)] == bits
+    unique = bits.view(np.float64)
+    magnitude = np.abs(unique)
+    native = (unique == 0.0) | ((magnitude >= _NATIVE_MIN) & (magnitude < _NATIVE_MAX))
     texts = np.empty(len(bits), dtype=object)
-    texts[known] = memo.store[memo.slots[at[known]]]
-    new = np.flatnonzero(~known)
-    if len(new):
-        texts[new] = fresh = np.array(list(map(float.__repr__, bits[new].view(np.float64).tolist())), dtype=object)
-        size = len(memo.bits)
-        if size + len(new) > len(memo.store):
-            grown = np.empty(max(2 * size, size + len(new)), dtype=object)
-            grown[:size] = memo.store[:size]
-            memo.store = grown
-        memo.store[size : size + len(new)] = fresh
-        memo.bits = np.insert(memo.bits, at[new], bits[new])
-        memo.slots = np.insert(memo.slots, at[new], np.arange(size, size + len(new)))
+    if native.any():
+        texts[native] = orjson.dumps(unique[native], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    texts[~native] = list(map(float.__repr__, unique[~native].tolist()))
     return texts[inverse].reshape(values.shape)
 
 
@@ -157,12 +125,12 @@ def _write_lines(fh, columns: Sequence[Iterable[str]]) -> None:
         fh.write(text)
 
 
-def _feature_texts(feature: FeatureSchema, column: FeatureColumn, memo: FloatTexts) -> list[list[str]]:
+def _feature_texts(feature: FeatureSchema, column: FeatureColumn) -> list[list[str]]:
     """A feature's value cells as CSV field texts, one list per value column,
     empty where the feature is absent."""
     if feature.kind is FeatureKind.NOMINAL:
         return [_csv_fields(np.where(column.present, column.values, "").tolist())]
-    texts = float_texts(column.values, memo)
+    texts = float_texts(column.values)
     texts[~column.present] = ""
     if feature.kind is FeatureKind.ORDINAL_FUZZY:
         # A rank reported as an integer is written as one.
@@ -170,21 +138,19 @@ def _feature_texts(feature: FeatureSchema, column: FeatureColumn, memo: FloatTex
     return texts.T.tolist()
 
 
-def write_objects_csv(path: str | Path, dataset: Dataset, texts: FloatTexts | None = None) -> None:
-    """Write a dataset column by column, its floats rendered through ``texts``
-    (by default a fresh memo).
+def write_objects_csv(path: str | Path, dataset: Dataset) -> None:
+    """Write a dataset column by column.
 
     Raises ValueError for a dataset that carries payload violations: its
     columns hold such a value as absent, which would be written as blank.
     """
     if dataset.violations:
         raise ValueError(f"cannot write a dataset with payload violations: {dataset.violations[0][1]}")
-    memo = FloatTexts() if texts is None else texts
     columns = [_csv_fields(dataset.ids), _csv_fields(dataset.source_ids)]
     certainties = []
     for f in dataset.schema.features:
         column = dataset.columns[f.name]
-        columns.extend(_feature_texts(f, column, memo))
+        columns.extend(_feature_texts(f, column))
         labels = {level: Certainty(level).label for level in set(column.certainty[column.present].tolist())}
         held = column.present.tolist()
         certainties.append([labels[c] if h else "" for c, h in zip(column.certainty.tolist(), held)])
@@ -405,7 +371,7 @@ def write_breakdowns_csv(path: str | Path, scores: PairScores, schema: Schema) -
             absent = [~present[n] for n in names]
             for start in range(0, len(aggregate_p), step):
                 block = slice(start, start + step)
-                texts = float_texts([v[block] for v in values], scores.texts)
+                texts = float_texts([v[block] for v in values])
                 for k in range(len(names)):
                     texts[2 * k : 2 * k + 2, absent[k][block]] = ""
                 a = ids_a[first + start : first + start + step]
@@ -448,32 +414,22 @@ class ColumnRecords:
     ``fields`` maps each key, in sorted order, to the kind of its values: one
     of ``_KINDS``.  ``blocks`` yields the records a block at a time, as one
     sequence or array per field in that order, and is read once; a block
-    should hold at most ``RECORDS_PER_BLOCK`` records.  ``texts`` is the memo
-    of float texts to render through (see :func:`float_texts`): the run's
-    ``PairScores.texts``, or by default a fresh one.
+    should hold at most ``RECORDS_PER_BLOCK`` records.
     """
 
-    def __init__(
-        self,
-        fields: Mapping[str, str],
-        blocks: Iterable[Sequence[Iterable]],
-        texts: FloatTexts | None = None,
-    ):
+    def __init__(self, fields: Mapping[str, str], blocks: Iterable[Sequence[Iterable]]):
         if list(fields) != sorted(fields):
             raise ValueError(f"record keys {list(fields)} are not in sorted order")
         self.fields, self.blocks = dict(fields), blocks
-        self.texts = FloatTexts() if texts is None else texts
 
     @classmethod
-    def from_columns(
-        cls, fields: Mapping[str, str], columns: Sequence[Sequence], texts: FloatTexts | None = None
-    ) -> "ColumnRecords":
+    def from_columns(cls, fields: Mapping[str, str], columns: Sequence[Sequence]) -> "ColumnRecords":
         """The records of equal-length ``columns``, one per field in order."""
         blocks = (
             [c[start : start + RECORDS_PER_BLOCK] for c in columns]
             for start in range(0, len(columns[0]), RECORDS_PER_BLOCK)
         )
-        return cls(fields, blocks, texts)
+        return cls(fields, blocks)
 
     def records(self) -> list[dict]:
         """The records as dicts of Python values; reads ``blocks``."""
@@ -508,7 +464,7 @@ def _record_chunks(records: ColumnRecords, depth: int) -> Iterator[str]:
     floats = [k for k, kind in enumerate(kinds) if kind == "float"]
 
     def text(block):
-        rendered = iter(float_texts([block[k] for k in floats], records.texts).tolist())
+        rendered = iter(float_texts([block[k] for k in floats]).tolist())
         lanes = []
         for piece, kind, column in zip(pieces, kinds, block):
             if kind == "float":
@@ -547,7 +503,7 @@ def _candidate_chunks(found: RankedCandidates, depth: int) -> Iterator[str]:
         p = np.array([found.proximity[name][block] for name in names], dtype=float)
         # Rows: distance, each feature's distance, its proximity, proximity.
         values = [found.aggregate_distance[block], *(1.0 - p), *p, found.aggregate_proximity[block]]
-        values = float_texts(values, found.scores.texts)
+        values = float_texts(values)
         values[1:-1][np.concatenate([~present, ~present])] = ""
         values = values.tolist()
         lanes = [a, ids_a[found.rows[block]].tolist(), b, ids_b[found.cols[block]].tolist(), distance, values[0]]

@@ -4,8 +4,7 @@ The engine's input is two columnar datasets (:class:`~iomatch.model.Dataset`),
 each built for the run's schema; :meth:`Dataset.from_objects` builds one
 from objects.  Validation reads the columns: the payload violations a
 dataset carries, duplicate ids, mixed or missing source profiles, and
-triangular supports that are not finite or, under a relative k, exclude
-their rank.
+triangular supports that are not finite or exclude their rank.
 
 Every feature is scored for a list of pair cells at once: a kernel turns the
 two datasets' columns at those cells into 1-D proximities, a presence mask
@@ -168,7 +167,8 @@ def _supports(feature: FeatureSchema, profile: SourceProfile, column: FeatureCol
 
 def _support_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, str]]:
     """(object index, message) of every finite rank whose triangular support
-    is not finite or, under a relative k, rounds onto the rank itself; in
+    is not finite or collapses onto the rank itself: rounds onto it under a
+    relative k, or lies within its float spacing under a half-width; in
     feature order, one message per object and feature.  A Gaussian has no
     support, and a feature whose accuracy the profile check rejects is
     skipped, as that check reports it."""
@@ -190,12 +190,14 @@ def _support_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, str]
             lo, hi = _supports(feature, profile, column)
             held = column.present & (source_ids == sid) & np.isfinite(ranks)
             infinite = ~(np.isfinite(lo) & np.isfinite(hi))
-            collapsed = (k is not None) & ~((lo < ranks) & (ranks < hi))
+            collapsed = ~((lo < ranks) & (ranks < hi))
             for i in np.flatnonzero(held & (infinite | collapsed)).tolist():
                 rank = column.ranks[i]
                 found.append((i, f"{dataset.ids[i]}/{feature.name}: " + (
                     f"the membership support of rank {rank} is not finite" if infinite[i]
                     else f"relative k {k} of source {sid!r} rounds the support of rank {rank} onto the rank itself"
+                    if k is not None
+                    else f"half-width {width} collapses the support of rank {rank} onto the rank itself"
                 )))
     return found
 
@@ -309,7 +311,17 @@ def _triangular_possibility(tri_a, tri_b) -> np.ndarray:
         np.minimum(_triangle_at(lo1, p1, hi1, h1, p2), h2),
     )
     run1, run2 = hi1 - p1, p2 - lo2
-    g = (h1 * hi1 * run2 + h2 * lo2 * run1) / (h1 * run2 + h2 * run1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = (h1 * hi1 * run2 + h2 * lo2 * run1) / (h1 * run2 + h2 * run1)
+    # Near the float range the products overflow: g is also the mean of hi1
+    # and lo2 weighted h1 * run2 : h2 * run1, which stays finite with the
+    # runs scaled by their larger one.
+    huge = np.flatnonzero(~np.isfinite(g))
+    if len(huge):
+        scale = np.maximum(run1[huge], run2[huge])
+        w1, w2 = h1[huge] * (run2[huge] / scale), h2[huge] * (run1[huge] / scale)
+        t = w2 / (w1 + w2)
+        g[huge] = (1.0 - t) * hi1[huge] + t * lo2[huge]
     at_g = np.minimum(_triangle_at(lo1, p1, hi1, h1, g), _triangle_at(lo2, p2, hi2, h2, g))
     between = (p1 < p2) & (p1 <= g) & (g <= p2)
     return np.where(between, np.maximum(best, at_g), best)
@@ -627,10 +639,7 @@ class PairScores:
     read-only grid, built on first use.
 
     :meth:`breakdown` builds the :class:`ProximityBreakdown` of one pair,
-    and iterating builds every pair's, a block of rows at a time.  ``texts``
-    is the writers' memo of float texts by 64-bit pattern (see
-    ``dataio.float_texts``): every artefact of the run renders through it,
-    so each distinct score is rendered once.
+    and iterating builds every pair's, a block of rows at a time.
     """
 
     def __init__(
@@ -650,13 +659,6 @@ class PairScores:
         self.cells = _ScoreColumns(
             (self.ids_a, self.ids_b), rows, cols, proximity, present, aggregate_proximity, aggregate_distance
         )
-
-    @functools.cached_property
-    def texts(self):
-        """The writers' memo of float texts (a ``dataio.FloatTexts``)."""
-        from .dataio import FloatTexts  # dataio imports this module
-
-        return FloatTexts()
 
     def __len__(self) -> int:
         return len(self.ids_a) * len(self.ids_b)

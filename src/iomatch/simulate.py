@@ -277,13 +277,13 @@ class ExperimentReport:
                 "area": list(self.spec.area),
                 "types": list(self.spec.type_alphabet),
             },
-            "scene": ColumnRecords.from_columns(_OBJECT_FIELDS, scene, scores.texts),
+            "scene": ColumnRecords.from_columns(_OBJECT_FIELDS, scene),
             "datasets": {
-                source_id: ColumnRecords.from_columns(_OBJECT_FIELDS, _report_columns(dataset), scores.texts)
+                source_id: ColumnRecords.from_columns(_OBJECT_FIELDS, _report_columns(dataset))
                 for source_id, dataset in self.datasets.items()
             },
-            "pairs": ColumnRecords(_PAIR_FIELDS, pairs(), scores.texts),
-            "candidates": ColumnRecords.from_columns(_CANDIDATE_FIELDS, candidates, scores.texts),
+            "pairs": ColumnRecords(_PAIR_FIELDS, pairs()),
+            "candidates": ColumnRecords.from_columns(_CANDIDATE_FIELDS, candidates),
             "summary": self.summary,
         }
 
@@ -359,7 +359,7 @@ def emit_report_files(report: ExperimentReport, out_dir: Path, formats: Sequence
     if "csv" in formats:
         for source_id, dataset in report.datasets.items():
             p = out_dir / f"objects_{source_id}.csv"
-            write_objects_csv(p, dataset, report.breakdowns.texts)
+            write_objects_csv(p, dataset)
             written.append(p)
         p = out_dir / "pairs.csv"
         write_breakdowns_csv(p, report.breakdowns, schema)

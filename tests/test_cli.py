@@ -422,6 +422,36 @@ class TestRejectedAtValidation:
                 f"error: a1/rank: the membership support of rank {shown} is not finite\n", ""
             )
 
+    @pytest.mark.parametrize("accuracy, rank_a, rank_b, message", [
+        pytest.param(
+            None, "1e17", "100000000000000000",
+            "error: a1/rank: half-width 2 collapses the support of rank 1e+17 onto the rank itself\n"
+            "error: b1/rank: half-width 2 collapses the support of rank 100000000000000000 onto the rank itself\n",
+            id="schema-width",
+        ),
+        pytest.param(
+            {"width": 0.5}, "1e16", "4",
+            "error: a1/rank: half-width 0.5 collapses the support of rank 1e+16 onto the rank itself\n",
+            id="source-width",
+        ),
+    ])
+    def test_half_width_support_collapses_onto_rank(self, tmp_path, capsys, accuracy, rank_a, rank_b, message):
+        """A half-width below half the float spacing of its rank: the pair
+        scored 0.0 with divide and invalid RuntimeWarnings, and the scalar
+        possibility raised ZeroDivisionError."""
+        config = json.loads(json.dumps(RANKED_CONFIG))
+        del config["sources"]["alpha"]["rank"]
+        if accuracy is not None:
+            config["sources"]["alpha"]["rank"] = accuracy
+        path = write(tmp_path, "config.json", json.dumps(config))
+        header, row_a, row_b = "object_id,source_id,speed,rank\n", f"a1,alpha,12.0,{rank_a}\n", f"b1,beta,12.0,{rank_b}\n"
+        a, b = write(tmp_path, "a.csv", header + row_a), write(tmp_path, "b.csv", header + row_b)
+        pair = write(tmp_path, "pair.csv", header + row_a + row_b)
+        for argv in (["match", "--config", str(path), str(a), str(b)], ["measure", "--config", str(path), str(pair)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert (captured.err, captured.out) == (message, "")
+
     def test_duplicate_object_id(self, tmp_path, capsys):
         assert self.match(tmp_path, RANKED_CONFIG, "a1,alpha,12.0,4\na1,alpha,13.0,5\n") == 1
         captured = capsys.readouterr()

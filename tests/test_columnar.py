@@ -417,13 +417,29 @@ def test_relative_k_supports_equal_the_scalar_rounding(ranks, k):
     errors = run_violations(object_run(schema, profiles, side_a, side_b))
     assert [m is None for m in memberships] == [any(e.startswith(f"a{i}/") for e in errors) for i in range(len(ranks))]
     kept = [(o, m) for o, m in zip(side_a, memberships) if m is not None]
-    # A kept rank near 1e308 overflows the crossing formula, harmlessly here:
-    # its support and that of rank 4 are disjoint.
-    with np.errstate(over="ignore"):
+    # A kept rank near 1e308 scores without a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         scores = list(pairwise_breakdowns(object_run(schema, profiles, [o for o, _ in kept], side_b)))
     for (_, m), got in zip(kept, scores):
         want = possibility(m, triangular_from_halfwidth(4.0, 2.5))
         assert got.per_feature["ready"].proximity == pytest.approx(want, abs=TOLERANCE)
+
+
+@pytest.mark.parametrize("rank_a, rank_b", [(1e308, 1.1e308), (1e300, 1.1e300)])
+def test_triangles_crossing_near_the_float_range(rank_a, rank_b):
+    """Supports whose crossing products overflow: the nan crossing was
+    dropped, scoring 0.8181818181818182 with an overflow RuntimeWarning."""
+    schema = Schema((FeatureSchema(**{**FEATURES["ready"].__dict__, "weight": 1.0}),))
+    profiles = {sid: SourceProfile(sid, {"ready": OrdinalAccuracy(relative_k=0.5)}) for sid in ("a", "b")}
+    a = InformationObject("a0", "a", {"ready": FeatureValue(rank_a)})
+    b = InformationObject("b0", "b", {"ready": FeatureValue(rank_b)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = evaluate_pair(schema, profiles, AggregationSpec(), a, b).per_feature["ready"].proximity
+    want = possibility(triangular_from_relative_error(rank_a, 0.5), triangular_from_relative_error(rank_b, 0.5))
+    assert want > 0.9
+    assert got == pytest.approx(want, abs=TOLERANCE)
 
 
 class TestPairScores:

@@ -4,18 +4,15 @@ import json
 import math
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from iomatch import dataio
 from iomatch.config import ConfigError, load_config, parse_config, require_match_config
 from iomatch.dataio import (
     ColumnRecords,
     DataError,
-    FloatTexts,
     breakdown_header,
     breakdown_record,
     dataset_header,
@@ -563,17 +560,16 @@ def candidates_payload(found):
 
 
 class TestSharedFloatTexts:
-    """pairs.csv and candidates.json render their floats through the run's
-    memo, and give the bytes of csv.writer and json.dumps in either order."""
+    """pairs.csv and candidates.json give the bytes of csv.writer and
+    json.dumps in either order."""
 
     def test_either_writer_first(self):
         schema, scores = match_scores(2, 2)
-        payload, plain = candidates_payload(candidates(scores, 0.0))
+        found = candidates(scores, 0.0)
+        assert found.scores is scores
+        payload, plain = candidates_payload(found)
         csv_first = pairs_bytes(scores, schema)
-        rendered = len(scores.texts.bits)
         json_after = json_bytes(payload)
-        # Every candidate float was rendered for pairs.csv already.
-        assert len(scores.texts.bits) == rendered
 
         schema, scores = match_scores(2, 2)
         payload, _ = candidates_payload(candidates(scores, 0.0))
@@ -592,48 +588,46 @@ class TestSharedFloatTexts:
         assert pairs_bytes(scores, schema) == csv_writer_bytes(list(scores), schema)
         assert len(plain["candidates"]) == n_a * n_b
 
-    def test_each_run_has_its_own_memo(self):
-        (_, first), (_, second) = match_scores(2, 2), match_scores(2, 2)
-        assert first.texts is not second.texts
-        assert candidates(first, 0.0).scores is first
+    def test_scores_below_1e_4(self):
+        """Scores that float_texts renders through repr, not orjson: position
+        proximities of windows that barely meet."""
+        config = parse_config(FULL_CONFIG)
+        objects_b = [
+            InformationObject(f"b{k}", "s2", {"position": FeatureValue((x, 980.5)), "type": FeatureValue("tank")})
+            for k, x in enumerate([12.25, 144.0, 150.0, 155.0, 158.5])
+        ]
+        scores = pairwise_breakdowns(object_run(config.schema, config.profiles, sample_objects(config.schema), objects_b))
+        tiny = [b.per_feature["position"].proximity for b in scores]
+        assert sum(0.0 < p < 1e-4 for p in tiny) == 4
+        payload, plain = candidates_payload(candidates(scores, 0.0))
+        assert json_bytes(payload) == stdlib_bytes(plain)
+        assert pairs_bytes(scores, config.schema) == csv_writer_bytes(list(scores), config.schema)
 
 
-EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e16, 9999999999999998.0, 1e-05, 0.0001, 1.7976931348623157e308]
-FLOAT_LISTS = st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False), max_size=30)
+# Each side of the two bounds of orjson's range, the largest double written
+# without an exponent, and values rendered through repr only.
+EDGE_FLOATS = [
+    0.0, 1e-4, math.nextafter(1e-4, 0.0), 1e16, math.nextafter(1e16, 0.0), 9999999999999998.0,
+    1e15, 123.0, 1e-05, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+]
+EDGE_FLOATS += [-x for x in EDGE_FLOATS]
+FLOAT_LISTS = st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(), max_size=30)
 
 
 class TestFloatTexts:
-    """float_texts gives float.__repr__ of every value, through one memo."""
+    """float_texts gives float.__repr__ of every value: this is what catches
+    an orjson whose float format differs from repr's."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(FLOAT_LISTS, min_size=1, max_size=6), st.sampled_from([1, 4, 16, dataio.MEMO_CAP]))
-    @example([EDGE_FLOATS + [-x for x in EDGE_FLOATS] + EDGE_FLOATS] * 3, 4)
-    def test_texts_are_reprs(self, arrays, cap):
-        memo = FloatTexts()
-        with mock.patch.object(dataio, "MEMO_CAP", cap):
-            for values in arrays:
-                x = np.array(values, dtype=float)
-                assert float_texts(x, memo).tolist() == list(map(float.__repr__, values))
-                # The memo is sorted by bit pattern and holds each pattern's repr.
-                assert memo.bits.tolist() == sorted(set(memo.bits.tolist()))
-                assert memo.texts.tolist() == list(map(float.__repr__, memo.bits.view(np.float64).tolist()))
-
-    def test_memo_is_cleared_once_past_its_cap(self, monkeypatch):
-        monkeypatch.setattr(dataio, "MEMO_CAP", 2)
-        memo = FloatTexts()
-        assert float_texts(np.array([0.5, 0.25, 0.125, 0.25]), memo).tolist() == ["0.5", "0.25", "0.125", "0.25"]
-        assert len(memo.bits) == 3
-        assert float_texts(np.array([[0.5, -0.0], [0.0, 0.5]]), memo).tolist() == [["0.5", "-0.0"], ["0.0", "0.5"]]
-        assert memo.texts.tolist() == ["0.0", "0.5", "-0.0"]
-
-    def test_a_value_in_the_memo_is_not_rendered_again(self):
-        memo = FloatTexts()
-        float_texts(np.array([0.1, 0.2]), memo)
-        # The texts live in the append-only store; ``texts`` is a read-only copy.
-        with pytest.raises(ValueError):
-            memo.texts[:] = ["one", "two"]
-        memo.store[memo.slots] = ["one", "two"]
-        assert float_texts(np.array([0.2, 0.3, 0.1]), memo).tolist() == ["two", "0.3", "one"]
+    @given(st.lists(FLOAT_LISTS, min_size=1, max_size=6))
+    @example([EDGE_FLOATS + [math.nan, math.inf, -math.inf] + EDGE_FLOATS] * 3)
+    def test_texts_are_reprs(self, arrays):
+        for values in arrays:
+            assert float_texts(np.array(values, dtype=float)).tolist() == list(map(float.__repr__, values))
+        # Arrays of any shape, those of other dtypes read as float64.
+        grid = np.array([[0.5, -0.0], [1e-7, 2.0]])
+        assert float_texts(grid.T).tolist() == [["0.5", "1e-07"], ["-0.0", "2.0"]]
+        assert float_texts(np.arange(3)).tolist() == ["0.0", "1.0", "2.0"]
 
 
 # A valid document touching every section: a Gaussian ordinal feature with a

@@ -307,7 +307,11 @@ EMIT_SCENES = [
     pytest.param((SceneSpec(object_count=n, rng_seed=seed), 0.01), id=f"n{n}-seed{seed}")
     for n in (1, 20, 150)
     for seed in (3, 7, 21)
-] + [pytest.param((SceneSpec(object_count=20, rng_seed=3), 1.0), id="n20-no-candidates")]
+] + [
+    pytest.param((SceneSpec(object_count=20, rng_seed=3), 1.0), id="n20-no-candidates"),
+    # Positions of 1e16 and up, which float_texts renders through repr.
+    pytest.param((SceneSpec(object_count=20, area=(1e17, 1e17), rng_seed=3), 0.01), id="n20-area-1e17"),
+]
 
 
 class TestEmitFromColumns:
