@@ -16,7 +16,15 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config, require_match_config
-from .dataio import DataError, interleave, read_dataset, read_objects_csv, write_breakdowns_csv, write_json
+from .dataio import (
+    DataError,
+    interleave,
+    read_dataset,
+    read_objects_csv,
+    write_breakdowns_csv,
+    write_json,
+    write_match_files,
+)
 from .dataio import breakdown_record  # noqa: F401  (a boundary the per-layer trace in bench/spans.py wraps)
 from .engine import MatchRun, candidates, evaluate_pair, pairwise_breakdowns
 from .model import ValidationError
@@ -146,17 +154,12 @@ def _cmd_match(args) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         formats = (args.format,) if args.format else ("csv", "json")
-        if "csv" in formats:
-            write_breakdowns_csv(out_dir / "pairs.csv", breakdowns, config.schema)
-        if "json" in formats:
-            write_json(
-                out_dir / "candidates.json",
-                {
-                    "threshold": threshold,
-                    "pair_count": len(breakdowns),
-                    "candidates": found,
-                },
-            )
+        # The writers are passed as this module names them: the boundaries
+        # the per-layer trace in bench/spans.py wraps.
+        write_match_files(
+            out_dir, formats, breakdowns, found, config.schema, threshold,
+            write_csv=write_breakdowns_csv, write_json=write_json,
+        )
     return EXIT_OK
 
 

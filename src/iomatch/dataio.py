@@ -20,6 +20,12 @@ between calls.  The bulk writers work a bounded block at a time:
 or records of a JSON list, so no artefact's text is held whole.  Each
 block's text is joined once, by :func:`interleave`, from the constant text
 around its fields and a column of texts per field.
+
+A ``match`` run that writes both ``pairs.csv`` and ``candidates.json``
+(:func:`write_match_files`) renders each score once: the CSV writer keeps
+the texts of the candidates' cells as it writes them, by cell index, and
+the JSON writer takes them from there.  That costs memory: the texts of
+every candidate stay held from the first CSV block to the last JSON block.
 """
 
 from __future__ import annotations
@@ -110,7 +116,15 @@ def interleave(lanes: Sequence[str | Sequence[str]]) -> str:
     """The texts of a block of records, joined once: record k is the k-th
     text of each lane in turn, where a ``str`` lane is the same text in every
     record.  At least one lane is a sequence of texts; all of those are of
-    one length, the number of records."""
+    one length, the number of records.  Adjacent ``str`` lanes are joined
+    first, so each run of them costs one text per record."""
+    merged = []
+    for lane in lanes:
+        if isinstance(lane, str) and merged and isinstance(merged[-1], str):
+            merged[-1] += lane
+        else:
+            merged.append(lane)
+    lanes = merged
     n = next(len(lane) for lane in lanes if not isinstance(lane, str))
     texts = [""] * (n * len(lanes))
     for k, lane in enumerate(lanes):
@@ -349,20 +363,36 @@ def _csv_fields(values: Iterable[str]) -> list[str]:
     return [writer.writerow((v, ""))[:-2] for v in values]
 
 
-def write_breakdowns_csv(path: str | Path, scores: PairScores, schema: Schema) -> None:
+def write_breakdowns_csv(
+    path: str | Path, scores: PairScores, schema: Schema, keep: RankedCandidates | None = None
+) -> np.ndarray | None:
+    """Write every pair's breakdown, dataset A outer and B inner.
+
+    With ``keep``, a view of some of ``scores``' stored cells, returns the
+    texts written for its cells: a ``(len(keep), 2k + 2)`` object array in
+    ``keep``'s order and the file's column order (each feature's proximity
+    and distance, then the aggregate's), ``""`` where a pair lacks the
+    feature.  They are taken from each block as it is written, so no score
+    is rendered twice."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(breakdown_header(schema))
+        names = schema.names
+        kept = None if keep is None else np.empty((len(keep), 2 * len(names) + 2), dtype=object)
         if not len(scores):
-            return
+            return kept
         # Blocks of whole dataset-A rows of about _CELLS floats, rendered in
         # one call and joined column by column: only the ids can need quoting,
         # and each is quoted once.  The scores are laid out _STEPS blocks at a
         # time, as scoring the pruned pairs of a block costs a fixed amount
         # per call.
-        names = schema.names
         ids_a, ids_b = _csv_fields(scores.ids_a), _csv_fields(scores.ids_b)
         n_b = len(ids_b)
+        if kept is not None:
+            # The kept cells in grid order: the ones of a block are one run.
+            cells = keep.rows * n_b + keep.cols
+            order = np.argsort(cells)
+            cells = cells[order]
         step = max(1, _CELLS // (n_b * (2 * len(names) + 2)))
         fetch = _STEPS * step
         for first in range(0, len(ids_a), fetch):
@@ -375,8 +405,14 @@ def write_breakdowns_csv(path: str | Path, scores: PairScores, schema: Schema) -
                 for k in range(len(names)):
                     texts[2 * k : 2 * k + 2, absent[k][block]] = ""
                 a = ids_a[first + start : first + start + step]
+                texts = texts.reshape(len(values), -1)
+                if kept is not None:
+                    offset = (first + start) * n_b
+                    lo, hi = np.searchsorted(cells, (offset, offset + texts.shape[1]))
+                    kept[order[lo:hi]] = texts[:, cells[lo:hi] - offset].T
                 columns = [chain.from_iterable(map(repeat, a, repeat(n_b))), ids_b * len(a)]
-                _write_lines(fh, columns + texts.reshape(len(values), -1).tolist())
+                _write_lines(fh, columns + texts.tolist())
+    return kept
 
 
 def breakdown_record(b: ProximityBreakdown) -> dict:
@@ -478,17 +514,38 @@ def _record_chunks(records: ColumnRecords, depth: int) -> Iterator[str]:
     return _list_chunks(map(text, records.blocks), depth)
 
 
-def _candidate_chunks(found: RankedCandidates, depth: int) -> Iterator[str]:
+class _RenderedCandidates:
+    """A :class:`RankedCandidates` with the texts of its floats as
+    ``write_breakdowns_csv`` returns them for it, which ``write_json``
+    writes as the candidates' records without rendering them again."""
+
+    def __init__(self, found: RankedCandidates, texts: np.ndarray):
+        self.found, self.texts = found, texts
+
+
+def _candidate_chunks(found: RankedCandidates, depth: int, texts: np.ndarray | None = None) -> Iterator[str]:
     """``[breakdown_record(b) for b in found]`` as json.dumps writes it
-    ``depth`` levels deep, rendered from the columns a block at a time.
+    ``depth`` levels deep, rendered from the columns a block at a time; the
+    floats are taken from ``texts``, a ``(len(found), 2k + 2)`` array in
+    ``pairs.csv``'s column order, where given.
 
     Each feature takes five lanes of a record: its opening text, distance,
     middle text, proximity and closing text, all ``""`` where the pair lacks
     the feature.  The opening text starts with a comma where the pair shows
-    an earlier feature."""
+    an earlier feature.  A text that is the same in every record of a block
+    is one ``str`` lane: the opening where every record holds the feature
+    and all or none holds an earlier one, the middle and closing where every
+    record holds it.  A feature no record of the block holds takes no lane."""
     pad = "\n" + "  " * (depth + 2)
-    names = sorted(found.proximity)
+    order = list(found.proximity)
+    names = sorted(order)
+    k = len(names)
     a, b, distance, features, proximity, end = _record_pieces(("a", "b", "distance", "features", "proximity"), depth)
+    # The columns of ``texts`` in the order a record shows its floats: the
+    # aggregate distance, each feature's distance, each feature's proximity
+    # and the aggregate proximity.
+    by_name = [order.index(name) for name in names]
+    columns = [2 * k + 1, *(2 * f + 1 for f in by_name), *(2 * f for f in by_name), 2 * k]
     # One-element object arrays, which np.where spreads by reference.
     openings = [f"{pad}  {encode_basestring_ascii(name)}: {{{pad}    \"distance\": " for name in names]
     first, later = ([np.array([lead + text], dtype=object) for text in openings] for lead in ("", ","))
@@ -497,24 +554,37 @@ def _candidate_chunks(found: RankedCandidates, depth: int) -> Iterator[str]:
     )
     ids_a, ids_b = (np.array([encode_basestring_ascii(i) for i in ids], dtype=object) for ids in found.grid_ids)
 
+    def lane(mask, held, lacking):
+        """A lane of ``held`` where ``mask`` is set, else of ``lacking``: a
+        ``str`` where that is one text for the whole block."""
+        if mask.all() or not mask.any():
+            return (held if mask.all() else lacking)[0]
+        return np.where(mask, held, lacking).tolist()
+
     def text(start):
         block = slice(start, start + RECORDS_PER_BLOCK)
         present = np.array([found.present[name][block] for name in names], dtype=bool)
-        p = np.array([found.proximity[name][block] for name in names], dtype=float)
-        # Rows: distance, each feature's distance, its proximity, proximity.
-        values = [found.aggregate_distance[block], *(1.0 - p), *p, found.aggregate_proximity[block]]
-        values = float_texts(values)
-        values[1:-1][np.concatenate([~present, ~present])] = ""
+        if texts is None:
+            p = np.array([found.proximity[name][block] for name in names], dtype=float)
+            values = float_texts([found.aggregate_distance[block], *(1.0 - p), *p, found.aggregate_proximity[block]])
+            values[1:-1][np.concatenate([~present, ~present])] = ""
+        else:
+            values = texts[block][:, columns].T  # "" where absent, as pairs.csv writes it
         values = values.tolist()
         lanes = [a, ids_a[found.rows[block]].tolist(), b, ids_b[found.cols[block]].tolist(), distance, values[0]]
         lanes.append(features + "{")
         earlier = np.zeros(len(values[0]), dtype=bool)
         for j, held in enumerate(present):
-            opening = np.where(held, np.where(earlier, later[j], first[j]), blank).tolist()
-            middles, closings = (np.where(held, t, blank).tolist() for t in (middle, closing))
-            lanes += [opening, values[1 + j], middles, values[1 + len(names) + j], closings]
+            if not held.any():
+                continue
+            if held.all():
+                opening = lane(earlier, later[j], first[j])
+            else:
+                opening = np.where(held, np.where(earlier, later[j], first[j]), blank).tolist()
+            lanes += [opening, values[1 + j], lane(held, middle, blank), values[1 + k + j], lane(held, closing, blank)]
             earlier |= held
-        return interleave([*lanes, np.where(earlier, shut, empty).tolist(), proximity, values[-1], end])
+        lanes.append(lane(earlier, shut, empty))
+        return interleave([*lanes, proximity, values[-1], end])
 
     return _list_chunks(map(text, range(0, len(found), RECORDS_PER_BLOCK)), depth)
 
@@ -527,6 +597,8 @@ def _json_chunks(value, depth: int) -> Iterator[str]:
     indent = "\n" + "  " * depth
     if isinstance(value, RankedCandidates):
         yield from _candidate_chunks(value, depth)
+    elif isinstance(value, _RenderedCandidates):
+        yield from _candidate_chunks(value.found, depth, value.texts)
     elif isinstance(value, ColumnRecords):
         yield from _record_chunks(value, depth)
     elif isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
@@ -551,3 +623,34 @@ def write_json(path: str | Path, payload) -> None:
     with open(path, "w") as fh:
         fh.writelines(_json_chunks(payload, 0))
         fh.write("\n")
+
+
+def write_match_files(
+    out_dir: Path,
+    formats: Iterable[str],
+    scores: PairScores,
+    found: RankedCandidates,
+    schema: Schema,
+    threshold: float,
+    *,
+    write_csv=write_breakdowns_csv,
+    write_json=write_json,
+) -> None:
+    """Write a match run's artefacts of the given ``formats`` into
+    ``out_dir``: ``pairs.csv`` for ``"csv"``, ``candidates.json`` for
+    ``"json"``.
+
+    When both are written, ``pairs.csv`` hands the texts it rendered for the
+    candidates' cells over to ``candidates.json``, so each score is rendered
+    once.  The texts are held from the first CSV block to the last JSON
+    block: about 45 bytes per text, or 440 per candidate of four features.
+
+    ``write_csv`` and ``write_json`` are the two writers; a caller may pass
+    them as it looks them up, so that a wrapper it installs sees each file
+    written."""
+    texts = None
+    if "csv" in formats:
+        texts = write_csv(out_dir / "pairs.csv", scores, schema, found if "json" in formats else None)
+    if "json" in formats:
+        view = found if texts is None else _RenderedCandidates(found, texts)
+        write_json(out_dir / "candidates.json", {"threshold": threshold, "pair_count": len(scores), "candidates": view})

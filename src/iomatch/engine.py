@@ -55,6 +55,7 @@ from .model import (
     MembershipShape,
     OrdinalAccuracy,
     ProximityBreakdown,
+    QuantAccuracy,
     Schema,
     SourceProfile,
     ValidationError,
@@ -116,8 +117,14 @@ def run_violations(run: MatchRun) -> list[str]:
         if dataset.schema != run.schema:
             errors.append(f"dataset {label} was built for another schema")
             continue
-        # Per object: its payload violations, its non-finite numbers, then its bad supports.
-        found = [*dataset.violations, *_non_finite(dataset), *_support_violations(dataset, run)]
+        # Per object: its payload violations, its non-finite numbers, then its
+        # bad supports and its collapsed windows.
+        found = [
+            *dataset.violations,
+            *_non_finite(dataset),
+            *_support_violations(dataset, run),
+            *_window_violations(dataset, run),
+        ]
         errors.extend(message for _, message in sorted(found, key=lambda v: v[0]))
     a_sources, b_sources = set(run.dataset_a.source_ids), set(run.dataset_b.source_ids)
     if a_sources and a_sources == b_sources:
@@ -199,6 +206,42 @@ def _support_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, str]
                     if k is not None
                     else f"half-width {width} collapses the support of rank {rank} onto the rank itself"
                 )))
+    return found
+
+
+def _window_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, str]]:
+    """(object index, message) of every finite quantitative value whose
+    three-sigma window collapses onto it on some axis: ``v - 3 sigma < v <
+    v + 3 sigma`` fails, with the bounds computed as :class:`_Windows` does,
+    so the pair's overlap would be empty and score a silent 0.  In feature
+    order, one message per object and feature, naming the first such axis's
+    value.  A window that overflows to infinity does not collapse; a feature
+    whose sigma the profile check rejects is skipped, as that check reports it."""
+    found = []
+    source_ids = np.array(dataset.source_ids, dtype=object)
+    for sid in dict.fromkeys(dataset.source_ids):
+        profile = run.profiles.get(sid)
+        if profile is None:
+            continue
+        for feature in run.schema.features:
+            acc = profile.accuracy.get(feature.name)
+            if feature.kind is not FeatureKind.QUANTITATIVE or not isinstance(acc, QuantAccuracy):
+                continue
+            try:
+                sigma = acc.resolved_sigma()
+            except ValueError:  # no sigma given, which the profile check reports
+                continue
+            if not sigma > 0.0:
+                continue
+            column = dataset.columns[feature.name]
+            values, half = column.values, THREE_SIGMA * sigma
+            with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are reported apart
+                collapsed = ~((values - half < values) & (values < values + half))
+            held = column.present & (source_ids == sid) & np.isfinite(values).all(axis=1)
+            for i in np.flatnonzero(held & collapsed.any(axis=1)).tolist():
+                value = values[i, np.argmax(collapsed[i])].item()
+                found.append((i, f"{dataset.ids[i]}/{feature.name}: sigma {sigma} of source {sid!r} "
+                                 f"collapses the three-sigma window of {value!r} onto the value itself"))
     return found
 
 

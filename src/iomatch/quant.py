@@ -29,7 +29,12 @@ def laplace_function(x: float) -> float:
 
 @dataclass(frozen=True)
 class NormalErrorModel:
-    """A measured value with its RMSE, treated as the mean of a normal law."""
+    """A measured value with its RMSE, treated as the mean of a normal law.
+
+    Raises ValueError for a sigma that is not positive, a value that is not
+    finite, and a sigma whose three-sigma window rounds onto the value
+    (``1e16`` with sigma ``1e-3``), where any overlap would be empty.  A
+    window that overflows to infinity is kept."""
 
     value: float
     sigma: float
@@ -37,6 +42,13 @@ class NormalErrorModel:
     def __post_init__(self):
         if not self.sigma > 0.0:
             raise ValueError(f"sigma must be strictly positive, got {self.sigma}")
+        if not math.isfinite(self.value):
+            raise ValueError(f"value must be finite, got {self.value!r}")
+        low, high = self.window
+        if not low < self.value < high:
+            raise ValueError(
+                f"sigma {self.sigma} collapses the three-sigma window of {self.value!r} onto the value itself"
+            )
 
     @property
     def window(self) -> tuple[float, float]:

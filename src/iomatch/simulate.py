@@ -234,8 +234,8 @@ class ExperimentReport:
 
     def _payload(self) -> dict:
         """:meth:`to_payload` with its lists of records as
-        :class:`ColumnRecords` read from the report's columns, their floats
-        rendered through the text memo of ``breakdowns``."""
+        :class:`ColumnRecords` read from the report's columns, whose floats
+        ``write_json`` renders a block at a time."""
         scores, found, n = self.breakdowns, self.candidates, len(self.breakdowns.ids_b)
         columns = (
             scores.aggregate_distance,

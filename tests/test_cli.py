@@ -11,6 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from iomatch import dataio
 from iomatch.cli import main
 from iomatch.config import load_config
 from iomatch.dataio import read_dataset, read_objects_csv
@@ -110,6 +111,47 @@ class TestMatch:
         payload = json.loads((out_dir / "candidates.json").read_text())
         assert payload["pair_count"] == 2
         assert payload["candidates"][0]["a"] == "a1"
+
+    def test_each_score_rendered_once(self, tmp_path, capsys, monkeypatch):
+        """A dense two-class run writing both formats renders each pair's
+        2k + 2 floats once: candidates.json takes the candidates' texts from
+        pairs.csv instead of rendering them again."""
+        config = {
+            "schema": {"features": [
+                {"name": "position", "kind": "quantitative", "weight": 0.3, "axes": ["x", "y"], "xi": 30.0},
+                {"name": "speed", "kind": "quantitative", "weight": 0.2},
+                {"name": "readiness", "kind": "ordinal", "weight": 0.2, "shape": "triangular", "width": 2},
+                {"name": "type", "kind": "nominal", "weight": 0.3, "delta": 0.1},
+            ]},
+            "sources": {"a": {"position": {"sigma": 20.0}, "speed": {"sigma": 1.5}, "readiness": {"k": 0.6}},
+                        "b": {"position": {"sigma": 30.0}, "speed": {"delta_max": 9.0}}},
+            "aggregation": {"method": "two-class-weighted", "class_weight": 0.6},
+        }
+        path = write(tmp_path, "config.json", json.dumps(config))
+        header = "object_id,source_id,position_x,position_y,speed,readiness,type\n"
+        n_a, n_b, k = 9, 7, 4
+
+        def rows(source, n):
+            return "".join(
+                f"{source}{i},{source},{10.0 * i},{3.5 * i},{12.0 + i % 4},{1 + i % 9},{('tank', 'truck', 'apc')[i % 3]}\n"
+                for i in range(n)
+            )
+
+        a, b = write(tmp_path, "a.csv", header + rows("a", n_a)), write(tmp_path, "b.csv", header + rows("b", n_b))
+        rendered = []
+        float_texts = dataio.float_texts
+
+        def counted(values):
+            texts = float_texts(values)
+            rendered.append(texts.size)
+            return texts
+
+        monkeypatch.setattr(dataio, "float_texts", counted)
+        out_dir = tmp_path / "out"
+        assert main(["match", "--config", str(path), str(a), str(b), "--threshold", "0", "--out", str(out_dir)]) == 0
+        assert len(json.loads((out_dir / "candidates.json").read_text())["candidates"]) == n_a * n_b
+        assert sum(rendered) == n_a * n_b * (2 * k + 2)
+        capsys.readouterr()
 
     def test_match_builds_no_information_object(self, tmp_path, config_path, capsys):
         """match reads both files into columns and scores from the columns."""
@@ -447,6 +489,30 @@ class TestRejectedAtValidation:
         header, row_a, row_b = "object_id,source_id,speed,rank\n", f"a1,alpha,12.0,{rank_a}\n", f"b1,beta,12.0,{rank_b}\n"
         a, b = write(tmp_path, "a.csv", header + row_a), write(tmp_path, "b.csv", header + row_b)
         pair = write(tmp_path, "pair.csv", header + row_a + row_b)
+        for argv in (["match", "--config", str(path), str(a), str(b)], ["measure", "--config", str(path), str(pair)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert (captured.err, captured.out) == (message, "")
+
+    @pytest.mark.parametrize("value, sigma, shown", [
+        ("1e16", 0.001, "1e+16"), ("10000000000000000", 0.001, "1e+16"), ("1.7e308", 1.0, "1.7e+308"),
+    ])
+    def test_quantitative_window_collapses_onto_value(self, tmp_path, capsys, value, sigma, shown):
+        """Two identical reports whose three-sigma windows round onto the
+        value met in an empty overlap: match and measure scored the pair a
+        silent 0.0, as did the scalar quantitative_proximity."""
+        config = json.loads(json.dumps(RANKED_CONFIG))
+        for source in ("alpha", "beta"):
+            config["sources"][source]["speed"] = {"sigma": sigma}
+        path = write(tmp_path, "config.json", json.dumps(config))
+        header, row_a, row_b = "object_id,source_id,speed,rank\n", f"a1,alpha,{value},4\n", f"b1,beta,{value},4\n"
+        a, b = write(tmp_path, "a.csv", header + row_a), write(tmp_path, "b.csv", header + row_b)
+        pair = write(tmp_path, "pair.csv", header + row_a + row_b)
+        message = "".join(
+            f"error: {oid}/speed: sigma {sigma} of source {sid!r} collapses the three-sigma window of {shown}"
+            " onto the value itself\n"
+            for oid, sid in (("a1", "alpha"), ("b1", "beta"))
+        )
         for argv in (["match", "--config", str(path), str(a), str(b)], ["measure", "--config", str(path), str(pair)]):
             assert main(argv) == 1
             captured = capsys.readouterr()

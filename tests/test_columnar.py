@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from iomatch.aggregate import AggregationMethod, AggregationSpec
-from iomatch.dataio import breakdown_record, write_breakdowns_csv
+from iomatch.dataio import RECORDS_PER_BLOCK, breakdown_record, write_breakdowns_csv, write_match_files
 from iomatch.engine import (
     MatchRunError,
     PairScores,
@@ -323,6 +323,70 @@ def test_candidates_json_with_more_features_than_one_mask_word():
     assert len({tuple(b.per_feature) for b in found}) > 1
     assert any(n in b.per_feature for b in found for n in names[64:])
     assert_json_records(found)
+
+
+
+def _match_files(scores, found, schema, formats) -> dict[str, bytes]:
+    """The files ``write_match_files`` writes for ``formats``, by name."""
+    with tempfile.TemporaryDirectory() as directory:
+        write_match_files(Path(directory), formats, scores, found, schema, 0.01)
+        return {path.name: path.read_bytes() for path in Path(directory).iterdir()}
+
+
+def assert_handed_over_texts_change_no_byte(scores, found, schema):
+    """A run of both formats, where pairs.csv hands its texts to
+    candidates.json, writes each file as a run of its format alone does."""
+    both = _match_files(scores, found, schema, ("csv", "json"))
+    alone = {**_match_files(scores, found, schema, ("csv",)), **_match_files(scores, found, schema, ("json",))}
+    assert sorted(both) == ["candidates.json", "pairs.csv"]
+    assert both == alone
+    return both
+
+
+@settings(max_examples=150, deadline=None)
+@given(runs(sizes=st.integers(0, 12)), THRESHOLDS)
+def test_both_formats_equal_each_format_alone(drawn, threshold):
+    run = drawn[0]
+    scores = pairwise_breakdowns(run)
+    assert_handed_over_texts_change_no_byte(scores, candidates(scores, threshold), run.schema)
+
+
+def test_both_formats_equal_each_format_alone_over_several_blocks():
+    """1 600 candidates in two blocks of records, ranked so that the first
+    holds every feature in every record and the second mixes pairs that lack
+    ready.  Speeds far apart score below 1e-4, which repr writes in exponent
+    form, and every id needs CSV quoting and JSON escaping."""
+    names = ["ready", "speed", "type"]
+    schema = Schema(tuple(
+        FeatureSchema(**{**FEATURES[n].__dict__, "weight": w}) for n, w in zip(names, (0.3, 0.4, 0.3))
+    ))
+
+    def side(source, far):
+        """The last six objects lack ready and report a speed far from all
+        others and a type no other object reports."""
+        return tuple(
+            InformationObject(f'{source}"{i},\u00e9\\', source, {
+                "speed": FeatureValue(0.1 * (i % 7) if i < 34 else far + 0.01 * i),
+                "type": FeatureValue(LABELS[i % 3] if i < 34 else source),
+                **({"ready": FeatureValue(2 + i % 5)} if i < 34 else {}),
+            })
+            for i in range(40)
+        )
+
+    run = object_run(schema, _profiles(names, [1.0, 2.0, 0.5], 0.4, 2.5, 1.0), side("a", 8.4), side("b", -8.4),
+                     AggregationSpec(method=AggregationMethod.ADDITIVE))
+    scores = pairwise_breakdowns(run)
+    found = candidates(scores, 0.0)
+    assert len(found) == 1600 > RECORDS_PER_BLOCK
+    present = np.array([found.present[n] for n in names])
+    assert present[:, :RECORDS_PER_BLOCK].all()
+    assert not present[:, RECORDS_PER_BLOCK:].all() and present[:, RECORDS_PER_BLOCK:].any(axis=1).all()
+    both = assert_handed_over_texts_change_no_byte(scores, found, schema)
+    assert b"e-" in both["candidates.json"] and b'"a\\"0,\\u00e9\\\\"' in both["candidates.json"]
+    assert both["pairs.csv"] == csv_writer_bytes(list(scores), schema)
+    assert both["candidates.json"] == stdlib_bytes({
+        "candidates": [breakdown_record(b) for b in found], "pair_count": len(scores), "threshold": 0.01,
+    })
 
 
 @pytest.mark.parametrize("method", list(AggregationMethod))

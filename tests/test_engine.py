@@ -356,6 +356,46 @@ class TestRunValidation:
         ]
 
 
+    def test_quantitative_window_collapsed_onto_its_value(self):
+        """A value whose three-sigma window rounds onto it, on any axis, is
+        one message per object and feature, after its bad support; a window
+        that overflows to infinity does not collapse and is scored."""
+        schema = Schema((
+            FeatureSchema("pos", FeatureKind.QUANTITATIVE, 0.4, quantitative_xi=3.0, axes=("x", "y")),
+            FeatureSchema("speed", FeatureKind.QUANTITATIVE, 0.3, quantitative_xi=3.0),
+            FeatureSchema("rank", FeatureKind.ORDINAL_FUZZY, 0.3,
+                          ordinal_params=OrdinalParams(MembershipShape.TRIANGULAR, width=2.0)),
+        ))
+        profiles = {
+            "a": SourceProfile("a", {"pos": QuantAccuracy(sigma=1e-3), "speed": QuantAccuracy(delta_max=3.0),
+                                     "rank": OrdinalAccuracy(relative_k=0.4)}),
+            "b": SourceProfile("b", {"pos": QuantAccuracy(sigma=5e307), "speed": QuantAccuracy(sigma=1.0)}),
+        }
+
+        def obj(oid, source, pos, speed, rank=4):
+            return InformationObject(oid, source, {
+                "pos": FeatureValue(pos), "speed": FeatureValue(speed), "rank": FeatureValue(rank),
+            })
+
+        objects_a = [
+            obj("a0", "a", (1e16, 1e16), 1.0),  # both axes collapse: one message, naming x
+            obj("a1", "a", (5.0, -1e16), 1.7e308, rank=1),  # y collapses, and speed at 1.7e308 with sigma 1
+            obj("a2", "a", (1e12, 5.0), 1e15),
+        ]
+        objects_b = [obj("b0", "b", (1e308, 1.5e308), 1e17), obj("b1", "b", (0.0, 0.0), -1.7e308)]
+        assert run_violations(object_run(schema, profiles, objects_a, objects_b)) == [
+            "a0/pos: sigma 0.001 of source 'a' collapses the three-sigma window of 1e+16 onto the value itself",
+            "a1/rank: relative k 0.4 of source 'a' rounds the support of rank 1 onto the rank itself",
+            "a1/pos: sigma 0.001 of source 'a' collapses the three-sigma window of -1e+16 onto the value itself",
+            "a1/speed: sigma 1.0 of source 'a' collapses the three-sigma window of 1.7e+308 onto the value itself",
+            "b0/speed: sigma 1.0 of source 'b' collapses the three-sigma window of 1e+17 onto the value itself",
+            "b1/speed: sigma 1.0 of source 'b' collapses the three-sigma window of -1.7e+308 onto the value itself",
+        ]
+        # The windows of b0's position overflow to +inf: not a violation.
+        run = object_run(schema, profiles, objects_a[2:], objects_b[:1])
+        assert not [v for v in run_violations(run) if "/pos" in v]
+
+
 class TestTwoClassNormalizedOneClassEmpty:
     """Normalized two-class weights are rescaled by the attainable maximum
     w[quantitative shared] + (1-w)[qualitative shared], so a total mismatch

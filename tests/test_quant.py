@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -147,6 +149,25 @@ class TestQuantitativeProximity:
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):
             NormalErrorModel(1.0, 0.0)
+
+    @pytest.mark.parametrize("value, sigma, shown", [(1e16, 1e-3, "1e+16"), (1.7e308, 1.0, "1.7e+308"),
+                                                     (-1e16, 1e-3, "-1e+16")])
+    def test_window_collapsed_onto_the_value_rejected(self, value, sigma, shown):
+        """The window rounds onto the value, so two identical reports met in an
+        empty overlap and scored a silent 0.0."""
+        message = f"sigma {sigma} collapses the three-sigma window of {shown} onto the value itself"
+        with pytest.raises(ValueError, match=f"^{message}$".replace("+", r"\+")):
+            NormalErrorModel(value, sigma)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_value_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="^value must be finite"):
+            NormalErrorModel(value, 1.0)
+
+    def test_window_overflowing_to_infinity_kept(self):
+        a, b = NormalErrorModel(1e308, 5e307), NormalErrorModel(1.5e308, 5e307)
+        assert a.window[1] == math.inf
+        assert 0.0 < quantitative_proximity(a, b) < 1.0
 
     @given(x1=values, x2=values, s1=sigmas, s2=sigmas)
     def test_symmetry_exact(self, x1, x2, s1, s2):
