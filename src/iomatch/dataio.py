@@ -11,13 +11,16 @@ float as its repr and each ordinal rank as reported, so a written dataset
 re-reads to identical values.  All writers emit LF newlines and
 deterministic field order, so identical inputs produce byte-identical files.
 
-Every float is written as its ``float.__repr__`` text through one renderer,
-:func:`float_texts`, which renders each distinct 64-bit pattern of a call
-once: with orjson's shortest round-trip writer where its text is repr's (zero
-and magnitudes in ``[1e-4, 1e16)``), else with repr.  It keeps no state
+Every float is written as its ``float.__repr__`` text through one rule,
+:func:`_reprs`: orjson's shortest round-trip writer where its text is repr's
+(zero and magnitudes in ``[1e-4, 1e16)``), else repr.  :func:`float_texts`
+renders each distinct 64-bit pattern of a call once by that rule; the
+``pairs`` list of ``report.json`` (a :class:`GridRecords`) is written by
+rows of its score grid, each float column of a block rendered in one call
+with no de-duplication, as its floats are mostly distinct.  Nothing is kept
 between calls.  The bulk writers work a bounded block at a time:
-``_CELLS`` floats of ``pairs.csv``, and ``RECORDS_PER_BLOCK`` lines of a CSV
-or records of a JSON list, so no artefact's text is held whole.  Each
+``_CELLS`` floats of ``pairs.csv``, and about ``RECORDS_PER_BLOCK`` lines of
+a CSV or records of a JSON list, so no artefact's text is held whole.  Each
 block's text is joined once, by :func:`interleave`, from the constant text
 around its fields and a column of texts per field.
 
@@ -91,24 +94,35 @@ RECORDS_PER_BLOCK = 1024
 _NATIVE_MIN, _NATIVE_MAX = 1e-4, 1e16
 
 
+def _reprs(values: np.ndarray) -> list[str]:
+    """``float.__repr__`` of each value of a 1-D float64 array, in order.
+
+    Every value is rendered by one ``orjson.dumps`` call, whose text is
+    repr's for zero and magnitudes in ``[1e-4, 1e16)``; each other value
+    (smaller, larger, subnormal or not finite) is then rendered again by
+    repr itself.  orjson writes no comma inside a number, so its text splits
+    into one text per value.
+    """
+    if not len(values):
+        return []
+    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    magnitude = np.abs(values)
+    other = np.flatnonzero(~((values == 0.0) | ((magnitude >= _NATIVE_MIN) & (magnitude < _NATIVE_MAX))))
+    for k, value in zip(other.tolist(), values[other].tolist()):
+        texts[k] = float.__repr__(value)
+    return texts
+
+
 def float_texts(values) -> np.ndarray:
     """``float.__repr__`` of every value of a float array, as an object array
     of its shape.
 
-    Each distinct 64-bit pattern is rendered once, so ``0.0`` and ``-0.0``
-    keep their own texts.  Zeros and magnitudes in ``[1e-4, 1e16)`` are
-    rendered by one ``orjson.dumps`` call, whose text there is repr's; every
-    other value (smaller, larger, subnormal or not finite) by repr itself.
+    Each distinct 64-bit pattern is rendered once (by :func:`_reprs`), so
+    ``0.0`` and ``-0.0`` keep their own texts.
     """
     values = np.asarray(values, dtype=np.float64)
     bits, inverse = np.unique(values.ravel().view(np.uint64), return_inverse=True)
-    unique = bits.view(np.float64)
-    magnitude = np.abs(unique)
-    native = (unique == 0.0) | ((magnitude >= _NATIVE_MIN) & (magnitude < _NATIVE_MAX))
-    texts = np.empty(len(bits), dtype=object)
-    if native.any():
-        texts[native] = orjson.dumps(unique[native], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    texts[~native] = list(map(float.__repr__, unique[~native].tolist()))
+    texts = np.array(_reprs(bits.view(np.float64)), dtype=object)
     return texts[inverse].reshape(values.shape)
 
 
@@ -514,6 +528,75 @@ def _record_chunks(records: ColumnRecords, depth: int) -> Iterator[str]:
     return _list_chunks(map(text, records.blocks), depth)
 
 
+class GridRecords:
+    """One flat record per cell of an ``(n_a, n_b)`` grid, in row-major
+    order, which :func:`write_json` writes as ``json.dumps`` writes the list
+    of dicts.
+
+    ``fields`` maps each key, in sorted order, to the kind of its values: one
+    of ``_KINDS``.  ``"a"`` and ``"b"`` are the only ``"id"`` fields: a
+    record's ``"a"`` is its row's id in ``ids_a``, its ``"b"`` its column's in
+    ``ids_b``.  ``columns`` holds an ``(n_a, n_b)`` array for each other key,
+    in order: floats for a ``"float"`` field, bools for a ``"flag"``.
+    """
+
+    def __init__(self, fields: Mapping[str, str], ids_a: Sequence[str], ids_b: Sequence[str], columns: Sequence):
+        if list(fields) != sorted(fields):
+            raise ValueError(f"record keys {list(fields)} are not in sorted order")
+        kinds = [kind for key, kind in fields.items() if key not in ("a", "b")]
+        if (fields.get("a"), fields.get("b")) != ("id", "id") or "id" in kinds or len(kinds) != len(columns):
+            raise ValueError(f"record keys {list(fields)} need the ids 'a' and 'b' and one column per other key")
+        self.fields, self.ids_a, self.ids_b = dict(fields), ids_a, ids_b
+        self.columns = [np.asarray(c, dtype=float if kind == "float" else bool) for kind, c in zip(kinds, columns)]
+
+    def records(self) -> list[dict]:
+        """The records as dicts of Python values."""
+        n_a, n_b = len(self.ids_a), len(self.ids_b)
+        values = iter(c.ravel().tolist() for c in self.columns)
+        ids = {"a": [a for a in self.ids_a for _ in range(n_b)], "b": list(self.ids_b) * n_a}
+        lanes = [ids[key] if key in ids else next(values) for key in self.fields]
+        return [dict(zip(self.fields, row)) for row in zip(*lanes)]
+
+
+def _grid_chunks(grid: GridRecords, depth: int) -> Iterator[str]:
+    """The text of ``grid``'s records ``depth`` levels deep, a block of whole
+    grid rows at a time.  Each id is encoded once, together with the text
+    before it, and each flag lane carries its key's text.  Each float column
+    of a block is rendered in one call and not de-duplicated: a grid's
+    floats are mostly distinct, so finding the repeats costs more than it
+    saves."""
+    pieces = _record_pieces(grid.fields, depth)
+    before = dict(zip(grid.fields, pieces))
+    texts_a = [before["a"] + encode_basestring_ascii(i) for i in grid.ids_a]
+    texts_b = [before["b"] + encode_basestring_ascii(i) for i in grid.ids_b]
+    columns = dict(zip((key for key in grid.fields if key not in ("a", "b")), grid.columns))
+    # One-element object arrays, which np.where spreads by reference.
+    flags = {
+        key: [np.array([before[key] + text], dtype=object) for text in ("true", "false")]
+        for key, kind in grid.fields.items()
+        if kind == "flag"
+    }
+    n_b = len(texts_b)
+    step = max(1, RECORDS_PER_BLOCK // max(n_b, 1))
+
+    def text(first):
+        rows = slice(first, first + step)
+        a = texts_a[rows]
+        lanes = []
+        for piece, (key, kind) in zip(pieces, grid.fields.items()):
+            if key == "a":
+                lanes.append(list(chain.from_iterable(map(repeat, a, repeat(n_b)))))
+            elif key == "b":
+                lanes.append(texts_b * len(a))
+            elif kind == "float":
+                lanes += [piece, _reprs(columns[key][rows].ravel())]
+            else:
+                lanes.append(np.where(columns[key][rows].ravel(), *flags[key]).tolist())
+        return interleave([*lanes, pieces[-1]])
+
+    return _list_chunks(map(text, range(0, len(texts_a) if n_b else 0, step)), depth)
+
+
 class _RenderedCandidates:
     """A :class:`RankedCandidates` with the texts of its floats as
     ``write_breakdowns_csv`` returns them for it, which ``write_json``
@@ -601,6 +684,8 @@ def _json_chunks(value, depth: int) -> Iterator[str]:
         yield from _candidate_chunks(value.found, depth, value.texts)
     elif isinstance(value, ColumnRecords):
         yield from _record_chunks(value, depth)
+    elif isinstance(value, GridRecords):
+        yield from _grid_chunks(value, depth)
     elif isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
         for lead, key in zip(chain("{", repeat(",")), sorted(value)):
             yield f"{lead}{indent}  {encode_basestring_ascii(key)}: "
@@ -618,8 +703,9 @@ def _json_chunks(value, depth: int) -> Iterator[str]:
 def write_json(path: str | Path, payload) -> None:
     """Write ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline,
     byte for byte, where a :class:`RankedCandidates` stands for its
-    ``breakdown_record``s and a :class:`ColumnRecords` for its records, each
-    streamed from its columns, so that no view's text is held whole."""
+    ``breakdown_record``s and a :class:`ColumnRecords` or
+    :class:`GridRecords` for its records, each streamed from its columns, so
+    that no view's text is held whole."""
     with open(path, "w") as fh:
         fh.writelines(_json_chunks(payload, 0))
         fh.write("\n")

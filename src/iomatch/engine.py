@@ -291,7 +291,8 @@ class _Windows:
     @classmethod
     def of(cls, va: np.ndarray, sigma_a: float, vb: np.ndarray, sigma_b: float) -> "_Windows":
         half_a, half_b = THREE_SIGMA * sigma_a, THREE_SIGMA * sigma_b
-        return cls(va, vb, va - half_a, va + half_a, vb - half_b, vb + half_b)
+        with np.errstate(over="ignore"):  # a window past the float range ends at +-inf, as in the scalar path
+            return cls(va, vb, va - half_a, va + half_a, vb - half_b, vb + half_b)
 
     def meet(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Whether the windows of each cell overlap on every axis:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .aggregate import AggregationMethod, AggregationSpec
-from .dataio import RECORDS_PER_BLOCK, ColumnRecords, write_breakdowns_csv, write_json, write_objects_csv
+from .dataio import ColumnRecords, GridRecords, write_breakdowns_csv, write_json, write_objects_csv
 from .engine import MatchRun, PairScores, RankedCandidates, candidates, pairwise_breakdowns
 from .model import (
     Dataset,
@@ -233,27 +233,21 @@ class ExperimentReport:
         return payload
 
     def _payload(self) -> dict:
-        """:meth:`to_payload` with its lists of records as
-        :class:`ColumnRecords` read from the report's columns, whose floats
-        ``write_json`` renders a block at a time."""
-        scores, found, n = self.breakdowns, self.candidates, len(self.breakdowns.ids_b)
-        columns = (
+        """:meth:`to_payload` with its lists of records as views of the
+        report's columns, which ``write_json`` renders a block at a time:
+        :class:`ColumnRecords` for the scene, datasets and candidates, and
+        :class:`GridRecords` for the pairs, written by rows of the score grid
+        with each float column of a block rendered in one call, no float
+        de-duplicated."""
+        scores, found = self.breakdowns, self.candidates
+        pairs = (
             scores.aggregate_distance,
             scores.aggregate_proximity,
             self.separation_observed,
             self.separation_true,
-            np.eye(len(scores.ids_a), n, dtype=bool),
+            np.eye(len(scores.ids_a), len(scores.ids_b), dtype=bool),
             self.type_mismatch,
         )
-        step = max(1, RECORDS_PER_BLOCK // n)
-
-        def pairs():
-            """Whole rows of pairs, about RECORDS_PER_BLOCK records a block."""
-            for i in range(0, len(scores.ids_a), step):
-                ids_a = scores.ids_a[i : i + step]
-                ids = [a for a in ids_a for _ in range(n)], scores.ids_b * len(ids_a)
-                yield (*ids, *(c[i : i + step].ravel() for c in columns))
-
         candidates = (
             found.ids_a,
             found.ids_b,
@@ -282,7 +276,7 @@ class ExperimentReport:
                 source_id: ColumnRecords.from_columns(_OBJECT_FIELDS, _report_columns(dataset))
                 for source_id, dataset in self.datasets.items()
             },
-            "pairs": ColumnRecords(_PAIR_FIELDS, pairs()),
+            "pairs": GridRecords(_PAIR_FIELDS, scores.ids_a, scores.ids_b, pairs),
             "candidates": ColumnRecords.from_columns(_CANDIDATE_FIELDS, candidates),
             "summary": self.summary,
         }
@@ -303,6 +297,18 @@ def _separations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d = a[:, None, :] - b[None, :, :]
     distances = map(math.hypot, d[..., 0].ravel().tolist(), d[..., 1].ravel().tolist())
     return np.fromiter(distances, float, len(a) * len(b)).reshape(len(a), len(b))
+
+
+def _self_separations(p: np.ndarray) -> np.ndarray:
+    """``_separations(p, p)`` bit for bit, each unordered pair computed once
+    and mirrored: ``math.hypot`` depends only on ``|dx|`` and ``|dy|``, and
+    ``x - y == -(y - x)`` in IEEE arithmetic."""
+    i, j = np.triu_indices(len(p))
+    d = p[i] - p[j]
+    separations = np.empty((len(p), len(p)))
+    distances = map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist())
+    separations[i, j] = separations[j, i] = np.fromiter(distances, float, len(i))
+    return separations
 
 
 def run_experiment(
@@ -343,7 +349,7 @@ def run_experiment(
         breakdowns=breakdowns,
         candidates=candidates(breakdowns, threshold),
         type_mismatch=labels_a[:, None] != labels_b[None, :],
-        separation_true=_separations(scene.positions, scene.positions),
+        separation_true=_self_separations(scene.positions),
         separation_observed=_separations(observed_a, observed_b),
     )
     if out_dir is not None:

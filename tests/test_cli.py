@@ -17,6 +17,7 @@ from iomatch.config import load_config
 from iomatch.dataio import read_dataset, read_objects_csv
 from iomatch.engine import MatchRun, pairwise_breakdowns
 from iomatch.model import InformationObject
+from iomatch.quant import NormalErrorModel, quantitative_proximity
 from oracles import object_run, ranked_breakdowns
 from test_config_dataio import FUZZ_CONFIG, fuzz_files, mutated_configs, write_rows
 
@@ -535,6 +536,34 @@ class TestRejectedAtValidation:
             assert main(argv) == 1
             captured = capsys.readouterr()
             assert captured.err == message and captured.out == ""
+
+
+class TestScoredAtTheFloatRange:
+    """Inputs near the ends of the float range that score, quietly."""
+
+    def test_windows_past_the_float_range(self, tmp_path):
+        """Windows of 1e308 and 1.5e308 under sigma 5e307 end at +-inf: match
+        and measure printed ``RuntimeWarning: overflow encountered in add``
+        on stderr.  The score is kept, and equals the scalar composition."""
+        config = {
+            "schema": {"features": [{"name": "speed", "kind": "quantitative", "weight": 1.0, "xi": 1.5e308}]},
+            "sources": {"alpha": {"speed": {"sigma": 5e307}}, "beta": {"speed": {"sigma": 5e307}}},
+        }
+        path = write(tmp_path, "config.json", json.dumps(config))
+        header, row_a, row_b = "object_id,source_id,speed\n", "a1,alpha,1e308\n", "b1,beta,1.5e308\n"
+        a, b = write(tmp_path, "a.csv", header + row_a), write(tmp_path, "b.csv", header + row_b)
+        pair = write(tmp_path, "pair.csv", header + row_a + row_b)
+        scalar = quantitative_proximity(NormalErrorModel(1e308, 5e307), NormalErrorModel(1.5e308, 5e307), 1.5e308)
+        assert f"{scalar:.4f}" == "0.9733"
+        out = tmp_path / "out"
+        for argv, score in (
+            (["match", "--config", str(path), str(a), str(b), "--threshold", "0", "--out", str(out)], "a1  b1  0.9733"),
+            (["measure", "--config", str(path), str(pair)], "aggregate     0.9733"),
+        ):
+            child = subprocess.run([sys.executable, "-m", "iomatch.cli", *argv], capture_output=True, text=True)
+            assert (child.returncode, child.stderr) == (0, "")
+            assert score in child.stdout
+        assert (out / "pairs.csv").read_text().splitlines()[1] == f"a1,b1,{scalar!r},{1.0 - scalar!r},{scalar!r},{1.0 - scalar!r}"
 
 
 def _retyped(path, value):

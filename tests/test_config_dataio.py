@@ -11,8 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from iomatch.config import ConfigError, load_config, parse_config, require_match_config
 from iomatch.dataio import (
+    RECORDS_PER_BLOCK,
     ColumnRecords,
     DataError,
+    GridRecords,
     breakdown_header,
     breakdown_record,
     dataset_header,
@@ -628,6 +630,68 @@ class TestFloatTexts:
         grid = np.array([[0.5, -0.0], [1e-7, 2.0]])
         assert float_texts(grid.T).tolist() == [["0.5", "1e-07"], ["-0.0", "2.0"]]
         assert float_texts(np.arange(3)).tolist() == ["0.0", "1.0", "2.0"]
+
+
+GRID_FIELDS = {"%s": "float", "a": "id", "b": "id", "f": "flag", "p": "float"}
+# Ids json.dumps escapes: a quote, a backslash, non-ASCII and control characters.
+GRID_IDS = st.sampled_from(['q"', "back\\slash", "\u00e9t\u00e9", "\x00\x1f\n", "\U0001f600"]) | st.text(max_size=4)
+# Floats across both renderers: -0.0, subnormals, below 1e-4 and from 1e16 up.
+GRID_FLOATS = st.sampled_from(EDGE_FLOATS + [5e-324, -5e-324, 1e-5, 3e-200, 1e17, 2.5e300]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+def grid_records(ids_a, ids_b, floats, flags) -> GridRecords:
+    """A grid of ``ids_a`` by ``ids_b`` whose two float columns and flag
+    column repeat ``floats`` and ``flags`` in row-major order."""
+    shape = (len(ids_a), len(ids_b))
+    values = np.resize(np.array(floats, dtype=float), (2, *shape))
+    return GridRecords(GRID_FIELDS, ids_a, ids_b, [values[0], np.resize(np.array(flags, dtype=bool), shape), values[1]])
+
+
+@st.composite
+def grids(draw):
+    """Grids of up to 3 rows, some of them longer than a block, of ids drawn
+    from a pool and floats and flags repeated from short drawn lists."""
+    n_a = draw(st.integers(0, 3))
+    n_b = draw(st.integers(0, 4) | st.integers(RECORDS_PER_BLOCK - 1, RECORDS_PER_BLOCK + 2))
+    pool = draw(st.lists(GRID_IDS, min_size=1, max_size=6))
+    ids_a = draw(st.lists(GRID_IDS, min_size=n_a, max_size=n_a))
+    ids_b = [pool[k % len(pool)] for k in range(n_b)]
+    floats = draw(st.lists(GRID_FLOATS, min_size=1, max_size=12))
+    return grid_records(ids_a, ids_b, floats, draw(st.lists(st.booleans(), min_size=1, max_size=5)))
+
+
+class TestGridRecords:
+    """A GridRecords is written as json.dumps writes its records."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(grids())
+    @example(grid_records([], ["b0", "b1"], [0.5], [True]))
+    @example(grid_records(["a0", "a1"], [], [0.5], [True]))
+    @example(grid_records(['q"', "\\"], ["\u00e9", "\x01"], [-0.0, 5e-324, 1e-05, 1e16, 9999999999999998.0, 0.1], [True, False]))
+    @example(grid_records(["a0", "a1"], [f"b{k}" for k in range(RECORDS_PER_BLOCK + 1)], EDGE_FLOATS, [False, True, True]))
+    def test_bytes_are_json_dumps_of_the_records(self, grid):
+        assert json_bytes({"r": grid}) == stdlib_bytes({"r": grid.records()})
+        assert json_bytes([grid, {"s": [grid]}]) == stdlib_bytes([grid.records(), {"s": [grid.records()]}])
+
+    def test_records_are_row_major(self):
+        grid = grid_records(["a0", "a1"], ["b0", "b1", "b2"], [0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5], [True, False])
+        assert [(r["a"], r["b"], r["%s"], r["p"], r["f"]) for r in grid.records()] == [
+            ("a0", "b0", 0.5, 6.5, True), ("a0", "b1", 1.5, 0.5, False), ("a0", "b2", 2.5, 1.5, True),
+            ("a1", "b0", 3.5, 2.5, False), ("a1", "b1", 4.5, 3.5, True), ("a1", "b2", 5.5, 4.5, False),
+        ]
+        assert {type(r["f"]) for r in grid.records()} == {bool}
+
+    @pytest.mark.parametrize("fields, columns, message", [
+        ({"b": "id", "a": "id"}, [], "sorted"),
+        ({"a": "id", "c": "flag"}, [np.zeros((1, 1), bool)], "'a' and 'b'"),
+        ({"a": "id", "b": "id", "c": "id"}, [np.zeros((1, 1))], "'a' and 'b'"),
+        ({"a": "id", "b": "id", "c": "flag"}, [], "one column per other key"),
+    ])
+    def test_malformed_grid(self, fields, columns, message):
+        with pytest.raises(ValueError, match=message):
+            GridRecords(fields, ["a0"], ["b0"], columns)
 
 
 # A valid document touching every section: a Gaussian ordinal feature with a

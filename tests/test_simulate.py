@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from iomatch.model import QuantAccuracy, SourceProfile
 from iomatch.quant import NormalErrorModel, joint_overlap_probability
@@ -14,6 +15,8 @@ from iomatch.simulate import (
     generate_scene,
     observe,
     run_experiment,
+    _self_separations,
+    _separations,
 )
 from iomatch.svgplot import render_match_svg
 from test_config_dataio import columns_equal
@@ -228,6 +231,37 @@ class TestRunExperiment:
         assert set(payload["datasets"]) == {"s1", "s2"}
         for c in payload["candidates"]:
             assert set(c) == {"a", "b", "proximity", "true_pair", "type_mismatch"}
+
+
+# Coordinates whose differences stay finite, up to half the float range,
+# where math.hypot can still overflow to inf.
+COORDINATES = st.floats(-8e307, 8e307) | st.sampled_from([-0.0, 5e-324, -1e200, 3e200, -1e-300, 8e307, -8e307])
+
+
+class TestSelfSeparations:
+    """separation_true computes each unordered pair of the scene once and
+    mirrors it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(COORDINATES, COORDINATES), max_size=8))
+    @example([(-3.5, 2.0), (1.25, -7.0), (-0.0, 0.0), (0.1, -0.2)])
+    @example([(1e200, -3e200), (-2e200, 5e199), (7e199, 1e200), (-1e200, -1e200)])
+    @example([(1.5e308, 1.5e308), (0.0, 0.0), (1e-300, 5e-324)])  # hypot overflows to inf
+    def test_equal_to_separations_bit_for_bit(self, points):
+        p = np.array(points, dtype=float).reshape(-1, 2)
+        got = _self_separations(p)
+        assert got.view(np.uint64).tolist() == _separations(p, p).view(np.uint64).tolist()
+        assert (got == got.T).all()
+        assert not np.diagonal(got).any() and not np.signbit(got).any()
+
+    def test_overflow_reaches_the_grid(self):
+        got = _self_separations(np.array([[1.5e308, 1.5e308], [0.0, 0.0], [-1.0, 2.0]]))
+        assert got[0, 1] == got[1, 0] == math.inf and np.isfinite(got[1:, 1:]).all()
+
+    def test_report_separation_true(self, reports):
+        for report in reports:
+            p = report.scene.positions
+            assert report.separation_true.tobytes() == _separations(p, p).tobytes()
 
 
 def recount_summary(payload, threshold):
