@@ -24,11 +24,18 @@ a CSV or records of a JSON list, so no artefact's text is held whole.  Each
 block's text is joined once, by :func:`interleave`, from the constant text
 around its fields and a column of texts per field.
 
-A ``match`` run that writes both ``pairs.csv`` and ``candidates.json``
-(:func:`write_match_files`) renders each score once: the CSV writer keeps
-the texts of the candidates' cells as it writes them, by cell index, and
-the JSON writer takes them from there.  That costs memory: the texts of
-every candidate stay held from the first CSV block to the last JSON block.
+A run that writes ``pairs.csv`` and a JSON file renders each score once,
+by one mechanism: :func:`write_breakdowns_csv` keeps the texts of the cells
+and columns its caller asks for as it writes them, and the JSON writer
+takes them from there.  ``match`` (:func:`write_match_files`) asks for every
+column of the candidates' cells, for ``candidates.json``; ``simulate`` asks
+for the two aggregate columns of every cell, which a :class:`GridRecords`
+given them as ``texts`` slices by rows for ``report.json``'s ``pairs``
+list.  That costs memory: the texts stay held from the first CSV block to
+the last JSON block, about 440 bytes per ``match`` candidate of four
+features, and for ``simulate`` mostly the 16 bytes per pair of references,
+as its pairs mostly score 0 and share their texts (peak RSS 155 -> 161 MiB
+at 1 000 objects a side).
 """
 
 from __future__ import annotations
@@ -378,23 +385,40 @@ def _csv_fields(values: Iterable[str]) -> list[str]:
 
 
 def write_breakdowns_csv(
-    path: str | Path, scores: PairScores, schema: Schema, keep: RankedCandidates | None = None
+    path: str | Path,
+    scores: PairScores,
+    schema: Schema,
+    keep: np.ndarray | None = None,
+    columns: slice = slice(None),
 ) -> np.ndarray | None:
     """Write every pair's breakdown, dataset A outer and B inner.
 
-    With ``keep``, a view of some of ``scores``' stored cells, returns the
-    texts written for its cells: a ``(len(keep), 2k + 2)`` object array in
-    ``keep``'s order and the file's column order (each feature's proximity
-    and distance, then the aggregate's), ``""`` where a pair lacks the
-    feature.  They are taken from each block as it is written, so no score
-    is rendered twice."""
+    With ``keep``, the grid cells ``row * n_b + col`` of some pairs in any
+    order, returns the texts written for them: a ``(len(keep), c)`` object
+    array in ``keep``'s order, one column per score column of the file that
+    the slice ``columns`` takes (each feature's proximity and distance, then
+    the aggregate's: ``2k + 2`` in all, every one by default), ``""`` where
+    a pair lacks the feature.  They are taken from each block as it is
+    written, so no score is rendered twice.  ``match`` asks for every column
+    of its candidates' cells, ``simulate`` for the two aggregate columns of
+    every cell; the texts stay held as long as the caller keeps the array,
+    at 8 bytes a reference plus each distinct text's own size."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(breakdown_header(schema))
         names = schema.names
-        kept = None if keep is None else np.empty((len(keep), 2 * len(names) + 2), dtype=object)
+        width = 2 * len(names) + 2
+        kept = None
+        if keep is not None:
+            # The kept cells in grid order: the ones of a block are one run,
+            # whose texts go to the cells' places in keep, one slice where
+            # keep is in grid order.
+            order = np.argsort(keep)
+            cells = keep[order]
+            in_order = not (order[1:] < order[:-1]).any()
+            kept = np.empty((len(range(width)[columns]), len(keep)), dtype=object)
         if not len(scores):
-            return kept
+            return None if kept is None else kept.T
         # Blocks of whole dataset-A rows of about _CELLS floats, rendered in
         # one call and joined column by column: only the ids can need quoting,
         # and each is quoted once.  The scores are laid out _STEPS blocks at a
@@ -402,12 +426,7 @@ def write_breakdowns_csv(
         # per call.
         ids_a, ids_b = _csv_fields(scores.ids_a), _csv_fields(scores.ids_b)
         n_b = len(ids_b)
-        if kept is not None:
-            # The kept cells in grid order: the ones of a block are one run.
-            cells = keep.rows * n_b + keep.cols
-            order = np.argsort(cells)
-            cells = cells[order]
-        step = max(1, _CELLS // (n_b * (2 * len(names) + 2)))
+        step = max(1, _CELLS // (n_b * width))
         fetch = _STEPS * step
         for first in range(0, len(ids_a), fetch):
             proximity, present, aggregate_p, aggregate_d = scores.block(first, first + fetch)
@@ -423,10 +442,13 @@ def write_breakdowns_csv(
                 if kept is not None:
                     offset = (first + start) * n_b
                     lo, hi = np.searchsorted(cells, (offset, offset + texts.shape[1]))
-                    kept[order[lo:hi]] = texts[:, cells[lo:hi] - offset].T
-                columns = [chain.from_iterable(map(repeat, a, repeat(n_b))), ids_b * len(a)]
-                _write_lines(fh, columns + texts.tolist())
-    return kept
+                    run = cells[lo:hi] - offset
+                    if hi > lo and run[-1] - run[0] == hi - lo - 1:
+                        run = slice(run[0], run[-1] + 1)  # adjacent cells: copied, not gathered
+                    kept[:, slice(lo, hi) if in_order else order[lo:hi]] = texts[columns][:, run]
+                ids = [chain.from_iterable(map(repeat, a, repeat(n_b))), ids_b * len(a)]
+                _write_lines(fh, ids + texts.tolist())
+    return None if kept is None else kept.T
 
 
 def breakdown_record(b: ProximityBreakdown) -> dict:
@@ -538,15 +560,33 @@ class GridRecords:
     record's ``"a"`` is its row's id in ``ids_a``, its ``"b"`` its column's in
     ``ids_b``.  ``columns`` holds an ``(n_a, n_b)`` array for each other key,
     in order: floats for a ``"float"`` field, bools for a ``"flag"``.
+
+    ``texts`` may give a float field's texts as the writers render its
+    column: an ``(n_a, n_b)`` object array, such as ``simulate`` takes from
+    the aggregate columns ``write_breakdowns_csv`` returns.  The JSON writer
+    then slices them by rows instead of rendering the floats again, while
+    :meth:`records` still reads the floats.
     """
 
-    def __init__(self, fields: Mapping[str, str], ids_a: Sequence[str], ids_b: Sequence[str], columns: Sequence):
+    def __init__(
+        self,
+        fields: Mapping[str, str],
+        ids_a: Sequence[str],
+        ids_b: Sequence[str],
+        columns: Sequence,
+        texts: Mapping[str, np.ndarray] | None = None,
+    ):
         if list(fields) != sorted(fields):
             raise ValueError(f"record keys {list(fields)} are not in sorted order")
         kinds = [kind for key, kind in fields.items() if key not in ("a", "b")]
         if (fields.get("a"), fields.get("b")) != ("id", "id") or "id" in kinds or len(kinds) != len(columns):
             raise ValueError(f"record keys {list(fields)} need the ids 'a' and 'b' and one column per other key")
-        self.fields, self.ids_a, self.ids_b = dict(fields), ids_a, ids_b
+        texts = dict(texts or {})
+        shape = (len(ids_a), len(ids_b))
+        for key, given in texts.items():
+            if fields.get(key) != "float" or np.shape(given) != shape:
+                raise ValueError(f"texts for {key!r} need a float field and the grid's shape {shape}")
+        self.fields, self.ids_a, self.ids_b, self.texts = dict(fields), ids_a, ids_b, texts
         self.columns = [np.asarray(c, dtype=float if kind == "float" else bool) for kind, c in zip(kinds, columns)]
 
     def records(self) -> list[dict]:
@@ -561,10 +601,10 @@ class GridRecords:
 def _grid_chunks(grid: GridRecords, depth: int) -> Iterator[str]:
     """The text of ``grid``'s records ``depth`` levels deep, a block of whole
     grid rows at a time.  Each id is encoded once, together with the text
-    before it, and each flag lane carries its key's text.  Each float column
-    of a block is rendered in one call and not de-duplicated: a grid's
-    floats are mostly distinct, so finding the repeats costs more than it
-    saves."""
+    before it, and each flag lane carries its key's text.  A float column
+    given as texts is sliced by rows; each other one of a block is rendered
+    in one call and not de-duplicated: a grid's floats are mostly distinct,
+    so finding the repeats costs more than it saves."""
     pieces = _record_pieces(grid.fields, depth)
     before = dict(zip(grid.fields, pieces))
     texts_a = [before["a"] + encode_basestring_ascii(i) for i in grid.ids_a]
@@ -588,6 +628,8 @@ def _grid_chunks(grid: GridRecords, depth: int) -> Iterator[str]:
                 lanes.append(list(chain.from_iterable(map(repeat, a, repeat(n_b)))))
             elif key == "b":
                 lanes.append(texts_b * len(a))
+            elif key in grid.texts:
+                lanes += [piece, grid.texts[key][rows].ravel().tolist()]
             elif kind == "float":
                 lanes += [piece, _reprs(columns[key][rows].ravel())]
             else:
@@ -736,7 +778,8 @@ def write_match_files(
     written."""
     texts = None
     if "csv" in formats:
-        texts = write_csv(out_dir / "pairs.csv", scores, schema, found if "json" in formats else None)
+        cells = found.rows * len(scores.ids_b) + found.cols if "json" in formats else None
+        texts = write_csv(out_dir / "pairs.csv", scores, schema, cells)
     if "json" in formats:
         view = found if texts is None else _RenderedCandidates(found, texts)
         write_json(out_dir / "candidates.json", {"threshold": threshold, "pair_count": len(scores), "candidates": view})

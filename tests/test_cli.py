@@ -519,6 +519,27 @@ class TestRejectedAtValidation:
             captured = capsys.readouterr()
             assert (captured.err, captured.out) == (message, "")
 
+    def test_gaussian_crossing_past_the_float_range(self, tmp_path, capsys):
+        """A Gaussian spread of 1e308 overflowed the crossing of ranks 1e308
+        and 4: the pair scored 0.6065 at the peaks, where the crossing gives
+        0.8825, and the scalar possibility raised OverflowError."""
+        config = json.loads(json.dumps(RANKED_CONFIG))
+        config["schema"]["features"][1] = {"name": "rank", "kind": "ordinal", "weight": 0.5, "shape": "gaussian", "width": 1e308}
+        del config["sources"]["alpha"]["rank"]
+        path = write(tmp_path, "config.json", json.dumps(config))
+        header, row_a, row_b = "object_id,source_id,speed,rank\n", "a1,alpha,12.0,1e308\n", "b1,beta,12.0,4\n"
+        a, b = write(tmp_path, "a.csv", header + row_a), write(tmp_path, "b.csv", header + row_b)
+        pair = write(tmp_path, "pair.csv", header + row_a + row_b)
+        message = "".join(
+            f"error: {oid}/rank: the Gaussian crossing of rank {rank} under spread 1e+308 overflows:"
+            " both must lie within 2**511\n"
+            for oid, rank in (("a1", "1e+308"), ("b1", "4"))
+        )
+        for argv in (["match", "--config", str(path), str(a), str(b)], ["measure", "--config", str(path), str(pair)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert (captured.err, captured.out) == (message, "")
+
     def test_duplicate_object_id(self, tmp_path, capsys):
         assert self.match(tmp_path, RANKED_CONFIG, "a1,alpha,12.0,4\na1,alpha,13.0,5\n") == 1
         captured = capsys.readouterr()
@@ -624,6 +645,21 @@ class TestSimulate:
             f"error: {oid}/position: expected 2 finite numeric components\n" for oid in ("s1-000", "s2-002", "s2-003")
         )
         assert captured.out == "" and not out.exists()
+
+    def test_separations_overflowing_to_infinity(self, tmp_path, capsys):
+        """Finite positions further apart than the float range: report.json
+        held ``"separation_true": inf``, which is not JSON, and the run
+        exited 0; now it exits 1 before any file is written."""
+        doc = {"simulation": {"object_count": 20, "area": [1.7e308, 1.7e308], "rmse": [1e300, 1e300],
+                              "fleet_sigma_min": 1e300}}
+        config = write(tmp_path, "sim.json", json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--seed", "3", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == (
+            "error: 6 true and 6 observed of the 400 pair separations overflow the float range\n", ""
+        )
+        assert not out.exists()
 
     def test_finite_huge_positions_are_drawn(self, tmp_path, capsys):
         """The SVG squared pixel distances of positions near 1e200: an

@@ -1,6 +1,7 @@
 """The columnar engine against the per-pair composition of the scalar functions."""
 
 import collections.abc
+import csv
 import dataclasses
 import math
 import tempfile
@@ -349,6 +350,26 @@ def test_both_formats_equal_each_format_alone(drawn, threshold):
     run = drawn[0]
     scores = pairwise_breakdowns(run)
     assert_handed_over_texts_change_no_byte(scores, candidates(scores, threshold), run.schema)
+
+
+@settings(max_examples=100, deadline=None)
+@given(runs(sizes=st.integers(0, 12)), st.data())
+def test_kept_texts_are_the_written_fields(drawn, data):
+    """write_breakdowns_csv returns, for any cells in any order and any
+    slice of the score columns, the fields it wrote there."""
+    run = drawn[0]
+    scores = pairwise_breakdowns(run)
+    cells = np.array(data.draw(st.permutations(range(len(scores)))), dtype=np.int64)
+    cells = cells[: data.draw(st.integers(0, len(cells)))]
+    width = 2 * len(run.schema.names) + 2
+    columns = slice(data.draw(st.integers(-width, width)), data.draw(st.none() | st.integers(-width, width)))
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "pairs.csv"
+        kept = write_breakdowns_csv(path, scores, run.schema, cells, columns)
+        with open(path, newline="") as fh:
+            rows = [row[2:] for row in list(csv.reader(fh))[1:]]
+    assert kept.shape == (len(cells), len(range(width)[columns]))
+    assert kept.tolist() == [rows[c][columns] for c in cells.tolist()]
 
 
 def test_both_formats_equal_each_format_alone_over_several_blocks():

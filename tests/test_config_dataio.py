@@ -675,6 +675,19 @@ class TestGridRecords:
         assert json_bytes({"r": grid}) == stdlib_bytes({"r": grid.records()})
         assert json_bytes([grid, {"s": [grid]}]) == stdlib_bytes([grid.records(), {"s": [grid.records()]}])
 
+    @settings(max_examples=150, deadline=None)
+    @given(grids())
+    @example(grid_records(["a0", "a1"], [f"b{k}" for k in range(RECORDS_PER_BLOCK + 1)], EDGE_FLOATS, [False, True, True]))
+    def test_texts_write_the_bytes_of_the_floats(self, grid):
+        """A grid given its float columns' texts writes what it writes given
+        only the floats, and its records still hold the floats."""
+        given = GridRecords(grid.fields, grid.ids_a, grid.ids_b, grid.columns, {
+            key: float_texts(column) for key, column in zip(("%s", "p"), (grid.columns[0], grid.columns[2]))
+        })
+        assert json_bytes({"r": given}) == json_bytes({"r": grid})
+        assert json_bytes([given, {"s": [given]}]) == json_bytes([grid, {"s": [grid]}])
+        assert given.records() == grid.records()
+
     def test_records_are_row_major(self):
         grid = grid_records(["a0", "a1"], ["b0", "b1", "b2"], [0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5], [True, False])
         assert [(r["a"], r["b"], r["%s"], r["p"], r["f"]) for r in grid.records()] == [
@@ -692,6 +705,12 @@ class TestGridRecords:
     def test_malformed_grid(self, fields, columns, message):
         with pytest.raises(ValueError, match=message):
             GridRecords(fields, ["a0"], ["b0"], columns)
+
+    @pytest.mark.parametrize("key, shape", [("f", (1, 2)), ("a", (1, 2)), ("p", (2, 1)), ("q", (1, 2))])
+    def test_malformed_texts(self, key, shape):
+        columns = [np.zeros((1, 2)), np.zeros((1, 2), bool), np.zeros((1, 2))]
+        with pytest.raises(ValueError, match="need a float field and the grid's shape"):
+            GridRecords(GRID_FIELDS, ["a0"], ["b0", "b1"], columns, {key: np.full(shape, "0.0", dtype=object)})
 
 
 # A valid document touching every section: a Gaussian ordinal feature with a

@@ -81,6 +81,19 @@ class TestGaussianMembership:
         with pytest.raises(ValueError):
             gaussian_membership(0.0, 0.0)
 
+    @pytest.mark.parametrize("center, spread", [(1e308, 1.0), (-1e308, 1.0), (4.0, 1e308), (2.0**511, 1.0), (0.0, 2.0**511)])
+    def test_rank_or_spread_past_the_crossing_range_rejected(self, center, spread):
+        """The crossing squares a spread and a difference of two ranks: past
+        2**511 either square overflows, which scored a Gaussian pair of
+        spread 1e308 at its peaks (0.6065, not 0.8825) and made the grid walk
+        raise OverflowError."""
+        with pytest.raises(ValueError, match=r"overflows: both must lie within 2\*\*511"):
+            gaussian_membership(center, spread)
+
+    def test_rank_and_spread_just_below_the_limit_accepted(self):
+        below = math.nextafter(2.0**511, 0.0)
+        assert gaussian_membership(-below, below).spread == below
+
 
 class TestApplyCertainty:
     def test_certain_unchanged(self):

@@ -1,10 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from iomatch import dataio
 from iomatch.model import QuantAccuracy, SourceProfile
 from iomatch.quant import NormalErrorModel, joint_overlap_probability
 from iomatch.simulate import (
@@ -19,6 +21,7 @@ from iomatch.simulate import (
     _separations,
 )
 from iomatch.svgplot import render_match_svg
+from oracles import render_match_svg_by_point
 from test_config_dataio import columns_equal
 
 
@@ -264,6 +267,60 @@ class TestSelfSeparations:
             assert report.separation_true.tobytes() == _separations(p, p).tobytes()
 
 
+# Positions up to the float range, whose pixel coordinates, halved sums and
+# radii can overflow to inf or nan.
+SVG_COORDINATES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 0.125, 999.995, -1e200, 3e200, 8e307, -1.7e308, 1.7e308]
+)
+SVG_AREAS = st.floats(1e-12, 1e17) | st.sampled_from([1e-9, 1.0, 1000.0, 1e-300, 1.7e308])
+
+
+def svg_points(min_size, max_size):
+    return st.lists(st.tuples(SVG_COORDINATES, SVG_COORDINATES), min_size=min_size, max_size=max_size).map(
+        lambda points: np.array(points, dtype=float).reshape(-1, 2)
+    )
+
+
+@st.composite
+def svg_inputs(draw):
+    """An area, two sources' positions and up to 8 candidate links."""
+    k = draw(st.integers(0, 8))
+    links = (
+        draw(svg_points(k, k)),
+        draw(svg_points(k, k)),
+        np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)), dtype=bool),
+    )
+    datasets = [("s1", draw(svg_points(0, 6))), ("s2", draw(svg_points(0, 6)))]
+    return (draw(SVG_AREAS), draw(SVG_AREAS)), datasets, links, draw(st.sampled_from(["", "a title"]))
+
+
+def svg_case(area, first, second, a, b, mismatch, title="t"):
+    def points(p):
+        return np.array(p, dtype=float).reshape(-1, 2)
+
+    return area, [("s1", points(first)), ("s2", points(second))], (points(a), points(b), np.array(mismatch, bool)), title
+
+
+class TestSvgByColumns:
+    """scene.svg drawn by columns is the point-by-point drawing, byte for
+    byte, and quiet where a coordinate overflows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(svg_inputs())
+    @example(svg_case((1000.0, 1000.0), [(1.0, 2.0)], [(3.0, 4.0)], [], [], []))  # no candidates
+    @example(svg_case((1000.0, 500.0), [(1.0, 2.0)], [(3.0, 4.0)], [(1.0, 2.0)], [(3.0, 4.0)], [False]))
+    @example(svg_case((1000.0, 500.0), [], [], [(1.0, 2.0), (5.5, 0.1)], [(3.0, 4.0), (7.0, 8.0)], [True, False]))
+    @example(svg_case((1e3, 1e3), [(1e200, -3e200)], [(1.5e308, 1.5e308)], [(1.5e308, -1.7e308)],
+                      [(1.7e308, 1.7e308)], [True]))  # huge finite positions: the halving guard
+    @example(svg_case((1e-9, 1e-9), [(1e300, 2.0)], [(-1e300, 1.0)], [(1e300, 1e300)], [(-1e300, -1e300)], [True]))
+    def test_equal_to_the_point_by_point_drawing(self, drawn):
+        area, datasets, links, title = drawn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = render_match_svg(area, datasets, links, title=title)
+        assert got == render_match_svg_by_point(area, datasets, links, title=title)
+
+
 def recount_summary(payload, threshold):
     """The report summary, recounted in plain Python from the payload's records."""
     pairs = {(r["a"], r["b"]): r for r in payload["pairs"]}
@@ -364,6 +421,32 @@ class TestEmitFromColumns:
         _, payload, out = emitted
         text = (out / "report.json").read_text()
         assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_report_json_equals_the_json_format_alone(self, emitted, tmp_path):
+        """The default formats hand pairs.csv's aggregate texts to the pairs
+        list; --format json renders them itself: the same bytes."""
+        report, _, out = emitted
+        emit_report_files(report, tmp_path, ("json",))
+        assert (tmp_path / "report.json").read_bytes() == (out / "report.json").read_bytes()
+
+    def test_each_aggregate_rendered_once(self, emitted, tmp_path, monkeypatch):
+        """Writing both formats renders 2 n^2 fewer floats than writing each
+        alone: the pairs list takes its proximity and distance from pairs.csv."""
+        report, _, _ = emitted
+        rendered = []
+        reprs = dataio._reprs
+
+        def counted(values):
+            rendered.append(len(values))
+            return reprs(values)
+
+        monkeypatch.setattr(dataio, "_reprs", counted)
+        counts = []
+        for formats in (("csv", "json"), ("csv",), ("json",)):
+            rendered.clear()
+            emit_report_files(report, tmp_path, formats)
+            counts.append(sum(rendered))
+        assert counts[0] == counts[1] + counts[2] - 2 * len(report.breakdowns)
 
     def test_payload_equals_per_breakdown_records(self, emitted):
         report, payload, _ = emitted
