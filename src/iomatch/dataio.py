@@ -34,8 +34,7 @@ given them as ``texts`` slices by rows for ``report.json``'s ``pairs``
 list.  That costs memory: the texts stay held from the first CSV block to
 the last JSON block, about 440 bytes per ``match`` candidate of four
 features, and for ``simulate`` mostly the 16 bytes per pair of references,
-as its pairs mostly score 0 and share their texts (peak RSS 155 -> 161 MiB
-at 1 000 objects a side).
+as its pairs mostly score 0 and share their texts.
 """
 
 from __future__ import annotations
@@ -411,11 +410,9 @@ def write_breakdowns_csv(
         kept = None
         if keep is not None:
             # The kept cells in grid order: the ones of a block are one run,
-            # whose texts go to the cells' places in keep, one slice where
-            # keep is in grid order.
+            # whose texts go to the cells' places in keep.
             order = np.argsort(keep)
             cells = keep[order]
-            in_order = not (order[1:] < order[:-1]).any()
             kept = np.empty((len(range(width)[columns]), len(keep)), dtype=object)
         if not len(scores):
             return None if kept is None else kept.T
@@ -442,10 +439,7 @@ def write_breakdowns_csv(
                 if kept is not None:
                     offset = (first + start) * n_b
                     lo, hi = np.searchsorted(cells, (offset, offset + texts.shape[1]))
-                    run = cells[lo:hi] - offset
-                    if hi > lo and run[-1] - run[0] == hi - lo - 1:
-                        run = slice(run[0], run[-1] + 1)  # adjacent cells: copied, not gathered
-                    kept[:, slice(lo, hi) if in_order else order[lo:hi]] = texts[columns][:, run]
+                    kept[:, order[lo:hi]] = texts[columns][:, cells[lo:hi] - offset]
                 ids = [chain.from_iterable(map(repeat, a, repeat(n_b))), ids_b * len(a)]
                 _write_lines(fh, ids + texts.tolist())
     return None if kept is None else kept.T

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import aggregate as agg
 from . import quant
-from .fuzzy import GAUSSIAN_LIMIT, IdentificationPowerWarning, gaussian_violation
+from .fuzzy import IdentificationPowerWarning, gaussian_violation, gaussian_within_range
 from .model import (
     MAX_NOMINAL_DELTA,
     Dataset,
@@ -176,8 +176,8 @@ def _support_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, str]
     """(object index, message) of every finite rank whose triangular support
     is not finite or collapses onto the rank itself: rounds onto it under a
     relative k, or lies within its float spacing under a half-width; and of
-    every finite rank whose Gaussian crossing would overflow, as
-    ``fuzzy.gaussian_violation`` tells (a Gaussian has no support).  In
+    every finite Gaussian rank outside ``fuzzy.gaussian_within_range`` (a
+    Gaussian has no support).  In
     feature order, one message per object and feature; a feature whose
     accuracy the profile check rejects is skipped, as that check reports it."""
     found = []
@@ -198,7 +198,7 @@ def _support_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, str]
             ranks = column.values[:, 0]
             held = column.present & (source_ids == sid) & np.isfinite(ranks)
             if gaussian:
-                beyond = held & ~((np.abs(ranks) < GAUSSIAN_LIMIT) & (width < GAUSSIAN_LIMIT))
+                beyond = held & ~gaussian_within_range(ranks, width)
                 for i in np.flatnonzero(beyond).tolist():
                     found.append((i, f"{dataset.ids[i]}/{feature.name}: {gaussian_violation(column.ranks[i], width)}"))
                 continue

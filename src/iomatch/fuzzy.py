@@ -24,13 +24,19 @@ _GAUSSIAN_SPAN = 8.5
 GAUSSIAN_LIMIT = 2.0**511
 
 
+def gaussian_within_range(rank, spread):
+    """Whether Gaussian memberships of ``rank`` under ``spread`` can be
+    intersected: both of magnitude below ``GAUSSIAN_LIMIT``.  Elementwise
+    for arrays."""
+    return (abs(rank) < GAUSSIAN_LIMIT) & (spread < GAUSSIAN_LIMIT)
+
+
 def gaussian_violation(rank, spread: float) -> str | None:
-    """Why a Gaussian membership of ``rank`` under ``spread`` cannot be
-    intersected, or None: a rank or spread of magnitude ``GAUSSIAN_LIMIT``
-    or more."""
-    if abs(rank) < GAUSSIAN_LIMIT and spread < GAUSSIAN_LIMIT:
+    """The message for a Gaussian rank and spread outside
+    :func:`gaussian_within_range`, or None."""
+    if gaussian_within_range(rank, spread):
         return None
-    return f"the Gaussian crossing of rank {rank} under spread {spread} overflows: both must lie within 2**511"
+    return f"Gaussian ranks and spreads must lie within 2**511, got rank {rank} under spread {spread}"
 
 
 class IdentificationPowerWarning(UserWarning):

@@ -383,9 +383,7 @@ def emit_report_files(report: ExperimentReport, out_dir: Path, formats: Sequence
     When both ``pairs.csv`` and ``report.json`` are written, the CSV writer
     hands the texts of every pair's aggregate proximity and distance over
     to the ``pairs`` list of the report, so each is rendered once.  They are
-    held from the first CSV block to the last JSON block, mostly as
-    references, since most pairs score 0 and share their texts: peak RSS
-    155 -> 161 MiB at 1 000 objects."""
+    held from the first CSV block to the last JSON block."""
     out_dir.mkdir(parents=True, exist_ok=True)
     schema = scene_schema(report.spec)
     written = []

@@ -531,8 +531,8 @@ class TestRejectedAtValidation:
         a, b = write(tmp_path, "a.csv", header + row_a), write(tmp_path, "b.csv", header + row_b)
         pair = write(tmp_path, "pair.csv", header + row_a + row_b)
         message = "".join(
-            f"error: {oid}/rank: the Gaussian crossing of rank {rank} under spread 1e+308 overflows:"
-            " both must lie within 2**511\n"
+            f"error: {oid}/rank: Gaussian ranks and spreads must lie within 2**511,"
+            f" got rank {rank} under spread 1e+308\n"
             for oid, rank in (("a1", "1e+308"), ("b1", "4"))
         )
         for argv in (["match", "--config", str(path), str(a), str(b)], ["measure", "--config", str(path), str(pair)]):

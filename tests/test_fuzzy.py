@@ -87,7 +87,7 @@ class TestGaussianMembership:
         2**511 either square overflows, which scored a Gaussian pair of
         spread 1e308 at its peaks (0.6065, not 0.8825) and made the grid walk
         raise OverflowError."""
-        with pytest.raises(ValueError, match=r"overflows: both must lie within 2\*\*511"):
+        with pytest.raises(ValueError, match=r"Gaussian ranks and spreads must lie within 2\*\*511, got rank"):
             gaussian_membership(center, spread)
 
     def test_rank_and_spread_just_below_the_limit_accepted(self):
