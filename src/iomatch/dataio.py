@@ -648,9 +648,11 @@ def _candidate_chunks(found: RankedCandidates, depth: int, texts: np.ndarray | N
     floats are taken from ``texts``, a ``(len(found), 2k + 2)`` array in
     ``pairs.csv``'s column order, where given.
 
-    Each feature takes five lanes of a record: its opening text, distance,
-    middle text, proximity and closing text, all ``""`` where the pair lacks
-    the feature.  The opening text starts with a comma where the pair shows
+    Each grid id is encoded once per object, together with the constant text
+    around it, as :func:`_grid_chunks` encodes them, so a record's ids and
+    the keys around them are two lanes.  Each feature takes five lanes of a
+    record: its opening text, distance, middle text, proximity and closing
+    text, all ``""`` where the pair lacks the feature.  The opening text starts with a comma where the pair shows
     an earlier feature.  A text that is the same in every record of a block
     is one ``str`` lane: the opening where every record holds the feature
     and all or none holds an earlier one, the middle and closing where every
@@ -671,7 +673,10 @@ def _candidate_chunks(found: RankedCandidates, depth: int, texts: np.ndarray | N
     blank, middle, closing, shut, empty = (
         np.array([text], dtype=object) for text in ("", f",{pad}    \"proximity\": ", pad + "  }", pad + "}", "}")
     )
-    ids_a, ids_b = (np.array([encode_basestring_ascii(i) for i in ids], dtype=object) for ids in found.grid_ids)
+    # Each grid id with the constant text around it: an ``a`` with the key of
+    # ``b`` after it, a ``b`` with the key of ``distance``.
+    ids_a = np.array([a + encode_basestring_ascii(i) + b for i in found.grid_ids[0]], dtype=object)
+    ids_b = np.array([encode_basestring_ascii(i) + distance for i in found.grid_ids[1]], dtype=object)
 
     def lane(mask, held, lacking):
         """A lane of ``held`` where ``mask`` is set, else of ``lacking``: a
@@ -690,7 +695,7 @@ def _candidate_chunks(found: RankedCandidates, depth: int, texts: np.ndarray | N
         else:
             values = texts[block][:, columns].T  # "" where absent, as pairs.csv writes it
         values = values.tolist()
-        lanes = [a, ids_a[found.rows[block]].tolist(), b, ids_b[found.cols[block]].tolist(), distance, values[0]]
+        lanes = [ids_a[found.rows[block]].tolist(), ids_b[found.cols[block]].tolist(), values[0]]
         lanes.append(features + "{")
         earlier = np.zeros(len(values[0]), dtype=bool)
         for j, held in enumerate(present):

@@ -43,7 +43,13 @@ import numpy as np
 
 from . import aggregate as agg
 from . import quant
-from .fuzzy import IdentificationPowerWarning, gaussian_violation, gaussian_within_range
+from .fuzzy import (
+    IdentificationPowerWarning,
+    gaussian_violation,
+    gaussian_within_range,
+    triangular_support_holds,
+    triangular_violation,
+)
 from .model import (
     MAX_NOMINAL_DELTA,
     Dataset,
@@ -174,12 +180,13 @@ def _supports(feature: FeatureSchema, profile: SourceProfile, column: FeatureCol
 
 def _support_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, str]]:
     """(object index, message) of every finite rank whose triangular support
-    is not finite or collapses onto the rank itself: rounds onto it under a
-    relative k, or lies within its float spacing under a half-width; and of
+    fails ``fuzzy.triangular_support_holds``, the scalar constructors' rule:
+    is not finite or collapses onto the rank itself (rounds onto it under a
+    relative k, or lies within its float spacing under a half-width); and of
     every finite Gaussian rank outside ``fuzzy.gaussian_within_range`` (a
-    Gaussian has no support).  In
-    feature order, one message per object and feature; a feature whose
-    accuracy the profile check rejects is skipped, as that check reports it."""
+    Gaussian has no support).  In feature order, one message per object and
+    feature; a feature whose accuracy the profile check rejects is skipped,
+    as that check reports it."""
     found = []
     source_ids = np.array(dataset.source_ids, dtype=object)
     for sid in dict.fromkeys(dataset.source_ids):
@@ -203,16 +210,11 @@ def _support_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, str]
                     found.append((i, f"{dataset.ids[i]}/{feature.name}: {gaussian_violation(column.ranks[i], width)}"))
                 continue
             lo, hi = _supports(feature, profile, column)
-            infinite = ~(np.isfinite(lo) & np.isfinite(hi))
-            collapsed = ~((lo < ranks) & (ranks < hi))
-            for i in np.flatnonzero(held & (infinite | collapsed)).tolist():
+            rule = f"relative k {k} of source {sid!r} rounds" if k is not None else f"half-width {width} collapses"
+            for i in np.flatnonzero(held & ~triangular_support_holds(lo, ranks, hi)).tolist():
                 rank = column.ranks[i]
-                found.append((i, f"{dataset.ids[i]}/{feature.name}: " + (
-                    f"the membership support of rank {rank} is not finite" if infinite[i]
-                    else f"relative k {k} of source {sid!r} rounds the support of rank {rank} onto the rank itself"
-                    if k is not None
-                    else f"half-width {width} collapses the support of rank {rank} onto the rank itself"
-                )))
+                collapsed = f"{rule} the support of rank {rank} onto the rank itself"
+                found.append((i, f"{dataset.ids[i]}/{feature.name}: {triangular_violation(lo[i], rank, hi[i], collapsed)}"))
     return found
 
 
@@ -272,10 +274,22 @@ def _run_xi(feature: FeatureSchema, profiles: Iterable[SourceProfile]) -> float:
 # ``math.erf`` call each, does so.
 
 
+# Phi(-3) and Phi(3), computed as quant.standard_normal_cdf computes them.
+_PHI_AT_THREE = quant.standard_normal_cdf(-THREE_SIGMA), quant.standard_normal_cdf(THREE_SIGMA)
+
+
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
-    """Phi elementwise through math.erf, matching quant.standard_normal_cdf."""
-    z = (x / _SQRT2).tolist()
-    return 0.5 * (1.0 + np.fromiter(map(math.erf, z), float, len(z)))
+    """Phi elementwise, bit for bit quant.standard_normal_cdf.
+
+    Where an overlap end is a report's own window end, its argument is
+    exactly -3 or 3, about half the terms on the bench workloads; those read
+    ``_PHI_AT_THREE``, and ``math.erf`` maps only over the other arguments."""
+    low, high = x == -THREE_SIGMA, x == THREE_SIGMA
+    phi = np.where(low, _PHI_AT_THREE[0], _PHI_AT_THREE[1])
+    other = ~(low | high)
+    z = (x[other] / _SQRT2).tolist()
+    phi[other] = 0.5 * (1.0 + np.fromiter(map(math.erf, z), float, len(z)))
+    return phi
 
 
 def _interval_probability(value, sigma: float, c, d) -> np.ndarray:
@@ -847,8 +861,8 @@ class RankedCandidates(_ScoreColumns):
             cells.aggregate_proximity[keep],
             cells.aggregate_distance[keep],
         )
-        self.ids_a = tuple(map(scores.ids_a.__getitem__, self.rows.tolist()))
-        self.ids_b = tuple(map(scores.ids_b.__getitem__, self.cols.tolist()))
+        self.ids_a = tuple(np.array(scores.ids_a, dtype=object)[self.rows].tolist())
+        self.ids_b = tuple(np.array(scores.ids_b, dtype=object)[self.cols].tolist())
 
 
 def _id_ranks(ids: Sequence[str]) -> np.ndarray:
@@ -861,16 +875,19 @@ def candidates(scores: PairScores, threshold: float) -> RankedCandidates:
     """Pairs whose aggregate proximity exceeds the threshold, most similar first.
 
     A pair sharing no feature, whose group proximity is undefined, is never
-    one.  Ties are broken by the pair's identifier tuple.  The cells kept are
-    ranked with one ``np.lexsort`` and returned as a :class:`RankedCandidates`
-    view; a pruned cell scores 0, which no threshold keeps.
+    one.  Ties are broken by the pair's identifier tuple: ids are unique per
+    dataset, so the places of ``a`` and ``b`` among their sorted ids fold
+    into one int64 key, ``place_a * n_b + place_b``, which orders as the
+    tuple does.  The cells kept are ranked with one ``np.lexsort`` over that
+    key and the proximity, and returned as a :class:`RankedCandidates` view;
+    a pruned cell scores 0, which no threshold keeps.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold {threshold} outside [0, 1]")
     cells = scores.cells
     shared = functools.reduce(np.logical_or, cells.present.values(), np.zeros(len(cells), dtype=bool))
     keep = np.flatnonzero((cells.aggregate_proximity > threshold) & shared)
-    rows, cols = cells.rows[keep], cells.cols[keep]
+    ties = _id_ranks(scores.ids_a)[cells.rows[keep]] * len(scores.ids_b) + _id_ranks(scores.ids_b)[cells.cols[keep]]
     # lexsort's last key is the primary one.
-    order = np.lexsort((_id_ranks(scores.ids_b)[cols], _id_ranks(scores.ids_a)[rows], -cells.aggregate_proximity[keep]))
+    order = np.lexsort((ties, -cells.aggregate_proximity[keep]))
     return RankedCandidates(scores, keep[order])

@@ -39,6 +39,22 @@ def gaussian_violation(rank, spread: float) -> str | None:
     return f"Gaussian ranks and spreads must lie within 2**511, got rank {rank} under spread {spread}"
 
 
+def triangular_support_holds(g_min, rank, g_max):
+    """Whether a triangular support ``[g_min, g_max]`` is finite and holds
+    ``rank`` strictly inside, so that both edges of the membership have a
+    width to rise and fall over.  Elementwise for arrays."""
+    return (-math.inf < g_min) & (g_min < rank) & (rank < g_max) & (g_max < math.inf)
+
+
+def triangular_violation(g_min, rank, g_max, collapsed: str) -> str:
+    """The message for a support of ``rank`` that fails
+    :func:`triangular_support_holds`: ``collapsed`` where both bounds are
+    finite."""
+    if math.isfinite(g_min) and math.isfinite(g_max):
+        return collapsed
+    return f"the membership support of rank {rank} is not finite"
+
+
 class IdentificationPowerWarning(UserWarning):
     """A nominal determination error of 0.5 cannot separate match from mismatch."""
 
@@ -100,31 +116,35 @@ def triangular_from_relative_error(center: float, k: float, height: float = 1.0)
     """Triangular membership with bounds ROUND(center*(1-k)), ROUND(center*(1+k)).
 
     ``k`` grows with the perceived determination error of the source.
+    Raises ValueError where the support is not finite (a bound past the
+    float range stays infinite) or the rounded bounds collapse onto the
+    center (see :func:`triangular_support_holds`).
     """
     if not 0.0 < k < 1.0:
         raise ValueError(f"relative error coefficient must lie in (0, 1), got {k}")
-    g_min = float(round_half_away(center * (1.0 - k)))
-    g_max = float(round_half_away(center * (1.0 + k)))
-    if not g_min < center < g_max:
-        raise ValueError(
-            f"degenerate support: rounded bounds [{g_min}, {g_max}] collapse onto {center}"
-        )
+    g_min, g_max = (
+        float(round_half_away(x)) if math.isfinite(x) else x for x in (center * (1.0 - k), center * (1.0 + k))
+    )
+    if not triangular_support_holds(g_min, center, g_max):
+        collapsed = f"degenerate support: rounded bounds [{g_min}, {g_max}] collapse onto {center}"
+        raise ValueError(triangular_violation(g_min, center, g_max, collapsed))
     return FuzzyMembership(
         MembershipShape.TRIANGULAR, peak=center, height=height, g_min=g_min, g_max=g_max
     )
 
 
 def triangular_from_halfwidth(center: float, half_width: float, height: float = 1.0) -> FuzzyMembership:
-    """Symmetric triangular membership with support [center-w, center+w]."""
+    """Symmetric triangular membership with support [center-w, center+w].
+
+    Raises ValueError where that support is not finite or lies within the
+    center's float spacing (see :func:`triangular_support_holds`)."""
     if not half_width > 0.0:
         raise ValueError(f"half-width must be strictly positive, got {half_width}")
-    return FuzzyMembership(
-        MembershipShape.TRIANGULAR,
-        peak=center,
-        height=height,
-        g_min=center - half_width,
-        g_max=center + half_width,
-    )
+    g_min, g_max = center - half_width, center + half_width
+    if not triangular_support_holds(g_min, center, g_max):
+        collapsed = f"half-width {half_width} collapses the support of rank {center} onto the rank itself"
+        raise ValueError(triangular_violation(g_min, center, g_max, collapsed))
+    return FuzzyMembership(MembershipShape.TRIANGULAR, peak=center, height=height, g_min=g_min, g_max=g_max)
 
 
 def gaussian_membership(center: float, spread: float, height: float = 1.0) -> FuzzyMembership:
@@ -179,11 +199,11 @@ def _possibility_piecewise(m1: FuzzyMembership, m2: FuzzyMembership) -> float:
 
 
 def _possibility_grid(m1: FuzzyMembership, m2: FuzzyMembership) -> float:
-    lo1, hi1 = m1.support
-    lo2, hi2 = m2.support
-    lo = math.floor(min(lo1, lo2))
-    hi = math.ceil(max(hi1, hi2))
-    return max(min(m1.evaluate(g), m2.evaluate(g)) for g in range(lo, hi + 1))
+    # Below the lower peak both memberships rise and above the higher one both
+    # fall, so the integer maximum of their min lies from the floor of the
+    # one peak to the ceil of the other.
+    lo, hi = sorted((m1.peak, m2.peak))
+    return max(min(m1.evaluate(g), m2.evaluate(g)) for g in range(math.floor(lo), math.ceil(hi) + 1))
 
 
 def possibility(m1: FuzzyMembership, m2: FuzzyMembership) -> float:

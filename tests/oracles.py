@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own computation paths: interval
 probabilities are estimated by Monte-Carlo sampling, possibilities by a dense
-grid search over an independent (clipped min-of-lines) membership formula,
+grid search over an independent (clipped min-of-lines) membership formula
+and integer-grid ones by a walk over the whole joint support,
 whole-pair scores by composing the scalar functions one pair at a time in
 place of the columnar engine, ``pairs.csv`` and the candidate ranking one
 breakdown at a time in place of the columnar writer and ``np.lexsort``,
@@ -82,6 +83,15 @@ def grid_possibility(m1: FuzzyMembership, m2: FuzzyMembership, step=1e-3) -> flo
     hi = max(m1.g_max, m2.g_max)
     gs = np.arange(lo, hi + step, step)
     return float(np.max(np.minimum(triangular_grid_values(m1, gs), triangular_grid_values(m2, gs))))
+
+
+def support_walk_possibility(m1: FuzzyMembership, m2: FuzzyMembership) -> float:
+    """Integer-grid max-min walked over every integer of the joint support,
+    each Gaussian's reaching 8.5 spreads from its peak."""
+    lo1, hi1 = m1.support
+    lo2, hi2 = m2.support
+    lo, hi = math.floor(min(lo1, lo2)), math.ceil(max(hi1, hi2))
+    return max(min(m1.evaluate(g), m2.evaluate(g)) for g in range(lo, hi + 1))
 
 
 def random_triangular(rng) -> FuzzyMembership:

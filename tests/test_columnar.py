@@ -495,7 +495,7 @@ def test_relative_k_supports_equal_the_scalar_rounding(ranks, k):
     def membership(rank):
         try:
             return triangular_from_relative_error(float(rank), k)
-        except (ValueError, OverflowError):
+        except ValueError:
             return None
 
     memberships = [membership(r) for r in ranks]
@@ -509,6 +509,36 @@ def test_relative_k_supports_equal_the_scalar_rounding(ranks, k):
     for (_, m), got in zip(kept, scores):
         want = possibility(m, triangular_from_halfwidth(4.0, 2.5))
         assert got.per_feature["ready"].proximity == pytest.approx(want, abs=TOLERANCE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.integers(-40, 40) | st.floats(-1e20, 1e20)
+        | st.sampled_from([1e17, -1e17, 1e308, 1.7e308, -1.7e308, 1.7976931348623157e308]),
+        min_size=1, max_size=6,
+    ),
+    st.floats(1e-3, 10.0) | st.sampled_from([2.0, 1e-300, 1e300, 1e308, 1.7976931348623157e308]),
+)
+def test_half_width_supports_equal_the_scalar_rule(ranks, width):
+    """Validation rejects a rank exactly where triangular_from_halfwidth
+    refuses it (a support within the rank's float spacing, or past the float
+    range), with the same text."""
+    schema = Schema((FeatureSchema(**{**FEATURES["ready"].__dict__, "weight": 1.0}),))
+    profiles = {"a": SourceProfile("a", {"ready": OrdinalAccuracy(width=width)}),
+                "b": SourceProfile("b", {"ready": OrdinalAccuracy(width=2.0)})}
+    side_a = [InformationObject(f"a{i}", "a", {"ready": FeatureValue(r)}) for i, r in enumerate(ranks)]
+    side_b = [InformationObject("b0", "b", {"ready": FeatureValue(4)})]
+
+    def refusal(i, rank):
+        try:
+            triangular_from_halfwidth(rank, width)
+        except ValueError as error:
+            return f"a{i}/ready: {error}"
+        return None
+
+    expected = [m for m in (refusal(i, r) for i, r in enumerate(ranks)) if m is not None]
+    assert run_violations(object_run(schema, profiles, side_a, side_b)) == expected
 
 
 @pytest.mark.parametrize("rank_a, rank_b", [(1e308, 1.1e308), (1e300, 1.1e300)])

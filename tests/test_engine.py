@@ -1,9 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from iomatch.aggregate import AggregationMethod, AggregationSpec
+from iomatch import engine
 from iomatch.engine import MatchRun, MatchRunError, candidates, evaluate_pair, pairwise_breakdowns, run_violations
 from iomatch.fuzzy import apply_certainty, possibility, triangular_from_halfwidth
 from iomatch.model import (
@@ -21,7 +23,7 @@ from iomatch.model import (
     Schema,
     SourceProfile,
 )
-from iomatch.quant import NormalErrorModel, quantitative_proximity
+from iomatch.quant import NormalErrorModel, quantitative_proximity, standard_normal_cdf
 from oracles import object_run
 
 SPEED = FeatureSchema("speed", FeatureKind.QUANTITATIVE, weight=0.5, quantitative_xi=3.0)
@@ -455,6 +457,16 @@ class TestCandidates:
         with pytest.raises(ValueError):
             candidates([], -0.1)
 
+    def test_ties_ranked_by_the_id_tuple_in_string_order(self):
+        """Every pair ties, so the rank is the order of (a, b) as strings:
+        "a10" before "a9", "b10" before "b2"."""
+        a = [obj(oid, "alpha", 10.0) for oid in ("a9", "a1", "a10")]
+        b = [obj(oid, "beta", 10.0) for oid in ("b2", "b10")]
+        found = candidates(pairwise_breakdowns(make_run(a, b)), 0.01)
+        assert len(set(found.aggregate_proximity.tolist())) == 1
+        assert list(zip(found.ids_a, found.ids_b)) == sorted((x.object_id, y.object_id) for x in a for y in b)
+        assert [x.pair for x in found] == list(zip(found.ids_a, found.ids_b))
+
     @pytest.mark.parametrize("method", [AggregationMethod.MULTIPLICATIVE, AggregationMethod.ADDITIVE])
     def test_pair_sharing_no_feature_is_never_kept(self, method):
         """Such a pair scores the empty (1, 0), but with no evidence in common
@@ -467,3 +479,26 @@ class TestCandidates:
             found = candidates(scores, threshold)
             assert {b.pair for b in found} == {("a0", "b1"), ("a1", "b0"), ("a1", "b1")}
         assert list(candidates(scores, 1.0)) == []
+
+
+class TestNormalCdf:
+    """The kernel's Phi reads Phi(+-3) from constants and maps math.erf over
+    the other arguments; both must give quant.standard_normal_cdf's bits."""
+
+    def test_bits_equal_the_scalar_phi(self):
+        edges = [3.0, -3.0, math.nextafter(3.0, 0.0), math.nextafter(-3.0, 0.0), math.inf, -math.inf, 0.0, -0.0]
+        x = np.array(edges + np.random.default_rng(7).normal(0.0, 4.0, 500).tolist())
+        want = np.array([standard_normal_cdf(v) for v in x.tolist()])
+        assert engine._normal_cdf(x).tobytes() == want.tobytes()
+        assert engine._normal_cdf(x[:0]).shape == (0,)
+
+    def test_no_erf_call_at_three_sigma(self, monkeypatch):
+        x = np.array([3.0, -3.0, -3.0, 3.0])
+        want = [standard_normal_cdf(v) for v in x.tolist()]
+        calls = []
+        erf = math.erf
+        monkeypatch.setattr(math, "erf", lambda z: calls.append(z) or erf(z))
+        assert engine._normal_cdf(x).tolist() == want
+        assert calls == []
+        engine._normal_cdf(np.append(x, 1.5))
+        assert calls == [1.5 / math.sqrt(2.0)]

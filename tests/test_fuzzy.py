@@ -4,6 +4,7 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from iomatch.fuzzy import (
     IdentificationPowerWarning,
@@ -19,7 +20,7 @@ from iomatch.fuzzy import (
 )
 from iomatch.model import Certainty
 
-from oracles import grid_possibility, random_triangular
+from oracles import grid_possibility, random_triangular, support_walk_possibility
 
 
 class TestRounding:
@@ -48,6 +49,20 @@ class TestTriangularConstruction:
     def test_k_out_of_range(self, k):
         with pytest.raises(ValueError):
             triangular_from_relative_error(10.0, k)
+
+    @pytest.mark.parametrize("build, center, width, message", [
+        (triangular_from_halfwidth, 1e17, 2.0, "half-width 2.0 collapses the support of rank 1e+17 onto the rank itself"),
+        (triangular_from_halfwidth, math.inf, 2.0, "the membership support of rank inf is not finite"),
+        (triangular_from_halfwidth, 1e308, 1e308, "the membership support of rank 1e+308 is not finite"),
+        (triangular_from_relative_error, 1e308, 0.9, "the membership support of rank 1e+308 is not finite"),
+    ])
+    def test_support_the_engine_rejects(self, build, center, width, message):
+        """The engine's validation rules, through the one predicate: a
+        collapsed support made possibility divide by zero, and a bound past
+        the float range was kept or raised OverflowError."""
+        with pytest.raises(ValueError) as raised:
+            build(center, width)
+        assert str(raised.value) == message
 
     def test_halfwidth_evaluation(self):
         m = triangular_from_halfwidth(5, 2)
@@ -93,6 +108,38 @@ class TestGaussianMembership:
     def test_rank_and_spread_just_below_the_limit_accepted(self):
         below = math.nextafter(2.0**511, 0.0)
         assert gaussian_membership(-below, below).spread == below
+
+
+class TestGaussianGridWalk:
+    """The integer-grid walk runs between the two peaks only."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(-50, 50) | st.floats(-50.0, 50.0),
+        st.integers(-50, 50) | st.floats(-50.0, 50.0),
+        st.floats(0.3, 17.5),
+        st.floats(0.3, 17.5) | st.none(),
+        st.sampled_from(list(Certainty)),
+        st.sampled_from(list(Certainty)),
+    )
+    @example(3, 3, 1.0, None, Certainty.CERTAIN, Certainty.CERTAIN)
+    @example(-50, 50, 0.3, 0.3, Certainty.DOUBTFUL, Certainty.CERTAIN)
+    def test_equals_the_joint_support_walk(self, rank_a, rank_b, spread_a, spread_b, level_a, level_b):
+        """Gaussian against Gaussian, or against a triangle of half-width
+        ``spread_a`` where ``spread_b`` is None."""
+        m1 = apply_certainty(gaussian_membership(float(rank_a), spread_a), level_a)
+        m2 = apply_certainty(
+            gaussian_membership(float(rank_b), spread_b) if spread_b else triangular_from_halfwidth(float(rank_b), spread_a),
+            level_b,
+        )
+        assert possibility(m1, m2) == support_walk_possibility(m1, m2)
+        assert possibility(m2, m1) == support_walk_possibility(m2, m1)
+
+    def test_wide_spreads(self):
+        """Spreads of 1e5 walk the 1e5 integers between the peaks, not the
+        1.7e6 of the joint support; the equal spreads cross midway, at 50002."""
+        m1, m2 = gaussian_membership(1e5, 1e5), gaussian_membership(4.0, 1e5)
+        assert possibility(m1, m2) == m2.evaluate(50002) == m1.evaluate(50002)
 
 
 class TestApplyCertainty:
