@@ -14,27 +14,25 @@ deterministic field order, so identical inputs produce byte-identical files.
 Every float is written as its ``float.__repr__`` text through one rule,
 :func:`_reprs`: orjson's shortest round-trip writer where its text is repr's
 (zero and magnitudes in ``[1e-4, 1e16)``), else repr.  :func:`float_texts`
-renders each distinct 64-bit pattern of a call once by that rule; the
-``pairs`` list of ``report.json`` (a :class:`GridRecords`) is written by
-rows of its score grid, each float column of a block rendered in one call
-with no de-duplication, as its floats are mostly distinct.  Nothing is kept
-between calls.  The bulk writers work a bounded block at a time:
-``_CELLS`` floats of ``pairs.csv``, and about ``RECORDS_PER_BLOCK`` lines of
-a CSV or records of a JSON list, so no artefact's text is held whole.  Each
-block's text is joined once, by :func:`interleave`, from the constant text
-around its fields and a column of texts per field.
+renders each distinct 64-bit pattern of a call once by that rule.  Each
+record list of ``report.json`` is one view, a :class:`Records`, written a
+block of whole grid rows at a time, each float column of a block rendered
+in one call with no de-duplication, as the pairs' floats are mostly
+distinct.  Nothing is kept between calls.  The bulk writers work a bounded
+block at a time: ``_CELLS`` floats of ``pairs.csv``, and about
+``RECORDS_PER_BLOCK`` lines of a CSV or records of a JSON list, so no
+artefact's text is held whole.  Each block's text is joined once, by
+:func:`interleave`, from the constant text around its fields and a column
+of texts per field.
 
 A run that writes ``pairs.csv`` and a JSON file renders each score once,
 by one mechanism: :func:`write_breakdowns_csv` keeps the texts of the cells
 and columns its caller asks for as it writes them, and the JSON writer
 takes them from there.  ``match`` (:func:`write_match_files`) asks for every
 column of the candidates' cells, for ``candidates.json``; ``simulate`` asks
-for the two aggregate columns of every cell, which a :class:`GridRecords`
-given them as ``texts`` slices by rows for ``report.json``'s ``pairs``
-list.  That costs memory: the texts stay held from the first CSV block to
-the last JSON block, about 440 bytes per ``match`` candidate of four
-features, and for ``simulate`` mostly the 16 bytes per pair of references,
-as its pairs mostly score 0 and share their texts.
+for the two aggregate columns of every cell, which ``report.json``'s
+``pairs`` list takes as two float columns of texts.  The texts stay held
+from the first CSV block to the last JSON block.
 """
 
 from __future__ import annotations
@@ -460,46 +458,51 @@ def breakdown_record(b: ProximityBreakdown) -> dict:
 
 # --- JSON -----------------------------------------------------------------------
 
-# Per column kind: the function that turns a value into its JSON text.
-# Floats are rendered by float_texts instead, all of a block's at once.
-_KINDS = {
-    "id": encode_basestring_ascii,  # a string
-    "flag": ("false", "true").__getitem__,  # a bool
-    "float": None,  # a finite float
-}
-
-
-def _values(column: Iterable) -> Iterable:
-    return column.tolist() if isinstance(column, np.ndarray) else column
-
-
-class ColumnRecords:
-    """A list of flat records held as columns, which :func:`write_json`
+class Records:
+    """A list of flat records held as columns, one record per cell of the
+    columns' broadcast shape in row-major order, which :func:`write_json`
     writes as ``json.dumps`` writes the list of dicts.
 
-    ``fields`` maps each key, in sorted order, to the kind of its values: one
-    of ``_KINDS``.  ``blocks`` yields the records a block at a time, as one
-    sequence or array per field in that order, and is read once; a block
-    should hold at most ``RECORDS_PER_BLOCK`` records.
+    ``fields`` maps each key, in sorted order, to the kind of its values:
+    ``"id"`` (a string), ``"flag"`` (a bool) or ``"float"`` (a finite
+    float).  ``columns`` holds an array of one or two dimensions per key, in
+    that order, a 1-D column of ``n`` values read as ``(n, 1)``: the pairs of
+    a score grid give their ids as ``(n_a, 1)`` and ``(1, n_b)`` arrays and
+    their scores as ``(n_a, n_b)`` ones.  A ``"float"`` column given as an
+    object array holds texts already rendered by the float rule (such as
+    those :func:`write_breakdowns_csv` returns) and is written as is.
     """
 
-    def __init__(self, fields: Mapping[str, str], blocks: Iterable[Sequence[Iterable]]):
+    def __init__(self, fields: Mapping[str, str], columns: Sequence):
         if list(fields) != sorted(fields):
             raise ValueError(f"record keys {list(fields)} are not in sorted order")
-        self.fields, self.blocks = dict(fields), blocks
-
-    @classmethod
-    def from_columns(cls, fields: Mapping[str, str], columns: Sequence[Sequence]) -> "ColumnRecords":
-        """The records of equal-length ``columns``, one per field in order."""
-        blocks = (
-            [c[start : start + RECORDS_PER_BLOCK] for c in columns]
-            for start in range(0, len(columns[0]), RECORDS_PER_BLOCK)
-        )
-        return cls(fields, blocks)
+        unknown = sorted(set(fields.values()) - {"id", "flag", "float"})
+        if unknown:
+            raise ValueError(f"record kinds {unknown} are none of 'id', 'flag' and 'float'")
+        if len(columns) != len(fields):
+            raise ValueError(f"record keys {list(fields)} need one column per key, got {len(columns)}")
+        self.fields, self.columns = dict(fields), []
+        for kind, column in zip(fields.values(), columns):
+            column = np.asarray(column, dtype={"id": object, "flag": bool}.get(kind))
+            if kind == "float" and column.dtype != object:
+                column = column.astype(float, copy=False)
+            self.columns.append(column.reshape(-1, 1) if column.ndim < 2 else column)
+        shapes = [c.shape for c in self.columns]
+        try:
+            self.shape = np.broadcast_shapes(*shapes)
+        except ValueError:
+            self.shape = ()
+        if len(self.shape) != 2:
+            raise ValueError(f"record columns of shapes {shapes} do not broadcast to one grid")
 
     def records(self) -> list[dict]:
-        """The records as dicts of Python values; reads ``blocks``."""
-        return [dict(zip(self.fields, row)) for block in self.blocks for row in zip(*map(_values, block))]
+        """The records as dicts of Python values, a float given as text read
+        as its float."""
+        lanes = []
+        for kind, column in zip(self.fields.values(), self.columns):
+            values = np.broadcast_to(column, self.shape).ravel()
+            lanes.append((values.astype(float) if kind == "float" else values).tolist())
+        return [dict(zip(self.fields, row)) for row in zip(*lanes)]
 
 
 def _list_chunks(blocks: Iterable[str], depth: int) -> Iterator[str]:
@@ -522,115 +525,39 @@ def _record_pieces(keys: Iterable[str], depth: int) -> list[str]:
     return [*(f"{lead}{pad}  {encode_basestring_ascii(k)}: " for lead, k in zip(leads, keys)), pad + "}"]
 
 
-def _record_chunks(records: ColumnRecords, depth: int) -> Iterator[str]:
-    """The text of ``records`` ``depth`` levels deep.  Each distinct id or
-    flag of a block is encoded once, and its floats are rendered in one call."""
+def _records_chunks(records: Records, depth: int) -> Iterator[str]:
+    """The text of ``records`` ``depth`` levels deep, a block of whole grid
+    rows at a time.  Each id is encoded once per value given, together with
+    the text before it, and each flag lane carries its key's text.  A float
+    column given as texts is sliced by rows; each other one of a block is
+    rendered in one call and not de-duplicated: a grid's floats are mostly
+    distinct, so finding the repeats costs more than it saves."""
     pieces = _record_pieces(records.fields, depth)
     kinds = list(records.fields.values())
-    floats = [k for k, kind in enumerate(kinds) if kind == "float"]
-
-    def text(block):
-        rendered = iter(float_texts([block[k] for k in floats]).tolist())
-        lanes = []
-        for piece, kind, column in zip(pieces, kinds, block):
-            if kind == "float":
-                lanes += [piece, next(rendered)]
-            else:
-                column = _values(column)
-                encoded = {v: _KINDS[kind](v) for v in set(column)}
-                lanes += [piece, list(map(encoded.__getitem__, column))]
-        return interleave([*lanes, pieces[-1]])
-
-    return _list_chunks(map(text, records.blocks), depth)
-
-
-class GridRecords:
-    """One flat record per cell of an ``(n_a, n_b)`` grid, in row-major
-    order, which :func:`write_json` writes as ``json.dumps`` writes the list
-    of dicts.
-
-    ``fields`` maps each key, in sorted order, to the kind of its values: one
-    of ``_KINDS``.  ``"a"`` and ``"b"`` are the only ``"id"`` fields: a
-    record's ``"a"`` is its row's id in ``ids_a``, its ``"b"`` its column's in
-    ``ids_b``.  ``columns`` holds an ``(n_a, n_b)`` array for each other key,
-    in order: floats for a ``"float"`` field, bools for a ``"flag"``.
-
-    ``texts`` may give a float field's texts as the writers render its
-    column: an ``(n_a, n_b)`` object array, such as ``simulate`` takes from
-    the aggregate columns ``write_breakdowns_csv`` returns.  The JSON writer
-    then slices them by rows instead of rendering the floats again, while
-    :meth:`records` still reads the floats.
-    """
-
-    def __init__(
-        self,
-        fields: Mapping[str, str],
-        ids_a: Sequence[str],
-        ids_b: Sequence[str],
-        columns: Sequence,
-        texts: Mapping[str, np.ndarray] | None = None,
-    ):
-        if list(fields) != sorted(fields):
-            raise ValueError(f"record keys {list(fields)} are not in sorted order")
-        kinds = [kind for key, kind in fields.items() if key not in ("a", "b")]
-        if (fields.get("a"), fields.get("b")) != ("id", "id") or "id" in kinds or len(kinds) != len(columns):
-            raise ValueError(f"record keys {list(fields)} need the ids 'a' and 'b' and one column per other key")
-        texts = dict(texts or {})
-        shape = (len(ids_a), len(ids_b))
-        for key, given in texts.items():
-            if fields.get(key) != "float" or np.shape(given) != shape:
-                raise ValueError(f"texts for {key!r} need a float field and the grid's shape {shape}")
-        self.fields, self.ids_a, self.ids_b, self.texts = dict(fields), ids_a, ids_b, texts
-        self.columns = [np.asarray(c, dtype=float if kind == "float" else bool) for kind, c in zip(kinds, columns)]
-
-    def records(self) -> list[dict]:
-        """The records as dicts of Python values."""
-        n_a, n_b = len(self.ids_a), len(self.ids_b)
-        values = iter(c.ravel().tolist() for c in self.columns)
-        ids = {"a": [a for a in self.ids_a for _ in range(n_b)], "b": list(self.ids_b) * n_a}
-        lanes = [ids[key] if key in ids else next(values) for key in self.fields]
-        return [dict(zip(self.fields, row)) for row in zip(*lanes)]
-
-
-def _grid_chunks(grid: GridRecords, depth: int) -> Iterator[str]:
-    """The text of ``grid``'s records ``depth`` levels deep, a block of whole
-    grid rows at a time.  Each id is encoded once, together with the text
-    before it, and each flag lane carries its key's text.  A float column
-    given as texts is sliced by rows; each other one of a block is rendered
-    in one call and not de-duplicated: a grid's floats are mostly distinct,
-    so finding the repeats costs more than it saves."""
-    pieces = _record_pieces(grid.fields, depth)
-    before = dict(zip(grid.fields, pieces))
-    texts_a = [before["a"] + encode_basestring_ascii(i) for i in grid.ids_a]
-    texts_b = [before["b"] + encode_basestring_ascii(i) for i in grid.ids_b]
-    columns = dict(zip((key for key in grid.fields if key not in ("a", "b")), grid.columns))
+    columns = [
+        np.array([piece + encode_basestring_ascii(i) for i in c.ravel().tolist()], dtype=object).reshape(c.shape)
+        if kind == "id" else c
+        for piece, kind, c in zip(pieces, kinds, records.columns)
+    ]
     # One-element object arrays, which np.where spreads by reference.
-    flags = {
-        key: [np.array([before[key] + text], dtype=object) for text in ("true", "false")]
-        for key, kind in grid.fields.items()
-        if kind == "flag"
-    }
-    n_b = len(texts_b)
-    step = max(1, RECORDS_PER_BLOCK // max(n_b, 1))
+    flags = [[np.array([piece + text], dtype=object) for text in ("true", "false")] for piece in pieces]
+    n_rows, n_cols = records.shape
+    step = max(1, RECORDS_PER_BLOCK // max(n_cols, 1))
 
     def text(first):
-        rows = slice(first, first + step)
-        a = texts_a[rows]
+        shape = (min(step, n_rows - first), n_cols)
         lanes = []
-        for piece, (key, kind) in zip(pieces, grid.fields.items()):
-            if key == "a":
-                lanes.append(list(chain.from_iterable(map(repeat, a, repeat(n_b)))))
-            elif key == "b":
-                lanes.append(texts_b * len(a))
-            elif key in grid.texts:
-                lanes += [piece, grid.texts[key][rows].ravel().tolist()]
-            elif kind == "float":
-                lanes += [piece, _reprs(columns[key][rows].ravel())]
+        for piece, kind, column, flag in zip(pieces, kinds, columns, flags):
+            cells = np.broadcast_to(column[first : first + step] if len(column) > 1 else column, shape).ravel()
+            if kind == "id":
+                lanes.append(cells.tolist())
+            elif kind == "flag":
+                lanes.append(np.where(cells, *flag).tolist())
             else:
-                lanes.append(np.where(columns[key][rows].ravel(), *flags[key]).tolist())
+                lanes += [piece, cells.tolist() if cells.dtype == object else _reprs(cells)]
         return interleave([*lanes, pieces[-1]])
 
-    return _list_chunks(map(text, range(0, len(texts_a) if n_b else 0, step)), depth)
+    return _list_chunks(map(text, range(0, n_rows if n_cols else 0, step)), depth)
 
 
 class _RenderedCandidates:
@@ -649,14 +576,15 @@ def _candidate_chunks(found: RankedCandidates, depth: int, texts: np.ndarray | N
     ``pairs.csv``'s column order, where given.
 
     Each grid id is encoded once per object, together with the constant text
-    around it, as :func:`_grid_chunks` encodes them, so a record's ids and
-    the keys around them are two lanes.  Each feature takes five lanes of a
-    record: its opening text, distance, middle text, proximity and closing
-    text, all ``""`` where the pair lacks the feature.  The opening text starts with a comma where the pair shows
-    an earlier feature.  A text that is the same in every record of a block
-    is one ``str`` lane: the opening where every record holds the feature
-    and all or none holds an earlier one, the middle and closing where every
-    record holds it.  A feature no record of the block holds takes no lane."""
+    around it, as :func:`_records_chunks` encodes them, so a record's ids
+    and the keys around them are two lanes.  Each feature takes five lanes
+    of a record: its opening text, distance, middle text, proximity and
+    closing text, all ``""`` where the pair lacks the feature.  The opening
+    text starts with a comma where the pair shows an earlier feature.  A
+    text that is the same in every record of a block is one ``str`` lane:
+    the opening where every record holds the feature and all or none holds
+    an earlier one, the middle and closing where every record holds it.  A
+    feature no record of the block holds takes no lane."""
     pad = "\n" + "  " * (depth + 2)
     order = list(found.proximity)
     names = sorted(order)
@@ -723,10 +651,8 @@ def _json_chunks(value, depth: int) -> Iterator[str]:
         yield from _candidate_chunks(value, depth)
     elif isinstance(value, _RenderedCandidates):
         yield from _candidate_chunks(value.found, depth, value.texts)
-    elif isinstance(value, ColumnRecords):
-        yield from _record_chunks(value, depth)
-    elif isinstance(value, GridRecords):
-        yield from _grid_chunks(value, depth)
+    elif isinstance(value, Records):
+        yield from _records_chunks(value, depth)
     elif isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
         for lead, key in zip(chain("{", repeat(",")), sorted(value)):
             yield f"{lead}{indent}  {encode_basestring_ascii(key)}: "
@@ -744,9 +670,8 @@ def _json_chunks(value, depth: int) -> Iterator[str]:
 def write_json(path: str | Path, payload) -> None:
     """Write ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline,
     byte for byte, where a :class:`RankedCandidates` stands for its
-    ``breakdown_record``s and a :class:`ColumnRecords` or
-    :class:`GridRecords` for its records, each streamed from its columns, so
-    that no view's text is held whole."""
+    ``breakdown_record``s and a :class:`Records` for its records, each
+    streamed from its columns, so that no view's text is held whole."""
     with open(path, "w") as fh:
         fh.writelines(_json_chunks(payload, 0))
         fh.write("\n")
@@ -770,7 +695,7 @@ def write_match_files(
     When both are written, ``pairs.csv`` hands the texts it rendered for the
     candidates' cells over to ``candidates.json``, so each score is rendered
     once.  The texts are held from the first CSV block to the last JSON
-    block: about 45 bytes per text, or 440 per candidate of four features.
+    block.
 
     ``write_csv`` and ``write_json`` are the two writers; a caller may pass
     them as it looks them up, so that a wrapper it installs sees each file

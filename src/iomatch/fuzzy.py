@@ -201,9 +201,20 @@ def _possibility_piecewise(m1: FuzzyMembership, m2: FuzzyMembership) -> float:
 def _possibility_grid(m1: FuzzyMembership, m2: FuzzyMembership) -> float:
     # Below the lower peak both memberships rise and above the higher one both
     # fall, so the integer maximum of their min lies from the floor of the
-    # one peak to the ceil of the other.
-    lo, hi = sorted((m1.peak, m2.peak))
-    return max(min(m1.evaluate(g), m2.evaluate(g)) for g in range(math.floor(lo), math.ceil(hi) + 1))
+    # one peak to the ceil of the other.  Between the peaks the left one
+    # falls and the right one rises, so the integers where the left is at
+    # least the right run from the lower end: there the min rises, after them
+    # it falls.  A bisection finds the run's last integer.
+    left, right = sorted((m1, m2), key=lambda m: m.peak)
+    lo, hi = math.ceil(left.peak), math.floor(right.peak)
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if left.evaluate(mid) >= right.evaluate(mid):
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    grid = {math.floor(left.peak), math.ceil(left.peak), hi, hi + 1, math.floor(right.peak), math.ceil(right.peak)}
+    return max(min(m1.evaluate(g), m2.evaluate(g)) for g in grid)
 
 
 def possibility(m1: FuzzyMembership, m2: FuzzyMembership) -> float:

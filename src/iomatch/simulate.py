@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .aggregate import AggregationMethod, AggregationSpec
-from .dataio import ColumnRecords, GridRecords, write_breakdowns_csv, write_json, write_objects_csv
+from .dataio import Records, write_breakdowns_csv, write_json, write_objects_csv
 from .engine import MatchRun, PairScores, RankedCandidates, candidates, pairwise_breakdowns
 from .model import (
     Dataset,
@@ -233,28 +233,31 @@ class ExperimentReport:
         return payload
 
     def _payload(self, aggregate_texts: np.ndarray | None = None) -> dict:
-        """:meth:`to_payload` with its lists of records as views of the
-        report's columns, which ``write_json`` renders a block at a time:
-        :class:`ColumnRecords` for the scene, datasets and candidates, and
-        :class:`GridRecords` for the pairs, written by rows of the score grid
-        with each float column of a block rendered in one call, no float
-        de-duplicated.
+        """:meth:`to_payload` with its lists of records as :class:`Records`
+        views of the report's columns, which ``write_json`` renders a block
+        at a time: 1-D columns for the scene, datasets and candidates, and
+        for the pairs the ids as ``(n_a, 1)`` and ``(1, n_b)`` columns and
+        the scores as ``(n_a, n_b)`` ones.
 
         ``aggregate_texts``, the texts ``pairs.csv`` wrote for every pair's
         aggregate proximity and distance (an ``(n_a * n_b, 2)`` object array
-        in grid order), become the pairs' ``proximity`` and ``distance``
-        texts instead of rendering those floats again."""
+        in grid order), are given as the pairs' ``proximity`` and
+        ``distance`` columns instead of the floats, so those are not
+        rendered again."""
         scores, found = self.breakdowns, self.candidates
-        texts = None
-        if aggregate_texts is not None:
-            shape = (len(scores.ids_a), len(scores.ids_b))
-            texts = {key: aggregate_texts[:, k].reshape(shape) for k, key in enumerate(("proximity", "distance"))}
+        shape = (len(scores.ids_a), len(scores.ids_b))
+        if aggregate_texts is None:
+            proximity, distance = scores.aggregate_proximity, scores.aggregate_distance
+        else:
+            proximity, distance = (aggregate_texts[:, k].reshape(shape) for k in range(2))
         pairs = (
-            scores.aggregate_distance,
-            scores.aggregate_proximity,
+            np.array(scores.ids_a, dtype=object)[:, None],
+            np.array(scores.ids_b, dtype=object)[None, :],
+            distance,
+            proximity,
             self.separation_observed,
             self.separation_true,
-            np.eye(len(scores.ids_a), len(scores.ids_b), dtype=bool),
+            np.eye(*shape, dtype=bool),
             self.type_mismatch,
         )
         candidates = (
@@ -280,13 +283,13 @@ class ExperimentReport:
                 "area": list(self.spec.area),
                 "types": list(self.spec.type_alphabet),
             },
-            "scene": ColumnRecords.from_columns(_OBJECT_FIELDS, scene),
+            "scene": Records(_OBJECT_FIELDS, scene),
             "datasets": {
-                source_id: ColumnRecords.from_columns(_OBJECT_FIELDS, _report_columns(dataset))
+                source_id: Records(_OBJECT_FIELDS, _report_columns(dataset))
                 for source_id, dataset in self.datasets.items()
             },
-            "pairs": GridRecords(_PAIR_FIELDS, scores.ids_a, scores.ids_b, pairs, texts),
-            "candidates": ColumnRecords.from_columns(_CANDIDATE_FIELDS, candidates),
+            "pairs": Records(_PAIR_FIELDS, pairs),
+            "candidates": Records(_CANDIDATE_FIELDS, candidates),
             "summary": self.summary,
         }
 

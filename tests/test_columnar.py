@@ -24,6 +24,7 @@ from iomatch.engine import (
     run_violations,
 )
 from iomatch.fuzzy import (
+    FuzzyMembership,
     apply_certainty,
     gaussian_membership,
     possibility,
@@ -471,6 +472,29 @@ def test_gaussian_rule_matches_integer_grid(ranks_a, ranks_b, spread_a, spread_b
             apply_certainty(gaussian_membership(float(ob.values["threat"].value), spread_b), ob.values["threat"].certainty),
         )
         assert got.per_feature["threat"].proximity == pytest.approx(want, abs=TOLERANCE)
+
+
+@pytest.mark.parametrize("rank_a, rank_b, spread", [
+    pytest.param(10**9, 4, 1.0, id="1e9-4-spread-1"),
+    pytest.param(10**9, 4, 1e8, id="1e9-4-spread-1e8"),
+    pytest.param(2**500, 0, 1.0, id="2**500-0-spread-1"),
+    pytest.param(2**500, 0, 2.0**500, id="2**500-0-spread-2**500"),
+])
+def test_gaussian_grid_far_apart_peaks(monkeypatch, rank_a, rank_b, spread):
+    """Peaks 1e9 or 2**500 apart: the scalar grid search bisects between
+    them, a count of membership evaluations in the bits of the gap, and
+    equals the engine's closed-form crossing."""
+    schema = Schema((FeatureSchema(**{**FEATURES["threat"].__dict__, "weight": 1.0}),))
+    profiles = {sid: SourceProfile(sid, {"threat": OrdinalAccuracy(width=spread)}) for sid in ("a", "b")}
+    a = InformationObject("a0", "a", {"threat": FeatureValue(rank_a)})
+    b = InformationObject("b0", "b", {"threat": FeatureValue(rank_b)})
+    got = evaluate_pair(schema, profiles, AggregationSpec(), a, b).per_feature["threat"].proximity
+    calls = []
+    evaluate = FuzzyMembership.evaluate
+    monkeypatch.setattr(FuzzyMembership, "evaluate", lambda m, g: calls.append(g) or evaluate(m, g))
+    want = possibility(gaussian_membership(float(rank_a), spread), gaussian_membership(float(rank_b), spread))
+    assert len(calls) <= 2 * ((rank_a - rank_b).bit_length() + 1) + 12
+    assert got == pytest.approx(want, abs=TOLERANCE)
 
 
 @settings(max_examples=300, deadline=None)

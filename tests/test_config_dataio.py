@@ -12,9 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from iomatch.config import ConfigError, load_config, parse_config, require_match_config
 from iomatch.dataio import (
     RECORDS_PER_BLOCK,
-    ColumnRecords,
     DataError,
-    GridRecords,
+    Records,
     breakdown_header,
     breakdown_record,
     dataset_header,
@@ -354,8 +353,8 @@ JSON_VALUES = st.recursive(
 
 class ViewSlot:
     """Where a drawn payload holds a column view: ``kind`` is ``"records"``
-    (the drawn ``rows``, cut into two blocks at ``cut``), ``"candidates"`` or
-    ``"no candidates"``."""
+    (the drawn ``rows``, as one column of records, or as one row of them
+    where ``cut`` is odd), ``"candidates"`` or ``"no candidates"``."""
 
     def __init__(self, kind, rows=(), cut=0):
         self.kind, self.rows, self.cut = kind, rows, cut
@@ -438,12 +437,14 @@ class TestJsonBytes:
         ))
         found = candidates(breakdowns, 0.0)
         fields = {"%s": "float", "a": "id", "f": "flag"}
-        columns = [([0.5, -0.0], ["\u00e9\n", 'q"'], [True, False]), ([], [], []), ([1e-05], ["%r"], [False])]
-        records = [dict(zip(fields, row)) for block in columns for row in zip(*block)]
+        columns = [[0.5, -0.0, 1e-05], ["\u00e9\n", 'q"', "%r"], [True, False, False]]
+        records = [dict(zip(fields, row)) for row in zip(*columns)]
+        # A grid of two rows and no columns holds no record.
+        no_columns = [np.zeros((2, 0)), np.array([["a0"], ["a1"]], dtype=object), [[True], [False]]]
         view = {
             "c": found,
-            "deep": [[found], {"r": ColumnRecords(fields, columns)}],
-            "empty": [ColumnRecords(fields, []), ColumnRecords(fields, [([], [], [])])],
+            "deep": [[found], {"r": Records(fields, columns)}],
+            "empty": [Records(fields, [[], [], []]), Records(fields, no_columns)],
             "none": candidates(breakdowns, 1.0),
         }
         plain = {
@@ -468,9 +469,10 @@ class TestJsonBytes:
             if value.kind != "records":
                 view = found[value.kind == "no candidates"]
                 return view, [breakdown_record(b) for b in view]
-            halves = value.rows[: value.cut], value.rows[value.cut :]
-            blocks = [[list(c) for c in zip(*rows)] or [[], [], []] for rows in halves]
-            return ColumnRecords(VIEW_FIELDS, blocks), [dict(zip(VIEW_FIELDS, row)) for row in value.rows]
+            layout = (1, -1) if value.cut % 2 else (-1, 1)
+            columns = [list(c) for c in zip(*value.rows)] or [[], [], []]
+            columns = [np.array(c, dtype=d).reshape(layout) for c, d in zip(columns, (float, object, bool))]
+            return Records(VIEW_FIELDS, columns), [dict(zip(VIEW_FIELDS, row)) for row in value.rows]
         if isinstance(value, dict):
             pairs = {k: TestJsonBytes.filled(v, found) for k, v in value.items()}
             return {k: v for k, (v, _) in pairs.items()}, {k: p for k, (_, p) in pairs.items()}
@@ -511,21 +513,21 @@ class TestJsonBytes:
         assert json_bytes(view) == stdlib_bytes(plain)
 
     def test_column_records_with_repeated_and_escaped_ids(self):
-        """Each distinct id and flag of a block is encoded once: ids repeated
-        within and across blocks, and ids holding %, a quote, a backslash or
-        non-ASCII text, keep their own texts."""
+        """Ids repeated within a column and across columns, and ids holding
+        %, a quote, a backslash or non-ASCII text, keep their own texts, as 1-D
+        columns and as the same records laid out in two grid rows."""
         ids = ["%s", 'q"', "back\\slash", "\u00e9t\u00e9", "\U0001f600", "%%", "%s", 'q"']
         fields = {"a": "id", "b": "id", "f": "flag", "p": "float"}
-        blocks = [
-            [ids, ["b0"] * 8, [True, False] * 4, [0.5, -0.0] * 4],
-            [ids[::-1], ids, np.array([True] * 8), np.arange(8.0)],
-        ]
-        records = [dict(zip(fields, row)) for block in blocks for row in zip(*(np.asarray(c).tolist() for c in block))]
-        assert json_bytes({"r": ColumnRecords(fields, blocks), "s": 1}) == stdlib_bytes({"r": records, "s": 1})
+        columns = [ids + ids[::-1], ["b0"] * 8 + ids, [True, False] * 4 + [True] * 8, [0.5, -0.0] * 4 + list(range(8))]
+        records = [dict(zip(fields, row)) for row in zip(*columns[:3], map(float, columns[3]))]
+        grid = [np.array(c, dtype=object if k < 2 else None).reshape(2, 8) for k, c in enumerate(columns)]
+        for view in (Records(fields, columns), Records(fields, grid)):
+            assert json_bytes({"r": view, "s": 1}) == stdlib_bytes({"r": records, "s": 1})
+            assert view.records() == records
 
     def test_record_keys_must_be_sorted(self):
         with pytest.raises(ValueError, match="sorted"):
-            ColumnRecords({"b": "id", "a": "id"}, [])
+            Records({"b": "id", "a": "id"}, [[], []])
 
     def test_unencodable_value_raises_like_the_stdlib(self):
         for value in ({"a": [object()]}, {"a": {(1, 2): [1]}}):
@@ -641,12 +643,14 @@ GRID_FLOATS = st.sampled_from(EDGE_FLOATS + [5e-324, -5e-324, 1e-5, 3e-200, 1e17
 )
 
 
-def grid_records(ids_a, ids_b, floats, flags) -> GridRecords:
-    """A grid of ``ids_a`` by ``ids_b`` whose two float columns and flag
+def grid_records(ids_a, ids_b, floats, flags) -> Records:
+    """The records of a grid of ``ids_a`` by ``ids_b``, the ids given as an
+    ``(n_a, 1)`` and a ``(1, n_b)`` column, whose two float columns and flag
     column repeat ``floats`` and ``flags`` in row-major order."""
     shape = (len(ids_a), len(ids_b))
     values = np.resize(np.array(floats, dtype=float), (2, *shape))
-    return GridRecords(GRID_FIELDS, ids_a, ids_b, [values[0], np.resize(np.array(flags, dtype=bool), shape), values[1]])
+    ids = [np.array(ids_a, dtype=object).reshape(-1, 1), np.array(ids_b, dtype=object).reshape(1, -1)]
+    return Records(GRID_FIELDS, [values[0], *ids, np.resize(np.array(flags, dtype=bool), shape), values[1]])
 
 
 @st.composite
@@ -663,7 +667,7 @@ def grids(draw):
 
 
 class TestGridRecords:
-    """A GridRecords is written as json.dumps writes its records."""
+    """The records of a grid are written as json.dumps writes them."""
 
     @settings(max_examples=150, deadline=None)
     @given(grids())
@@ -679,11 +683,10 @@ class TestGridRecords:
     @given(grids())
     @example(grid_records(["a0", "a1"], [f"b{k}" for k in range(RECORDS_PER_BLOCK + 1)], EDGE_FLOATS, [False, True, True]))
     def test_texts_write_the_bytes_of_the_floats(self, grid):
-        """A grid given its float columns' texts writes what it writes given
-        only the floats, and its records still hold the floats."""
-        given = GridRecords(grid.fields, grid.ids_a, grid.ids_b, grid.columns, {
-            key: float_texts(column) for key, column in zip(("%s", "p"), (grid.columns[0], grid.columns[2]))
-        })
+        """A grid given its float columns as texts writes what it writes
+        given the floats, and its records read the texts as the floats."""
+        floats, ids_a, ids_b, flags, more = grid.columns
+        given = Records(grid.fields, [float_texts(floats), ids_a, ids_b, flags, float_texts(more)])
         assert json_bytes({"r": given}) == json_bytes({"r": grid})
         assert json_bytes([given, {"s": [given]}]) == json_bytes([grid, {"s": [grid]}])
         assert given.records() == grid.records()
@@ -697,20 +700,17 @@ class TestGridRecords:
         assert {type(r["f"]) for r in grid.records()} == {bool}
 
     @pytest.mark.parametrize("fields, columns, message", [
-        ({"b": "id", "a": "id"}, [], "sorted"),
-        ({"a": "id", "c": "flag"}, [np.zeros((1, 1), bool)], "'a' and 'b'"),
-        ({"a": "id", "b": "id", "c": "id"}, [np.zeros((1, 1))], "'a' and 'b'"),
-        ({"a": "id", "b": "id", "c": "flag"}, [], "one column per other key"),
+        ({"b": "id", "a": "id"}, [["a0"], ["b0"]], "sorted"),
+        ({"a": "id", "c": "text"}, [["a0"], ["c0"]], "are none of 'id', 'flag' and 'float'"),
+        ({"a": "id", "c": "flag"}, [["a0"]], "one column per key, got 1"),
+        ({"a": "id", "b": "id", "c": "flag"}, [["a0"], ["b0"], [True], [False]], "one column per key, got 4"),
+        ({"a": "id", "c": "flag"}, [["a0", "a1"], [True, False, True]], "do not broadcast"),
+        ({"a": "id", "c": "float"}, [np.full((2, 3), "a0", dtype=object), np.zeros((3, 2))], "do not broadcast"),
+        ({"a": "id", "c": "float"}, [np.full((1, 1, 2), "a0", dtype=object), 0.5], "do not broadcast to one grid"),
     ])
     def test_malformed_grid(self, fields, columns, message):
         with pytest.raises(ValueError, match=message):
-            GridRecords(fields, ["a0"], ["b0"], columns)
-
-    @pytest.mark.parametrize("key, shape", [("f", (1, 2)), ("a", (1, 2)), ("p", (2, 1)), ("q", (1, 2))])
-    def test_malformed_texts(self, key, shape):
-        columns = [np.zeros((1, 2)), np.zeros((1, 2), bool), np.zeros((1, 2))]
-        with pytest.raises(ValueError, match="need a float field and the grid's shape"):
-            GridRecords(GRID_FIELDS, ["a0"], ["b0", "b1"], columns, {key: np.full(shape, "0.0", dtype=object)})
+            Records(fields, columns)
 
 
 # A valid document touching every section: a Gaussian ordinal feature with a

@@ -429,6 +429,19 @@ class TestEmitFromColumns:
         emit_report_files(report, tmp_path, ("json",))
         assert (tmp_path / "report.json").read_bytes() == (out / "report.json").read_bytes()
 
+    @pytest.mark.parametrize("formats, names", [
+        (("csv",), ["objects_s1.csv", "objects_s2.csv", "pairs.csv"]),
+        (("svg",), ["scene.svg"]),
+    ], ids=["csv", "svg"])
+    def test_csv_and_svg_alone_equal_the_default_run(self, emitted, tmp_path, formats, names):
+        """pairs.csv keeps its texts for report.json only when both are
+        written; each file a format writes alone is the default run's."""
+        report, _, out = emitted
+        written = emit_report_files(report, tmp_path, formats)
+        assert [p.name for p in written] == names
+        for p in written:
+            assert p.read_bytes() == (out / p.name).read_bytes()
+
     def test_each_aggregate_rendered_once(self, emitted, tmp_path, monkeypatch):
         """Writing both formats renders 2 n^2 fewer floats than writing each
         alone: the pairs list takes its proximity and distance from pairs.csv."""
