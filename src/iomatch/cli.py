@@ -9,6 +9,7 @@ failure, 2 runtime error.  Numeric console output uses 4 decimal places.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from itertools import repeat
@@ -35,6 +36,9 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 
+# Built once per process: parsing leaves no state in the parser, so
+# in-process callers of main() share it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iomatch",

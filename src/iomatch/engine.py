@@ -452,12 +452,15 @@ def _ordinal_memberships(feature: FeatureSchema, profile: SourceProfile, column:
 
 
 def _nominal_codes(column_a: FeatureColumn, column_b: FeatureColumn) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides' labels as integer codes, equal where the labels are; -1
-    and -2 where absent."""
-    held_a, held_b = column_a.values[column_a.present], column_b.values[column_b.present]
-    _, codes = np.unique(np.concatenate([held_a, held_b]), return_inverse=True)
+    """Both sides' labels as integer codes, equal exactly where both are
+    present and their labels are; -1 and -2 where absent.  A label's code is
+    its first-seen position over A's held labels, then B's, looked up in a
+    dict: codes are compared only for equality, so they need no sort."""
+    held_a, held_b = column_a.values[column_a.present].tolist(), column_b.values[column_b.present].tolist()
+    index = {label: k for k, label in enumerate(dict.fromkeys(held_a + held_b))}
     codes_a, codes_b = np.full(len(column_a.present), -1), np.full(len(column_b.present), -2)
-    codes_a[column_a.present], codes_b[column_b.present] = codes.ravel()[: len(held_a)], codes.ravel()[len(held_a) :]
+    codes_a[column_a.present] = np.fromiter(map(index.__getitem__, held_a), dtype=codes_a.dtype, count=len(held_a))
+    codes_b[column_b.present] = np.fromiter(map(index.__getitem__, held_b), dtype=codes_b.dtype, count=len(held_b))
     return codes_a, codes_b
 
 

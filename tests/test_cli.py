@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from iomatch import dataio
-from iomatch.cli import main
+from iomatch.cli import _build_parser, main
 from iomatch.config import load_config
 from iomatch.dataio import read_dataset, read_objects_csv
 from iomatch.engine import MatchRun, pairwise_breakdowns
@@ -53,6 +53,56 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+class TestSharedParser:
+    """main() builds its parser once per process, so in-process calls share
+    it; each call still gives what the same call gives alone, in its own
+    process."""
+
+    def test_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    @staticmethod
+    def in_process(argv):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, stdout.getvalue(), stderr.getvalue()
+
+    @staticmethod
+    def alone(argv):
+        # argparse wraps its usage lines at $COLUMNS.
+        child = subprocess.run(
+            [sys.executable, "-m", "iomatch.cli", *argv], capture_output=True, text=True, env={**os.environ, "COLUMNS": "80"}
+        )
+        return child.returncode, child.stdout, child.stderr
+
+    def test_calls_in_order_equal_each_call_alone(self, tmp_path, config_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        a = write(tmp_path, "a.csv", "object_id,source_id,speed,type\na1,alpha,12.0,tank\na2,alpha,300.0,truck\n")
+        b = write(tmp_path, "b.csv", "object_id,source_id,speed,type\nb1,beta,12.5,tank\nb2,beta,14.0,\n")
+        match = ["match", "--config", str(config_path), str(a), str(b)]
+        calls = [
+            (["--format", "csv"], 0),
+            (["--format", "xml"], 2),
+            (["--threshold", "2"], 1),
+            ([], 0),
+        ]
+        for k, (options, code) in enumerate(calls):
+            results = []
+            for way, run in (("shared", self.in_process), ("alone", self.alone)):
+                out = tmp_path / way / str(k)
+                got = run(match + options + ["--out", str(out)])
+                files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+                results.append((got, files))
+            assert results[0] == results[1], options
+            assert results[0][0][0] == code
+        # The last, plain match writes both formats, not the first call's csv only.
+        assert set(results[0][1]) == {"pairs.csv", "candidates.json"}
 
 
 class TestValidate:

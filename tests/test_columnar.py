@@ -107,15 +107,16 @@ def objects(draw, source, names, n):
 
 
 @st.composite
-def runs(draw, names=None, sizes=st.integers(0, 4)):
-    """(run, objects of side A, objects of side B): the scalar oracle reads the objects."""
+def runs(draw, names=None, sizes=st.integers(0, 4), method=None):
+    """(run, objects of side A, objects of side B): the scalar oracle reads
+    the objects.  ``names`` and ``method`` are drawn where not given."""
     names = names or draw(st.lists(st.sampled_from(sorted(FEATURES)), min_size=1, max_size=5, unique=True))
     raw = [draw(st.integers(0, 4)) for _ in names]
     raw[0] = raw[0] or 1
     features = tuple(
         FeatureSchema(**{**FEATURES[n].__dict__, "weight": r / sum(raw)}) for n, r in zip(names, raw)
     )
-    method = draw(st.sampled_from(list(AggregationMethod)))
+    method = method or draw(st.sampled_from(list(AggregationMethod)))
     override = None
     if draw(st.booleans()):
         override = {n: float(draw(st.integers(0, 3))) for n in names}
@@ -155,6 +156,27 @@ def assert_matches_scalar(run, objects_a, objects_b, scores):
 def test_columnar_equals_scalar_composition(drawn):
     run, objects_a, objects_b = drawn
     assert_matches_scalar(run, objects_a, objects_b, pairwise_breakdowns(run))
+
+
+@pytest.mark.parametrize("method", list(AggregationMethod))
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_swap_transposes_every_grid(method, data):
+    """Swapping datasets A and B transposes each feature's proximity and
+    presence grid and both aggregate grids exactly, in runs with a nominal
+    feature."""
+    others = data.draw(st.lists(st.sampled_from(sorted(set(FEATURES) - {"type"})), max_size=4, unique=True))
+    names = data.draw(st.permutations(["type", *others]))
+    run, objects_a, objects_b = data.draw(runs(names=names, method=method))
+    swapped = object_run(run.schema, run.profiles, objects_b, objects_a, aggregation=run.aggregation)
+    forward = pairwise_breakdowns(run).block(0, len(objects_a))
+    backward = pairwise_breakdowns(swapped).block(0, len(objects_b))
+    for grids, mirrored in zip(forward[:2], backward[:2]):
+        assert grids.keys() == mirrored.keys()
+        for name, grid in grids.items():
+            np.testing.assert_array_equal(mirrored[name], grid.T, strict=True)
+    for grid, mirrored in zip(forward[2:], backward[2:]):
+        np.testing.assert_array_equal(mirrored, grid.T, strict=True)
 
 
 def _csv_bytes(breakdowns, schema) -> bytes:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from iomatch.aggregate import AggregationMethod, AggregationSpec
 from iomatch import engine
@@ -502,3 +503,27 @@ class TestNormalCdf:
         assert calls == []
         engine._normal_cdf(np.append(x, 1.5))
         assert calls == [1.5 / math.sqrt(2.0)]
+
+
+class TestNominalCodes:
+    """Codes are equal exactly where both objects hold the label."""
+
+    @given(
+        st.lists(st.sampled_from(["", "tank", "truck", "apc"]) | st.text(max_size=3) | st.none(), max_size=8),
+        st.lists(st.sampled_from(["", "tank", "radar"]) | st.text(max_size=3) | st.none(), max_size=8),
+    )
+    def test_equal_exactly_where_both_hold_one_label(self, labels_a, labels_b):
+        """None is an absent entry; "tank" and "" may be held by both sides,
+        the other fixed labels by one side only."""
+        schema = Schema((TYPE,))
+
+        def dataset(source, labels):
+            objects = [
+                InformationObject(f"{source}{i}", source, {} if label is None else {"type": FeatureValue(label)})
+                for i, label in enumerate(labels)
+            ]
+            return Dataset.from_objects(objects, schema).columns["type"]
+
+        codes_a, codes_b = engine._nominal_codes(dataset("a", labels_a), dataset("b", labels_b))
+        want = [[a is not None and a == b for b in labels_b] for a in labels_a]
+        assert (codes_a[:, None] == codes_b[None, :]).tolist() == want

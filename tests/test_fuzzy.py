@@ -142,6 +142,36 @@ class TestGaussianGridWalk:
         assert possibility(m1, m2) == m2.evaluate(50002) == m1.evaluate(50002)
 
 
+class TestGaussianRankGap:
+    """A Gaussian possibility is the max-min over integer g, so it never
+    rises as an integer rank gap grows; between non-integer ranks it can."""
+
+    def test_not_monotone_for_non_integer_ranks(self):
+        m_a = gaussian_membership(4.692673615320359, 1.8990958449811497)
+        near, far = (possibility(m_a, gaussian_membership(rank_b, 0.3098718857983298)) for rank_b in (4.8745, 4.9650))
+        assert near == pytest.approx(0.92126, abs=5e-6)
+        assert far == pytest.approx(0.98699, abs=5e-6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(-1000, 1000),
+        st.integers(0, 40),
+        st.integers(1, 40),
+        st.sampled_from([-1, 1]),
+        st.floats(0.3, 20.0),
+        st.floats(0.3, 20.0),
+        st.sampled_from(list(Certainty)),
+        st.sampled_from(list(Certainty)),
+    )
+    def test_monotone_in_the_integer_rank_gap(self, rank_a, gap, further, side, spread_a, spread_b, level_a, level_b):
+        m_a = apply_certainty(gaussian_membership(float(rank_a), spread_a), level_a)
+
+        def at(g):
+            return possibility(m_a, apply_certainty(gaussian_membership(float(rank_a + side * g), spread_b), level_b))
+
+        assert at(gap + further) <= at(gap)
+
+
 class TestApplyCertainty:
     def test_certain_unchanged(self):
         m = triangular_from_halfwidth(5, 2)
