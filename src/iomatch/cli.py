@@ -12,7 +12,6 @@ import argparse
 import functools
 import sys
 from dataclasses import replace
-from itertools import repeat
 from pathlib import Path
 
 from . import __version__
@@ -36,11 +35,21 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are validation errors: ``main``
+    prints a malformed command line as one ``error:`` line and exits 1,
+    where argparse would print its usage lines and exit 2.  Its verbs'
+    parsers are of this class too."""
+
+    def error(self, message: str):
+        raise ValidationError([message])
+
+
 # Built once per process: parsing leaves no state in the parser, so
 # in-process callers of main() share it.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="iomatch",
         description="Proximity-based identification of information objects across sources.",
     )
@@ -151,7 +160,9 @@ def _cmd_match(args) -> int:
     )
     breakdowns = pairwise_breakdowns(run)
     found = candidates(breakdowns, threshold)
-    proximities = list(map(format, found.aggregate_proximity.tolist(), repeat(".4f")))
+    # One %-format call for every proximity: the same C conversion as
+    # format(p, ".4f").
+    proximities = ("%.4f\n" * len(found) % tuple(found.aggregate_proximity.tolist())).split("\n")[:-1]
     listing = interleave(["\n", found.ids_a, "  ", found.ids_b, "  ", proximities])
     print(f"pairs evaluated: {len(breakdowns)}; candidates above {threshold:g}: {len(found)}{listing}")
     if args.out is not None:
@@ -223,7 +234,6 @@ def _cmd_validate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(_joined_numbers(sys.argv[1:] if argv is None else argv))
     handlers = {
         "measure": _cmd_measure,
         "match": _cmd_match,
@@ -231,6 +241,7 @@ def main(argv: list[str] | None = None) -> int:
         "validate": _cmd_validate,
     }
     try:
+        args = _build_parser().parse_args(_joined_numbers(sys.argv[1:] if argv is None else argv))
         _parse_numbers(args)
         return handlers[args.command](args)
     except ValidationError as exc:

@@ -25,6 +25,16 @@ artefact's text is held whole.  Each block's text is joined once, by
 :func:`interleave`, from the constant text around its fields and a column
 of texts per field.
 
+Where blocking pruned cells of the grid, ``pairs.csv`` renders each
+distinct score row of a block once (:func:`_distinct_rows`): the pruned
+pairs' scores are implied and repeat.  A row's key is a 64-bit sum of its
+cells' bit patterns and presence times fixed odd constants; ``np.unique``
+groups the keys, every row is checked to equal its group's row exactly, and
+a collision falls back to de-duplicating the rows' bytes.  Only the distinct
+rows are rendered and ``,``-joined; a block's lines, each its ids and its
+row's text, are then joined at once.  A grid with no pruned cell is written
+cell by cell, as its rows are mostly distinct.
+
 A run that writes ``pairs.csv`` and a JSON file renders each score once,
 by one mechanism: :func:`write_breakdowns_csv` keeps the texts of the cells
 and columns its caller asks for as it writes them, and the JSON writer
@@ -381,6 +391,37 @@ def _csv_fields(values: Iterable[str]) -> list[str]:
     return [writer.writerow((v, ""))[:-2] for v in values]
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _key_constants(n: int) -> np.ndarray:
+    """``n`` fixed odd 64-bit multipliers: splitmix64's outputs from state 0,
+    each with its low bit set."""
+    constants, state = [], 0
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        constants.append(z ^ (z >> 31) | 1)
+    return np.array(constants, dtype=np.uint64)
+
+
+def _distinct_rows(table: np.ndarray, constants: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a table given as its ``(columns, rows)`` 64-bit
+    patterns: (the index of one row of each, each row's place in those).
+
+    A row's key is the sum, wrapping at 64 bits, of each cell's pattern, its
+    high half folded onto its low half, times its column's odd constant.
+    Every row is then checked against the row that stands for its key; on a
+    collision the rows' bytes are de-duplicated exactly instead."""
+    key = ((table ^ (table >> np.uint64(32))) * constants[:, None]).sum(axis=0, dtype=np.uint64)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    if np.array_equal(table[:, first[inverse]], table):
+        return first, inverse
+    _, first, inverse = np.unique(table.T, axis=0, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
 def write_breakdowns_csv(
     path: str | Path,
     scores: PairScores,
@@ -399,7 +440,11 @@ def write_breakdowns_csv(
     written, so no score is rendered twice.  ``match`` asks for every column
     of its candidates' cells, ``simulate`` for the two aggregate columns of
     every cell; the texts stay held as long as the caller keeps the array,
-    at 8 bytes a reference plus each distinct text's own size."""
+    at 8 bytes a reference plus each distinct text's own size.
+
+    Where blocking pruned cells, their scores repeat, so the score fields
+    of a block are rendered and joined once per distinct row
+    (:func:`_distinct_rows`) and each line takes its row's text by index."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(breakdown_header(schema))
@@ -414,6 +459,11 @@ def write_breakdowns_csv(
             kept = np.empty((len(range(width)[columns]), len(keep)), dtype=object)
         if not len(scores):
             return None if kept is None else kept.T
+        # Where blocking pruned cells, each block is written by its distinct
+        # score rows.  A row's distances are 1 - its proximities, so its
+        # proximities, aggregates and presence fix its texts and make its key.
+        pruned = len(scores.cells) < len(scores)
+        constants = _key_constants(2 * len(names) + 2)
         # Blocks of whole dataset-A rows of about _CELLS floats, rendered in
         # one call and joined column by column: only the ids can need quoting,
         # and each is quoted once.  The scores are laid out _STEPS blocks at a
@@ -421,25 +471,40 @@ def write_breakdowns_csv(
         # per call.
         ids_a, ids_b = _csv_fields(scores.ids_a), _csv_fields(scores.ids_b)
         n_b = len(ids_b)
+        leads_b = [i + "," for i in ids_b]
         step = max(1, _CELLS // (n_b * width))
         fetch = _STEPS * step
         for first in range(0, len(ids_a), fetch):
             proximity, present, aggregate_p, aggregate_d = scores.block(first, first + fetch)
             values = [*chain.from_iterable((proximity[n], 1.0 - proximity[n]) for n in names), aggregate_p, aggregate_d]
             absent = [~present[n] for n in names]
+            if pruned:
+                table = np.empty((width, *aggregate_p.shape), dtype=np.uint64)
+                for k, column in enumerate([*(proximity[n] for n in names), aggregate_p, aggregate_d]):
+                    table[k] = column.view(np.uint64)
+                for k, n in enumerate(names, len(names) + 2):
+                    table[k] = present[n]
             for start in range(0, len(aggregate_p), step):
                 block = slice(start, start + step)
-                texts = float_texts([v[block] for v in values])
+                rows = slice(None)
+                if pruned:
+                    rows, inverse = _distinct_rows(table[:, block].reshape(len(table), -1), constants)
+                texts = float_texts([v[block].ravel()[rows] for v in values])
                 for k in range(len(names)):
-                    texts[2 * k : 2 * k + 2, absent[k][block]] = ""
+                    texts[2 * k : 2 * k + 2, absent[k][block].ravel()[rows]] = ""
                 a = ids_a[first + start : first + start + step]
-                texts = texts.reshape(len(values), -1)
                 if kept is not None:
                     offset = (first + start) * n_b
-                    lo, hi = np.searchsorted(cells, (offset, offset + texts.shape[1]))
-                    kept[:, order[lo:hi]] = texts[columns][:, cells[lo:hi] - offset]
-                ids = [chain.from_iterable(map(repeat, a, repeat(n_b))), ids_b * len(a)]
-                _write_lines(fh, ids + texts.tolist())
+                    lo, hi = np.searchsorted(cells, (offset, offset + len(a) * n_b))
+                    at = cells[lo:hi] - offset
+                    kept[:, order[lo:hi]] = texts[columns][:, inverse[at] if pruned else at]
+                if pruned:
+                    lines = np.array([",".join(row) + "\n" for row in zip(*texts.tolist())], dtype=object)
+                    leads_a = chain.from_iterable(map(repeat, (i + "," for i in a), repeat(n_b)))
+                    fh.write(interleave([list(leads_a), leads_b * len(a), lines[inverse].tolist()]))
+                else:
+                    ids = [chain.from_iterable(map(repeat, a, repeat(n_b))), ids_b * len(a)]
+                    _write_lines(fh, ids + texts.tolist())
     return None if kept is None else kept.T
 
 

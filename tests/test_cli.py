@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -8,10 +9,11 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from iomatch import dataio
+from iomatch import cli, dataio
 from iomatch.cli import _build_parser, main
 from iomatch.config import load_config
 from iomatch.dataio import read_dataset, read_objects_csv
@@ -88,7 +90,7 @@ class TestSharedParser:
         match = ["match", "--config", str(config_path), str(a), str(b)]
         calls = [
             (["--format", "csv"], 0),
-            (["--format", "xml"], 2),
+            (["--format", "xml"], 1),
             (["--threshold", "2"], 1),
             ([], 0),
         ]
@@ -103,6 +105,49 @@ class TestSharedParser:
             assert results[0][0][0] == code
         # The last, plain match writes both formats, not the first call's csv only.
         assert set(results[0][1]) == {"pairs.csv", "candidates.json"}
+
+
+def argparse_choice_message(name: str, value: str, choices) -> str:
+    """The text argparse gives an argument ``name`` (an option or a
+    positional) whose value is outside ``choices``: its quoting of the
+    choices differs between Python releases."""
+    parser = argparse.ArgumentParser(exit_on_error=False)
+    parser.add_argument(name, choices=choices)
+    try:
+        parser.parse_args([name, value] if name.startswith("-") else [value])
+    except argparse.ArgumentError as exc:
+        return str(exc)
+    raise AssertionError(f"{value!r} was accepted")
+
+
+class TestMalformedCommandLine:
+    """A malformed command line is one ``error:`` line and exit 1, as every
+    other validation failure; nothing goes to stdout.  ``--help`` and
+    ``--version`` still exit 0."""
+
+    def test_each_is_one_error_line(self, tmp_path, config_path):
+        a = write(tmp_path, "a.csv", "object_id,source_id,speed,type\na1,alpha,12.0,tank\n")
+        b = write(tmp_path, "b.csv", "object_id,source_id,speed,type\nb1,beta,12.5,tank\n")
+        match = ["match", "--config", str(config_path), str(a), str(b)]
+        verbs = ("measure", "match", "simulate", "validate")
+        cases = [
+            (["match", str(a), str(b)], "the following arguments are required: --config"),
+            ([*match, "--format", "xml"], argparse_choice_message("--format", "xml", ("csv", "json"))),
+            (["frobnicate"], argparse_choice_message("command", "frobnicate", verbs)),
+            ([], "the following arguments are required: command"),
+            ([*match, "--bogus"], "unrecognized arguments: --bogus"),
+            (["simulate", "--format"], "argument --format: expected one argument"),
+        ]
+        for argv, message in cases:
+            assert TestSharedParser.in_process(argv) == (1, "", f"error: {message}\n"), argv
+        # The same in a process of its own.
+        child = subprocess.run([sys.executable, "-m", "iomatch.cli", "match", str(a), str(b)], capture_output=True, text=True)
+        assert (child.returncode, child.stdout, child.stderr) == (1, "", "error: the following arguments are required: --config\n")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["match", "--help"], ["--version"]])
+    def test_help_and_version_exit_0(self, argv):
+        code, out, err = TestSharedParser.in_process(argv)
+        assert (code, err) == (0, "") and out.startswith("usage: iomatch" if "--help" in argv else "iomatch ")
 
 
 class TestValidate:
@@ -311,6 +356,53 @@ RANKED_CONFIG = {
         "beta": {"speed": {"sigma": 2.0}},
     },
 }
+
+
+class TestConsoleListing:
+    """match lists each candidate as its ids and its proximity to 4 places,
+    as format(p, ".4f") writes it, ties rounded half to even."""
+
+    @staticmethod
+    def listing(counts: str, found) -> str:
+        return counts + "".join(f"\n{a}  {b}  {format(p, '.4f')}" for a, b, p in found) + "\n"
+
+    def test_no_candidates_and_ties(self, tmp_path, capsys):
+        """A nominal feature of delta 0.03125 scores each mismatch exactly
+        0.03125, which prints as 0.0312; a match prints 1.0000."""
+        config = write(tmp_path, "config.json", json.dumps({
+            "schema": {"features": [{"name": "type", "kind": "nominal", "weight": 1.0, "delta": 0.03125}]},
+            "sources": {"a": {}, "b": {}},
+        }))
+        a = write(tmp_path, "a.csv", "object_id,source_id,type\na1,a,tank\na2,a,truck\n")
+        b = write(tmp_path, "b.csv", "object_id,source_id,type\nb1,b,tank\nb2,b,apc\n")
+        argv = ["match", "--config", str(config), str(a), str(b)]
+        assert main([*argv, "--threshold", "1"]) == 0
+        assert capsys.readouterr().out == "pairs evaluated: 4; candidates above 1: 0\n"
+        assert main([*argv, "--threshold", "0"]) == 0
+        found = [("a1", "b1", 1.0), ("a1", "b2", 0.03125), ("a2", "b1", 0.03125), ("a2", "b2", 0.03125)]
+        out = capsys.readouterr().out
+        assert out == self.listing("pairs evaluated: 4; candidates above 0: 4", found)
+        assert out.endswith("a1  b1  1.0000\na1  b2  0.0312\na2  b1  0.0312\na2  b2  0.0312\n")
+
+    def test_every_proximity_as_format_writes_it(self, tmp_path, config_path, capsys, monkeypatch):
+        """Proximities no run lists (0.0) and ties either side of a rounding
+        step, through the listing of main."""
+        values = [0.0, 1.0, 0.03125, 0.00005, 0.00015, 0.99995, 0.123456789, 5e-324, 0.5]
+
+        class Listed:
+            ids_a = [f"a{k}" for k in range(len(values))]
+            ids_b = [f"b{k}" for k in range(len(values))]
+            aggregate_proximity = np.array(values)
+
+            def __len__(self):
+                return len(values)
+
+        monkeypatch.setattr(cli, "candidates", lambda scores, threshold: Listed())
+        a = write(tmp_path, "a.csv", "object_id,source_id,speed,type\na1,alpha,12.0,tank\n")
+        b = write(tmp_path, "b.csv", "object_id,source_id,speed,type\nb1,beta,12.5,tank\n")
+        assert main(["match", "--config", str(config_path), str(a), str(b)]) == 0
+        found = list(zip(Listed.ids_a, Listed.ids_b, values))
+        assert capsys.readouterr().out == self.listing(f"pairs evaluated: 1; candidates above 0.01: {len(values)}", found)
 
 
 class TestRejectedAtValidation:

@@ -7,11 +7,13 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from iomatch import dataio
 from iomatch.aggregate import AggregationMethod, AggregationSpec
 from iomatch.dataio import RECORDS_PER_BLOCK, breakdown_record, write_breakdowns_csv, write_match_files
 from iomatch.engine import (
@@ -45,6 +47,7 @@ from iomatch.model import (
     SourceProfile,
 )
 from iomatch.quant import NormalErrorModel, quantitative_proximity
+from iomatch.simulate import SceneSpec, run_experiment, scene_schema
 
 from oracles import csv_writer_bytes, object_run, ranked_breakdowns, scalar_pair_scores
 from test_config_dataio import json_bytes, stdlib_bytes
@@ -375,6 +378,17 @@ def test_both_formats_equal_each_format_alone(drawn, threshold):
     assert_handed_over_texts_change_no_byte(scores, candidates(scores, threshold), run.schema)
 
 
+def _pairs_csv(scores, schema, cells, columns=slice(None)):
+    """(pairs.csv's bytes, the texts handed over for ``cells``, each written
+    line's score fields)."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "pairs.csv"
+        kept = write_breakdowns_csv(path, scores, schema, cells, columns)
+        with open(path, newline="") as fh:
+            fields = [row[2:] for row in list(csv.reader(fh))[1:]]
+        return path.read_bytes(), kept, fields
+
+
 @settings(max_examples=100, deadline=None)
 @given(runs(sizes=st.integers(0, 12)), st.data())
 def test_kept_texts_are_the_written_fields(drawn, data):
@@ -386,13 +400,100 @@ def test_kept_texts_are_the_written_fields(drawn, data):
     cells = cells[: data.draw(st.integers(0, len(cells)))]
     width = 2 * len(run.schema.names) + 2
     columns = slice(data.draw(st.integers(-width, width)), data.draw(st.none() | st.integers(-width, width)))
-    with tempfile.TemporaryDirectory() as directory:
-        path = Path(directory) / "pairs.csv"
-        kept = write_breakdowns_csv(path, scores, run.schema, cells, columns)
-        with open(path, newline="") as fh:
-            rows = [row[2:] for row in list(csv.reader(fh))[1:]]
+    _, kept, rows = _pairs_csv(scores, run.schema, cells, columns)
     assert kept.shape == (len(cells), len(range(width)[columns]))
     assert kept.tolist() == [rows[c][columns] for c in cells.tolist()]
+
+
+# --- pairs.csv by distinct rows of a pruned grid ----------------------------------
+
+
+@st.composite
+def pruned_runs(draw):
+    """runs() that blocking prunes: the multiplicative convolution and a
+    quantitative feature, beside any others."""
+    blocking = draw(st.sampled_from(["pos", "speed"]))
+    others = draw(st.lists(st.sampled_from(sorted(set(FEATURES) - {blocking})), max_size=3, unique=True))
+    names = draw(st.permutations([blocking, *others]))
+    return draw(runs(names=names, sizes=st.integers(1, 12), method=AggregationMethod.MULTIPLICATIVE))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pruned_runs(), st.sampled_from([1, 7, 64, 8192]), st.sampled_from([1, 2, 8]), st.data())
+def test_pruned_grid_rows_rendered_once_change_no_byte(drawn, cells_per_block, steps, data):
+    """Over grids of one or several blocks, the rows of a pruned grid written
+    once per distinct row give csv.writer's bytes, and the texts handed over
+    for any cells and columns are the fields written there."""
+    run = drawn[0]
+    scores = pairwise_breakdowns(run)
+    assume(len(scores.cells) < len(scores))
+    width = 2 * len(run.schema.names) + 2
+    cells = np.array(data.draw(st.permutations(range(len(scores)))), dtype=np.int64)
+    cells = cells[: data.draw(st.integers(0, len(cells)))]
+    columns = slice(data.draw(st.integers(-width, width)), data.draw(st.none() | st.integers(-width, width)))
+    with mock.patch.object(dataio, "_CELLS", cells_per_block), mock.patch.object(dataio, "_STEPS", steps):
+        written, kept, fields = _pairs_csv(scores, run.schema, cells, columns)
+    assert written == csv_writer_bytes(list(scores), run.schema)
+    assert kept.tolist() == [fields[c][columns] for c in cells.tolist()]
+
+
+def _simulated_scores(n=40, seed=3):
+    """A simulated scene's scores, most of whose cells blocking prunes."""
+    report = run_experiment(SceneSpec(object_count=n, rng_seed=seed), out_dir=None, threshold=0.01)
+    return report.breakdowns, scene_schema(report.spec)
+
+
+def test_colliding_row_keys_fall_back_to_exact_rows():
+    """With every key alike, each block's rows are told apart by their bytes:
+    the same file and the same handed-over texts."""
+    scores, schema = _simulated_scores()
+    assert len(scores.cells) < len(scores)
+    every = np.arange(len(scores))
+    want = _pairs_csv(scores, schema, every, slice(-2, None))
+    with mock.patch.object(dataio, "_key_constants", lambda n: np.zeros(n, dtype=np.uint64)):
+        got = _pairs_csv(scores, schema, every, slice(-2, None))
+    assert got[0] == want[0] == csv_writer_bytes(list(scores), schema)
+    assert got[1].tolist() == want[1].tolist() == [f[-2:] for f in want[2]]
+
+
+@pytest.mark.parametrize("zeroed", [False, True])
+def test_distinct_rows_stand_for_every_row(zeroed):
+    """Each row equals the row that stands for it, bit for bit: 0.0 and -0.0
+    stay apart, and so do rows that differ only in presence."""
+    floats = np.array([[0.0, -0.0, 0.0, 1e-300, 0.0], [0.5] * 5])
+    present = np.array([[True, True, False, True, True]])
+    table = np.concatenate([floats.view(np.uint64), present.astype(np.uint64)])
+    constants = np.zeros(3, dtype=np.uint64) if zeroed else dataio._key_constants(3)
+    first, inverse = dataio._distinct_rows(table, constants)
+    assert len(first) == len(set(inverse[:4].tolist())) == 4 and inverse[4] == inverse[0]
+    np.testing.assert_array_equal(table[:, first[inverse]], table)
+
+
+def test_row_pass_only_where_cells_were_pruned(monkeypatch):
+    """A grid with no pruned cells, where every pair may be a candidate as
+    in a dense match, is written cell by cell, without building a row key;
+    a pruned grid of the same objects is written by rows.  Both give the
+    reference bytes, in either format alone or both."""
+    names = ["pos", "type"]
+    schema = Schema(tuple(FeatureSchema(**{**FEATURES[n].__dict__, "weight": 0.5}) for n in names))
+    profiles = _profiles(names, [1.0, 2.0, 0.5], 0.4, 2.5, 1.0)
+
+    def side(source):
+        return [
+            InformationObject(f"{source}{i}", source, {"pos": FeatureValue((3.0 * i, 1.0)), "type": FeatureValue(LABELS[i % 3])})
+            for i in range(20)
+        ]
+
+    calls = []
+    row_pass = dataio._distinct_rows
+    monkeypatch.setattr(dataio, "_distinct_rows", lambda *args: calls.append(args) or row_pass(*args))
+    for method, pruned in ((AggregationMethod.ADDITIVE, False), (AggregationMethod.MULTIPLICATIVE, True)):
+        scores = pairwise_breakdowns(object_run(schema, profiles, side("a"), side("b"), AggregationSpec(method=method)))
+        assert (len(scores.cells) < len(scores)) is pruned
+        calls.clear()
+        both = assert_handed_over_texts_change_no_byte(scores, candidates(scores, 0.0), schema)
+        assert both["pairs.csv"] == csv_writer_bytes(list(scores), schema)
+        assert bool(calls) is pruned
 
 
 def test_both_formats_equal_each_format_alone_over_several_blocks():
