@@ -31,9 +31,9 @@ pairs' scores are implied and repeat.  A row's key is a 64-bit sum of its
 cells' bit patterns and presence times fixed odd constants; ``np.unique``
 groups the keys, every row is checked to equal its group's row exactly, and
 a collision falls back to de-duplicating the rows' bytes.  Only the distinct
-rows are rendered and ``,``-joined; a block's lines, each its ids and its
-row's text, are then joined at once.  A grid with no pruned cell is written
-cell by cell, as its rows are mostly distinct.
+rows are rendered and ``,``-joined.  A grid with no pruned cell renders and
+joins every row, as its rows are mostly distinct.  Either way a block's
+lines, each its ids and its row's text, are then joined at once.
 
 A run that writes ``pairs.csv`` and a JSON file renders each score once,
 by one mechanism: :func:`write_breakdowns_csv` keeps the texts of the cells
@@ -391,21 +391,6 @@ def _csv_fields(values: Iterable[str]) -> list[str]:
     return [writer.writerow((v, ""))[:-2] for v in values]
 
 
-_MASK64 = (1 << 64) - 1
-
-
-def _key_constants(n: int) -> np.ndarray:
-    """``n`` fixed odd 64-bit multipliers: splitmix64's outputs from state 0,
-    each with its low bit set."""
-    constants, state = [], 0
-    for _ in range(n):
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        constants.append(z ^ (z >> 31) | 1)
-    return np.array(constants, dtype=np.uint64)
-
-
 def _distinct_rows(table: np.ndarray, constants: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a table given as its ``(columns, rows)`` 64-bit
     patterns: (the index of one row of each, each row's place in those).
@@ -442,7 +427,7 @@ def write_breakdowns_csv(
     every cell; the texts stay held as long as the caller keeps the array,
     at 8 bytes a reference plus each distinct text's own size.
 
-    Where blocking pruned cells, their scores repeat, so the score fields
+    Where blocking pruned cells, their scores may repeat, so the score fields
     of a block are rendered and joined once per distinct row
     (:func:`_distinct_rows`) and each line takes its row's text by index."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -463,7 +448,10 @@ def write_breakdowns_csv(
         # score rows.  A row's distances are 1 - its proximities, so its
         # proximities, aggregates and presence fix its texts and make its key.
         pruned = len(scores.cells) < len(scores)
-        constants = _key_constants(2 * len(names) + 2)
+        if pruned:
+            # Powers of one odd constant: each odd, and no small integer
+            # relation ties the multipliers of two sets of columns.
+            constants = np.uint64(0x9E3779B97F4A7C15) ** np.arange(1, width + 1, dtype=np.uint64)
         # Blocks of whole dataset-A rows of about _CELLS floats, rendered in
         # one call and joined column by column: only the ids can need quoting,
         # and each is quoted once.  The scores are laid out _STEPS blocks at a
@@ -488,7 +476,7 @@ def write_breakdowns_csv(
                 block = slice(start, start + step)
                 rows = slice(None)
                 if pruned:
-                    rows, inverse = _distinct_rows(table[:, block].reshape(len(table), -1), constants)
+                    rows, inverse = _distinct_rows(table[:, block].reshape(width, -1), constants)
                 texts = float_texts([v[block].ravel()[rows] for v in values])
                 for k in range(len(names)):
                     texts[2 * k : 2 * k + 2, absent[k][block].ravel()[rows]] = ""
@@ -498,13 +486,11 @@ def write_breakdowns_csv(
                     lo, hi = np.searchsorted(cells, (offset, offset + len(a) * n_b))
                     at = cells[lo:hi] - offset
                     kept[:, order[lo:hi]] = texts[columns][:, inverse[at] if pruned else at]
+                lines = list(map(",".join, zip(*texts.tolist())))
                 if pruned:
-                    lines = np.array([",".join(row) + "\n" for row in zip(*texts.tolist())], dtype=object)
-                    leads_a = chain.from_iterable(map(repeat, (i + "," for i in a), repeat(n_b)))
-                    fh.write(interleave([list(leads_a), leads_b * len(a), lines[inverse].tolist()]))
-                else:
-                    ids = [chain.from_iterable(map(repeat, a, repeat(n_b))), ids_b * len(a)]
-                    _write_lines(fh, ids + texts.tolist())
+                    lines = np.array(lines, dtype=object)[inverse].tolist()
+                leads_a = chain.from_iterable(map(repeat, (i + "," for i in a), repeat(n_b)))
+                fh.write(interleave([list(leads_a), leads_b * len(a), lines, "\n"]))
     return None if kept is None else kept.T
 
 

@@ -3,6 +3,7 @@
 import collections.abc
 import csv
 import dataclasses
+import itertools
 import math
 import tempfile
 import warnings
@@ -450,7 +451,8 @@ def test_colliding_row_keys_fall_back_to_exact_rows():
     assert len(scores.cells) < len(scores)
     every = np.arange(len(scores))
     want = _pairs_csv(scores, schema, every, slice(-2, None))
-    with mock.patch.object(dataio, "_key_constants", lambda n: np.zeros(n, dtype=np.uint64)):
+    row_pass = dataio._distinct_rows
+    with mock.patch.object(dataio, "_distinct_rows", lambda table, constants: row_pass(table, 0 * constants)):
         got = _pairs_csv(scores, schema, every, slice(-2, None))
     assert got[0] == want[0] == csv_writer_bytes(list(scores), schema)
     assert got[1].tolist() == want[1].tolist() == [f[-2:] for f in want[2]]
@@ -463,10 +465,29 @@ def test_distinct_rows_stand_for_every_row(zeroed):
     floats = np.array([[0.0, -0.0, 0.0, 1e-300, 0.0], [0.5] * 5])
     present = np.array([[True, True, False, True, True]])
     table = np.concatenate([floats.view(np.uint64), present.astype(np.uint64)])
-    constants = np.zeros(3, dtype=np.uint64) if zeroed else dataio._key_constants(3)
+    constants = np.array([0 if zeroed else 2**64 - 1 - 2 * k for k in range(3)], dtype=np.uint64)
     first, inverse = dataio._distinct_rows(table, constants)
     assert len(first) == len(set(inverse[:4].tolist())) == 4 and inverse[4] == inverse[0]
     np.testing.assert_array_equal(table[:, first[inverse]], table)
+
+
+def test_simulated_rows_keyed_without_a_collision(monkeypatch):
+    """On a simulated scene each block's keys tell its rows apart exactly
+    as their bytes do, so no block falls back to the exact pass; and no two
+    sets of columns share a multiplier sum, so rows that differ only in
+    which features are present never share a key."""
+    scores, schema = _simulated_scores(n=150, seed=0)
+    tables = []
+    row_pass = dataio._distinct_rows
+    monkeypatch.setattr(dataio, "_distinct_rows", lambda *args: tables.append(args) or row_pass(*args))
+    _pairs_csv(scores, schema, None, slice(None))
+    assert tables
+    for table, constants in tables:
+        key = ((table ^ (table >> np.uint64(32))) * constants[:, None]).sum(axis=0, dtype=np.uint64)
+        assert len(np.unique(key)) == len(np.unique(table.T, axis=0))
+    constants = tables[0][1].tolist()
+    sums = {sum(itertools.compress(constants, bits)) % 2**64 for bits in itertools.product((0, 1), repeat=len(constants))}
+    assert len(sums) == 2 ** len(constants)
 
 
 def test_row_pass_only_where_cells_were_pruned(monkeypatch):
