@@ -453,8 +453,8 @@ def write_breakdowns_csv(
             # relation ties the multipliers of two sets of columns.
             constants = np.uint64(0x9E3779B97F4A7C15) ** np.arange(1, width + 1, dtype=np.uint64)
         # Blocks of whole dataset-A rows of about _CELLS floats, rendered in
-        # one call and joined column by column: only the ids can need quoting,
-        # and each is quoted once.  The scores are laid out _STEPS blocks at a
+        # one call and joined row by row: only the ids can need quoting, and
+        # each is quoted once.  The scores are laid out _STEPS blocks at a
         # time, as scoring the pruned pairs of a block costs a fixed amount
         # per call.
         ids_a, ids_b = _csv_fields(scores.ids_a), _csv_fields(scores.ids_b)
@@ -466,17 +466,16 @@ def write_breakdowns_csv(
             proximity, present, aggregate_p, aggregate_d = scores.block(first, first + fetch)
             values = [*chain.from_iterable((proximity[n], 1.0 - proximity[n]) for n in names), aggregate_p, aggregate_d]
             absent = [~present[n] for n in names]
-            if pruned:
-                table = np.empty((width, *aggregate_p.shape), dtype=np.uint64)
-                for k, column in enumerate([*(proximity[n] for n in names), aggregate_p, aggregate_d]):
-                    table[k] = column.view(np.uint64)
-                for k, n in enumerate(names, len(names) + 2):
-                    table[k] = present[n]
             for start in range(0, len(aggregate_p), step):
                 block = slice(start, start + step)
                 rows = slice(None)
                 if pruned:
-                    rows, inverse = _distinct_rows(table[:, block].reshape(width, -1), constants)
+                    table = np.empty((width, *aggregate_p[block].shape), dtype=np.uint64)
+                    for k, column in enumerate([*(proximity[n] for n in names), aggregate_p, aggregate_d]):
+                        table[k] = column[block].view(np.uint64)
+                    for k, n in enumerate(names, len(names) + 2):
+                        table[k] = present[n][block]
+                    rows, inverse = _distinct_rows(table.reshape(width, -1), constants)
                 texts = float_texts([v[block].ravel()[rows] for v in values])
                 for k in range(len(names)):
                     texts[2 * k : 2 * k + 2, absent[k][block].ravel()[rows]] = ""
