@@ -3,8 +3,13 @@
 The engine's input is two columnar datasets (:class:`~iomatch.model.Dataset`),
 each built for the run's schema; :meth:`Dataset.from_objects` builds one
 from objects.  Validation reads the columns: the payload violations a
-dataset carries, duplicate ids, mixed or missing source profiles, and
-triangular supports that are not finite or exclude their rank.
+dataset carries, duplicate ids, mixed or missing source profiles, a dataset
+built for another schema, and then, in one walk over each quantitative and
+ordinal column, the values the kernels cannot score: values that are not
+finite, ordinal certainties that are not a :class:`~iomatch.model.Certainty`
+level, triangular supports that are not finite or collapse onto their rank,
+Gaussian ranks or spreads beyond ``fuzzy.GAUSSIAN_LIMIT``, and three-sigma
+windows that collapse onto their value.
 
 Every feature is scored for a list of pair cells at once: a kernel turns the
 two datasets' columns at those cells into 1-D proximities, a presence mask
@@ -52,6 +57,7 @@ from .fuzzy import (
 )
 from .model import (
     MAX_NOMINAL_DELTA,
+    Certainty,
     Dataset,
     FeatureColumn,
     FeatureKind,
@@ -71,6 +77,9 @@ from .model import (
 )
 
 THREE_SIGMA = 3.0
+
+# The membership heights an ordinal value may have.
+_CERTAINTY_LEVELS = np.array([level.value for level in Certainty])
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -123,31 +132,14 @@ def run_violations(run: MatchRun) -> list[str]:
         if dataset.schema != run.schema:
             errors.append(f"dataset {label} was built for another schema")
             continue
-        # Per object: its payload violations, its non-finite numbers, then its
-        # bad supports and its collapsed windows.
-        found = [
-            *dataset.violations,
-            *_non_finite(dataset),
-            *_support_violations(dataset, run),
-            *_window_violations(dataset, run),
-        ]
-        errors.extend(message for _, message in sorted(found, key=lambda v: v[0]))
+        # Per object: its payload violations (check 0), then its column checks.
+        found = [(i, 0, message) for i, message in dataset.violations] + _column_violations(dataset, run)
+        errors.extend(message for *_, message in sorted(found, key=lambda v: v[:2]))
     a_sources, b_sources = set(run.dataset_a.source_ids), set(run.dataset_b.source_ids)
     if a_sources and a_sources == b_sources:
         errors.append("both datasets reference the same source id")
     errors.extend(agg.weight_violations(run.schema, run.aggregation))
     return errors
-
-
-def _non_finite(dataset: Dataset) -> list[tuple[int, str]]:
-    """(object index, message) of every present quantitative or ordinal value
-    that is not finite: a dataset built from columns is not checked when made."""
-    found = []
-    for f in (f for f in dataset.schema.features if f.kind is not FeatureKind.NOMINAL):
-        column = dataset.columns[f.name]
-        bad = np.flatnonzero(column.present & ~np.isfinite(column.values).all(axis=1))
-        found += [(i, f"{dataset.ids[i]}/{f.name}: {non_finite_violation(f)}") for i in bad.tolist()]
-    return found
 
 
 def _relative_k(feature: FeatureSchema, profile: SourceProfile) -> float | None:
@@ -178,79 +170,88 @@ def _supports(feature: FeatureSchema, profile: SourceProfile, column: FeatureCol
     return np.where(column.present, lo, -1.0), np.where(column.present, hi, 1.0)
 
 
-def _support_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, str]]:
-    """(object index, message) of every finite rank whose triangular support
-    fails ``fuzzy.triangular_support_holds``, the scalar constructors' rule:
-    is not finite or collapses onto the rank itself (rounds onto it under a
-    relative k, or lies within its float spacing under a half-width); and of
-    every finite Gaussian rank outside ``fuzzy.gaussian_within_range`` (a
-    Gaussian has no support).  In feature order, one message per object and
-    feature; a feature whose accuracy the profile check rejects is skipped,
-    as that check reports it."""
-    found = []
-    source_ids = np.array(dataset.source_ids, dtype=object)
-    for sid in dict.fromkeys(dataset.source_ids):
-        profile = run.profiles.get(sid)
-        if profile is None:
-            continue
-        for feature in run.schema.features:
-            params = feature.ordinal_params if feature.kind is FeatureKind.ORDINAL_FUZZY else None
-            if params is None:
-                continue
-            gaussian = params.shape is MembershipShape.GAUSSIAN
-            k, width = _relative_k(feature, profile), _width(feature, profile)
-            if not (0.0 < k < 1.0 and not gaussian if k is not None else width is not None and width > 0.0):
-                continue
-            column = dataset.columns[feature.name]
-            ranks = column.values[:, 0]
-            held = column.present & (source_ids == sid) & np.isfinite(ranks)
-            if gaussian:
-                beyond = held & ~gaussian_within_range(ranks, width)
-                for i in np.flatnonzero(beyond).tolist():
-                    found.append((i, f"{dataset.ids[i]}/{feature.name}: {gaussian_violation(column.ranks[i], width)}"))
-                continue
-            lo, hi = _supports(feature, profile, column)
-            rule = f"relative k {k} of source {sid!r} rounds" if k is not None else f"half-width {width} collapses"
-            for i in np.flatnonzero(held & ~triangular_support_holds(lo, ranks, hi)).tolist():
-                rank = column.ranks[i]
-                collapsed = f"{rule} the support of rank {rank} onto the rank itself"
-                found.append((i, f"{dataset.ids[i]}/{feature.name}: {triangular_violation(lo[i], rank, hi[i], collapsed)}"))
-    return found
+def _window_bounds(values: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """(v - 3 sigma, v + 3 sigma) of every value: the engine's one window
+    rule.  A window past the float range ends at +-inf, as in the scalar path;
+    a non-finite value, which validation reports apart, may give a NaN bound."""
+    half = THREE_SIGMA * sigma
+    with np.errstate(over="ignore", invalid="ignore"):
+        return values - half, values + half
 
 
-def _window_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, str]]:
-    """(object index, message) of every finite quantitative value whose
-    three-sigma window collapses onto it on some axis: ``v - 3 sigma < v <
-    v + 3 sigma`` fails, with the bounds computed as :class:`_Windows` does,
-    so the pair's overlap would be empty and score a silent 0.  In feature
-    order, one message per object and feature, naming the first such axis's
-    value.  A window that overflows to infinity does not collapse; a feature
-    whose sigma the profile check rejects is skipped, as that check reports it."""
+def _checked_accuracy(feature: FeatureSchema, profile: SourceProfile) -> float | None:
+    """The accuracy the column checks read from ``profile``: a quantitative
+    sigma, else an ordinal relative k, else an ordinal width; None where the
+    schema or profile check rejects it, as that check reports it."""
+    acc = profile.accuracy.get(feature.name)
+    if feature.kind is FeatureKind.QUANTITATIVE:
+        given = isinstance(acc, QuantAccuracy) and (acc.sigma is not None or acc.delta_max is not None)
+        scale = acc.resolved_sigma() if given else None
+    elif feature.ordinal_params is None:
+        scale = None
+    elif (k := _relative_k(feature, profile)) is not None:
+        scale = k if k < 1.0 and feature.ordinal_params.shape is not MembershipShape.GAUSSIAN else None
+    else:
+        scale = _width(feature, profile)
+    return scale if scale is not None and scale > 0.0 else None
+
+
+def _column_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, int, str]]:
+    """(object index, check, message) of every present quantitative or
+    ordinal value the kernels cannot score, in one walk over the columns (a
+    dataset built from columns is not checked when made).  The checks follow
+    the payload's (0), each in feature order, one message per object and
+    feature at most:
+
+    1. a value that is not finite, or an ordinal certainty (the membership
+       height) that is not a :class:`Certainty` level;
+    2. a support that fails ``fuzzy.triangular_support_holds``, the scalar
+       constructors' rule, or a Gaussian rank outside
+       ``fuzzy.gaussian_within_range``;
+    3. a three-sigma window that collapses onto its value on some axis, so
+       the overlap would score a silent 0 (one that overflows to infinity
+       does not); the message names the first such axis's value.
+
+    Checks 2 and 3 read each source's :func:`_checked_accuracy`."""
     found = []
     source_ids = np.array(dataset.source_ids, dtype=object)
-    for sid in dict.fromkeys(dataset.source_ids):
-        profile = run.profiles.get(sid)
-        if profile is None:
-            continue
-        for feature in run.schema.features:
-            acc = profile.accuracy.get(feature.name)
-            if feature.kind is not FeatureKind.QUANTITATIVE or not isinstance(acc, QuantAccuracy):
+    sources = [
+        (sid, run.profiles[sid], source_ids == sid) for sid in dict.fromkeys(dataset.source_ids) if sid in run.profiles
+    ]
+    for feature in (f for f in dataset.schema.features if f.kind is not FeatureKind.NOMINAL):
+        column = dataset.columns[feature.name]
+        values, ranks = column.values, column.ranks
+
+        def report(mask, check, message):
+            for i in mask.nonzero()[0].tolist():
+                found.append((i, check, f"{dataset.ids[i]}/{feature.name}: {message(i)}"))
+
+        finite = np.isfinite(values).all(axis=1)
+        report(column.present & ~finite, 1, lambda i: non_finite_violation(feature))
+        held = column.present & finite
+        if feature.kind is FeatureKind.ORDINAL_FUZZY:
+            uncertain = held & (column.certainty[:, None] != _CERTAINTY_LEVELS).all(axis=1)
+            report(uncertain, 1, lambda i: "expected a Certainty")
+            held &= ~uncertain
+        for sid, profile, own in sources:
+            if (scale := _checked_accuracy(feature, profile)) is None:
                 continue
-            try:
-                sigma = acc.resolved_sigma()
-            except ValueError:  # no sigma given, which the profile check reports
-                continue
-            if not sigma > 0.0:
-                continue
-            column = dataset.columns[feature.name]
-            values, half = column.values, THREE_SIGMA * sigma
-            with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are reported apart
-                collapsed = ~((values - half < values) & (values < values + half))
-            held = column.present & (source_ids == sid) & np.isfinite(values).all(axis=1)
-            for i in np.flatnonzero(held & collapsed.any(axis=1)).tolist():
-                value = values[i, np.argmax(collapsed[i])].item()
-                found.append((i, f"{dataset.ids[i]}/{feature.name}: sigma {sigma} of source {sid!r} "
-                                 f"collapses the three-sigma window of {value!r} onto the value itself"))
+            mine = held & own
+            if feature.kind is FeatureKind.QUANTITATIVE:
+                lo, hi = _window_bounds(values, scale)
+                collapsed = ~((lo < values) & (values < hi))
+                report(mine & collapsed.any(axis=1), 3, lambda i: (
+                    f"sigma {scale} of source {sid!r} collapses the three-sigma window of "
+                    f"{values[i, np.argmax(collapsed[i])].item()!r} onto the value itself"))
+            elif feature.ordinal_params.shape is MembershipShape.GAUSSIAN:
+                beyond = mine & ~gaussian_within_range(values[:, 0], scale)
+                report(beyond, 2, lambda i: gaussian_violation(ranks[i], scale))
+            else:
+                lo, hi = _supports(feature, profile, column)
+                k = _relative_k(feature, profile)
+                rule = f"relative k {k} of source {sid!r} rounds" if k is not None else f"half-width {scale} collapses"
+                report(mine & ~triangular_support_holds(lo, values[:, 0], hi), 2, lambda i: triangular_violation(
+                    lo[i], ranks[i], hi[i], f"{rule} the support of rank {ranks[i]} onto the rank itself"))
     return found
 
 
@@ -311,9 +312,7 @@ class _Windows:
 
     @classmethod
     def of(cls, va: np.ndarray, sigma_a: float, vb: np.ndarray, sigma_b: float) -> "_Windows":
-        half_a, half_b = THREE_SIGMA * sigma_a, THREE_SIGMA * sigma_b
-        with np.errstate(over="ignore"):  # a window past the float range ends at +-inf, as in the scalar path
-            return cls(va, vb, va - half_a, va + half_a, vb - half_b, vb + half_b)
+        return cls(va, vb, *_window_bounds(va, sigma_a), *_window_bounds(vb, sigma_b))
 
     def meet(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Whether the windows of each cell overlap on every axis:

@@ -661,6 +661,30 @@ class TestRejectedAtValidation:
             captured = capsys.readouterr()
             assert (captured.err, captured.out) == (message, "")
 
+    def test_record_failing_two_checks(self, tmp_path, capsys):
+        """Per object, every support check comes before every window check,
+        so a1's support message precedes its window message although its
+        feature comes second in the schema."""
+        config = {
+            "schema": {"features": [
+                {"name": "speed", "kind": "quantitative", "weight": 0.5, "xi": 3.0},
+                {"name": "readiness", "kind": "ordinal", "weight": 0.5, "shape": "triangular", "width": 2},
+            ]},
+            "sources": {"a": {"speed": {"sigma": 0.001}}, "b": {"speed": {"sigma": 0.001}}},
+        }
+        path = write(tmp_path, "config.json", json.dumps(config))
+        header = "object_id,source_id,speed,readiness\n"
+        a = write(tmp_path, "a.csv", header + "a1,a,1e16,1e17\na2,a,12.0,4\n")
+        b = write(tmp_path, "b.csv", header + "b1,b,1e16,4\n")
+        assert main(["match", "--config", str(path), str(a), str(b)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == (
+            "error: a1/readiness: half-width 2 collapses the support of rank 1e+17 onto the rank itself\n"
+            "error: a1/speed: sigma 0.001 of source 'a' collapses the three-sigma window of 1e+16 onto the value itself\n"
+            "error: b1/speed: sigma 0.001 of source 'b' collapses the three-sigma window of 1e+16 onto the value itself\n",
+            "",
+        )
+
     def test_gaussian_crossing_past_the_float_range(self, tmp_path, capsys):
         """A Gaussian spread of 1e308 overflowed the crossing of ranks 1e308
         and 4: the pair scored 0.6065 at the peaks, where the crossing gives

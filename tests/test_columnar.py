@@ -167,11 +167,9 @@ def test_columnar_equals_scalar_composition(drawn):
 @given(st.data())
 def test_swap_transposes_every_grid(method, data):
     """Swapping datasets A and B transposes each feature's proximity and
-    presence grid and both aggregate grids exactly, in runs with a nominal
-    feature."""
-    others = data.draw(st.lists(st.sampled_from(sorted(set(FEATURES) - {"type"})), max_size=4, unique=True))
-    names = data.draw(st.permutations(["type", *others]))
-    run, objects_a, objects_b = data.draw(runs(names=names, method=method))
+    presence grid and both aggregate grids exactly, for any non-empty
+    subset of the feature kinds."""
+    run, objects_a, objects_b = data.draw(runs(method=method))
     swapped = object_run(run.schema, run.profiles, objects_b, objects_a, aggregation=run.aggregation)
     forward = pairwise_breakdowns(run).block(0, len(objects_a))
     backward = pairwise_breakdowns(swapped).block(0, len(objects_b))
@@ -181,6 +179,31 @@ def test_swap_transposes_every_grid(method, data):
             np.testing.assert_array_equal(mirrored[name], grid.T, strict=True)
     for grid, mirrored in zip(forward[2:], backward[2:]):
         np.testing.assert_array_equal(mirrored, grid.T, strict=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lower_certainty_never_raises_a_proximity(data):
+    """Lowering the certainty of one held ordinal value of an A object lowers
+    the height of its membership, and no proximity in that object's grid
+    row rises: not a feature's, nor the aggregate."""
+    ordinal = data.draw(st.sampled_from(["ready", "threat"]))
+    others = data.draw(st.lists(st.sampled_from(sorted(set(FEATURES) - {ordinal})), max_size=4, unique=True))
+    names = data.draw(st.permutations([ordinal, *others]))
+    run, objects_a, objects_b = data.draw(runs(names=names, sizes=st.integers(1, 4)))
+    held = [(i, n) for i, a in enumerate(objects_a) for n, fv in a.values.items()
+            if run.schema.feature(n).kind is FeatureKind.ORDINAL_FUZZY and fv.certainty is not Certainty.DOUBTFUL]
+    assume(held)
+    i, name = data.draw(st.sampled_from(held))
+    value = objects_a[i].values[name]
+    lower = data.draw(st.sampled_from([c for c in Certainty if c.value < value.certainty.value]))
+    values = {**objects_a[i].values, name: FeatureValue(value.value, lower)}
+    lowered = [*objects_a[:i], dataclasses.replace(objects_a[i], values=values), *objects_a[i + 1 :]]
+    lowered_run = object_run(run.schema, run.profiles, lowered, objects_b, aggregation=run.aggregation)
+    before, after = (pairwise_breakdowns(r).block(i, i + 1) for r in (run, lowered_run))
+    for n, row in before[0].items():
+        assert (after[0][n] <= row).all(), n
+    assert (after[2] <= before[2]).all()
 
 
 def _csv_bytes(breakdowns, schema) -> bytes:

@@ -301,6 +301,43 @@ class TestRunValidation:
         with pytest.raises(MatchRunError):
             pairwise_breakdowns(run)
 
+    RANKED = Schema((
+        FeatureSchema("rank", FeatureKind.ORDINAL_FUZZY, 1.0,
+                      ordinal_params=OrdinalParams(MembershipShape.TRIANGULAR, width=2.0)),
+    ))
+    RANKED_PROFILES = {s: SourceProfile(s, {}) for s in ("a", "b")}
+
+    def ranked_column_run(self, level):
+        """a0 holds rank 4 at certainty ``level`` and b0 rank 5, both built from columns."""
+        def column(rank, certainty):
+            return {"rank": FeatureColumn(np.ones(1, dtype=bool), np.array([[float(rank)]]), np.array([certainty]), (rank,))}
+
+        dataset_a = Dataset(self.RANKED, ["a0"], ["a"], column(4, level))
+        return MatchRun(self.RANKED, self.RANKED_PROFILES, dataset_a, Dataset(self.RANKED, ["b0"], ["b"], column(5, 1.0)))
+
+    @pytest.mark.parametrize("level", [math.nan, 2.0, 0.0, 0.3, -1.0])
+    def test_ordinal_certainty_in_columns_that_is_not_a_level(self, level):
+        """The ordinal kernel reads a certainty as the membership height.  From
+        columns, NaN scored a silent NaN (and ``breakdown`` raised), 2.0 scored
+        1.0, 0.0 a silent 0.0, 0.3 a height no Certainty gives, and -1.0 divided
+        by zero.  Each now gets the message the object path gives."""
+        run = self.ranked_column_run(level)
+        assert run_violations(run) == ["a0/rank: expected a Certainty"]
+        with pytest.raises(MatchRunError, match="^a0/rank: expected a Certainty$"):
+            pairwise_breakdowns(run)
+
+    @pytest.mark.parametrize("level", list(Certainty))
+    def test_ordinal_certainty_level_in_columns_is_scored(self, level):
+        """Each level scores from columns exactly as from objects."""
+        run = self.ranked_column_run(level.value)
+        assert run_violations(run) == []
+        a = InformationObject("a0", "a", {"rank": FeatureValue(4, level)})
+        b = InformationObject("b0", "b", {"rank": FeatureValue(5)})
+        want = evaluate_pair(self.RANKED, self.RANKED_PROFILES, AggregationSpec(), a, b)
+        assert pairwise_breakdowns(run).breakdown(0, 0) == want
+        expected = possibility(apply_certainty(triangular_from_halfwidth(4.0, 2.0), level), triangular_from_halfwidth(5.0, 2.0))
+        assert want.per_feature["rank"].proximity == pytest.approx(expected, abs=1e-15)
+
     def test_non_finite_values_merged_in_object_order(self):
         """Non-finite values of every kind, absent ones left out, among the
         collapsed relative-k supports; a non-finite rank is not also tried
