@@ -172,28 +172,10 @@ def _supports(feature: FeatureSchema, profile: SourceProfile, column: FeatureCol
 
 def _window_bounds(values: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """(v - 3 sigma, v + 3 sigma) of every value: the engine's one window
-    rule.  A window past the float range ends at +-inf, as in the scalar path;
-    a non-finite value, which validation reports apart, may give a NaN bound."""
+    rule.  A window past the float range ends at +-inf, as in the scalar path."""
     half = THREE_SIGMA * sigma
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         return values - half, values + half
-
-
-def _checked_accuracy(feature: FeatureSchema, profile: SourceProfile) -> float | None:
-    """The accuracy the column checks read from ``profile``: a quantitative
-    sigma, else an ordinal relative k, else an ordinal width; None where the
-    schema or profile check rejects it, as that check reports it."""
-    acc = profile.accuracy.get(feature.name)
-    if feature.kind is FeatureKind.QUANTITATIVE:
-        given = isinstance(acc, QuantAccuracy) and (acc.sigma is not None or acc.delta_max is not None)
-        scale = acc.resolved_sigma() if given else None
-    elif feature.ordinal_params is None:
-        scale = None
-    elif (k := _relative_k(feature, profile)) is not None:
-        scale = k if k < 1.0 and feature.ordinal_params.shape is not MembershipShape.GAUSSIAN else None
-    else:
-        scale = _width(feature, profile)
-    return scale if scale is not None and scale > 0.0 else None
 
 
 def _column_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, int, str]]:
@@ -212,46 +194,54 @@ def _column_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, int, 
        the overlap would score a silent 0 (one that overflows to infinity
        does not); the message names the first such axis's value.
 
-    Checks 2 and 3 read each source's :func:`_checked_accuracy`."""
+    Checks 2 and 3 skip a source whose accuracy the schema or profile check
+    rejects, as that check reports it."""
     found = []
     source_ids = np.array(dataset.source_ids, dtype=object)
     sources = [
         (sid, run.profiles[sid], source_ids == sid) for sid in dict.fromkeys(dataset.source_ids) if sid in run.profiles
     ]
     for feature in (f for f in dataset.schema.features if f.kind is not FeatureKind.NOMINAL):
-        column = dataset.columns[feature.name]
+        column, name, params = dataset.columns[feature.name], feature.name, feature.ordinal_params
         values, ranks = column.values, column.ranks
-
-        def report(mask, check, message):
-            for i in mask.nonzero()[0].tolist():
-                found.append((i, check, f"{dataset.ids[i]}/{feature.name}: {message(i)}"))
-
         finite = np.isfinite(values).all(axis=1)
-        report(column.present & ~finite, 1, lambda i: non_finite_violation(feature))
         held = column.present & finite
         if feature.kind is FeatureKind.ORDINAL_FUZZY:
-            uncertain = held & (column.certainty[:, None] != _CERTAINTY_LEVELS).all(axis=1)
-            report(uncertain, 1, lambda i: "expected a Certainty")
-            held &= ~uncertain
-        for sid, profile, own in sources:
-            if (scale := _checked_accuracy(feature, profile)) is None:
-                continue
-            mine = held & own
-            if feature.kind is FeatureKind.QUANTITATIVE:
-                lo, hi = _window_bounds(values, scale)
+            held &= (column.certainty[:, None] == _CERTAINTY_LEVELS).any(axis=1)
+        for i in np.flatnonzero(column.present & ~held).tolist():
+            message = non_finite_violation(feature) if not finite[i] else "expected a Certainty"
+            found.append((i, 1, f"{dataset.ids[i]}/{name}: {message}"))
+        if feature.kind is FeatureKind.QUANTITATIVE:
+            for sid, profile, own in sources:
+                # Only a positive sigma, given or from a positive delta_max: the profile check reports the rest.
+                acc = profile.accuracy.get(name)
+                if not isinstance(acc, QuantAccuracy) or acc.sigma is None and not (acc.delta_max or 0.0) > 0.0:
+                    continue
+                if not (sigma := acc.resolved_sigma()) > 0.0:
+                    continue
+                with np.errstate(invalid="ignore"):  # a non-finite value, reported above, may give a NaN bound
+                    lo, hi = _window_bounds(values, sigma)
                 collapsed = ~((lo < values) & (values < hi))
-                report(mine & collapsed.any(axis=1), 3, lambda i: (
-                    f"sigma {scale} of source {sid!r} collapses the three-sigma window of "
-                    f"{values[i, np.argmax(collapsed[i])].item()!r} onto the value itself"))
-            elif feature.ordinal_params.shape is MembershipShape.GAUSSIAN:
-                beyond = mine & ~gaussian_within_range(values[:, 0], scale)
-                report(beyond, 2, lambda i: gaussian_violation(ranks[i], scale))
-            else:
+                for i in np.flatnonzero(held & own & collapsed.any(axis=1)).tolist():
+                    value = values[i, np.argmax(collapsed[i])].item()
+                    found.append((i, 3, f"{dataset.ids[i]}/{name}: sigma {sigma} of source {sid!r} "
+                                        f"collapses the three-sigma window of {value!r} onto the value itself"))
+        elif params is not None:
+            gaussian = params.shape is MembershipShape.GAUSSIAN
+            for sid, profile, own in sources:
+                k, width = _relative_k(feature, profile), _width(feature, profile)
+                if not (0.0 < k < 1.0 and not gaussian if k is not None else width is not None and width > 0.0):
+                    continue
+                if gaussian:
+                    for i in np.flatnonzero(held & own & ~gaussian_within_range(values[:, 0], width)).tolist():
+                        found.append((i, 2, f"{dataset.ids[i]}/{name}: {gaussian_violation(ranks[i], width)}"))
+                    continue
                 lo, hi = _supports(feature, profile, column)
-                k = _relative_k(feature, profile)
-                rule = f"relative k {k} of source {sid!r} rounds" if k is not None else f"half-width {scale} collapses"
-                report(mine & ~triangular_support_holds(lo, values[:, 0], hi), 2, lambda i: triangular_violation(
-                    lo[i], ranks[i], hi[i], f"{rule} the support of rank {ranks[i]} onto the rank itself"))
+                rule = f"relative k {k} of source {sid!r} rounds" if k is not None else f"half-width {width} collapses"
+                for i in np.flatnonzero(held & own & ~triangular_support_holds(lo, values[:, 0], hi)).tolist():
+                    collapsed = f"{rule} the support of rank {ranks[i]} onto the rank itself"
+                    message = triangular_violation(lo[i], ranks[i], hi[i], collapsed)
+                    found.append((i, 2, f"{dataset.ids[i]}/{name}: {message}"))
     return found
 
 

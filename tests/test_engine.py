@@ -338,6 +338,22 @@ class TestRunValidation:
         expected = possibility(apply_certainty(triangular_from_halfwidth(4.0, 2.0), level), triangular_from_halfwidth(5.0, 2.0))
         assert want.per_feature["rank"].proximity == pytest.approx(expected, abs=1e-15)
 
+    @pytest.mark.parametrize("delta_max", [0.0, -1.0, math.nan])
+    def test_delta_max_that_is_not_positive_in_a_column_run(self, delta_max):
+        """The collapse check skips a sigma the profile check rejects, rather
+        than resolving it: a non-positive delta_max raised a bare ValueError."""
+        schema = Schema((dataclasses.replace(SPEED, weight=1.0),))
+        profiles = {"a": SourceProfile("a", {"speed": QuantAccuracy(delta_max=delta_max)}), "b": profile("b")}
+
+        def dataset(oid, sid):
+            column = FeatureColumn(np.ones(1, dtype=bool), np.array([[1e16]]), np.ones(1))
+            return Dataset(schema, [oid], [sid], {"speed": column})
+
+        run = MatchRun(schema, profiles, dataset("a0", "a"), dataset("b0", "b"))
+        assert run_violations(run) == ["a/speed: accuracy must be positive"]
+        with pytest.raises(MatchRunError, match="^a/speed: accuracy must be positive$"):
+            pairwise_breakdowns(run)
+
     def test_non_finite_values_merged_in_object_order(self):
         """Non-finite values of every kind, absent ones left out, among the
         collapsed relative-k supports; a non-finite rank is not also tried
