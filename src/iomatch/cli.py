@@ -18,15 +18,15 @@ from . import __version__
 from .config import ConfigError, RunConfig, load_config, require_match_config
 from .dataio import (
     DataError,
+    RenderedCandidates,
     interleave,
     read_dataset,
     read_objects_csv,
     write_breakdowns_csv,
     write_json,
-    write_match_files,
 )
 from .dataio import breakdown_record  # noqa: F401  (a boundary the per-layer trace in bench/spans.py wraps)
-from .engine import MatchRun, candidates, evaluate_pair, pairwise_breakdowns
+from .engine import DEFAULT_THRESHOLD, MatchRun, candidates, evaluate_pair, pairwise_breakdowns
 from .model import ValidationError
 from .simulate import SceneSpec, emit_report_files, run_experiment
 
@@ -169,18 +169,33 @@ def _cmd_match(args) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         formats = (args.format,) if args.format else ("csv", "json")
-        # The writers are passed as this module names them: the boundaries
-        # the per-layer trace in bench/spans.py wraps.
-        write_match_files(
-            out_dir, formats, breakdowns, found, config.schema, threshold,
-            write_csv=write_breakdowns_csv, write_json=write_json,
-        )
+        _write_match_files(out_dir, formats, breakdowns, found, config.schema, threshold)
     return EXIT_OK
+
+
+def _write_match_files(out_dir: Path, formats, scores, found, schema, threshold: float) -> None:
+    """Write the artefacts of a match run's ``scores`` and ``found``
+    candidates in the given ``formats`` into ``out_dir``: ``pairs.csv`` for
+    ``"csv"``, ``candidates.json`` for ``"json"``.
+
+    When both are written, ``pairs.csv`` hands the texts it rendered for the
+    candidates' cells over to ``candidates.json``, so each score is rendered
+    once.  The texts are held from the first CSV block to the last JSON
+    block.  The writers are called as this module names them, the
+    boundaries the per-layer trace in bench/spans.py wraps."""
+    view = found
+    if "csv" in formats:
+        cells = found.rows * len(scores.ids_b) + found.cols if "json" in formats else None
+        texts = write_breakdowns_csv(out_dir / "pairs.csv", scores, schema, cells)
+        if texts is not None:
+            view = RenderedCandidates(found, texts)
+    if "json" in formats:
+        write_json(out_dir / "candidates.json", {"threshold": threshold, "pair_count": len(scores), "candidates": view})
 
 
 def _cmd_simulate(args) -> int:
     spec = SceneSpec()
-    threshold = 0.01
+    threshold = DEFAULT_THRESHOLD
     if args.config is not None:
         config = load_config(args.config)
         if config.simulation is None:
@@ -192,7 +207,7 @@ def _cmd_simulate(args) -> int:
         spec = replace(spec, rng_seed=args.seed)
     if args.threshold is not None:
         threshold = args.threshold
-    report = run_experiment(spec, out_dir=None, threshold=threshold)
+    report = run_experiment(spec, threshold=threshold)
     if args.out is not None:
         formats = (args.format,) if args.format else ("csv", "json", "svg")
         written = emit_report_files(report, Path(args.out), formats)

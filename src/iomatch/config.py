@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .aggregate import AggregationMethod, AggregationSpec, weight_violations
+from .engine import DEFAULT_THRESHOLD
 from .model import (
     FeatureKind,
     FeatureSchema,
@@ -28,8 +29,6 @@ from .model import (
     schema_violations,
 )
 from .simulate import SceneSpec
-
-DEFAULT_THRESHOLD = 0.01
 
 _KINDS = {
     "quantitative": FeatureKind.QUANTITATIVE,

@@ -38,11 +38,11 @@ lines, each its ids and its row's text, are then joined at once.
 A run that writes ``pairs.csv`` and a JSON file renders each score once,
 by one mechanism: :func:`write_breakdowns_csv` keeps the texts of the cells
 and columns its caller asks for as it writes them, and the JSON writer
-takes them from there.  ``match`` (:func:`write_match_files`) asks for every
-column of the candidates' cells, for ``candidates.json``; ``simulate`` asks
-for the two aggregate columns of every cell, which ``report.json``'s
-``pairs`` list takes as two float columns of texts.  The texts stay held
-from the first CSV block to the last JSON block.
+takes them from there.  ``match`` asks for every column of the candidates'
+cells, which a :class:`RenderedCandidates` carries into ``candidates.json``;
+``simulate`` asks for the two aggregate columns of every cell, which
+``report.json``'s ``pairs`` list takes as two float columns of texts.  The
+texts stay held from the first CSV block to the last JSON block.
 """
 
 from __future__ import annotations
@@ -610,10 +610,11 @@ def _records_chunks(records: Records, depth: int) -> Iterator[str]:
     return _list_chunks(map(text, range(0, n_rows if n_cols else 0, step)), depth)
 
 
-class _RenderedCandidates:
+class RenderedCandidates:
     """A :class:`RankedCandidates` with the texts of its floats as
-    ``write_breakdowns_csv`` returns them for it, which ``write_json``
-    writes as the candidates' records without rendering them again."""
+    ``write_breakdowns_csv`` returns them for its cells (``rows * n_b +
+    cols``), which ``write_json`` writes as the candidates' records without
+    rendering them again."""
 
     def __init__(self, found: RankedCandidates, texts: np.ndarray):
         self.found, self.texts = found, texts
@@ -699,7 +700,7 @@ def _json_chunks(value, depth: int) -> Iterator[str]:
     indent = "\n" + "  " * depth
     if isinstance(value, RankedCandidates):
         yield from _candidate_chunks(value, depth)
-    elif isinstance(value, _RenderedCandidates):
+    elif isinstance(value, RenderedCandidates):
         yield from _candidate_chunks(value.found, depth, value.texts)
     elif isinstance(value, Records):
         yield from _records_chunks(value, depth)
@@ -719,41 +720,10 @@ def _json_chunks(value, depth: int) -> Iterator[str]:
 
 def write_json(path: str | Path, payload) -> None:
     """Write ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline,
-    byte for byte, where a :class:`RankedCandidates` stands for its
-    ``breakdown_record``s and a :class:`Records` for its records, each
-    streamed from its columns, so that no view's text is held whole."""
+    byte for byte, where a :class:`RankedCandidates` or a
+    :class:`RenderedCandidates` stands for its ``breakdown_record``s and a
+    :class:`Records` for its records, each streamed from its columns, so
+    that no view's text is held whole."""
     with open(path, "w") as fh:
         fh.writelines(_json_chunks(payload, 0))
         fh.write("\n")
-
-
-def write_match_files(
-    out_dir: Path,
-    formats: Iterable[str],
-    scores: PairScores,
-    found: RankedCandidates,
-    schema: Schema,
-    threshold: float,
-    *,
-    write_csv=write_breakdowns_csv,
-    write_json=write_json,
-) -> None:
-    """Write a match run's artefacts of the given ``formats`` into
-    ``out_dir``: ``pairs.csv`` for ``"csv"``, ``candidates.json`` for
-    ``"json"``.
-
-    When both are written, ``pairs.csv`` hands the texts it rendered for the
-    candidates' cells over to ``candidates.json``, so each score is rendered
-    once.  The texts are held from the first CSV block to the last JSON
-    block.
-
-    ``write_csv`` and ``write_json`` are the two writers; a caller may pass
-    them as it looks them up, so that a wrapper it installs sees each file
-    written."""
-    texts = None
-    if "csv" in formats:
-        cells = found.rows * len(scores.ids_b) + found.cols if "json" in formats else None
-        texts = write_csv(out_dir / "pairs.csv", scores, schema, cells)
-    if "json" in formats:
-        view = found if texts is None else _RenderedCandidates(found, texts)
-        write_json(out_dir / "candidates.json", {"threshold": threshold, "pair_count": len(scores), "candidates": view})

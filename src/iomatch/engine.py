@@ -78,6 +78,9 @@ from .model import (
 
 THREE_SIGMA = 3.0
 
+# The candidate threshold where a run or a configuration names none.
+DEFAULT_THRESHOLD = 0.01
+
 # The membership heights an ordinal value may have.
 _CERTAINTY_LEVELS = np.array([level.value for level in Certainty])
 
@@ -101,7 +104,7 @@ class MatchRun:
     dataset_a: Dataset
     dataset_b: Dataset
     aggregation: agg.AggregationSpec = agg.AggregationSpec()
-    candidate_threshold: float = 0.01
+    candidate_threshold: float = DEFAULT_THRESHOLD
 
     def __post_init__(self):
         for side in ("dataset_a", "dataset_b"):

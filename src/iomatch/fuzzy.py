@@ -70,8 +70,8 @@ class FuzzyMembership:
 
     Triangular functions carry a finite support [g_min, g_max] with a single
     peak; Gaussian functions carry a spread and, by convention, intersect on
-    the integer grid; nominal plateaus sit on a label axis with a constant
-    off-peak level.
+    the integer grid (the shape alone decides the rule); nominal plateaus sit
+    on a label axis with a constant off-peak level.
     """
 
     shape: MembershipShape
@@ -81,7 +81,6 @@ class FuzzyMembership:
     g_max: float | None = None
     spread: float | None = None
     plateau: float | None = None
-    integer_grid: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.height <= 1.0:
@@ -157,9 +156,7 @@ def gaussian_membership(center: float, spread: float, height: float = 1.0) -> Fu
     violation = gaussian_violation(center, spread)
     if violation is not None:
         raise ValueError(violation)
-    return FuzzyMembership(
-        MembershipShape.GAUSSIAN, peak=center, height=height, spread=spread, integer_grid=True
-    )
+    return FuzzyMembership(MembershipShape.GAUSSIAN, peak=center, height=height, spread=spread)
 
 
 def nominal_plateau(label: str, delta: float, height: float = 1.0) -> FuzzyMembership:
@@ -234,7 +231,7 @@ def possibility(m1: FuzzyMembership, m2: FuzzyMembership) -> float:
             min(m1.height, m2.height * m2.plateau),
             min(m1.height * m1.plateau, m2.height),
         )
-    if m1.integer_grid or m2.integer_grid:
+    if MembershipShape.GAUSSIAN in (m1.shape, m2.shape):
         return _possibility_grid(m1, m2)
     return _possibility_piecewise(m1, m2)
 

@@ -8,7 +8,7 @@ across concurrent evaluators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -387,7 +387,9 @@ class FeatureColumn:
     nominal one (None where absent).  ``certainty`` holds each value's
     certainty level (1.0 where absent).  ``ranks`` keeps an ordinal
     feature's ranks as reported, an ``int`` where the text was an integer
-    (None where absent); the other kinds leave it None.
+    (None where absent); the other kinds leave it None, and a
+    :class:`Dataset` fills it in from ``values`` where an ordinal column
+    leaves it None.
     """
 
     present: np.ndarray
@@ -431,7 +433,8 @@ class Dataset:
     and per feature of ``schema`` a :class:`FeatureColumn` in ``columns``.
     ``violations`` lists the ``(object index, message)`` of every payload
     that fails the schema; a dataset read from CSV has none, as the reader
-    rejects the file instead.
+    rejects the file instead.  An ordinal column given without ``ranks``
+    takes its values as its ranks.
     """
 
     def __init__(
@@ -444,6 +447,11 @@ class Dataset:
     ):
         self.schema, self.ids, self.source_ids = schema, tuple(ids), tuple(source_ids)
         self.columns, self.violations = dict(columns), tuple(violations)
+        for f in schema.features:
+            column = self.columns.get(f.name)
+            if f.kind is FeatureKind.ORDINAL_FUZZY and column is not None and column.ranks is None:
+                ranks = [r if held else None for r, held in zip(column.values[:, 0].tolist(), column.present.tolist())]
+                self.columns[f.name] = replace(column, ranks=tuple(ranks))
 
     @classmethod
     def from_objects(cls, objects: Iterable[InformationObject], schema: Schema) -> "Dataset":

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .aggregate import AggregationMethod, AggregationSpec
 from .dataio import Records, write_breakdowns_csv, write_json, write_objects_csv
-from .engine import MatchRun, PairScores, RankedCandidates, candidates, pairwise_breakdowns
+from .engine import DEFAULT_THRESHOLD, MatchRun, PairScores, RankedCandidates, candidates, pairwise_breakdowns
 from .model import (
     Dataset,
     FeatureColumn,
@@ -187,7 +187,6 @@ class ExperimentReport:
     objects, ``separation_observed`` between the two reported positions.
     """
 
-    spec: SceneSpec
     threshold: float
     scene: Scene
     datasets: Mapping[str, Dataset]
@@ -200,6 +199,11 @@ class ExperimentReport:
     def __post_init__(self):
         for column in (self.type_mismatch, self.separation_true, self.separation_observed):
             column.flags.writeable = False
+
+    @property
+    def spec(self) -> SceneSpec:
+        """The spec the scene was drawn from."""
+        return self.scene.spec
 
     @cached_property
     def summary(self) -> dict:
@@ -323,16 +327,14 @@ def _self_separations(p: np.ndarray) -> np.ndarray:
     return separations
 
 
-def run_experiment(
-    spec: SceneSpec, out_dir: str | Path | None = None, threshold: float = 0.01
-) -> ExperimentReport:
-    """Generate, observe, and match a scene; optionally emit artifact files.
+def run_experiment(spec: SceneSpec, threshold: float = DEFAULT_THRESHOLD) -> ExperimentReport:
+    """Generate, observe, and match a scene; :func:`emit_report_files`
+    writes its files.
 
     Matching uses the multiplicative convolution with equal position/type
-    weights.  Written files: ``objects_<source>.csv``, ``pairs.csv``,
-    ``report.json``, ``scene.svg``.  Raises :class:`SceneSpecError` before
-    any file is written when a separation of two scene objects or of two
-    reports is not finite, which ``report.json`` could not hold as JSON.
+    weights.  Raises :class:`SceneSpecError` when a separation of two scene
+    objects or of two reports is not finite, which ``report.json`` could
+    not hold as JSON.
     """
     scene = generate_scene(spec)
     schema = scene_schema(spec)
@@ -364,8 +366,7 @@ def run_experiment(
             f"{overflows[0]} true and {overflows[1]} observed of the {separation_true.size} pair separations"
             " overflow the float range"
         ])
-    report = ExperimentReport(
-        spec=spec,
+    return ExperimentReport(
         threshold=threshold,
         scene=scene,
         datasets=datasets,
@@ -375,13 +376,13 @@ def run_experiment(
         separation_true=separation_true,
         separation_observed=separation_observed,
     )
-    if out_dir is not None:
-        emit_report_files(report, Path(out_dir))
-    return report
 
 
 def emit_report_files(report: ExperimentReport, out_dir: Path, formats: Sequence[str] = ("csv", "json", "svg")) -> list[Path]:
-    """Write the experiment artifacts; returns the files written.
+    """Write the experiment artifacts of the given ``formats`` into
+    ``out_dir``: ``objects_<source>.csv`` and ``pairs.csv`` for ``"csv"``,
+    ``report.json`` for ``"json"``, ``scene.svg`` for ``"svg"``; returns
+    the files written.
 
     When both ``pairs.csv`` and ``report.json`` are written, the CSV writer
     hands the texts of every pair's aggregate proximity and distance over

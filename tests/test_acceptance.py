@@ -26,7 +26,7 @@ from iomatch.quant import (
     joint_overlap_probability,
     quantitative_distance,
 )
-from iomatch.simulate import SceneSpec, run_experiment
+from iomatch.simulate import SceneSpec, emit_report_files, run_experiment
 
 from oracles import grid_possibility, mc_interval_probability, random_triangular
 
@@ -196,8 +196,8 @@ def test_c11_simulation_comparison(coarse_report, precise_report, tmp_path):
         precise_report.summary["mean_proximity_distinct_far_pairs"]
         < coarse_report.summary["mean_proximity_distinct_far_pairs"]
     )
-    run_experiment(COARSE_SPEC, out_dir=tmp_path / "one")
-    run_experiment(COARSE_SPEC, out_dir=tmp_path / "two")
+    emit_report_files(run_experiment(COARSE_SPEC), tmp_path / "one")
+    emit_report_files(run_experiment(COARSE_SPEC), tmp_path / "two")
     for name in ("objects_s1.csv", "objects_s2.csv", "pairs.csv", "report.json", "scene.svg"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
     # Candidate filtering at the 0.01 default matches the thresholded pair columns.

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from iomatch import dataio
+from iomatch import cli, dataio
 from iomatch.aggregate import AggregationMethod, AggregationSpec
-from iomatch.dataio import RECORDS_PER_BLOCK, breakdown_record, write_breakdowns_csv, write_match_files
+from iomatch.dataio import RECORDS_PER_BLOCK, breakdown_record, write_breakdowns_csv
 from iomatch.engine import (
     MatchRunError,
     PairScores,
@@ -206,6 +206,53 @@ def test_lower_certainty_never_raises_a_proximity(data):
     assert (after[2] <= before[2]).all()
 
 
+@pytest.mark.parametrize("method", list(AggregationMethod))
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_every_score_lies_in_the_unit_interval(method, data):
+    """Each held feature proximity and both aggregate grids lie in [0, 1]
+    exactly, for any non-empty subset of the feature kinds."""
+    run, objects_a, _ = data.draw(runs(method=method))
+    proximity, present, aggregate_p, aggregate_d = pairwise_breakdowns(run).block(0, len(objects_a))
+    for name, grid in proximity.items():
+        held = grid[present[name]]
+        assert ((0.0 <= held) & (held <= 1.0)).all(), name
+    for grid in (aggregate_p, aggregate_d):
+        assert ((0.0 <= grid) & (grid <= 1.0)).all()
+
+
+# A proximity may rise by a few ulps as a report moves away: the difference
+# of two erf values rounds (see test_quant.py's one-ulp pair).
+MONOTONE_TOLERANCE = 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_moving_a_report_away_never_raises_a_proximity(data):
+    """Moving one held B value away from an A value along one axis of a
+    quantitative feature raises neither that feature's proximity of the
+    pair nor its aggregate, by more than MONOTONE_TOLERANCE."""
+    quantitative = data.draw(st.sampled_from(["pos", "speed"]))
+    others = data.draw(st.lists(st.sampled_from(sorted(set(FEATURES) - {quantitative})), max_size=4, unique=True))
+    names = data.draw(st.permutations([quantitative, *others]))
+    run, objects_a, objects_b = data.draw(runs(names=names, sizes=st.integers(1, 4)))
+    held = [(i, j) for i, a in enumerate(objects_a) for j, b in enumerate(objects_b)
+            if quantitative in a.values and quantitative in b.values]
+    assume(held)
+    i, j = data.draw(st.sampled_from(held))
+    a, b = (np.atleast_1d(o.values[quantitative].value).tolist() for o in (objects_a[i], objects_b[j]))
+    axis = data.draw(st.integers(0, len(b) - 1))
+    step = data.draw(st.floats(0.0, 6.0))
+    b[axis] += step if b[axis] >= a[axis] else -step
+    value = dataclasses.replace(objects_b[j].values[quantitative], value=tuple(b) if len(b) > 1 else b[0])
+    moved = dataclasses.replace(objects_b[j], values={**objects_b[j].values, quantitative: value})
+    moved_run = object_run(run.schema, run.profiles, objects_a, [*objects_b[:j], moved, *objects_b[j + 1 :]],
+                           aggregation=run.aggregation)
+    before, after = (pairwise_breakdowns(r).breakdown(i, j) for r in (run, moved_run))
+    assert after.per_feature[quantitative].proximity <= before.per_feature[quantitative].proximity + MONOTONE_TOLERANCE
+    assert after.aggregate_proximity <= before.aggregate_proximity + MONOTONE_TOLERANCE
+
+
 def _csv_bytes(breakdowns, schema) -> bytes:
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "pairs.csv"
@@ -378,9 +425,9 @@ def test_candidates_json_with_more_features_than_one_mask_word():
 
 
 def _match_files(scores, found, schema, formats) -> dict[str, bytes]:
-    """The files ``write_match_files`` writes for ``formats``, by name."""
+    """The files ``match`` writes for ``formats``, by name."""
     with tempfile.TemporaryDirectory() as directory:
-        write_match_files(Path(directory), formats, scores, found, schema, 0.01)
+        cli._write_match_files(Path(directory), formats, scores, found, schema, 0.01)
         return {path.name: path.read_bytes() for path in Path(directory).iterdir()}
 
 
@@ -463,7 +510,7 @@ def test_pruned_grid_rows_rendered_once_change_no_byte(drawn, cells_per_block, s
 
 def _simulated_scores(n=40, seed=3):
     """A simulated scene's scores, most of whose cells blocking prunes."""
-    report = run_experiment(SceneSpec(object_count=n, rng_seed=seed), out_dir=None, threshold=0.01)
+    report = run_experiment(SceneSpec(object_count=n, rng_seed=seed), threshold=0.01)
     return report.breakdowns, scene_schema(report.spec)
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -139,6 +140,27 @@ class TestDatasetCsv:
         assert list(run(read_objects_csv(pa, self.schema), read_objects_csv(pb, self.schema))) == list(
             run(objects_a, objects_b)
         )
+
+    def test_round_trip_of_ordinal_column_without_ranks(self, tmp_path):
+        """An ordinal column built without ``ranks`` is written with its
+        values as ranks, blank where absent, and re-reads to the same columns."""
+        dataset = Dataset.from_objects(sample_objects(self.schema), self.schema)
+        columns = {**dataset.columns, "readiness": dataclasses.replace(dataset.columns["readiness"], ranks=None)}
+        bare = Dataset(self.schema, dataset.ids, dataset.source_ids, columns)
+        path = tmp_path / "objects.csv"
+        write_objects_csv(path, bare)
+        assert path.read_text().splitlines()[1:] == [
+            "a0,s1,12.25,980.5,4.0,tank,certain,probable,certain",
+            "a1,s1,0.1234567890123,2.0,,truck,certain,,possible",
+        ]
+        back = read_dataset(path, self.schema)
+        for name, column in bare.columns.items():
+            read = back.columns[name]
+            assert read.present.tolist() == column.present.tolist()
+            assert read.values.tolist() == column.values.tolist()
+            assert read.certainty.tolist() == column.certainty.tolist()
+            assert read.ranks == column.ranks
+        assert back.columns["readiness"].ranks == (4.0, None)
 
     def test_dataset_with_violations_refused(self, tmp_path):
         """Its columns hold a bad payload as absent, which would be written blank."""

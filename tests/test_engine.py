@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -337,6 +338,34 @@ class TestRunValidation:
         assert pairwise_breakdowns(run).breakdown(0, 0) == want
         expected = possibility(apply_certainty(triangular_from_halfwidth(4.0, 2.0), level), triangular_from_halfwidth(5.0, 2.0))
         assert want.per_feature["rank"].proximity == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("shape, rank, message", [
+        (MembershipShape.TRIANGULAR, 1e17, "half-width 2.0 collapses the support of rank 1e+17 onto the rank itself"),
+        (MembershipShape.GAUSSIAN, 2.0**600, f"Gaussian ranks and spreads must lie within 2**511, got rank {2.0**600} under spread 2.0"),
+    ], ids=["triangular", "gaussian"])
+    def test_ordinal_column_without_ranks_is_rejected(self, shape, rank, message):
+        """An ordinal column built without ``ranks`` words its messages with
+        the ranks of its values, as one built with them does; before,
+        ``run_violations`` raised TypeError on the missing ranks."""
+        schema = Schema((FeatureSchema("rank", FeatureKind.ORDINAL_FUZZY, 1.0, ordinal_params=OrdinalParams(shape, width=2.0)),))
+
+        def run(with_ranks):
+            def dataset(oid, sid, r):
+                column = FeatureColumn(np.ones(1, dtype=bool), np.array([[r]]), np.ones(1), (r,) if with_ranks else None)
+                return Dataset(schema, [oid], [sid], {"rank": column})
+
+            return MatchRun(schema, self.RANKED_PROFILES, dataset("a0", "a", rank), dataset("b0", "b", 5.0))
+
+        assert run_violations(run(False)) == run_violations(run(True)) == [f"a0/rank: {message}"]
+        with pytest.raises(MatchRunError, match=f"^a0/rank: {re.escape(message)}$"):
+            pairwise_breakdowns(run(False))
+
+    def test_ordinal_column_without_ranks_takes_its_values(self):
+        """A dataset gives such a column the ranks of its values, None where absent."""
+        column = FeatureColumn(np.array([True, False]), np.array([[4.0], [0.0]]), np.ones(2))
+        dataset = Dataset(self.RANKED, ["a0", "a1"], ["a", "a"], {"rank": column})
+        assert dataset.columns["rank"].ranks == (4.0, None)
+        assert dataset.columns["rank"].payload(self.RANKED.features[0], 0) == 4.0
 
     @pytest.mark.parametrize("delta_max", [0.0, -1.0, math.nan])
     def test_delta_max_that_is_not_positive_in_a_column_run(self, delta_max):

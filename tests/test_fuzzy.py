@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from iomatch.fuzzy import (
+    FuzzyMembership,
     IdentificationPowerWarning,
     apply_certainty,
     gaussian_membership,
@@ -18,7 +19,7 @@ from iomatch.fuzzy import (
     triangular_from_halfwidth,
     triangular_from_relative_error,
 )
-from iomatch.model import Certainty
+from iomatch.model import Certainty, MembershipShape
 
 from oracles import grid_possibility, random_triangular, support_walk_possibility
 
@@ -199,6 +200,16 @@ class TestPossibility:
         m2 = gaussian_membership(18.0, 3.0)
         # Max-min lands on the midpoint rank 15.
         assert possibility(m1, m2) == pytest.approx(0.6065, abs=0.005)
+
+    def test_gaussian_built_directly_takes_the_integer_grid(self):
+        """The shape alone decides the rule: a Gaussian built without
+        ``gaussian_membership`` scores as one built with it (it raised
+        TypeError), and a triangle keeps the exact piecewise rule."""
+        direct = FuzzyMembership(MembershipShape.GAUSSIAN, peak=3.0, spread=1.0)
+        triangle = triangular_from_halfwidth(4.0, 2.0)
+        assert possibility(direct, triangle) == possibility(gaussian_membership(3.0, 1.0), triangle) == 0.6065306597126334
+        assert possibility(direct, direct) == 1.0
+        assert possibility(triangle, triangular_from_halfwidth(5.5, 2.0)) == 0.625
 
     def test_identical_certain_sets(self):
         m = triangular_from_halfwidth(4.0, 2.0)

@@ -169,6 +169,17 @@ class TestQuantitativeProximity:
         assert a.window[1] == math.inf
         assert 0.0 < quantitative_proximity(a, b) < 1.0
 
+    def test_moving_one_ulp_away_can_round_up(self):
+        """Monotonicity in the separation holds to rounding only: the
+        difference of two erf values rounds, so one ulp farther can score
+        a few ulps higher.  The properties allow 1e-12 for it."""
+        a = NormalErrorModel(2.0, 2.5)
+        near = quantitative_proximity(a, NormalErrorModel(3.0, 0.3))
+        far = quantitative_proximity(a, NormalErrorModel(math.nextafter(3.0, math.inf), 0.3))
+        assert math.nextafter(3.0, math.inf) == 3.0000000000000004
+        assert (near, far) == (0.25971619178771094, 0.25971619178771105)
+        assert far - near < 1e-12
+
     @given(x1=values, x2=values, s1=sigmas, s2=sigmas)
     def test_symmetry_exact(self, x1, x2, s1, s2):
         a, b = NormalErrorModel(x1, s1), NormalErrorModel(x2, s2)

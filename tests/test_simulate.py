@@ -200,15 +200,15 @@ class TestRunExperiment:
 
     def test_byte_determinism(self, tmp_path):
         spec = SceneSpec(object_count=10, rng_seed=21)
-        run_experiment(spec, out_dir=tmp_path / "one")
-        run_experiment(spec, out_dir=tmp_path / "two")
+        emit_report_files(run_experiment(spec), tmp_path / "one")
+        emit_report_files(run_experiment(spec), tmp_path / "two")
         names = ["objects_s1.csv", "objects_s2.csv", "pairs.csv", "report.json", "scene.svg"]
         for name in names:
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
     def test_different_seed_changes_output(self, tmp_path):
-        run_experiment(SceneSpec(object_count=10, rng_seed=21), out_dir=tmp_path / "one")
-        run_experiment(SceneSpec(object_count=10, rng_seed=22), out_dir=tmp_path / "two")
+        emit_report_files(run_experiment(SceneSpec(object_count=10, rng_seed=21)), tmp_path / "one")
+        emit_report_files(run_experiment(SceneSpec(object_count=10, rng_seed=22)), tmp_path / "two")
         assert (tmp_path / "one" / "report.json").read_bytes() != (
             tmp_path / "two" / "report.json"
         ).read_bytes()
@@ -224,6 +224,14 @@ class TestRunExperiment:
         ceiling = joint_overlap_probability(NormalErrorModel(0, 1), NormalErrorModel(0, 1))
         proximity = report.candidates[0].aggregate_proximity
         assert 0.3 < proximity <= ceiling + 1e-12
+
+    def test_spec_is_the_scene_spec(self, reports):
+        for report, spec in zip(reports, (SceneSpec(object_count=20, rng_seed=7),
+                                          SceneSpec(object_count=20, rng_seed=7, rmse=(10.0, 15.0)))):
+            assert report.spec is report.scene.spec
+            assert report.spec == spec
+        with pytest.raises(AttributeError):
+            reports[0].spec = SceneSpec()
 
     def test_report_payload_shape(self, reports):
         payload = reports[0].to_payload()
