@@ -8,12 +8,12 @@ scene.  See README for the full layout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping
 
 from .aggregate import AggregationMethod, AggregationSpec, weight_violations
-from .engine import DEFAULT_THRESHOLD
+from .engine import DEFAULT_THRESHOLD, threshold_violations
 from .model import (
     FeatureKind,
     FeatureSchema,
@@ -24,7 +24,6 @@ from .model import (
     Schema,
     SourceProfile,
     ValidationError,
-    is_finite_number,
     profile_violations,
     schema_violations,
 )
@@ -56,8 +55,10 @@ class RunConfig:
     simulation: SceneSpec | None
 
 
+# The JSON type of each field; the range of its value is the rule of the
+# dataclass that holds it, so a config file and a Python caller get one verdict.
 _JSON_TYPES = {
-    "a number": is_finite_number,
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
     "a boolean": lambda v: isinstance(v, bool),
@@ -177,20 +178,27 @@ def _parse_simulation(raw: Mapping[str, Any], errors: list[str]) -> SceneSpec | 
     defaults = SceneSpec()
     where = "simulation "
     count = len(errors)
-    area = _typed_items(raw, "area", "a number", where, errors, defaults.area)
-    rmse = _typed_items(raw, "rmse", "a number", where, errors, defaults.rmse)
     spec = SceneSpec(
         object_count=_typed(raw, "object_count", "an integer", where, errors, defaults.object_count),
-        area=tuple(float(a) for a in area),
+        area=_typed_items(raw, "area", "a number", where, errors, defaults.area),
         type_alphabet=_typed_items(raw, "types", "a string", where, errors, defaults.type_alphabet),
-        rmse=tuple(float(r) for r in rmse),
-        type_error=float(_typed(raw, "type_error", "a number", where, errors, defaults.type_error)),
-        fleet_sigma_min=float(
-            _typed(raw, "fleet_sigma_min", "a number", where, errors, defaults.fleet_sigma_min)
-        ),
+        rmse=_typed_items(raw, "rmse", "a number", where, errors, defaults.rmse),
+        type_error=_typed(raw, "type_error", "a number", where, errors, defaults.type_error),
+        fleet_sigma_min=_typed(raw, "fleet_sigma_min", "a number", where, errors, defaults.fleet_sigma_min),
         rng_seed=_typed(raw, "seed", "an integer", where, errors, defaults.rng_seed),
     )
-    return spec if len(errors) == count else None
+    if len(errors) == count:
+        errors.extend(spec.violations())
+    if len(errors) > count:
+        return None
+    # Converted once the rules pass, so an int past the float range is reported, never raises.
+    return replace(
+        spec,
+        area=tuple(map(float, spec.area)),
+        rmse=tuple(map(float, spec.rmse)),
+        type_error=float(spec.type_error),
+        fleet_sigma_min=float(spec.fleet_sigma_min),
+    )
 
 
 def parse_config(document: Mapping[str, Any]) -> RunConfig:
@@ -224,17 +232,11 @@ def parse_config(document: Mapping[str, Any]) -> RunConfig:
     if schema is not None:
         errors.extend(weight_violations(schema, aggregation))
     threshold = _typed(document, "threshold", "a number", "", errors, DEFAULT_THRESHOLD)
-    if not 0.0 <= threshold <= 1.0:
-        errors.append(f"threshold {threshold!r} outside [0, 1]")
+    errors.extend(threshold_violations(threshold))
     simulation = None
     raw_simulation = _typed(document, "simulation", "an object", "", errors)
     if raw_simulation is not None:
         simulation = _parse_simulation(raw_simulation, errors)
-        if simulation is not None:
-            sim_errors = simulation.violations()
-            errors.extend(sim_errors)
-            if sim_errors:
-                simulation = None
     if errors:
         raise ConfigError(errors)
     return RunConfig(

@@ -4,7 +4,8 @@ The engine's input is two columnar datasets (:class:`~iomatch.model.Dataset`),
 each built for the run's schema; :meth:`Dataset.from_objects` builds one
 from objects.  Validation reads the columns: the payload violations a
 dataset carries, duplicate ids, mixed or missing source profiles, a dataset
-built for another schema, and then, in one walk over each quantitative and
+built for another schema, a column missing or of another length than the
+ids, and then, in one walk over each quantitative and
 ordinal column, the values the kernels cannot score: values that are not
 finite, ordinal certainties that are not a :class:`~iomatch.model.Certainty`
 level, triangular supports that are not finite or collapse onto their rank,
@@ -72,6 +73,7 @@ from .model import (
     SourceProfile,
     ValidationError,
     non_finite_violation,
+    positive_violation,
     profile_violations,
     schema_violations,
 )
@@ -80,6 +82,13 @@ THREE_SIGMA = 3.0
 
 # The candidate threshold where a run or a configuration names none.
 DEFAULT_THRESHOLD = 0.01
+
+
+def threshold_violations(threshold) -> list[str]:
+    """The candidate threshold's rule, for runs, configurations and
+    :func:`candidates` alike: a number in [0, 1]."""
+    return [] if 0.0 <= threshold <= 1.0 else [f"candidate threshold {threshold} outside [0, 1]"]
+
 
 # The membership heights an ordinal value may have.
 _CERTAINTY_LEVELS = np.array([level.value for level in Certainty])
@@ -118,8 +127,7 @@ def run_violations(run: MatchRun) -> list[str]:
     errors = list(schema_violations(run.schema.features))
     for profile in run.profiles.values():
         errors.extend(profile_violations(profile, run.schema))
-    if not 0.0 <= run.candidate_threshold <= 1.0:
-        errors.append(f"candidate threshold {run.candidate_threshold} outside [0, 1]")
+    errors.extend(threshold_violations(run.candidate_threshold))
     for label, dataset in (("A", run.dataset_a), ("B", run.dataset_b)):
         sources = set(dataset.source_ids)
         if len(sources) > 1:
@@ -135,6 +143,10 @@ def run_violations(run: MatchRun) -> list[str]:
         if dataset.schema != run.schema:
             errors.append(f"dataset {label} was built for another schema")
             continue
+        shape = _shape_violations(dataset, label)
+        if shape:
+            errors.extend(shape)
+            continue
         # Per object: its payload violations (check 0), then its column checks.
         found = [(i, 0, message) for i, message in dataset.violations] + _column_violations(dataset, run)
         errors.extend(message for *_, message in sorted(found, key=lambda v: v[:2]))
@@ -142,6 +154,26 @@ def run_violations(run: MatchRun) -> list[str]:
     if a_sources and a_sources == b_sources:
         errors.append("both datasets reference the same source id")
     errors.extend(agg.weight_violations(run.schema, run.aggregation))
+    return errors
+
+
+def _shape_violations(dataset: Dataset, label: str) -> list[str]:
+    """A schema feature without a column, and a column holding another
+    number of entries than the dataset has ids (a dataset built from
+    columns is not checked when made)."""
+    errors = []
+    n = len(dataset.ids)
+    for name in dataset.schema.names:
+        column = dataset.columns.get(name)
+        if column is None:
+            errors.append(f"dataset {label}: no column for feature {name!r}")
+            continue
+        parts = {"present": column.present, "values": column.values, "certainty": column.certainty,
+                 "ranks": column.ranks}
+        lengths = {part: len(array) for part, array in parts.items() if array is not None}
+        if set(lengths.values()) != {n}:
+            held = ", ".join(f"{length} {part}" for part, length in lengths.items())
+            errors.append(f"dataset {label}: column {name!r} holds {held} for {n} ids")
     return errors
 
 
@@ -216,12 +248,10 @@ def _column_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, int, 
             found.append((i, 1, f"{dataset.ids[i]}/{name}: {message}"))
         if feature.kind is FeatureKind.QUANTITATIVE:
             for sid, profile, own in sources:
-                # Only a positive sigma, given or from a positive delta_max: the profile check reports the rest.
                 acc = profile.accuracy.get(name)
-                if not isinstance(acc, QuantAccuracy) or acc.sigma is None and not (acc.delta_max or 0.0) > 0.0:
+                if not isinstance(acc, QuantAccuracy) or acc.violation() is not None:
                     continue
-                if not (sigma := acc.resolved_sigma()) > 0.0:
-                    continue
+                sigma = acc.resolved_sigma()
                 with np.errstate(invalid="ignore"):  # a non-finite value, reported above, may give a NaN bound
                     lo, hi = _window_bounds(values, sigma)
                 collapsed = ~((lo < values) & (values < hi))
@@ -233,7 +263,8 @@ def _column_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, int, 
             gaussian = params.shape is MembershipShape.GAUSSIAN
             for sid, profile, own in sources:
                 k, width = _relative_k(feature, profile), _width(feature, profile)
-                if not (0.0 < k < 1.0 and not gaussian if k is not None else width is not None and width > 0.0):
+                if not (0.0 < k < 1.0 and not gaussian if k is not None
+                        else width is not None and not positive_violation(width)):
                     continue
                 if gaussian:
                     for i in np.flatnonzero(held & own & ~gaussian_within_range(values[:, 0], width)).tolist():
@@ -286,9 +317,21 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
     return phi
 
 
+def _standardized(x: np.ndarray, value: np.ndarray, sigma: float) -> np.ndarray:
+    """(x - value) / sigma, as ``quant.interval_probability`` standardizes:
+    where only the difference passes the float range, x / sigma - value / sigma."""
+    with np.errstate(over="ignore"):
+        difference = x - value
+        z = difference / sigma
+        past = np.isinf(difference) & np.isfinite(x)
+        if past.any():
+            z[past] = x[past] / sigma - value[past] / sigma
+    return z
+
+
 def _interval_probability(value, sigma: float, c, d) -> np.ndarray:
-    lo = _normal_cdf((c - value) / sigma)
-    hi = _normal_cdf((d - value) / sigma)
+    lo = _normal_cdf(_standardized(c, value, sigma))
+    hi = _normal_cdf(_standardized(d, value, sigma))
     return np.minimum(1.0, np.maximum(0.0, hi - lo))
 
 
@@ -347,8 +390,11 @@ def _quantitative_column(
 
 
 def _triangle_at(lo, peak, hi, height, g):
-    rising = height * (g - lo) / (peak - lo)
-    falling = height * (hi - g) / (hi - peak)
+    # Under a subnormal half-width a slope overflows at a g far outside its
+    # edge, where np.where never picks it.
+    with np.errstate(over="ignore"):
+        rising = height * (g - lo) / (peak - lo)
+        falling = height * (hi - g) / (hi - peak)
     inside = np.where(g < peak, rising, np.where(g == peak, height, falling))
     return np.where((g <= lo) | (g >= hi), 0.0, inside)
 
@@ -367,21 +413,20 @@ def _triangular_possibility(tri_a, tri_b) -> np.ndarray:
         np.minimum(h1, _triangle_at(lo2, p2, hi2, h2, p1)),
         np.minimum(_triangle_at(lo1, p1, hi1, h1, p2), h2),
     )
+    # The crossing's height v solves hi1 - lo2 = v * (run1 / h1 + run2 / h2),
+    # a difference of two ends, so v holds to a few ulps where the crossing
+    # itself falls between two floats.  Every length is first scaled by the
+    # power of two that brings the longer run into [0.5, 1), exactly, so no
+    # sum overflows and no quotient underflows; a gap past the float range
+    # is scaled before it is taken.  A crossing outside the peaks lies above
+    # the lower height, which best already holds.
     run1, run2 = hi1 - p1, p2 - lo2
+    e = np.frexp(np.maximum(run1, run2))[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        g = (h1 * hi1 * run2 + h2 * lo2 * run1) / (h1 * run2 + h2 * run1)
-    # Near the float range the products overflow: g is also the mean of hi1
-    # and lo2 weighted h1 * run2 : h2 * run1, which stays finite with the
-    # runs scaled by their larger one.
-    huge = np.flatnonzero(~np.isfinite(g))
-    if len(huge):
-        scale = np.maximum(run1[huge], run2[huge])
-        w1, w2 = h1[huge] * (run2[huge] / scale), h2[huge] * (run1[huge] / scale)
-        t = w2 / (w1 + w2)
-        g[huge] = (1.0 - t) * hi1[huge] + t * lo2[huge]
-    at_g = np.minimum(_triangle_at(lo1, p1, hi1, h1, g), _triangle_at(lo2, p2, hi2, h2, g))
-    between = (p1 < p2) & (p1 <= g) & (g <= p2)
-    return np.where(between, np.maximum(best, at_g), best)
+        gap = hi1 - lo2
+        gap = np.where(np.isfinite(gap), np.ldexp(gap, -e), np.ldexp(hi1, -e) - np.ldexp(lo2, -e))
+        v = gap / (np.ldexp(run1, -e) / h1 + np.ldexp(run2, -e) / h2)
+    return np.maximum(best, np.minimum(v, np.minimum(h1, h2)))
 
 
 def _gaussian_at(rank, height, spread: float, g):
@@ -877,8 +922,9 @@ def candidates(scores: PairScores, threshold: float) -> RankedCandidates:
     key and the proximity, and returned as a :class:`RankedCandidates` view;
     a pruned cell scores 0, which no threshold keeps.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold {threshold} outside [0, 1]")
+    errors = threshold_violations(threshold)
+    if errors:
+        raise MatchRunError(errors)
     cells = scores.cells
     shared = functools.reduce(np.logical_or, cells.present.values(), np.zeros(len(cells), dtype=bool))
     keep = np.flatnonzero((cells.aggregate_proximity > threshold) & shared)

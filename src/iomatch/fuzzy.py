@@ -170,20 +170,27 @@ def apply_certainty(m: FuzzyMembership, level: Certainty) -> FuzzyMembership:
     return replace(m, height=m.height * level.value)
 
 
-def _segments(m: FuzzyMembership) -> list[tuple[float, float, float, float]]:
-    """Linear pieces of a triangular membership as (a, b, slope, intercept)."""
-    up_slope = m.height / (m.peak - m.g_min)
-    down_slope = -m.height / (m.g_max - m.peak)
+def _segments(m: FuzzyMembership) -> list[tuple]:
+    """Linear pieces of a triangular membership as exact (a, b, slope, intercept)."""
+    # Imported here: only this scalar reference needs it, and matching never calls it.
+    from fractions import Fraction
+
+    g_min, peak, g_max, height = map(Fraction, (m.g_min, m.peak, m.g_max, m.height))
+    up_slope = height / (peak - g_min)
+    down_slope = -height / (g_max - peak)
     return [
-        (m.g_min, m.peak, up_slope, -up_slope * m.g_min),
-        (m.peak, m.g_max, down_slope, m.height - down_slope * m.peak),
+        (g_min, peak, up_slope, -up_slope * g_min),
+        (peak, g_max, down_slope, height - down_slope * peak),
     ]
 
 
 def _possibility_piecewise(m1: FuzzyMembership, m2: FuzzyMembership) -> float:
     # Exact: the max of min(mu1, mu2) is attained at a breakpoint of either
-    # function or at a crossing of two linear pieces.
-    candidates = [m1.g_min, m1.peak, m1.g_max, m2.g_min, m2.peak, m2.g_max]
+    # function or at a crossing of two linear pieces.  Crossings are solved
+    # in rational arithmetic: in floats the height at one is off by a slope
+    # times the crossing's rounding, near rank 1e15 a rank's whole spacing.
+    breakpoints = (m1.g_min, m1.peak, m1.g_max, m2.g_min, m2.peak, m2.g_max)
+    heights = [min(m1.evaluate(g), m2.evaluate(g)) for g in breakpoints]
     for a1, b1, k1, c1 in _segments(m1):
         for a2, b2, k2, c2 in _segments(m2):
             lo, hi = max(a1, a2), min(b1, b2)
@@ -191,8 +198,8 @@ def _possibility_piecewise(m1: FuzzyMembership, m2: FuzzyMembership) -> float:
                 continue
             g = (c2 - c1) / (k1 - k2)
             if lo <= g <= hi:
-                candidates.append(g)
-    return max(min(m1.evaluate(g), m2.evaluate(g)) for g in candidates)
+                heights.append(float(k1 * g + c1))
+    return max(heights)
 
 
 def _possibility_grid(m1: FuzzyMembership, m2: FuzzyMembership) -> float:

@@ -154,8 +154,8 @@ def schema_violations(features: Sequence[FeatureSchema]) -> list[str]:
         elif f.nominal_delta is not None:
             errors.append(f"{f.name}: delta only applies to nominal features")
         if f.kind is FeatureKind.QUANTITATIVE:
-            if f.quantitative_xi is not None and not f.quantitative_xi > 0.0:
-                errors.append(f"{f.name}: xi must be positive")
+            if f.quantitative_xi is not None and (problem := positive_violation(f.quantitative_xi)):
+                errors.append(f"{f.name}: xi must be {problem}")
         elif f.quantitative_xi is not None:
             errors.append(f"{f.name}: xi only applies to quantitative features")
         if f.kind is FeatureKind.ORDINAL_FUZZY:
@@ -164,8 +164,9 @@ def schema_violations(features: Sequence[FeatureSchema]) -> list[str]:
             else:
                 if f.ordinal_params.shape is MembershipShape.NOMINAL_PLATEAU:
                     errors.append(f"{f.name}: ordinal shape must be triangular or gaussian")
-                if f.ordinal_params.width is not None and not f.ordinal_params.width > 0.0:
-                    errors.append(f"{f.name}: membership width must be positive")
+                width = f.ordinal_params.width
+                if width is not None and (problem := positive_violation(width)):
+                    errors.append(f"{f.name}: membership width must be {problem}")
         elif f.ordinal_params is not None:
             errors.append(f"{f.name}: membership shape only applies to ordinal features")
         if f.axes is not None:
@@ -173,9 +174,11 @@ def schema_violations(features: Sequence[FeatureSchema]) -> list[str]:
                 errors.append(f"{f.name}: axes only apply to quantitative features")
             elif len(f.axes) == 0 or len(set(f.axes)) != len(f.axes):
                 errors.append(f"{f.name}: axes must be non-empty and unique")
-    total = sum(f.weight for f in features)
-    if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
-        errors.append(f"feature weights sum to {total!r}, expected 1")
+    # A weight that is not finite is reported above; one past the float range cannot be summed.
+    if all(is_finite_number(f.weight) for f in features):
+        total = sum(f.weight for f in features)
+        if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
+            errors.append(f"feature weights sum to {total!r}, expected 1")
     return errors
 
 
@@ -197,6 +200,19 @@ class QuantAccuracy:
 
     sigma: float | None = None
     delta_max: float | None = None
+
+    def violation(self) -> str | None:
+        """What is wrong with this accuracy, or None: exactly one of sigma
+        and delta_max is given, it passes :func:`positive_violation`, and the
+        sigma it resolves to does not underflow to 0."""
+        given = [v for v in (self.sigma, self.delta_max) if v is not None]
+        if len(given) != 1:
+            return "give exactly one of sigma or delta_max"
+        if problem := positive_violation(given[0]):
+            return f"accuracy must be {problem}"
+        if not self.resolved_sigma() > 0.0:  # a delta_max whose sigma underflows
+            return "sigma must be strictly positive"
+        return None
 
     def resolved_sigma(self) -> float:
         if self.sigma is not None:
@@ -244,13 +260,8 @@ def profile_violations(profile: SourceProfile, schema: Schema) -> list[str]:
             if not isinstance(acc, QuantAccuracy):
                 errors.append(f"{sid}/{name}: expected quantitative accuracy")
                 continue
-            given = [v for v in (acc.sigma, acc.delta_max) if v is not None]
-            if len(given) != 1:
-                errors.append(f"{sid}/{name}: give exactly one of sigma or delta_max")
-            elif not given[0] > 0.0:
-                errors.append(f"{sid}/{name}: accuracy must be positive")
-            elif not acc.resolved_sigma() > 0.0:  # a delta_max whose sigma underflows
-                errors.append(f"{sid}/{name}: sigma must be strictly positive")
+            if problem := acc.violation():
+                errors.append(f"{sid}/{name}: {problem}")
         elif feature.kind is FeatureKind.ORDINAL_FUZZY:
             if not isinstance(acc, OrdinalAccuracy):
                 errors.append(f"{sid}/{name}: expected ordinal accuracy")
@@ -263,8 +274,8 @@ def profile_violations(profile: SourceProfile, schema: Schema) -> list[str]:
                     errors.append(f"{sid}/{name}: relative_k must lie in (0, 1)")
                 if feature.ordinal_params and feature.ordinal_params.shape is MembershipShape.GAUSSIAN:
                     errors.append(f"{sid}/{name}: relative_k requires a triangular shape")
-            if acc.width is not None and not acc.width > 0.0:
-                errors.append(f"{sid}/{name}: width must be positive")
+            if acc.width is not None and (problem := positive_violation(acc.width)):
+                errors.append(f"{sid}/{name}: width must be {problem}")
         else:
             errors.append(f"{sid}/{name}: nominal error lives in the schema, not the profile")
     for name in schema.quantitative_names:
@@ -322,6 +333,17 @@ def is_finite_number(x) -> bool:
         return math.isfinite(x)
     except OverflowError:
         return False
+
+
+def positive_violation(*values) -> str | None:
+    """The rule of every determination error, half-window, width and scene
+    size: each of ``values`` is a finite number above 0.  None when they
+    are; otherwise what they must be, ``"positive"`` when one is not above
+    0 (NaN included), else ``"finite"`` (+inf, or an int past the float
+    range, which is compared and never converted)."""
+    if all(is_finite_number(x) and x > 0.0 for x in values):
+        return None
+    return "finite" if all(x > 0.0 for x in values) else "positive"
 
 
 def non_finite_violation(feature: FeatureSchema) -> str:

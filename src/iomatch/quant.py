@@ -75,12 +75,21 @@ def sigma_from_max_error(delta_max: float) -> float:
     return delta_max / 3.0
 
 
+def _standardized(x: float, model: NormalErrorModel) -> float:
+    """(x - value) / sigma; where only the difference passes the float range
+    (x and the value far apart, of opposite signs), x / sigma - value / sigma."""
+    difference = x - model.value
+    if math.isinf(difference) and math.isfinite(x):
+        return x / model.sigma - model.value / model.sigma
+    return difference / model.sigma
+
+
 def interval_probability(model: NormalErrorModel, c: float, d: float) -> float:
     """P(c <= x <= d) for the model's normal law."""
     if c > d:
         raise ValueError(f"interval bounds out of order: [{c}, {d}]")
-    lo = standard_normal_cdf((c - model.value) / model.sigma)
-    hi = standard_normal_cdf((d - model.value) / model.sigma)
+    lo = standard_normal_cdf(_standardized(c, model))
+    hi = standard_normal_cdf(_standardized(d, model))
     return min(1.0, max(0.0, hi - lo))
 
 

@@ -10,6 +10,7 @@ that differ only in source precision share their underlying noise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -30,6 +31,7 @@ from .model import (
     Schema,
     SourceProfile,
     ValidationError,
+    positive_violation,
 )
 from .svgplot import SVG_GENERATOR, render_match_svg
 
@@ -74,26 +76,29 @@ class SceneSpec:
         errors = []
         if self.object_count <= 0:
             errors.append(f"object_count must be positive, got {self.object_count}")
-        if len(self.area) != 2 or any(not a > 0.0 for a in self.area):
-            errors.append(f"area sides must be positive, got {self.area}")
+        area = positive_violation(*self.area) if len(self.area) == 2 else "positive"
+        if area:
+            errors.append(f"area sides must be {area}, got {self.area}")
         if len(self.type_alphabet) < 2:
             errors.append("type alphabet needs at least two labels")
         if len(set(self.type_alphabet)) < len(self.type_alphabet):
             errors.append(f"type alphabet labels must be distinct, got {list(self.type_alphabet)}")
-        if len(self.rmse) != 2 or any(not r > 0.0 for r in self.rmse):
-            errors.append(f"need two positive RMSE values, got {self.rmse}")
+        rmse = positive_violation(*self.rmse) if len(self.rmse) == 2 else "positive"
+        if rmse:
+            errors.append(f"need two {rmse} RMSE values, got {self.rmse}")
         if not 0.0 < self.type_error <= 0.5:
             errors.append(f"type_error {self.type_error} outside (0, 0.5]")
-        if not self.fleet_sigma_min > 0.0:
-            errors.append(f"fleet_sigma_min must be positive, got {self.fleet_sigma_min}")
+        if fleet := positive_violation(self.fleet_sigma_min):
+            errors.append(f"fleet_sigma_min must be {fleet}, got {self.fleet_sigma_min}")
         if self.rng_seed < 0:
             errors.append(f"seed must be non-negative, got {self.rng_seed}")
         return errors
 
     @property
     def xi(self) -> float:
-        """Confidence half-window: three sigma of the best conceivable source."""
-        return 3.0 * self.fleet_sigma_min
+        """Confidence half-window: three sigma of the best conceivable source,
+        at most the largest float, as the schema's xi must be finite."""
+        return min(3.0 * self.fleet_sigma_min, sys.float_info.max)
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,6 +18,7 @@ from iomatch.cli import _build_parser, main
 from iomatch.config import load_config
 from iomatch.dataio import read_dataset, read_objects_csv
 from iomatch.engine import MatchRun, pairwise_breakdowns
+from iomatch.fuzzy import possibility, triangular_from_halfwidth, triangular_from_relative_error
 from iomatch.model import InformationObject
 from iomatch.quant import NormalErrorModel, quantitative_proximity
 from oracles import object_run, ranked_breakdowns
@@ -728,6 +729,49 @@ class TestRejectedAtValidation:
 class TestScoredAtTheFloatRange:
     """Inputs near the ends of the float range that score, quietly."""
 
+    @pytest.mark.parametrize("config, rows, aggregate", [
+        # a's lower overlap end lies further than the float range below its
+        # value: the difference overflowed, with a RuntimeWarning, and that
+        # end's Phi read 0, scoring 0.3900.
+        ({"schema": {"features": [{"name": "speed", "kind": "quantitative", "weight": 1.0, "xi": 1.5e308}]},
+          "sources": {"a": {"speed": {"sigma": 1e308}}, "b": {"speed": {"sigma": 5e307}}}},
+         "object_id,source_id,speed\na1,a,1.7e308\nb1,b,0\n", "0.3894"),
+        # Triangles crossing between two floats of rank 1e15 (spacing 0.125):
+        # the height read at the rounded crossing scored 0.5833.
+        ({"schema": {"features": [{"name": "r", "kind": "ordinal", "weight": 1.0, "shape": "triangular", "width": 2}]},
+          "sources": {"a": {"r": {"width": 2}}, "b": {"r": {"width": 3}}}},
+         "object_id,source_id,r,r_certainty\na1,a,1000000000000000,certain\nb1,b,1000000000000001.125,probable\n",
+         "0.6165"),
+    ], ids=["overlap-end-far-from-value", "crossing-between-floats"])
+    def test_scored_as_the_measure_defines(self, tmp_path, config, rows, aggregate):
+        path = write(tmp_path, "config.json", json.dumps(config))
+        pair = write(tmp_path, "pair.csv", rows)
+        child = subprocess.run([sys.executable, "-m", "iomatch.cli", "measure", "--config", str(path), str(pair)],
+                               capture_output=True, text=True)
+        assert (child.returncode, child.stderr) == (0, "")
+        assert child.stdout.splitlines()[-1].split()[:2] == ["aggregate", aggregate]
+
+    def test_subnormal_half_width(self, tmp_path):
+        """A half-width of 1e-310 holds rank 0's support, so it is scored:
+        match printed two ``RuntimeWarning: overflow encountered in divide``
+        lines, from the slopes of the triangles.  The score is the scalar
+        path's 0.0."""
+        config = {
+            "schema": {"features": [
+                {"name": "r", "kind": "ordinal", "weight": 1.0, "shape": "triangular", "width": 2}
+            ]},
+            "sources": {"a": {"r": {"k": 0.5}}, "b": {"r": {"width": 1e-310}}},
+        }
+        path = write(tmp_path, "config.json", json.dumps(config))
+        a = write(tmp_path, "a.csv", "object_id,source_id,r\na1,a,511\n")
+        b = write(tmp_path, "b.csv", "object_id,source_id,r\nb1,b,0\n")
+        assert possibility(triangular_from_relative_error(511, 0.5), triangular_from_halfwidth(0, 1e-310)) == 0.0
+        child = subprocess.run(
+            [sys.executable, "-m", "iomatch.cli", "match", "--config", str(path), str(a), str(b), "--threshold", "0"],
+            capture_output=True, text=True,
+        )
+        assert (child.returncode, child.stderr, child.stdout) == (0, "", "pairs evaluated: 1; candidates above 0: 0\n")
+
     def test_windows_past_the_float_range(self, tmp_path):
         """Windows of 1e308 and 1.5e308 under sigma 5e307 end at +-inf: match
         and measure printed ``RuntimeWarning: overflow encountered in add``
@@ -785,6 +829,29 @@ class TestWronglyTypedConfig:
         assert main(["validate", "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert f"error: {message}" in err and "Traceback" not in err
+
+
+class TestRejectedByTheSettingsRule:
+    """Values that only the JSON number type rejected, as ``... must be a
+    number, got inf``: now the rule of the setting does, with one message."""
+
+    @pytest.mark.parametrize("verb, path, text, message", [
+        ("match", ("sources", "beta", "speed", "delta_max"), "Infinity", "beta/speed: accuracy must be finite"),
+        ("match", ("schema", "features", 0, "xi"), "1" + "0" * 400, "speed: xi must be finite"),
+        ("match", ("threshold",), "NaN", "candidate threshold nan outside [0, 1]"),
+        ("simulate", ("simulation", "area"), "[1e400, 1000.0]", "area sides must be finite, got (inf, 1000.0)"),
+    ], ids=["delta_max", "xi", "threshold", "area"])
+    def test_rejected(self, tmp_path, capsys, verb, path, text, message):
+        doc = _retyped(path, "VALUE")
+        if path[-1] == "delta_max":
+            del doc["sources"]["beta"]["speed"]["sigma"]
+        config = write(tmp_path, "config.json", json.dumps(doc).replace('"VALUE"', text))
+        a = write(tmp_path, "a.csv", "object_id,source_id,speed,type\na1,alpha,12.0,tank\n")
+        b = write(tmp_path, "b.csv", "object_id,source_id,speed,type\nb1,beta,12.0,tank\n")
+        inputs = {"match": [str(a), str(b)], "simulate": []}[verb]
+        assert main([verb, "--config", str(config), *inputs]) == 1
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == (f"error: {message}\n", "")
 
 
 class TestSimulate:

@@ -46,6 +46,7 @@ from iomatch.model import (
     QuantAccuracy,
     Schema,
     SourceProfile,
+    is_finite_number,
 )
 from iomatch.quant import NormalErrorModel, quantitative_proximity
 from iomatch.simulate import SceneSpec, run_experiment, scene_schema
@@ -251,6 +252,101 @@ def test_moving_a_report_away_never_raises_a_proximity(data):
     before, after = (pairwise_breakdowns(r).breakdown(i, j) for r in (run, moved_run))
     assert after.per_feature[quantitative].proximity <= before.per_feature[quantitative].proximity + MONOTONE_TOLERANCE
     assert after.aggregate_proximity <= before.aggregate_proximity + MONOTONE_TOLERANCE
+
+
+# --- the whole float range ---------------------------------------------------------
+
+EDGES = [5e-324, -5e-324, 1e-310, 1e-154, 0.0, -0.0, 1.0, 1e16, 1e17, 1e154, 2.0**511, 1e308, 1.7e308,
+         1.7976931348623157e308, -1.7e308, 10**400]
+ANY_NUMBER = st.floats() | st.sampled_from(EDGES) | st.floats(1e-3, 1e3)
+ANY_RANK = ANY_NUMBER | st.integers(-(2**70), 2**70)
+
+
+def _near(held, axis, anywhere=ANY_NUMBER):
+    """``anywhere``, or, given A's ``held`` value (its ``axis`` component),
+    also a value a few units from it, where roundings at large magnitudes show."""
+    value = held[axis] if isinstance(held, tuple) else held
+    if not is_finite_number(value):
+        return anywhere
+    return anywhere | (st.integers(-4, 4) | st.floats(-4.0, 4.0)).map(lambda d: value + d)
+
+
+@st.composite
+def float_range_pairs(draw):
+    """(run, object a, object b): one pair of one or two features, every
+    setting and value drawn from the whole float range."""
+    kinds = draw(st.lists(st.sampled_from(["speed", "pos", "tri", "gauss", "type"]), min_size=1, max_size=2, unique=True))
+    weight = 1.0 / len(kinds)
+    features, accuracy, values = [], {"a": {}, "b": {}}, {"a": {}, "b": {}}
+    for name in kinds:
+        if name in ("speed", "pos"):
+            axes = ("x", "y") if name == "pos" else None
+            xi = draw(st.none() | ANY_NUMBER)
+            features.append(FeatureSchema(name, FeatureKind.QUANTITATIVE, weight, quantitative_xi=xi, axes=axes))
+            for sid in "ab":
+                field = draw(st.sampled_from(["sigma", "delta_max"]))
+                accuracy[sid][name] = QuantAccuracy(**{field: draw(ANY_NUMBER)})
+                components = tuple(draw(_near(values["a"].get(name), k)) for k in range(2 if axes else 1))
+                values[sid][name] = components if axes else components[0]
+        elif name in ("tri", "gauss"):
+            shape = MembershipShape.TRIANGULAR if name == "tri" else MembershipShape.GAUSSIAN
+            params = OrdinalParams(shape, draw(st.none() | ANY_NUMBER))
+            features.append(FeatureSchema(name, FeatureKind.ORDINAL_FUZZY, weight, ordinal_params=params))
+            for sid in "ab":
+                field = draw(st.sampled_from(["relative_k", "width", None] if name == "tri" else ["width", None]))
+                if field is not None:
+                    accuracy[sid][name] = OrdinalAccuracy(**{field: draw(ANY_NUMBER | st.floats(0.0, 1.0))})
+                values[sid][name] = draw(_near(values["a"].get(name), None, ANY_RANK))
+        else:
+            delta = draw(st.floats(0.0, 0.5) | ANY_NUMBER)
+            features.append(FeatureSchema(name, FeatureKind.NOMINAL, weight, nominal_delta=delta))
+            for sid in "ab":
+                values[sid][name] = draw(st.sampled_from(LABELS[:2]))
+    spec = AggregationSpec(draw(st.sampled_from(list(AggregationMethod))), class_weight=draw(st.sampled_from([0.0, 0.3, 1.0])))
+    a, b = (
+        InformationObject(f"{sid}0", sid, {n: FeatureValue(v, draw(st.sampled_from(list(Certainty))))
+                                           for n, v in values[sid].items()})
+        for sid in "ab"
+    )
+    profiles = {sid: SourceProfile(sid, accuracy[sid]) for sid in "ab"}
+    return object_run(Schema(tuple(features)), profiles, [a], [b], aggregation=spec), a, b
+
+
+def _one_feature_pair(feature, accuracy_a, accuracy_b, value_a, value_b, certainty=Certainty.CERTAIN):
+    """(run, a, b) of one pair scored on ``feature`` alone."""
+    a = InformationObject("a0", "a", {feature.name: FeatureValue(value_a)})
+    b = InformationObject("b0", "b", {feature.name: FeatureValue(value_b, certainty)})
+    profiles = {"a": SourceProfile("a", {feature.name: accuracy_a}), "b": SourceProfile("b", {feature.name: accuracy_b})}
+    return object_run(Schema((feature,)), profiles, [a], [b]), a, b
+
+
+TRIANGULAR = FeatureSchema("tri", FeatureKind.ORDINAL_FUZZY, 1.0, ordinal_params=OrdinalParams(MembershipShape.TRIANGULAR))
+
+
+@settings(max_examples=500, deadline=None)
+@given(float_range_pairs())
+# Slopes over a subnormal half-width overflowed, with RuntimeWarnings.
+@example(_one_feature_pair(TRIANGULAR, OrdinalAccuracy(relative_k=0.5), OrdinalAccuracy(width=1e-310), 511, 0))
+# A crossing read on a steep edge: 1.1e-10 from the scalar path.
+@example(_one_feature_pair(TRIANGULAR, OrdinalAccuracy(width=0.001), OrdinalAccuracy(width=1000.0),
+                           694.289890433835, 0.001, Certainty.DOUBTFUL))
+# An overlap end further than the float range from a value overflowed, with a RuntimeWarning.
+@example(_one_feature_pair(FeatureSchema("speed", FeatureKind.QUANTITATIVE, 1.0, quantitative_xi=530.0),
+                           QuantAccuracy(sigma=1.7e308), QuantAccuracy(delta_max=1.7e308), 1.7e308, 30.0))
+def test_every_pair_rejected_or_scored_as_the_scalar_path(drawn):
+    """A pair from anywhere in the float range is either rejected at
+    validation with a message, or scored, without a RuntimeWarning, as the
+    scalar composition scores it."""
+    run, a, b = drawn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        errors = run_violations(run)
+        if errors:
+            assert all(isinstance(e, str) and e for e in errors)
+            with pytest.raises(MatchRunError):
+                pairwise_breakdowns(run)
+            return
+        assert_matches_scalar(run, [a], [b], pairwise_breakdowns(run))
 
 
 def _csv_bytes(breakdowns, schema) -> bytes:

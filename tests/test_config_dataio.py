@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from iomatch.aggregate import AggregationMethod, AggregationSpec, weight_violations
 from iomatch.config import ConfigError, load_config, parse_config, require_match_config
 from iomatch.dataio import (
     RECORDS_PER_BLOCK,
@@ -25,8 +26,23 @@ from iomatch.dataio import (
     write_json,
     write_objects_csv,
 )
-from iomatch.engine import candidates, pairwise_breakdowns
-from iomatch.model import Certainty, Dataset, FeatureValue, InformationObject
+from iomatch.engine import candidates, pairwise_breakdowns, threshold_violations
+from iomatch.model import (
+    Certainty,
+    Dataset,
+    FeatureKind,
+    FeatureSchema,
+    FeatureValue,
+    InformationObject,
+    MembershipShape,
+    OrdinalAccuracy,
+    OrdinalParams,
+    QuantAccuracy,
+    Schema,
+    SourceProfile,
+    profile_violations,
+    schema_violations,
+)
 from iomatch.simulate import SceneSpec, run_experiment
 from oracles import csv_writer_bytes, object_run, read_objects_by_record
 
@@ -762,6 +778,95 @@ def _node_paths(node, prefix=()):
 
 
 FUZZ_PATHS = sorted(_node_paths(FUZZ_CONFIG), key=repr)
+
+
+# --- one rule per setting: a configuration file and Python agree ----------------
+
+RULES_CONFIG = {
+    **FULL_CONFIG,
+    "schema": {"features": [
+        *FULL_CONFIG["schema"]["features"],
+        {"name": "threat", "kind": "ordinal", "weight": 0.0, "shape": "gaussian", "width": 1.5},
+    ]},
+    "sources": {**FULL_CONFIG["sources"], "s3": {"position": {"sigma": 10.0}, "threat": {"width": 1.0}}},
+    "aggregation": {"method": "two-class-weighted", "class_weight": 0.5,
+                    "feature_weights": {"position": 1, "readiness": 0.5, "type": 0.5, "threat": 0.0}},
+    "simulation": {"object_count": 5, "area": [1000.0, 1000.0], "rmse": [20.0, 30.0], "type_error": 0.1,
+                   "fleet_sigma_min": 10.0, "seed": 42},
+}
+# Every value of the JSON number type; object_count and seed are integers.
+RULES_PATHS = [
+    path for path in _node_paths(RULES_CONFIG)
+    if path[-1] not in ("object_count", "seed") and type(functools.reduce(lambda node, key: node[key], path, RULES_CONFIG))
+    in (int, float)
+]
+# "1e400" stands for that text, which json reads as inf.
+EDGE_NUMBERS = st.sampled_from(
+    [1e308, 10**400, "1e400", 5e-324, 0.0, -0.0, -1.0, -1e308, math.inf, -math.inf, math.nan]
+) | st.floats(allow_nan=False, allow_infinity=False) | st.floats(0.0, 1.0)
+
+
+def edge_config(numbers) -> dict:
+    """RULES_CONFIG with the number at each path of ``numbers`` replaced,
+    written as JSON text and read back."""
+    doc = json.loads(json.dumps(RULES_CONFIG))
+    for (*parents, key), number in numbers.items():
+        functools.reduce(lambda node, k: node[k], parents, doc)[key] = number
+    return json.loads(json.dumps(doc).replace('"1e400"', "1e400"))
+
+
+EDGE_CONFIGS = st.dictionaries(st.sampled_from(RULES_PATHS), EDGE_NUMBERS, min_size=1, max_size=6).map(edge_config)
+
+
+def python_violations(doc) -> list[str]:
+    """The violations of the dataclasses a Python caller builds from ``doc``,
+    from the same violations functions, gated as ``parse_config`` gates them."""
+    kinds = {"quantitative": FeatureKind.QUANTITATIVE, "ordinal": FeatureKind.ORDINAL_FUZZY,
+             "nominal": FeatureKind.NOMINAL}
+    features = [
+        FeatureSchema(
+            f["name"], kinds[f["kind"]], f["weight"], quantitative_xi=f.get("xi"), nominal_delta=f.get("delta"),
+            ordinal_params=OrdinalParams(MembershipShape(f["shape"]), f.get("width")) if "shape" in f else None,
+            axes=tuple(f["axes"]) if "axes" in f else None,
+        )
+        for f in doc["schema"]["features"]
+    ]
+    errors = schema_violations(features)
+    schema = None
+    if not errors:
+        schema = Schema(tuple(features))
+        for sid, entries in doc["sources"].items():
+            accuracy = {
+                name: QuantAccuracy(p.get("sigma"), p.get("delta_max"))
+                if schema.feature(name).kind is FeatureKind.QUANTITATIVE else OrdinalAccuracy(p.get("k"), p.get("width"))
+                for name, p in entries.items()
+            }
+            errors += profile_violations(SourceProfile(sid, accuracy), schema)
+    raw = doc["aggregation"]
+    spec = AggregationSpec(AggregationMethod(raw["method"]), raw.get("class_weight"), raw.get("feature_weights"))
+    if schema is not None:
+        errors += weight_violations(schema, spec)
+    errors += threshold_violations(doc["threshold"])
+    sim = doc["simulation"]
+    scene = SceneSpec(sim["object_count"], tuple(sim["area"]), rmse=tuple(sim["rmse"]), type_error=sim["type_error"],
+                      fleet_sigma_min=sim["fleet_sigma_min"], rng_seed=sim["seed"])
+    return errors + scene.violations()
+
+
+@settings(max_examples=300, deadline=None)
+@given(EDGE_CONFIGS)
+@example(edge_config({("schema", "features", 0, "xi"): 10**400, ("sources", "s2", "position", "delta_max"): "1e400"}))
+@example(edge_config({("simulation", "area", 0): "1e400", ("threshold",): math.nan, ("schema", "features", 0, "weight"): 10**400}))
+def test_config_and_python_give_one_verdict(doc):
+    """Finite, huge, subnormal, zero, negative, infinite and NaN numbers:
+    a configuration and the same objects built in Python are both accepted,
+    or both rejected with the same messages in the same order."""
+    try:
+        parse_config(doc)
+        from_config = []
+    except ConfigError as error:
+        from_config = error.errors
+    assert from_config == python_violations(doc)
 
 
 @st.composite

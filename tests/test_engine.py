@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import re
 
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from iomatch.aggregate import AggregationMethod, AggregationSpec
 from iomatch import engine
+from iomatch.config import ConfigError, parse_config
 from iomatch.engine import MatchRun, MatchRunError, candidates, evaluate_pair, pairwise_breakdowns, run_violations
 from iomatch.fuzzy import apply_certainty, possibility, triangular_from_halfwidth
 from iomatch.model import (
@@ -479,6 +481,78 @@ class TestRunValidation:
         # The windows of b0's position overflow to +inf: not a violation.
         run = object_run(schema, profiles, objects_a[2:], objects_b[:1])
         assert not [v for v in run_violations(run) if "/pos" in v]
+
+
+class TestOneRulePerSetting:
+    """Each setting's rule, finiteness included, holds for a run built in
+    Python as for a configuration file."""
+
+    SPEED_ONLY = Schema((dataclasses.replace(SPEED, weight=1.0),))
+
+    @staticmethod
+    def speed(object_id, source_id, value):
+        return InformationObject(object_id, source_id, {"speed": FeatureValue(value)})
+
+    @pytest.mark.parametrize("delta_max", [math.inf, 10**400], ids=["inf", "int"])
+    def test_accuracy_past_the_float_range(self, delta_max):
+        """Was accepted: the aggregate grid held NaN, with two RuntimeWarnings,
+        and candidates(scores, 0.0) kept nothing; iterating raised
+        ValueError: scores outside [0, 1].  10**400 raised OverflowError."""
+        profiles = {"alpha": SourceProfile("alpha", {"speed": QuantAccuracy(sigma=1e308)}),
+                    "beta": SourceProfile("beta", {"speed": QuantAccuracy(delta_max=delta_max)})}
+        run = object_run(self.SPEED_ONLY, profiles, [self.speed("a", "alpha", 1.0)], [self.speed("b", "beta", 1.0)])
+        assert run_violations(run) == ["beta/speed: accuracy must be finite"]
+        with pytest.raises(MatchRunError, match="^beta/speed: accuracy must be finite$"):
+            pairwise_breakdowns(run)
+
+    @pytest.mark.parametrize("xi, text", [(math.inf, "1e400"), (10**400, "1" + "0" * 400)], ids=["inf", "int"])
+    def test_xi_past_the_float_range(self, xi, text):
+        """A Python-built xi of inf scored 0.9849, where a configuration
+        with that xi was rejected: now both get one message."""
+        schema = Schema((dataclasses.replace(SPEED, weight=1.0, quantitative_xi=xi),))
+        run = object_run(schema, {"alpha": profile("alpha"), "beta": profile("beta")},
+                         [self.speed("a", "alpha", 1.0)], [self.speed("b", "beta", 1.5)])
+        assert run_violations(run) == ["speed: xi must be finite"]
+        document = json.loads(
+            '{"schema": {"features": [{"name": "speed", "kind": "quantitative", "weight": 1.0, "xi": %s}]},'
+            ' "sources": {"alpha": {"speed": {"sigma": 1.0}}, "beta": {"speed": {"sigma": 1.0}}}}' % text
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(document)
+        assert excinfo.value.errors == ["speed: xi must be finite"]
+
+    @pytest.mark.parametrize("threshold", [math.nan, 2.0, -1e16])
+    def test_one_threshold_rule(self, threshold):
+        """A configuration read "threshold 2.0 outside [0, 1]" and candidates
+        "threshold 2.0 outside [0, 1]"; a run "candidate threshold ..."."""
+        message = f"candidate threshold {threshold} outside [0, 1]"
+        run = object_run(self.SPEED_ONLY, {"alpha": profile("alpha"), "beta": profile("beta")},
+                         [self.speed("a", "alpha", 1.0)], [self.speed("b", "beta", 1.5)])
+        assert run_violations(dataclasses.replace(run, candidate_threshold=threshold)) == [message]
+        with pytest.raises(MatchRunError, match=f"^{re.escape(message)}$"):
+            candidates(pairwise_breakdowns(run), threshold)
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config({"threshold": threshold})
+        assert excinfo.value.errors == [message]
+
+    def test_dataset_without_a_column(self):
+        """Raised KeyError: 'speed'."""
+        dataset = Dataset(self.SPEED_ONLY, ["a0"], ["alpha"], {})
+        other = Dataset.from_objects([self.speed("b0", "beta", 1.0)], self.SPEED_ONLY)
+        run = MatchRun(self.SPEED_ONLY, {"alpha": profile("alpha"), "beta": profile("beta")}, dataset, other)
+        assert run_violations(run) == ["dataset A: no column for feature 'speed'"]
+
+    def test_column_shorter_than_the_ids(self):
+        """Was accepted: a2 scored a silent aggregate 0.0, and iterating the
+        scores raised IndexError."""
+        column = FeatureColumn(np.ones(1, dtype=bool), np.array([[1.0]]), np.ones(1))
+        dataset = Dataset(self.SPEED_ONLY, ["a1", "a2"], ["alpha"] * 2, {"speed": column})
+        other = Dataset.from_objects([self.speed("b0", "beta", 1.0)], self.SPEED_ONLY)
+        run = MatchRun(self.SPEED_ONLY, {"alpha": profile("alpha"), "beta": profile("beta")}, dataset, other)
+        message = "dataset A: column 'speed' holds 1 present, 1 values, 1 certainty for 2 ids"
+        assert run_violations(run) == [message]
+        with pytest.raises(MatchRunError, match=f"^{re.escape(message)}$"):
+            pairwise_breakdowns(run)
 
 
 class TestTwoClassNormalizedOneClassEmpty:

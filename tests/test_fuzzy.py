@@ -233,6 +233,18 @@ class TestPossibility:
         m2 = triangular_from_halfwidth(5.0 + gap, 2.0)
         assert possibility(m1, m2) == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("center_b, width_b, expected", [
+        (1e15 + 1.0, 2.0, 0.6176470588235294),
+        (1e15 + 1.125, 3.0, 0.6164772727272727),
+    ])
+    def test_crossing_between_two_floats(self, center_b, width_b, expected):
+        """At rank 1e15 floats are 0.125 apart, so the crossing of two edges
+        is rounded; the height read there was 0.6124999999999999 for both.
+        The expected heights are the crossings' exact values, rounded once."""
+        m1 = triangular_from_halfwidth(1e15, 2.0)
+        m2 = triangular_from_halfwidth(center_b, width_b, height=0.7)
+        assert possibility(m1, m2) == possibility(m2, m1) == expected
+
     def test_symmetry_exact_on_random_pairs(self):
         rng = np.random.default_rng(99)
         for _ in range(200):

@@ -52,6 +52,12 @@ class TestIntervalProbability:
         with pytest.raises(ValueError):
             interval_probability(NormalErrorModel(0, 1), 1.0, -1.0)
 
+    def test_overlap_end_further_than_the_float_range_from_the_value(self):
+        """-1.5e308 - 1.7e308 overflows: that end's Phi read Phi(-inf) = 0,
+        not Phi(-3.2), as the ends are standardized apart."""
+        got = interval_probability(NormalErrorModel(1.7e308, 1e308), -1.5e308, 1.5e308)
+        assert got == pytest.approx(standard_normal_cdf(-0.2) - standard_normal_cdf(-3.2), abs=1e-15)
+
     def test_cdf_accuracy_against_known_points(self):
         # Reference values to 10 decimals (Abramowitz & Stegun style table).
         assert standard_normal_cdf(0.0) == pytest.approx(0.5, abs=1e-12)

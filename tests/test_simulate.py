@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from iomatch import dataio
-from iomatch.model import QuantAccuracy, SourceProfile
+from iomatch.model import QuantAccuracy, SourceProfile, schema_violations
 from iomatch.quant import NormalErrorModel, joint_overlap_probability
 from iomatch.simulate import (
     FAR_SEPARATION_M,
@@ -17,6 +19,7 @@ from iomatch.simulate import (
     generate_scene,
     observe,
     run_experiment,
+    scene_schema,
     _self_separations,
     _separations,
 )
@@ -60,6 +63,28 @@ class TestGenerateScene:
         with pytest.raises(SceneSpecError) as excinfo:
             generate_scene(SceneSpec(object_count=-1, type_error=0.9, rmse=(0.0, 1.0)))
         assert len(excinfo.value.errors) == 3
+
+    @pytest.mark.parametrize("field, value, message", [
+        # numpy raised a bare OverflowError: high - low range exceeds valid bounds.
+        ("area", (math.inf, 1000.0), "area sides must be finite, got (inf, 1000.0)"),
+        # The reports were blamed: s1-000/position: expected 2 finite numeric components, ...
+        ("rmse", (math.inf, 30.0), "need two finite RMSE values, got (inf, 30.0)"),
+        # The scene ran to completion with xi = inf.
+        ("fleet_sigma_min", math.inf, "fleet_sigma_min must be finite, got inf"),
+        ("area", (-1.0, math.nan), "area sides must be positive, got (-1.0, nan)"),
+    ])
+    def test_setting_that_is_not_finite_and_positive(self, field, value, message):
+        spec = SceneSpec(**{field: value})
+        assert spec.violations() == [message]
+        with pytest.raises(SceneSpecError, match=f"^{re.escape(message)}$"):
+            run_experiment(spec)
+
+    def test_xi_of_a_huge_fleet_sigma_stays_finite(self):
+        """Three times 1e308 overflows: the scene's xi is the largest float,
+        which the schema's xi rule accepts."""
+        schema = scene_schema(SceneSpec(fleet_sigma_min=1e308))
+        assert schema.feature("position").quantitative_xi == sys.float_info.max
+        assert schema_violations(schema.features) == []
 
     @pytest.mark.parametrize("types", [("tank", "tank"), ("tank", "truck", "tank")])
     def test_repeated_type_label_rejected(self, types):
