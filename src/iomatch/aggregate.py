@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .model import WEIGHT_SUM_TOLERANCE, Schema, is_finite_number
+from .model import WEIGHT_SUM_TOLERANCE
 
 
 class AggregationMethod(Enum):
@@ -26,40 +26,26 @@ class AggregationMethod(Enum):
 
 @dataclass(frozen=True)
 class AggregationSpec:
-    """Method selection plus its weights.
+    """Method selection plus its two-class options.
 
-    ``feature_weights`` overrides the schema weights for the weighted-additive
-    and multiplicative methods; ``class_weight`` is the quantitative-class
-    weight of the two-class method; ``normalized`` selects the per-class-count
-    variant of the two-class method.
+    The weighted-additive and multiplicative methods read the schema's feature
+    weights; ``class_weight`` is the quantitative-class weight of the
+    two-class method; ``normalized`` selects the per-class-count variant of
+    the two-class method.
     """
 
     method: AggregationMethod = AggregationMethod.MULTIPLICATIVE
     class_weight: float | None = None
-    feature_weights: Mapping[str, float] | None = None
     normalized: bool = False
 
-
-def weight_violations(schema: Schema, spec: AggregationSpec) -> list[str]:
-    """What is wrong with the weights of ``spec`` for ``schema``: feature
-    weights, when given, need one non-negative weight per feature, not all
-    zero; the two-class method needs a class weight in [0, 1]."""
-    errors = []
-    weights = spec.feature_weights
-    if weights is not None:
-        errors += [f"feature weights: no weight for feature {n!r}" for n in schema.names if n not in weights]
-        errors += [f"feature weights: weight for unknown feature {n!r}" for n in weights if n not in schema.names]
-        for name, w in weights.items():
-            if not is_finite_number(w) or w < 0.0:
-                errors.append(f"feature weights: {name!r} weight {w!r} is not a non-negative number")
-        if not errors and sum(weights.values()) <= 0.0:
-            errors.append("feature weights are all zero")
-    class_weight = spec.class_weight
-    if spec.method is AggregationMethod.TWO_CLASS_WEIGHTED and (
-        class_weight is None or not 0.0 <= class_weight <= 1.0
-    ):
-        errors.append("two-class aggregation requires a class weight in [0, 1]")
-    return errors
+    def violations(self) -> list[str]:
+        """What is wrong with the options: the two-class method needs a class
+        weight in [0, 1].  The feature weights are the schema's, checked by
+        ``model.schema_violations``."""
+        w = self.class_weight
+        if self.method is AggregationMethod.TWO_CLASS_WEIGHTED and (w is None or not 0.0 <= w <= 1.0):
+            return ["two-class aggregation requires a class weight in [0, 1]"]
+        return []
 
 
 def _check_unit_range(values: Sequence[float], what: str) -> None:

@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping
 
-from .aggregate import AggregationMethod, AggregationSpec, weight_violations
-from .engine import DEFAULT_THRESHOLD, threshold_violations
+from .aggregate import AggregationMethod, AggregationSpec
+from .engine import DEFAULT_THRESHOLD, derived_xi_violations, threshold_violations
 from .model import (
     FeatureKind,
     FeatureSchema,
@@ -80,6 +80,12 @@ def _typed(raw: Mapping[str, Any], key: str, expected: str, where: str, errors: 
     return default
 
 
+def _unknown_keys(raw: Mapping[str, Any], known: tuple[str, ...], where: str, unknown: list[str]) -> None:
+    """Record one error per key of ``raw`` outside ``known``, the keys its
+    parser reads, so a misspelled or retired setting is never dropped."""
+    unknown.extend(f"{where}unknown key {key!r}" for key in raw if key not in known)
+
+
 def _typed_items(
     raw: Mapping[str, Any], key: str, expected: str, where: str, errors: list[str], default=None
 ):
@@ -93,7 +99,7 @@ def _typed_items(
     return default
 
 
-def _parse_feature(raw: Any, errors: list[str]) -> FeatureSchema | None:
+def _parse_feature(raw: Any, errors: list[str], unknown: list[str]) -> FeatureSchema | None:
     if not isinstance(raw, dict):
         errors.append(f"feature must be an object, got {raw!r}")
         return None
@@ -101,6 +107,7 @@ def _parse_feature(raw: Any, errors: list[str]) -> FeatureSchema | None:
     if not isinstance(name, str) or not name:
         errors.append(f"feature without a name: {raw!r}")
         return None
+    _unknown_keys(raw, ("name", "kind", "weight", "xi", "delta", "shape", "width", "axes"), f"{name}: ", unknown)
     kind = raw.get("kind")
     kind = _KINDS.get(kind) if isinstance(kind, str) else None
     if kind is None:
@@ -128,7 +135,9 @@ def _parse_feature(raw: Any, errors: list[str]) -> FeatureSchema | None:
     return feature if len(errors) == count else None
 
 
-def _parse_sources(raw: Mapping[str, Any], schema: Schema, errors: list[str]) -> dict[str, SourceProfile]:
+def _parse_sources(
+    raw: Mapping[str, Any], schema: Schema, errors: list[str], unknown: list[str]
+) -> dict[str, SourceProfile]:
     profiles: dict[str, SourceProfile] = {}
     for source_id, entries in raw.items():
         if not isinstance(entries, dict):
@@ -145,11 +154,13 @@ def _parse_sources(raw: Mapping[str, Any], schema: Schema, errors: list[str]) ->
             if not isinstance(params, dict):
                 errors.append(f"{where}accuracy must be an object, got {params!r}")
             elif feature.kind is FeatureKind.QUANTITATIVE:
+                _unknown_keys(params, ("sigma", "delta_max"), where, unknown)
                 accuracy[feature_name] = QuantAccuracy(
                     sigma=_typed(params, "sigma", "a number", where, errors),
                     delta_max=_typed(params, "delta_max", "a number", where, errors),
                 )
             else:
+                _unknown_keys(params, ("k", "width"), where, unknown)
                 accuracy[feature_name] = OrdinalAccuracy(
                     relative_k=_typed(params, "k", "a number", where, errors),
                     width=_typed(params, "width", "a number", where, errors),
@@ -158,23 +169,24 @@ def _parse_sources(raw: Mapping[str, Any], schema: Schema, errors: list[str]) ->
     return profiles
 
 
-def _parse_aggregation(raw: Mapping[str, Any], errors: list[str]) -> AggregationSpec:
+def _parse_aggregation(raw: Mapping[str, Any], errors: list[str], unknown: list[str]) -> AggregationSpec:
+    _unknown_keys(raw, ("method", "class_weight", "normalized"), "aggregation: ", unknown)
     method_name = _typed(raw, "method", "a string", "aggregation ", errors, "multiplicative")
     try:
         method = AggregationMethod(method_name)
     except ValueError:
         errors.append(f"unknown aggregation method {method_name!r}")
         return AggregationSpec()
-    weights = _typed(raw, "feature_weights", "an object", "aggregation ", errors)
     return AggregationSpec(
         method=method,
         class_weight=_typed(raw, "class_weight", "a number", "aggregation ", errors),
-        feature_weights=dict(weights) if weights else None,
         normalized=_typed(raw, "normalized", "a boolean", "aggregation ", errors, False),
     )
 
 
-def _parse_simulation(raw: Mapping[str, Any], errors: list[str]) -> SceneSpec | None:
+def _parse_simulation(raw: Mapping[str, Any], errors: list[str], unknown: list[str]) -> SceneSpec | None:
+    known = ("object_count", "area", "types", "rmse", "type_error", "fleet_sigma_min", "seed")
+    _unknown_keys(raw, known, "simulation: ", unknown)
     defaults = SceneSpec()
     where = "simulation "
     count = len(errors)
@@ -205,16 +217,22 @@ def parse_config(document: Mapping[str, Any]) -> RunConfig:
     """Parse and validate an already-loaded configuration mapping.
 
     Every value must have the JSON type its field takes; a wrongly typed
-    value is a :class:`ConfigError` message like any other violation.
+    value is a :class:`ConfigError` message like any other violation.  So is
+    each key no parser reads, at any level; these come first, as a misspelled
+    key may explain the rest, and gate no check, as they drop no setting.
     """
     errors: list[str] = []
+    unknown: list[str] = []
+    # "sources" is read only once the schema parses, yet is known either way.
+    _unknown_keys(document, ("schema", "sources", "aggregation", "threshold", "simulation"), "", unknown)
     schema = None
     profiles: dict[str, SourceProfile] = {}
     raw_schema = _typed(document, "schema", "an object", "", errors)
     if raw_schema is not None:
+        _unknown_keys(raw_schema, ("features",), "schema: ", unknown)
         features = []
         for raw in _typed(raw_schema, "features", "an array", "schema ", errors, []):
-            feature = _parse_feature(raw, errors)
+            feature = _parse_feature(raw, errors, unknown)
             if feature is not None:
                 features.append(feature)
         # Invariants are checked once every declaration has parsed; a dropped
@@ -224,21 +242,22 @@ def parse_config(document: Mapping[str, Any]) -> RunConfig:
         if not errors:
             schema = Schema(tuple(features))
             raw_sources = _typed(document, "sources", "an object", "", errors, {})
-            profiles = _parse_sources(raw_sources, schema, errors)
+            profiles = _parse_sources(raw_sources, schema, errors, unknown)
             if not errors:
                 for profile in profiles.values():
                     errors.extend(profile_violations(profile, schema))
-    aggregation = _parse_aggregation(_typed(document, "aggregation", "an object", "", errors, {}), errors)
+                errors.extend(derived_xi_violations(schema, profiles))
+    aggregation = _parse_aggregation(_typed(document, "aggregation", "an object", "", errors, {}), errors, unknown)
     if schema is not None:
-        errors.extend(weight_violations(schema, aggregation))
+        errors.extend(aggregation.violations())
     threshold = _typed(document, "threshold", "a number", "", errors, DEFAULT_THRESHOLD)
     errors.extend(threshold_violations(threshold))
     simulation = None
     raw_simulation = _typed(document, "simulation", "an object", "", errors)
     if raw_simulation is not None:
-        simulation = _parse_simulation(raw_simulation, errors)
-    if errors:
-        raise ConfigError(errors)
+        simulation = _parse_simulation(raw_simulation, errors, unknown)
+    if unknown or errors:
+        raise ConfigError(unknown + errors)
     return RunConfig(
         schema=schema,
         profiles=profiles,

@@ -127,6 +127,7 @@ def run_violations(run: MatchRun) -> list[str]:
     errors = list(schema_violations(run.schema.features))
     for profile in run.profiles.values():
         errors.extend(profile_violations(profile, run.schema))
+    errors.extend(derived_xi_violations(run.schema, run.profiles))
     errors.extend(threshold_violations(run.candidate_threshold))
     for label, dataset in (("A", run.dataset_a), ("B", run.dataset_b)):
         sources = set(dataset.source_ids)
@@ -153,7 +154,7 @@ def run_violations(run: MatchRun) -> list[str]:
     a_sources, b_sources = set(run.dataset_a.source_ids), set(run.dataset_b.source_ids)
     if a_sources and a_sources == b_sources:
         errors.append("both datasets reference the same source id")
-    errors.extend(agg.weight_violations(run.schema, run.aggregation))
+    errors.extend(run.aggregation.violations())
     return errors
 
 
@@ -285,6 +286,23 @@ def _run_xi(feature: FeatureSchema, profiles: Iterable[SourceProfile]) -> float:
     if feature.quantitative_xi is not None:
         return feature.quantitative_xi
     return THREE_SIGMA * min(p.quantitative_sigma(feature.name) for p in profiles)
+
+
+def derived_xi_violations(schema: Schema, profiles: Mapping[str, SourceProfile]) -> list[str]:
+    """The xi rule, ``model.positive_violation``, applied to each xi that
+    :func:`_run_xi` derives: 3 times a sigma above a third of the float range
+    is infinite.  A feature without a valid accuracy in every profile is
+    skipped, as the profile check reports it."""
+    errors = []
+    for feature in schema.features:
+        if feature.kind is not FeatureKind.QUANTITATIVE or feature.quantitative_xi is not None:
+            continue
+        accuracies = [p.accuracy.get(feature.name) for p in profiles.values()]
+        if accuracies and all(isinstance(a, QuantAccuracy) and a.violation() is None for a in accuracies):
+            sigma = min(a.resolved_sigma() for a in accuracies)
+            if problem := positive_violation(THREE_SIGMA * sigma):
+                errors.append(f"{feature.name}: xi derived as 3 * sigma {sigma} must be {problem}; give xi")
+    return errors
 
 
 # --- per-feature kernels ------------------------------------------------------
@@ -549,23 +567,18 @@ def _feature_sides(run: MatchRun, feature: FeatureSchema, profile_a, profile_b) 
 # they are pruned, and the results imply their values.
 
 
-def _base_weights(schema: Schema, spec: agg.AggregationSpec) -> Mapping[str, float]:
-    return spec.feature_weights or {f.name: f.weight for f in schema.features}
-
-
 def _blocking(run: MatchRun, sides: Mapping[str, _FeatureSides]) -> list[_FeatureSides]:
     """The features that prune: under the multiplicative convolution, the
-    quantitative features whose weight is positive in every pair holding them.
+    quantitative features whose schema weight is positive.
 
-    A pair's weight of a feature is its base weight over the sum of the base
-    weights of the pair's features; that sum is at most ``total``, so the
-    weight is at least ``base / total``.
+    A pair's weight of a feature is its schema weight over the sum of the
+    weights of the pair's features.  That sum is at most the schema's total,
+    1 to within ``WEIGHT_SUM_TOLERANCE``, so the pair's weight is positive
+    too: even the least subnormal weight keeps its value over such a sum.
     """
     if run.aggregation.method is not agg.AggregationMethod.MULTIPLICATIVE:
         return []
-    base = _base_weights(run.schema, run.aggregation)
-    total = sum(base[n] for n in run.schema.names)
-    return [s for n, s in sides.items() if s.windows is not None and base[n] > 0.0 and base[n] / total > 0.0]
+    return [s for n, s in sides.items() if s.windows is not None and run.schema.feature(n).weight > 0.0]
 
 
 def _sweep(sides: _FeatureSides, axis: int, n_b: int):
@@ -633,7 +646,7 @@ def _pair_weights(
     n_qual = count - n_quant
     with np.errstate(divide="ignore", invalid="ignore"):
         if method in (agg.AggregationMethod.MULTIPLICATIVE, agg.AggregationMethod.WEIGHTED_ADDITIVE):
-            base = _base_weights(schema, spec)
+            base = {n: schema.feature(n).weight for n in present}
             total = sum((base[n] * m for n, m in present.items()), zero)
             raw = {n: np.where(total > 0.0, base[n] / total, 1.0 / count) for n in present}
         elif method is agg.AggregationMethod.ADDITIVE:

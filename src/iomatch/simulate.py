@@ -46,6 +46,9 @@ FAR_SEPARATION_M = 100.0
 
 DEFAULT_SOURCE_IDS = ("s1", "s2")
 
+# The most objects whose n x n pair grid numpy can index.
+_MAX_OBJECT_COUNT = math.isqrt(np.iinfo(np.intp).max)
+
 # The records of report.json's pairs and candidates, keys in sorted order.
 _PAIR_FIELDS = {
     "a": "id", "b": "id", "distance": "float", "proximity": "float", "separation_observed": "float",
@@ -76,6 +79,8 @@ class SceneSpec:
         errors = []
         if self.object_count <= 0:
             errors.append(f"object_count must be positive, got {self.object_count}")
+        elif self.object_count > _MAX_OBJECT_COUNT:
+            errors.append(f"object_count must be at most {_MAX_OBJECT_COUNT}, got {self.object_count}")
         area = positive_violation(*self.area) if len(self.area) == 2 else "positive"
         if area:
             errors.append(f"area sides must be {area}, got {self.area}")

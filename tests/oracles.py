@@ -163,8 +163,7 @@ def scalar_aggregate(schema: Schema, spec: AggregationSpec, proximities: dict[st
         return 1.0, 0.0
     method = spec.method
     if method in (AggregationMethod.MULTIPLICATIVE, AggregationMethod.WEIGHTED_ADDITIVE):
-        source = spec.feature_weights or {f.name: f.weight for f in schema.features}
-        weights = [source[n] for n in names]
+        weights = [schema.feature(n).weight for n in names]
         total = sum(weights)
         weights = [w / total for w in weights] if total > 0.0 else [1.0 / len(names)] * len(names)
         if method is AggregationMethod.MULTIPLICATIVE:

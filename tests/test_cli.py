@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -434,16 +435,18 @@ class TestRejectedAtValidation:
         ({"speed": 0.0, "rank": 0.0}, "all zero"),
     ])
     def test_feature_weights(self, tmp_path, capsys, weights, message):
+        """The retired ``feature_weights`` override: a config still carrying
+        it is rejected by its key alone, whatever it holds.  None of the
+        override's own messages remain, and nothing is scored."""
         config = dict(RANKED_CONFIG, aggregation={"method": "multiplicative", "feature_weights": weights})
         assert self.match(tmp_path, config, "a1,alpha,12.0,4\n") == 1
-        err = capsys.readouterr().err
-        assert message in err and "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.err == "error: aggregation: unknown key 'feature_weights'\n" and message not in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("aggregation, messages", [
         ({"method": "multiplicative", "feature_weights": {"rank": -1, "ghost": 1}}, [
-            "feature weights: no weight for feature 'speed'",
-            "feature weights: weight for unknown feature 'ghost'",
-            "feature weights: 'rank' weight -1 is not a non-negative number",
+            "aggregation: unknown key 'feature_weights'",
         ]),
         ({"method": "two-class-weighted"}, ["two-class aggregation requires a class weight in [0, 1]"]),
     ])
@@ -854,7 +857,89 @@ class TestRejectedByTheSettingsRule:
         assert (captured.err, captured.out) == (f"error: {message}\n", "")
 
 
+# One misspelled or retired key inserted at each level of a config, and
+# the one message that names its path.
+UNKNOWN_KEYS = [
+    (("treshold",), 0.9, "unknown key 'treshold'"),
+    (("schema", "features", 0, "xii"), 3.0, "speed: unknown key 'xii'"),
+    (("sources", "alpha", "speed", "sigmaa"), 2.0, "alpha/speed: unknown key 'sigmaa'"),
+    (("aggregation", "feature_weights"), {"speed": 1.0, "type": 1.0}, "aggregation: unknown key 'feature_weights'"),
+    (("simulation", "objects"), 5, "simulation: unknown key 'objects'"),
+]
+
+
+class TestUnknownConfigKeys:
+    """A key no parser reads was dropped: with ``"treshold": 0.9`` match
+    kept the candidates above the default 0.01, and validate printed OK."""
+
+    def run(self, tmp_path, verb, doc):
+        config = write(tmp_path, "config.json", json.dumps(doc))
+        a = write(tmp_path, "a.csv", "object_id,source_id,speed,type\na1,alpha,12.0,tank\n")
+        b = write(tmp_path, "b.csv", "object_id,source_id,speed,type\nb1,beta,12.5,tank\n")
+        return main([verb, "--config", str(config), *({"match": [str(a), str(b)]}.get(verb, []))])
+
+    @pytest.mark.parametrize("verb", ["validate", "match"])
+    @pytest.mark.parametrize("path, value, message", UNKNOWN_KEYS, ids=[path[-1] for path, *_ in UNKNOWN_KEYS])
+    def test_one_error_line(self, tmp_path, capsys, verb, path, value, message):
+        assert self.run(tmp_path, verb, _retyped(path, value)) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("verb", ["validate", "match"])
+    def test_first_and_gating_no_check(self, tmp_path, capsys, verb):
+        """One line per unknown key, ahead of the other violations, which
+        are all still reported."""
+        doc = _retyped(("threshold",), 2.0)
+        doc["sources"]["beta"]["speed"]["sigma"] = -1.0
+        for path, value, _ in UNKNOWN_KEYS:
+            *parents, key = path
+            functools.reduce(lambda node, k: node[k], parents, doc)[key] = value
+        assert self.run(tmp_path, verb, doc) == 1
+        messages = [message for *_, message in UNKNOWN_KEYS]
+        messages += ["beta/speed: accuracy must be positive", "candidate threshold 2.0 outside [0, 1]"]
+        assert capsys.readouterr() == ("", "".join(f"error: {m}\n" for m in messages))
+
+    def test_sources_are_known_behind_a_schema_error(self, tmp_path, capsys):
+        """sources is read only once the schema parses: a schema error is
+        then the only message, and sources is no unknown key."""
+        assert self.run(tmp_path, "validate", _retyped(("schema", "features", 0, "weight"), 0.7)) == 1
+        assert capsys.readouterr() == ("", "error: feature weights sum to 1.2, expected 1\n")
+
+    def test_derived_xi_past_the_float_range(self, tmp_path, capsys):
+        """3 * sigma 1e308 overflowed to inf, so the coefficient read 1 and
+        measure printed aggregate 1.0000 for speeds 0 and 1e307."""
+        config = write(tmp_path, "config.json", json.dumps({
+            "schema": {"features": [{"name": "speed", "kind": "quantitative", "weight": 1.0}]},
+            "sources": {"a": {"speed": {"sigma": 1e308}}, "b": {"speed": {"sigma": 1e308}}},
+        }))
+        pair = write(tmp_path, "pair.csv", "object_id,source_id,speed\na1,a,0\nb1,b,1e307\n")
+        for argv in (["measure", "--config", str(config), str(pair)], ["validate", "--config", str(config)]):
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", "error: speed: xi derived as 3 * sigma 1e+308 must be finite; give xi\n")
+
+
 class TestSimulate:
+    def test_object_count_whose_pair_grid_cannot_be_indexed(self, tmp_path, capsys):
+        """Died with numpy's ValueError: Maximum allowed dimension exceeded.
+        (2**32, rejected by the same rule, raised an _ArrayMemoryError for
+        32 GiB; tests/test_simulate.py checks it without allocating.)"""
+        config = write(tmp_path, "sim.json", json.dumps({"simulation": {"object_count": 10**30}}))
+        assert main(["simulate", "--config", str(config)]) == 1
+        assert capsys.readouterr() == ("", f"error: object_count must be at most 3037000499, got {10**30}\n")
+
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 32.0 GiB for an array with shape (65536, 65536) and data type float64"),
+         "error: out of memory: Unable to allocate 32.0 GiB for an array with shape (65536, 65536) and data type float64"),
+        (MemoryError(), "error: out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_is_a_runtime_error(self, capsys, monkeypatch, error, line):
+        """A step that runs out of memory gives one error line and exit 2,
+        not a traceback."""
+        def exhausted(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(cli, "run_experiment", exhausted)
+        assert main(["simulate"]) == 2
+        assert capsys.readouterr() == ("", f"{line}\n")
+
     @pytest.mark.parametrize("types", [["tank", "tank"], ["tank", "truck", "tank"]])
     def test_repeated_type_label(self, tmp_path, capsys, types):
         """Was an IndexError traceback from the flip of an observed type."""

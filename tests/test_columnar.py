@@ -122,14 +122,9 @@ def runs(draw, names=None, sizes=st.integers(0, 4), method=None):
         FeatureSchema(**{**FEATURES[n].__dict__, "weight": r / sum(raw)}) for n, r in zip(names, raw)
     )
     method = method or draw(st.sampled_from(list(AggregationMethod)))
-    override = None
-    if draw(st.booleans()):
-        override = {n: float(draw(st.integers(0, 3))) for n in names}
-        override[names[-1]] = override[names[-1]] or 1.0
     spec = AggregationSpec(
         method=method,
         class_weight=draw(st.sampled_from([0.0, 0.3, 0.6, 1.0])),
-        feature_weights=override,
         normalized=draw(st.booleans()),
     )
     profiles = _profiles(
@@ -974,10 +969,10 @@ class TestRejectedInputs:
         "b": SourceProfile("b", {"speed": QuantAccuracy(sigma=1.0)}),
     }
 
-    def run(self, value_a, rank_a=5, **spec):
+    def run(self, value_a, rank_a=5):
         a = InformationObject("a0", "a", {"speed": FeatureValue(value_a), "rank": FeatureValue(rank_a)})
         b = InformationObject("b0", "b", {"speed": FeatureValue(1.0), "rank": FeatureValue(4)})
-        return object_run(self.SCHEMA, self.PROFILES, [a], [b], AggregationSpec(**spec))
+        return object_run(self.SCHEMA, self.PROFILES, [a], [b])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_quantitative(self, value):
@@ -997,14 +992,3 @@ class TestRejectedInputs:
     def test_relative_support_that_keeps_its_rank_is_scored(self):
         (breakdown,) = pairwise_breakdowns(self.run(1.0, 3))
         assert set(breakdown.per_feature) == {"speed", "rank"}
-
-    @pytest.mark.parametrize("weights, message", [
-        ({"speed": 1.0}, "no weight for feature 'rank'"),
-        ({"speed": 0.5, "rank": 0.5, "colour": 0.1}, "unknown feature 'colour'"),
-        ({"speed": -0.5, "rank": 1.5}, "'speed' weight -0.5"),
-        ({"speed": 0.0, "rank": 0.0}, "all zero"),
-        ({"speed": "1", "rank": 0.5}, "'speed' weight '1'"),
-    ])
-    def test_feature_weight_violations(self, weights, message):
-        with pytest.raises(MatchRunError, match=message):
-            pairwise_breakdowns(self.run(1.0, feature_weights=weights))

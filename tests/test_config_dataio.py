@@ -3,6 +3,8 @@ import dataclasses
 import functools
 import json
 import math
+import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from iomatch.aggregate import AggregationMethod, AggregationSpec, weight_violations
+from iomatch.aggregate import AggregationMethod, AggregationSpec
 from iomatch.config import ConfigError, load_config, parse_config, require_match_config
 from iomatch.dataio import (
     RECORDS_PER_BLOCK,
@@ -26,7 +28,7 @@ from iomatch.dataio import (
     write_json,
     write_objects_csv,
 )
-from iomatch.engine import candidates, pairwise_breakdowns, threshold_violations
+from iomatch.engine import candidates, derived_xi_violations, pairwise_breakdowns, threshold_violations
 from iomatch.model import (
     Certainty,
     Dataset,
@@ -752,7 +754,7 @@ class TestGridRecords:
 
 
 # A valid document touching every section: a Gaussian ordinal feature with a
-# per-source spread, explicit feature weights and the two-class options.
+# per-source spread, a zero feature weight and the two-class options.
 FUZZ_CONFIG = {
     **FULL_CONFIG,
     "schema": {"features": [
@@ -760,12 +762,7 @@ FUZZ_CONFIG = {
         {"name": "threat", "kind": "ordinal", "weight": 0.0, "shape": "gaussian", "width": 1.5},
     ]},
     "sources": {**FULL_CONFIG["sources"], "s3": {"position": {"sigma": 10.0}, "threat": {"width": 1.0}}},
-    "aggregation": {
-        "method": "two-class-weighted",
-        "class_weight": 0.5,
-        "normalized": True,
-        "feature_weights": {"position": 1, "readiness": 0.5, "type": 0.5, "threat": 0.0},
-    },
+    "aggregation": {"method": "two-class-weighted", "class_weight": 0.5, "normalized": True},
 }
 
 
@@ -789,8 +786,7 @@ RULES_CONFIG = {
         {"name": "threat", "kind": "ordinal", "weight": 0.0, "shape": "gaussian", "width": 1.5},
     ]},
     "sources": {**FULL_CONFIG["sources"], "s3": {"position": {"sigma": 10.0}, "threat": {"width": 1.0}}},
-    "aggregation": {"method": "two-class-weighted", "class_weight": 0.5,
-                    "feature_weights": {"position": 1, "readiness": 0.5, "type": 0.5, "threat": 0.0}},
+    "aggregation": {"method": "two-class-weighted", "class_weight": 0.5},
     "simulation": {"object_count": 5, "area": [1000.0, 1000.0], "rmse": [20.0, 30.0], "type_error": 0.1,
                    "fleet_sigma_min": 10.0, "seed": 42},
 }
@@ -818,6 +814,15 @@ def edge_config(numbers) -> dict:
 EDGE_CONFIGS = st.dictionaries(st.sampled_from(RULES_PATHS), EDGE_NUMBERS, min_size=1, max_size=6).map(edge_config)
 
 
+def config_verdict(doc) -> list[str]:
+    """The messages ``parse_config`` rejects ``doc`` with; none when it accepts it."""
+    try:
+        parse_config(doc)
+    except ConfigError as error:
+        return error.errors
+    return []
+
+
 def python_violations(doc) -> list[str]:
     """The violations of the dataclasses a Python caller builds from ``doc``,
     from the same violations functions, gated as ``parse_config`` gates them."""
@@ -835,17 +840,20 @@ def python_violations(doc) -> list[str]:
     schema = None
     if not errors:
         schema = Schema(tuple(features))
+        profiles = {}
         for sid, entries in doc["sources"].items():
             accuracy = {
                 name: QuantAccuracy(p.get("sigma"), p.get("delta_max"))
                 if schema.feature(name).kind is FeatureKind.QUANTITATIVE else OrdinalAccuracy(p.get("k"), p.get("width"))
                 for name, p in entries.items()
             }
-            errors += profile_violations(SourceProfile(sid, accuracy), schema)
+            profiles[sid] = SourceProfile(sid, accuracy)
+            errors += profile_violations(profiles[sid], schema)
+        errors += derived_xi_violations(schema, profiles)
     raw = doc["aggregation"]
-    spec = AggregationSpec(AggregationMethod(raw["method"]), raw.get("class_weight"), raw.get("feature_weights"))
+    spec = AggregationSpec(AggregationMethod(raw["method"]), raw.get("class_weight"))
     if schema is not None:
-        errors += weight_violations(schema, spec)
+        errors += spec.violations()
     errors += threshold_violations(doc["threshold"])
     sim = doc["simulation"]
     scene = SceneSpec(sim["object_count"], tuple(sim["area"]), rmse=tuple(sim["rmse"]), type_error=sim["type_error"],
@@ -861,12 +869,93 @@ def test_config_and_python_give_one_verdict(doc):
     """Finite, huge, subnormal, zero, negative, infinite and NaN numbers:
     a configuration and the same objects built in Python are both accepted,
     or both rejected with the same messages in the same order."""
+    assert config_verdict(doc) == python_violations(doc)
+
+
+# --- a key no parser reads is one more message -----------------------------------
+
+# The keys of each object of a configuration whose keys a parser fixes.  The
+# keys of ``sources`` and of each source are source ids and feature names.
+ACCEPTED_KEYS = {
+    "document": {"schema", "sources", "aggregation", "threshold", "simulation"},
+    "schema": {"features"},
+    "feature": {"name", "kind", "weight", "xi", "delta", "shape", "width", "axes"},
+    "quantitative accuracy": {"sigma", "delta_max"},
+    "ordinal accuracy": {"k", "width"},
+    "aggregation": {"method", "class_weight", "normalized"},
+    "simulation": {"object_count", "area", "types", "rmse", "type_error", "fleet_sigma_min", "seed"},
+}
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _seed_configs() -> list[dict]:
+    """The README's configuration, the benchmark workloads' and FUZZ_CONFIG:
+    valid documents that use only keys the parser reads."""
+    (block,) = re.findall(r"^```json\n(.*?)^```$", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S)
+    bench = str(ROOT / "bench")
+    sys.path.insert(0, bench)
     try:
-        parse_config(doc)
-        from_config = []
-    except ConfigError as error:
-        from_config = error.errors
-    assert from_config == python_violations(doc)
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return [json.loads(block), workloads.SPARSE_CONFIG, workloads.DENSE_CONFIG, {"simulation": {"object_count": 150}},
+            FUZZ_CONFIG]
+
+
+SEED_CONFIGS = _seed_configs()
+
+
+@pytest.mark.parametrize("doc", SEED_CONFIGS, ids=["readme", "match-sparse", "match-dense-mixed", "simulate", "fuzz"])
+def test_seed_configs_are_accepted(doc):
+    assert config_verdict(doc) == []
+
+
+def _fixed_key_objects(doc):
+    """(path, kind in ACCEPTED_KEYS, message prefix) of each object of ``doc``
+    whose keys a parser fixes."""
+    yield (), "document", ""
+    features = doc.get("schema", {}).get("features", [])
+    if "schema" in doc:
+        yield ("schema",), "schema", "schema: "
+    for i, feature in enumerate(features):
+        yield ("schema", "features", i), "feature", f"{feature['name']}: "
+    kinds = {f["name"]: f["kind"] for f in features}
+    for sid, entries in doc.get("sources", {}).items():
+        for name in entries:
+            kind = "quantitative accuracy" if kinds[name] == "quantitative" else "ordinal accuracy"
+            yield ("sources", sid, name), kind, f"{sid}/{name}: "
+    for section in ("aggregation", "simulation"):
+        if section in doc:
+            yield (section,), section, f"{section}: "
+
+
+@st.composite
+def unknown_key_configs(draw):
+    """(document, the document with one key outside its object's accepted
+    set, the message naming that key's path).  The document is a seed, its
+    threshold maybe out of range, so another violation must stay reported."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(SEED_CONFIGS))))
+    if draw(st.booleans()):
+        doc["threshold"] = 2.0
+    path, kind, where = draw(st.sampled_from(list(_fixed_key_objects(doc))))
+    typos = ["treshold", "xii", "sigmaa", "delta_maxx", "class_wieght", "feature_weights", "objects", ""]
+    key = draw((st.sampled_from(sorted(set().union(*ACCEPTED_KEYS.values())) + typos) | st.text(max_size=8))
+               .filter(lambda k: k not in ACCEPTED_KEYS[kind]))
+    mutated = json.loads(json.dumps(doc))
+    functools.reduce(lambda node, k: node[k], path, mutated)[key] = draw(JSON_VALUES)
+    return doc, mutated, f"{where}unknown key {key!r}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(unknown_key_configs())
+@example((FULL_CONFIG, {**FULL_CONFIG, "aggregation": {"method": "multiplicative", "feature_weights": {}}},
+          "aggregation: unknown key 'feature_weights'"))
+def test_an_unknown_key_is_one_more_message(case):
+    """Any key outside an object's accepted set, in any object of a valid
+    configuration, is one message naming its path, ahead of the rest, and
+    the verdict on everything else is unchanged."""
+    doc, mutated, message = case
+    assert config_verdict(mutated) == [message] + config_verdict(doc)
 
 
 @st.composite

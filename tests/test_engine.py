@@ -521,6 +521,24 @@ class TestOneRulePerSetting:
             parse_config(document)
         assert excinfo.value.errors == ["speed: xi must be finite"]
 
+    def test_derived_xi_past_the_float_range(self):
+        """xi derived as 3 * sigma 1e308 overflowed to inf, and speeds 0 and
+        1e307 scored aggregate 1.0: now a run and a configuration get one
+        message.  A smallest sigma of 5e307 still derives a finite xi."""
+        schema = Schema((dataclasses.replace(SPEED, weight=1.0, quantitative_xi=None),))
+        a, b = self.speed("a", "alpha", 0.0), self.speed("b", "beta", 1e307)
+        message = "speed: xi derived as 3 * sigma 1e+308 must be finite; give xi"
+        profiles = {"alpha": profile("alpha", 1e308), "beta": profile("beta", 1e308)}
+        with pytest.raises(MatchRunError, match=f"^{re.escape(message)}$"):
+            evaluate_pair(schema, profiles, AggregationSpec(), a, b)
+        document = {"schema": {"features": [{"name": "speed", "kind": "quantitative", "weight": 1.0}]},
+                    "sources": {"alpha": {"speed": {"sigma": 1e308}}, "beta": {"speed": {"sigma": 1e308}}}}
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(document)
+        assert excinfo.value.errors == [message]
+        profiles = {"alpha": profile("alpha", 5e307), "beta": profile("beta", 1e308)}
+        assert 0.0 < evaluate_pair(schema, profiles, AggregationSpec(), a, b).aggregate_proximity < 1.0
+
     @pytest.mark.parametrize("threshold", [math.nan, 2.0, -1e16])
     def test_one_threshold_rule(self, threshold):
         """A configuration read "threshold 2.0 outside [0, 1]" and candidates

@@ -86,6 +86,16 @@ class TestGenerateScene:
         assert schema.feature("position").quantitative_xi == sys.float_info.max
         assert schema_violations(schema.features) == []
 
+    @pytest.mark.parametrize("count, errors", [
+        (3037000499, []),
+        (3037000500, ["object_count must be at most 3037000499, got 3037000500"]),
+        (2**32, ["object_count must be at most 3037000499, got 4294967296"]),
+    ])
+    def test_object_count_whose_pair_grid_cannot_be_indexed(self, count, errors):
+        """A count whose count x count grid numpy cannot index; 2**32 died
+        with an _ArrayMemoryError for 32 GiB."""
+        assert SceneSpec(object_count=count).violations() == errors
+
     @pytest.mark.parametrize("types", [("tank", "tank"), ("tank", "truck", "tank")])
     def test_repeated_type_label_rejected(self, types):
         """A flipped report draws among the labels other than its own, which
