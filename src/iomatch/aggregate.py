@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .model import WEIGHT_SUM_TOLERANCE
+from .model import weight_sum_violation, weight_violation
 
 
 class AggregationMethod(Enum):
@@ -40,10 +40,10 @@ class AggregationSpec:
 
     def violations(self) -> list[str]:
         """What is wrong with the options: the two-class method needs a class
-        weight in [0, 1].  The feature weights are the schema's, checked by
-        ``model.schema_violations``."""
+        weight under ``model.weight_violation``.  The feature weights are the
+        schema's, checked by ``model.schema_violations``."""
         w = self.class_weight
-        if self.method is AggregationMethod.TWO_CLASS_WEIGHTED and (w is None or not 0.0 <= w <= 1.0):
+        if self.method is AggregationMethod.TWO_CLASS_WEIGHTED and (w is None or weight_violation(w)):
             return ["two-class aggregation requires a class weight in [0, 1]"]
         return []
 
@@ -55,11 +55,10 @@ def _check_unit_range(values: Sequence[float], what: str) -> None:
 
 
 def _check_weights(weights: Sequence[float]) -> None:
-    if any(w < 0.0 for w in weights):
-        raise ValueError("weights must be non-negative")
-    total = sum(weights)
-    if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
-        raise ValueError(f"weights sum to {total!r}, expected 1")
+    """The schema's weight rules: each weight in [0, 1], summing to 1."""
+    for problem in (*map(weight_violation, weights), weight_sum_violation(weights)):
+        if problem:
+            raise ValueError(problem)
 
 
 def additive_distance(quant: Sequence[float], qual: Sequence[float]) -> float:
@@ -101,8 +100,8 @@ def two_class_weighted_distance(
 
     With ``normalized`` each class sum is divided by its feature count first.
     """
-    if not 0.0 <= class_weight <= 1.0:
-        raise ValueError(f"class weight {class_weight} outside [0, 1]")
+    if problem := weight_violation(class_weight):
+        raise ValueError(f"class {problem}")
     _check_unit_range(quant, "distance")
     _check_unit_range(qual, "distance")
     if normalized:

@@ -50,6 +50,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -185,6 +186,8 @@ def write_objects_csv(path: str | Path, dataset: Dataset) -> None:
 
     Raises ValueError for a dataset that carries payload violations: its
     columns hold such a value as absent, which would be written as blank.
+    So it does for a held label that is empty or has surrounding blanks,
+    which :func:`read_dataset` would read back as absent or stripped.
     """
     if dataset.violations:
         raise ValueError(f"cannot write a dataset with payload violations: {dataset.violations[0][1]}")
@@ -192,6 +195,11 @@ def write_objects_csv(path: str | Path, dataset: Dataset) -> None:
     certainties = []
     for f in dataset.schema.features:
         column = dataset.columns[f.name]
+        if f.kind is FeatureKind.NOMINAL:
+            for label in dict.fromkeys(column.values[column.present].tolist()):
+                if isinstance(label, str) and (not label or label != label.strip()):
+                    raise ValueError(f"cannot write label {label!r} of {f.name!r}: "
+                                     "a dataset CSV reads it stripped, an empty one as absent")
         columns.extend(_feature_texts(f, column))
         labels = {level: Certainty(level).label for level in set(column.certainty[column.present].tolist())}
         held = column.present.tolist()
@@ -326,6 +334,9 @@ def read_dataset(path: str | Path, schema: Schema) -> Dataset:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     if header is None:
         raise DataError(f"{path}: empty dataset file")
+    duplicates = [c for c, count in Counter(header).items() if count > 1]
+    if duplicates:
+        raise DataError(f"{path}: duplicate columns {duplicates}")
     # Every value column is named, also when left empty for an absent feature.
     required = ["object_id", "source_id", *(c for c, _, _ in columns)]
     missing = [c for c in required if c not in header]
@@ -341,7 +352,6 @@ def read_dataset(path: str | Path, schema: Schema) -> Dataset:
     ragged = np.flatnonzero(np.fromiter(map(len, records), int, len(records)) != width)
     checked = int(ragged[0]) if len(ragged) else len(records)
     fields = list(zip(*records[:checked])) or [()] * width
-    # A name given twice takes its last column, as a csv.DictReader row does.
     at = {name: k for k, name in enumerate(header)}
     features, first = {}, None
     for f in schema.features:

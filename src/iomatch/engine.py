@@ -4,9 +4,9 @@ The engine's input is two columnar datasets (:class:`~iomatch.model.Dataset`),
 each built for the run's schema; :meth:`Dataset.from_objects` builds one
 from objects.  Validation reads the columns: the payload violations a
 dataset carries, duplicate ids, mixed or missing source profiles, a dataset
-built for another schema, a column missing or of another length than the
-ids, and then, in one walk over each quantitative and
-ordinal column, the values the kernels cannot score: values that are not
+built for another schema, a column missing, of another length than the
+ids or of another shape than its feature's, and then, in one walk over each
+quantitative and ordinal column, the values the kernels cannot score: values that are not
 finite, ordinal certainties that are not a :class:`~iomatch.model.Certainty`
 level, triangular supports that are not finite or collapse onto their rank,
 Gaussian ranks or spreads beyond ``fuzzy.GAUSSIAN_LIMIT``, and three-sigma
@@ -40,7 +40,6 @@ from __future__ import annotations
 import collections.abc
 import functools
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -50,14 +49,12 @@ import numpy as np
 from . import aggregate as agg
 from . import quant
 from .fuzzy import (
-    IdentificationPowerWarning,
     gaussian_violation,
     gaussian_within_range,
     triangular_support_holds,
     triangular_violation,
 )
 from .model import (
-    MAX_NOMINAL_DELTA,
     Certainty,
     Dataset,
     FeatureColumn,
@@ -66,9 +63,7 @@ from .model import (
     FeatureScore,
     InformationObject,
     MembershipShape,
-    OrdinalAccuracy,
     ProximityBreakdown,
-    QuantAccuracy,
     Schema,
     SourceProfile,
     ValidationError,
@@ -76,9 +71,11 @@ from .model import (
     positive_violation,
     profile_violations,
     schema_violations,
+    source_ordinal,
+    source_sigma,
+    warn_identification_power,
 )
-
-THREE_SIGMA = 3.0
+from .quant import THREE_SIGMA, three_sigma_window, window_holds
 
 # The candidate threshold where a run or a configuration names none.
 DEFAULT_THRESHOLD = 0.01
@@ -92,8 +89,6 @@ def threshold_violations(threshold) -> list[str]:
 
 # The membership heights an ordinal value may have.
 _CERTAINTY_LEVELS = np.array([level.value for level in Certainty])
-
-_SQRT2 = math.sqrt(2.0)
 
 
 class MatchRunError(ValidationError):
@@ -160,45 +155,41 @@ def run_violations(run: MatchRun) -> list[str]:
 
 def _shape_violations(dataset: Dataset, label: str) -> list[str]:
     """A schema feature without a column, and a column holding another
-    number of entries than the dataset has ids (a dataset built from
-    columns is not checked when made)."""
+    number of entries than the dataset has ids, or parts of another shape
+    than its feature's: ``present`` and ``certainty`` ``(n,)``, ``values``
+    ``(n, arity)``, or ``(n,)`` for a nominal feature (a dataset built from
+    columns is not checked when made).  One message per column."""
     errors = []
     n = len(dataset.ids)
-    for name in dataset.schema.names:
-        column = dataset.columns.get(name)
+    for feature in dataset.schema.features:
+        name, column = feature.name, dataset.columns.get(feature.name)
         if column is None:
             errors.append(f"dataset {label}: no column for feature {name!r}")
             continue
         parts = {"present": column.present, "values": column.values, "certainty": column.certainty,
                  "ranks": column.ranks}
         lengths = {part: len(array) for part, array in parts.items() if array is not None}
+        shapes = {"present": (n,), "values": (n,) if feature.kind is FeatureKind.NOMINAL else (n, feature.arity),
+                  "certainty": (n,)}
+        wrong = [part for part, shape in shapes.items() if np.shape(parts[part]) != shape]
         if set(lengths.values()) != {n}:
             held = ", ".join(f"{length} {part}" for part, length in lengths.items())
             errors.append(f"dataset {label}: column {name!r} holds {held} for {n} ids")
+        elif wrong:
+            part = wrong[0]
+            errors.append(f"dataset {label}: column {name!r} {part} have shape {np.shape(parts[part])}, "
+                          f"expected {shapes[part]}")
     return errors
 
 
-def _relative_k(feature: FeatureSchema, profile: SourceProfile) -> float | None:
-    acc = profile.accuracy.get(feature.name)
-    return acc.relative_k if isinstance(acc, OrdinalAccuracy) else None
-
-
-def _width(feature: FeatureSchema, profile: SourceProfile) -> float | None:
-    """The source's half-width or Gaussian spread, else the schema's."""
-    acc = profile.accuracy.get(feature.name)
-    return acc.width if isinstance(acc, OrdinalAccuracy) and acc.width is not None else feature.ordinal_params.width
-
-
-def _supports(feature: FeatureSchema, profile: SourceProfile, column: FeatureColumn) -> tuple[np.ndarray, np.ndarray]:
+def _supports(k: float | None, width: float | None, column: FeatureColumn) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) of every rank's triangular support, -1 and 1 where absent:
     ROUND(rank * (1 -+ k)) under a relative k, as
     ``fuzzy.triangular_from_relative_error`` rounds them (halves away from
     zero), else rank -+ width.  A bound may overflow to infinity."""
-    k = _relative_k(feature, profile)
     ranks = column.values[:, 0]
     with np.errstate(over="ignore"):
         if k is None:
-            width = _width(feature, profile)
             lo, hi = ranks - width, ranks + width
         else:
             bounds = ranks * (1.0 - k), ranks * (1.0 + k)
@@ -207,11 +198,10 @@ def _supports(feature: FeatureSchema, profile: SourceProfile, column: FeatureCol
 
 
 def _window_bounds(values: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """(v - 3 sigma, v + 3 sigma) of every value: the engine's one window
-    rule.  A window past the float range ends at +-inf, as in the scalar path."""
-    half = THREE_SIGMA * sigma
+    """``quant.three_sigma_window`` of every value, without numpy's overflow
+    warning: a window past the float range ends at +-inf, as in the scalar path."""
     with np.errstate(over="ignore"):
-        return values - half, values + half
+        return three_sigma_window(values, sigma)
 
 
 def _column_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, int, str]]:
@@ -226,19 +216,20 @@ def _column_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, int, 
     2. a support that fails ``fuzzy.triangular_support_holds``, the scalar
        constructors' rule, or a Gaussian rank outside
        ``fuzzy.gaussian_within_range``;
-    3. a three-sigma window that collapses onto its value on some axis, so
-       the overlap would score a silent 0 (one that overflows to infinity
+    3. a three-sigma window that fails ``quant.window_holds`` on some axis,
+       so the overlap would score a silent 0 (one that overflows to infinity
        does not); the message names the first such axis's value.
 
     Checks 2 and 3 skip a source whose accuracy the schema or profile check
-    rejects, as that check reports it."""
+    rejects (``model.source_ordinal`` and ``model.source_sigma`` give
+    None), as that check reports it."""
     found = []
     source_ids = np.array(dataset.source_ids, dtype=object)
     sources = [
         (sid, run.profiles[sid], source_ids == sid) for sid in dict.fromkeys(dataset.source_ids) if sid in run.profiles
     ]
     for feature in (f for f in dataset.schema.features if f.kind is not FeatureKind.NOMINAL):
-        column, name, params = dataset.columns[feature.name], feature.name, feature.ordinal_params
+        column, name = dataset.columns[feature.name], feature.name
         values, ranks = column.values, column.ranks
         finite = np.isfinite(values).all(axis=1)
         held = column.present & finite
@@ -249,29 +240,27 @@ def _column_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, int, 
             found.append((i, 1, f"{dataset.ids[i]}/{name}: {message}"))
         if feature.kind is FeatureKind.QUANTITATIVE:
             for sid, profile, own in sources:
-                acc = profile.accuracy.get(name)
-                if not isinstance(acc, QuantAccuracy) or acc.violation() is not None:
+                sigma = source_sigma(feature, profile)
+                if sigma is None:
                     continue
-                sigma = acc.resolved_sigma()
                 with np.errstate(invalid="ignore"):  # a non-finite value, reported above, may give a NaN bound
                     lo, hi = _window_bounds(values, sigma)
-                collapsed = ~((lo < values) & (values < hi))
+                collapsed = ~window_holds(lo, values, hi)
                 for i in np.flatnonzero(held & own & collapsed.any(axis=1)).tolist():
                     value = values[i, np.argmax(collapsed[i])].item()
                     found.append((i, 3, f"{dataset.ids[i]}/{name}: sigma {sigma} of source {sid!r} "
                                         f"collapses the three-sigma window of {value!r} onto the value itself"))
-        elif params is not None:
-            gaussian = params.shape is MembershipShape.GAUSSIAN
+        else:
             for sid, profile, own in sources:
-                k, width = _relative_k(feature, profile), _width(feature, profile)
-                if not (0.0 < k < 1.0 and not gaussian if k is not None
-                        else width is not None and not positive_violation(width)):
+                setting = source_ordinal(feature, profile)
+                if setting is None:
                     continue
-                if gaussian:
+                k, width = setting
+                if feature.ordinal_params.shape is MembershipShape.GAUSSIAN:
                     for i in np.flatnonzero(held & own & ~gaussian_within_range(values[:, 0], width)).tolist():
                         found.append((i, 2, f"{dataset.ids[i]}/{name}: {gaussian_violation(ranks[i], width)}"))
                     continue
-                lo, hi = _supports(feature, profile, column)
+                lo, hi = _supports(k, width, column)
                 rule = f"relative k {k} of source {sid!r} rounds" if k is not None else f"half-width {width} collapses"
                 for i in np.flatnonzero(held & own & ~triangular_support_holds(lo, values[:, 0], hi)).tolist():
                     collapsed = f"{rule} the support of rank {ranks[i]} onto the rank itself"
@@ -280,12 +269,19 @@ def _column_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, int, 
     return found
 
 
+def _smallest_sigma(feature: FeatureSchema, profiles: Iterable[SourceProfile]) -> float | None:
+    """The smallest ``model.source_sigma`` of a feature among all configured
+    sources; None where there are none or one is rejected."""
+    sigmas = [source_sigma(feature, p) for p in profiles]
+    return None if not sigmas or None in sigmas else min(sigmas)
+
+
 def _run_xi(feature: FeatureSchema, profiles: Iterable[SourceProfile]) -> float:
     """Confidence half-window of a feature for the whole run: the explicit xi,
     or three times the smallest sigma among all configured sources."""
     if feature.quantitative_xi is not None:
         return feature.quantitative_xi
-    return THREE_SIGMA * min(p.quantitative_sigma(feature.name) for p in profiles)
+    return THREE_SIGMA * _smallest_sigma(feature, profiles)
 
 
 def derived_xi_violations(schema: Schema, profiles: Mapping[str, SourceProfile]) -> list[str]:
@@ -297,11 +293,9 @@ def derived_xi_violations(schema: Schema, profiles: Mapping[str, SourceProfile])
     for feature in schema.features:
         if feature.kind is not FeatureKind.QUANTITATIVE or feature.quantitative_xi is not None:
             continue
-        accuracies = [p.accuracy.get(feature.name) for p in profiles.values()]
-        if accuracies and all(isinstance(a, QuantAccuracy) and a.violation() is None for a in accuracies):
-            sigma = min(a.resolved_sigma() for a in accuracies)
-            if problem := positive_violation(THREE_SIGMA * sigma):
-                errors.append(f"{feature.name}: xi derived as 3 * sigma {sigma} must be {problem}; give xi")
+        sigma = _smallest_sigma(feature, profiles.values())
+        if sigma is not None and (problem := positive_violation(THREE_SIGMA * sigma)):
+            errors.append(f"{feature.name}: xi derived as 3 * sigma {sigma} must be {problem}; give xi")
     return errors
 
 
@@ -330,7 +324,7 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
     low, high = x == -THREE_SIGMA, x == THREE_SIGMA
     phi = np.where(low, _PHI_AT_THREE[0], _PHI_AT_THREE[1])
     other = ~(low | high)
-    z = (x[other] / _SQRT2).tolist()
+    z = (x[other] / quant._SQRT2).tolist()
     phi[other] = 0.5 * (1.0 + np.fromiter(map(math.erf, z), float, len(z)))
     return phi
 
@@ -501,9 +495,12 @@ def _nominal_column(codes_a, codes_b, delta: float, rows, cols, wanted=True) -> 
 def _ordinal_memberships(feature: FeatureSchema, profile: SourceProfile, column: FeatureColumn):
     """(lo, peak, hi, height) arrays of one side's memberships, and the width
     (half-width or Gaussian spread) the side uses; lo and hi are unused for
-    Gaussians, and absent values get a placeholder triangle."""
-    lo, hi = _supports(feature, profile, column)
-    return (lo, column.values[:, 0], hi, column.certainty), _width(feature, profile)
+    Gaussians, and absent values get the placeholder triangle (-1, 0, 1, 1),
+    whatever their slots hold."""
+    k, width = source_ordinal(feature, profile)
+    lo, hi = _supports(k, width, column)
+    peak = np.where(column.present, column.values[:, 0], 0.0)
+    return (lo, peak, hi, np.where(column.present, column.certainty, 1.0)), width
 
 
 def _nominal_codes(column_a: FeatureColumn, column_b: FeatureColumn) -> tuple[np.ndarray, np.ndarray]:
@@ -537,8 +534,7 @@ def _feature_sides(run: MatchRun, feature: FeatureSchema, profile_a, profile_b) 
     column_a, column_b = run.dataset_a.columns[feature.name], run.dataset_b.columns[feature.name]
     has_a, has_b = column_a.present, column_b.present
     if feature.kind is FeatureKind.QUANTITATIVE:
-        sigma_a = profile_a.quantitative_sigma(feature.name)
-        sigma_b = profile_b.quantitative_sigma(feature.name)
+        sigma_a, sigma_b = source_sigma(feature, profile_a), source_sigma(feature, profile_b)
         windows = _Windows.of(column_a.values, sigma_a, column_b.values, sigma_b)
         xi = _run_xi(feature, run.profiles.values())
         kernel = functools.partial(_quantitative_column, windows, has_a, has_b, sigma_a, sigma_b, xi)
@@ -549,12 +545,8 @@ def _feature_sides(run: MatchRun, feature: FeatureSchema, profile_a, profile_b) 
         gaussian = feature.ordinal_params.shape is MembershipShape.GAUSSIAN
         kernel = functools.partial(_ordinal_column, side_a, width_a, side_b, width_b, gaussian)
         return _FeatureSides(has_a, has_b, kernel)
-    if feature.nominal_delta == MAX_NOMINAL_DELTA and has_a.any() and has_b.any():
-        warnings.warn(
-            "delta = 0.5 makes a nominal match indistinguishable from a mismatch",
-            IdentificationPowerWarning,
-            stacklevel=3,
-        )
+    if has_a.any() and has_b.any():
+        warn_identification_power(feature.nominal_delta, stacklevel=3)
     codes_a, codes_b = _nominal_codes(column_a, column_b)
     return _FeatureSides(has_a, has_b, functools.partial(_nominal_column, codes_a, codes_b, feature.nominal_delta))
 

@@ -10,10 +10,18 @@ two-level rule driven by the determination error delta.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
-from .model import Certainty, MembershipShape, MAX_NOMINAL_DELTA
+import numpy as np
+
+from .model import (
+    Certainty,
+    MembershipShape,
+    delta_violation,
+    positive_violation,
+    relative_k_violation,
+    warn_identification_power,
+)
 
 # Beyond this many spreads from the peak a Gaussian membership is below 2e-16
 # and cannot influence a max-min search.
@@ -28,7 +36,8 @@ def gaussian_within_range(rank, spread):
     """Whether Gaussian memberships of ``rank`` under ``spread`` can be
     intersected: both of magnitude below ``GAUSSIAN_LIMIT``.  Elementwise
     for arrays."""
-    return (abs(rank) < GAUSSIAN_LIMIT) & (spread < GAUSSIAN_LIMIT)
+    with np.errstate(over="ignore"):  # a float32 spread is compared with the limit cast to inf
+        return (abs(rank) < GAUSSIAN_LIMIT) & (spread < GAUSSIAN_LIMIT)
 
 
 def gaussian_violation(rank, spread: float) -> str | None:
@@ -53,10 +62,6 @@ def triangular_violation(g_min, rank, g_max, collapsed: str) -> str:
     if math.isfinite(g_min) and math.isfinite(g_max):
         return collapsed
     return f"the membership support of rank {rank} is not finite"
-
-
-class IdentificationPowerWarning(UserWarning):
-    """A nominal determination error of 0.5 cannot separate match from mismatch."""
 
 
 def round_half_away(x: float) -> int:
@@ -115,12 +120,13 @@ def triangular_from_relative_error(center: float, k: float, height: float = 1.0)
     """Triangular membership with bounds ROUND(center*(1-k)), ROUND(center*(1+k)).
 
     ``k`` grows with the perceived determination error of the source.
-    Raises ValueError where the support is not finite (a bound past the
-    float range stays infinite) or the rounded bounds collapse onto the
-    center (see :func:`triangular_support_holds`).
+    Raises ValueError where k fails ``model.relative_k_violation``, and where
+    the support is not finite (a bound past the float range stays infinite)
+    or the rounded bounds collapse onto the center (see
+    :func:`triangular_support_holds`).
     """
-    if not 0.0 < k < 1.0:
-        raise ValueError(f"relative error coefficient must lie in (0, 1), got {k}")
+    if problem := relative_k_violation(k):
+        raise ValueError(f"{problem}, got {k}")
     g_min, g_max = (
         float(round_half_away(x)) if math.isfinite(x) else x for x in (center * (1.0 - k), center * (1.0 + k))
     )
@@ -135,10 +141,11 @@ def triangular_from_relative_error(center: float, k: float, height: float = 1.0)
 def triangular_from_halfwidth(center: float, half_width: float, height: float = 1.0) -> FuzzyMembership:
     """Symmetric triangular membership with support [center-w, center+w].
 
-    Raises ValueError where that support is not finite or lies within the
-    center's float spacing (see :func:`triangular_support_holds`)."""
-    if not half_width > 0.0:
-        raise ValueError(f"half-width must be strictly positive, got {half_width}")
+    Raises ValueError for a half-width that fails ``positive_violation``, and
+    where the support is not finite or lies within the center's float
+    spacing (see :func:`triangular_support_holds`)."""
+    if problem := positive_violation(half_width):
+        raise ValueError(f"half-width must be {problem}, got {half_width}")
     g_min, g_max = center - half_width, center + half_width
     if not triangular_support_holds(g_min, center, g_max):
         collapsed = f"half-width {half_width} collapses the support of rank {center} onto the rank itself"
@@ -149,10 +156,11 @@ def triangular_from_halfwidth(center: float, half_width: float, height: float = 
 def gaussian_membership(center: float, spread: float, height: float = 1.0) -> FuzzyMembership:
     """Gaussian membership; intersections are evaluated on the integer grid.
 
-    Raises ValueError for a spread that is not positive, and for a center or
-    spread beyond ``GAUSSIAN_LIMIT`` (see :func:`gaussian_violation`)."""
-    if not spread > 0.0:
-        raise ValueError(f"spread must be strictly positive, got {spread}")
+    Raises ValueError for a spread that fails ``positive_violation``, and for
+    a center or spread beyond ``GAUSSIAN_LIMIT`` (see
+    :func:`gaussian_violation`)."""
+    if problem := positive_violation(spread):
+        raise ValueError(f"spread must be {problem}, got {spread}")
     violation = gaussian_violation(center, spread)
     if violation is not None:
         raise ValueError(violation)
@@ -244,8 +252,8 @@ def possibility(m1: FuzzyMembership, m2: FuzzyMembership) -> float:
 
 
 def _check_delta(delta: float) -> None:
-    if not 0.0 < delta <= MAX_NOMINAL_DELTA:
-        raise ValueError(f"delta {delta} outside (0, {MAX_NOMINAL_DELTA}]")
+    if problem := delta_violation(delta):
+        raise ValueError(problem)
 
 
 def nominal_proximity(v1: str, v2: str, delta: float) -> float:
@@ -255,12 +263,7 @@ def nominal_proximity(v1: str, v2: str, delta: float) -> float:
     max-min possibility of the corresponding plateau memberships.
     """
     _check_delta(delta)
-    if delta == MAX_NOMINAL_DELTA:
-        warnings.warn(
-            "delta = 0.5 makes a nominal match indistinguishable from a mismatch",
-            IdentificationPowerWarning,
-            stacklevel=2,
-        )
+    warn_identification_power(delta, stacklevel=2)
     return 1.0 if v1 == v2 else delta
 
 

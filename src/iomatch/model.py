@@ -8,13 +8,14 @@ across concurrent evaluators.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .quant import sigma_from_max_error
+from .quant import is_finite_number, positive_violation, sigma_from_max_error
 
 WEIGHT_SUM_TOLERANCE = 1e-9
 COMPLEMENT_TOLERANCE = 1e-12
@@ -22,6 +23,54 @@ COMPLEMENT_TOLERANCE = 1e-12
 # A nominal determination error of 0.5 makes a match and a mismatch
 # indistinguishable; anything above that is rejected outright.
 MAX_NOMINAL_DELTA = 0.5
+
+
+def weight_violation(weight) -> str | None:
+    """The rule of a feature weight and of the two-class weight: a number
+    in [0, 1].  None when it holds, else the violation."""
+    return None if 0.0 <= weight <= 1.0 else f"weight {weight} outside [0, 1]"
+
+
+def weight_sum_violation(weights: Sequence) -> str | None:
+    """The rule of a weight vector: it sums to 1, to within
+    ``WEIGHT_SUM_TOLERANCE``.  None also where a weight is not finite,
+    which :func:`weight_violation` reports."""
+    try:
+        if not all(map(math.isfinite, weights)):
+            return None
+    except OverflowError:  # an int past the float range cannot be summed
+        return None
+    total = sum(weights)
+    return None if abs(total - 1.0) <= WEIGHT_SUM_TOLERANCE else f"weights sum to {total!r}, expected 1"
+
+
+def delta_violation(delta) -> str | None:
+    """The rule of a nominal determination error: a number in (0, 0.5]."""
+    if 0.0 < delta <= MAX_NOMINAL_DELTA:
+        return None
+    return (
+        f"delta {delta} outside (0, {MAX_NOMINAL_DELTA}]"
+        " (0.5 already loses identification power; larger is meaningless)"
+    )
+
+
+class IdentificationPowerWarning(UserWarning):
+    """A nominal determination error of 0.5 cannot separate match from mismatch."""
+
+
+def warn_identification_power(delta: float, stacklevel: int) -> None:
+    """Warn, as the caller ``stacklevel`` frames up, where ``delta`` is 0.5."""
+    if delta == MAX_NOMINAL_DELTA:
+        warnings.warn(
+            "delta = 0.5 makes a nominal match indistinguishable from a mismatch",
+            IdentificationPowerWarning,
+            stacklevel=stacklevel + 1,
+        )
+
+
+def relative_k_violation(k) -> str | None:
+    """The rule of an ordinal relative-error coefficient: a number in (0, 1)."""
+    return None if 0.0 < k < 1.0 else "relative_k must lie in (0, 1)"
 
 
 class FeatureKind(Enum):
@@ -141,16 +190,13 @@ def schema_violations(features: Sequence[FeatureSchema]) -> list[str]:
         if f.name in seen:
             errors.append(f"{f.name}: duplicate feature name")
         seen.add(f.name)
-        if not 0.0 <= f.weight <= 1.0:
-            errors.append(f"{f.name}: weight {f.weight} outside [0, 1]")
+        if problem := weight_violation(f.weight):
+            errors.append(f"{f.name}: {problem}")
         if f.kind is FeatureKind.NOMINAL:
             if f.nominal_delta is None:
                 errors.append(f"{f.name}: nominal feature missing determination error delta")
-            elif not 0.0 < f.nominal_delta <= MAX_NOMINAL_DELTA:
-                errors.append(
-                    f"{f.name}: delta {f.nominal_delta} outside (0, {MAX_NOMINAL_DELTA}]"
-                    " (0.5 already loses identification power; larger is meaningless)"
-                )
+            elif problem := delta_violation(f.nominal_delta):
+                errors.append(f"{f.name}: {problem}")
         elif f.nominal_delta is not None:
             errors.append(f"{f.name}: delta only applies to nominal features")
         if f.kind is FeatureKind.QUANTITATIVE:
@@ -174,11 +220,8 @@ def schema_violations(features: Sequence[FeatureSchema]) -> list[str]:
                 errors.append(f"{f.name}: axes only apply to quantitative features")
             elif len(f.axes) == 0 or len(set(f.axes)) != len(f.axes):
                 errors.append(f"{f.name}: axes must be non-empty and unique")
-    # A weight that is not finite is reported above; one past the float range cannot be summed.
-    if all(is_finite_number(f.weight) for f in features):
-        total = sum(f.weight for f in features)
-        if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
-            errors.append(f"feature weights sum to {total!r}, expected 1")
+    if problem := weight_sum_violation([f.weight for f in features]):
+        errors.append(f"feature {problem}")
     return errors
 
 
@@ -210,7 +253,9 @@ class QuantAccuracy:
             return "give exactly one of sigma or delta_max"
         if problem := positive_violation(given[0]):
             return f"accuracy must be {problem}"
-        if not self.resolved_sigma() > 0.0:  # a delta_max whose sigma underflows
+        try:
+            self.resolved_sigma()
+        except ValueError:  # a delta_max whose sigma underflows
             return "sigma must be strictly positive"
         return None
 
@@ -231,6 +276,23 @@ class OrdinalAccuracy:
     relative_k: float | None = None
     width: float | None = None
 
+    def violations(self, shape: MembershipShape | None) -> list[str]:
+        """What is wrong with this accuracy on a feature of membership
+        ``shape``: at most one of k and width is given, k passes
+        :func:`relative_k_violation` on a triangular shape, and the width
+        :func:`positive_violation`."""
+        errors = []
+        if self.relative_k is not None and self.width is not None:
+            errors.append("give at most one of relative_k or width")
+        if self.relative_k is not None:
+            if problem := relative_k_violation(self.relative_k):
+                errors.append(problem)
+            if shape is MembershipShape.GAUSSIAN:
+                errors.append("relative_k requires a triangular shape")
+        if self.width is not None and (problem := positive_violation(self.width)):
+            errors.append(f"width must be {problem}")
+        return errors
+
 
 @dataclass(frozen=True)
 class SourceProfile:
@@ -239,11 +301,29 @@ class SourceProfile:
     source_id: str
     accuracy: Mapping[str, Union[QuantAccuracy, OrdinalAccuracy]] = field(default_factory=dict)
 
-    def quantitative_sigma(self, feature_name: str) -> float:
-        acc = self.accuracy.get(feature_name)
-        if not isinstance(acc, QuantAccuracy):
-            raise KeyError(f"{self.source_id}: no quantitative accuracy for {feature_name!r}")
-        return acc.resolved_sigma()
+
+def source_sigma(feature: FeatureSchema, profile: SourceProfile) -> float | None:
+    """The sigma a source uses on a quantitative feature, or None where the
+    profile check rejects its accuracy there."""
+    acc = profile.accuracy.get(feature.name)
+    return acc.resolved_sigma() if isinstance(acc, QuantAccuracy) and acc.violation() is None else None
+
+
+def source_ordinal(feature: FeatureSchema, profile: SourceProfile) -> tuple[float | None, float | None] | None:
+    """The (relative k, width) a source uses on an ordinal feature, the
+    other None: its k, else its width, else the schema's width (a
+    half-width, or a Gaussian spread).  None where the schema or profile
+    check rejects them."""
+    params = feature.ordinal_params
+    acc = profile.accuracy.get(feature.name, OrdinalAccuracy())
+    if params is None or params.shape is MembershipShape.NOMINAL_PLATEAU or not isinstance(acc, OrdinalAccuracy):
+        return None
+    if acc.violations(params.shape):
+        return None
+    if acc.relative_k is not None:
+        return acc.relative_k, None
+    width = params.width if acc.width is None else acc.width
+    return None if width is None or positive_violation(width) else (None, width)
 
 
 def profile_violations(profile: SourceProfile, schema: Schema) -> list[str]:
@@ -266,16 +346,8 @@ def profile_violations(profile: SourceProfile, schema: Schema) -> list[str]:
             if not isinstance(acc, OrdinalAccuracy):
                 errors.append(f"{sid}/{name}: expected ordinal accuracy")
                 continue
-            given = [v for v in (acc.relative_k, acc.width) if v is not None]
-            if len(given) > 1:
-                errors.append(f"{sid}/{name}: give at most one of relative_k or width")
-            if acc.relative_k is not None:
-                if not 0.0 < acc.relative_k < 1.0:
-                    errors.append(f"{sid}/{name}: relative_k must lie in (0, 1)")
-                if feature.ordinal_params and feature.ordinal_params.shape is MembershipShape.GAUSSIAN:
-                    errors.append(f"{sid}/{name}: relative_k requires a triangular shape")
-            if acc.width is not None and (problem := positive_violation(acc.width)):
-                errors.append(f"{sid}/{name}: width must be {problem}")
+            shape = feature.ordinal_params.shape if feature.ordinal_params else None
+            errors.extend(f"{sid}/{name}: {problem}" for problem in acc.violations(shape))
         else:
             errors.append(f"{sid}/{name}: nominal error lives in the schema, not the profile")
     for name in schema.quantitative_names:
@@ -323,27 +395,6 @@ class InformationObject:
     object_id: str
     source_id: str
     values: Mapping[str, FeatureValue] = field(default_factory=dict)
-
-
-def is_finite_number(x) -> bool:
-    """A real int or float other than bool, NaN, +/-inf and ints beyond the float range."""
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
-
-
-def positive_violation(*values) -> str | None:
-    """The rule of every determination error, half-window, width and scene
-    size: each of ``values`` is a finite number above 0.  None when they
-    are; otherwise what they must be, ``"positive"`` when one is not above
-    0 (NaN included), else ``"finite"`` (+inf, or an int past the float
-    range, which is compared and never converted)."""
-    if all(is_finite_number(x) and x > 0.0 for x in values):
-        return None
-    return "finite" if all(x > 0.0 for x in values) else "positive"
 
 
 def non_finite_violation(feature: FeatureSchema) -> str:
@@ -471,7 +522,10 @@ class Dataset:
         self.columns, self.violations = dict(columns), tuple(violations)
         for f in schema.features:
             column = self.columns.get(f.name)
-            if f.kind is FeatureKind.ORDINAL_FUZZY and column is not None and column.ranks is None:
+            if f.kind is not FeatureKind.ORDINAL_FUZZY or column is None or column.ranks is not None:
+                continue
+            # A column of another shape is left for run validation to report.
+            if np.ndim(column.values) == 2:
                 ranks = [r if held else None for r, held in zip(column.values[:, 0].tolist(), column.present.tolist())]
                 self.columns[f.name] = replace(column, ranks=tuple(ranks))
 

@@ -10,11 +10,48 @@ rewards precise sources.  All functions are pure and stateless.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 _SQRT2 = math.sqrt(2.0)
 
 THREE_SIGMA = 3.0
+
+
+def is_finite_number(x) -> bool:
+    """A real number (numpy's scalars included) other than bool, NaN, +/-inf
+    and ints beyond the float range."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def positive_violation(*values) -> str | None:
+    """The rule of every determination error, half-window, width, spread and
+    scene size: each of ``values`` is a finite number above 0.  None when
+    they are; otherwise what they must be, ``"positive"`` when one is not
+    above 0 (NaN included), else ``"finite"`` (+inf, or an int past the
+    float range, which is compared and never converted)."""
+    if all(is_finite_number(x) and x > 0.0 for x in values):
+        return None
+    return "finite" if all(x > 0.0 for x in values) else "positive"
+
+
+def three_sigma_window(value, sigma):
+    """(value - 3 sigma, value + 3 sigma), elementwise for arrays; a bound
+    past the float range is +-inf."""
+    half = THREE_SIGMA * sigma
+    return value - half, value + half
+
+
+def window_holds(low, value, high):
+    """Whether a three-sigma window [low, high] holds ``value`` strictly
+    inside: where a bound rounds onto the value, any overlap is empty and a
+    pair would score a silent 0.  Elementwise for arrays."""
+    return (low < value) & (value < high)
 
 
 def standard_normal_cdf(x: float) -> float:
@@ -31,21 +68,21 @@ def laplace_function(x: float) -> float:
 class NormalErrorModel:
     """A measured value with its RMSE, treated as the mean of a normal law.
 
-    Raises ValueError for a sigma that is not positive, a value that is not
-    finite, and a sigma whose three-sigma window rounds onto the value
-    (``1e16`` with sigma ``1e-3``), where any overlap would be empty.  A
-    window that overflows to infinity is kept."""
+    Raises ValueError for a sigma that fails :func:`positive_violation`, a
+    value that is not finite, and a sigma whose three-sigma window fails
+    :func:`window_holds` (``1e16`` with sigma ``1e-3``).  A window that
+    overflows to infinity is kept."""
 
     value: float
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be strictly positive, got {self.sigma}")
+        if problem := positive_violation(self.sigma):
+            raise ValueError(f"sigma must be {problem}, got {self.sigma}")
         if not math.isfinite(self.value):
             raise ValueError(f"value must be finite, got {self.value!r}")
         low, high = self.window
-        if not low < self.value < high:
+        if not window_holds(low, self.value, high):
             raise ValueError(
                 f"sigma {self.sigma} collapses the three-sigma window of {self.value!r} onto the value itself"
             )
@@ -53,7 +90,7 @@ class NormalErrorModel:
     @property
     def window(self) -> tuple[float, float]:
         """Three-sigma window around the measured value."""
-        return (self.value - THREE_SIGMA * self.sigma, self.value + THREE_SIGMA * self.sigma)
+        return three_sigma_window(self.value, self.sigma)
 
 
 @dataclass(frozen=True)
@@ -69,10 +106,15 @@ class OverlapInterval:
 
 
 def sigma_from_max_error(delta_max: float) -> float:
-    """RMSE estimated from an instrument's maximum absolute error (three-sigma rule)."""
-    if not delta_max > 0.0:
-        raise ValueError(f"delta_max must be strictly positive, got {delta_max}")
-    return delta_max / 3.0
+    """RMSE estimated from an instrument's maximum absolute error (three-sigma
+    rule).  Raises ValueError for a delta_max that fails
+    :func:`positive_violation`, or whose sigma underflows to 0."""
+    if problem := positive_violation(delta_max):
+        raise ValueError(f"delta_max must be {problem}, got {delta_max}")
+    sigma = delta_max / THREE_SIGMA
+    if positive_violation(sigma):
+        raise ValueError(f"sigma must be strictly positive, got {sigma} from delta_max {delta_max}")
+    return sigma
 
 
 def _standardized(x: float, model: NormalErrorModel) -> float:
@@ -128,9 +170,11 @@ def confidence_coefficient(sigma_i: float, sigma_j: float, xi: float) -> float:
 
     Rewards precise sources: approaches 1 as both sigmas shrink relative to
     xi, and reduces to a single source's central mass when the sigmas match.
+    Raises ValueError where one of them fails :func:`positive_violation`.
     """
-    if not (sigma_i > 0.0 and sigma_j > 0.0 and xi > 0.0):
-        raise ValueError("sigma_i, sigma_j and xi must all be strictly positive")
+    for name, x in (("sigma_i", sigma_i), ("sigma_j", sigma_j), ("xi", xi)):
+        if problem := positive_violation(x):
+            raise ValueError(f"{name} must be {problem}, got {x}")
     return math.sqrt(central_mass(sigma_i, xi) * central_mass(sigma_j, xi))
 
 

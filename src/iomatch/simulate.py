@@ -31,7 +31,9 @@ from .model import (
     Schema,
     SourceProfile,
     ValidationError,
+    delta_violation,
     positive_violation,
+    source_sigma,
 )
 from .svgplot import SVG_GENERATOR, render_match_svg
 
@@ -88,10 +90,15 @@ class SceneSpec:
             errors.append("type alphabet needs at least two labels")
         if len(set(self.type_alphabet)) < len(self.type_alphabet):
             errors.append(f"type alphabet labels must be distinct, got {list(self.type_alphabet)}")
+        # A dataset CSV reads each label stripped, and an empty one as absent.
+        if any(not label or label != label.strip() for label in self.type_alphabet):
+            errors.append(
+                f"type alphabet labels must be non-empty and without surrounding blanks, got {list(self.type_alphabet)}"
+            )
         rmse = positive_violation(*self.rmse) if len(self.rmse) == 2 else "positive"
         if rmse:
             errors.append(f"need two {rmse} RMSE values, got {self.rmse}")
-        if not 0.0 < self.type_error <= 0.5:
+        if delta_violation(self.type_error):
             errors.append(f"type_error {self.type_error} outside (0, 0.5]")
         if fleet := positive_violation(self.fleet_sigma_min):
             errors.append(f"fleet_sigma_min must be {fleet}, got {self.fleet_sigma_min}")
@@ -163,8 +170,8 @@ def observe(scene: Scene, profile: SourceProfile, seed) -> Dataset:
     Unit noise is drawn before scaling, so two sources differing only in
     sigma see proportional perturbations for the same seed.
     """
-    spec = scene.spec
-    sigma = profile.quantitative_sigma(POSITION_FEATURE)
+    spec, schema = scene.spec, scene_schema(scene.spec)
+    sigma = source_sigma(schema.feature(POSITION_FEATURE), profile)
     rng = np.random.Generator(np.random.PCG64(seed))
     n = len(scene.ids)
     unit_noise = rng.standard_normal((n, 2))
@@ -175,7 +182,7 @@ def observe(scene: Scene, profile: SourceProfile, seed) -> Dataset:
         positions = scene.positions + sigma * unit_noise
     present, certainty = np.ones(n, dtype=bool), np.ones(n)
     return Dataset(
-        scene_schema(spec),
+        schema,
         [f"{profile.source_id}-{i:03d}" for i in range(n)],
         [profile.source_id] * n,
         {

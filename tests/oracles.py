@@ -117,7 +117,7 @@ def run_xi(feature: FeatureSchema, profiles) -> float:
     """Explicit xi, or three times the smallest sigma among all configured sources."""
     if feature.quantitative_xi is not None:
         return feature.quantitative_xi
-    return 3.0 * min(p.quantitative_sigma(feature.name) for p in profiles)
+    return 3.0 * min(p.accuracy[feature.name].resolved_sigma() for p in profiles)
 
 
 def _axis_values(feature: FeatureSchema, fv: FeatureValue) -> tuple[float, ...]:
@@ -144,8 +144,8 @@ def scalar_feature_proximity(run, feature: FeatureSchema, a: InformationObject, 
     va, vb = a.values[feature.name], b.values[feature.name]
     if feature.kind is FeatureKind.QUANTITATIVE:
         xi = run_xi(feature, run.profiles.values())
-        sigma_a = profile_a.quantitative_sigma(feature.name)
-        sigma_b = profile_b.quantitative_sigma(feature.name)
+        sigma_a = profile_a.accuracy[feature.name].resolved_sigma()
+        sigma_b = profile_b.accuracy[feature.name].resolved_sigma()
         result = 1.0
         for x, y in zip(_axis_values(feature, va), _axis_values(feature, vb)):
             result *= quantitative_proximity(NormalErrorModel(x, sigma_a), NormalErrorModel(y, sigma_b), xi)
@@ -246,8 +246,9 @@ def _parse_value(kind: FeatureKind, text: str):
 def read_objects_by_record(path, schema: Schema) -> list[InformationObject]:
     """A dataset CSV read one record at a time, each record one feature at a
     time, through a dict per record as ``csv.DictReader`` builds it.  Fully
-    blank lines are skipped; a record of another width than the header is
-    rejected; errors name the physical line on which the record starts."""
+    blank lines are skipped; a header naming a column twice, and a record of
+    another width than the header, are rejected; errors name the physical
+    line on which the record starts."""
     value_columns = {
         f.name: [f"{f.name}_{axis}" for axis in f.axes] if f.axes else [f.name] for f in schema.features
     }
@@ -257,6 +258,9 @@ def read_objects_by_record(path, schema: Schema) -> list[InformationObject]:
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty dataset file")
+        duplicates = sorted({c for c in header if header.count(c) > 1}, key=header.index)
+        if duplicates:
+            raise DataError(f"{path}: duplicate columns {duplicates}")
         required = ["object_id", "source_id", *(c for f in schema.features for c in value_columns[f.name])]
         missing = [c for c in required if c not in header]
         if missing:

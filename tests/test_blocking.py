@@ -149,7 +149,7 @@ def _window_misses(run, a, b) -> bool:
             continue
         va, vb = (o.values[feature.name].value for o in (a, b))
         va, vb = (v if isinstance(v, tuple) else (v,) for v in (va, vb))
-        sa, sb = (run.profiles[o.source_id].quantitative_sigma(feature.name) for o in (a, b))
+        sa, sb = (run.profiles[o.source_id].accuracy[feature.name].resolved_sigma() for o in (a, b))
         for x, y in zip(va, vb):
             lo_a, hi_a = _windows(x, sa)
             lo_b, hi_b = _windows(y, sb)

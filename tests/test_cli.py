@@ -488,6 +488,26 @@ class TestRejectedAtValidation:
         assert captured.err == f"error: {a}: missing columns ['position_x', 'position_y', 'type']\n"
         assert captured.out == ""
 
+    def test_header_naming_a_column_twice(self, tmp_path, capsys):
+        """match printed "a1  b1  0.7321": the first type cell, tank, was
+        dropped and a1 read as a truck."""
+        config = {
+            "schema": {"features": [
+                {"name": "position", "kind": "quantitative", "weight": 0.5, "axes": ["x", "y"], "xi": 30.0},
+                {"name": "type", "kind": "nominal", "weight": 0.5, "delta": 0.1},
+            ]},
+            "sources": {"s1": {"position": {"sigma": 20.0}}, "s2": {"position": {"sigma": 30.0}}},
+        }
+        path = write(tmp_path, "config.json", json.dumps(config))
+        a = write(tmp_path, "a.csv", "object_id,source_id,position_x,position_y,type,type\na1,s1,0,0,tank,truck\n")
+        b = write(tmp_path, "b.csv", "object_id,source_id,position_x,position_y,type\nb1,s2,0,0,truck\n")
+        out = tmp_path / "out"
+        for argv in (["match", "--config", str(path), str(a), str(b), "--out", str(out)],
+                     ["measure", "--config", str(path), str(a)]):
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", f"error: {a}: duplicate columns ['type']\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, message", [
         # A short record was read as an object with no features, listed first
         # against every B object at 1.0000.
@@ -948,6 +968,20 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config)]) == 1
         captured = capsys.readouterr()
         assert (captured.err, captured.out) == (f"error: type alphabet labels must be distinct, got {types}\n", "")
+
+    @pytest.mark.parametrize("types", [[" tank", "tank"], ["", "tank"]])
+    def test_type_label_that_changes_on_the_csv_round_trip(self, tmp_path, capsys, types):
+        """With " tank", simulate scored s1-004 x s2-004 (seed 3) as a
+        type-mismatched candidate at 0.2184 and match scored the files it
+        wrote 0.6906; with "", the blank cells read back as absent and match
+        listed 7 of simulate's 8 candidates.  Now simulate writes nothing."""
+        doc = {"simulation": {"object_count": 6, "types": types, "seed": 3}}
+        config = write(tmp_path, "sim.json", json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        message = f"error: type alphabet labels must be non-empty and without surrounding blanks, got {types}\n"
+        assert capsys.readouterr() == ("", message)
+        assert not out.exists()
 
     def test_positions_overflowing_to_infinity(self, tmp_path, capsys):
         """Observed positions overflow to inf.  They were written to

@@ -72,7 +72,7 @@ class TestConfig:
         path.write_text(json.dumps(FULL_CONFIG))
         config = load_config(path)
         assert config.schema.names == ("position", "readiness", "type")
-        assert config.profiles["s2"].quantitative_sigma("position") == 30.0
+        assert config.profiles["s2"].accuracy["position"].resolved_sigma() == 30.0
         assert config.threshold == 0.05
         assert config.simulation.object_count == 5
         require_match_config(config)
@@ -223,6 +223,15 @@ class TestDatasetCsv:
         path.write_text(f"{header}\n")
         with pytest.raises(DataError, match=message):
             read_objects_csv(path, self.schema)
+
+    def test_header_naming_a_column_twice(self, tmp_path):
+        """The first of two type columns was dropped without a word, as a
+        csv.DictReader row drops it."""
+        path = tmp_path / "twice.csv"
+        path.write_text("object_id,source_id,position_x,position_y,readiness,type,type\no1,s1,0,0,4,tank,truck\n")
+        with pytest.raises(DataError) as excinfo:
+            read_dataset(path, self.schema)
+        assert str(excinfo.value) == f"{path}: duplicate columns ['type']"
 
     def test_ragged_record_rejected(self, tmp_path):
         """A short record was read as an object with no features, which then

@@ -2,13 +2,14 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from iomatch.aggregate import AggregationMethod, AggregationSpec
-from iomatch import engine
+from iomatch import aggregate, engine, fuzzy, quant
 from iomatch.config import ConfigError, parse_config
 from iomatch.engine import MatchRun, MatchRunError, candidates, evaluate_pair, pairwise_breakdowns, run_violations
 from iomatch.fuzzy import apply_certainty, possibility, triangular_from_halfwidth
@@ -19,6 +20,7 @@ from iomatch.model import (
     FeatureKind,
     FeatureSchema,
     FeatureValue,
+    IdentificationPowerWarning,
     InformationObject,
     MembershipShape,
     OrdinalAccuracy,
@@ -571,6 +573,179 @@ class TestOneRulePerSetting:
         assert run_violations(run) == [message]
         with pytest.raises(MatchRunError, match=f"^{re.escape(message)}$"):
             pairwise_breakdowns(run)
+
+
+    RANK = FeatureSchema("rank", FeatureKind.ORDINAL_FUZZY, 1.0, ordinal_params=OrdinalParams(MembershipShape.TRIANGULAR, 2.0))
+
+    def rank_run(self, accuracy_a, rank_a, width=2.0, accuracy_b=OrdinalAccuracy()):
+        schema = Schema((dataclasses.replace(self.RANK, ordinal_params=OrdinalParams(MembershipShape.TRIANGULAR, width)),))
+        rank = lambda oid, sid, r: InformationObject(oid, sid, {"rank": FeatureValue(r)})
+        profiles = {"a": SourceProfile("a", {"rank": accuracy_a}), "b": SourceProfile("b", {"rank": accuracy_b})}
+        return object_run(schema, profiles, [rank("a1", "a", rank_a)], [rank("b1", "b", 1)])
+
+    def test_profile_naming_both_k_and_width(self):
+        """Also listed "a1/rank: relative k 0.4 of source 'a' rounds the
+        support of rank 1 onto the rank itself": the support check read the
+        k of a profile the profile check rejects."""
+        run = self.rank_run(OrdinalAccuracy(relative_k=0.4, width=3.0), 1)
+        assert run_violations(run) == ["a/rank: give at most one of relative_k or width"]
+
+    def test_accuracy_of_the_wrong_kind(self):
+        """Also listed "a1/rank: half-width 1e-300 collapses the support of
+        rank 1e+17 onto the rank itself": the support check fell back to
+        the schema's width for a source whose accuracy is quantitative."""
+        run = self.rank_run(QuantAccuracy(sigma=1.0), 1e17, width=1e-300, accuracy_b=OrdinalAccuracy(width=2.0))
+        assert run_violations(run) == ["a/rank: expected ordinal accuracy"]
+
+    @pytest.mark.parametrize("values, shape", [(np.array([1.0, 2.0]), "(2,)"), (np.ones((2, 2)), "(2, 2)")],
+                             ids=["1-D", "two columns"])
+    def test_values_of_another_shape_than_the_feature(self, values, shape):
+        """1-D values raised numpy's AxisError in run_violations, and two
+        columns for a scalar feature raised IndexError in scoring."""
+        column = FeatureColumn(np.ones(2, dtype=bool), values, np.ones(2))
+        dataset = Dataset(self.SPEED_ONLY, ["a1", "a2"], ["alpha"] * 2, {"speed": column})
+        other = Dataset.from_objects([self.speed("b0", "beta", 1.0)], self.SPEED_ONLY)
+        run = MatchRun(self.SPEED_ONLY, {"alpha": profile("alpha"), "beta": profile("beta")}, dataset, other)
+        message = f"dataset A: column 'speed' values have shape {shape}, expected (2, 1)"
+        assert run_violations(run) == [message]
+        with pytest.raises(MatchRunError, match=f"^{re.escape(message)}$"):
+            pairwise_breakdowns(run)
+
+    def test_ordinal_values_of_one_dimension(self):
+        """Raised IndexError when the dataset was made, filling in its ranks."""
+        column = FeatureColumn(np.ones(2, dtype=bool), np.array([1.0, 2.0]), np.ones(2))
+        run = self.rank_run(OrdinalAccuracy(), 1)
+        dataset = Dataset(run.schema, ["a1", "a2"], ["a"] * 2, {"rank": column})
+        run = dataclasses.replace(run, dataset_a=dataset)
+        assert run_violations(run) == ["dataset A: column 'rank' values have shape (2,), expected (2, 1)"]
+
+    def test_present_and_certainty_of_another_shape(self):
+        column = FeatureColumn(np.ones((1, 1), dtype=bool), np.array([[1.0]]), np.ones(1))
+        dataset = Dataset(self.SPEED_ONLY, ["a1"], ["alpha"], {"speed": column})
+        other = Dataset.from_objects([self.speed("b0", "beta", 1.0)], self.SPEED_ONLY)
+        run = MatchRun(self.SPEED_ONLY, {"alpha": profile("alpha"), "beta": profile("beta")}, dataset, other)
+        assert run_violations(run) == ["dataset A: column 'speed' present have shape (1, 1), expected (1,)"]
+
+    @pytest.mark.parametrize("method", list(AggregationMethod))
+    def test_absent_rank_slot_holding_nan(self, method):
+        """A NaN left in an absent ordinal slot made every additive-family
+        aggregate NaN: the pair dropped out of candidates and breakdown(0, 0)
+        raised ValueError.  It scores as a 0.0 in that slot does."""
+        schema = Schema((dataclasses.replace(SPEED, weight=0.5), dataclasses.replace(self.RANK, weight=0.5)))
+        profiles = {"alpha": profile("alpha"), "beta": profile("beta")}
+        other = Dataset.from_objects(
+            [InformationObject("b0", "beta", {"speed": FeatureValue(1.0), "rank": FeatureValue(3)})], schema)
+        spec = AggregationSpec(method, class_weight=0.5)
+        scores = []
+        for slot in (math.nan, 0.0):
+            columns = {"speed": FeatureColumn(np.ones(1, dtype=bool), np.array([[1.2]]), np.ones(1)),
+                       "rank": FeatureColumn(np.zeros(1, dtype=bool), np.array([[slot]]), np.array([slot]))}
+            dataset = Dataset(schema, ["a0"], ["alpha"], columns)
+            run = MatchRun(schema, profiles, dataset, other, aggregation=spec)
+            assert run_violations(run) == []
+            found = pairwise_breakdowns(run)
+            assert len(candidates(found, 0.01)) == 1
+            scores.append(found.breakdown(0, 0))
+        assert scores[0] == scores[1] and 0.0 < scores[0].aggregate_proximity < 1.0
+
+
+# Any setting a Python caller can pass: every float (NaN, +-inf and subnormals
+# included), ints past the float range, and the edges of each rule.
+ANY_SETTING = st.floats() | st.integers(-(10**400), 10**400) | st.sampled_from(
+    [0, 1, 0.5, 1.0, 5e-324, 1e-323, 1e-310, 2**511, 2.0**511, 1e308, math.inf, math.nan, 10**400, -(10**400)]
+)
+
+
+def _one_feature_run(feature, accuracy, value, **kwargs):
+    """Sources a and b, each one report of ``value`` under ``accuracy``."""
+    profiles = {sid: SourceProfile(sid, {feature.name: accuracy} if accuracy else {}) for sid in ("a", "b")}
+    reports = [[InformationObject(f"{sid}1", sid, {feature.name: FeatureValue(value)})] for sid in ("a", "b")]
+    return object_run(Schema((feature,)), profiles, *reports, **kwargs)
+
+
+_SPEED = FeatureSchema("speed", FeatureKind.QUANTITATIVE, 1.0, quantitative_xi=1.0)
+_TRIANGULAR = FeatureSchema("rank", FeatureKind.ORDINAL_FUZZY, 1.0, ordinal_params=OrdinalParams(MembershipShape.TRIANGULAR))
+_GAUSSIAN = FeatureSchema("rank", FeatureKind.ORDINAL_FUZZY, 1.0, ordinal_params=OrdinalParams(MembershipShape.GAUSSIAN))
+
+# Per setting: a run holding the value x, and the scalar call given x.
+SCALAR_SETTINGS = {
+    "sigma": (lambda x: _one_feature_run(_SPEED, QuantAccuracy(sigma=x), 0.0), lambda x: quant.NormalErrorModel(0.0, x)),
+    "delta_max": (lambda x: _one_feature_run(_SPEED, QuantAccuracy(delta_max=x), 0.0), quant.sigma_from_max_error),
+    "xi": (lambda x: _one_feature_run(dataclasses.replace(_SPEED, quantitative_xi=x), QuantAccuracy(sigma=1.0), 0.0),
+           lambda x: quant.confidence_coefficient(1.0, 1.0, x)),
+    "half-width": (lambda x: _one_feature_run(_TRIANGULAR, OrdinalAccuracy(width=x), 0),
+                   lambda x: fuzzy.triangular_from_halfwidth(0, x)),
+    "spread": (lambda x: _one_feature_run(_GAUSSIAN, OrdinalAccuracy(width=x), 0), lambda x: fuzzy.gaussian_membership(0, x)),
+    "k": (lambda x: _one_feature_run(_TRIANGULAR, OrdinalAccuracy(relative_k=x), 1000),
+          lambda x: fuzzy.triangular_from_relative_error(1000, x)),
+    "delta": (lambda x: _one_feature_run(dataclasses.replace(TYPE, weight=1.0, nominal_delta=x), None, "tank"),
+              lambda x: fuzzy.nominal_proximity("tank", "truck", x)),
+    "class weight": (lambda x: _one_feature_run(_SPEED, QuantAccuracy(sigma=1.0), 0.0,
+                                                aggregation=AggregationSpec(AggregationMethod.TWO_CLASS_WEIGHTED, x)),
+                     lambda x: aggregate.two_class_weighted_distance(x, [0.1], [0.2])),
+}
+
+
+def _scalar_accepts(call, *args) -> bool:
+    """Whether ``call(*args)`` returns; it may only raise ValueError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IdentificationPowerWarning)
+        try:
+            call(*args)
+        except ValueError:
+            return False
+    return True
+
+
+class TestScalarApiSharesTheRules:
+    """The scalar functions accept a setting exactly when validation accepts
+    a run that holds it: they call the same rules, so NaN, +-inf and ints
+    past the float range cannot score there and be rejected here."""
+
+    @pytest.mark.parametrize("setting", list(SCALAR_SETTINGS))
+    @settings(max_examples=120, deadline=None)
+    @given(x=ANY_SETTING)
+    def test_one_verdict_per_setting(self, setting, x):
+        build, call = SCALAR_SETTINGS[setting]
+        assert _scalar_accepts(call, x) == (run_violations(build(x)) == [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(first=ANY_SETTING, second=ANY_SETTING | st.just(None))
+    @example(first=math.nan, second=1.0)
+    @example(first=0.3, second=None)
+    def test_one_verdict_per_weight_vector(self, first, second):
+        """A NaN weight scored NaN in weighted_additive_distance and
+        multiplicative_proximity, where a schema rejects it."""
+        if second is None:  # the complement, so the sum rule holds wherever the ranges do
+            second = 1.0 - first if isinstance(first, float) else 0
+        features = (dataclasses.replace(SPEED, weight=first), dataclasses.replace(TYPE, weight=second))
+        run = object_run(Schema(features), {"alpha": profile("alpha"), "beta": profile("beta")},
+                         [obj("a", "alpha", 1.0)], [obj("b", "beta", 1.0)])
+        accepted = run_violations(run) == []
+        assert _scalar_accepts(aggregate.weighted_additive_distance, [0.2, 0.4], [first, second]) == accepted
+        assert _scalar_accepts(aggregate.multiplicative_proximity, [0.5, 0.5], [first, second]) == accepted
+
+    @pytest.mark.parametrize("x", [np.float32(2.0), np.float16(0.5), np.int64(3)], ids=["float32", "float16", "int64"])
+    def test_numpy_scalars_are_numbers(self, x):
+        """The finite-number test took only int and float, so a float32
+        sigma of 2 got "accuracy must be finite"."""
+        assert QuantAccuracy(sigma=x).violation() is None
+        for setting, (build, call) in SCALAR_SETTINGS.items():
+            if setting not in ("k", "delta", "class weight"):
+                assert _scalar_accepts(call, x) and run_violations(build(x)) == [], setting
+
+    @pytest.mark.parametrize("call, args, message", [
+        (aggregate.weighted_additive_distance, ([0.2, 0.4], [math.nan, 1.0]), "weight nan outside [0, 1]"),
+        (aggregate.multiplicative_proximity, ([0.5, 0.5], [math.nan, 1.0]), "weight nan outside [0, 1]"),
+        (quant.NormalErrorModel, (0.0, math.inf), "sigma must be finite, got inf"),
+        (quant.sigma_from_max_error, (math.inf,), "delta_max must be finite, got inf"),
+        (quant.confidence_coefficient, (1.0, 1.0, math.inf), "xi must be finite, got inf"),
+    ])
+    def test_the_message_names_the_rule(self, call, args, message):
+        """Each returned a number: nan, nan, a model whose proximity with
+        NormalErrorModel(1.0, 1.0) was 0.0, inf and 1.0."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(*args)
 
 
 class TestTwoClassNormalizedOneClassEmpty:

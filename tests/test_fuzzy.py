@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from iomatch.fuzzy import (
     FuzzyMembership,
-    IdentificationPowerWarning,
     apply_certainty,
     gaussian_membership,
     nominal_plateau,
@@ -19,7 +18,7 @@ from iomatch.fuzzy import (
     triangular_from_halfwidth,
     triangular_from_relative_error,
 )
-from iomatch.model import Certainty, MembershipShape
+from iomatch.model import Certainty, IdentificationPowerWarning, MembershipShape
 
 from oracles import grid_possibility, random_triangular, support_walk_possibility
 

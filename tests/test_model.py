@@ -22,6 +22,7 @@ from iomatch.model import (
     ValidationError,
     object_violations,
     profile_violations,
+    source_sigma,
     validate_profile,
     validate_schema,
 )
@@ -123,7 +124,7 @@ class TestSourceProfile:
 
     def test_sigma_resolution_from_delta_max(self):
         profile = SourceProfile("s", {"speed": QuantAccuracy(delta_max=60.0)})
-        assert profile.quantitative_sigma("speed") == 20.0
+        assert source_sigma(self.schema.feature("speed"), profile) == 20.0
         assert profile_violations(profile, self.schema) == []
 
     def test_missing_quant_accuracy(self):

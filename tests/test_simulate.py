@@ -79,6 +79,27 @@ class TestGenerateScene:
         with pytest.raises(SceneSpecError, match=f"^{re.escape(message)}$"):
             run_experiment(spec)
 
+    @pytest.mark.parametrize("types", [(" tank", "tank"), ("", "tank"), ("tank", "truck\t")])
+    def test_label_that_changes_on_the_csv_round_trip(self, types):
+        """A dataset CSV reads each label stripped and an empty one as
+        absent, so simulate scored pairs that match scores otherwise on the
+        files simulate wrote."""
+        spec = SceneSpec(type_alphabet=types)
+        message = f"type alphabet labels must be non-empty and without surrounding blanks, got {list(types)}"
+        assert spec.violations() == [message]
+
+    @pytest.mark.parametrize("label", [" tank", ""])
+    def test_writer_refuses_a_label_that_changes_on_the_round_trip(self, tmp_path, label):
+        dataset = observe(generate_scene(SceneSpec(object_count=3)), position_profile("s1", 20.0), 0)
+        column = dataset.columns["type"]
+        column.values[1] = label
+        with pytest.raises(ValueError) as excinfo:
+            dataio.write_objects_csv(tmp_path / "objects.csv", dataset)
+        assert str(excinfo.value) == (
+            f"cannot write label {label!r} of 'type': a dataset CSV reads it stripped, an empty one as absent"
+        )
+        assert not (tmp_path / "objects.csv").exists()
+
     def test_xi_of_a_huge_fleet_sigma_stays_finite(self):
         """Three times 1e308 overflows: the scene's xi is the largest float,
         which the schema's xi rule accepts."""
