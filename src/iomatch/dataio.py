@@ -7,9 +7,9 @@ as many fields as the header (fully blank lines are skipped), and an error
 names the physical line on which its record starts.
 
 A dataset is written from its columns too (:func:`write_objects_csv`), each
-float as its repr and each ordinal rank as reported, so a written dataset
-re-reads to identical values.  All writers emit LF newlines and
-deterministic field order, so identical inputs produce byte-identical files.
+number (a rank too) as its float repr, so a written dataset re-reads to
+identical values.  All writers emit LF newlines and deterministic field
+order, so identical inputs produce byte-identical files.
 
 Every float is written as its ``float.__repr__`` text through one rule,
 :func:`_reprs`: orjson's shortest round-trip writer where its text is repr's
@@ -60,7 +60,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 import orjson
 
-from .engine import PairScores, RankedCandidates
+from .engine import PairScores, RankedCandidates, value_violations
 from .model import (
     Certainty,
     Dataset,
@@ -71,6 +71,7 @@ from .model import (
     InformationObject,
     ProximityBreakdown,
     Schema,
+    label_violation,
 )
 
 
@@ -175,9 +176,6 @@ def _feature_texts(feature: FeatureSchema, column: FeatureColumn) -> list[list[s
         return [_csv_fields(np.where(column.present, column.values, "").tolist())]
     texts = float_texts(column.values)
     texts[~column.present] = ""
-    if feature.kind is FeatureKind.ORDINAL_FUZZY:
-        # A rank reported as an integer is written as one.
-        return [[str(r) if isinstance(r, int) else t for r, t in zip(column.ranks, texts[:, 0].tolist())]]
     return texts.T.tolist()
 
 
@@ -186,8 +184,10 @@ def write_objects_csv(path: str | Path, dataset: Dataset) -> None:
 
     Raises ValueError for a dataset that carries payload violations: its
     columns hold such a value as absent, which would be written as blank.
-    So it does for a held label that is empty or has surrounding blanks,
-    which :func:`read_dataset` would read back as absent or stripped.
+    So it does for a held value that :func:`read_dataset` would not read
+    back as it is: a label that fails ``model.label_violation``, a number
+    that is not finite, or a certainty that is not a :class:`Certainty`
+    level (``engine.value_violations``).
     """
     if dataset.violations:
         raise ValueError(f"cannot write a dataset with payload violations: {dataset.violations[0][1]}")
@@ -197,9 +197,13 @@ def write_objects_csv(path: str | Path, dataset: Dataset) -> None:
         column = dataset.columns[f.name]
         if f.kind is FeatureKind.NOMINAL:
             for label in dict.fromkeys(column.values[column.present].tolist()):
-                if isinstance(label, str) and (not label or label != label.strip()):
+                if label_violation(label):
                     raise ValueError(f"cannot write label {label!r} of {f.name!r}: "
                                      "a dataset CSV reads it stripped, an empty one as absent")
+        _, failed = value_violations(f, column, certainty=True)
+        if failed:
+            k, message = failed[0]
+            raise ValueError(f"cannot write {dataset.ids[k]}/{f.name}: {message}")
         columns.extend(_feature_texts(f, column))
         labels = {level: Certainty(level).label for level in set(column.certainty[column.present].tolist())}
         held = column.present.tolist()
@@ -209,44 +213,27 @@ def write_objects_csv(path: str | Path, dataset: Dataset) -> None:
         _write_lines(fh, columns + certainties)
 
 
-def _number(text: str, rank: bool):
-    """One cell's number as Python parses it: an ``int`` where a rank's text
-    is an integer, else a ``float``.  Raises ValueError with the message a
-    bad value is reported with, also for a value beyond the float range."""
-    if rank:
-        try:
-            value = int(text)
-        except ValueError:
-            value = float(text)
-    else:
-        value = float(text)
+def _numbers(cells: list[str]) -> tuple[np.ndarray, int, str]:
+    """Parse a column of stripped cells with ``float``, ``"0"`` standing for
+    each empty one: (their float64 values, the index of the first bad cell
+    or ``len(cells)``, its message: ``float``'s own, or that the number is
+    not finite).  Every cell is parsed at C speed through ``map`` unless one
+    fails; then they are parsed one at a time."""
     try:
-        if math.isfinite(value):
-            return value
-    except OverflowError:  # an int beyond the float range
-        pass
-    raise ValueError(f"non-finite number {text!r}")
-
-
-def _numbers(cells: list[str], rank: bool) -> tuple[list, np.ndarray, int, str]:
-    """Parse a column of stripped cells, ``"0"`` standing for each empty one:
-    (payloads, their float64 values, the index of the first bad cell or
-    ``len(cells)``, its message).  Every cell is parsed at C speed through
-    ``map`` unless one fails; then they are parsed one at a time."""
-    try:
-        payloads = list(map(int if rank else float, cells))
-        values = np.array(payloads, dtype=float)  # OverflowError for an int beyond the float range
+        values = np.array(list(map(float, cells)), dtype=float)
         if np.isfinite(values).all():
-            return payloads, values, len(cells), ""
-    except (ValueError, OverflowError):
+            return values, len(cells), ""
+    except ValueError:
         pass
-    payloads = []
+    values = []
     for k, text in enumerate(cells):
         try:
-            payloads.append(_number(text, rank))
+            values.append(float(text))
         except ValueError as exc:
-            return payloads, np.empty(0), k, str(exc)
-    return payloads, np.array(payloads, dtype=float), len(cells), ""
+            return np.empty(0), k, str(exc)
+        if not math.isfinite(values[-1]):
+            return np.empty(0), k, f"non-finite number {text!r}"
+    return np.array(values), len(cells), ""
 
 
 def _certainty_levels(cells: Sequence[str]) -> tuple[np.ndarray, dict[str, str]]:
@@ -274,10 +261,9 @@ def _feature_column(
     bad = [(np.flatnonzero(np.logical_or.reduce(filled) & ~present), f"partial value for feature {feature.name!r}")]
     parsed = []
     if feature.kind is not FeatureKind.NOMINAL:
-        rank = feature.kind is FeatureKind.ORDINAL_FUZZY
         for axis in cells:
-            payloads, values, first, message = _numbers([text or "0" for text in axis], rank)
-            parsed.append((payloads, values))
+            values, first, message = _numbers([text or "0" for text in axis])
+            parsed.append(values)
             bad.append(([first] if first < n else [], f"bad value for {feature.name!r}: {message}"))
     levels = np.ones(n)
     if certainty_cells is not None:
@@ -295,20 +281,16 @@ def _feature_column(
         labels = np.empty(n, dtype=object)
         labels[:] = cells[0]
         return FeatureColumn(present, np.where(present, labels, None), certainty)
-    values = np.where(present[:, None], np.stack([v for _, v in parsed], axis=1), 0.0)
-    if feature.kind is FeatureKind.QUANTITATIVE:
-        return FeatureColumn(present, values, certainty)
-    ranks = tuple(r if held else None for r, held in zip(parsed[0][0], present.tolist()))
-    return FeatureColumn(present, values, certainty, ranks)
+    return FeatureColumn(present, np.where(present[:, None], np.stack(parsed, axis=1), 0.0), certainty)
 
 
 def read_dataset(path: str | Path, schema: Schema) -> Dataset:
     """Read a dataset CSV into columns.
 
     The records are transposed to columns once, and each column is parsed
-    and checked in one pass with Python's ``float`` and ``int``: every
-    number must be finite, a feature is given on all of its axes or on none,
-    and a certainty must be a known label.  The first bad record in file
+    and checked in one pass with Python's ``float``: every number must be
+    finite, a feature is given on all of its axes or on none, and a
+    certainty must be a known label.  The first bad record in file
     order, and in it the first bad feature in schema order, raises
     :class:`DataError` naming the physical line on which the record starts.
     Fully blank lines are skipped; every other record must have as many

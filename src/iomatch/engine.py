@@ -166,9 +166,8 @@ def _shape_violations(dataset: Dataset, label: str) -> list[str]:
         if column is None:
             errors.append(f"dataset {label}: no column for feature {name!r}")
             continue
-        parts = {"present": column.present, "values": column.values, "certainty": column.certainty,
-                 "ranks": column.ranks}
-        lengths = {part: len(array) for part, array in parts.items() if array is not None}
+        parts = {"present": column.present, "values": column.values, "certainty": column.certainty}
+        lengths = {part: len(array) for part, array in parts.items()}
         shapes = {"present": (n,), "values": (n,) if feature.kind is FeatureKind.NOMINAL else (n, feature.arity),
                   "certainty": (n,)}
         wrong = [part for part, shape in shapes.items() if np.shape(parts[part]) != shape]
@@ -204,6 +203,21 @@ def _window_bounds(values: np.ndarray, sigma: float) -> tuple[np.ndarray, np.nda
         return three_sigma_window(values, sigma)
 
 
+def value_violations(feature: FeatureSchema, column: FeatureColumn, certainty: bool) -> tuple[np.ndarray, list]:
+    """Check 1 of :func:`_column_violations` on one column: (the mask of
+    the present values that pass it, and the (object index, message) of
+    each present value that does not).  A quantitative or ordinal value
+    fails where it is not finite; where ``certainty`` is set, any value
+    fails whose certainty is not a :class:`Certainty` level."""
+    n = len(column.present)
+    finite = np.ones(n, bool) if feature.kind is FeatureKind.NOMINAL else np.isfinite(column.values).all(axis=1)
+    held = column.present & finite
+    if certainty:
+        held &= (column.certainty[:, None] == _CERTAINTY_LEVELS).any(axis=1)
+    failed = np.flatnonzero(column.present & ~held).tolist()
+    return held, [(i, non_finite_violation(feature) if not finite[i] else "expected a Certainty") for i in failed]
+
+
 def _column_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, int, str]]:
     """(object index, check, message) of every present quantitative or
     ordinal value the kernels cannot score, in one walk over the columns (a
@@ -212,7 +226,8 @@ def _column_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, int, 
     feature at most:
 
     1. a value that is not finite, or an ordinal certainty (the membership
-       height) that is not a :class:`Certainty` level;
+       height) that is not a :class:`Certainty` level
+       (:func:`value_violations`);
     2. a support that fails ``fuzzy.triangular_support_holds``, the scalar
        constructors' rule, or a Gaussian rank outside
        ``fuzzy.gaussian_within_range``;
@@ -230,14 +245,9 @@ def _column_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, int, 
     ]
     for feature in (f for f in dataset.schema.features if f.kind is not FeatureKind.NOMINAL):
         column, name = dataset.columns[feature.name], feature.name
-        values, ranks = column.values, column.ranks
-        finite = np.isfinite(values).all(axis=1)
-        held = column.present & finite
-        if feature.kind is FeatureKind.ORDINAL_FUZZY:
-            held &= (column.certainty[:, None] == _CERTAINTY_LEVELS).any(axis=1)
-        for i in np.flatnonzero(column.present & ~held).tolist():
-            message = non_finite_violation(feature) if not finite[i] else "expected a Certainty"
-            found.append((i, 1, f"{dataset.ids[i]}/{name}: {message}"))
+        values = column.values
+        held, failed = value_violations(feature, column, feature.kind is FeatureKind.ORDINAL_FUZZY)
+        found += [(i, 1, f"{dataset.ids[i]}/{name}: {message}") for i, message in failed]
         if feature.kind is FeatureKind.QUANTITATIVE:
             for sid, profile, own in sources:
                 sigma = source_sigma(feature, profile)
@@ -258,13 +268,15 @@ def _column_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, int, 
                 k, width = setting
                 if feature.ordinal_params.shape is MembershipShape.GAUSSIAN:
                     for i in np.flatnonzero(held & own & ~gaussian_within_range(values[:, 0], width)).tolist():
-                        found.append((i, 2, f"{dataset.ids[i]}/{name}: {gaussian_violation(ranks[i], width)}"))
+                        rank = values[i, 0].item()
+                        found.append((i, 2, f"{dataset.ids[i]}/{name}: {gaussian_violation(rank, width)}"))
                     continue
                 lo, hi = _supports(k, width, column)
                 rule = f"relative k {k} of source {sid!r} rounds" if k is not None else f"half-width {width} collapses"
                 for i in np.flatnonzero(held & own & ~triangular_support_holds(lo, values[:, 0], hi)).tolist():
-                    collapsed = f"{rule} the support of rank {ranks[i]} onto the rank itself"
-                    message = triangular_violation(lo[i], ranks[i], hi[i], collapsed)
+                    rank = values[i, 0].item()
+                    collapsed = f"{rule} the support of rank {rank} onto the rank itself"
+                    message = triangular_violation(lo[i], rank, hi[i], collapsed)
                     found.append((i, 2, f"{dataset.ids[i]}/{name}: {message}"))
     return found
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -406,6 +406,17 @@ def non_finite_violation(feature: FeatureSchema) -> str:
     return "expected a finite numeric value"
 
 
+def label_violation(label) -> str | None:
+    """The rule of a nominal label: a non-empty string equal to its
+    ``strip()``, as a dataset CSV holds it (its reader strips every cell and
+    reads an empty one as absent).  None when it holds, else the violation."""
+    if not isinstance(label, str):
+        return "expected a label"
+    if label and label == label.strip():
+        return None
+    return f"expected a non-empty label without surrounding blanks, got {label!r}"
+
+
 def _value_error(feature: FeatureSchema, fv) -> str | None:
     """What is wrong with one reported value of ``feature``, or None."""
     if not isinstance(fv, FeatureValue):
@@ -421,7 +432,7 @@ def _value_error(feature: FeatureSchema, fv) -> str | None:
             return non_finite_violation(feature)
         # The certainty level is the height of the rank's membership.
         return None if isinstance(fv.certainty, Certainty) else "expected a Certainty"
-    return None if isinstance(v, str) else "expected a label"
+    return label_violation(v)
 
 
 def _by_name(schema: Schema) -> dict[str, FeatureSchema]:
@@ -458,24 +469,18 @@ class FeatureColumn:
     ``values`` is a float64 ``(n, arity)`` array for a quantitative or
     ordinal feature (0.0 where absent) and an object array of labels for a
     nominal one (None where absent).  ``certainty`` holds each value's
-    certainty level (1.0 where absent).  ``ranks`` keeps an ordinal
-    feature's ranks as reported, an ``int`` where the text was an integer
-    (None where absent); the other kinds leave it None, and a
-    :class:`Dataset` fills it in from ``values`` where an ordinal column
-    leaves it None.
+    certainty level (1.0 where absent).  A rank is held as a quantitative
+    value is, a float in ``values``.
     """
 
     present: np.ndarray
     values: np.ndarray
     certainty: np.ndarray
-    ranks: tuple | None = None
 
     def payload(self, feature: FeatureSchema, k: int) -> Payload:
         """The k-th object's value as an :class:`InformationObject` holds it."""
         if feature.kind is FeatureKind.NOMINAL:
             return self.values[k]
-        if feature.kind is FeatureKind.ORDINAL_FUZZY:
-            return self.ranks[k]
         return tuple(self.values[k].tolist()) if feature.axes else self.values[k, 0].item()
 
 
@@ -493,9 +498,6 @@ def _object_column(feature: FeatureSchema, held: Sequence[FeatureValue | None]) 
         labels = np.empty(n, dtype=object)
         labels[:] = payloads
         return FeatureColumn(present, labels, certainty)
-    if feature.kind is FeatureKind.ORDINAL_FUZZY:
-        ranks = np.array([0.0 if r is None else float(r) for r in payloads], dtype=float).reshape(n, 1)
-        return FeatureColumn(present, ranks, certainty, tuple(payloads))
     zero = (0.0,) * feature.arity
     rows = [zero if v is None else v if feature.axes else (v,) for v in payloads]
     return FeatureColumn(present, np.array(rows, dtype=float).reshape(n, feature.arity), certainty)
@@ -506,8 +508,7 @@ class Dataset:
     and per feature of ``schema`` a :class:`FeatureColumn` in ``columns``.
     ``violations`` lists the ``(object index, message)`` of every payload
     that fails the schema; a dataset read from CSV has none, as the reader
-    rejects the file instead.  An ordinal column given without ``ranks``
-    takes its values as its ranks.
+    rejects the file instead.
     """
 
     def __init__(
@@ -520,14 +521,6 @@ class Dataset:
     ):
         self.schema, self.ids, self.source_ids = schema, tuple(ids), tuple(source_ids)
         self.columns, self.violations = dict(columns), tuple(violations)
-        for f in schema.features:
-            column = self.columns.get(f.name)
-            if f.kind is not FeatureKind.ORDINAL_FUZZY or column is None or column.ranks is not None:
-                continue
-            # A column of another shape is left for run validation to report.
-            if np.ndim(column.values) == 2:
-                ranks = [r if held else None for r, held in zip(column.values[:, 0].tolist(), column.present.tolist())]
-                self.columns[f.name] = replace(column, ranks=tuple(ranks))
 
     @classmethod
     def from_objects(cls, objects: Iterable[InformationObject], schema: Schema) -> "Dataset":

@@ -32,6 +32,7 @@ from .model import (
     SourceProfile,
     ValidationError,
     delta_violation,
+    label_violation,
     positive_violation,
     source_sigma,
 )
@@ -90,8 +91,7 @@ class SceneSpec:
             errors.append("type alphabet needs at least two labels")
         if len(set(self.type_alphabet)) < len(self.type_alphabet):
             errors.append(f"type alphabet labels must be distinct, got {list(self.type_alphabet)}")
-        # A dataset CSV reads each label stripped, and an empty one as absent.
-        if any(not label or label != label.strip() for label in self.type_alphabet):
+        if any(map(label_violation, self.type_alphabet)):
             errors.append(
                 f"type alphabet labels must be non-empty and without surrounding blanks, got {list(self.type_alphabet)}"
             )

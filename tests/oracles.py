@@ -227,18 +227,8 @@ def ranked_breakdowns(breakdowns, threshold: float) -> list:
 def _parse_value(kind: FeatureKind, text: str):
     if kind is FeatureKind.NOMINAL:
         return text
-    if kind is FeatureKind.ORDINAL_FUZZY:
-        try:
-            value = int(text)
-        except ValueError:
-            value = float(text)
-    else:
-        value = float(text)
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:
-        finite = False
-    if not finite:
+    value = float(text)
+    if not math.isfinite(value):
         raise ValueError(f"non-finite number {text!r}")
     return value
 

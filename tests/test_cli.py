@@ -635,7 +635,7 @@ class TestRejectedAtValidation:
         pytest.param(
             None, "1e17", "100000000000000000",
             "error: a1/rank: half-width 2 collapses the support of rank 1e+17 onto the rank itself\n"
-            "error: b1/rank: half-width 2 collapses the support of rank 100000000000000000 onto the rank itself\n",
+            "error: b1/rank: half-width 2 collapses the support of rank 1e+17 onto the rank itself\n",
             id="schema-width",
         ),
         pytest.param(
@@ -723,7 +723,7 @@ class TestRejectedAtValidation:
         message = "".join(
             f"error: {oid}/rank: Gaussian ranks and spreads must lie within 2**511,"
             f" got rank {rank} under spread 1e+308\n"
-            for oid, rank in (("a1", "1e+308"), ("b1", "4"))
+            for oid, rank in (("a1", "1e+308"), ("b1", "4.0"))
         )
         for argv in (["match", "--config", str(path), str(a), str(b)], ["measure", "--config", str(path), str(pair)]):
             assert main(argv) == 1

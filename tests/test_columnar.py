@@ -852,7 +852,7 @@ def test_relative_k_supports_equal_the_scalar_rounding(ranks, k):
 def test_half_width_supports_equal_the_scalar_rule(ranks, width):
     """Validation rejects a rank exactly where triangular_from_halfwidth
     refuses it (a support within the rank's float spacing, or past the float
-    range), with the same text."""
+    range), with the same text: the rank is held, and shown, as a float."""
     schema = Schema((FeatureSchema(**{**FEATURES["ready"].__dict__, "weight": 1.0}),))
     profiles = {"a": SourceProfile("a", {"ready": OrdinalAccuracy(width=width)}),
                 "b": SourceProfile("b", {"ready": OrdinalAccuracy(width=2.0)})}
@@ -861,7 +861,7 @@ def test_half_width_supports_equal_the_scalar_rule(ranks, width):
 
     def refusal(i, rank):
         try:
-            triangular_from_halfwidth(rank, width)
+            triangular_from_halfwidth(float(rank), width)
         except ValueError as error:
             return f"a{i}/ready: {error}"
         return None

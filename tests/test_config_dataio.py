@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -28,10 +27,20 @@ from iomatch.dataio import (
     write_json,
     write_objects_csv,
 )
-from iomatch.engine import candidates, derived_xi_violations, pairwise_breakdowns, threshold_violations
+from iomatch.engine import (
+    MatchRun,
+    MatchRunError,
+    candidates,
+    derived_xi_violations,
+    evaluate_pair,
+    pairwise_breakdowns,
+    run_violations,
+    threshold_violations,
+)
 from iomatch.model import (
     Certainty,
     Dataset,
+    FeatureColumn,
     FeatureKind,
     FeatureSchema,
     FeatureValue,
@@ -42,6 +51,7 @@ from iomatch.model import (
     QuantAccuracy,
     Schema,
     SourceProfile,
+    label_violation,
     profile_violations,
     schema_violations,
 )
@@ -160,25 +170,23 @@ class TestDatasetCsv:
         )
 
     def test_round_trip_of_ordinal_column_without_ranks(self, tmp_path):
-        """An ordinal column built without ``ranks`` is written with its
-        values as ranks, blank where absent, and re-reads to the same columns."""
+        """An ordinal column holds its ranks as its values: each is written
+        as its float repr (the int rank 4 as ``4.0``), blank where absent,
+        and re-reads to the same columns."""
         dataset = Dataset.from_objects(sample_objects(self.schema), self.schema)
-        columns = {**dataset.columns, "readiness": dataclasses.replace(dataset.columns["readiness"], ranks=None)}
-        bare = Dataset(self.schema, dataset.ids, dataset.source_ids, columns)
         path = tmp_path / "objects.csv"
-        write_objects_csv(path, bare)
+        write_objects_csv(path, dataset)
         assert path.read_text().splitlines()[1:] == [
             "a0,s1,12.25,980.5,4.0,tank,certain,probable,certain",
             "a1,s1,0.1234567890123,2.0,,truck,certain,,possible",
         ]
         back = read_dataset(path, self.schema)
-        for name, column in bare.columns.items():
+        for name, column in dataset.columns.items():
             read = back.columns[name]
             assert read.present.tolist() == column.present.tolist()
             assert read.values.tolist() == column.values.tolist()
             assert read.certainty.tolist() == column.certainty.tolist()
-            assert read.ranks == column.ranks
-        assert back.columns["readiness"].ranks == (4.0, None)
+        assert back.columns["readiness"].values[:, 0].tolist() == [4.0, 0.0]
 
     def test_dataset_with_violations_refused(self, tmp_path):
         """Its columns hold a bad payload as absent, which would be written blank."""
@@ -286,7 +294,8 @@ class TestDatasetCsv:
 
     def test_objects_keep_their_payload_types(self, tmp_path):
         """``read_objects_csv`` builds each value from its column's payload:
-        integer rank texts give ints, every other number a float; axes give tuples."""
+        every number gives a float, a rank given as an integer text too;
+        axes give tuples."""
         path = tmp_path / "types.csv"
         path.write_text(
             "object_id,source_id,position_x,position_y,readiness,type,readiness_certainty\n"
@@ -297,13 +306,13 @@ class TestDatasetCsv:
         o1, o2, o3, o4 = read_objects_csv(path, self.schema)
         assert o1.values == {
             "position": FeatureValue((1.0, 2.5)),
-            "readiness": FeatureValue(4, Certainty.DOUBTFUL),
+            "readiness": FeatureValue(4.0, Certainty.DOUBTFUL),
             "type": FeatureValue("tank"),
         }
-        assert type(o1.values["readiness"].value) is int and type(o2.values["readiness"].value) is float
+        assert type(o1.values["readiness"].value) is float and type(o2.values["readiness"].value) is float
         assert o2.values["type"].value == "truck"
-        assert o3.values == {"readiness": FeatureValue(10)}
-        assert o4.values["readiness"].value == 123456789012345678901
+        assert o3.values == {"readiness": FeatureValue(10.0)}
+        assert o4.values["readiness"].value == 1.2345678901234568e20
         assert [o.object_id for o in (o1, o2, o3, o4)] == list(dataset.ids)
 
     def test_absent_feature_keeps_an_empty_column(self, tmp_path):
@@ -311,6 +320,157 @@ class TestDatasetCsv:
         path.write_text("object_id,source_id,position_x,position_y,readiness,type\no1,s1,1.0,2.0,,tank\n")
         (obj,) = read_objects_csv(path, self.schema)
         assert set(obj.values) == {"position", "type"}
+
+
+SPEED_SCHEMA = Schema((FeatureSchema("speed", FeatureKind.QUANTITATIVE, 0.5, quantitative_xi=3.0),
+                       FeatureSchema("type", FeatureKind.NOMINAL, 0.5, nominal_delta=0.1)))
+
+
+class TestWriterRefusals:
+    """``write_objects_csv`` raises one ValueError naming the object and
+    feature of a held value it cannot write, and writes no file."""
+
+    @pytest.mark.parametrize("feature, value, certainty, message", [
+        ("speed", math.nan, 1.0, "cannot write a1/speed: expected a finite numeric value"),
+        ("speed", -math.inf, 1.0, "cannot write a1/speed: expected a finite numeric value"),
+        ("speed", 5.0, 0.3, "cannot write a1/speed: expected a Certainty"),
+        ("type", "tank", 0.3, "cannot write a1/type: expected a Certainty"),
+    ], ids=["nan", "infinity", "quantitative-certainty", "nominal-certainty"])
+    def test_value_it_cannot_write(self, tmp_path, feature, value, certainty, message):
+        """A NaN was written as ``nan``, which ``read_dataset`` rejects; a
+        certainty of 0.3 raised enum's ``0.3 is not a valid Certainty``."""
+        columns = {
+            "speed": FeatureColumn(np.array([True, True]), np.array([[1.0], [2.0]]), np.ones(2)),
+            "type": FeatureColumn(np.array([True, True]), np.array(["truck", "tank"], dtype=object), np.ones(2)),
+        }
+        columns[feature].values[1] = value
+        columns[feature].certainty[1] = certainty
+        dataset = Dataset(SPEED_SCHEMA, ["a0", "a1"], ["a", "a"], columns)
+        path = tmp_path / "objects.csv"
+        with pytest.raises(ValueError) as excinfo:
+            write_objects_csv(path, dataset)
+        assert str(excinfo.value) == message
+        assert not path.exists()
+
+    def test_absent_slot_is_not_read(self, tmp_path):
+        """What an absent slot holds is never written, so it is not refused."""
+        column = FeatureColumn(np.array([True, False]), np.array([[1.0], [math.nan]]), np.array([1.0, 0.3]))
+        labels = FeatureColumn(np.array([True, False]), np.array(["tank", None], dtype=object), np.ones(2))
+        dataset = Dataset(SPEED_SCHEMA, ["a0", "a1"], ["a", "a"], {"speed": column, "type": labels})
+        write_objects_csv(tmp_path / "objects.csv", dataset)
+        assert (tmp_path / "objects.csv").read_text().splitlines()[1:] == ["a0,a,1.0,tank,certain,certain", "a1,a,,,,"]
+
+
+class TestLabelRule:
+    """``model.label_violation`` is the one rule of a nominal label, called
+    by the object path, the scene settings and the dataset writer."""
+
+    @pytest.mark.parametrize("label", [" tank", "", "tank\t"])
+    def test_object_path_refuses_what_a_csv_cannot_hold(self, label):
+        """``evaluate_pair`` scored ``" tank"`` and ``""`` against ``"tank"``
+        0.1, where a CSV holding those labels reads them as ``"tank"`` (1.0)
+        and as absent."""
+        profiles = {s: SourceProfile(s, {"speed": QuantAccuracy(sigma=1.0)}) for s in ("a", "b")}
+        a = InformationObject("a1", "a", {"type": FeatureValue(label)})
+        b = InformationObject("b1", "b", {"type": FeatureValue("tank")})
+        message = f"a1/type: expected a non-empty label without surrounding blanks, got {label!r}"
+        assert run_violations(object_run(SPEED_SCHEMA, profiles, [a], [b])) == [message]
+        with pytest.raises(MatchRunError) as excinfo:
+            evaluate_pair(SPEED_SCHEMA, profiles, AggregationSpec(), a, b)
+        assert excinfo.value.errors == [message]
+
+    @pytest.mark.parametrize("label", [" tank", "", "tank\t", "\n", "tank", "a b", "x,y", 'say "hi"'])
+    def test_one_verdict_everywhere(self, tmp_path, label):
+        refused = label_violation(label) is not None
+        assert refused == (label != label.strip() or not label)
+        assert bool(SceneSpec(type_alphabet=(label, "zz")).violations()) == refused
+        obj = InformationObject("a1", "a", {"type": FeatureValue(label)})
+        assert bool(Dataset.from_objects([obj], SPEED_SCHEMA).violations) == refused
+        column = FeatureColumn(np.ones(1, dtype=bool), np.array([label], dtype=object), np.ones(1))
+        dataset = Dataset(SPEED_SCHEMA, ["a1"], ["a"], {"type": column, "speed": FeatureColumn(
+            np.zeros(1, dtype=bool), np.zeros((1, 1)), np.ones(1))})
+        try:
+            write_objects_csv(tmp_path / "objects.csv", dataset)
+        except ValueError as error:
+            assert refused and str(error) == (
+                f"cannot write label {label!r} of 'type': a dataset CSV reads it stripped, an empty one as absent"
+            )
+        else:
+            assert not refused
+            assert read_dataset(tmp_path / "objects.csv", SPEED_SCHEMA).columns["type"].values.tolist() == [label]
+
+
+ROUND_TRIP_SCHEMA = Schema((
+    FeatureSchema("position", FeatureKind.QUANTITATIVE, 0.3, quantitative_xi=30.0, axes=("x", "y")),
+    FeatureSchema("speed", FeatureKind.QUANTITATIVE, 0.2, quantitative_xi=3.0),
+    FeatureSchema("readiness", FeatureKind.ORDINAL_FUZZY, 0.2,
+                  ordinal_params=OrdinalParams(MembershipShape.TRIANGULAR, width=2.0)),
+    FeatureSchema("threat", FeatureKind.ORDINAL_FUZZY, 0.1,
+                  ordinal_params=OrdinalParams(MembershipShape.GAUSSIAN, width=1.5)),
+    FeatureSchema("type", FeatureKind.NOMINAL, 0.2, nominal_delta=0.1),
+))
+ROUND_TRIP_PROFILES = {
+    "a": SourceProfile("a", {"position": QuantAccuracy(sigma=20.0), "speed": QuantAccuracy(sigma=1.0),
+                             "readiness": OrdinalAccuracy(relative_k=0.3)}),
+    "b": SourceProfile("b", {"position": QuantAccuracy(delta_max=90.0), "speed": QuantAccuracy(sigma=2.0),
+                             "threat": OrdinalAccuracy(width=0.5)}),
+}
+CERTAINTY_VALUES = [level.value for level in Certainty]
+
+
+@st.composite
+def column_datasets(draw, source):
+    """A dataset of ``source`` built from columns, every kind of feature,
+    absent slots holding 0.0 (None for a label) and certainty 1.0 as a
+    column read from CSV does; ranks integral or not, any certainty level."""
+    n = draw(st.integers(1, 4))
+    numbers = st.floats(-1e4, 1e4)
+    # Integral ranks and others; a relative k of 0.3 keeps the support of
+    # any rank of 5 or more from collapsing.
+    ranks = st.integers(5, 60).map(float) | st.floats(5.0, 60.0)
+    labels = st.sampled_from(["tank", "truck", "x,y", 'say "hi"', "two\nlines", "é"])
+    columns = {}
+    for f in ROUND_TRIP_SCHEMA.features:
+        present = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        certainty = np.where(present, draw(st.lists(st.sampled_from(CERTAINTY_VALUES), min_size=n, max_size=n)), 1.0)
+        if f.kind is FeatureKind.NOMINAL:
+            values = np.empty(n, dtype=object)
+            values[:] = [draw(labels) if held else None for held in present.tolist()]
+        else:
+            drawn = draw(st.lists(ranks if f.kind is FeatureKind.ORDINAL_FUZZY else numbers,
+                                  min_size=n * f.arity, max_size=n * f.arity))
+            values = np.where(present[:, None], np.array(drawn, dtype=float).reshape(n, f.arity), 0.0)
+        columns[f.name] = FeatureColumn(present, values, certainty)
+    return Dataset(ROUND_TRIP_SCHEMA, [f"{source}{i}" for i in range(n)], [source] * n, columns)
+
+
+@settings(max_examples=150, deadline=None)
+@given(column_datasets("a"), column_datasets("b"))
+def test_column_dataset_round_trips_bit_for_bit(dataset_a, dataset_b):
+    """``read_dataset(write_objects_csv(ds))`` holds the same ``present``,
+    the same bits in ``values`` and ``certainty``, and scores every pair as
+    ``ds`` does; a rank is written as its float repr."""
+    with tempfile.TemporaryDirectory() as directory:
+        read = []
+        for dataset in (dataset_a, dataset_b):
+            path = Path(directory) / f"{dataset.source_ids[0]}.csv"
+            write_objects_csv(path, dataset)
+            read.append(read_dataset(path, ROUND_TRIP_SCHEMA))
+    for dataset, back in zip((dataset_a, dataset_b), read):
+        assert back.ids == dataset.ids and back.source_ids == dataset.source_ids
+        for name, column in dataset.columns.items():
+            got = back.columns[name]
+            assert got.present.tolist() == column.present.tolist()
+            assert got.certainty.view(np.uint64).tolist() == column.certainty.view(np.uint64).tolist()
+            if column.values.dtype == object:
+                assert got.values.tolist() == column.values.tolist()
+            else:
+                assert got.values.shape == column.values.shape
+                assert got.values.view(np.uint64).tolist() == column.values.view(np.uint64).tolist()
+    want = MatchRun(ROUND_TRIP_SCHEMA, ROUND_TRIP_PROFILES, dataset_a, dataset_b)
+    assert run_violations(want) == []
+    got = MatchRun(ROUND_TRIP_SCHEMA, ROUND_TRIP_PROFILES, *read)
+    assert list(pairwise_breakdowns(got)) == list(pairwise_breakdowns(want))
 
 
 class TestBreakdownCsv:
@@ -1053,8 +1213,7 @@ def payload_types(objects):
 
 
 def columns_equal(a: Dataset, b: Dataset) -> bool:
-    """Whether two datasets hold the same ids and columns, payload types of
-    ordinal ranks included."""
+    """Whether two datasets hold the same ids and columns."""
     if (a.ids, a.source_ids) != (b.ids, b.source_ids) or list(a.columns) != list(b.columns):
         return False
     for name, x in a.columns.items():
@@ -1062,8 +1221,6 @@ def columns_equal(a: Dataset, b: Dataset) -> bool:
         if not (np.array_equal(x.present, y.present) and np.array_equal(x.certainty, y.certainty)):
             return False
         if x.values.dtype != y.values.dtype or x.values.shape != y.values.shape or list(x.values.ravel()) != list(y.values.ravel()):
-            return False
-        if x.ranks != y.ranks or [type(r) for r in x.ranks or ()] != [type(r) for r in y.ranks or ()]:
             return False
     return True
 

@@ -202,7 +202,7 @@ class TestRunValidation:
 
     def test_messages_in_object_order(self):
         """Per dataset: duplicate ids, then per object its payload violations
-        and its collapsed relative-k supports, the rank as it was given."""
+        and its collapsed relative-k supports, the rank as the float it is held as."""
         schema = Schema((
             SPEED,
             FeatureSchema("rank", FeatureKind.ORDINAL_FUZZY, 0.5,
@@ -224,11 +224,11 @@ class TestRunValidation:
         assert run_violations(run) == [
             "dataset A: object id 'a1' appears 2 times",
             "a1/speed: expected a finite numeric value",
-            "a1/rank: relative k 0.4 of source 'a' rounds the support of rank 1 onto the rank itself",
+            "a1/rank: relative k 0.4 of source 'a' rounds the support of rank 1.0 onto the rank itself",
             "a2: value for unknown feature 'colour'",
             "a2/rank: relative k 0.4 of source 'a' rounds the support of rank 0.0 onto the rank itself",
             "a3/speed: expected a finite numeric value",
-            "a3/rank: relative k 0.4 of source 'a' rounds the support of rank -1 onto the rank itself",
+            "a3/rank: relative k 0.4 of source 'a' rounds the support of rank -1.0 onto the rank itself",
             "b2/rank: expected a finite numeric rank",
         ]
 
@@ -290,14 +290,12 @@ class TestRunValidation:
         scored position 0.0 and aggregate 0.0 with no violation.  Each present
         non-finite value now gets the message the object path gives it."""
         schema = Schema((feature,))
-        ordinal = feature.kind is FeatureKind.ORDINAL_FUZZY
-        accuracy = {} if ordinal else {"pos": QuantAccuracy(sigma=1.0)}
+        accuracy = {} if feature.kind is FeatureKind.ORDINAL_FUZZY else {"pos": QuantAccuracy(sigma=1.0)}
         profiles = {s: SourceProfile(s, accuracy) for s in ("a", "b")}
 
         def column(rows):
             n = len(rows)
-            ranks = tuple(r for (r, *_) in rows) if ordinal else None
-            return {"pos": FeatureColumn(np.ones(n, dtype=bool), np.array(rows), np.ones(n), ranks)}
+            return {"pos": FeatureColumn(np.ones(n, dtype=bool), np.array(rows), np.ones(n))}
 
         dataset_a = Dataset(schema, ["a0", "a1", "a2"], ["a"] * 3, column(values))
         dataset_b = Dataset(schema, ["b0"], ["b"], column(values[:1]))
@@ -315,7 +313,7 @@ class TestRunValidation:
     def ranked_column_run(self, level):
         """a0 holds rank 4 at certainty ``level`` and b0 rank 5, both built from columns."""
         def column(rank, certainty):
-            return {"rank": FeatureColumn(np.ones(1, dtype=bool), np.array([[float(rank)]]), np.array([certainty]), (rank,))}
+            return {"rank": FeatureColumn(np.ones(1, dtype=bool), np.array([[float(rank)]]), np.array([certainty]))}
 
         dataset_a = Dataset(self.RANKED, ["a0"], ["a"], column(4, level))
         return MatchRun(self.RANKED, self.RANKED_PROFILES, dataset_a, Dataset(self.RANKED, ["b0"], ["b"], column(5, 1.0)))
@@ -348,27 +346,27 @@ class TestRunValidation:
         (MembershipShape.GAUSSIAN, 2.0**600, f"Gaussian ranks and spreads must lie within 2**511, got rank {2.0**600} under spread 2.0"),
     ], ids=["triangular", "gaussian"])
     def test_ordinal_column_without_ranks_is_rejected(self, shape, rank, message):
-        """An ordinal column built without ``ranks`` words its messages with
-        the ranks of its values, as one built with them does; before,
-        ``run_violations`` raised TypeError on the missing ranks."""
+        """An ordinal column holds its ranks only as its values, and its
+        messages word each rank by its value; before, a column could hold a
+        second ranks tuple, and ``run_violations`` raised TypeError where it
+        was missing."""
         schema = Schema((FeatureSchema("rank", FeatureKind.ORDINAL_FUZZY, 1.0, ordinal_params=OrdinalParams(shape, width=2.0)),))
 
-        def run(with_ranks):
-            def dataset(oid, sid, r):
-                column = FeatureColumn(np.ones(1, dtype=bool), np.array([[r]]), np.ones(1), (r,) if with_ranks else None)
-                return Dataset(schema, [oid], [sid], {"rank": column})
+        def dataset(oid, sid, r):
+            column = FeatureColumn(np.ones(1, dtype=bool), np.array([[r]]), np.ones(1))
+            return Dataset(schema, [oid], [sid], {"rank": column})
 
-            return MatchRun(schema, self.RANKED_PROFILES, dataset("a0", "a", rank), dataset("b0", "b", 5.0))
-
-        assert run_violations(run(False)) == run_violations(run(True)) == [f"a0/rank: {message}"]
+        run = MatchRun(schema, self.RANKED_PROFILES, dataset("a0", "a", rank), dataset("b0", "b", 5.0))
+        assert run_violations(run) == [f"a0/rank: {message}"]
         with pytest.raises(MatchRunError, match=f"^a0/rank: {re.escape(message)}$"):
-            pairwise_breakdowns(run(False))
+            pairwise_breakdowns(run)
 
     def test_ordinal_column_without_ranks_takes_its_values(self):
-        """A dataset gives such a column the ranks of its values, None where absent."""
+        """A dataset holds an ordinal column as it is given, and an object's
+        rank is the float in its values."""
         column = FeatureColumn(np.array([True, False]), np.array([[4.0], [0.0]]), np.ones(2))
         dataset = Dataset(self.RANKED, ["a0", "a1"], ["a", "a"], {"rank": column})
-        assert dataset.columns["rank"].ranks == (4.0, None)
+        assert dataset.columns["rank"] is column
         assert dataset.columns["rank"].payload(self.RANKED.features[0], 0) == 4.0
 
     @pytest.mark.parametrize("delta_max", [0.0, -1.0, math.nan])
@@ -405,19 +403,18 @@ class TestRunValidation:
             "pos": FeatureColumn(np.array([True, True, False, True]),
                                  np.array([[0.0, 0.0], [np.nan, 1.0], [np.inf, np.inf], [1.0, -np.inf]]), ones),
             "speed": FeatureColumn(np.ones(4, dtype=bool), np.array([[1.0], [np.inf], [2.0], [3.0]]), ones),
-            "rank": FeatureColumn(np.array([True, True, True, False]), np.array([[np.nan], [4.0], [1.0], [np.inf]]),
-                                  ones, (float("nan"), 4, 1, None)),
+            "rank": FeatureColumn(np.array([True, True, True, False]), np.array([[np.nan], [4.0], [1.0], [np.inf]]), ones),
         })
         dataset_b = Dataset(schema, ["b0"], ["b"], {
             "pos": FeatureColumn(np.ones(1, dtype=bool), np.array([[0.0, 0.0]]), np.ones(1)),
             "speed": FeatureColumn(np.ones(1, dtype=bool), np.array([[-np.inf]]), np.ones(1)),
-            "rank": FeatureColumn(np.ones(1, dtype=bool), np.array([[4.0]]), np.ones(1), (4,)),
+            "rank": FeatureColumn(np.ones(1, dtype=bool), np.array([[4.0]]), np.ones(1)),
         })
         assert run_violations(MatchRun(schema, profiles, dataset_a, dataset_b)) == [
             "a0/rank: expected a finite numeric rank",
             "a1/pos: expected 2 finite numeric components",
             "a1/speed: expected a finite numeric value",
-            "a2/rank: relative k 0.4 of source 'a' rounds the support of rank 1 onto the rank itself",
+            "a2/rank: relative k 0.4 of source 'a' rounds the support of rank 1.0 onto the rank itself",
             "a3/pos: expected 2 finite numeric components",
             "b0/speed: expected a finite numeric value",
         ]
@@ -439,7 +436,7 @@ class TestRunValidation:
         assert run_violations(run) == [
             "a1/tri: the membership support of rank 1.7e+308 is not finite",
             "a2/tri: the membership support of rank -1.7e+308 is not finite",
-            "a3/tri: relative k 0.5 of source 'a' rounds the support of rank 0 onto the rank itself",
+            "a3/tri: relative k 0.5 of source 'a' rounds the support of rank 0.0 onto the rank itself",
             "b1/tri: the membership support of rank 1.7e+308 is not finite",
             "b2/tri: the membership support of rank -9e+307 is not finite",
         ]
@@ -474,7 +471,7 @@ class TestRunValidation:
         objects_b = [obj("b0", "b", (1e308, 1.5e308), 1e17), obj("b1", "b", (0.0, 0.0), -1.7e308)]
         assert run_violations(object_run(schema, profiles, objects_a, objects_b)) == [
             "a0/pos: sigma 0.001 of source 'a' collapses the three-sigma window of 1e+16 onto the value itself",
-            "a1/rank: relative k 0.4 of source 'a' rounds the support of rank 1 onto the rank itself",
+            "a1/rank: relative k 0.4 of source 'a' rounds the support of rank 1.0 onto the rank itself",
             "a1/pos: sigma 0.001 of source 'a' collapses the three-sigma window of -1e+16 onto the value itself",
             "a1/speed: sigma 1.0 of source 'a' collapses the three-sigma window of 1.7e+308 onto the value itself",
             "b0/speed: sigma 1.0 of source 'b' collapses the three-sigma window of 1e+17 onto the value itself",
@@ -612,7 +609,7 @@ class TestOneRulePerSetting:
             pairwise_breakdowns(run)
 
     def test_ordinal_values_of_one_dimension(self):
-        """Raised IndexError when the dataset was made, filling in its ranks."""
+        """Raised IndexError when the dataset was made, while it still filled in a ranks tuple."""
         column = FeatureColumn(np.ones(2, dtype=bool), np.array([1.0, 2.0]), np.ones(2))
         run = self.rank_run(OrdinalAccuracy(), 1)
         dataset = Dataset(run.schema, ["a1", "a2"], ["a"] * 2, {"rank": column})
@@ -863,16 +860,13 @@ class TestNominalCodes:
     )
     def test_equal_exactly_where_both_hold_one_label(self, labels_a, labels_b):
         """None is an absent entry; "tank" and "" may be held by both sides,
-        the other fixed labels by one side only."""
-        schema = Schema((TYPE,))
+        the other fixed labels by one side only.  The columns are built
+        directly, as the object path refuses an empty label."""
+        def column(labels):
+            values = np.empty(len(labels), dtype=object)
+            values[:] = labels
+            return FeatureColumn(np.array([label is not None for label in labels], dtype=bool), values, np.ones(len(labels)))
 
-        def dataset(source, labels):
-            objects = [
-                InformationObject(f"{source}{i}", source, {} if label is None else {"type": FeatureValue(label)})
-                for i, label in enumerate(labels)
-            ]
-            return Dataset.from_objects(objects, schema).columns["type"]
-
-        codes_a, codes_b = engine._nominal_codes(dataset("a", labels_a), dataset("b", labels_b))
+        codes_a, codes_b = engine._nominal_codes(column(labels_a), column(labels_b))
         want = [[a is not None and a == b for b in labels_b] for a in labels_a]
         assert (codes_a[:, None] == codes_b[None, :]).tolist() == want
