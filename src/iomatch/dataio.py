@@ -71,7 +71,6 @@ from .model import (
     InformationObject,
     ProximityBreakdown,
     Schema,
-    label_violation,
 )
 
 
@@ -182,12 +181,12 @@ def _feature_texts(feature: FeatureSchema, column: FeatureColumn) -> list[list[s
 def write_objects_csv(path: str | Path, dataset: Dataset) -> None:
     """Write a dataset column by column.
 
-    Raises ValueError for a dataset that carries payload violations: its
-    columns hold such a value as absent, which would be written as blank.
-    So it does for a held value that :func:`read_dataset` would not read
-    back as it is: a label that fails ``model.label_violation``, a number
-    that is not finite, or a certainty that is not a :class:`Certainty`
-    level (``engine.value_violations``).
+    Raises ValueError for a dataset that carries entries no column holds
+    (``Dataset.violations``), which would be lost, and for a held value
+    that :func:`read_dataset` would not read back as it is: the first that
+    ``engine.value_violations`` rejects with its certainty judged (a label
+    that fails ``model.label_violation``, a number that is not finite, or a
+    certainty that is not a :class:`Certainty` level), on any feature.
     """
     if dataset.violations:
         raise ValueError(f"cannot write a dataset with payload violations: {dataset.violations[0][1]}")
@@ -195,11 +194,6 @@ def write_objects_csv(path: str | Path, dataset: Dataset) -> None:
     certainties = []
     for f in dataset.schema.features:
         column = dataset.columns[f.name]
-        if f.kind is FeatureKind.NOMINAL:
-            for label in dict.fromkeys(column.values[column.present].tolist()):
-                if label_violation(label):
-                    raise ValueError(f"cannot write label {label!r} of {f.name!r}: "
-                                     "a dataset CSV reads it stripped, an empty one as absent")
         _, failed = value_violations(f, column, certainty=True)
         if failed:
             k, message = failed[0]

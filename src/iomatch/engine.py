@@ -2,15 +2,18 @@
 
 The engine's input is two columnar datasets (:class:`~iomatch.model.Dataset`),
 each built for the run's schema; :meth:`Dataset.from_objects` builds one
-from objects.  Validation reads the columns: the payload violations a
-dataset carries, duplicate ids, mixed or missing source profiles, a dataset
-built for another schema, a column missing, of another length than the
-ids or of another shape than its feature's, and then, in one walk over each
-quantitative and ordinal column, the values the kernels cannot score: values that are not
-finite, ordinal certainties that are not a :class:`~iomatch.model.Certainty`
-level, triangular supports that are not finite or collapse onto their rank,
-Gaussian ranks or spreads beyond ``fuzzy.GAUSSIAN_LIMIT``, and three-sigma
-windows that collapse onto their value.
+from objects.  Validation reads the columns: the entries no column holds
+that a dataset carries, duplicate ids, mixed or missing source profiles, a
+dataset built for another schema, a column missing, of another length than
+the ids or of another shape than its feature's, and then, in one walk over
+every column, the held values the kernels cannot score: labels that fail
+``model.label_violation``, numbers that are not finite, ordinal
+certainties that are not a :class:`~iomatch.model.Certainty` level
+(:func:`value_violations`, the one judge of a held value, which the
+dataset writer calls too), triangular supports that are not finite or
+collapse onto their rank, Gaussian ranks or spreads beyond
+``fuzzy.GAUSSIAN_LIMIT``, and three-sigma windows that collapse onto their
+value.
 
 Every feature is scored for a list of pair cells at once: a kernel turns the
 two datasets' columns at those cells into 1-D proximities, a presence mask
@@ -67,6 +70,7 @@ from .model import (
     Schema,
     SourceProfile,
     ValidationError,
+    label_violation,
     non_finite_violation,
     positive_violation,
     profile_violations,
@@ -143,7 +147,7 @@ def run_violations(run: MatchRun) -> list[str]:
         if shape:
             errors.extend(shape)
             continue
-        # Per object: its payload violations (check 0), then its column checks.
+        # Per object: the entries no column holds (check 0), then its column checks.
         found = [(i, 0, message) for i, message in dataset.violations] + _column_violations(dataset, run)
         errors.extend(message for *_, message in sorted(found, key=lambda v: v[:2]))
     a_sources, b_sources = set(run.dataset_a.source_ids), set(run.dataset_b.source_ids)
@@ -204,30 +208,38 @@ def _window_bounds(values: np.ndarray, sigma: float) -> tuple[np.ndarray, np.nda
 
 
 def value_violations(feature: FeatureSchema, column: FeatureColumn, certainty: bool) -> tuple[np.ndarray, list]:
-    """Check 1 of :func:`_column_violations` on one column: (the mask of
-    the present values that pass it, and the (object index, message) of
-    each present value that does not).  A quantitative or ordinal value
-    fails where it is not finite; where ``certainty`` is set, any value
-    fails whose certainty is not a :class:`Certainty` level."""
-    n = len(column.present)
-    finite = np.ones(n, bool) if feature.kind is FeatureKind.NOMINAL else np.isfinite(column.values).all(axis=1)
-    held = column.present & finite
+    """Check 1 of :func:`_column_violations` on one column, and the
+    writer's one check of a held value: (the mask of the held values that
+    pass it, and the (object index, message) of each held value that does
+    not).  A nominal label fails ``model.label_violation``; a quantitative
+    or ordinal value fails where it is not finite; where ``certainty`` is
+    set, any value fails whose certainty is not a :class:`Certainty` level.
+    Only held entries are judged."""
+    present, problems = column.present, {}
+    if feature.kind is FeatureKind.NOMINAL:
+        problems = {i: p for i in np.flatnonzero(present).tolist() if (p := label_violation(column.values[i]))}
+        valid = present.copy()
+        valid[list(problems)] = False
+    else:
+        valid = np.isfinite(column.values).all(axis=1)
+    held = present & valid
     if certainty:
         held &= (column.certainty[:, None] == _CERTAINTY_LEVELS).any(axis=1)
-    failed = np.flatnonzero(column.present & ~held).tolist()
-    return held, [(i, non_finite_violation(feature) if not finite[i] else "expected a Certainty") for i in failed]
+    failed = np.flatnonzero(present & ~held).tolist()
+    return held, [
+        (i, problems.get(i, non_finite_violation(feature)) if not valid[i] else "expected a Certainty") for i in failed
+    ]
 
 
 def _column_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, int, str]]:
-    """(object index, check, message) of every present quantitative or
-    ordinal value the kernels cannot score, in one walk over the columns (a
-    dataset built from columns is not checked when made).  The checks follow
-    the payload's (0), each in feature order, one message per object and
-    feature at most:
+    """(object index, check, message) of every held value the kernels
+    cannot score, in one walk over the columns, whatever built the dataset.
+    The checks follow the entries no column holds (0, ``Dataset.violations``),
+    each in feature order, one message per object and feature at most:
 
-    1. a value that is not finite, or an ordinal certainty (the membership
-       height) that is not a :class:`Certainty` level
-       (:func:`value_violations`);
+    1. a label that fails ``model.label_violation``, a number that is not
+       finite, or an ordinal certainty (the membership height) that is not
+       a :class:`Certainty` level (:func:`value_violations`);
     2. a support that fails ``fuzzy.triangular_support_holds``, the scalar
        constructors' rule, or a Gaussian rank outside
        ``fuzzy.gaussian_within_range``;
@@ -243,7 +255,7 @@ def _column_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, int, 
     sources = [
         (sid, run.profiles[sid], source_ids == sid) for sid in dict.fromkeys(dataset.source_ids) if sid in run.profiles
     ]
-    for feature in (f for f in dataset.schema.features if f.kind is not FeatureKind.NOMINAL):
+    for feature in dataset.schema.features:
         column, name = dataset.columns[feature.name], feature.name
         values = column.values
         held, failed = value_violations(feature, column, feature.kind is FeatureKind.ORDINAL_FUZZY)
@@ -260,7 +272,7 @@ def _column_violations(dataset: Dataset, run: MatchRun) -> list[tuple[int, int, 
                     value = values[i, np.argmax(collapsed[i])].item()
                     found.append((i, 3, f"{dataset.ids[i]}/{name}: sigma {sigma} of source {sid!r} "
                                         f"collapses the three-sigma window of {value!r} onto the value itself"))
-        else:
+        elif feature.kind is FeatureKind.ORDINAL_FUZZY:
             for sid, profile, own in sources:
                 setting = source_ordinal(feature, profile)
                 if setting is None:

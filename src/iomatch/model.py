@@ -417,60 +417,17 @@ def label_violation(label) -> str | None:
     return f"expected a non-empty label without surrounding blanks, got {label!r}"
 
 
-def _value_error(feature: FeatureSchema, fv) -> str | None:
-    """What is wrong with one reported value of ``feature``, or None."""
-    if not isinstance(fv, FeatureValue):
-        return "expected a FeatureValue"
-    v = fv.value
-    if feature.kind is FeatureKind.QUANTITATIVE:
-        if feature.axes:
-            ok = isinstance(v, tuple) and len(v) == len(feature.axes) and all(is_finite_number(c) for c in v)
-            return None if ok else non_finite_violation(feature)
-        return None if is_finite_number(v) else non_finite_violation(feature)
-    if feature.kind is FeatureKind.ORDINAL_FUZZY:
-        if not is_finite_number(v):
-            return non_finite_violation(feature)
-        # The certainty level is the height of the rank's membership.
-        return None if isinstance(fv.certainty, Certainty) else "expected a Certainty"
-    return label_violation(v)
-
-
-def _by_name(schema: Schema) -> dict[str, FeatureSchema]:
-    """Each feature name with the first feature of that name, as ``Schema.feature`` finds it."""
-    return {f.name: f for f in reversed(schema.features)}
-
-
-def _checked_values(obj: InformationObject, features: Mapping[str, FeatureSchema]) -> tuple[list[str], dict]:
-    """An object's violations against ``features`` (by name) and its valid entries."""
-    errors, valid = [], {}
-    for name, fv in obj.values.items():
-        feature = features.get(name)
-        if feature is None:
-            errors.append(f"{obj.object_id}: value for unknown feature {name!r}")
-            continue
-        error = _value_error(feature, fv)
-        if error is None:
-            valid[name] = fv
-        else:
-            errors.append(f"{obj.object_id}/{name}: {error}")
-    return errors, valid
-
-
-def object_violations(obj: InformationObject, schema: Schema) -> list[str]:
-    """Check one object's payloads against the schema; returns every violation."""
-    return _checked_values(obj, _by_name(schema))[0]
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureColumn:
     """One feature of a dataset, one entry per object.
 
-    ``present`` marks the objects that hold a valid value of the feature.
-    ``values`` is a float64 ``(n, arity)`` array for a quantitative or
-    ordinal feature (0.0 where absent) and an object array of labels for a
-    nominal one (None where absent).  ``certainty`` holds each value's
-    certainty level (1.0 where absent).  A rank is held as a quantitative
-    value is, a float in ``values``.
+    ``present`` marks the objects that hold an entry of the feature, valid
+    or not: ``engine.value_violations`` judges each held entry.  ``values``
+    is a float64 ``(n, arity)`` array for a quantitative or ordinal feature
+    (0.0 where absent) and an object array of labels for a nominal one
+    (None where absent).  ``certainty`` holds each entry's certainty level
+    (1.0 where absent).  A rank is held as a quantitative value is, a float
+    in ``values``.
     """
 
     present: np.ndarray
@@ -484,31 +441,45 @@ class FeatureColumn:
         return tuple(self.values[k].tolist()) if feature.axes else self.values[k, 0].item()
 
 
-def _object_column(feature: FeatureSchema, held: Sequence[FeatureValue | None]) -> FeatureColumn:
-    """The column of ``held``, each object's valid entry for the feature or None."""
-    n = len(held)
+def _held_row(feature: FeatureSchema, payload) -> tuple:
+    """A quantitative or ordinal payload as its column holds it: its
+    components, or NaN on every axis where it is not a finite real (a tuple
+    of the feature's arity of them, for a feature with axes)."""
+    parts = payload if feature.axes else (payload,)
+    if isinstance(parts, tuple) and len(parts) == feature.arity and all(map(is_finite_number, parts)):
+        return parts
+    return (math.nan,) * feature.arity
+
+
+def _object_column(feature: FeatureSchema, entries: Sequence) -> FeatureColumn:
+    """The column of ``entries``, each object's entry for the feature or
+    None.  An entry that is not a :class:`FeatureValue` is absent; every
+    other is held as given: a label as is, a number by :func:`_held_row`,
+    and a certainty that is not a :class:`Certainty` as NaN."""
+    n = len(entries)
+    held = [fv if isinstance(fv, FeatureValue) else None for fv in entries]
     present = np.array([fv is not None for fv in held], dtype=bool)
-    # Validation lets a certainty that is not a Certainty pass only where no kernel reads it.
     certainty = np.array(
-        [fv.certainty.value if fv is not None and isinstance(fv.certainty, Certainty) else 1.0 for fv in held],
+        [1.0 if fv is None else fv.certainty.value if isinstance(fv.certainty, Certainty) else math.nan for fv in held],
         dtype=float,
     )
-    payloads = [None if fv is None else fv.value for fv in held]
     if feature.kind is FeatureKind.NOMINAL:
-        labels = np.empty(n, dtype=object)
-        labels[:] = payloads
+        labels = np.fromiter((None if fv is None else fv.value for fv in held), dtype=object, count=n)
         return FeatureColumn(present, labels, certainty)
     zero = (0.0,) * feature.arity
-    rows = [zero if v is None else v if feature.axes else (v,) for v in payloads]
+    rows = [zero if fv is None else _held_row(feature, fv.value) for fv in held]
     return FeatureColumn(present, np.array(rows, dtype=float).reshape(n, feature.arity), certainty)
 
 
 class Dataset:
     """One source's reports held as columns: ``ids`` and ``source_ids``,
     and per feature of ``schema`` a :class:`FeatureColumn` in ``columns``.
-    ``violations`` lists the ``(object index, message)`` of every payload
-    that fails the schema; a dataset read from CSV has none, as the reader
-    rejects the file instead.
+    ``violations`` lists the ``(object index, message)`` of every entry no
+    column can hold: one for a feature the schema lacks, or one that is not
+    a :class:`FeatureValue`.  A held value is judged by the run
+    (``engine.value_violations``), whatever built the dataset; a dataset
+    read from CSV has neither kind of fault, as the reader rejects the file
+    instead.
     """
 
     def __init__(
@@ -524,14 +495,20 @@ class Dataset:
 
     @classmethod
     def from_objects(cls, objects: Iterable[InformationObject], schema: Schema) -> "Dataset":
-        """The columns of ``objects``, with :func:`object_violations` of each
-        in ``violations``; an entry that fails the schema counts as absent in
-        the columns, so this never raises on one."""
+        """The columns of ``objects``, each entry routed to its feature's
+        column as given (a payload or certainty a column cannot hold is held
+        as NaN), and in ``violations`` the entries no column can hold; so
+        this never raises on an entry."""
         objects = tuple(objects)
-        features = _by_name(schema)
-        checked = [_checked_values(obj, features) for obj in objects]
-        violations = [(k, error) for k, (errors, _) in enumerate(checked) for error in errors]
-        columns = {f.name: _object_column(f, [valid.get(f.name) for _, valid in checked]) for f in schema.features}
+        names = set(schema.names)
+        violations = [
+            (k, f"{obj.object_id}: value for unknown feature {name!r}" if name not in names
+             else f"{obj.object_id}/{name}: expected a FeatureValue")
+            for k, obj in enumerate(objects)
+            for name, fv in obj.values.items()
+            if name not in names or not isinstance(fv, FeatureValue)
+        ]
+        columns = {f.name: _object_column(f, [obj.values.get(f.name) for obj in objects]) for f in schema.features}
         return cls(schema, [obj.object_id for obj in objects], [obj.source_id for obj in objects], columns, violations)
 
     def __len__(self) -> int:

@@ -36,6 +36,7 @@ from iomatch.engine import (
     pairwise_breakdowns,
     run_violations,
     threshold_violations,
+    value_violations,
 )
 from iomatch.model import (
     Certainty,
@@ -352,6 +353,39 @@ class TestWriterRefusals:
         assert str(excinfo.value) == message
         assert not path.exists()
 
+    @pytest.mark.parametrize("label, message", [
+        (None, "cannot write a1/type: expected a label"),
+        (3.0, "cannot write a1/type: expected a label"),
+        (["tank"], "cannot write a1/type: expected a label"),
+        (" tank", "cannot write a1/type: expected a non-empty label without surrounding blanks, got ' tank'"),
+    ], ids=["none", "number", "list", "padded"])
+    def test_label_it_cannot_write(self, tmp_path, label, message):
+        """The writer's label check was its own: a present None was refused
+        as a label the CSV reads stripped, and a list raised ``TypeError``.
+        It now refuses with the run's check and message."""
+        labels = np.array(["truck", None], dtype=object)
+        labels[1] = label
+        columns = {
+            "speed": FeatureColumn(np.array([True, True]), np.array([[1.0], [2.0]]), np.ones(2)),
+            "type": FeatureColumn(np.array([True, True]), labels, np.ones(2)),
+        }
+        path = tmp_path / "objects.csv"
+        with pytest.raises(ValueError) as excinfo:
+            write_objects_csv(path, Dataset(SPEED_SCHEMA, ["a0", "a1"], ["a", "a"], columns))
+        assert str(excinfo.value) == message
+        assert not path.exists()
+
+    @pytest.mark.parametrize("feature, value", [("speed", 2.0), ("type", "tank")])
+    def test_object_certainty_that_is_not_a_certainty(self, tmp_path, feature, value):
+        """An object-built value whose certainty is not a Certainty was
+        written as ``certain``; it is held as NaN and refused."""
+        obj = InformationObject("a1", "a", {feature: FeatureValue(value, "high")})
+        path = tmp_path / "objects.csv"
+        with pytest.raises(ValueError) as excinfo:
+            write_objects_csv(path, Dataset.from_objects([obj], SPEED_SCHEMA))
+        assert str(excinfo.value) == f"cannot write a1/{feature}: expected a Certainty"
+        assert not path.exists()
+
     def test_absent_slot_is_not_read(self, tmp_path):
         """What an absent slot holds is never written, so it is not refused."""
         column = FeatureColumn(np.array([True, False]), np.array([[1.0], [math.nan]]), np.array([1.0, 0.3]))
@@ -363,7 +397,8 @@ class TestWriterRefusals:
 
 class TestLabelRule:
     """``model.label_violation`` is the one rule of a nominal label, called
-    by the object path, the scene settings and the dataset writer."""
+    by ``engine.value_violations`` (for every dataset, and for the dataset
+    writer) and by the scene settings."""
 
     @pytest.mark.parametrize("label", [" tank", "", "tank\t"])
     def test_object_path_refuses_what_a_csv_cannot_hold(self, label):
@@ -384,17 +419,16 @@ class TestLabelRule:
         refused = label_violation(label) is not None
         assert refused == (label != label.strip() or not label)
         assert bool(SceneSpec(type_alphabet=(label, "zz")).violations()) == refused
+        profiles = {s: SourceProfile(s, {"speed": QuantAccuracy(sigma=1.0)}) for s in ("a", "b")}
         obj = InformationObject("a1", "a", {"type": FeatureValue(label)})
-        assert bool(Dataset.from_objects([obj], SPEED_SCHEMA).violations) == refused
+        assert bool(run_violations(object_run(SPEED_SCHEMA, profiles, [obj], []))) == refused
         column = FeatureColumn(np.ones(1, dtype=bool), np.array([label], dtype=object), np.ones(1))
         dataset = Dataset(SPEED_SCHEMA, ["a1"], ["a"], {"type": column, "speed": FeatureColumn(
             np.zeros(1, dtype=bool), np.zeros((1, 1)), np.ones(1))})
         try:
             write_objects_csv(tmp_path / "objects.csv", dataset)
         except ValueError as error:
-            assert refused and str(error) == (
-                f"cannot write label {label!r} of 'type': a dataset CSV reads it stripped, an empty one as absent"
-            )
+            assert refused and str(error) == f"cannot write a1/type: {label_violation(label)}"
         else:
             assert not refused
             assert read_dataset(tmp_path / "objects.csv", SPEED_SCHEMA).columns["type"].values.tolist() == [label]
@@ -1039,6 +1073,101 @@ def test_config_and_python_give_one_verdict(doc):
     a configuration and the same objects built in Python are both accepted,
     or both rejected with the same messages in the same order."""
     assert config_verdict(doc) == python_violations(doc)
+
+
+# --- objects, columns and the writer judge a held value alike --------------------
+
+ENTRY_PAYLOADS = st.one_of(
+    st.sampled_from([
+        math.nan, math.inf, -math.inf, True, False, 10**400, -(10**400), 4, 2.5, -3.0, 1e17,
+        (), (1.0,), (1.0, 2.0), (1.0, 2.0, 3.0), (1.0, math.nan), (1.0, "x"), (True, 1.0), [1.0, 2.0],
+        "tank", "fast", " tank", "tank\t", "", None, ["tank"], np.float64(1.5), np.str_("tank"),
+    ]),
+    st.floats(),
+    st.tuples(st.floats(), st.floats()),
+    st.text(alphabet=" \tab,", max_size=3),
+)
+ENTRY_CERTAINTIES = st.sampled_from([*Certainty, "high", None, 0.7, 1.0, math.nan])
+ENTRY_SCHEMA = Schema((
+    FeatureSchema("position", FeatureKind.QUANTITATIVE, 0.3, quantitative_xi=30.0, axes=("x", "y")),
+    FeatureSchema("speed", FeatureKind.QUANTITATIVE, 0.2, quantitative_xi=3.0),
+    FeatureSchema("readiness", FeatureKind.ORDINAL_FUZZY, 0.3,
+                  ordinal_params=OrdinalParams(MembershipShape.TRIANGULAR, width=2.0)),
+    FeatureSchema("type", FeatureKind.NOMINAL, 0.2, nominal_delta=0.1),
+))
+ENTRY_PROFILES = {s: SourceProfile(s, {"position": QuantAccuracy(sigma=20.0), "speed": QuantAccuracy(sigma=1.0)})
+                  for s in ("a", "b")}
+ENTRY_OBJECTS = st.lists(
+    st.dictionaries(st.sampled_from(ENTRY_SCHEMA.names), st.builds(FeatureValue, ENTRY_PAYLOADS, ENTRY_CERTAINTIES)),
+    min_size=1, max_size=4,
+)
+
+
+def _held_number(x) -> bool:
+    """A real other than bool that is finite, an int past the float range excepted."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _columns_holding(objects: list[InformationObject]) -> dict[str, FeatureColumn]:
+    """The cells a dataset of ``objects`` holds, built cell by cell: a label
+    as is, a number or a tuple of the feature's arity of numbers as given
+    (NaN on every axis where it is neither), a certainty that is not a
+    Certainty as NaN, and 0.0, None and 1.0 where absent."""
+    n, columns = len(objects), {}
+    for f in ENTRY_SCHEMA.features:
+        present = np.zeros(n, dtype=bool)
+        certainty = np.ones(n)
+        values = np.empty(n, dtype=object) if f.kind is FeatureKind.NOMINAL else np.zeros((n, f.arity))
+        for k, o in enumerate(objects):
+            fv = o.values.get(f.name)
+            if fv is None:
+                continue
+            present[k] = True
+            certainty[k] = fv.certainty.value if isinstance(fv.certainty, Certainty) else math.nan
+            if f.kind is FeatureKind.NOMINAL:
+                values[k] = fv.value
+                continue
+            parts = fv.value if f.axes else (fv.value,)
+            held = type(parts) is tuple and len(parts) == f.arity and all(map(_held_number, parts))
+            values[k] = parts if held else math.nan
+        columns[f.name] = FeatureColumn(present, values, certainty)
+    return columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(ENTRY_OBJECTS)
+@example([{"type": FeatureValue(" tank")}, {"type": FeatureValue(None)}, {"type": FeatureValue(["tank"])}])
+@example([{"speed": FeatureValue(2.0, "high"), "readiness": FeatureValue(4, 0.7)}, {"position": FeatureValue((1.0,))}])
+def test_objects_columns_and_writer_give_one_verdict(entries):
+    """Every kind of entry, held by a dataset built from objects or by one
+    built from the same cells as columns, gets one ``run_violations``
+    verdict; and ``write_objects_csv`` refuses exactly the first held value
+    that ``value_violations(..., certainty=True)`` rejects, with its message,
+    and writes no file then."""
+    objects = [InformationObject(f"a{k}", "a", values) for k, values in enumerate(entries)]
+    ids, sources = [o.object_id for o in objects], [o.source_id for o in objects]
+    from_objects = Dataset.from_objects(objects, ENTRY_SCHEMA)
+    from_columns = Dataset(ENTRY_SCHEMA, ids, sources, _columns_holding(objects))
+    dataset_b = Dataset.from_objects([InformationObject("b0", "b", {"speed": FeatureValue(1.0)})], ENTRY_SCHEMA)
+    verdicts = [run_violations(MatchRun(ENTRY_SCHEMA, ENTRY_PROFILES, dataset, dataset_b))
+                for dataset in (from_objects, from_columns)]
+    assert verdicts[0] == verdicts[1]
+    refusals = [f"cannot write {ids[failed[0][0]]}/{f.name}: {failed[0][1]}" for f in ENTRY_SCHEMA.features
+                if (failed := value_violations(f, from_columns.columns[f.name], certainty=True)[1])]
+    with tempfile.TemporaryDirectory() as tmp:
+        for dataset in (from_objects, from_columns):
+            path = Path(tmp) / "objects.csv"
+            try:
+                write_objects_csv(path, dataset)
+            except ValueError as error:
+                assert refusals and str(error) == refusals[0]
+                assert not path.exists()
+            else:
+                assert not refusals
+                path.unlink()
 
 
 # --- a key no parser reads is one more message -----------------------------------

@@ -341,6 +341,51 @@ class TestRunValidation:
         expected = possibility(apply_certainty(triangular_from_halfwidth(4.0, 2.0), level), triangular_from_halfwidth(5.0, 2.0))
         assert want.per_feature["rank"].proximity == pytest.approx(expected, abs=1e-15)
 
+    @pytest.mark.parametrize("label, message", [
+        (" tank", "a1/type: expected a non-empty label without surrounding blanks, got ' tank'"),
+        ("", "a1/type: expected a non-empty label without surrounding blanks, got ''"),
+        (None, "a1/type: expected a label"),
+        (["tank"], "a1/type: expected a label"),
+    ], ids=["padded", "empty", "none", "list"])
+    def test_nominal_label_in_columns_that_fails_the_label_rule(self, label, message):
+        """A column-built ``" tank"`` or present None passed validation and
+        scored 0.1 against ``"tank"``, where the object path rejected the
+        label; a list passed too, then raised ``TypeError: unhashable type``
+        while coding the labels.  Each now gets the object path's message."""
+        labels = np.empty(2, dtype=object)
+        labels[:] = ["tank", None]
+        labels[1] = label
+        column = FeatureColumn(np.ones(2, dtype=bool), labels, np.ones(2))
+        speed = FeatureColumn(np.zeros(2, dtype=bool), np.zeros((2, 1)), np.ones(2))
+        dataset_a = Dataset(SCHEMA, ["a0", "a1"], ["alpha"] * 2, {"speed": speed, "type": column})
+        run = MatchRun(SCHEMA, {"alpha": profile("alpha"), "beta": profile("beta")}, dataset_a,
+                       Dataset.from_objects([obj("b0", "beta", 1.0)], SCHEMA))
+        assert run_violations(run) == [message]
+        with pytest.raises(MatchRunError) as excinfo:
+            pairwise_breakdowns(run)
+        assert excinfo.value.errors == [message]
+        a = InformationObject("a1", "alpha", {"type": FeatureValue(label)})
+        assert run_violations(make_run([a], [obj("b0", "beta", 1.0)])) == [message]
+
+    def test_quantitative_certainty_that_is_not_a_certainty_is_not_read(self):
+        """No quantitative kernel reads a certainty, so the run scores the
+        value as it scores a certain one; the writer refuses it."""
+        odd = make_run([obj("a0", "alpha", 1.0)], [obj("b0", "beta", 2.0)])
+        odd = dataclasses.replace(odd, dataset_a=Dataset.from_objects(
+            [InformationObject("a0", "alpha", {"speed": FeatureValue(1.0, "high"), "type": FeatureValue("tank")})],
+            SCHEMA))
+        assert run_violations(odd) == []
+        want = pairwise_breakdowns(make_run([obj("a0", "alpha", 1.0)], [obj("b0", "beta", 2.0)])).breakdown(0, 0)
+        assert pairwise_breakdowns(odd).breakdown(0, 0) == want
+
+    def test_unknown_feature_precedes_a_bad_value_of_the_object(self):
+        """An entry no column holds is check 0, whatever the entry order."""
+        a = InformationObject("a0", "alpha", {"speed": FeatureValue("fast"), "colour": FeatureValue("red")})
+        assert run_violations(make_run([a], [obj("b0", "beta", 1.0)])) == [
+            "a0: value for unknown feature 'colour'",
+            "a0/speed: expected a finite numeric value",
+        ]
+
     @pytest.mark.parametrize("shape, rank, message", [
         (MembershipShape.TRIANGULAR, 1e17, "half-width 2.0 collapses the support of rank 1e+17 onto the rank itself"),
         (MembershipShape.GAUSSIAN, 2.0**600, f"Gaussian ranks and spreads must lie within 2**511, got rank {2.0**600} under spread 2.0"),

@@ -3,7 +3,7 @@ import collections.abc
 import pytest
 
 from iomatch.config import ConfigError
-from iomatch.engine import MatchRunError
+from iomatch.engine import MatchRun, MatchRunError, run_violations
 from iomatch.model import (
     Certainty,
     Dataset,
@@ -20,7 +20,6 @@ from iomatch.model import (
     SchemaError,
     SourceProfile,
     ValidationError,
-    object_violations,
     profile_violations,
     source_sigma,
     validate_profile,
@@ -178,32 +177,33 @@ class TestSourceProfile:
 
 
 class TestObjectViolations:
+    """One object's entries, judged by ``run_violations`` of a run whose
+    dataset A holds that object alone."""
+
     def setup_method(self):
         self.schema = validate_schema(
             [quant("pos", 0.5, axes=("x", "y")), nominal("type", 0.5, 0.1)]
         )
 
+    def violations(self, values):
+        profiles = {s: SourceProfile(s, {"pos": QuantAccuracy(sigma=1.0)}) for s in ("s", "t")}
+        dataset_a = Dataset.from_objects([InformationObject("a", "s", values)], self.schema)
+        return run_violations(MatchRun(self.schema, profiles, dataset_a, Dataset.from_objects([], self.schema)))
+
     def test_conforming_object(self):
-        obj = InformationObject("a", "s", {
-            "pos": FeatureValue((1.0, 2.0)),
-            "type": FeatureValue("tank"),
-        })
-        assert object_violations(obj, self.schema) == []
+        assert self.violations({"pos": FeatureValue((1.0, 2.0)), "type": FeatureValue("tank")}) == []
 
     def test_wrong_arity(self):
-        obj = InformationObject("a", "s", {"pos": FeatureValue((1.0,))})
-        assert any("2" in e for e in object_violations(obj, self.schema))
+        assert self.violations({"pos": FeatureValue((1.0,))}) == ["a/pos: expected 2 finite numeric components"]
 
     def test_wrong_payload_type(self):
-        obj = InformationObject("a", "s", {"type": FeatureValue(3.0)})
-        assert any("label" in e for e in object_violations(obj, self.schema))
+        assert self.violations({"type": FeatureValue(3.0)}) == ["a/type: expected a label"]
 
     def test_unknown_feature(self):
-        obj = InformationObject("a", "s", {"altitude": FeatureValue(1.0)})
-        assert any("unknown" in e for e in object_violations(obj, self.schema))
+        assert self.violations({"altitude": FeatureValue(1.0)}) == ["a: value for unknown feature 'altitude'"]
 
     def test_absent_features_allowed(self):
-        assert object_violations(InformationObject("a", "s", {}), self.schema) == []
+        assert self.violations({}) == []
 
 
 class TestResultRecords:

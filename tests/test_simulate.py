@@ -96,7 +96,7 @@ class TestGenerateScene:
         with pytest.raises(ValueError) as excinfo:
             dataio.write_objects_csv(tmp_path / "objects.csv", dataset)
         assert str(excinfo.value) == (
-            f"cannot write label {label!r} of 'type': a dataset CSV reads it stripped, an empty one as absent"
+            f"cannot write s1-001/type: expected a non-empty label without surrounding blanks, got {label!r}"
         )
         assert not (tmp_path / "objects.csv").exists()
 
