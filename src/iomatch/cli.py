@@ -160,16 +160,18 @@ def _cmd_match(args) -> int:
     )
     breakdowns = pairwise_breakdowns(run)
     found = candidates(breakdowns, threshold)
-    # One %-format call for every proximity: the same C conversion as
-    # format(p, ".4f").
-    proximities = ("%.4f\n" * len(found) % tuple(found.aggregate_proximity.tolist())).split("\n")[:-1]
-    listing = interleave(["\n", found.ids_a, "  ", found.ids_b, "  ", proximities])
-    print(f"pairs evaluated: {len(breakdowns)}; candidates above {threshold:g}: {len(found)}{listing}")
+    # Written before the listing is printed, so a run that cannot write
+    # prints its error line alone, as simulate does.
     if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         formats = (args.format,) if args.format else ("csv", "json")
         _write_match_files(out_dir, formats, breakdowns, found, config.schema, threshold)
+    # One %-format call for every proximity: the same C conversion as
+    # format(p, ".4f").
+    proximities = ("%.4f\n" * len(found) % tuple(found.aggregate_proximity.tolist())).split("\n")[:-1]
+    listing = interleave(["\n", found.ids_a, "  ", found.ids_b, "  ", proximities])
+    print(f"pairs evaluated: {len(breakdowns)}; candidates above {threshold:g}: {len(found)}{listing}")
     return EXIT_OK
 
 

@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -44,6 +45,30 @@ PAIR_CSV = """object_id,source_id,speed,type,speed_certainty,type_certainty
 a1,alpha,12.0,tank,certain,certain
 b1,beta,15.0,tank,certain,certain
 """
+
+# Position and type, as in a simulated scene's two sources.
+SCENE_CONFIG = {
+    "schema": {"features": [
+        {"name": "position", "kind": "quantitative", "weight": 0.5, "axes": ["x", "y"], "xi": 30.0},
+        {"name": "type", "kind": "nominal", "weight": 0.5, "delta": 0.1},
+    ]},
+    "sources": {"s1": {"position": {"sigma": 20.0}}, "s2": {"position": {"sigma": 30.0}}},
+    "aggregation": {"method": "multiplicative"},
+    "threshold": 0.01,
+}
+
+# Every feature kind, a source lacking an accuracy, two-class aggregation.
+MIXED_CONFIG = {
+    "schema": {"features": [
+        {"name": "position", "kind": "quantitative", "weight": 0.3, "axes": ["x", "y"], "xi": 30.0},
+        {"name": "speed", "kind": "quantitative", "weight": 0.2},
+        {"name": "readiness", "kind": "ordinal", "weight": 0.2, "shape": "triangular", "width": 2},
+        {"name": "type", "kind": "nominal", "weight": 0.3, "delta": 0.1},
+    ]},
+    "sources": {"a": {"position": {"sigma": 20.0}, "speed": {"sigma": 1.5}, "readiness": {"k": 0.6}},
+                "b": {"position": {"sigma": 30.0}, "speed": {"delta_max": 9.0}}},
+    "aggregation": {"method": "two-class-weighted", "class_weight": 0.6},
+}
 
 
 @pytest.fixture
@@ -214,18 +239,7 @@ class TestMatch:
         """A dense two-class run writing both formats renders each pair's
         2k + 2 floats once: candidates.json takes the candidates' texts from
         pairs.csv instead of rendering them again."""
-        config = {
-            "schema": {"features": [
-                {"name": "position", "kind": "quantitative", "weight": 0.3, "axes": ["x", "y"], "xi": 30.0},
-                {"name": "speed", "kind": "quantitative", "weight": 0.2},
-                {"name": "readiness", "kind": "ordinal", "weight": 0.2, "shape": "triangular", "width": 2},
-                {"name": "type", "kind": "nominal", "weight": 0.3, "delta": 0.1},
-            ]},
-            "sources": {"a": {"position": {"sigma": 20.0}, "speed": {"sigma": 1.5}, "readiness": {"k": 0.6}},
-                        "b": {"position": {"sigma": 30.0}, "speed": {"delta_max": 9.0}}},
-            "aggregation": {"method": "two-class-weighted", "class_weight": 0.6},
-        }
-        path = write(tmp_path, "config.json", json.dumps(config))
+        path = write(tmp_path, "config.json", json.dumps(MIXED_CONFIG))
         header = "object_id,source_id,position_x,position_y,speed,readiness,type\n"
         n_a, n_b, k = 9, 7, 4
 
@@ -285,6 +299,15 @@ class TestMatch:
         lines += [f"{x.pair[0]}  {x.pair[1]}  {x.aggregate_proximity:.4f}" for x in found]
         assert out == "\n".join(lines) + "\n"
         assert out.index("a10  b0") < out.index("a9  b0")
+
+    def test_run_that_cannot_write_prints_only_its_error(self, tmp_path, config_path, capsys):
+        """An --out naming a file: match printed its full listing, then the
+        error line, as if it had succeeded."""
+        a = write(tmp_path, "a.csv", "object_id,source_id,speed,type\na1,alpha,12.0,tank\n")
+        b = write(tmp_path, "b.csv", "object_id,source_id,speed,type\nb1,beta,12.5,tank\n")
+        taken = write(tmp_path, "taken", "")
+        assert main(["match", "--config", str(config_path), str(a), str(b), "--out", str(taken)]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 17] File exists: '{taken}'\n")
 
     def test_schema_violation_exits_one(self, tmp_path, config_path, capsys):
         a = write(tmp_path, "a.csv", "object_id,source_id,speed,type\na1,alpha,fast,tank\n")
@@ -471,15 +494,7 @@ class TestRejectedAtValidation:
     def test_misnamed_columns(self, tmp_path, capsys):
         """Columns no schema feature claims used to be ignored, leaving every
         feature absent: all pairs then scored 1.0000 and match exited 0."""
-        config = {
-            "schema": {"features": [
-                {"name": "position", "kind": "quantitative", "weight": 0.5, "axes": ["x", "y"], "xi": 30.0},
-                {"name": "type", "kind": "nominal", "weight": 0.5, "delta": 0.1},
-            ]},
-            "sources": {"s1": {"position": {"sigma": 20.0}}, "s2": {"position": {"sigma": 30.0}}},
-            "aggregation": {"method": "multiplicative"},
-        }
-        path = write(tmp_path, "config.json", json.dumps(config))
+        path = write(tmp_path, "config.json", json.dumps(SCENE_CONFIG))
         header = "object_id,source_id,position.x,position.y,typ\n"
         a = write(tmp_path, "a.csv", header + "a1,s1,0.0,0.0,tank\na2,s1,500.0,500.0,truck\n")
         b = write(tmp_path, "b.csv", header + "b1,s2,0.0,0.0,tank\nb2,s2,900.0,900.0,tank\n")
@@ -491,14 +506,7 @@ class TestRejectedAtValidation:
     def test_header_naming_a_column_twice(self, tmp_path, capsys):
         """match printed "a1  b1  0.7321": the first type cell, tank, was
         dropped and a1 read as a truck."""
-        config = {
-            "schema": {"features": [
-                {"name": "position", "kind": "quantitative", "weight": 0.5, "axes": ["x", "y"], "xi": 30.0},
-                {"name": "type", "kind": "nominal", "weight": 0.5, "delta": 0.1},
-            ]},
-            "sources": {"s1": {"position": {"sigma": 20.0}}, "s2": {"position": {"sigma": 30.0}}},
-        }
-        path = write(tmp_path, "config.json", json.dumps(config))
+        path = write(tmp_path, "config.json", json.dumps(SCENE_CONFIG))
         a = write(tmp_path, "a.csv", "object_id,source_id,position_x,position_y,type,type\na1,s1,0,0,tank,truck\n")
         b = write(tmp_path, "b.csv", "object_id,source_id,position_x,position_y,type\nb1,s2,0,0,truck\n")
         out = tmp_path / "out"
@@ -939,12 +947,12 @@ class TestUnknownConfigKeys:
 
 class TestSimulate:
     def test_object_count_whose_pair_grid_cannot_be_indexed(self, tmp_path, capsys):
-        """Died with numpy's ValueError: Maximum allowed dimension exceeded.
-        (2**32, rejected by the same rule, raised an _ArrayMemoryError for
-        32 GiB; tests/test_simulate.py checks it without allocating.)"""
-        config = write(tmp_path, "sim.json", json.dumps({"simulation": {"object_count": 10**30}}))
-        assert main(["simulate", "--config", str(config)]) == 1
-        assert capsys.readouterr() == ("", f"error: object_count must be at most 3037000499, got {10**30}\n")
+        """10**30 died with numpy's ValueError: Maximum allowed dimension
+        exceeded; 2**32 raised an _ArrayMemoryError for 32 GiB."""
+        for count in (10**30, 2**32):
+            config = write(tmp_path, "sim.json", json.dumps({"simulation": {"object_count": count}}))
+            assert main(["simulate", "--config", str(config)]) == 1
+            assert capsys.readouterr() == ("", f"error: object_count must be at most 3037000499, got {count}\n")
 
     @pytest.mark.parametrize("error, line", [
         (MemoryError("Unable to allocate 32.0 GiB for an array with shape (65536, 65536) and data type float64"),
@@ -1057,6 +1065,68 @@ class TestSimulate:
         assert "mean proximity, true pairs: 0." in out
         mean_line = [l for l in out.splitlines() if "true pairs" in l][0]
         assert len(mean_line.rsplit("0.", 1)[1]) == 4
+
+
+MIXED_HEADER = "object_id,source_id,position_x,position_y,speed,readiness,type,readiness_certainty\n"
+
+
+def _cli(*argv):
+    return ["-m", "iomatch.cli", *argv]
+
+
+# name: (input files, child argv tails run in turn, (file, pattern) a file must show).
+ACROSS_PROCESSES = {
+    "simulate-then-match": ({"match.json": json.dumps(SCENE_CONFIG)}, [
+        _cli("simulate", "--seed", "7", "--out", "scene"),
+        _cli("match", "--config", "match.json", "scene/objects_s1.csv", "scene/objects_s2.csv", "--out", "match"),
+    ], None),
+    "mixed-threshold-0": ({
+        "mixed.json": json.dumps(MIXED_CONFIG),
+        "a.csv": MIXED_HEADER + "a0,a,12.25,980.5,14.5,4,tank,probable\na1,a,40.125,960.0,,6,truck,doubtful\n"
+                                "a2,a,0.1234567890123,2.0,9.75,,apc,\na3,a,300.0,310.5,21.0,3,tank,\n",
+        "b.csv": MIXED_HEADER + "b0,b,13.0,981.0,15.25,5,tank,possible\nb1,b,38.5,955.25,11.0,,truck,\n"
+                                "b2,b,2.5,1.0,,2,apc,doubtful\n",
+    }, [_cli("match", "--config", "mixed.json", "a.csv", "b.csv", "--threshold", "0", "--out", "out")], None),
+    # Separations of 1e16 and up, which report.json renders by repr.
+    "area-1e17": ({"sim.json": json.dumps({"simulation": {"object_count": 20, "area": [1e17, 1e17]}})},
+                  [_cli("simulate", "--config", "sim.json", "--seed", "3", "--out", "out")],
+                  ("out/report.json", rb'"separation_true": [0-9.]*e\+1[6-9],')),
+    "one-object": ({"sim.json": json.dumps({"simulation": {"object_count": 1}})},
+                   [_cli("simulate", "--config", "sim.json", "--seed", "3", "--out", "out")], None),
+    "column-built-dataset": ({}, [[
+        "-c", "import sys, test_config_dataio as t; t.write_objects_csv(sys.argv[1], t.EDGE_COLUMNS)", "columns.csv",
+    ]], None),
+}
+
+
+@pytest.mark.parametrize("inputs, children, shown", ACROSS_PROCESSES.values(), ids=ACROSS_PROCESSES)
+def test_artefacts_identical_across_processes(tmp_path, inputs, children, shown):
+    """Per-seed byte determinism: each run, in a process of its own under
+    PYTHONHASHSEED 0 and then 12345, writes the same stdout and the same
+    bytes to every file, and each JSON file it writes is
+    json.dumps(indent=2, sort_keys=True) text."""
+    path = os.pathsep.join([str(Path(cli.__file__).parents[1]), str(Path(__file__).parent)])
+    runs = []
+    for seed in ("0", "12345"):
+        cwd = tmp_path / seed
+        cwd.mkdir()
+        for name, text in inputs.items():
+            write(cwd, name, text)
+        stdouts = []
+        for argv in children:
+            child = subprocess.run([sys.executable, *argv], cwd=cwd, capture_output=True,
+                                   env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path})
+            assert (child.returncode, child.stderr) == (0, b""), argv
+            stdouts.append(child.stdout)
+        runs.append((stdouts, {p.relative_to(cwd).as_posix(): p.read_bytes() for p in cwd.rglob("*") if p.is_file()}))
+    assert runs[0] == runs[1]
+    files = runs[0][1]
+    for name in files.keys() - inputs.keys():
+        if name.endswith(".json"):
+            text = files[name].decode()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
+    if shown is not None:
+        assert re.search(shown[1], files[shown[0]]), shown
 
 
 # --- the command line on arbitrary files ----------------------------------------

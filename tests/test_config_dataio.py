@@ -478,6 +478,77 @@ def column_datasets(draw, source):
     return Dataset(ROUND_TRIP_SCHEMA, [f"{source}{i}" for i in range(n)], [source] * n, columns)
 
 
+def _edge_columns() -> Dataset:
+    """Six objects built from columns: every feature kind with absent slots,
+    a subnormal, a signed zero, values of 1e16 and up and at the end of the
+    float range, integral and other ranks, every certainty level, and labels
+    that need CSV quoting."""
+    present = np.array([[1, 1, 0, 1, 1, 0], [1, 0, 1, 1, 0, 1], [1, 1, 1, 0, 1, 1], [0, 1, 1, 1, 1, 0],
+                        [1, 0, 1, 1, 1, 0]], dtype=bool)
+    values = {
+        "position": [[12.25, 980.5], [-0.0, 1e-7], [0.0, 0.0], [1e16, -3.5], [0.1, 0.2], [0.0, 0.0]],
+        "speed": [[2.5], [0.0], [1e-320], [7.0], [-1.7e308], [0.0]],
+        "readiness": [[4.0], [0.0], [4.5], [-3.0], [1e17], [0.0]],
+        "threat": [[0.0], [2.0], [9.75], [3.0], [0.0], [0.0]],
+    }
+    columns = {}
+    for k, f in enumerate(ROUND_TRIP_SCHEMA.features):
+        held = present[k]
+        certainty = np.where(held, [CERTAINTY_VALUES[(k + i) % 4] for i in range(6)], 1.0)
+        if f.kind is FeatureKind.NOMINAL:
+            cells = np.array(["tank", None, "x,y", 'say "hi"', "truck", None], dtype=object)
+        else:
+            cells = np.where(held[:, None], values[f.name], 0.0)
+        columns[f.name] = FeatureColumn(held, cells, certainty)
+    return Dataset(ROUND_TRIP_SCHEMA, [f"a{i}" for i in range(6)], ["a"] * 6, columns)
+
+
+# tests/test_cli.py writes it in processes of their own, under two hash seeds.
+EDGE_COLUMNS = _edge_columns()
+
+
+def assert_same_cells(back, dataset):
+    """``back`` holds the ids, ``present`` and the bits of every value and
+    certainty of ``dataset``."""
+    assert back.ids == dataset.ids and back.source_ids == dataset.source_ids
+    for name, column in dataset.columns.items():
+        got = back.columns[name]
+        assert got.present.tolist() == column.present.tolist()
+        assert got.certainty.view(np.uint64).tolist() == column.certainty.view(np.uint64).tolist()
+        if column.values.dtype == object:
+            assert got.values.tolist() == column.values.tolist()
+        else:
+            assert got.values.shape == column.values.shape
+            assert got.values.view(np.uint64).tolist() == column.values.view(np.uint64).tolist()
+
+
+def test_edge_columns_round_trip_bit_for_bit(tmp_path):
+    write_objects_csv(tmp_path / "a.csv", EDGE_COLUMNS)
+    assert (tmp_path / "a.csv").read_text().splitlines()[1].startswith("a0,a,12.25,980.5,2.5,4.0,,tank,")
+    assert_same_cells(read_dataset(tmp_path / "a.csv", ROUND_TRIP_SCHEMA), EDGE_COLUMNS)
+
+
+def test_edge_columns_with_two_labels_the_rule_rejects(tmp_path):
+    """The run lists both labels, in row order; the writer refuses at the
+    first with the run's message and writes no file."""
+    accuracy = {"position": QuantAccuracy(sigma=20.0), "speed": QuantAccuracy(sigma=1e300),
+                "readiness": OrdinalAccuracy(width=100.0)}
+    profiles = {s: SourceProfile(s, accuracy) for s in ("a", "b")}
+    empty = Dataset.from_objects([], ROUND_TRIP_SCHEMA)
+    assert run_violations(MatchRun(ROUND_TRIP_SCHEMA, profiles, EDGE_COLUMNS, empty)) == []
+    column = EDGE_COLUMNS.columns["type"]
+    labels = column.values.copy()
+    labels[0], labels[2] = " tank", None
+    bad = Dataset(ROUND_TRIP_SCHEMA, EDGE_COLUMNS.ids, EDGE_COLUMNS.source_ids,
+                  {**EDGE_COLUMNS.columns, "type": FeatureColumn(column.present, labels, column.certainty)})
+    padded = "a0/type: expected a non-empty label without surrounding blanks, got ' tank'"
+    assert run_violations(MatchRun(ROUND_TRIP_SCHEMA, profiles, bad, empty)) == [padded, "a2/type: expected a label"]
+    with pytest.raises(ValueError) as excinfo:
+        write_objects_csv(tmp_path / "a.csv", bad)
+    assert str(excinfo.value) == f"cannot write {padded}"
+    assert not (tmp_path / "a.csv").exists()
+
+
 @settings(max_examples=150, deadline=None)
 @given(column_datasets("a"), column_datasets("b"))
 def test_column_dataset_round_trips_bit_for_bit(dataset_a, dataset_b):
@@ -491,16 +562,7 @@ def test_column_dataset_round_trips_bit_for_bit(dataset_a, dataset_b):
             write_objects_csv(path, dataset)
             read.append(read_dataset(path, ROUND_TRIP_SCHEMA))
     for dataset, back in zip((dataset_a, dataset_b), read):
-        assert back.ids == dataset.ids and back.source_ids == dataset.source_ids
-        for name, column in dataset.columns.items():
-            got = back.columns[name]
-            assert got.present.tolist() == column.present.tolist()
-            assert got.certainty.view(np.uint64).tolist() == column.certainty.view(np.uint64).tolist()
-            if column.values.dtype == object:
-                assert got.values.tolist() == column.values.tolist()
-            else:
-                assert got.values.shape == column.values.shape
-                assert got.values.view(np.uint64).tolist() == column.values.view(np.uint64).tolist()
+        assert_same_cells(back, dataset)
     want = MatchRun(ROUND_TRIP_SCHEMA, ROUND_TRIP_PROFILES, dataset_a, dataset_b)
     assert run_violations(want) == []
     got = MatchRun(ROUND_TRIP_SCHEMA, ROUND_TRIP_PROFILES, *read)
