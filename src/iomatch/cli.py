@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -250,6 +251,13 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _warn_once(shown: set[str], message, *_) -> None:
+    """Print a warning as one ``warning:`` line on stderr, once per run."""
+    if str(message) not in shown:
+        shown.add(str(message))
+        print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     handlers = {
         "measure": _cmd_measure,
@@ -260,7 +268,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(_joined_numbers(sys.argv[1:] if argv is None else argv))
         _parse_numbers(args)
-        return handlers[args.command](args)
+        with warnings.catch_warnings():
+            warnings.showwarning = functools.partial(_warn_once, set())
+            return handlers[args.command](args)
     except ValidationError as exc:
         for error in exc.errors:
             print(f"error: {error}", file=sys.stderr)

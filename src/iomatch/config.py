@@ -26,18 +26,9 @@ from .model import (
     ValidationError,
     profile_violations,
     schema_violations,
+    unknown_accuracy_violation,
 )
 from .simulate import SceneSpec
-
-_KINDS = {
-    "quantitative": FeatureKind.QUANTITATIVE,
-    "ordinal": FeatureKind.ORDINAL_FUZZY,
-    "nominal": FeatureKind.NOMINAL,
-}
-_SHAPES = {
-    "triangular": MembershipShape.TRIANGULAR,
-    "gaussian": MembershipShape.GAUSSIAN,
-}
 
 
 class ConfigError(ValidationError):
@@ -58,159 +49,190 @@ class RunConfig:
 # The JSON type of each field; the range of its value is the rule of the
 # dataclass that holds it, so a config file and a Python caller get one verdict.
 _JSON_TYPES = {
-    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "a string": lambda v: isinstance(v, str),
-    "a boolean": lambda v: isinstance(v, bool),
-    "an object": lambda v: isinstance(v, dict),
-    "an array": lambda v: isinstance(v, list),
+    "a number": (int, float), "an integer": int, "a string": str, "a boolean": bool, "an object": dict, "an array": list,
+}
+# The values a string names, by what an unknown one is called.  A kind is
+# named by its value; null names no kind, and no shape, which only an
+# ordinal feature requires.
+_CHOICES = {
+    "kind": {kind.value: kind for kind in FeatureKind},
+    "membership shape": {"triangular": MembershipShape.TRIANGULAR, "gaussian": MembershipShape.GAUSSIAN, None: None},
+}
+
+# One table per object of the document: each key it accepts, mapped to its
+# JSON type (a 1-tuple holds the type of an array's items) or the choices it
+# names, its default, and the dataclass field it fills.  Each is read in
+# table order, so the messages of one object come in that order.
+_DOCUMENT = {
+    "schema": ("an object", None, "schema"),
+    "sources": ("an object", {}, "profiles"),
+    "aggregation": ("an object", {}, "aggregation"),
+    "threshold": ("a number", DEFAULT_THRESHOLD, "threshold"),
+    "simulation": ("an object", None, "simulation"),
+}
+_SCHEMA = {"features": ("an array", [], "features")}
+_FEATURE = {
+    "name": ("a string", None, "name"),
+    "kind": ("kind", None, "kind"),
+    "shape": ("membership shape", None, "shape"),
+    "width": ("a number", None, "width"),
+    "weight": ("a number", 0.0, "weight"),
+    "xi": ("a number", None, "quantitative_xi"),
+    "delta": ("a number", None, "nominal_delta"),
+    "axes": (("a string",), None, "axes"),
+}
+_QUANT_ACCURACY = {"sigma": ("a number", None, "sigma"), "delta_max": ("a number", None, "delta_max")}
+_ORDINAL_ACCURACY = {"k": ("a number", None, "relative_k"), "width": ("a number", None, "width")}
+_AGGREGATION = {
+    "method": ("a string", AggregationMethod.MULTIPLICATIVE.value, "method"),
+    "class_weight": ("a number", None, "class_weight"),
+    "normalized": ("a boolean", False, "normalized"),
+}
+_SCENE = SceneSpec()
+_SIMULATION = {
+    "object_count": ("an integer", _SCENE.object_count, "object_count"),
+    "area": (("a number",), _SCENE.area, "area"),
+    "types": (("a string",), _SCENE.type_alphabet, "type_alphabet"),
+    "rmse": (("a number",), _SCENE.rmse, "rmse"),
+    "type_error": ("a number", _SCENE.type_error, "type_error"),
+    "fleet_sigma_min": ("a number", _SCENE.fleet_sigma_min, "fleet_sigma_min"),
+    "seed": ("an integer", _SCENE.rng_seed, "rng_seed"),
 }
 
 
-def _typed(raw: Mapping[str, Any], key: str, expected: str, where: str, errors: list[str], default=None):
-    """``raw[key]`` when it has the ``expected`` JSON type (a key of
-    ``_JSON_TYPES``); ``default`` when the key is absent, or null with no
-    default.  Otherwise record an error and return ``default``."""
+def _is(value, expected: str) -> bool:
+    """Whether ``value`` has the JSON type ``expected``: a boolean is no number."""
+    return isinstance(value, _JSON_TYPES[expected]) and isinstance(value, bool) == (expected == "a boolean")
+
+
+def _typed(raw: Mapping[str, Any], key: str, expected, default, where: str, errors: list[str]):
+    """``raw[key]`` when it has the ``expected`` type (a tuple for an array),
+    the value it names when ``expected`` is a choice; ``default`` when the key
+    is absent, or null where the default is None.  Otherwise record an error
+    and return ``default``."""
     value = raw.get(key)
-    if value is None and (key not in raw or default is None):
+    if expected in _CHOICES:
+        try:
+            return _CHOICES[expected][value]
+        except (KeyError, TypeError):
+            errors.append(f"{where}unknown {expected} {value!r}")
+    elif value is None and (key not in raw or default is None):
         return default
-    if _JSON_TYPES[expected](value):
-        return value
-    errors.append(f"{where}{key} must be {expected}, got {value!r}")
+    elif not isinstance(expected, tuple):
+        if _is(value, expected):
+            return value
+        errors.append(f"{where}{key} must be {expected}, got {value!r}")
+    elif not isinstance(value, list):
+        errors.append(f"{where}{key} must be an array, got {value!r}")
+    elif all(_is(item, expected[0]) for item in value):
+        return tuple(value)
+    else:
+        errors.append(f"{where}{key} must hold {expected[0]} per item, got {value!r}")
     return default
 
 
-def _unknown_keys(raw: Mapping[str, Any], known: tuple[str, ...], where: str, unknown: list[str]) -> None:
-    """Record one error per key of ``raw`` outside ``known``, the keys its
-    parser reads, so a misspelled or retired setting is never dropped."""
-    unknown.extend(f"{where}unknown key {key!r}" for key in raw if key not in known)
-
-
-def _typed_items(
-    raw: Mapping[str, Any], key: str, expected: str, where: str, errors: list[str], default=None
-):
-    """``raw[key]`` as a tuple when it is an array of ``expected`` items; as :func:`_typed` otherwise."""
-    items = _typed(raw, key, "an array", where, errors)
-    if items is None:
-        return default
-    if all(_JSON_TYPES[expected](v) for v in items):
-        return tuple(items)
-    errors.append(f"{where}{key} must hold {expected} per item, got {items!r}")
-    return default
+def _read(raw: Mapping[str, Any], table: Mapping[str, tuple], where: str, errors: list[str], unknown: list[str]):
+    """Record one error per key of ``raw`` outside ``table``, so a misspelled
+    or retired setting is never dropped; then yield each field of the table
+    and its value, read by :func:`_typed` only as it is asked for."""
+    unknown.extend(f"{where}unknown key {key!r}" for key in raw if key not in table)
+    for key, (expected, default, field) in table.items():
+        yield field, _typed(raw, key, expected, default, where, errors)
 
 
 def _parse_feature(raw: Any, errors: list[str], unknown: list[str]) -> FeatureSchema | None:
     if not isinstance(raw, dict):
         errors.append(f"feature must be an object, got {raw!r}")
         return None
-    name = raw.get("name")
-    if not isinstance(name, str) or not name:
+    # The name prefixes every message of the feature, so it is read first.
+    name = dict(_read(raw, _FEATURE, "", [], []))["name"]
+    if not name:
         errors.append(f"feature without a name: {raw!r}")
         return None
-    _unknown_keys(raw, ("name", "kind", "weight", "xi", "delta", "shape", "width", "axes"), f"{name}: ", unknown)
-    kind = raw.get("kind")
-    kind = _KINDS.get(kind) if isinstance(kind, str) else None
-    if kind is None:
-        errors.append(f"{name}: unknown kind {raw.get('kind')!r}")
+    where, count = f"{name}: ", len(errors)
+    fields = dict(_read(raw, _FEATURE, where, errors, unknown))
+    shape, width = fields.pop("shape"), fields.pop("width")
+    if len(errors) == count and shape is None:
+        if fields["kind"] is FeatureKind.ORDINAL_FUZZY:
+            errors.append(f"{where}unknown membership shape None")
+        elif width is not None:
+            errors.append(f"{where}width only applies to ordinal features")
+    if len(errors) > count:
         return None
-    where = f"{name}: "
-    count = len(errors)
-    ordinal_params = None
-    if "shape" in raw or kind is FeatureKind.ORDINAL_FUZZY:
-        shape = raw.get("shape")
-        shape = _SHAPES.get(shape) if isinstance(shape, str) else None
-        if shape is None:
-            errors.append(f"{name}: unknown membership shape {raw.get('shape')!r}")
-            return None
-        ordinal_params = OrdinalParams(shape=shape, width=_typed(raw, "width", "a number", where, errors))
-    feature = FeatureSchema(
-        name=name,
-        kind=kind,
-        weight=_typed(raw, "weight", "a number", where, errors, 0.0),
-        quantitative_xi=_typed(raw, "xi", "a number", where, errors),
-        nominal_delta=_typed(raw, "delta", "a number", where, errors),
-        ordinal_params=ordinal_params,
-        axes=_typed_items(raw, "axes", "a string", where, errors) or None,
-    )
-    return feature if len(errors) == count else None
+    return FeatureSchema(**fields, ordinal_params=None if shape is None else OrdinalParams(shape, width))
 
 
-def _parse_sources(
-    raw: Mapping[str, Any], schema: Schema, errors: list[str], unknown: list[str]
-) -> dict[str, SourceProfile]:
+def _parse_schema(raw, config: dict, errors: list[str], unknown: list[str]) -> Schema | None:
+    fields = dict(_read(raw, _SCHEMA, "schema: ", errors, unknown))
+    features = [f for f in (_parse_feature(item, errors, unknown) for item in fields["features"]) if f is not None]
+    # Invariants are checked once every declaration has parsed; a dropped
+    # feature would only add a misleading weight-sum message.
+    if not errors:
+        errors.extend(schema_violations(features))
+    return None if errors else Schema(tuple(features))
+
+
+def _parse_sources(raw, config: dict, errors: list[str], unknown: list[str]) -> dict[str, SourceProfile]:
+    schema = config["schema"]
+    if schema is None:
+        return {}
     profiles: dict[str, SourceProfile] = {}
     for source_id, entries in raw.items():
         if not isinstance(entries, dict):
             errors.append(f"source {source_id!r} must be an object, got {entries!r}")
             continue
         accuracy: dict[str, Any] = {}
-        for feature_name, params in entries.items():
-            try:
-                feature = schema.feature(feature_name)
-            except KeyError:
-                errors.append(f"{source_id}: accuracy for unknown feature {feature_name!r}")
-                continue
-            where = f"{source_id}/{feature_name}: "
-            if not isinstance(params, dict):
+        for name, params in entries.items():
+            where = f"{source_id}/{name}: "
+            if name not in schema.names:
+                errors.append(unknown_accuracy_violation(source_id, name))
+            elif not isinstance(params, dict):
                 errors.append(f"{where}accuracy must be an object, got {params!r}")
-            elif feature.kind is FeatureKind.QUANTITATIVE:
-                _unknown_keys(params, ("sigma", "delta_max"), where, unknown)
-                accuracy[feature_name] = QuantAccuracy(
-                    sigma=_typed(params, "sigma", "a number", where, errors),
-                    delta_max=_typed(params, "delta_max", "a number", where, errors),
-                )
+            elif schema.feature(name).kind is FeatureKind.QUANTITATIVE:
+                accuracy[name] = QuantAccuracy(**dict(_read(params, _QUANT_ACCURACY, where, errors, unknown)))
             else:
-                _unknown_keys(params, ("k", "width"), where, unknown)
-                accuracy[feature_name] = OrdinalAccuracy(
-                    relative_k=_typed(params, "k", "a number", where, errors),
-                    width=_typed(params, "width", "a number", where, errors),
-                )
+                accuracy[name] = OrdinalAccuracy(**dict(_read(params, _ORDINAL_ACCURACY, where, errors, unknown)))
         profiles[source_id] = SourceProfile(source_id=source_id, accuracy=accuracy)
+    if not errors:
+        for profile in profiles.values():
+            errors.extend(profile_violations(profile, schema))
+        errors.extend(derived_xi_violations(schema, profiles))
     return profiles
 
 
-def _parse_aggregation(raw: Mapping[str, Any], errors: list[str], unknown: list[str]) -> AggregationSpec:
-    _unknown_keys(raw, ("method", "class_weight", "normalized"), "aggregation: ", unknown)
-    method_name = _typed(raw, "method", "a string", "aggregation ", errors, "multiplicative")
+def _parse_aggregation(raw, config: dict, errors: list[str], unknown: list[str]) -> AggregationSpec:
+    fields = dict(_read(raw, _AGGREGATION, "aggregation: ", errors, unknown))
     try:
-        method = AggregationMethod(method_name)
+        spec = AggregationSpec(**{**fields, "method": AggregationMethod(fields["method"])})
     except ValueError:
-        errors.append(f"unknown aggregation method {method_name!r}")
+        errors.append(f"unknown aggregation method {fields['method']!r}")
         return AggregationSpec()
-    return AggregationSpec(
-        method=method,
-        class_weight=_typed(raw, "class_weight", "a number", "aggregation ", errors),
-        normalized=_typed(raw, "normalized", "a boolean", "aggregation ", errors, False),
-    )
+    if config["schema"] is not None:
+        errors.extend(spec.violations())
+    return spec
 
 
-def _parse_simulation(raw: Mapping[str, Any], errors: list[str], unknown: list[str]) -> SceneSpec | None:
-    known = ("object_count", "area", "types", "rmse", "type_error", "fleet_sigma_min", "seed")
-    _unknown_keys(raw, known, "simulation: ", unknown)
-    defaults = SceneSpec()
-    where = "simulation "
+def _parse_threshold(value, config: dict, errors: list[str], unknown: list[str]):
+    errors.extend(problems := threshold_violations(value))
+    return value if problems else float(value)  # an int past the float range is reported, never converted
+
+
+def _parse_simulation(raw, config: dict, errors: list[str], unknown: list[str]) -> SceneSpec | None:
     count = len(errors)
-    spec = SceneSpec(
-        object_count=_typed(raw, "object_count", "an integer", where, errors, defaults.object_count),
-        area=_typed_items(raw, "area", "a number", where, errors, defaults.area),
-        type_alphabet=_typed_items(raw, "types", "a string", where, errors, defaults.type_alphabet),
-        rmse=_typed_items(raw, "rmse", "a number", where, errors, defaults.rmse),
-        type_error=_typed(raw, "type_error", "a number", where, errors, defaults.type_error),
-        fleet_sigma_min=_typed(raw, "fleet_sigma_min", "a number", where, errors, defaults.fleet_sigma_min),
-        rng_seed=_typed(raw, "seed", "an integer", where, errors, defaults.rng_seed),
-    )
+    spec = SceneSpec(**dict(_read(raw, _SIMULATION, "simulation: ", errors, unknown)))
     if len(errors) == count:
         errors.extend(spec.violations())
     if len(errors) > count:
         return None
     # Converted once the rules pass, so an int past the float range is reported, never raises.
-    return replace(
-        spec,
-        area=tuple(map(float, spec.area)),
-        rmse=tuple(map(float, spec.rmse)),
-        type_error=float(spec.type_error),
-        fleet_sigma_min=float(spec.fleet_sigma_min),
-    )
+    return replace(spec, area=tuple(map(float, spec.area)), rmse=tuple(map(float, spec.rmse)),
+                   type_error=float(spec.type_error), fleet_sigma_min=float(spec.fleet_sigma_min))
+
+
+# The parser of each field of RunConfig, given the fields parsed before it;
+# a section that is absent, or null, is None with no parser run.
+_SECTIONS = {"schema": _parse_schema, "profiles": _parse_sources, "aggregation": _parse_aggregation,
+             "threshold": _parse_threshold, "simulation": _parse_simulation}
 
 
 def parse_config(document: Mapping[str, Any]) -> RunConfig:
@@ -223,48 +245,12 @@ def parse_config(document: Mapping[str, Any]) -> RunConfig:
     """
     errors: list[str] = []
     unknown: list[str] = []
-    # "sources" is read only once the schema parses, yet is known either way.
-    _unknown_keys(document, ("schema", "sources", "aggregation", "threshold", "simulation"), "", unknown)
-    schema = None
-    profiles: dict[str, SourceProfile] = {}
-    raw_schema = _typed(document, "schema", "an object", "", errors)
-    if raw_schema is not None:
-        _unknown_keys(raw_schema, ("features",), "schema: ", unknown)
-        features = []
-        for raw in _typed(raw_schema, "features", "an array", "schema ", errors, []):
-            feature = _parse_feature(raw, errors, unknown)
-            if feature is not None:
-                features.append(feature)
-        # Invariants are checked once every declaration has parsed; a dropped
-        # feature would only add a misleading weight-sum message.
-        if not errors:
-            errors.extend(schema_violations(features))
-        if not errors:
-            schema = Schema(tuple(features))
-            raw_sources = _typed(document, "sources", "an object", "", errors, {})
-            profiles = _parse_sources(raw_sources, schema, errors, unknown)
-            if not errors:
-                for profile in profiles.values():
-                    errors.extend(profile_violations(profile, schema))
-                errors.extend(derived_xi_violations(schema, profiles))
-    aggregation = _parse_aggregation(_typed(document, "aggregation", "an object", "", errors, {}), errors, unknown)
-    if schema is not None:
-        errors.extend(aggregation.violations())
-    threshold = _typed(document, "threshold", "a number", "", errors, DEFAULT_THRESHOLD)
-    errors.extend(threshold_violations(threshold))
-    simulation = None
-    raw_simulation = _typed(document, "simulation", "an object", "", errors)
-    if raw_simulation is not None:
-        simulation = _parse_simulation(raw_simulation, errors, unknown)
+    config: dict[str, Any] = {}
+    for field, raw in _read(document, _DOCUMENT, "", errors, unknown):
+        config[field] = None if raw is None else _SECTIONS[field](raw, config, errors, unknown)
     if unknown or errors:
         raise ConfigError(unknown + errors)
-    return RunConfig(
-        schema=schema,
-        profiles=profiles,
-        aggregation=aggregation,
-        threshold=float(threshold),
-        simulation=simulation,
-    )
+    return RunConfig(**config)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -281,10 +267,7 @@ def load_config(path: str | Path) -> RunConfig:
 
 def require_match_config(config: RunConfig) -> None:
     """Ensure the parts needed by measure/match are present."""
-    errors = []
     if config.schema is None:
-        errors.append("config declares no schema")
-    elif not config.profiles:
-        errors.append("config declares no sources")
-    if errors:
-        raise ConfigError(errors)
+        raise ConfigError(["config declares no schema"])
+    if not config.profiles:
+        raise ConfigError(["config declares no sources"])

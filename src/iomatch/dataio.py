@@ -263,7 +263,7 @@ def _feature_column(
     if certainty_cells is not None:
         texts = list(map(str.strip, certainty_cells))
         levels, unknown_labels = _certainty_levels(texts)
-        unknown = np.flatnonzero(present & np.isnan(levels))
+        unknown = np.flatnonzero(np.isnan(levels))
         if len(unknown):
             bad.append((unknown, f"bad certainty for {feature.name!r}: {unknown_labels[texts[unknown[0]]]}"))
     errors = [(int(rows[0]), order, message) for order, (rows, message) in enumerate(bad) if len(rows)]

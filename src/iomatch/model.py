@@ -326,6 +326,11 @@ def source_ordinal(feature: FeatureSchema, profile: SourceProfile) -> tuple[floa
     return None if width is None or positive_violation(width) else (None, width)
 
 
+def unknown_accuracy_violation(source_id: str, name: str) -> str:
+    """The violation of an accuracy given for a feature the schema lacks."""
+    return f"{source_id}: accuracy given for unknown feature {name!r}"
+
+
 def profile_violations(profile: SourceProfile, schema: Schema) -> list[str]:
     """Check a source profile against a schema; returns every violation."""
     errors: list[str] = []
@@ -333,7 +338,7 @@ def profile_violations(profile: SourceProfile, schema: Schema) -> list[str]:
     names = set(schema.names)
     for name, acc in profile.accuracy.items():
         if name not in names:
-            errors.append(f"{sid}: accuracy given for unknown feature {name!r}")
+            errors.append(unknown_accuracy_violation(sid, name))
             continue
         feature = schema.feature(name)
         if feature.kind is FeatureKind.QUANTITATIVE:

@@ -268,21 +268,21 @@ def read_objects_by_record(path, schema: Schema) -> list[InformationObject]:
             row = dict(zip(header, fields))
             values: dict[str, FeatureValue] = {}
             for f in schema.features:
-                cells = [row[c] for c in value_columns[f.name]]
-                if all(cell.strip() == "" for cell in cells):
-                    continue
-                if any(cell.strip() == "" for cell in cells):
+                cells = [row[c].strip() for c in value_columns[f.name]]
+                if any(cells) and not all(cells):
                     raise DataError(f"{path}:{line}: partial value for feature {f.name!r}")
                 try:
-                    parsed = [_parse_value(f.kind, cell.strip()) for cell in cells]
+                    parsed = [_parse_value(f.kind, cell) for cell in cells if cell]
                 except ValueError as exc:
                     raise DataError(f"{path}:{line}: bad value for {f.name!r}: {exc}") from exc
+                # A certainty must be a known label, whether or not its value is given.
                 certainty_text = row.get(f"{f.name}_certainty", "").strip()
                 try:
                     certainty = Certainty.from_label(certainty_text) if certainty_text else Certainty.CERTAIN
                 except ValueError as exc:
                     raise DataError(f"{path}:{line}: bad certainty for {f.name!r}: {exc}") from exc
-                values[f.name] = FeatureValue(tuple(parsed) if f.axes else parsed[0], certainty)
+                if parsed:
+                    values[f.name] = FeatureValue(tuple(parsed) if f.axes else parsed[0], certainty)
             objects.append(InformationObject(row["object_id"], row["source_id"], values))
     return objects
 

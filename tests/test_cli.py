@@ -846,14 +846,15 @@ class TestWronglyTypedConfig:
         (("schema", "features", 0, "weight"), "1", "speed: weight must be a number, got '1'"),
         (("schema",), [{"name": "speed"}], "schema must be an object"),
         (("sources", "alpha"), [{"speed": {"sigma": 2.0}}], "source 'alpha' must be an object"),
-        (("schema", "features"), 3, "schema features must be an array, got 3"),
+        (("schema", "features"), 3, "schema: features must be an array, got 3"),
         (("sources", "alpha", "speed", "sigma"), "x", "alpha/speed: sigma must be a number, got 'x'"),
-        (("simulation", "object_count"), "5", "simulation object_count must be an integer, got '5'"),
+        (("simulation", "object_count"), "5", "simulation: object_count must be an integer, got '5'"),
         (("threshold",), True, "threshold must be a number, got True"),
         (("schema", "features", 0, "kind"), ["quantitative"], "speed: unknown kind"),
         (("schema", "features", 0, "axes"), [1, 2], "speed: axes must hold a string per item"),
-        (("aggregation", "normalized"), "false", "aggregation normalized must be a boolean"),
-        (("simulation", "rmse"), ["20", 30.0], "simulation rmse must hold a number per item"),
+        (("aggregation", "normalized"), "false", "aggregation: normalized must be a boolean"),
+        (("simulation", "rmse"), ["20", 30.0], "simulation: rmse must hold a number per item"),
+        (("schema", "features", 0, "width"), "wide", "speed: width must be a number, got 'wide'"),
     ])
     def test_rejected(self, tmp_path, capsys, path, value, message):
         config = write(tmp_path, "config.json", json.dumps(_retyped(path, value)))
@@ -943,6 +944,30 @@ class TestUnknownConfigKeys:
         for argv in (["measure", "--config", str(config), str(pair)], ["validate", "--config", str(config)]):
             assert main(argv) == 1
             assert capsys.readouterr() == ("", "error: speed: xi derived as 3 * sigma 1e+308 must be finite; give xi\n")
+
+
+class TestIdentificationPowerWarning:
+    """A delta of 0.5 printed Python's warning format: a source path and
+    line of iomatch (``cli.py:161`` for match, ``engine.py:905`` for
+    measure) and the code line below it."""
+
+    @pytest.mark.parametrize("verb, first_line", [
+        ("match", "pairs evaluated: 1; candidates above 0.01: 1"),
+        ("measure", "pair: a1 x b1"),
+        ("simulate", "objects: 4; pairs: 16; "),
+    ])
+    def test_one_line_per_run(self, tmp_path, capsys, verb, first_line):
+        doc = _retyped(("schema", "features", 1, "delta"), 0.5)
+        doc["simulation"]["type_error"] = 0.5
+        config = write(tmp_path, "config.json", json.dumps(doc))
+        a = write(tmp_path, "a.csv", "object_id,source_id,speed,type\na1,alpha,12.0,tank\n")
+        b = write(tmp_path, "b.csv", "object_id,source_id,speed,type\nb1,beta,12.5,truck\n")
+        inputs = {"match": [str(a), str(b)], "measure": [str(write(tmp_path, "pair.csv", PAIR_CSV))], "simulate": []}
+        for _ in range(2):  # each run of one process warns
+            assert main([verb, "--config", str(config), *inputs[verb]]) == 0
+            out, err = capsys.readouterr()
+            assert err == "warning: delta = 0.5 makes a nominal match indistinguishable from a mismatch\n"
+            assert out.startswith(first_line)
 
 
 class TestSimulate:

@@ -212,6 +212,19 @@ class TestDatasetCsv:
         with pytest.raises(ValueError, match="certainty"):
             read_objects_csv(path, self.schema)
 
+    def test_unknown_certainty_label_where_the_value_is_absent(self, tmp_path):
+        """``a1,a,,bogus`` was read: only the label of a given value was
+        checked.  A known label on an absent value is still accepted."""
+        schema = Schema((FeatureSchema("r", FeatureKind.ORDINAL_FUZZY, 1.0,
+                                       ordinal_params=OrdinalParams(MembershipShape.TRIANGULAR, 2.0)),))
+        path = tmp_path / "r.csv"
+        path.write_text("object_id,source_id,r,r_certainty\na1,a,,bogus\n")
+        with pytest.raises(DataError) as error:
+            read_dataset(path, schema)
+        assert str(error.value) == f"{path}:2: bad certainty for 'r': unknown certainty label: 'bogus'"
+        path.write_text("object_id,source_id,r,r_certainty\na1,a,,probable\n")
+        assert read_dataset(path, schema).columns["r"].present.tolist() == [False]
+
     def test_missing_id_columns(self, tmp_path):
         path = tmp_path / "broken.csv"
         path.write_text("object_id,position_x\na,1.0\n")
@@ -1067,16 +1080,40 @@ EDGE_NUMBERS = st.sampled_from(
 ) | st.floats(allow_nan=False, allow_infinity=False) | st.floats(0.0, 1.0)
 
 
-def edge_config(numbers) -> dict:
+# Edits of RULES_CONFIG's structure that a Python caller can make too, or
+# (a width outside an ordinal shape) that only a configuration can: an empty
+# axes list, null for each key whose default is None, a width on a
+# quantitative and a nominal feature, and an accuracy for a feature the
+# schema lacks.
+NULLABLE_PATHS = [
+    ("schema", "features", 0, "xi"), ("schema", "features", 0, "axes"), ("schema", "features", 1, "width"),
+    ("schema", "features", 2, "delta"), ("schema", "features", 3, "width"), ("sources", "s1", "position", "sigma"),
+    ("sources", "s1", "readiness", "k"), ("sources", "s2", "position", "delta_max"), ("sources", "s3", "threat", "width"),
+    ("aggregation", "class_weight"),
+]
+STRUCTURAL_EDITS = [
+    (("schema", "features", 0, "axes"), []),
+    *((path, None) for path in NULLABLE_PATHS),
+    (("schema", "features", 0, "width"), 2.0),
+    (("schema", "features", 2, "width"), 2.0),
+    (("sources", "s1", "spede"), {"sigma": 1.0}),
+]
+
+
+def edge_config(numbers, edits=()) -> dict:
     """RULES_CONFIG with the number at each path of ``numbers`` replaced,
-    written as JSON text and read back."""
+    then each (path, value) of ``edits`` set, written as JSON text and read back."""
     doc = json.loads(json.dumps(RULES_CONFIG))
-    for (*parents, key), number in numbers.items():
-        functools.reduce(lambda node, k: node[k], parents, doc)[key] = number
+    for (*parents, key), value in [*numbers.items(), *edits]:
+        functools.reduce(lambda node, k: node[k], parents, doc)[key] = value
     return json.loads(json.dumps(doc).replace('"1e400"', "1e400"))
 
 
-EDGE_CONFIGS = st.dictionaries(st.sampled_from(RULES_PATHS), EDGE_NUMBERS, min_size=1, max_size=6).map(edge_config)
+EDGE_CONFIGS = st.builds(
+    edge_config,
+    st.dictionaries(st.sampled_from(RULES_PATHS), EDGE_NUMBERS, min_size=1, max_size=6),
+    st.lists(st.sampled_from(STRUCTURAL_EDITS), max_size=3),
+)
 
 
 def config_verdict(doc) -> list[str]:
@@ -1090,18 +1127,22 @@ def config_verdict(doc) -> list[str]:
 
 def python_violations(doc) -> list[str]:
     """The violations of the dataclasses a Python caller builds from ``doc``,
-    from the same violations functions, gated as ``parse_config`` gates them."""
+    from the same violations functions, gated as ``parse_config`` gates them.
+    A null is an absent setting; a width without a shape, which no
+    ``FeatureSchema`` can hold, is the one rule a configuration adds."""
     kinds = {"quantitative": FeatureKind.QUANTITATIVE, "ordinal": FeatureKind.ORDINAL_FUZZY,
              "nominal": FeatureKind.NOMINAL}
     features = [
         FeatureSchema(
             f["name"], kinds[f["kind"]], f["weight"], quantitative_xi=f.get("xi"), nominal_delta=f.get("delta"),
             ordinal_params=OrdinalParams(MembershipShape(f["shape"]), f.get("width")) if "shape" in f else None,
-            axes=tuple(f["axes"]) if "axes" in f else None,
+            axes=None if f.get("axes") is None else tuple(f["axes"]),
         )
         for f in doc["schema"]["features"]
     ]
-    errors = schema_violations(features)
+    errors = [f"{f['name']}: width only applies to ordinal features" for f in doc["schema"]["features"]
+              if f.get("width") is not None and "shape" not in f]
+    errors = errors or schema_violations(features)
     schema = None
     if not errors:
         schema = Schema(tuple(features))
@@ -1109,12 +1150,16 @@ def python_violations(doc) -> list[str]:
         for sid, entries in doc["sources"].items():
             accuracy = {
                 name: QuantAccuracy(p.get("sigma"), p.get("delta_max"))
-                if schema.feature(name).kind is FeatureKind.QUANTITATIVE else OrdinalAccuracy(p.get("k"), p.get("width"))
+                if name not in schema.names or schema.feature(name).kind is FeatureKind.QUANTITATIVE
+                else OrdinalAccuracy(p.get("k"), p.get("width"))
                 for name, p in entries.items()
             }
             profiles[sid] = SourceProfile(sid, accuracy)
-            errors += profile_violations(profiles[sid], schema)
-        errors += derived_xi_violations(schema, profiles)
+        violations = [error for profile in profiles.values() for error in profile_violations(profile, schema)]
+        # An accuracy for a feature the schema lacks is reported as the
+        # configuration is read, so it gates the other profile rules.
+        unknown = [error for error in violations if "accuracy given for unknown feature" in error]
+        errors += unknown or violations + derived_xi_violations(schema, profiles)
     raw = doc["aggregation"]
     spec = AggregationSpec(AggregationMethod(raw["method"]), raw.get("class_weight"))
     if schema is not None:
@@ -1130,11 +1175,72 @@ def python_violations(doc) -> list[str]:
 @given(EDGE_CONFIGS)
 @example(edge_config({("schema", "features", 0, "xi"): 10**400, ("sources", "s2", "position", "delta_max"): "1e400"}))
 @example(edge_config({("simulation", "area", 0): "1e400", ("threshold",): math.nan, ("schema", "features", 0, "weight"): 10**400}))
+@example(edge_config({("sources", "s2", "position", "delta_max"): -1.0}, [(("sources", "s1", "spede"), {"sigma": 1.0})]))
 def test_config_and_python_give_one_verdict(doc):
-    """Finite, huge, subnormal, zero, negative, infinite and NaN numbers:
-    a configuration and the same objects built in Python are both accepted,
-    or both rejected with the same messages in the same order."""
+    """Finite, huge, subnormal, zero, negative, infinite and NaN numbers,
+    with or without edits of the document's structure: a configuration and
+    the same objects built in Python are both accepted, or both rejected
+    with the same messages in the same order."""
     assert config_verdict(doc) == python_violations(doc)
+
+
+@pytest.mark.parametrize("path, value", STRUCTURAL_EDITS, ids=[f"{'/'.join(map(str, p))}={v!r}" for p, v in STRUCTURAL_EDITS])
+def test_each_structural_edit_gives_one_verdict(path, value):
+    """Each edit alone: ``"axes": []`` got OK from a configuration and
+    ``axes must be non-empty and unique`` from Python; a width on a
+    quantitative or nominal feature was never read; an accuracy for an
+    unknown feature had a message of its own."""
+    doc = edge_config({}, [(path, value)])
+    assert config_verdict(doc) == python_violations(doc)
+
+
+# Null for each key whose default is not None: its type message, where
+# ``area``, ``types`` and ``rmse`` took their defaults.
+NULL_TYPE_MESSAGES = [
+    (("schema", "features"), "schema: features must be an array, got None"),
+    (("schema", "features", 0, "kind"), "position: unknown kind None"),
+    (("schema", "features", 0, "weight"), "position: weight must be a number, got None"),
+    (("sources",), "sources must be an object, got None"),
+    (("aggregation",), "aggregation must be an object, got None"),
+    (("aggregation", "method"), "aggregation: method must be a string, got None"),
+    (("aggregation", "normalized"), "aggregation: normalized must be a boolean, got None"),
+    (("threshold",), "threshold must be a number, got None"),
+    (("simulation", "object_count"), "simulation: object_count must be an integer, got None"),
+    (("simulation", "area"), "simulation: area must be an array, got None"),
+    (("simulation", "types"), "simulation: types must be an array, got None"),
+    (("simulation", "rmse"), "simulation: rmse must be an array, got None"),
+    (("simulation", "type_error"), "simulation: type_error must be a number, got None"),
+    (("simulation", "fleet_sigma_min"), "simulation: fleet_sigma_min must be a number, got None"),
+    (("simulation", "seed"), "simulation: seed must be an integer, got None"),
+]
+
+
+@pytest.mark.parametrize("path, message", NULL_TYPE_MESSAGES, ids=["/".join(map(str, p)) for p, _ in NULL_TYPE_MESSAGES])
+def test_null_is_absent_only_where_the_default_is_none(path, message):
+    assert config_verdict(edge_config({}, [(path, None)])) == [message]
+
+
+@pytest.mark.parametrize("index", [0, 2], ids=["quantitative", "nominal"])
+@pytest.mark.parametrize("width, message", [
+    (2.0, "width only applies to ordinal features"), ("wide", "width must be a number, got 'wide'"),
+], ids=["number", "wide"])
+def test_width_applies_to_ordinal_features_only(index, width, message):
+    """A width on a feature without a membership shape was never read: even
+    ``"width": "wide"`` validated OK."""
+    name = RULES_CONFIG["schema"]["features"][index]["name"]
+    assert config_verdict(edge_config({}, [(("schema", "features", index, "width"), width)])) == [f"{name}: {message}"]
+
+
+def test_accuracy_for_an_unknown_feature_has_the_model_text():
+    """A configuration reported ``s1: accuracy for unknown feature 'spede'``
+    and Python ``... accuracy given for ...``; now both give the model's
+    text, and the configuration still reports it beside the other source
+    errors."""
+    doc = edge_config({("sources", "s2", "position", "delta_max"): "x"}, [(("sources", "s1", "spede"), {"sigma": 1.0})])
+    schema = parse_config(RULES_CONFIG).schema
+    (text,) = profile_violations(SourceProfile("s1", {"spede": QuantAccuracy(1.0)}), schema)[:1]
+    assert config_verdict(doc) == [text, "s2/position: delta_max must be a number, got 'x'"]
+    assert text == "s1: accuracy given for unknown feature 'spede'"
 
 
 # --- objects, columns and the writer judge a held value alike --------------------
